@@ -19,7 +19,7 @@ from qcurv.parametrix import (
 )
 
 # flat: bare r^{4-n} to any order
-flat = flat_expansion(7, order=7)
+flat = flat_expansion(7)
 print("flat n=7:", flat.expansion, "remainder", flat.remainder)
 
 # n = 10: solver output equals the closed form, coefficient by coefficient

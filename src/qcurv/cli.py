@@ -5,15 +5,12 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error.  All randomness derives from a single 64-bit seed
 through counter-based generators, and serialized reports carry no timing,
 so a fixed (subcommand, config, seed) triple reproduces its report byte
-for byte.  QCURV_THREADS, when set, caps worker parallelism; every
-computation here is also correct (and identical) single-threaded.
+for byte.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import sys
 from fractions import Fraction
 
@@ -23,22 +20,36 @@ import numpy as np
 from . import asymptotics as asym
 from . import parametrix as par
 from . import polyalg, report, sphereforms, spectral, tensor
-from .report import VerificationReport, close_check, dump_report, exact_check
+from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
+
+# tolerances of the spectral, constants and bubble checks; the fit
+# tolerances are asymptotics.FIT_RTOL
+THETA4_RTOL = 1e-8
+DUALITY_RTOL = 1e-10
+THETA2_DUALITY_RTOL = 1e-8
+MOBIUS_DRIFT = 1e-6
+BOUNDED_SLACK = 1e-6
+FIXED_POINT_DRIFT = 1e-8
+MOMENTS_RESID = 1e-12
+DUALITY_RESID = 1e-14
+BUBBLE_PDE_RESID = 1e-10
 
 
-def _echo_report(payload: dict, out: str | None):
-    text = dump_report(payload, out)
-    if out:
-        click.echo(f"report written to {out}", err=True)
-    else:
-        click.echo(text, nl=False)
+def _bound(x: float) -> str:
+    """A bound as the report texts write it: 1e-06 -> "1e-6"."""
+    mantissa, exponent = f"{x:e}".split("e")
+    return f"{float(mantissa):g}e{int(exponent)}"
 
 
 def _finish(reports: list[VerificationReport], payload: dict, out: str | None):
     ok = all(r.passed for r in reports)
     payload["reports"] = [r.to_json() for r in reports]
     payload["pass"] = ok
-    _echo_report(payload, out)
+    text = dump_report(payload, out)
+    if out:
+        click.echo(f"report written to {out}", err=True)
+    else:
+        click.echo(text, nl=False)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.check_id}", err=True)
@@ -56,21 +67,6 @@ def _parse_n_range(text: str) -> list[int]:
         return [int(v) for v in text.split(",")]
     except ValueError:
         raise click.UsageError(f"bad dimension range {text!r}; use e.g. 5..8 or 5,7,9")
-
-
-def threads_cap() -> int | None:
-    """Parallelism cap from QCURV_THREADS; None means unrestricted.
-
-    All computations here are single-threaded and thread-count
-    independent, so the cap is recorded in report configs and trivially
-    honored."""
-    cap = os.environ.get("QCURV_THREADS")
-    if cap is None:
-        return None
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise click.UsageError("QCURV_THREADS must be an integer")
 
 
 @click.group()
@@ -91,7 +87,8 @@ def cmd_constants(n_range, fmt, out):
     if any(n < 5 for n in ns):
         raise click.UsageError("constants need n >= 5")
     rows = sphereforms.constants_table(ns)
-    ok = all(r["resid_Y4_vs_moments"] < 1e-12 and r["resid_duality"] < 1e-14 for r in rows)
+    ok = all(c.passed for c in _constants_checks(rows))
+    payload = {"command": "constants", "rows": rows, "pass": ok}
 
     if fmt == "csv":
         cols = ["n", "Q_sphere", "omega_n", "Y4", "Theta4", "resid_Y4_vs_moments", "resid_duality"]
@@ -113,10 +110,10 @@ def cmd_constants(n_range, fmt, out):
         lines.append(r"\end{tabular}")
         click.echo("\n".join(lines))
     else:
-        click.echo(dump_report({"command": "constants", "rows": rows, "pass": ok}), nl=False)
+        click.echo(dump_report(payload), nl=False)
 
     if out:
-        dump_report({"command": "constants", "rows": rows, "pass": ok}, out)
+        dump_report(payload, out)
     sys.exit(0 if ok else 1)
 
 
@@ -134,8 +131,11 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
     if n < 5:
         raise click.UsageError("n >= 5 required")
     if jet_file:
-        with open(jet_file) as f:
-            jet = par.CurvatureJet.from_json(json.load(f))
+        try:
+            with open(jet_file) as f:
+                jet = par.CurvatureJet.from_json(json.load(f))
+        except (OSError, ValueError, KeyError, IndexError, TypeError) as e:
+            raise click.UsageError(f"bad jet file {jet_file}: {e!r}")
         if jet.n != n:
             raise click.UsageError("jet dimension does not match --n")
     elif flat:
@@ -154,32 +154,30 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
         "log_terms": green.log_terms(),
     }
     checks = [par.verify_recursion_residual(jet, green)]
-    if n >= 9 and not jet.is_flat():
-        match = par.psi4_solve(jet) == par.psi4_closed_form(jet)
-        payload["psi4_matches_closed_form"] = match
-        checks.append(
-            exact_check(
-                "parametrix.psi4_closed_form",
-                {"n": n, "seed": seed},
-                True,
-                "degree-4 correction closed form",
-                match,
+    if n >= 8 and not jet.is_flat():
+        got, want = par.psi4_shell(jet, green)
+        if n == 8:
+            payload["n8_log_coefficient"] = report.jsonable(par.n8_log_coefficient(jet))
+            checks.append(
+                exact_check(
+                    "parametrix.n8_log_coefficient",
+                    {"seed": seed},
+                    want.to_json(),
+                    "log-shell coefficient, quadratic in the Weyl norm",
+                    got.to_json(),
+                )
             )
-        )
-    if n == 8 and not jet.is_flat():
-        coeff = par.n8_log_coefficient(jet)
-        psi_log = green.expansion.get(4, 1)
-        want = polyalg.HomogPoly.r_squared(8).mul_r2k(1).scale(coeff)
-        checks.append(
-            exact_check(
-                "parametrix.n8_log_coefficient",
-                {"seed": seed},
-                want.to_json(),
-                "log-shell coefficient, quadratic in the Weyl norm",
-                psi_log.to_json(),
+        else:
+            payload["psi4_matches_closed_form"] = got == want
+            checks.append(
+                exact_check(
+                    "parametrix.psi4_closed_form",
+                    {"n": n, "seed": seed},
+                    True,
+                    "degree-4 correction closed form",
+                    got == want,
+                )
             )
-        )
-        payload["n8_log_coefficient"] = report.jsonable(coeff)
     _finish(checks, payload, out)
 
 
@@ -208,7 +206,6 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
         extra = asym.numerator_coefficient_check(model)
     except ValueError as e:
         raise click.UsageError(str(e))
-    tol = {"flat": 0.02, "lowdim": 0.02, "high": 0.02, "n9": 0.05, "n8": 0.10}[case]
     checks = [
         close_check(
             f"asymptotics.ratio_coefficient[{case},n={n}]",
@@ -216,7 +213,7 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
             fit.expected,
             "test-function expansion coefficient",
             fit.coefficient,
-            rtol=tol,
+            rtol=asym.FIT_RTOL[case],
         )
     ] + extra
     payload = {
@@ -250,46 +247,49 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
         rep = spectral.spectral_report(n, trunc, iters, damping, init)
     except ValueError as e:
         raise click.UsageError(str(e))
-    sc = sphereforms.sharp_constants(n)
-    vals = rep["functional_values"]
+    theta4 = sphereforms.sharp_constants(n).Theta4_sphere
+    top = max(rep["functional_values"])
+    drift = max(c["theta4_drift"] for c in rep["invariance_checks"])
     checks = [
         close_check(
             "spectral.theta4_constant",
             {"n": n, "L": trunc},
-            sc.Theta4_sphere,
+            theta4,
             "dual functional at the constant extremal",
             rep["theta4_constant"],
-            rtol=1e-8,
+            rtol=THETA4_RTOL,
         ),
-        VerificationReport(
-            check_id="spectral.iteration_bounded",
-            inputs={"n": n, "L": trunc, "iters": iters, "init": init},
-            expected=f"<= {sc.Theta4_sphere} + 1e-6",
-            provenance="sharp maximality of constants on the sphere",
-            computed=max(vals),
-            tolerance=1e-6,
-            passed=max(vals) <= sc.Theta4_sphere + 1e-6,
+        abs_check(
+            "spectral.iteration_bounded",
+            {"n": n, "L": trunc, "iters": iters, "init": init},
+            f"<= {theta4} + {_bound(BOUNDED_SLACK)}",
+            "sharp maximality of constants on the sphere",
+            top,
+            BOUNDED_SLACK,
+            deviation=top - theta4,
         ),
-        VerificationReport(
-            check_id="spectral.mobius_invariance",
-            inputs={"n": n, "L": trunc, "t": [1.5, 2.0, 4.0]},
-            expected="relative drift <= 1e-6",
-            provenance="conformal invariance of the dual functional",
-            computed=max(c["theta4_drift"] for c in rep["invariance_checks"]),
-            tolerance=1e-6,
-            passed=all(c["theta4_drift"] <= 1e-6 for c in rep["invariance_checks"]),
+        abs_check(
+            "spectral.mobius_invariance",
+            {"n": n, "L": trunc, "t": list(spectral.MOBIUS_T)},
+            f"relative drift <= {_bound(MOBIUS_DRIFT)}",
+            "conformal invariance of the dual functional",
+            drift,
+            MOBIUS_DRIFT,
+            deviation=drift,
         ),
     ]
     if init == "constant":
+        vals = rep["functional_values"]
+        fixed = abs(vals[-1] - vals[0])
         checks.append(
-            VerificationReport(
-                check_id="spectral.fixed_point_drift",
-                inputs={"n": n, "L": trunc, "iters": iters},
-                expected="<= 1e-8",
-                provenance="constants solve the dual extremal equation",
-                computed=abs(vals[-1] - vals[0]),
-                tolerance=1e-8,
-                passed=abs(vals[-1] - vals[0]) <= 1e-8,
+            abs_check(
+                "spectral.fixed_point_drift",
+                {"n": n, "L": trunc, "iters": iters},
+                f"<= {_bound(FIXED_POINT_DRIFT)}",
+                "constants solve the dual extremal equation",
+                fixed,
+                FIXED_POINT_DRIFT,
+                deviation=fixed,
             )
         )
     payload = {
@@ -303,7 +303,7 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
 # --------------------------------------------------------------------- verify
 
 
-def _verify_weyl(ns, trials, seed) -> list[VerificationReport]:
+def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     for n in ns:
         all_ok = True
@@ -338,7 +338,7 @@ def _verify_weyl(ns, trials, seed) -> list[VerificationReport]:
     return out
 
 
-def _verify_polyalg(trials, seed) -> list[VerificationReport]:
+def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
     rng = np.random.Generator(np.random.Philox(seed))
     ok_dec, ok_solve = True, True
     for _ in range(trials):
@@ -375,7 +375,7 @@ def _verify_polyalg(trials, seed) -> list[VerificationReport]:
     ]
 
 
-def _verify_parametrix(ns, trials, seed) -> list[VerificationReport]:
+def _verify_parametrix(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     for n in ns:
         if n < 8:
@@ -383,13 +383,9 @@ def _verify_parametrix(ns, trials, seed) -> list[VerificationReport]:
         ok = True
         for k in range(trials):
             jet = par.random_jet(n, seed + k)
-            if n >= 9:
-                ok = ok and par.psi4_solve(jet) == par.psi4_closed_form(jet)
-            else:
-                w2 = jet.W.norm_sq()
-                want = polyalg.HomogPoly.r_squared(8).mul_r2k(1).scale(-w2 / 1440)
-                ok = ok and par.psi4_solve(jet).get(4, 1) == want
-            ok = ok and par.verify_recursion_residual(jet, par.green_leading(jet)).passed
+            green = par.green_leading(jet)
+            got, want = par.psi4_shell(jet, green)
+            ok = ok and got == want and par.verify_recursion_residual(jet, green).passed
         label = "closed-form" if n >= 9 else "log-coefficient"
         out.append(
             exact_check(
@@ -403,57 +399,58 @@ def _verify_parametrix(ns, trials, seed) -> list[VerificationReport]:
     return out
 
 
-def _verify_constants(ns) -> list[VerificationReport]:
-    rows = sphereforms.constants_table(ns)
+def _constants_checks(rows: list[dict]) -> list[VerificationReport]:
     out = []
     for r in rows:
-        out.append(
-            close_check(
+        out += [
+            abs_check(
                 f"constants.moments[n={r['n']}]",
                 {"n": r["n"]},
                 0.0,
                 "moment quotient vs closed form",
                 r["resid_Y4_vs_moments"],
-                rtol=1e-12,
-            )
-        )
-        out[-1].passed = r["resid_Y4_vs_moments"] < 1e-12
-        out.append(
-            VerificationReport(
-                check_id=f"constants.duality[n={r['n']}]",
-                inputs={"n": r["n"]},
-                expected=1.0,
-                provenance="dual sharp constant is the reciprocal",
-                computed=1.0 + r["resid_duality"],
-                tolerance=1e-14,
-                passed=r["resid_duality"] < 1e-14,
-            )
-        )
+                MOMENTS_RESID,
+            ),
+            abs_check(
+                f"constants.duality[n={r['n']}]",
+                {"n": r["n"]},
+                1.0,
+                "dual sharp constant is the reciprocal",
+                1.0 + r["resid_duality"],
+                DUALITY_RESID,
+                deviation=r["resid_duality"],
+            ),
+        ]
     return out
 
 
-def _verify_bubbles(ns) -> list[VerificationReport]:
+def _verify_constants(ns, trials, seed, L) -> list[VerificationReport]:
+    return _constants_checks(sphereforms.constants_table(ns))
+
+
+def _verify_bubbles(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     radii = np.geomspace(0.1, 10.0, 100)
+    lambdas = [0.5, 1.0, 2.0]
     for n in ns:
-        worst = 0.0
-        for lam in (0.5, 1.0, 2.0):
-            worst = max(worst, float(sphereforms.bubble_pde_residual(lam, n, radii).max()))
+        worst = max(
+            float(sphereforms.bubble_pde_residual(lam, n, radii).max()) for lam in lambdas
+        )
         out.append(
-            VerificationReport(
-                check_id=f"bubble.pde[n={n}]",
-                inputs={"n": n, "lambdas": [0.5, 1.0, 2.0], "radii": 100},
-                expected="relative residual <= 1e-10",
-                provenance="bubble solves the critical bilaplacian equation",
-                computed=worst,
-                tolerance=1e-10,
-                passed=worst <= 1e-10,
+            abs_check(
+                f"bubble.pde[n={n}]",
+                {"n": n, "lambdas": lambdas, "radii": radii.size},
+                f"relative residual <= {_bound(BUBBLE_PDE_RESID)}",
+                "bubble solves the critical bilaplacian equation",
+                worst,
+                BUBBLE_PDE_RESID,
+                deviation=worst,
             )
         )
     return out
 
 
-def _verify_spectral(ns, L) -> list[VerificationReport]:
+def _verify_spectral(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     for n in ns:
         solver = spectral.SphereSolver(n, L)
@@ -465,7 +462,7 @@ def _verify_spectral(ns, L) -> list[VerificationReport]:
         y2 = solver.yamabe_functional(const)
         drift = max(
             abs(solver.theta4_functional(solver.mobius_pullback(const, t)) - th) / th
-            for t in (1.5, 2.0, 4.0)
+            for t in spectral.MOBIUS_T
         )
         out += [
             close_check(
@@ -474,7 +471,7 @@ def _verify_spectral(ns, L) -> list[VerificationReport]:
                 sc.Theta4_sphere,
                 "dual functional at constants",
                 th,
-                rtol=1e-8,
+                rtol=THETA4_RTOL,
             ),
             close_check(
                 f"spectral.duality[n={n},L={L}]",
@@ -482,7 +479,7 @@ def _verify_spectral(ns, L) -> list[VerificationReport]:
                 1.0,
                 "product of primal and dual sharp values",
                 th * y4,
-                rtol=1e-10,
+                rtol=DUALITY_RTOL,
             ),
             close_check(
                 f"spectral.theta2_duality[n={n},L={L}]",
@@ -490,24 +487,24 @@ def _verify_spectral(ns, L) -> list[VerificationReport]:
                 1.0,
                 "second-order analogue duality",
                 th2 * y2,
-                rtol=1e-8,
+                rtol=THETA2_DUALITY_RTOL,
             ),
-            VerificationReport(
-                check_id=f"spectral.mobius[n={n},L={L}]",
-                inputs={"n": n, "L": L, "t": [1.5, 2.0, 4.0]},
-                expected="drift <= 1e-6",
-                provenance="conformal invariance",
-                computed=drift,
-                tolerance=1e-6,
-                passed=drift <= 1e-6,
+            abs_check(
+                f"spectral.mobius[n={n},L={L}]",
+                {"n": n, "L": L, "t": list(spectral.MOBIUS_T)},
+                f"drift <= {_bound(MOBIUS_DRIFT)}",
+                "conformal invariance",
+                drift,
+                MOBIUS_DRIFT,
+                deviation=drift,
             ),
         ]
     return out
 
 
-def _verify_asymptotics(seed) -> list[VerificationReport]:
+def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
-    for case, n, tol in (("flat", 5, 0.02), ("high", 10, 0.02), ("n9", 9, 0.05), ("n8", 8, 0.10)):
+    for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
         jet = par.random_jet(n, seed, normalize=True) if case != "flat" else None
         fit = asym.fit_expansion(asym.TestFunctionModel(case=case, n=n, jet=jet))
         out.append(
@@ -517,17 +514,26 @@ def _verify_asymptotics(seed) -> list[VerificationReport]:
                 fit.expected,
                 "expansion coefficient vs closed form",
                 fit.coefficient,
-                rtol=tol,
+                rtol=asym.FIT_RTOL[case],
             )
         )
     return out
 
 
-SUITES = ("weyl", "polyalg", "parametrix", "constants", "bubbles", "spectral", "asymptotics", "all")
+# suite -> (checks, default dimensions or None if it takes none, default trials)
+SUITES = {
+    "weyl": (_verify_weyl, range(5, 11), 50),
+    "polyalg": (_verify_polyalg, None, 40),
+    "parametrix": (_verify_parametrix, range(8, 13), 10),
+    "constants": (_verify_constants, range(5, 13), None),
+    "bubbles": (_verify_bubbles, range(5, 13), None),
+    "spectral": (_verify_spectral, range(5, 10), None),
+    "asymptotics": (_verify_asymptotics, None, None),
+}
 
 
 @main.command("verify")
-@click.argument("suite", type=click.Choice(SUITES))
+@click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=1, show_default=True)
@@ -536,29 +542,15 @@ SUITES = ("weyl", "polyalg", "parametrix", "constants", "bubbles", "spectral", "
 def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
     reports: list[VerificationReport] = []
+    for name in SUITES if suite == "all" else [suite]:
+        checks, ns, default_trials = SUITES[name]
+        if n_range and suite == name and ns is not None:
+            ns = _parse_n_range(n_range)
+        if (suite, name) == ("all", "weyl"):
+            default_trials = 10  # keeps `verify all` short
+        reports += checks(ns, trials or default_trials, seed, trunc or 64)
     config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
-    if suite in ("weyl", "all"):
-        ns = _parse_n_range(n_range) if n_range and suite == "weyl" else range(5, 11)
-        reports += _verify_weyl(ns, trials or (50 if suite == "weyl" else 10), seed)
-    if suite in ("polyalg", "all"):
-        reports += _verify_polyalg(trials or 40, seed)
-    if suite in ("parametrix", "all"):
-        ns = _parse_n_range(n_range) if n_range and suite == "parametrix" else range(8, 13)
-        reports += _verify_parametrix(ns, trials or 10, seed)
-    if suite in ("constants", "all"):
-        ns = _parse_n_range(n_range) if n_range and suite == "constants" else range(5, 13)
-        reports += _verify_constants(ns)
-    if suite in ("bubbles", "all"):
-        ns = _parse_n_range(n_range) if n_range and suite == "bubbles" else range(5, 13)
-        reports += _verify_bubbles(ns)
-    if suite in ("spectral", "all"):
-        ns = _parse_n_range(n_range) if n_range and suite == "spectral" else range(5, 10)
-        reports += _verify_spectral(ns, trunc or 64)
-    if suite in ("asymptotics", "all"):
-        reports += _verify_asymptotics(seed)
-    config["threads_cap"] = threads_cap()
-    payload = {"command": "verify", "config": config}
-    _finish(reports, payload, out)
+    _finish(reports, {"command": "verify", "config": config}, out)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ correction is the degree-4 shell, driven by the source polynomial
 
 inverted through A_{2-n} A_{4-n}.  For n >= 9 the inverse is log-free and
 has a closed form; at n = 8 the radial kernel block forces a single
--|W|^2/1440 * r^4 log r term.  The recursion loop itself is generic in an
-abstract degree-by-degree source so the flat case exercises it to any
-order; curved sources beyond degree 4 would need metric Taylor data that
-the curvature jet does not carry.
+-|W|^2/1440 * r^4 log r term.  The flat expansion is the bare r^{4-n} at
+every order; curved sources beyond degree 4 would need metric Taylor data
+that the curvature jet does not carry.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from .tensor import (
     SchoutenHessian,
     WeylTensor,
     fix_trace,
+    invariants_hold,
     random_schouten_hessian,
     random_weyl,
 )
@@ -78,8 +77,11 @@ class CurvatureJet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CurvatureJet":
+        """Load a jet, refusing a W that breaks any Weyl symmetry or trace."""
         n = int(obj["n"])
         W = WeylTensor.from_json({"n": n, "W": obj["W"]})
+        if not invariants_hold(W):
+            raise ValueError("W violates a Weyl symmetry, Bianchi or trace identity")
         Jh = SchoutenHessian.from_json({"n": n, "J": obj["J"]})
         return cls(n, W, Jh)
 
@@ -219,35 +221,12 @@ class GreenExpansion:
         return out
 
 
-def run_recursion(
-    n: int, order: int, source: Callable[[int], HomogPoly]
-) -> LogRadialExpansion:
-    """Generic degree-by-degree inversion of A_{2-n} A_{4-n}.
-
-    ``source(i)`` supplies the degree-i shell of the accumulated residual;
-    each shell is killed by one solve.  The flat case has source zero at
-    every degree and returns the bare expansion to any order.
-    """
-    acc = LogRadialExpansion(n, Fraction(4 - n), {(0, 0): HomogPoly.constant(n, 1)})
-    for i in range(1, order + 1):
-        phi_i = source(i)
-        if phi_i.degree != i or phi_i.n != n:
-            raise ValueError(f"source at degree {i} has wrong shape")
-        if phi_i.is_zero():
-            continue
-        psi_i = solve_AA(n, phi_i)
-        for (deg, k), poly in psi_i.terms.items():
-            acc._add_term(deg, k, poly)
-    return acc
-
-
-def flat_expansion(n: int, order: int = 4) -> GreenExpansion:
+def flat_expansion(n: int) -> GreenExpansion:
     """Flat metric: H = r^{4-n} with no corrections at any order."""
     if n < 5:
         raise ValueError("n >= 5 required")
-    zero_source = lambda i: HomogPoly.zero(n, i)
-    acc = run_recursion(n, order, zero_source)
-    return GreenExpansion(n=n, expansion=acc, remainder="Oinf(1)")
+    bare = LogRadialExpansion(n, Fraction(4 - n), {(0, 0): HomogPoly.constant(n, 1)})
+    return GreenExpansion(n=n, expansion=bare, remainder="Oinf(1)")
 
 
 def green_leading(jet: CurvatureJet) -> GreenExpansion:
@@ -258,18 +237,26 @@ def green_leading(jet: CurvatureJet) -> GreenExpansion:
     n >= 9: r^{4-n}(1 + psi_4), remainder O4(r^{9-n}).
     """
     n = jet.n
-    if n < 5:
-        raise ValueError("n >= 5 required")
+    flat = flat_expansion(n)
     if jet.is_flat():
-        return flat_expansion(n)
+        return flat
     if n in (5, 6, 7):
-        acc = LogRadialExpansion(n, Fraction(4 - n), {(0, 0): HomogPoly.constant(n, 1)})
-        return GreenExpansion(n=n, expansion=acc, remainder="O4(r)", constant_symbol="A")
-    acc = LogRadialExpansion(n, Fraction(4 - n), {(0, 0): HomogPoly.constant(n, 1)})
-    for (deg, k), poly in psi4_solve(jet).terms.items():
-        acc._add_term(deg, k, poly)
+        return GreenExpansion(n=n, expansion=flat.expansion, remainder="O4(r)", constant_symbol="A")
+    terms = {**flat.expansion.terms, **psi4_solve(jet).terms}
     remainder = "O4(1)" if n == 8 else "O4(r^{9-n})"
-    return GreenExpansion(n=n, expansion=acc, remainder=remainder)
+    return GreenExpansion(n, LogRadialExpansion(n, Fraction(4 - n), terms), remainder)
+
+
+def psi4_shell(jet: CurvatureJet, green: GreenExpansion) -> tuple:
+    """The degree-4 shell an expansion of a curved jet carries, and what it
+    must equal: for n >= 9 psi_4 (every term but the leading 1) against its
+    closed form, at n = 8 the r^4 log r block against -|W|^2/1440 r^4."""
+    terms = green.expansion.terms
+    psi4 = LogRadialExpansion(jet.n, 0, {key: terms[key] for key in terms if key != (0, 0)})
+    if jet.n == 8:
+        r4 = HomogPoly.r_squared(8).mul_r2k(1)
+        return psi4.get(4, 1), r4.scale(n8_log_coefficient(jet))
+    return psi4, psi4_closed_form(jet)
 
 
 def verify_recursion_residual(jet: CurvatureJet, green: GreenExpansion) -> VerificationReport:

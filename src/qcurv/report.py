@@ -1,15 +1,14 @@
 """Structured verification records shared by every module and the CLI.
 
 A report captures one check: what went in, the expected value with its
-provenance, what came out, the tolerance, and pass/fail.  Serialized
-reports omit wall time so identical configurations produce byte-identical
-files; timing stays available on the in-memory object.
+provenance, what came out, the tolerance, and pass/fail.  Reports carry
+no timing, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -40,10 +39,9 @@ class VerificationReport:
     computed: Any
     tolerance: Any  # float, or the string "exact"
     passed: bool
-    wall_time_s: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "check": self.check_id,
             "inputs": jsonable(self.inputs),
             "expected": jsonable(self.expected),
@@ -52,9 +50,6 @@ class VerificationReport:
             "tolerance": jsonable(self.tolerance),
             "pass": self.passed,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def exact_check(check_id, inputs, expected, provenance, computed) -> VerificationReport:
@@ -82,6 +77,26 @@ def close_check(check_id, inputs, expected, provenance, computed, rtol) -> Verif
         computed=computed,
         tolerance=rtol,
         passed=passed,
+    )
+
+
+def abs_check(
+    check_id, inputs, expected, provenance, computed, atol, deviation=None
+) -> VerificationReport:
+    """Pass when ``deviation``, by default |computed - expected|, is at most
+    ``atol``.  A check against a bound states ``expected`` as text ("drift
+    <= 1e-6") and passes the non-negative drift, or the signed overshoot
+    past a one-sided bound, as ``deviation``."""
+    if deviation is None:
+        deviation = abs(float(computed) - float(expected))
+    return VerificationReport(
+        check_id=check_id,
+        inputs=inputs,
+        expected=expected,
+        provenance=provenance,
+        computed=computed,
+        tolerance=atol,
+        passed=deviation <= atol,
     )
 
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .sphereforms import omega_n, sphere_area
+
+MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
 
 
 @dataclass
@@ -83,6 +84,9 @@ class SphereSolver:
         if self.M < L + 1:
             raise ValueError("quadrature too coarse for degree L")
         self.spectrum = PaneitzSpectrum(n, L)
+
+        # imported here: only the spectral path pays for scipy.special
+        from scipy.special import roots_jacobi
 
         a = 0.5 * (n - 2)
         area_factor = n * omega_n(n)  # area of the S^{n-1} slice factor
@@ -157,12 +161,6 @@ class SphereSolver:
 
     def apply_GP(self, f: ZonalField) -> ZonalField:
         return ZonalField(self.n, self.L, f.coeffs / self.spectrum.mu_f)
-
-    def apply_L(self, u: ZonalField) -> ZonalField:
-        return ZonalField(self.n, self.L, self.spectrum.nu_f * u.coeffs)
-
-    def apply_GL(self, f: ZonalField) -> ZonalField:
-        return ZonalField(self.n, self.L, f.coeffs / self.spectrum.nu_f)
 
     def energy_E(self, u: ZonalField) -> float:
         return float(np.sum(self.spectrum.mu_f * u.coeffs**2))
@@ -273,7 +271,7 @@ class SphereSolver:
         return self.analyze(vals)
 
 
-def spectral_report(n: int, L: int, iters: int, damping: float, init: str, seed: int = 0) -> dict:
+def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> dict:
     """Assemble the JSON payload behind the `spectral` CLI subcommand."""
     solver = SphereSolver(n, L)
     if init == "constant":
@@ -288,7 +286,7 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str, seed:
     const = solver.constant_field(1.0)
     theta4_const = solver.theta4_functional(const)
     invariance = []
-    for tt in (1.5, 2.0, 4.0):
+    for tt in MOBIUS_T:
         pulled = solver.mobius_pullback(const, tt)
         invariance.append(
             {

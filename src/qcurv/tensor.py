@@ -175,6 +175,8 @@ class WeylTensor:
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
         n = int(obj["n"])
+        if np.shape(obj["W"]) != (n,) * 4:
+            raise ValueError(f"W must be an array of shape {(n,) * 4}")
         fr = [
             [[[Fraction(obj["W"][i][k][j][l]) for l in range(n)] for j in range(n)] for k in range(n)]
             for i in range(n)

@@ -281,8 +281,8 @@ def test_numerator_check_n8():
 
 def test_numerator_check_n9():
     jet = random_jet(9, seed=5, normalize=True)
-    reports = numerator_coefficient_check(TestFunctionModel(case="n9", n=9, jet=jet))
-    assert all(r.passed for r in reports)
+    # n9 is held at the ratio level by fit_expansion only
+    assert numerator_coefficient_check(TestFunctionModel(case="n9", n=9, jet=jet)) == []
 
 
 # ------------------------------------------------------------------- MC

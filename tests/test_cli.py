@@ -1,6 +1,7 @@
 """CLI contract: exit codes, formats, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -124,3 +125,81 @@ def test_verify_report_determinism(runner, tmp_path):
     assert runner.invoke(main, args + ["--report", str(a)]).exit_code == 0
     assert runner.invoke(main, args + ["--report", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _jet_file(tmp_path, doc) -> str:
+    jf = tmp_path / "jet.json"
+    jf.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(jf)
+
+
+def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
+    from qcurv.parametrix import random_jet
+    from qcurv.tensor import WeylTensor, fix_trace
+
+    good = random_jet(9, seed=5)
+    short = good.to_json()
+    short["W"] = short["W"][:-1]
+    wrong_trace = good.to_json()
+    wrong_trace["J"][0][0] = str(Fraction(wrong_trace["J"][0][0]) + 1)
+    # breaks the pair symmetries; J is fixed so the trace constraint holds
+    ints = good.W.ints.copy()
+    ints[0, 1, 0, 1] += 1
+    not_weyl_W = WeylTensor(9, ints, good.W.scale)
+    not_weyl = {"n": 9, "W": not_weyl_W.to_json()["W"],
+                "J": fix_trace(good.Jh, not_weyl_W).to_json()["J"]}
+    for doc in (short, wrong_trace, not_weyl, '{"n": 9, "W": [', {"n": 9}):
+        res = runner.invoke(main, ["parametrix", "--n", "9", "--jet-file", _jet_file(tmp_path, doc)])
+        assert res.exit_code == 2, res.output
+        assert "bad jet file" in res.output
+
+
+def test_verify_tolerances_pinned(runner):
+    """The CLI's tolerances equal the acceptance numbers."""
+    want = {
+        "asymptotics.flat[n=5]": 0.02,
+        "asymptotics.high[n=10]": 0.02,
+        "asymptotics.n9[n=9]": 0.05,
+        "asymptotics.n8[n=8]": 0.10,
+        "spectral.theta4_const[n=5,L=64]": 1e-8,
+        "spectral.duality[n=5,L=64]": 1e-10,
+        "spectral.theta2_duality[n=5,L=64]": 1e-8,
+        "spectral.mobius[n=5,L=64]": 1e-6,
+        "constants.moments[n=5]": 1e-12,
+        "constants.duality[n=5]": 1e-14,
+        "bubble.pde[n=5]": 1e-10,
+    }
+    got = {}
+    for args in (["constants", "--n", "5"], ["bubbles", "--n", "5"],
+                 ["spectral", "--n", "5"], ["asymptotics"]):
+        res = runner.invoke(main, ["verify", *args])
+        assert res.exit_code == 0, res.output
+        got.update({r["check"]: r["tolerance"] for r in json.loads(res.stdout)["reports"]})
+    assert got == want
+
+
+def test_psi4_solved_once_per_jet(runner, monkeypatch):
+    import qcurv.parametrix as par
+
+    calls = []
+    solve = par.psi4_solve
+    monkeypatch.setattr(par, "psi4_solve", lambda jet: calls.append(jet.n) or solve(jet))
+    assert runner.invoke(main, ["parametrix", "--n", "9"]).exit_code == 0
+    assert calls == [9]
+    calls.clear()
+    assert runner.invoke(main, ["verify", "parametrix", "--n", "8,9", "--trials", "2"]).exit_code == 0
+    assert calls == [8, 8, 9, 9]
+
+
+def test_cli_import_leaves_scipy_special_out():
+    import os
+    import subprocess
+    import sys
+
+    import qcurv
+
+    src = os.path.dirname(os.path.dirname(qcurv.__file__))
+    code = "import sys, qcurv.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

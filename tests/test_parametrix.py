@@ -21,7 +21,6 @@ from qcurv.parametrix import (
     psi4_closed_form,
     psi4_solve,
     random_jet,
-    run_recursion,
     verify_recursion_residual,
 )
 from qcurv.tensor import SchoutenHessian, WeylTensor, fix_trace, random_weyl
@@ -168,15 +167,10 @@ def test_psi4_requires_n_at_least_8():
 
 def test_flat_expansion_all_orders():
     for n in (5, 8, 11):
-        exp = flat_expansion(n, order=n)
+        exp = flat_expansion(n)
         assert exp.remainder == "Oinf(1)"
         assert exp.expansion.terms == {(0, 0): HomogPoly.constant(n, 1)}
         assert exp.expansion.radial_exp == F(4 - n)
-
-
-def test_recursion_loop_rejects_bad_source():
-    with pytest.raises(ValueError):
-        run_recursion(6, 3, lambda i: HomogPoly.zero(6, i + 1))
 
 
 def test_green_leading_dispatch():
