@@ -271,6 +271,11 @@ class TestFunctionModel:
         """r^4 coefficient of the angular average of psi_4, shared by every lam."""
         return float(psi4_radial_block(self.jet))
 
+    @cached_property
+    def evaluations(self) -> list[dict]:
+        """evaluate_model at every lam of the grid, shared by the fits."""
+        return [evaluate_model(self, lam) for lam in self.lambdas]
+
 
 # -- composite Gauss-Legendre engine --------------------------------------------
 
@@ -508,13 +513,6 @@ def _lstsq_fit(lams: np.ndarray, y: np.ndarray, basis_fns, basis_names, weight_p
     return coef, resid, cond
 
 
-def _ratio_series(model: TestFunctionModel) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    evals = [evaluate_model(model, lam) for lam in model.lambdas]
-    lams = np.array(model.lambdas, dtype=float)
-    ratios = np.array([e["ratio"] for e in evals])
-    return lams, ratios, evals
-
-
 def fit_expansion(model: TestFunctionModel) -> FitResult:
     """Extract the model-term coefficient of the functional ratio.
 
@@ -524,7 +522,9 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
     """
     n = model.n
     theta4 = sharp_constants(n).Theta4_sphere
-    lams, ratios, evals = _ratio_series(model)
+    evals = model.evaluations
+    lams = np.array(model.lambdas, dtype=float)
+    ratios = np.array([e["ratio"] for e in evals])
     details = {"theta4": theta4, "evaluations": evals}
 
     if model.case in ("flat", "lowdim"):
@@ -587,7 +587,8 @@ def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationRe
     n = model.n
     if model.case == "n9":
         return []
-    lams, _, evals = _ratio_series(model)
+    evals = model.evaluations
+    lams = np.array(model.lambdas, dtype=float)
     nums = np.array([e["numerator"] for e in evals])
     norm_ints = np.array([e["norm_integral"] for e in evals])
     rtol = FIT_RTOL[model.case]

@@ -378,8 +378,6 @@ def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
 def _verify_parametrix(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     for n in ns:
-        if n < 8:
-            continue
         ok = True
         for k in range(trials):
             jet = par.random_jet(n, seed + k)
@@ -520,22 +518,24 @@ def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
     return out
 
 
-# suite -> (checks, default dimensions or None if it takes none, default trials)
+# suite -> (checks, default dimensions and the smallest one it accepts, or
+# None if it takes none, default trials); Weyl tensors first exist at n = 4,
+# the degree-4 shell at n = 8, and the sphere forms need n >= 5
 SUITES = {
-    "weyl": (_verify_weyl, range(5, 11), 50),
-    "polyalg": (_verify_polyalg, None, 40),
-    "parametrix": (_verify_parametrix, range(8, 13), 10),
-    "constants": (_verify_constants, range(5, 13), None),
-    "bubbles": (_verify_bubbles, range(5, 13), None),
-    "spectral": (_verify_spectral, range(5, 10), None),
-    "asymptotics": (_verify_asymptotics, None, None),
+    "weyl": (_verify_weyl, range(5, 11), 4, 50),
+    "polyalg": (_verify_polyalg, None, None, 40),
+    "parametrix": (_verify_parametrix, range(8, 13), 8, 10),
+    "constants": (_verify_constants, range(5, 13), 5, None),
+    "bubbles": (_verify_bubbles, range(5, 13), 5, None),
+    "spectral": (_verify_spectral, range(5, 10), 5, None),
+    "asymptotics": (_verify_asymptotics, None, None, None),
 }
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
-@click.option("--trials", type=int, default=None)
+@click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--l", "--L", "trunc", type=int, default=None, help="spectral truncation degree")
 @click.option("--report", "out", type=click.Path(), default=None)
@@ -543,12 +543,14 @@ def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else [suite]:
-        checks, ns, default_trials = SUITES[name]
+        checks, ns, min_n, default_trials = SUITES[name]
         if n_range and suite == name and ns is not None:
             ns = _parse_n_range(n_range)
+            if min(ns) < min_n:
+                raise click.UsageError(f"verify {name} needs n >= {min_n}")
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
-        reports += checks(ns, trials or default_trials, seed, trunc or 64)
+        reports += checks(ns, default_trials if trials is None else trials, seed, trunc or 64)
     config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
     _finish(reports, {"command": "verify", "config": config}, out)
 

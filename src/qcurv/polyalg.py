@@ -11,17 +11,28 @@ integer powers of log r.  The composite A_{2-n} A_{4-n} is diagonal on
 harmonic blocks; ``solve_aa`` inverts it block by block, escalating to
 log r terms on kernel blocks.
 
-All coefficients are ``fractions.Fraction``.  No floating point enters this
-module; every operation here is an exact identity and is tested as such.
+A polynomial is stored as integer coefficients times one rational
+``content``: the integers are coprime and the one on the lexicographically
+first exponent is positive, so the form is unique and ``==`` and ``hash``
+compare it directly.  Scaling and negation touch only the content; sums
+bring both contents to a common denominator and add integers; r^2
+multiplication and the Laplacian are integer shift-and-add loops over the
+exponents.  No floating point enters this module; every operation here is
+an exact identity and is tested as such.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 Exponent = tuple[int, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -34,40 +45,109 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _primitive(ints: dict[Exponent, int], scale: Fraction) -> tuple[dict[Exponent, int], Fraction]:
+    """scale * ints as (primitive integers, content) in canonical form.
+
+    ``ints`` holds no zero.  The integers are divided by their gcd, signed
+    so the lexicographically first one is positive, and the content takes
+    the factor; the zero polynomial is ({}, 0).
+    """
+    if not ints or not scale:
+        return {}, _ZERO
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    if g == 1:
+        return ints, scale
+    return {e: v // g for e, v in ints.items()}, scale * g
+
+
+def scaled_text(content: Fraction, v: int) -> str:
+    """content * v as reduced "p/q" text, with one integer gcd."""
+    p, q = content.numerator, content.denominator
+    g = math.gcd(v, q)  # = gcd(p v, q), since p and q are coprime
+    return f"{p * v // g}/{q // g}"
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's coefficients as Fractions.
+
+    A Fraction is made only when a coefficient is read, so ``len`` and
+    membership cost nothing beyond the integer map.
+    """
+
+    __slots__ = ("_ints", "_content")
+
+    def __init__(self, ints: dict[Exponent, int], content: Fraction):
+        self._ints = ints
+        self._content = content
+
+    def __getitem__(self, e: Exponent) -> Fraction:
+        return self._content * self._ints[e]
+
+    def __contains__(self, e) -> bool:
+        return e in self._ints
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+
 class HomogPoly:
     """Sparse homogeneous polynomial of fixed degree in n variables.
 
-    Terms map an exponent tuple (length n, entries summing to the degree)
-    to a nonzero Fraction.  Zero coefficients are never stored; the zero
-    polynomial has an empty term map but keeps its (n, degree) signature.
+    The polynomial is ``content * sum ints[e] x^e``: ``ints`` maps an
+    exponent tuple (length n, entries summing to the degree) to a nonzero
+    integer, and the integers are primitive with a positive coefficient on
+    the lexicographically first exponent.  The zero polynomial has empty
+    ``ints`` and content 0 but keeps its (n, degree) signature.  Instances
+    are immutable; ``terms`` reads the coefficients as Fractions.
     """
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "ints", "content")
 
     def __init__(self, n: int, degree: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n < 1:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        acc: dict[Exponent, Fraction] = {}
+        for e, c in (terms or {}).items():
+            e = tuple(int(v) for v in e)
+            if len(e) != n or any(v < 0 for v in e):
+                raise ValueError(f"bad exponent {e} for n={n}")
+            if sum(e) != degree:
+                raise ValueError(f"exponent {e} does not sum to degree {degree}")
+            acc[e] = acc.get(e, _ZERO) + _as_fraction(c)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}
         self.n = n
         self.degree = degree
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(v) for v in e)
-                if len(e) != n or any(v < 0 for v in e):
-                    raise ValueError(f"bad exponent {e} for n={n}")
-                if sum(e) != degree:
-                    raise ValueError(f"exponent {e} does not sum to degree {degree}")
-                c = _as_fraction(c)
-                if c != 0:
-                    acc = clean.get(e)
-                    clean[e] = c if acc is None else acc + c
-                    if clean[e] == 0:
-                        del clean[e]
-        self.terms = clean
+        self.ints, self.content = _primitive(ints, Fraction(1, den))
+
+    @classmethod
+    def _make(cls, n: int, degree: int, ints: dict[Exponent, int], content: Fraction):
+        # (ints, content) must already be canonical
+        p = object.__new__(cls)
+        p.n = n
+        p.degree = degree
+        p.ints = ints
+        p.content = content
+        return p
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_ints(cls, n: int, degree: int, ints: Mapping[Exponent, int], scale=1) -> "HomogPoly":
+        """The polynomial scale * sum ints[e] x^e.
+
+        Exponents are trusted (length n, summing to the degree); zero
+        integers are dropped.
+        """
+        clean = {e: int(v) for e, v in ints.items() if v}
+        return cls._make(n, degree, *_primitive(clean, _as_fraction(scale)))
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "HomogPoly":
@@ -75,99 +155,120 @@ class HomogPoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "HomogPoly":
-        return cls(n, 0, {(0,) * n: _as_fraction(value)})
+        return cls.from_ints(n, 0, {(0,) * n: 1}, value)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "HomogPoly":
         e = [0] * n
         e[i] = 1
-        return cls(n, 1, {tuple(e): Fraction(1)})
+        return cls(n, 1, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, n: int, exponent: Iterable[int], coeff=1) -> "HomogPoly":
         e = tuple(int(v) for v in exponent)
-        return cls(n, sum(e), {e: _as_fraction(coeff)})
+        return cls(n, sum(e), {e: coeff})
 
     @classmethod
     def r_squared(cls, n: int) -> "HomogPoly":
-        terms = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 2
-            terms[tuple(e)] = Fraction(1)
-        return cls(n, 2, terms)
+        ints = {(0,) * i + (2,) + (0,) * (n - i - 1): 1 for i in range(n)}
+        return cls._make(n, 2, ints, _ONE)
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Coefficients as a read-only map from exponent to Fraction."""
+        return _Terms(self.ints, self.content)
 
     # -- ring operations ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomogPoly)
             and self.n == other.n
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.content == other.content
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self.terms.items())))
+        return hash((self.n, self.degree, self.content, frozenset(self.ints.items())))
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # a/b I + c/d J = g/(bd) (a d/g I + c b/g J) with g = gcd(ad, cb)
+        s, t = self.content, other.content
+        cs = s.numerator * t.denominator
+        ct = t.numerator * s.denominator
+        g = math.gcd(cs, ct)
+        cs //= g
+        ct //= g
+        out = dict(self.ints) if cs == 1 else {e: cs * v for e, v in self.ints.items()}
+        get = out.get
+        for e, v in other.ints.items():
+            w = get(e, 0) + ct * v
+            if w:
+                out[e] = w
             else:
-                out[e] = s
-        res = HomogPoly(self.n, self.degree)
-        res.terms = out
-        return res
+                del out[e]
+        scale = Fraction(g, s.denominator * t.denominator)
+        return HomogPoly._make(self.n, self.degree, *_primitive(out, scale))
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomogPoly":
-        res = HomogPoly(self.n, self.degree)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return HomogPoly._make(self.n, self.degree, self.ints, -self.content)
 
     def scale(self, factor) -> "HomogPoly":
         f = _as_fraction(factor)
-        res = HomogPoly(self.n, self.degree)
-        if f != 0:
-            res.terms = {e: c * f for e, c in self.terms.items()}
-        return res
+        if not f:
+            return HomogPoly._make(self.n, self.degree, {}, _ZERO)
+        return HomogPoly._make(self.n, self.degree, self.ints, self.content * f)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if not isinstance(other, HomogPoly):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("variable-count mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for e1, v1 in self.ints.items():
+            for e2, v2 in other.ints.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        res = HomogPoly(self.n, self.degree + other.degree)
-        res.terms = out
-        return res
+                out[e] = get(e, 0) + v1 * v2
+        # Gauss's lemma: a product of primitive integer polynomials is
+        # primitive, and lexicographically first terms multiply, so the
+        # product is already canonical
+        ints = {e: v for e, v in out.items() if v}
+        content = self.content * other.content
+        return HomogPoly._make(self.n, self.degree + other.degree, ints, content)
 
     __rmul__ = scale
 
     def mul_r2k(self, k: int) -> "HomogPoly":
-        """Multiply by r^{2k} (k >= 0)."""
-        out = self
-        r2 = HomogPoly.r_squared(self.n)
+        """Multiply by r^{2k} (k >= 0).
+
+        Each factor r^2 adds every coefficient into the n exponents raised
+        by two in one slot.  r^2 is primitive with first coefficient 1, so
+        the product stays canonical (as in ``__mul__``) with the same content.
+        """
+        n = self.n
+        ints = self.ints
         for _ in range(k):
-            out = out * r2
-        return out
+            out: dict[Exponent, int] = {}
+            get = out.get
+            for e, v in ints.items():
+                for i in range(n):
+                    f = e[:i] + (e[i] + 2,) + e[i + 1 :]
+                    out[f] = get(f, 0) + v
+            ints = {f: v for f, v in out.items() if v}
+        return HomogPoly._make(n, self.degree + 2 * k, ints, self.content)
 
     def _check_compatible(self, other: "HomogPoly"):
         if self.n != other.n or self.degree != other.degree:
@@ -188,12 +289,11 @@ class HomogPoly:
         """JSON form {"n":…, "m":…, "terms": {"e1,e2,...,en": "p/q"}}.
 
         Multi-indices are emitted in lexicographic order so the output is
-        byte-reproducible.
+        byte-reproducible; each p/q is reduced.
         """
         terms = {}
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            terms[",".join(str(v) for v in e)] = f"{c.numerator}/{c.denominator}"
+        for e in sorted(self.ints):
+            terms[",".join(map(str, e))] = scaled_text(self.content, self.ints[e])
         return {"n": self.n, "m": self.degree, "terms": terms}
 
     @classmethod
@@ -210,20 +310,15 @@ def laplacian(p: HomogPoly) -> HomogPoly:
     m = p.degree
     if m < 2:
         return HomogPoly.zero(p.n, 0)
-    out: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for e, v in p.ints.items():
         for i, ei in enumerate(e):
-            if ei < 2:
-                continue
-            f = tuple(v - 2 if j == i else v for j, v in enumerate(e))
-            s = out.get(f, Fraction(0)) + c * ei * (ei - 1)
-            if s == 0:
-                out.pop(f, None)
-            else:
-                out[f] = s
-    res = HomogPoly(p.n, m - 2)
-    res.terms = out
-    return res
+            if ei > 1:
+                f = e[:i] + (ei - 2,) + e[i + 1 :]
+                out[f] = get(f, 0) + v * ei * (ei - 1)
+    ints = {f: v for f, v in out.items() if v}
+    return HomogPoly._make(p.n, m - 2, *_primitive(ints, p.content))
 
 
 @dataclass(frozen=True)
@@ -249,9 +344,9 @@ def harmonic_decompose(p: HomogPoly) -> list[HarmonicBlock]:
     for _ in range(kmax):
         lap_pows.append(laplacian(lap_pows[-1]))
 
-    def eigen_chain(k: int, j: int) -> Fraction:
+    def eigen_chain(k: int, j: int) -> int:
         # factor picked up by Lap^j acting on r^{2k} h_{m-2k}
-        val = Fraction(1)
+        val = 1
         for i in range(j):
             val *= 2 * (k - i) * (2 * m - 2 * k - 2 * i + n - 2)
         return val
@@ -263,7 +358,7 @@ def harmonic_decompose(p: HomogPoly) -> list[HarmonicBlock]:
         for k in range(kmax, j, -1):
             rhs = rhs - blocks[k].mul_r2k(k - j).scale(eigen_chain(k, j))
         d = eigen_chain(j, j)
-        blocks[j] = rhs.scale(Fraction(1, 1) / d) if j > 0 else rhs
+        blocks[j] = rhs.scale(Fraction(1, d)) if j > 0 else rhs
     return [HarmonicBlock(k, blocks[k]) for k in range(kmax + 1) if not blocks[k].is_zero()]
 
 

@@ -17,6 +17,8 @@ SCHEMA = "qcurv-report/1"
 
 def jsonable(value: Any) -> Any:
     """Map exact and numpy values onto plain JSON types, deterministically."""
+    if value is None or type(value) in (str, int, float, bool):
+        return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):

@@ -2,11 +2,14 @@
 Hessian, and the quartic polynomials they generate.
 
 A Weyl-type tensor is stored densely as an integer numpy array together
-with a single rational scale, so every component is an exact rational
-while the heavy contractions (norms, quartic forms) run through int64
-einsum.  Seeded generators produce tensors satisfying all the algebraic
-symmetries exactly; the tests verify the symmetries by brute force rather
-than trusting the construction.
+with a single rational scale, the same integers-over-one-content design
+as ``polyalg.HomogPoly``, so every component is an exact rational while
+the heavy contractions (norms, quartic forms) run through int64 numpy.
+The integer entries are bounded by a dimension-dependent limit under
+which no int64 sum can overflow; larger tensors are refused with a
+ValueError.  Seeded generators produce tensors satisfying all the
+algebraic symmetries exactly, and ``invariants_hold`` checks them on the
+integers.
 """
 
 from __future__ import annotations
@@ -17,22 +20,54 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import HarmonicBlock, HomogPoly, laplacian
+from .polyalg import HarmonicBlock, HomogPoly, laplacian, scaled_text
 
-# int64 einsum is exact as long as no intermediate sum overflows; entries
-# are kept far below this bound and asserted on every fast path.
-_INT_SAFE_BOUND = 10**7
+_INT64_MAX = 2**63 - 1
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+def int_bound(n: int) -> int:
+    """Largest |entry| for which every int64 sum over an n-dimensional
+    tensor is exact.
+
+    A norm or cross contraction sums n^4 products of two entries, a
+    quartic-form coefficient at most 24 einsum entries of n^2 products
+    each, and a gradient-square coefficient 2 entries of n^3 products of
+    pair sums, 8 n^3 entry products in all.  No partial sum exceeds the
+    largest count times the squared bound.
+    """
+    return math.isqrt(_INT64_MAX // max(n**4, 8 * n**3, 24 * n * n))
+
+
+def _symmetric_terms(T: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Integer coefficients of sum T[i1..id] x_i1 ... x_id.
+
+    Equal monomials are found by sorting each index tuple and summed
+    exactly in int64, so Python sees each distinct monomial once.
+    """
+    n = T.shape[0]
+    nz = np.flatnonzero(T)
+    if not nz.size:
+        return {}
+    idx = np.sort(np.stack(np.unravel_index(nz, T.shape)), axis=0)
+    code = np.zeros(nz.size, dtype=np.int64)
+    for row in idx:
+        code = code * n + row
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    sums = np.add.reduceat(T.reshape(-1)[nz[order]], starts)
+    exps = np.zeros((starts.size, n), dtype=np.int64)
+    rows = np.arange(starts.size)
+    for row in idx[:, order[starts]]:
+        exps[rows, row] += 1
+    return {tuple(e): v for e, v in zip(exps.tolist(), sums.tolist()) if v}
 
 
 class WeylTensor:
     """Totally trace-free algebraic curvature tensor at a point.
 
     Components W[i,k,j,l] = scale * ints[i,k,j,l] with ``ints`` an int64
-    array and ``scale`` a positive rational.  Index symmetries:
+    array and ``scale`` a rational.  Index symmetries:
     antisymmetric in (i,k) and in (j,l), symmetric under pair exchange,
     first Bianchi identity over the last three slots, and every single
     trace vanishes.
@@ -45,8 +80,8 @@ class WeylTensor:
         ints = np.asarray(ints, dtype=np.int64)
         if ints.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {ints.shape}")
-        if ints.size and int(np.abs(ints).max()) > _INT_SAFE_BOUND:
-            raise ValueError("integer components too large for exact fast paths")
+        if ints.size and int(np.abs(ints).max()) > int_bound(n):
+            raise ValueError(f"integer components too large for exact int64 sums at n={n}")
         self.ints = ints
         self.scale = Fraction(scale)
         self._quartic = None
@@ -79,25 +114,10 @@ class WeylTensor:
 
     def quartic_form(self) -> HomogPoly:
         """sum_{kl} ( W_{ikjl} x_i x_j )^2 as an exact degree-4 polynomial."""
-        if self._quartic is not None:
-            return self._quartic
-        n = self.n
-        W = self.ints
-        # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl}; integer coefficients are
-        # accumulated per sorted index before the Fraction scale comes in
-        T = np.einsum("ikjl,akbl->ijab", W, W)
-        sc = self.scale * self.scale
-        int_terms: dict[tuple[int, ...], int] = {}
-        nz = np.nonzero(T)
-        vals = T[nz]
-        for i, j, a, b, v in zip(*nz, vals):
-            e = [0] * n
-            for idx in (i, j, a, b):
-                e[idx] += 1
-            key = tuple(e)
-            int_terms[key] = int_terms.get(key, 0) + int(v)
-        terms = {e: sc * v for e, v in int_terms.items() if v}
-        self._quartic = HomogPoly(n, 4, terms)
+        if self._quartic is None:
+            # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl}
+            T = np.einsum("ikjl,akbl->ijab", self.ints, self.ints)
+            self._quartic = HomogPoly.from_ints(self.n, 4, _symmetric_terms(T), self.scale**2)
         return self._quartic
 
     def gradient_square_form(self) -> HomogPoly:
@@ -105,25 +125,10 @@ class WeylTensor:
 
         Half the Laplacian of the quartic form.
         """
-        if self._gradsq is not None:
-            return self._gradsq
-        n = self.n
-        V = self.ints + np.transpose(self.ints, (0, 3, 2, 1))
-        M = np.einsum("ijkl,ajkl->ia", V, V)
-        sc = self.scale * self.scale
-        int_terms: dict[tuple[int, ...], int] = {}
-        for i in range(n):
-            for a in range(n):
-                v = int(M[i, a])
-                if v == 0:
-                    continue
-                e = [0] * n
-                e[i] += 1
-                e[a] += 1
-                key = tuple(e)
-                int_terms[key] = int_terms.get(key, 0) + v
-        terms = {e: sc * v for e, v in int_terms.items() if v}
-        self._gradsq = HomogPoly(n, 2, terms)
+        if self._gradsq is None:
+            V = self.ints + np.transpose(self.ints, (0, 3, 2, 1))
+            M = np.einsum("ijkl,ajkl->ia", V, V)
+            self._gradsq = HomogPoly.from_ints(self.n, 2, _symmetric_terms(M), self.scale**2)
         return self._gradsq
 
     def quartic_harmonic_split(self) -> list[HarmonicBlock]:
@@ -159,18 +164,12 @@ class WeylTensor:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        n = self.n
-        sc = self.scale
-
-        def frac(i, k, j, l):
-            c = sc * int(self.ints[i, k, j, l])
-            return f"{c.numerator}/{c.denominator}"
-
-        W = [
-            [[[frac(i, k, j, l) for l in range(n)] for j in range(n)] for k in range(n)]
-            for i in range(n)
-        ]
-        return {"n": n, "W": W}
+        """{"n": n, "W": nested n^4 lists of reduced "p/q"}; each distinct
+        integer entry is rendered once."""
+        values, inverse = np.unique(self.ints, return_inverse=True)
+        text = np.array([scaled_text(self.scale, v) for v in values.tolist()], dtype=object)
+        W = text[inverse.reshape(self.ints.shape)]
+        return {"n": self.n, "W": W.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
@@ -190,7 +189,7 @@ def _from_fraction_array(n: int, fr) -> WeylTensor:
         for k in range(n):
             for j in range(n):
                 for l in range(n):
-                    den = _lcm(den, fr[i][k][j][l].denominator)
+                    den = math.lcm(den, fr[i][k][j][l].denominator)
     ints = np.zeros((n, n, n, n), dtype=object)
     for i in range(n):
         for k in range(n):
@@ -206,7 +205,7 @@ def _from_fraction_array(n: int, fr) -> WeylTensor:
     else:
         num = 1
     worst = max((abs(int(v)) for v in ints.reshape(-1)), default=0)
-    if worst > _INT_SAFE_BOUND:
+    if worst > int_bound(n):
         # astype would wrap silently; refuse before any conversion
         raise ValueError("rational components too large for exact fast paths")
     return WeylTensor(n, ints.astype(np.int64), Fraction(num, den))
@@ -384,41 +383,3 @@ def invariants_hold(W: WeylTensor) -> bool:
         if np.trace(A, axis1=a, axis2=b).any():
             return False
     return True
-
-
-# -- brute-force helpers used by the tests -----------------------------------
-
-
-def symmetry_residuals(W: WeylTensor) -> dict[str, Fraction]:
-    """Max absolute residual of each defining symmetry, computed by loops
-    independent of the construction."""
-    n = W.n
-    res = {
-        "antisym_ik": Fraction(0),
-        "antisym_jl": Fraction(0),
-        "pair_swap": Fraction(0),
-        "bianchi": Fraction(0),
-    }
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    w = W.component(i, k, j, l)
-                    res["antisym_ik"] = max(res["antisym_ik"], abs(w + W.component(k, i, j, l)))
-                    res["antisym_jl"] = max(res["antisym_jl"], abs(w + W.component(i, k, l, j)))
-                    res["pair_swap"] = max(res["pair_swap"], abs(w - W.component(j, l, i, k)))
-                    b = w + W.component(i, j, l, k) + W.component(i, l, k, j)
-                    res["bianchi"] = max(res["bianchi"], abs(b))
-    return res
-
-
-def trace_residual(W: WeylTensor) -> Fraction:
-    """Max absolute value over all six index-pair contractions."""
-    n = W.n
-    worst = Fraction(0)
-    axes_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for a, b in axes_pairs:
-        tr = np.trace(W.ints, axis1=a, axis2=b)
-        m = int(np.abs(tr).max()) if tr.size else 0
-        worst = max(worst, abs(W.scale * m))
-    return worst

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -203,3 +204,44 @@ def test_cli_import_leaves_scipy_special_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_parametrix_jet_file_past_int64_bound_usage_error(runner, tmp_path):
+    # n = 18 with entries near 1e7: |W|^2 would overflow int64
+    W = np.full((18,) * 4, "10000000/1", dtype=object)
+    W[0, 0, 0, 0] = "9999999/1"
+    doc = {"n": 18, "W": W.tolist(), "J": [["0/1"] * 18 for _ in range(18)]}
+    res = runner.invoke(main, ["parametrix", "--n", "18", "--jet-file", _jet_file(tmp_path, doc)])
+    assert res.exit_code == 2, res.output
+    assert "too large" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["spectral", "--n", "4"],
+    ["constants", "--n", "4"],
+    ["bubbles", "--n", "4"],
+    ["parametrix", "--n", "5..7"],
+    ["parametrix", "--n", "7,8"],
+    ["weyl", "--n", "3"],
+])
+def test_verify_below_suite_minimum_usage_error(runner, args):
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exit_code == 2, res.output
+    assert "needs n >=" in res.output
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_trials_must_be_positive(runner, trials):
+    res = runner.invoke(main, ["verify", "weyl", "--n", "5", "--trials", trials])
+    assert res.exit_code == 2, res.output
+
+
+def test_lambda_series_evaluated_once_per_model(runner, monkeypatch):
+    import qcurv.asymptotics as asym
+
+    calls = []
+    evaluate = asym.evaluate_model
+    monkeypatch.setattr(asym, "evaluate_model",
+                        lambda model, lam: calls.append(lam) or evaluate(model, lam))
+    assert runner.invoke(main, ["asymptotics", "--case", "high", "--n", "10"]).exit_code == 0
+    assert calls == list(asym.DEFAULT_LAMBDAS["high"])

@@ -1,5 +1,7 @@
 """Exact identities for the polynomial algebra and the radial operators."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -323,3 +325,145 @@ def test_poly_validation_errors():
         HomogPoly(3, 2, {(1, 0, 0): F(1)})  # degree mismatch
     with pytest.raises(ValueError):
         HomogPoly(0, 1)
+
+
+# ------------------------------------- integer core against a Fraction model
+#
+# The reference keeps one Fraction per monomial, the representation the
+# integer-plus-content core replaced; every operation of the core must
+# agree with it coefficient for coefficient.
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_scale(a, f):
+    return _ref_clean({e: c * f for e, c in a.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_mul_r2k(a, n, k):
+    r2 = {tuple(2 if j == i else 0 for j in range(n)): F(1) for i in range(n)}
+    for _ in range(k):
+        a = _ref_mul(a, r2)
+    return a
+
+
+def _ref_laplacian(a):
+    out = {}
+    for e, c in a.items():
+        for i, ei in enumerate(e):
+            if ei >= 2:
+                f = e[:i] + (ei - 2,) + e[i + 1 :]
+                out[f] = out.get(f, F(0)) + c * ei * (ei - 1)
+    return _ref_clean(out)
+
+
+def _ref_json(n, m, a):
+    terms = {
+        ",".join(str(v) for v in e): f"{a[e].numerator}/{a[e].denominator}" for e in sorted(a)
+    }
+    return json.dumps({"n": n, "m": m, "terms": terms})
+
+
+def _exponents(draw, n, m):
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [m]))
+
+
+_rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 36))
+
+
+@st.composite
+def ref_terms(draw, n, m):
+    """A Fraction term map of degree m in n variables, zeros dropped."""
+    size = draw(st.integers(0, 7))
+    return _ref_clean({_exponents(draw, n, m): draw(_rationals) for _ in range(size)})
+
+
+@st.composite
+def same_shape_pair(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 8))
+    a = draw(ref_terms(n, m))
+    b = draw(ref_terms(n, m))
+    if a and draw(st.booleans()):
+        # share monomials with a, so sums cancel coefficients or whole polynomials
+        f = draw(_rationals)
+        b = _ref_add(b, _ref_scale(a, f if draw(st.booleans()) else F(-1)))
+    return n, m, a, b
+
+
+def _assert_matches(p, n, m, ref):
+    assert (p.n, p.degree) == (n, m)
+    assert dict(p.terms) == ref
+    assert p == HomogPoly(n, m, ref)
+    assert hash(p) == hash(HomogPoly(n, m, ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_shape_pair(), _rationals, st.sampled_from([F(0), F(-1), F(-7, 3), F(1)]))
+def test_core_ring_ops_match_fraction_reference(pair, f, g):
+    n, m, a, b = pair
+    p, q = HomogPoly(n, m, a), HomogPoly(n, m, b)
+    _assert_matches(p, n, m, a)
+    _assert_matches(p + q, n, m, _ref_add(a, b))
+    _assert_matches(p - q, n, m, _ref_add(a, _ref_scale(b, F(-1))))
+    _assert_matches(-p, n, m, _ref_scale(a, F(-1)))
+    for factor in (f, g):
+        _assert_matches(p.scale(factor), n, m, _ref_scale(a, factor))
+    _assert_matches(p * q, n, 2 * m, _ref_mul(a, b))
+    assert json.dumps(p.to_json()) == _ref_json(n, m, a)
+    assert json.dumps((p + q).to_json()) == _ref_json(n, m, _ref_add(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.data())
+def test_core_r2k_and_laplacian_match_fraction_reference(n, m, data):
+    a = data.draw(ref_terms(n, m))
+    p = HomogPoly(n, m, a)
+    for k in (0, 1, 2):
+        _assert_matches(p.mul_r2k(k), n, m + 2 * k, _ref_mul_r2k(a, n, k))
+    if m >= 2:
+        _assert_matches(laplacian(p), n, m - 2, _ref_laplacian(a))
+        assert json.dumps(laplacian(p).to_json()) == _ref_json(n, m - 2, _ref_laplacian(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_shape_pair(), _rationals.filter(bool))
+def test_core_form_is_canonical(pair, f):
+    n, m, a, b = pair
+    p = HomogPoly(n, m, a)
+    back = p.scale(f).scale(1 / f)
+    assert back == p and hash(back) == hash(p)
+    assert p - p == HomogPoly.zero(n, m)
+    assert hash(p - p) == hash(HomogPoly.zero(n, m))
+    # the same polynomial reached by two routes has one representation
+    q = HomogPoly(n, m, b)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    if p.ints:
+        assert math.gcd(*p.ints.values()) == 1
+        assert p.ints[min(p.ints)] > 0
+
+
+def test_terms_view_reads_fractions_from_ints():
+    p = HomogPoly.r_squared(6).mul_r2k(2)
+    assert len(p.terms) == len(p.ints) == 56
+    assert (0, 0, 0, 0, 0, 6) in p.terms
+    assert p.terms[(0, 0, 0, 0, 0, 6)] == 1 and p.terms[(2, 2, 2, 0, 0, 0)] == 6

@@ -13,12 +13,44 @@ from qcurv.tensor import (
     fix_trace,
     random_schouten_hessian,
     random_weyl,
+    int_bound,
     schouten_quartic,
-    symmetry_residuals,
-    trace_residual,
 )
 
 F = Fraction
+
+
+def symmetry_residuals(W: WeylTensor) -> dict[str, Fraction]:
+    """Max absolute residual of each defining symmetry, computed by loops
+    independent of the construction."""
+    n = W.n
+    res = {
+        "antisym_ik": Fraction(0),
+        "antisym_jl": Fraction(0),
+        "pair_swap": Fraction(0),
+        "bianchi": Fraction(0),
+    }
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    w = W.component(i, k, j, l)
+                    res["antisym_ik"] = max(res["antisym_ik"], abs(w + W.component(k, i, j, l)))
+                    res["antisym_jl"] = max(res["antisym_jl"], abs(w + W.component(i, k, l, j)))
+                    res["pair_swap"] = max(res["pair_swap"], abs(w - W.component(j, l, i, k)))
+                    b = w + W.component(i, j, l, k) + W.component(i, l, k, j)
+                    res["bianchi"] = max(res["bianchi"], abs(b))
+    return res
+
+
+def trace_residual(W: WeylTensor) -> Fraction:
+    """Max absolute value over all six index-pair contractions."""
+    worst = Fraction(0)
+    for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        tr = np.trace(W.ints, axis1=a, axis2=b)
+        m = int(np.abs(tr).max()) if tr.size else 0
+        worst = max(worst, abs(W.scale * m))
+    return worst
 
 
 def test_random_weyl_low_dimensions_vanish():
@@ -75,9 +107,13 @@ def test_quartic_bilaplacian_is_12_norm():
 
 
 def test_quartic_form_matches_componentwise_oracle():
-    # direct quadruple-loop expansion with Fractions, n small
-    n = 5
-    W = random_weyl(n, seed=31)
+    for n, seed in [(4, 2), (5, 31), (7, 6)]:
+        _check_quartic_against_loops(random_weyl(n, seed).rescale(F(-5, 3)))
+
+
+def _check_quartic_against_loops(W):
+    # direct quadruple-loop expansion with Fractions
+    n = W.n
     terms = {}
     for k in range(n):
         for l in range(n):
@@ -207,5 +243,48 @@ def test_rejects_oversized_rational_components():
     # silent int64 wraparound must be impossible
     obj = random_weyl(5, seed=1).to_json()
     obj["W"][0][1][2][3] = "123456789012345678901/2"
+    with pytest.raises(ValueError, match="too large"):
+        WeylTensor.from_json(obj)
+
+
+@pytest.mark.parametrize("n,seed,factor", [(4, 1, F(1)), (5, 3, F(-7, 12)), (9, 2, F(3, 1000))])
+def test_weyl_json_matches_component_oracle(n, seed, factor):
+    W = random_weyl(n, seed).rescale(factor)
+    R = range(n)
+
+    def text(c):
+        return f"{c.numerator}/{c.denominator}"
+
+    want = [[[[text(W.component(i, k, j, l)) for l in R] for j in R] for k in R] for i in R]
+    assert W.to_json() == {"n": n, "W": want}
+
+
+@pytest.mark.parametrize("n", [3, 5, 18])
+def test_int64_sums_exact_at_the_entry_bound(n):
+    """At the entry bound every int64 sum is exact; one past it is refused.
+
+    With all entries equal to B, |W|^2 and the cross contraction are n^4 B^2,
+    the quartic form is n^2 B^2 (x_1 + ... + x_n)^4 and the gradient square
+    4 n^3 B^2 (x_1 + ... + x_n)^2: closed forms in Python integers.
+    """
+    B = int_bound(n)
+    W = WeylTensor(n, np.full((n,) * 4, B, dtype=np.int64))
+    assert W.norm_sq() == n**4 * B**2
+    assert W.cross_contraction() == n**4 * B**2
+    ones = HomogPoly(n, 1, {tuple(int(i == j) for j in range(n)): 1 for i in range(n)})
+    assert W.quartic_form() == (ones * ones * ones * ones).scale(n * n * B * B)
+    assert W.gradient_square_form() == (ones * ones).scale(4 * n**3 * B * B)
+    with pytest.raises(ValueError, match="too large"):
+        WeylTensor(n, np.full((n,) * 4, B + 1, dtype=np.int64))
+
+
+def test_n18_large_entries_refused():
+    # |W|^2 of this tensor is 1.05e19, past int64: int64 sums would wrap
+    assert int_bound(18) < 10**7
+    with pytest.raises(ValueError, match="too large"):
+        WeylTensor(18, np.full((18,) * 4, 10**7, dtype=np.int64))
+    big = np.full((18,) * 4, "10000000/3", dtype=object)
+    big[0, 0, 0, 0] = "9999999/3"  # coprime entries: the gcd cannot shrink them
+    obj = {"n": 18, "W": big.tolist()}
     with pytest.raises(ValueError, match="too large"):
         WeylTensor.from_json(obj)
