@@ -5,7 +5,8 @@ the bubble u_lam, a C^4 smoothstep cutoff, and the leading Green's-function
 correction; the quadratic-form integral P phi * phi and the norm integral
 |P phi|^{2n/(n+4)} are then evaluated and the coefficient of the model
 term (lam^{n-4}, lam^4, or lam^4 log(1/lam)) is extracted by least squares
-and compared with its closed form.
+and compared with its closed form.  Every fact of a regime (dimensions,
+lam grid, tolerance, fit basis, closed forms) is one row of ``CASES``.
 
 Inside the model ball, P phi reduces against the curvature jet to
 
@@ -34,14 +35,15 @@ not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .parametrix import CurvatureJet, psi4_closed_form, psi4_solve
-from .polyalg import HomogPoly, harmonic_decompose
+from .parametrix import CurvatureJet, psi4_closed_form
+from .polyalg import harmonic_decompose
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
 from .sphereforms import omega_n, sharp_constants
@@ -77,11 +79,6 @@ def high_ratio_coefficient(n: int) -> Fraction:
     return F(n * n - 4 * n - 4, 6 * n * (n + 2) * (n - 2) * (n - 6) * (n - 8))
 
 
-def high_numerator_coefficient(n: int) -> Fraction:
-    """Relative lam^4 coefficient of the numerator (negative)."""
-    return -high_ratio_coefficient(n)
-
-
 def high_norm_integral_coefficient(n: int) -> Fraction:
     """Relative lam^4 coefficient of the norm integral:
     -(1/3)(n^2-4n-4)/((n+2)(n+4)(n-2)(n-6)(n-8))."""
@@ -98,30 +95,7 @@ def n8_ratio_log_coefficient() -> float:
     return 210.0**1.5 / (41472000.0 * math.pi**2)
 
 
-def n8_numerator_log_coefficient() -> float:
-    """lam^4 log(1/lam) coefficient of the numerator at n=8: pi^4/90 per |W|^2."""
-    return math.pi**4 / 90.0
-
-
 # -- angular reduction ---------------------------------------------------------
-
-
-def sphere_monomial_integral(exponents) -> float:
-    """Integral of prod x_i^{a_i} over the unit sphere S^{n-1} in R^n."""
-    if any(e % 2 for e in exponents):
-        return 0.0
-    log_num = math.log(2.0)
-    tot = 0.0
-    for e in exponents:
-        log_num += math.lgamma((e + 1) / 2)
-        tot += e + 1
-    return math.exp(log_num - math.lgamma(tot / 2))
-
-
-def angular_average_poly(p: HomogPoly) -> float:
-    """Average of a polynomial over the unit sphere S^{n-1} (floating oracle)."""
-    surf = p.n * omega_n(p.n)
-    return sum(float(c) * sphere_monomial_integral(e) for e, c in p.terms.items()) / surf
 
 
 @dataclass(frozen=True)
@@ -152,8 +126,7 @@ class AngularData:
 
 def psi4_radial_block(jet: CurvatureJet) -> Fraction:
     """Coefficient of r^4 in the angular average of psi_4 (n >= 9)."""
-    psi = psi4_closed_form(jet) if jet.n >= 9 else psi4_solve(jet)
-    blocks = {b.k: b.h for b in harmonic_decompose(psi.get(4, 0))}
+    blocks = {b.k: b.h for b in harmonic_decompose(psi4_closed_form(jet).get(4, 0))}
     if 2 not in blocks:
         return F(0)
     return blocks[2].terms.get((0,) * jet.n, F(0))
@@ -169,7 +142,6 @@ class Cutoff:
     def __init__(self, degree: int = 9):
         if degree < 9 or degree % 2 == 0:
             raise ValueError("cutoff degree must be odd and >= 9")
-        self.degree = degree
         N = (degree - 1) // 2
         coeffs = np.zeros(degree + 1)
         for k in range(N + 1):
@@ -177,14 +149,6 @@ class Cutoff:
             coeffs[N + 1 + k] = c
         self._poly = np.polynomial.Polynomial(coeffs)
         self._derivs = [self._poly.deriv(m) if m else self._poly for m in range(5)]
-
-    def eta1(self, s):
-        s = np.asarray(s, dtype=float)
-        t = np.clip(s - 1.0, 0.0, 1.0)
-        return self._poly(t)
-
-    def eta2(self, s):
-        return 1.0 - self.eta1(s)
 
     def eta1_derivs(self, s) -> np.ndarray:
         """Rows 0..4: derivative values of eta1 with respect to s."""
@@ -198,33 +162,92 @@ class Cutoff:
         return out
 
 
-# -- model definition ----------------------------------------------------------
+# -- the dimension regimes -------------------------------------------------------
 
-CASES = ("flat", "lowdim", "n8", "n9", "high")
 
-DEFAULT_LAMBDAS = {
-    "flat": (0.1, 0.05, 0.025, 0.0125),
-    "lowdim": (0.1, 0.05, 0.025, 0.0125),
-    # the n=8 log extraction needs small lam (the model's own higher-order
+@dataclass(frozen=True)
+class Case:
+    """Every fact of one dimension regime.
+
+    The fit takes value - lead, or value/lead - 1 where ``relative``, in
+    the basis ``basis_fns`` (functions of lam and p = weight_power(n)),
+    each grid point weighted by lam^{-p}; its first coefficient is the
+    tracked one.  A regime that needs a jet tracks a curvature term, so
+    its closed forms are per unit |W|^2; the others are per unit A0.  A
+    ``matched`` test function carries the matching difference beta and
+    the cutoff annulus term; an unmatched one the bubble alone.  Each
+    split check fits one evaluate_model quantity against its own closed
+    form: (check id formatted with case and n, provenance, quantity,
+    closed form per unit).
+    """
+
+    n_min: int
+    n_max: int | None  # None: no upper bound
+    lambdas: tuple[float, ...]
+    rtol: float
+    ratio_per_unit: Callable[[int], float]
+    needs_jet: bool = True
+    basis: tuple[str, ...] = ("lam^4",)
+    basis_fns: tuple[Callable, ...] = (lambda l, p: l**p,)
+    weight_power: Callable[[int], float] = lambda n: 4.0
+    relative: bool = True
+    matched: bool = True
+    split_checks: tuple[tuple[str, str, str, Callable[[int], float]], ...] = ()
+
+
+_MASS = dict(
+    lambdas=(0.1, 0.05, 0.025, 0.0125),
+    rtol=0.02,
+    ratio_per_unit=flat_ratio_coefficient,
+    needs_jet=False,
+    basis=("lam^(n-4)",),
+    weight_power=lambda n: n - 4.0,
+    relative=False,
+    split_checks=(("asymptotics.numerator_coeff[{case},n={n}]",
+                   "flat-case numerator expansion, explicit constant", "numerator",
+                   flat_numerator_coefficient),),
+)
+
+CASES = {
+    "flat": Case(5, None, **_MASS),
+    "lowdim": Case(5, 7, **_MASS),
+    # the log extraction needs small lam (the model's own higher-order
     # content contaminates the norm above lam ~ 0.02) and a wide log(1/lam)
     # spread to decorrelate the two basis functions
-    "n8": (0.02, 0.01337, 0.00894, 0.00598, 0.004),
-    "n9": (0.04, 0.0283, 0.02, 0.01414, 0.01),
-    "high": (0.04, 0.02, 0.01, 0.005),
+    "n8": Case(
+        8, 8, (0.02, 0.01337, 0.00894, 0.00598, 0.004), 0.10, lambda n: n8_ratio_log_coefficient(),
+        basis=("lam^4 log(1/lam)", "lam^4"),
+        basis_fns=(lambda l, p: l**p * np.log(1.0 / l), lambda l, p: l**p),
+        relative=False,
+        split_checks=(("asymptotics.numerator_log_coeff[n8]", "n=8 numerator lam^4 log(1/lam) term",
+                       "numerator", lambda n: math.pi**4 / 90.0),),
+    ),
+    # no split checks: the mixed 1/pi pieces of n = 9 are not tracked
+    # separately, so it is held at the ratio level alone
+    "n9": Case(9, 9, (0.04, 0.0283, 0.02, 0.01414, 0.01), 0.05, lambda n: float(n9_ratio_coefficient())),
+    "high": Case(
+        10, None, (0.04, 0.02, 0.01, 0.005), 0.02, lambda n: float(high_ratio_coefficient(n)),
+        matched=False,
+        split_checks=(
+            ("asymptotics.numerator_coeff[high,n={n}]", "high-case numerator relative lam^4 factor",
+             "numerator", lambda n: float(-high_ratio_coefficient(n))),
+            ("asymptotics.norm_integral_coeff[high,n={n}]",
+             "high-case norm-integral relative lam^4 factor",
+             "norm_integral", lambda n: float(high_norm_integral_coefficient(n))),
+        ),
+    ),
 }
-
-# relative tolerance of every coefficient fit, per case
-FIT_RTOL = {"flat": 0.02, "lowdim": 0.02, "n8": 0.10, "n9": 0.05, "high": 0.02}
 
 
 @dataclass
 class TestFunctionModel:
     """One concentrated-test-function experiment.
 
-    ``case`` fixes the dimension regime and which correction rides along
-    with the bubble; ``jet`` supplies curvature data (cases n8, n9, high;
-    optional for lowdim), ``A0`` the constant term of the flat/low
-    dimensional Green's expansion.  lam values must be at least four
+    ``case`` names a row of ``CASES``: the dimension regime and which
+    correction rides along with the bubble.  ``jet`` supplies curvature
+    data (required where the row needs one, optional for lowdim), ``A0``
+    the constant term of the flat/low dimensional Green's expansion.
+    lam values default to the row's grid and must be at least four
     points, all below delta/4.
     """
 
@@ -239,23 +262,17 @@ class TestFunctionModel:
     cutoff_degree: int = 9
 
     def __post_init__(self):
-        if self.case not in CASES:
+        row = CASES.get(self.case)
+        if row is None:
             raise ValueError(f"unknown case {self.case!r}")
-        ok = {
-            "flat": self.n >= 5,
-            "lowdim": self.n in (5, 6, 7),
-            "n8": self.n == 8,
-            "n9": self.n == 9,
-            "high": self.n >= 10,
-        }[self.case]
-        if not ok:
+        if self.n < row.n_min or (row.n_max is not None and self.n > row.n_max):
             raise ValueError(f"case {self.case!r} incompatible with n={self.n}")
-        if self.case in ("n8", "n9", "high") and self.jet is None:
+        if row.needs_jet and self.jet is None:
             raise ValueError(f"case {self.case!r} needs a curvature jet")
         if self.jet is not None and self.jet.n != self.n:
             raise ValueError("jet dimension mismatch")
         if not self.lambdas:
-            self.lambdas = DEFAULT_LAMBDAS[self.case]
+            self.lambdas = row.lambdas
         if len(self.lambdas) < 4:
             raise ValueError("need at least 4 lambda grid points")
         if max(self.lambdas) >= self.delta / 4:
@@ -275,6 +292,13 @@ class TestFunctionModel:
     def evaluations(self) -> list[dict]:
         """evaluate_model at every lam of the grid, shared by the fits."""
         return [evaluate_model(self, lam) for lam in self.lambdas]
+
+    @property
+    def unit(self) -> tuple[str, float]:
+        """Name and value of the unit the row's closed forms are given per."""
+        if CASES[self.case].needs_jet:
+            return "w2", float(self.jet.W.norm_sq())
+        return "A0", self.A0
 
 
 # -- composite Gauss-Legendre engine --------------------------------------------
@@ -309,12 +333,11 @@ class _ModelPieces:
     """Radial factors of one (model, lam) evaluation, with the angular
     averages ``ang`` of the curvature polynomials."""
 
-    def __init__(self, model: TestFunctionModel, lam: float, ang: AngularData | None):
+    def __init__(self, model: TestFunctionModel, lam: float):
         n = model.n
         self.n = n
         self.lam = lam
         self.delta = model.delta
-        self.case = model.case
         self.p = 2.0 * n / (n + 4)
         self.surf = n * omega_n(n)
 
@@ -327,18 +350,14 @@ class _ModelPieces:
             [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)],
         )
 
-        self.ang = ang
+        self.ang = model.angular
         self.cutoff = Cutoff(model.cutoff_degree)
 
         # correction rides on beta (matched cases) or on u itself (high)
-        if model.case == "high":
-            self.corr_sign = +1.0
-            v = self.u
-        else:
-            self.corr_sign = -1.0
-            v = self.beta
-        self.v = v
-        self.v1 = v.diff()
+        matched = CASES[model.case].matched
+        self.corr_sign = -1.0 if matched else +1.0
+        self.v = self.beta if matched else self.u
+        self.v1 = self.v.diff()
         self.v2 = self.v1.diff()
 
         # angular-averaged green correction carried by the test function
@@ -352,7 +371,7 @@ class _ModelPieces:
             c_psi = model.psi4_block
             self.gavg = lambda r: lam**2.5 * c_psi / r
         else:
-            self.gavg = None
+            self.gavg = lambda r: 0.0
 
     def corr_avg(self, r: np.ndarray) -> np.ndarray:
         """Angular average of the curvature correction to P phi."""
@@ -371,7 +390,7 @@ class _ModelPieces:
         return term_a + term_j + term_q
 
     def numerator_bulk(self, r: np.ndarray) -> np.ndarray:
-        phi = self.u(r) + (self.gavg(r) if self.gavg is not None else 0.0)
+        phi = self.u(r) + self.gavg(r)
         pphi = self.main(r) + self.corr_sign * self.corr_avg(r)
         return pphi * phi * r ** (self.n - 1) * self.surf
 
@@ -407,46 +426,24 @@ class _ModelPieces:
         phi = (
             e2[0] * self.u(r)
             + e1[0] * lam_q * r ** float(4 - n)
-            + (self.gavg(r) if self.gavg is not None else 0.0)
+            + self.gavg(r)
         )
         return -bilap * phi * r ** (n - 1) * self.surf
 
 
-@dataclass
-class ModelIntegrands:
-    """Radially factorized quadrature tasks for one lam."""
-
-    lam: float
-    numerator_bulk: callable
-    norm_bulk: callable
-    numerator_annulus: callable | None
-    bulk_breakpoints: list[float]
-    annulus_breakpoints: list[float]
-    outer_closed_form: float = 0.0  # P phi vanishes beyond the annulus
-
-
-def model_integrands(model: TestFunctionModel, lam: float) -> ModelIntegrands:
-    pieces = _ModelPieces(model, lam, model.angular)
-    d = model.delta
-    has_annulus = model.case != "high"
-    return ModelIntegrands(
-        lam=lam,
-        numerator_bulk=pieces.numerator_bulk,
-        norm_bulk=pieces.norm_bulk,
-        numerator_annulus=pieces.numerator_annulus if has_annulus else None,
-        bulk_breakpoints=_bulk_breakpoints(lam, d),
-        annulus_breakpoints=[d, 1.25 * d, 1.5 * d, 1.75 * d, 2.0 * d],
-    )
-
-
 def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
-    """Numerator, norm integral, and functional ratio at one lam."""
-    tasks = model_integrands(model, lam)
-    num = _panel_quad(tasks.numerator_bulk, tasks.bulk_breakpoints)
-    if tasks.numerator_annulus is not None:
-        num += _panel_quad(tasks.numerator_annulus, tasks.annulus_breakpoints)
-    num += tasks.outer_closed_form
-    norm_int = _panel_quad(tasks.norm_bulk, tasks.bulk_breakpoints)
+    """Numerator, norm integral, and functional ratio at one lam.
+
+    P phi vanishes beyond the cutoff annulus, so the bulk ball and, for
+    matched cases, the numerator's annulus term are the whole integrals.
+    """
+    pieces = _ModelPieces(model, lam)
+    d = model.delta
+    bulk = _bulk_breakpoints(lam, d)
+    num = _panel_quad(pieces.numerator_bulk, bulk)
+    if CASES[model.case].matched:
+        num += _panel_quad(pieces.numerator_annulus, [d, 1.25 * d, 1.5 * d, 1.75 * d, 2.0 * d])
+    norm_int = _panel_quad(pieces.norm_bulk, bulk)
     n = model.n
     norm_sq = norm_int ** ((n + 4.0) / n)
     return {
@@ -492,19 +489,24 @@ class FitResult:
 _COND_LIMIT = 1e8
 
 
-def _lstsq_fit(lams: np.ndarray, y: np.ndarray, basis_fns, basis_names, weight_power: float = 0.0):
-    """Least squares in the given basis, optionally weighted by lam^{-w}.
+def _fit(model: TestFunctionModel, values: np.ndarray, lead: float):
+    """Least squares of values - lead, or values/lead - 1 for a relative
+    case, in the case's basis, weighted by lam^{-p}.
 
     Dividing out the common lam power gives every grid point equal say in
     the fit; otherwise the largest lam, which carries the worst o()
     contamination, dominates the normal equations.
     """
-    w = lams ** (-weight_power) if weight_power else np.ones_like(lams)
-    A = np.column_stack([fn(lams) * w for fn in basis_fns])
+    case = CASES[model.case]
+    p = case.weight_power(model.n)
+    lams = np.array(model.lambdas, dtype=float)
+    y = values / lead - 1.0 if case.relative else values - lead
+    w = lams ** (-p)
+    A = np.column_stack([fn(lams, p) * w for fn in case.basis_fns])
     cond = np.linalg.cond(A)
     if cond > _COND_LIMIT:
         raise ValueError(
-            f"ill-conditioned fit: cond={cond:.3e} for basis {basis_names} "
+            f"ill-conditioned fit: cond={cond:.3e} for basis {case.basis} "
             f"on grid {list(lams)}"
         )
     yw = y * w
@@ -514,54 +516,16 @@ def _lstsq_fit(lams: np.ndarray, y: np.ndarray, basis_fns, basis_names, weight_p
 
 
 def fit_expansion(model: TestFunctionModel) -> FitResult:
-    """Extract the model-term coefficient of the functional ratio.
-
-    flat/lowdim: basis {lam^{n-4}} on ratio - Theta4, per unit A0.
-    n8: basis {lam^4 log(1/lam), lam^4} on ratio - Theta4, log term tracked.
-    n9/high: basis {lam^4} on ratio/Theta4 - 1.
-    """
+    """Extract the model-term coefficient of the functional ratio against
+    Theta4: the first basis coefficient, compared with the case's closed
+    form; the other basis coefficients are reported as extras."""
+    case = CASES[model.case]
     n = model.n
     theta4 = sharp_constants(n).Theta4_sphere
     evals = model.evaluations
-    lams = np.array(model.lambdas, dtype=float)
-    ratios = np.array([e["ratio"] for e in evals])
-    details = {"theta4": theta4, "evaluations": evals}
-
-    if model.case in ("flat", "lowdim"):
-        y = ratios - theta4
-        coef, resid, cond = _lstsq_fit(
-            lams, y, [lambda l: l ** (n - 4.0)], ("lam^(n-4)",), weight_power=n - 4.0
-        )
-        fitted = float(coef[0])
-        expected = flat_ratio_coefficient(n) * model.A0
-        basis = ("lam^(n-4)",)
-        extra = {}
-    elif model.case == "n8":
-        y = ratios - theta4
-        coef, resid, cond = _lstsq_fit(
-            lams,
-            y,
-            [lambda l: l**4 * np.log(1.0 / l), lambda l: l**4],
-            ("lam^4 log(1/lam)", "lam^4"),
-            weight_power=4.0,
-        )
-        fitted = float(coef[0])
-        expected = n8_ratio_log_coefficient() * float(model.jet.W.norm_sq())
-        basis = ("lam^4 log(1/lam)", "lam^4")
-        extra = {"lam^4": float(coef[1])}
-    else:  # n9, high
-        y = ratios / theta4 - 1.0
-        coef, resid, cond = _lstsq_fit(lams, y, [lambda l: l**4], ("lam^4",), weight_power=4.0)
-        fitted = float(coef[0])
-        w2 = float(model.jet.W.norm_sq())
-        if model.case == "n9":
-            expected = float(n9_ratio_coefficient()) * w2
-        else:
-            expected = float(high_ratio_coefficient(n)) * w2
-        basis = ("lam^4",)
-        extra = {}
-
-    details["condition_number"] = cond
+    coef, resid, cond = _fit(model, np.array([e["ratio"] for e in evals]), theta4)
+    fitted = float(coef[0])
+    expected = case.ratio_per_unit(n) * model.unit[1]
     rel = abs(fitted - expected) / abs(expected) if expected != 0 else abs(fitted)
     return FitResult(
         case=model.case,
@@ -571,159 +535,41 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
         rel_error=rel,
         residual=resid,
         lambdas=model.lambdas,
-        basis=basis,
-        extra_coefficients=extra,
-        details=details,
+        basis=case.basis,
+        extra_coefficients={name: float(c) for name, c in zip(case.basis[1:], coef[1:])},
+        details={"theta4": theta4, "evaluations": evals, "condition_number": cond},
     )
 
 
 def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationReport]:
     """Fit the numerator and norm expansions separately against their own
-    closed forms; sharper than the ratio test and isolates error sources.
-
-    n9 has no such check (its mixed 1/pi pieces are not tracked
-    separately): it is held at the ratio level by fit_expansion alone.
-    """
+    closed forms, one report per split check of the case; sharper than the
+    ratio test and isolates error sources."""
+    case = CASES[model.case]
     n = model.n
-    if model.case == "n9":
-        return []
-    evals = model.evaluations
-    lams = np.array(model.lambdas, dtype=float)
-    nums = np.array([e["numerator"] for e in evals])
-    norm_ints = np.array([e["norm_integral"] for e in evals])
-    rtol = FIT_RTOL[model.case]
+    lead = {
+        "numerator": (
+            n * (n + 2) * (n - 2) * (n - 4) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
+        ),
+        "norm_integral": (
+            (n * (n + 2) * (n - 2) * (n - 4)) ** (2 * n / (n + 4))
+            * math.gamma(n / 2)
+            * math.pi ** (n / 2)
+            / math.gamma(n)
+        ),
+    }
+    unit_name, unit = model.unit
     reports = []
-
-    lead_num = (
-        n * (n + 2) * (n - 2) * (n - 4) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
-    )
-    lead_norm = (
-        (n * (n + 2) * (n - 2) * (n - 4)) ** (2 * n / (n + 4))
-        * math.gamma(n / 2)
-        * math.pi ** (n / 2)
-        / math.gamma(n)
-    )
-
-    if model.case in ("flat", "lowdim"):
-        coef, resid, _ = _lstsq_fit(
-            lams, nums - lead_num, [lambda l: l ** (n - 4.0)], ("lam^(n-4)",), weight_power=n - 4.0
-        )
-        expected = flat_numerator_coefficient(n) * model.A0
+    for check_id, provenance, key, per_unit in case.split_checks:
+        coef, _, _ = _fit(model, np.array([e[key] for e in model.evaluations]), lead[key])
         reports.append(
             close_check(
-                f"asymptotics.numerator_coeff[{model.case},n={n}]",
-                {"lambdas": list(lams), "A0": model.A0},
-                expected,
-                "flat-case numerator expansion, explicit constant",
+                check_id.format(case=model.case, n=n),
+                {"lambdas": [float(l) for l in model.lambdas], unit_name: unit},
+                per_unit(n) * unit,
+                provenance,
                 float(coef[0]),
-                rtol=rtol,
-            )
-        )
-    elif model.case == "n8":
-        w2 = float(model.jet.W.norm_sq())
-        coef, resid, _ = _lstsq_fit(
-            lams,
-            nums - lead_num,
-            [lambda l: l**4 * np.log(1.0 / l), lambda l: l**4],
-            ("lam^4 log(1/lam)", "lam^4"),
-            weight_power=4.0,
-        )
-        expected = n8_numerator_log_coefficient() * w2
-        reports.append(
-            close_check(
-                "asymptotics.numerator_log_coeff[n8]",
-                {"lambdas": list(lams), "w2": w2},
-                expected,
-                "n=8 numerator lam^4 log(1/lam) term",
-                float(coef[0]),
-                rtol=rtol,
-            )
-        )
-    elif model.case == "high":
-        w2 = float(model.jet.W.norm_sq())
-        coef, _, _ = _lstsq_fit(lams, nums / lead_num - 1.0, [lambda l: l**4], ("lam^4",), weight_power=4.0)
-        reports.append(
-            close_check(
-                f"asymptotics.numerator_coeff[high,n={n}]",
-                {"lambdas": list(lams), "w2": w2},
-                float(high_numerator_coefficient(n)) * w2,
-                "high-case numerator relative lam^4 factor",
-                float(coef[0]),
-                rtol=rtol,
-            )
-        )
-        coef, _, _ = _lstsq_fit(lams, norm_ints / lead_norm - 1.0, [lambda l: l**4], ("lam^4",), weight_power=4.0)
-        reports.append(
-            close_check(
-                f"asymptotics.norm_integral_coeff[high,n={n}]",
-                {"lambdas": list(lams), "w2": w2},
-                float(high_norm_integral_coefficient(n)) * w2,
-                "high-case norm-integral relative lam^4 factor",
-                float(coef[0]),
-                rtol=rtol,
+                rtol=case.rtol,
             )
         )
     return reports
-
-
-# -- Monte-Carlo angular spot check ----------------------------------------------
-
-
-def mc_angular_check(
-    jet: CurvatureJet, lam: float = 0.02, samples: int = 1_000_000, seed: int = 0
-) -> dict:
-    """Replace the exact angular averages by Monte-Carlo estimates over
-    S^{n-1} and re-assemble the high-case numerator; the exact value must
-    sit within 3 sigma of the estimate.
-
-    The numerator is affine in the two angular averages, so sampling them
-    is a full MC treatment of the angular integral, and unit steps in each
-    give its sensitivities exactly; the radial factors are reused unchanged.
-    """
-    n = jet.n
-    rng = np.random.Generator(np.random.Philox(seed))
-    Wf = jet.W.ints.astype(float) * float(jet.W.scale)
-    Wmat = np.ascontiguousarray(Wf.transpose(0, 2, 1, 3).reshape(n * n, n * n))
-    Jf = np.array([[float(c) for c in row] for row in jet.Jh.entries])
-
-    q_vals = np.empty(samples)
-    j_vals = np.empty(samples)
-    chunk = 20_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        outer = (g[:, :, None] * g[:, None, :]).reshape(m, n * n)
-        T = outer @ Wmat
-        q_vals[done : done + m] = np.sum(T * T, axis=1)
-        j_vals[done : done + m] = np.einsum("si,ij,sj->s", g, Jf, g)
-        done += m
-
-    gq_mc, gq_sig = q_vals.mean(), q_vals.std(ddof=1) / math.sqrt(samples)
-    gj_mc, gj_sig = j_vals.mean(), j_vals.std(ddof=1) / math.sqrt(samples)
-    ang = AngularData.from_jet(jet)
-
-    model = TestFunctionModel(case="high", n=n, jet=jet)
-    bp = _bulk_breakpoints(lam, model.delta)
-
-    def numerator(a: AngularData) -> float:
-        return _panel_quad(_ModelPieces(model, lam, a).numerator_bulk, bp)
-
-    exact_num = numerator(ang)
-    d_dq = numerator(replace(ang, gq4=ang.gq4 + 1)) - exact_num
-    d_dj = numerator(replace(ang, gj2=ang.gj2 + 1)) - exact_num
-    mc_num = exact_num + d_dq * (gq_mc - float(ang.gq4)) + d_dj * (gj_mc - float(ang.gj2))
-    sigma = math.hypot(d_dq * gq_sig, d_dj * gj_sig)
-
-    return {
-        "n": n,
-        "lam": lam,
-        "samples": samples,
-        "exact_numerator": exact_num,
-        "mc_numerator": mc_num,
-        "sigma": sigma,
-        "within_3sigma": abs(mc_num - exact_num) <= 3.0 * sigma + 1e-12,
-        "gq4": {"exact": float(ang.gq4), "mc": gq_mc, "sigma": gq_sig},
-        "gj2": {"exact": float(ang.gj2), "mc": gj_mc, "sigma": gj_sig},
-    }

@@ -23,7 +23,7 @@ from . import polyalg, report, sphereforms, spectral, tensor
 from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
 
 # tolerances of the spectral, constants and bubble checks; the fit
-# tolerances are asymptotics.FIT_RTOL
+# tolerances are the rtol of each asymptotics.CASES row
 THETA4_RTOL = 1e-8
 DUALITY_RTOL = 1e-10
 THETA2_DUALITY_RTOL = 1e-8
@@ -194,10 +194,11 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
     """Fit the test-function expansion coefficient for one case."""
-    lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas else ()
-    jet = None
-    if case in ("n8", "n9", "high"):
-        jet = par.random_jet(n, seed, normalize=True)
+    try:
+        lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas else ()
+    except ValueError:
+        raise click.UsageError(f"bad --lambdas {lambdas!r}; use e.g. 0.04,0.02,0.01,0.005")
+    jet = par.random_jet(n, seed, normalize=True) if asym.CASES[case].needs_jet else None
     try:
         model = asym.TestFunctionModel(
             case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid, cutoff_degree=cutoff_degree
@@ -213,7 +214,7 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
             fit.expected,
             "test-function expansion coefficient",
             fit.coefficient,
-            rtol=asym.FIT_RTOL[case],
+            rtol=asym.CASES[case].rtol,
         )
     ] + extra
     payload = {
@@ -236,8 +237,8 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
 
 @main.command("spectral")
 @click.option("--n", type=int, default=5, show_default=True)
-@click.option("--l", "--L", "trunc", type=int, default=64, show_default=True)
-@click.option("--iters", type=int, default=200, show_default=True)
+@click.option("--l", "--L", "trunc", type=click.IntRange(min=2), default=64, show_default=True)
+@click.option("--iters", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--damping", type=float, default=0.5, show_default=True)
 @click.option("--init", type=click.Choice(["constant", "perturbed"]), default="constant")
 @click.option("--report", "out", type=click.Path(), default=None)
@@ -503,32 +504,34 @@ def _verify_spectral(ns, trials, seed, L) -> list[VerificationReport]:
 def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
     out = []
     for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
-        jet = par.random_jet(n, seed, normalize=True) if case != "flat" else None
+        row = asym.CASES[case]
+        jet = par.random_jet(n, seed, normalize=True) if row.needs_jet else None
         fit = asym.fit_expansion(asym.TestFunctionModel(case=case, n=n, jet=jet))
         out.append(
             close_check(
                 f"asymptotics.{case}[n={n}]",
-                {"n": n, "seed": seed if case != "flat" else None},
+                {"n": n, "seed": seed if row.needs_jet else None},
                 fit.expected,
                 "expansion coefficient vs closed form",
                 fit.coefficient,
-                rtol=asym.FIT_RTOL[case],
+                rtol=row.rtol,
             )
         )
     return out
 
 
-# suite -> (checks, default dimensions and the smallest one it accepts, or
-# None if it takes none, default trials); Weyl tensors first exist at n = 4,
-# the degree-4 shell at n = 8, and the sphere forms need n >= 5
+# suite -> (checks, default dimensions and the smallest one it accepts,
+# default trials, default truncation L); None where the suite reads no such
+# option.  Weyl tensors first exist at n = 4, the degree-4 shell at n = 8,
+# and the sphere forms need n >= 5
 SUITES = {
-    "weyl": (_verify_weyl, range(5, 11), 4, 50),
-    "polyalg": (_verify_polyalg, None, None, 40),
-    "parametrix": (_verify_parametrix, range(8, 13), 8, 10),
-    "constants": (_verify_constants, range(5, 13), 5, None),
-    "bubbles": (_verify_bubbles, range(5, 13), 5, None),
-    "spectral": (_verify_spectral, range(5, 10), 5, None),
-    "asymptotics": (_verify_asymptotics, None, None, None),
+    "weyl": (_verify_weyl, range(5, 11), 4, 50, None),
+    "polyalg": (_verify_polyalg, None, None, 40, None),
+    "parametrix": (_verify_parametrix, range(8, 13), 8, 10, None),
+    "constants": (_verify_constants, range(5, 13), 5, None, None),
+    "bubbles": (_verify_bubbles, range(5, 13), 5, None, None),
+    "spectral": (_verify_spectral, range(5, 10), 5, None, 64),
+    "asymptotics": (_verify_asymptotics, None, None, None, None),
 }
 
 
@@ -537,20 +540,33 @@ SUITES = {
 @click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--l", "--L", "trunc", type=int, default=None, help="spectral truncation degree")
+@click.option("--l", "--L", "trunc", type=click.IntRange(min=2), default=None,
+              help="spectral truncation degree")
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
+    if suite == "all":
+        # each suite runs at its default dimensions; --trials and --L reach
+        # the suites that read them
+        if n_range is not None:
+            raise click.UsageError("verify all takes no --n")
+    else:
+        _, ns, _, default_trials, default_L = SUITES[suite]
+        for flag, value, default in (("--n", n_range, ns), ("--trials", trials, default_trials),
+                                     ("--L", trunc, default_L)):
+            if value is not None and default is None:
+                raise click.UsageError(f"verify {suite} takes no {flag}")
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else [suite]:
-        checks, ns, min_n, default_trials = SUITES[name]
-        if n_range and suite == name and ns is not None:
+        checks, ns, min_n, default_trials, default_L = SUITES[name]
+        if n_range is not None:
             ns = _parse_n_range(n_range)
             if min(ns) < min_n:
                 raise click.UsageError(f"verify {name} needs n >= {min_n}")
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
-        reports += checks(ns, default_trials if trials is None else trials, seed, trunc or 64)
+        reports += checks(ns, default_trials if trials is None else trials, seed,
+                          default_L if trunc is None else trunc)
     config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
     _finish(reports, {"command": "verify", "config": config}, out)
 

@@ -264,12 +264,14 @@ def verify_recursion_residual(jet: CurvatureJet, green: GreenExpansion) -> Verif
 
     Applies the operators with full log bookkeeping; the constant term of
     the expansion is annihilated automatically, so the whole correction
-    part can be fed through.
+    part can be fed through.  The source is phi_4 only where the expansion
+    must carry psi_4: a curved jet with n >= 8.  Below that psi_4 belongs
+    to the remainder, and the bare r^{4-n} answers no source.
     """
     n = jet.n
     correction = LogRadialExpansion(n, 0, dict(green.expansion.terms))
     applied = apply_AA(n, correction)
-    src = phi4(jet) if not jet.is_flat() else HomogPoly.zero(n, 4)
+    src = phi4(jet) if n >= 8 and not jet.is_flat() else HomogPoly.zero(n, 4)
     residual = applied + LogRadialExpansion.from_poly(src)
     ok = residual.is_zero()
     return VerificationReport(

@@ -15,8 +15,7 @@ fixed-point iteration for the dual extremal problem, and conformal
 dilations all run on top of the same transform pair.
 
 Fractional powers of fields are evaluated on an oversampled grid (>= 3x)
-and projected back to degree L; the projection error is the solver's
-monitored dealiasing error, never assumed zero.
+and projected back to degree L.
 """
 
 from __future__ import annotations

@@ -1,46 +1,128 @@
 """Test-function asymptotics: cutoffs, angular reduction, coefficient fits."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qcurv.asymptotics import (
+    CASES,
+    AngularData,
     Cutoff,
     TestFunctionModel,
+    _bulk_breakpoints,
+    _ModelPieces,
     _panel_quad,
-    angular_average_poly,
     evaluate_model,
     fit_expansion,
     flat_numerator_coefficient,
     flat_ratio_coefficient,
     high_norm_integral_coefficient,
     high_ratio_coefficient,
-    mc_angular_check,
-    model_integrands,
     n8_ratio_log_coefficient,
     n9_ratio_coefficient,
     numerator_coefficient_check,
     psi4_radial_block,
-    sphere_monomial_integral,
 )
 from qcurv.parametrix import CurvatureJet, random_jet
+from qcurv.polyalg import HomogPoly
 from qcurv.sphereforms import omega_n
 from qcurv.tensor import random_weyl
 
 F = Fraction
 
 
+# ------------------------------------------------- floating angular oracles
+
+
+def sphere_monomial_integral(exponents) -> float:
+    """Integral of prod x_i^{a_i} over the unit sphere S^{n-1} in R^n."""
+    if any(e % 2 for e in exponents):
+        return 0.0
+    log_num = math.log(2.0)
+    tot = 0.0
+    for e in exponents:
+        log_num += math.lgamma((e + 1) / 2)
+        tot += e + 1
+    return math.exp(log_num - math.lgamma(tot / 2))
+
+
+def angular_average_poly(p: HomogPoly) -> float:
+    """Average of a polynomial over the unit sphere S^{n-1} (floating oracle)."""
+    surf = p.n * omega_n(p.n)
+    return sum(float(c) * sphere_monomial_integral(e) for e, c in p.terms.items()) / surf
+
+
+def mc_angular_check(
+    jet: CurvatureJet, lam: float = 0.02, samples: int = 1_000_000, seed: int = 0
+) -> dict:
+    """Replace the exact angular averages by Monte-Carlo estimates over
+    S^{n-1} and re-assemble the high-case numerator; the exact value must
+    sit within 3 sigma of the estimate.
+
+    The numerator is affine in the two angular averages, so sampling them
+    is a full MC treatment of the angular integral, and unit steps in each
+    give its sensitivities exactly; the radial factors are reused unchanged.
+    """
+    n = jet.n
+    rng = np.random.Generator(np.random.Philox(seed))
+    Wf = jet.W.ints.astype(float) * float(jet.W.scale)
+    Wmat = np.ascontiguousarray(Wf.transpose(0, 2, 1, 3).reshape(n * n, n * n))
+    Jf = np.array([[float(c) for c in row] for row in jet.Jh.entries])
+
+    q_vals = np.empty(samples)
+    j_vals = np.empty(samples)
+    chunk = 20_000
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        g = rng.standard_normal((m, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        outer = (g[:, :, None] * g[:, None, :]).reshape(m, n * n)
+        T = outer @ Wmat
+        q_vals[done : done + m] = np.sum(T * T, axis=1)
+        j_vals[done : done + m] = np.einsum("si,ij,sj->s", g, Jf, g)
+        done += m
+
+    gq_mc, gq_sig = q_vals.mean(), q_vals.std(ddof=1) / math.sqrt(samples)
+    gj_mc, gj_sig = j_vals.mean(), j_vals.std(ddof=1) / math.sqrt(samples)
+    ang = AngularData.from_jet(jet)
+
+    def numerator(a: AngularData) -> float:
+        model = TestFunctionModel(case="high", n=n, jet=jet)
+        model.angular = a  # overrides the cached exact averages
+        return _panel_quad(_ModelPieces(model, lam).numerator_bulk,
+                           _bulk_breakpoints(lam, model.delta))
+
+    exact_num = numerator(ang)
+    d_dq = numerator(replace(ang, gq4=ang.gq4 + 1)) - exact_num
+    d_dj = numerator(replace(ang, gj2=ang.gj2 + 1)) - exact_num
+    mc_num = exact_num + d_dq * (gq_mc - float(ang.gq4)) + d_dj * (gj_mc - float(ang.gj2))
+    sigma = math.hypot(d_dq * gq_sig, d_dj * gj_sig)
+
+    return {
+        "n": n,
+        "lam": lam,
+        "samples": samples,
+        "exact_numerator": exact_num,
+        "mc_numerator": mc_num,
+        "sigma": sigma,
+        "within_3sigma": abs(mc_num - exact_num) <= 3.0 * sigma + 1e-12,
+        "gq4": {"exact": float(ang.gq4), "mc": gq_mc, "sigma": gq_sig},
+        "gj2": {"exact": float(ang.gj2), "mc": gj_mc, "sigma": gj_sig},
+    }
+
+
 # ------------------------------------------------------------------ cutoff
 
 
-def test_cutoff_partition_and_range():
+def test_cutoff_range():
     c = Cutoff(9)
     s = np.linspace(0.0, 3.0, 301)
-    e1 = c.eta1(s)
+    e1 = c.eta1_derivs(s)[0]
     assert np.all(e1 >= -1e-15) and np.all(e1 <= 1 + 1e-15)
-    assert np.allclose(c.eta2(s) + e1, 1.0, atol=1e-15)
     assert np.all(e1[s <= 1.0] == 0.0)
     assert np.allclose(e1[s >= 2.0], 1.0, atol=1e-15)
 
@@ -89,7 +171,6 @@ def test_angular_average_matches_exact_block():
 def test_angular_data_against_polynomial_oracle():
     # the exact angular averages feeding the radial integrands must agree
     # with floating sphere-moment averages of the actual jet polynomials
-    from qcurv.asymptotics import AngularData
     from qcurv.tensor import schouten_quartic
 
     jet = random_jet(10, seed=3, normalize=True)
@@ -118,15 +199,24 @@ def test_psi4_radial_block_against_float_oracle():
 # ------------------------------------------------------------- model setup
 
 
-def test_model_validation():
+@pytest.mark.parametrize("case", CASES)
+def test_model_validation(case):
+    row = CASES[case]
+    admits = {"flat": (5, None), "lowdim": (5, 7), "n8": (8, 8), "n9": (9, 9), "high": (10, None)}
+    assert (row.n_min, row.n_max) == admits[case]
+    bad = [row.n_min - 1] + ([row.n_max + 1] if row.n_max is not None else [])
+    for n in bad:
+        jet = random_jet(n, 1) if row.needs_jet else None
+        with pytest.raises(ValueError, match="incompatible"):
+            TestFunctionModel(case=case, n=n, jet=jet)
+    if row.needs_jet:
+        with pytest.raises(ValueError, match="needs a curvature jet"):
+            TestFunctionModel(case=case, n=row.n_min)
+
+
+def test_model_grid_validation():
     with pytest.raises(ValueError):
         TestFunctionModel(case="bogus", n=5)
-    with pytest.raises(ValueError):
-        TestFunctionModel(case="lowdim", n=8)
-    with pytest.raises(ValueError):
-        TestFunctionModel(case="n8", n=8)  # jet required
-    with pytest.raises(ValueError):
-        TestFunctionModel(case="high", n=9, jet=random_jet(9, 1))
     with pytest.raises(ValueError):
         TestFunctionModel(case="flat", n=5, lambdas=(0.3, 0.2, 0.1, 0.05))
     with pytest.raises(ValueError):
@@ -134,15 +224,20 @@ def test_model_validation():
 
 
 def test_model_integrand_tasks():
-    m = TestFunctionModel(case="flat", n=5)
-    tasks = model_integrands(m, 0.05)
-    assert tasks.numerator_annulus is not None
-    assert tasks.outer_closed_form == 0.0
-    r = np.array([0.3, 0.7])
-    assert np.all(np.isfinite(tasks.numerator_bulk(r)))
-    jet = random_jet(10, seed=1, normalize=True)
-    tasks_high = model_integrands(TestFunctionModel(case="high", n=10, jet=jet), 0.02)
-    assert tasks_high.numerator_annulus is None
+    # the numerator is the bulk quadrature plus, for matched cases only,
+    # the cutoff annulus term; nothing is added beyond the annulus
+    for case, n in (("flat", 5), ("lowdim", 6), ("n8", 8), ("n9", 9), ("high", 10)):
+        jet = random_jet(n, seed=1, normalize=True) if CASES[case].needs_jet else None
+        m = TestFunctionModel(case=case, n=n, jet=jet)
+        lam = m.lambdas[0]
+        pieces = _ModelPieces(m, lam)
+        assert np.all(np.isfinite(pieces.numerator_bulk(np.array([0.3, 0.7]))))
+        bulk = _panel_quad(pieces.numerator_bulk, _bulk_breakpoints(lam, m.delta))
+        annulus = _panel_quad(pieces.numerator_annulus, [1.0, 1.25, 1.5, 1.75, 2.0])
+        assert annulus != 0.0
+        want = bulk + annulus if CASES[case].matched else bulk
+        assert evaluate_model(m, lam)["numerator"] == want
+        assert CASES[case].matched == (case != "high")
 
 
 def test_flat_leading_numerator_value():
@@ -158,13 +253,13 @@ def test_grid_refinement_stability():
     # doubling the radial panels moves every integral by < 1e-9 relative
     jet = random_jet(10, seed=1, normalize=True)
     m = TestFunctionModel(case="high", n=10, jet=jet)
-    tasks = model_integrands(m, 0.02)
-    bp = tasks.bulk_breakpoints
+    pieces = _ModelPieces(m, 0.02)
+    bp = _bulk_breakpoints(0.02, m.delta)
     bp2 = []
     for a, b in zip(bp[:-1], bp[1:]):
         bp2 += [a, 0.5 * (a + b)]
     bp2.append(bp[-1])
-    for fn in (tasks.numerator_bulk, tasks.norm_bulk):
+    for fn in (pieces.numerator_bulk, pieces.norm_bulk):
         coarse = _panel_quad(fn, bp)
         fine = _panel_quad(fn, bp2)
         assert abs(coarse - fine) <= 1e-9 * abs(fine)

@@ -244,4 +244,49 @@ def test_lambda_series_evaluated_once_per_model(runner, monkeypatch):
     monkeypatch.setattr(asym, "evaluate_model",
                         lambda model, lam: calls.append(lam) or evaluate(model, lam))
     assert runner.invoke(main, ["asymptotics", "--case", "high", "--n", "10"]).exit_code == 0
-    assert calls == list(asym.DEFAULT_LAMBDAS["high"])
+    assert calls == list(asym.CASES["high"].lambdas)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_parametrix_low_dimensions_pass(runner, n, seed):
+    # psi_4 belongs to the remainder below n = 8, so no phi_4 source is owed
+    res = runner.invoke(main, ["parametrix", "--n", str(n), "--seed", str(seed)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["remainder"] == "O4(r)"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "spectral", "--n", "5", "--L", "0"],
+    ["verify", "spectral", "--n", "5", "--L", "-3"],
+    ["verify", "all", "--L", "1"],
+    ["spectral", "--L", "1", "--init", "perturbed"],
+    ["spectral", "--L", "0"],
+    ["spectral", "--iters", "-1"],
+    ["asymptotics", "--case", "flat", "--n", "5", "--lambdas", "0.1,x,0.02,0.01"],
+])
+def test_bad_numeric_options_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["all", "--n", "5..6"], "--n"),
+    (["polyalg", "--n", "5"], "--n"),
+    (["asymptotics", "--n", "5"], "--n"),
+    (["constants", "--trials", "3"], "--trials"),
+    (["bubbles", "--trials", "3"], "--trials"),
+    (["spectral", "--trials", "3"], "--trials"),
+    (["asymptotics", "--trials", "3"], "--trials"),
+    (["weyl", "--L", "32"], "--L"),
+    (["polyalg", "--L", "32"], "--L"),
+    (["parametrix", "--L", "32"], "--L"),
+    (["constants", "--L", "32"], "--L"),
+    (["bubbles", "--L", "32"], "--L"),
+    (["asymptotics", "--L", "32"], "--L"),
+])
+def test_verify_refuses_option_suite_ignores(runner, args, flag):
+    res = runner.invoke(main, ["verify", *args])
+    assert res.exit_code == 2, res.output
+    assert f"verify {args[0]} takes no {flag}" in res.output
+

@@ -224,6 +224,21 @@ def test_residual_detects_corruption():
     assert not verify_recursion_residual(jet, bad).passed
 
 
+def test_residual_source_follows_dimension():
+    # below n = 8 psi_4 belongs to the remainder: the bare r^{4-n} owes no
+    # phi_4 source, while an n >= 8 expansion that drops psi_4 still fails
+    for n in (5, 6, 7):
+        for seed in (1, 3):
+            jet = random_jet(n, seed=seed)
+            rep = verify_recursion_residual(jet, green_leading(jet))
+            assert rep.passed, rep.computed
+    jet = random_jet(9, seed=8)
+    g = green_leading(jet)
+    terms = {key: p for key, p in g.expansion.terms.items() if key != (4, 0)}
+    bare = GreenExpansion(9, LogRadialExpansion(9, g.expansion.radial_exp, terms), g.remainder)
+    assert not verify_recursion_residual(jet, bare).passed
+
+
 def test_expansion_serialization_and_latex():
     jet = random_jet(8, seed=9)
     g = green_leading(jet)
