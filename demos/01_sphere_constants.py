@@ -19,7 +19,8 @@ for r in rows:
           f"{r['resid_Y4_vs_moments']:>13.2e} {r['resid_duality']:>14.2e}")
 
 # the bubble (lam/(r^2+lam^2))^{(n-4)/2} solves
-# Delta^2 u = n(n+2)(n-2)(n-4) u^{(n+4)/(n-4)}
+# Delta^2 u = n(n+2)(n-2)(n-4) u^{(n+4)/(n-4)}; in canonical form Delta^2 u
+# is that single term, so the residual sits at rounding level
 radii = np.geomspace(0.1, 10.0, 100)
 print("\nbubble PDE residual (relative, max over 100 radii):")
 for n in (5, 8, 12):

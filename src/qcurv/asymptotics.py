@@ -46,7 +46,7 @@ from .parametrix import CurvatureJet, psi4_closed_form
 from .polyalg import harmonic_decompose
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
-from .sphereforms import omega_n, sharp_constants
+from .sphereforms import bubble_f, bubble_u, omega_n, sharp_constants
 
 F = Fraction
 
@@ -248,7 +248,7 @@ class TestFunctionModel:
     data (required where the row needs one, optional for lowdim), ``A0``
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
-    points, all below delta/4.
+    points, all in (0, delta/4); A0 must be finite.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -275,8 +275,10 @@ class TestFunctionModel:
             self.lambdas = row.lambdas
         if len(self.lambdas) < 4:
             raise ValueError("need at least 4 lambda grid points")
-        if max(self.lambdas) >= self.delta / 4:
-            raise ValueError("all lambda must be below delta/4")
+        if not all(0 < lam < self.delta / 4 for lam in self.lambdas):
+            raise ValueError("every lambda must lie in (0, delta/4)")
+        if not math.isfinite(self.A0):
+            raise ValueError("A0 must be finite")
 
     @cached_property
     def angular(self) -> AngularData | None:
@@ -342,9 +344,8 @@ class _ModelPieces:
         self.surf = n * omega_n(n)
 
         q = F(n - 4, 2)
-        c_main = n * (n + 2) * (n - 2) * (n - 4)
-        self.u = RadialTermSum.single(lam, 1, q, 0, -q)
-        self.main = RadialTermSum.single(lam, c_main, q + 4, 0, -(q + 4))
+        self.u = bubble_u(lam, n)
+        self.main = bubble_f(lam, n).scale(n * (n + 2) * (n - 2) * (n - 4))
         self.beta = RadialTermSum(
             lam,
             [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)],
@@ -411,7 +412,7 @@ class _ModelPieces:
             e1[m] /= d**m
         e2 = -e1
         e2[0] = 1.0 - e1[0]
-        b = [self.beta.deriv(m)(r) for m in range(5)]
+        b = [self.beta.deriv(m, r) for m in range(5)]
         f = [
             sum(math.comb(m, i) * e2[i] * b[m - i] for i in range(m + 1))
             for m in range(5)
@@ -512,6 +513,8 @@ def _fit(model: TestFunctionModel, values: np.ndarray, lead: float):
     yw = y * w
     coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)
     resid = float(np.linalg.norm(yw - A @ coef) / max(np.linalg.norm(yw), 1e-300))
+    if not (math.isfinite(resid) and np.all(np.isfinite(coef))):
+        raise ValueError("fit values overflow the floating-point range")
     return coef, resid, cond
 
 

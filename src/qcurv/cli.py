@@ -22,8 +22,8 @@ from . import parametrix as par
 from . import polyalg, report, sphereforms, spectral, tensor
 from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
 
-# tolerances of the spectral, constants and bubble checks; the fit
-# tolerances are the rtol of each asymptotics.CASES row
+# tolerances of the spectral and constants checks; the fit tolerances are
+# the rtol of each asymptotics.CASES row
 THETA4_RTOL = 1e-8
 DUALITY_RTOL = 1e-10
 THETA2_DUALITY_RTOL = 1e-8
@@ -32,7 +32,6 @@ BOUNDED_SLACK = 1e-6
 FIXED_POINT_DRIFT = 1e-8
 MOMENTS_RESID = 1e-12
 DUALITY_RESID = 1e-14
-BUBBLE_PDE_RESID = 1e-10
 
 
 def _bound(x: float) -> str:
@@ -311,11 +310,11 @@ def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
         for k in range(trials):
             W = tensor.random_weyl(n, seed + k)
             q = W.quartic_form()
+            lap_q = polyalg.laplacian(q)
             ok = (
                 tensor.invariants_hold(W)
-                and polyalg.laplacian(q) == W.gradient_square_form().scale(2)
-                and polyalg.laplacian(polyalg.laplacian(q))
-                == polyalg.HomogPoly.constant(n, 12 * W.norm_sq())
+                and lap_q == W.gradient_square_form().scale(2)
+                and polyalg.laplacian(lap_q) == polyalg.HomogPoly.constant(n, 12 * W.norm_sq())
                 and W.cross_contraction() == W.norm_sq() / 2
             )
             blocks = W.quartic_harmonic_split()
@@ -428,25 +427,19 @@ def _verify_constants(ns, trials, seed, L) -> list[VerificationReport]:
 
 
 def _verify_bubbles(ns, trials, seed, L) -> list[VerificationReport]:
-    out = []
-    radii = np.geomspace(0.1, 10.0, 100)
-    lambdas = [0.5, 1.0, 2.0]
-    for n in ns:
-        worst = max(
-            float(sphereforms.bubble_pde_residual(lam, n, radii).max()) for lam in lambdas
+    # the canonical term lists hold the identity symbolically in lam, so
+    # lam = 1 stands for every lam
+    return [
+        exact_check(
+            f"bubble.pde[n={n}]",
+            {"n": n},
+            sphereforms.bubble_f(1.0, n).scale(n * (n + 2) * (n - 2) * (n - 4)).terms,
+            "Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam as canonical terms "
+            "(c, lam power, r power, (r^2+lam^2) power)",
+            sphereforms.bubble_bilaplacian(1.0, n).terms,
         )
-        out.append(
-            abs_check(
-                f"bubble.pde[n={n}]",
-                {"n": n, "lambdas": lambdas, "radii": radii.size},
-                f"relative residual <= {_bound(BUBBLE_PDE_RESID)}",
-                "bubble solves the critical bilaplacian equation",
-                worst,
-                BUBBLE_PDE_RESID,
-                deviation=worst,
-            )
-        )
-    return out
+        for n in ns
+    ]
 
 
 def _verify_spectral(ns, trials, seed, L) -> list[VerificationReport]:

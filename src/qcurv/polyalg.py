@@ -505,18 +505,6 @@ def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     return out
 
 
-def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
-    """Apply B_alpha: B_a(phi log^k r) = B_a phi log^k r + 2k phi log^{k-1} r."""
-    alpha = _as_fraction(alpha)
-    out = LogRadialExpansion(e.n, e.radial_exp)
-    a_eff = alpha + e.radial_exp
-    for (i, k), poly in e.terms.items():
-        out._add_term(i, k, _apply_b_poly(a_eff, poly, e.n))
-        if k >= 1:
-            out._add_term(i, k - 1, poly.scale(2 * k))
-    return out
-
-
 def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
     """Scalar by which A_alpha acts on the block r^{2k} H_{m-2k}."""
     alpha = _as_fraction(alpha)

@@ -6,11 +6,20 @@ with c rational and p, s rational exponents.  The family is closed under
 d/dr, division by r, and the radial Laplacian h'' + (n-1) h'/r, which is
 everything the bubble identities and the test-function integrands need.
 Coefficients stay exact; only evaluation produces floats.
+
+Terms are merged on (p, j, s), so one function can still be written in
+several ways: r^2 (r^2+lam^2)^s and (r^2+lam^2)^{s+1} - lam^2 (r^2+lam^2)^s
+are equal but stored apart.  ``canonical()`` rewrites every term with even
+j >= 0 through r^2 = (r^2+lam^2) - lam^2 into terms c lam^a (r^2+lam^2)^s,
+keyed by (a, s).  Two sums whose terms all have even j >= 0 are equal
+exactly when their canonical term lists are, as functions of r and lam.  It
+is applied only where a caller asks for it, since it changes the order of
+the floating operations that evaluation performs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +85,20 @@ class RadialTermSum:
     def bilaplacian(self, n: int) -> "RadialTermSum":
         return self.laplacian(n).laplacian(n)
 
+    def canonical(self) -> "RadialTermSum":
+        """The same function with each term of even r power j >= 0 expanded
+        by the binomial theorem in r^2 = (r^2+lam^2) - lam^2; terms of odd or
+        negative j are kept as they are."""
+        out: list[Term] = []
+        for c, p, j, s in self.terms:
+            if j < 0 or j % 2:
+                out.append((c, p, j, s))
+                continue
+            h = j // 2
+            out += [(c * math.comb(h, k) * (-1) ** (h - k), p + 2 * (h - k), 0, s + k)
+                    for k in range(h + 1)]
+        return RadialTermSum(self.lam, out)
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         lam = self.lam
@@ -90,8 +113,9 @@ class RadialTermSum:
             out = out + piece
         return out if out.shape else float(out)
 
-    def deriv(self, order: int) -> "RadialTermSum":
+    def deriv(self, order: int, r):
+        """The derivative of the given order, evaluated at r."""
         out = self
         for _ in range(order):
             out = out.diff()
-        return out
+        return out(r)

@@ -105,12 +105,13 @@ def abs_check(
 def dump_report(payload: dict, path: str | None = None) -> str:
     """Serialize a report envelope with sorted keys; optionally write it.
 
+    A non-finite float raises ValueError: strict JSON has no token for it.
     Writing goes through a temp file and rename so partial output never
     lands at the target path.
     """
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         import os
         import tempfile

@@ -8,11 +8,10 @@ leak in.  The Paneitz operator is diagonal in this basis,
     mu_l = lam_l^2 + (n^2-2n-4)/2 lam_l + n(n+2)(n-2)(n-4)/16,
     lam_l = l(l+n-1),
 
-with the exact factorization mu_l = (lam_l + n(n-2)/4)(lam_l + (n+2)(n-4)/4)
-available as a rational-arithmetic oracle.  The fourth-order Sobolev
-quotient, its dual, the second-order (conformal Laplacian) analogues, the
-fixed-point iteration for the dual extremal problem, and conformal
-dilations all run on top of the same transform pair.
+which factors as mu_l = (lam_l + n(n-2)/4)(lam_l + (n+2)(n-4)/4).  The
+fourth-order Sobolev quotient, its dual, the second-order (conformal
+Laplacian) analogues, the fixed-point iteration for the dual extremal
+problem, and conformal dilations all run on top of the same transform pair.
 
 Fractional powers of fields are evaluated on an oversampled grid (>= 3x)
 and projected back to degree L.
@@ -59,15 +58,6 @@ class PaneitzSpectrum:
         self.mu_f = np.array([float(m) for m in self.mu])
         self.nu_f = np.array([float(v) for v in self.nu])
 
-    def factorization_residuals(self) -> list[Fraction]:
-        """mu_l - (lam_l + n(n-2)/4)(lam_l + (n+2)(n-4)/4), exactly."""
-        n = self.n
-        out = []
-        for lam, mu in zip(self.lam, self.mu):
-            prod = (lam + Fraction(n * (n - 2), 4)) * (lam + Fraction((n + 2) * (n - 4), 4))
-            out.append(mu - prod)
-        return out
-
 
 class SphereSolver:
     """Transform pair, quadratures, and functionals for zonal fields on S^n."""
@@ -96,7 +86,10 @@ class SphereSolver:
         self.t_over = t2
         self.w_over = area_factor * wj2
 
-        self.basis = self._orthonormal_basis(self.t)
+        # the norms come from the solver's own main-grid quadrature
+        rows = self._gegenbauer_rows(self.t)
+        self._norms = np.sqrt(np.sum(self.w * rows * rows, axis=1))
+        self.basis = rows / self._norms[:, None]
         self.basis_over = self._orthonormal_basis(self.t_over)
         self.area = sphere_area(n)
 
@@ -115,12 +108,7 @@ class SphereSolver:
         return rows
 
     def _orthonormal_basis(self, t: np.ndarray) -> np.ndarray:
-        rows = self._gegenbauer_rows(t)
-        if not hasattr(self, "_norms"):
-            # norms come from the solver's own main-grid quadrature
-            main = rows if t is self.t else self._gegenbauer_rows(self.t)
-            self._norms = np.sqrt(np.sum(self.w * main * main, axis=1))
-        return rows / self._norms[:, None]
+        return self._gegenbauer_rows(t) / self._norms[:, None]
 
     def gram_defect(self) -> float:
         G = (self.basis * self.w) @ self.basis.T
@@ -139,18 +127,12 @@ class SphereSolver:
         return B.T @ field.coeffs
 
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
-        rows = self._gegenbauer_rows(np.asarray(t, dtype=float)) / self._norms[:, None]
-        return rows.T @ field.coeffs
+        return self._orthonormal_basis(np.asarray(t, dtype=float)).T @ field.coeffs
 
     def constant_field(self, c: float = 1.0) -> ZonalField:
         coeffs = np.zeros(self.L + 1)
         # Z_0 is the constant 1/sqrt(area)
         coeffs[0] = c * math.sqrt(self.area)
-        return ZonalField(self.n, self.L, coeffs)
-
-    def mode(self, l: int, amplitude: float = 1.0) -> ZonalField:
-        coeffs = np.zeros(self.L + 1)
-        coeffs[l] = amplitude
         return ZonalField(self.n, self.L, coeffs)
 
     # -- operators ---------------------------------------------------------
@@ -185,12 +167,6 @@ class SphereSolver:
             raise ValueError("zero field")
         return self.energy_E(u) / self.lp_norm(u, 2.0 * self.n / (self.n - 4)) ** 2
 
-    def y4plus_functional(self, u: ZonalField) -> float:
-        vals = self.synthesize(u, oversampled=True)
-        if np.min(vals) <= 0:
-            raise ValueError("field is not positive on the oversampled grid")
-        return self.y4_functional(u)
-
     def theta2_functional(self, f: ZonalField) -> float:
         if not np.any(f.coeffs):
             raise ValueError("zero field")
@@ -202,12 +178,6 @@ class SphereSolver:
         if not np.any(u.coeffs):
             raise ValueError("zero field")
         return self.energy_E2(u) / self.lp_norm(u, 2.0 * self.n / (self.n - 2)) ** 2
-
-    def quadrature_energy(self, u: ZonalField) -> float:
-        """Pointwise quadrature of P u * u on the main grid (Parseval check)."""
-        pu = self.synthesize(self.apply_P(u))
-        uu = self.synthesize(u)
-        return float(np.sum(self.w * pu * uu))
 
     # -- extremal iteration ---------------------------------------------------
 

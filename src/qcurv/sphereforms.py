@@ -1,9 +1,9 @@
 """Closed-form quantities on R^n and the round sphere S^n.
 
 Gamma-function moment integrals for bubble-type profiles, the bubble
-profiles themselves with exact derivative structure, the sharp constants
-of the fourth-order Sobolev quotient and its dual, and the spherical
-Green's function in stereographic coordinates.  Stereographic convention:
+profiles themselves as exact radial sums with the canonical form of their
+bilaplacian, the sharp constants of the fourth-order Sobolev quotient and
+its dual, and the spherical Green's function in stereographic coordinates.  Stereographic convention:
 coordinates come from projecting away from the north pole, so the pole of
 the Green's function sits at x = infinity's antipode and all sphere/plane
 transfers in the package share this one convention.
@@ -61,58 +61,36 @@ def radial_moment(a: float, b: float, n: int) -> float:
 # -- bubbles -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial function with closed-form derivatives through any order."""
-
-    kind: str
-    lam: float
-    n: int
-    fn: RadialTermSum
-
-    def value(self, r):
-        return self.fn(r)
-
-    def deriv(self, order: int, r):
-        return self.fn.deriv(order)(r)
-
-    def laplacian(self, r):
-        return self.fn.laplacian(self.n)(r)
-
-    def bilaplacian(self, r):
-        return self.fn.bilaplacian(self.n)(r)
-
-
-def bubble_u(lam: float, n: int) -> RadialProfile:
+def bubble_u(lam: float, n: int) -> RadialTermSum:
     """u_lam = (lam / (r^2 + lam^2))^{(n-4)/2}."""
     if n < 5:
         raise ValueError("bubbles require n >= 5")
     q = Fraction(n - 4, 2)
-    fn = RadialTermSum.single(lam, 1, q, 0, -q)
-    return RadialProfile("bubble_u", lam, n, fn)
+    return RadialTermSum.single(lam, 1, q, 0, -q)
 
 
-def bubble_f(lam: float, n: int) -> RadialProfile:
+def bubble_f(lam: float, n: int) -> RadialTermSum:
     """f_lam = (lam / (r^2 + lam^2))^{(n+4)/2} = u_lam^{(n+4)/(n-4)}."""
     if n < 5:
         raise ValueError("bubbles require n >= 5")
     q = Fraction(n + 4, 2)
-    fn = RadialTermSum.single(lam, 1, q, 0, -q)
-    return RadialProfile("bubble_f", lam, n, fn)
+    return RadialTermSum.single(lam, 1, q, 0, -q)
 
 
-def bilap_radial(p: RadialProfile, r):
-    """Bilaplacian of a radial profile: (d^2/dr^2 + (n-1)/r d/dr) twice."""
-    return p.bilaplacian(r)
+def bubble_bilaplacian(lam: float, n: int) -> RadialTermSum:
+    """Delta^2 u_lam in canonical form.  The bubble equation
+    Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam holds exactly when this sum
+    equals n(n+2)(n-2)(n-4) f_lam term for term, for every lam at once."""
+    return bubble_u(lam, n).bilaplacian(n).canonical()
 
 
 def bubble_pde_residual(lam: float, n: int, r) -> np.ndarray:
-    """Relative residual of Delta^2 u_lam = n(n+2)(n-2)(n-4) u_lam^{(n+4)/(n-4)}."""
-    u = bubble_u(lam, n)
-    lhs = np.asarray(bilap_radial(u, r), dtype=float)
-    c = n * (n + 2) * (n - 2) * (n - 4)
-    rhs = c * bubble_f(lam, n).value(r)
-    return np.abs(lhs - rhs) / np.abs(rhs)
+    """Relative residual of Delta^2 u_lam = n(n+2)(n-2)(n-4) u_lam^{(n+4)/(n-4)},
+    with Delta^2 u_lam evaluated from its canonical form.  Evaluated term by
+    term as derived, its terms cancel and the residual grows past 1e-10
+    from about r/lam = 24."""
+    rhs = n * (n + 2) * (n - 2) * (n - 4) * bubble_f(lam, n)(r)
+    return np.abs(bubble_bilaplacian(lam, n)(r) - rhs) / np.abs(rhs)
 
 
 # -- sharp constants -----------------------------------------------------------
@@ -181,14 +159,14 @@ def y4_ratio_by_quadrature(n: int) -> float:
     from scipy.integrate import quad
 
     u = bubble_u(1.0, n)
-    lap = u.fn.laplacian(n)
+    lap = u.laplacian(n)
     surf = n * omega_n(n)
 
     num, _ = quad(
         lambda r: lap(r) ** 2 * r ** (n - 1), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
     )
     den, _ = quad(
-        lambda r: u.value(r) ** (2.0 * n / (n - 4)) * r ** (n - 1),
+        lambda r: u(r) ** (2.0 * n / (n - 4)) * r ** (n - 1),
         0.0,
         np.inf,
         epsabs=0.0,
@@ -196,21 +174,6 @@ def y4_ratio_by_quadrature(n: int) -> float:
         limit=300,
     )
     return (surf * num) / (surf * den) ** ((n - 4) / n)
-
-
-def green_north_profile(n: int) -> RadialProfile:
-    """The spherical Green's function as a radial profile in |x|,
-
-        (|x|^2 + 1)^{(n-4)/2} / ( n(n-2)(n-4) 2^{n-3} omega_n ),
-
-    with closed-form radial derivatives (the lam slot is pinned to 1).
-    The irrational 1/omega_n enters as the exact rational value of its
-    double rounding; the derivative structure stays exact."""
-    if n < 5:
-        raise ValueError("n >= 5 required")
-    pref = Fraction(1, n * (n - 2) * (n - 4) * 2 ** (n - 3)) * Fraction(1.0 / omega_n(n))
-    fn = RadialTermSum.single(1.0, pref, 0, 0, Fraction(n - 4, 2))
-    return RadialProfile("green_north", 1.0, n, fn)
 
 
 def green_north(x, n: int) -> float:

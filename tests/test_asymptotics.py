@@ -171,7 +171,7 @@ def test_angular_average_matches_exact_block():
 def test_angular_data_against_polynomial_oracle():
     # the exact angular averages feeding the radial integrands must agree
     # with floating sphere-moment averages of the actual jet polynomials
-    from qcurv.tensor import schouten_quartic
+    from test_tensor import schouten_quartic
 
     jet = random_jet(10, seed=3, normalize=True)
     ang = AngularData.from_jet(jet)
@@ -221,6 +221,10 @@ def test_model_grid_validation():
         TestFunctionModel(case="flat", n=5, lambdas=(0.3, 0.2, 0.1, 0.05))
     with pytest.raises(ValueError):
         TestFunctionModel(case="flat", n=5, lambdas=(0.1, 0.05, 0.02))
+    with pytest.raises(ValueError, match="lie in"):
+        TestFunctionModel(case="flat", n=5, lambdas=(0.04, 0.02, 0.01, float("nan")))
+    with pytest.raises(ValueError, match="finite"):
+        TestFunctionModel(case="flat", n=5, A0=float("inf"))
 
 
 def test_model_integrand_tasks():

@@ -168,7 +168,7 @@ def test_verify_tolerances_pinned(runner):
         "spectral.mobius[n=5,L=64]": 1e-6,
         "constants.moments[n=5]": 1e-12,
         "constants.duality[n=5]": 1e-14,
-        "bubble.pde[n=5]": 1e-10,
+        "bubble.pde[n=5]": "exact",
     }
     got = {}
     for args in (["constants", "--n", "5"], ["bubbles", "--n", "5"],
@@ -264,6 +264,10 @@ def test_parametrix_low_dimensions_pass(runner, n, seed):
     ["spectral", "--L", "0"],
     ["spectral", "--iters", "-1"],
     ["asymptotics", "--case", "flat", "--n", "5", "--lambdas", "0.1,x,0.02,0.01"],
+    ["asymptotics", "--case", "flat", "--n", "5", "--a0", "nan"],
+    ["asymptotics", "--case", "flat", "--n", "5", "--a0", "inf"],
+    ["asymptotics", "--case", "flat", "--n", "5", "--a0", "-inf"],
+    ["asymptotics", "--case", "flat", "--n", "5", "--a0", "1e200"],
 ])
 def test_bad_numeric_options_usage_error(runner, args):
     res = runner.invoke(main, args)
@@ -290,3 +294,10 @@ def test_verify_refuses_option_suite_ignores(runner, args, flag):
     assert res.exit_code == 2, res.output
     assert f"verify {args[0]} takes no {flag}" in res.output
 
+
+def test_report_refuses_non_finite():
+    from qcurv.report import dump_report
+
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dump_report({"x": x})

@@ -14,16 +14,29 @@ from qcurv.polyalg import (
     UnresolvableBlockError,
     apply_A,
     apply_AA,
-    apply_B,
     eigen_A,
     eigen_AA,
     harmonic_decompose,
     laplacian,
     reassemble,
     solve_AA,
+    _apply_b_poly,
+    _as_fraction,
 )
 
 F = Fraction
+
+
+def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
+    """Apply B_alpha: B_a(phi log^k r) = B_a phi log^k r + 2k phi log^{k-1} r."""
+    alpha = _as_fraction(alpha)
+    out = LogRadialExpansion(e.n, e.radial_exp)
+    a_eff = alpha + e.radial_exp
+    for (i, k), poly in e.terms.items():
+        out._add_term(i, k, _apply_b_poly(a_eff, poly, e.n))
+        if k >= 1:
+            out._add_term(i, k - 1, poly.scale(2 * k))
+    return out
 
 
 def poly_from_coeffs(n, entries):

@@ -1,13 +1,14 @@
 """Closed-form sphere quantities against quadrature and recurrence oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qcurv.radial import RadialTermSum
 from qcurv.sphereforms import (
-    bilap_radial,
     bubble_f,
     bubble_pde_residual,
     bubble_u,
@@ -70,7 +71,7 @@ def test_radial_moment_beta_recurrence():
 
 def test_u1_at_origin():
     for n in (5, 8):
-        assert abs(bubble_u(1.0, n).value(0.0) - 1.0) < 1e-15
+        assert abs(bubble_u(1.0, n)(0.0) - 1.0) < 1e-15
 
 
 def test_bubble_scaling_law():
@@ -79,8 +80,8 @@ def test_bubble_scaling_law():
     u_lam = bubble_u(lam, n)
     u_1 = bubble_u(1.0, n)
     for x in (0.1, 0.9, 3.3):
-        want = lam ** (-(n - 4) / 2) * u_1.value(x / lam)
-        assert abs(u_lam.value(x) - want) <= 1e-13 * abs(want)
+        want = lam ** (-(n - 4) / 2) * u_1(x / lam)
+        assert abs(u_lam(x) - want) <= 1e-13 * abs(want)
 
 
 def test_f_is_u_to_the_critical_power():
@@ -89,34 +90,63 @@ def test_f_is_u_to_the_critical_power():
     u = bubble_u(lam, n)
     f = bubble_f(lam, n)
     for x in (0.2, 1.0, 4.0):
-        want = u.value(x) ** ((n + 4) / (n - 4))
-        assert abs(f.value(x) - want) <= 1e-12 * abs(want)
+        want = u(x) ** ((n + 4) / (n - 4))
+        assert abs(f(x) - want) <= 1e-12 * abs(want)
+
+
+def test_deriv_evaluates_closed_form():
+    # u' = -(n-4) r u / (r^2 + lam^2)
+    n, lam = 7, 0.6
+    u = bubble_u(lam, n)
+    r = np.array([0.05, 0.6, 3.0])
+    assert np.array_equal(u.deriv(0, r), u(r))
+    want = -(n - 4) * r * u(r) / (r * r + lam * lam)
+    assert np.max(np.abs(u.deriv(1, r) - want) / np.abs(want)) <= 1e-14
+
+
+def test_canonical_expands_even_r_powers():
+    F = Fraction
+    lam = 0.7
+    kept = [(F(5), 0, 1, F(-1, 2)), (F(1), 0, -2, F(1, 2))]  # odd, negative r powers
+    x = RadialTermSum(lam, [(F(2), 1, 4, F(-3))] + kept)
+    # 2 lam r^4 g^-3 = 2 lam g^-1 - 4 lam^3 g^-2 + 2 lam^5 g^-3 with g = r^2 + lam^2
+    want = RadialTermSum(lam, [(F(2), 1, 0, F(-1)), (F(-4), 3, 0, F(-2)), (F(2), 5, 0, F(-3))]
+                         + kept)
+    assert x.canonical().terms == want.terms
+    r = np.geomspace(0.1, 10.0, 9)
+    assert np.max(np.abs(x.canonical()(r) - x(r)) / np.abs(x(r))) <= 1e-12
 
 
 def test_bilap_of_constant_vanishes():
-    from fractions import Fraction
-
-    from qcurv.radial import RadialTermSum
-    from qcurv.sphereforms import RadialProfile
-
-    const = RadialProfile("custom", 1.0, 6, RadialTermSum.single(1.0, Fraction(3), 0, 0, 0))
-    assert bilap_radial(const, 2.0) == 0.0
+    const = RadialTermSum.single(1.0, Fraction(3), 0, 0, 0)
+    assert const.bilaplacian(6).terms == []
+    assert const.bilaplacian(6)(2.0) == 0.0
 
 
-@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("n", range(5, 31))
+def test_bubble_identity_exact(n):
+    # Delta^2 u_lam - n(n+2)(n-2)(n-4) f_lam is the empty sum once canonical
+    c = n * (n + 2) * (n - 2) * (n - 4)
+    diff = bubble_u(1.0, n).bilaplacian(n) - bubble_f(1.0, n).scale(c)
+    assert diff.terms != []
+    assert diff.canonical().terms == []
+
+
+@pytest.mark.parametrize("n", range(5, 17))
 def test_bubble_pde_residual(n):
-    radii = np.geomspace(0.1, 10.0, 100)
+    # out to r/lam = 10^4: the derived, uncanonical sum cancels and loses
+    # 1e-10 from r/lam ~ 24
     for lam in (0.5, 1.0, 2.0):
-        res = bubble_pde_residual(lam, n, radii)
-        assert res.max() <= 1e-10
+        radii = lam * np.geomspace(1e-3, 1e4, 200)
+        assert bubble_pde_residual(lam, n, radii).max() <= 1e-10
 
 
 def test_bilap_equals_coefficient_times_f():
     n = 6
     lam = 2.0
     r = np.geomspace(0.1, 10, 25)
-    lhs = bilap_radial(bubble_u(lam, n), r)
-    rhs = n * (n + 2) * (n - 2) * (n - 4) * bubble_f(lam, n).value(r)
+    lhs = bubble_u(lam, n).bilaplacian(n)(r)
+    rhs = n * (n + 2) * (n - 2) * (n - 4) * bubble_f(lam, n)(r)
     assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-11
 
 
@@ -152,8 +182,7 @@ def test_y4_by_quadrature(n):
 
 def test_delta_norm_against_quadrature():
     n = 6
-    u = bubble_u(1.0, n)
-    lap = u.fn.laplacian(n)
+    lap = bubble_u(1.0, n).laplacian(n)
     val, _ = quad(lambda r: lap(r) ** 2 * r ** (n - 1), 0, np.inf, epsrel=1e-12, epsabs=0)
     got = u1_delta_norm_sq(n)
     assert abs(got - n * omega_n(n) * val) <= 1e-10 * got
@@ -178,20 +207,6 @@ def test_green_north_vector_input():
     n = 6
     x = np.array([0.6, 0.8])  # |x| = 1
     assert abs(green_north(x, n) - green_north(1.0, n)) <= 1e-14
-
-
-def test_green_north_profile_matches_pointwise():
-    from qcurv.sphereforms import green_north_profile
-
-    n = 7
-    prof = green_north_profile(n)
-    assert prof.kind == "green_north"
-    for r in (0.0, 0.5, 2.0):
-        assert abs(prof.value(r) - green_north(r, n)) <= 1e-14 * abs(green_north(r, n))
-    # derivative spot check against a central difference
-    h = 1e-5
-    fd = (prof.value(1.0 + h) - prof.value(1.0 - h)) / (2 * h)
-    assert abs(prof.deriv(1, 1.0) - fd) <= 1e-8 * abs(fd)
 
 
 def test_green_north_n5_spot_value():

@@ -14,10 +14,22 @@ from qcurv.tensor import (
     random_schouten_hessian,
     random_weyl,
     int_bound,
-    schouten_quartic,
 )
 
 F = Fraction
+
+
+def schouten_quartic(W: WeylTensor, Jh: SchoutenHessian) -> HomogPoly:
+    """The quartic jet of the Schouten tensor in conformal normal coordinates:
+
+        -2/(9(n-2)) * quartic_form(W)  -  r^2/(n-2) * J_ij x_i x_j.
+    """
+    if W.n != Jh.n:
+        raise ValueError("dimension mismatch")
+    n = W.n
+    return W.quartic_form().scale(Fraction(-2, 9 * (n - 2))) + Jh.quadratic_form().mul_r2k(
+        1
+    ).scale(Fraction(-1, n - 2))
 
 
 def symmetry_residuals(W: WeylTensor) -> dict[str, Fraction]:
