@@ -504,11 +504,16 @@ def _fit(model: TestFunctionModel, values: np.ndarray, lead: float):
     y = values / lead - 1.0 if case.relative else values - lead
     w = lams ** (-p)
     A = np.column_stack([fn(lams, p) * w for fn in case.basis_fns])
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(A))):
+        raise ValueError(
+            f"fit weights lam^-{p:g} or basis {case.basis} overflow the floating-point "
+            f"range on grid {list(model.lambdas)}"
+        )
     cond = np.linalg.cond(A)
     if cond > _COND_LIMIT:
         raise ValueError(
             f"ill-conditioned fit: cond={cond:.3e} for basis {case.basis} "
-            f"on grid {list(lams)}"
+            f"on grid {list(model.lambdas)}"
         )
     yw = y * w
     coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)

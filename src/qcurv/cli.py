@@ -85,6 +85,8 @@ def cmd_constants(n_range, fmt, out):
     ns = _parse_n_range(n_range)
     if any(n < 5 for n in ns):
         raise click.UsageError("constants need n >= 5")
+    if max(ns) > sphereforms.MOMENTS_MAX_N:
+        raise click.UsageError(f"constants need n <= {sphereforms.MOMENTS_MAX_N}")
     rows = sphereforms.constants_table(ns)
     ok = all(c.passed for c in _constants_checks(rows))
     payload = {"command": "constants", "rows": rows, "pass": ok}
@@ -513,18 +515,19 @@ def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
     return out
 
 
-# suite -> (checks, default dimensions and the smallest one it accepts,
-# default trials, default truncation L); None where the suite reads no such
-# option.  Weyl tensors first exist at n = 4, the degree-4 shell at n = 8,
-# and the sphere forms need n >= 5
+# suite -> (checks, default dimensions, the smallest and largest ones it
+# accepts, default trials, default truncation L); None where the suite reads
+# no such option or sets no largest dimension.  Weyl tensors first exist at
+# n = 4, the degree-4 shell at n = 8, the sphere forms need n >= 5, and the
+# moments stay normal floats up to sphereforms.MOMENTS_MAX_N
 SUITES = {
-    "weyl": (_verify_weyl, range(5, 11), 4, 50, None),
-    "polyalg": (_verify_polyalg, None, None, 40, None),
-    "parametrix": (_verify_parametrix, range(8, 13), 8, 10, None),
-    "constants": (_verify_constants, range(5, 13), 5, None, None),
-    "bubbles": (_verify_bubbles, range(5, 13), 5, None, None),
-    "spectral": (_verify_spectral, range(5, 10), 5, None, 64),
-    "asymptotics": (_verify_asymptotics, None, None, None, None),
+    "weyl": (_verify_weyl, range(5, 11), 4, None, 50, None),
+    "polyalg": (_verify_polyalg, None, None, None, 40, None),
+    "parametrix": (_verify_parametrix, range(8, 13), 8, None, 10, None),
+    "constants": (_verify_constants, range(5, 13), 5, sphereforms.MOMENTS_MAX_N, None, None),
+    "bubbles": (_verify_bubbles, range(5, 13), 5, None, None, None),
+    "spectral": (_verify_spectral, range(5, 10), 5, None, None, 64),
+    "asymptotics": (_verify_asymptotics, None, None, None, None, None),
 }
 
 
@@ -544,18 +547,20 @@ def cmd_verify(suite, n_range, trials, seed, trunc, out):
         if n_range is not None:
             raise click.UsageError("verify all takes no --n")
     else:
-        _, ns, _, default_trials, default_L = SUITES[suite]
+        _, ns, _, _, default_trials, default_L = SUITES[suite]
         for flag, value, default in (("--n", n_range, ns), ("--trials", trials, default_trials),
                                      ("--L", trunc, default_L)):
             if value is not None and default is None:
                 raise click.UsageError(f"verify {suite} takes no {flag}")
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else [suite]:
-        checks, ns, min_n, default_trials, default_L = SUITES[name]
+        checks, ns, min_n, max_n, default_trials, default_L = SUITES[name]
         if n_range is not None:
             ns = _parse_n_range(n_range)
             if min(ns) < min_n:
                 raise click.UsageError(f"verify {name} needs n >= {min_n}")
+            if max_n is not None and max(ns) > max_n:
+                raise click.UsageError(f"verify {name} needs n <= {max_n}")
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
         reports += checks(ns, default_trials if trials is None else trials, seed,

@@ -1,6 +1,6 @@
 """Exact-arithmetic algebra of homogeneous polynomials on R^n.
 
-Provides sparse homogeneous polynomials with rational coefficients, the
+Provides homogeneous polynomials with rational coefficients, the
 decomposition of a degree-m polynomial into harmonic blocks r^{2k} h_{m-2k},
 and the two-parameter family of radial operators
 
@@ -11,28 +11,37 @@ integer powers of log r.  The composite A_{2-n} A_{4-n} is diagonal on
 harmonic blocks; ``solve_aa`` inverts it block by block, escalating to
 log r terms on kernel blocks.
 
-A polynomial is stored as integer coefficients times one rational
-``content``: the integers are coprime and the one on the lexicographically
-first exponent is positive, so the form is unique and ``==`` and ``hash``
-compare it directly.  Scaling and negation touch only the content; sums
-bring both contents to a common denominator and add integers; r^2
-multiplication and the Laplacian are integer shift-and-add loops over the
-exponents.  No floating point enters this module; every operation here is
-an exact identity and is tested as such.
+A polynomial of degree m in n variables is stored densely: one integer
+vector over the degree-m monomials, which ``monomial_table(n, m)`` lists in
+lexicographic order of their exponents, times one rational ``content``.
+The integers are coprime and the first nonzero one, on the
+lexicographically first exponent, is positive, so the form is unique and
+``==`` and ``hash`` compare it directly.  Scaling and negation touch only
+the content; linear combinations bring the contents to one denominator and
+add integer vectors; r^2 multiplication and the Laplacian gather through
+index maps cached on the table.  The integers are int64 wherever a bound
+computed from the operands proves that no intermediate value overflows,
+and Python ints (object arrays) otherwise.  No floating point enters this
+module; every operation here is an exact identity and is tested as such.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT64_MAX = 2**63 - 1
 
 
 def _as_fraction(x) -> Fraction:
@@ -45,21 +54,122 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _primitive(ints: dict[Exponent, int], scale: Fraction) -> tuple[dict[Exponent, int], Fraction]:
-    """scale * ints as (primitive integers, content) in canonical form.
+class MonomialTable:
+    """The degree-m monomials in n variables, in lexicographic order of
+    their exponent tuples; ``exps[i]`` is the exponent of monomial i.
 
-    ``ints`` holds no zero.  The integers are divided by their gcd, signed
-    so the lexicographically first one is positive, and the content takes
-    the factor; the zero polynomial is ({}, 0).
+    Built once per (n, m) by ``monomial_table``.  The index maps through
+    which the Laplacian and r^2 multiplication gather their terms are built
+    on first use.
     """
-    if not ints or not scale:
-        return {}, _ZERO
-    g = math.gcd(*ints.values())
-    if ints[min(ints)] < 0:
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.size = math.comb(n + m - 1, m)
+        # combinations_with_replacement yields the sorted variable tuples
+        # i_1 <= ... <= i_m of x_{i_1} ... x_{i_m} in ascending order, which
+        # is descending lexicographic order of the exponents
+        idx = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), m)),
+            dtype=np.intp,
+            count=self.size * m,
+        ).reshape(self.size, m)[::-1]
+        exps = np.zeros((self.size, n), dtype=np.intp)
+        rows = np.arange(self.size)
+        for col in idx.T:
+            exps[rows, col] += 1
+        self.exps = exps
+        # steps[t, j] = C(m-t+n-j-2, n-j-2) counts the monomials that agree
+        # with x_{i_1} ... x_{i_t} and put all m-t remaining degrees on
+        # variables past j; summed over t with j = i_{t+1} it is the
+        # number of monomials before x_{i_1} ... x_{i_m}
+        self._steps = np.array(
+            [[math.comb(m - t + n - j - 2, n - j - 2) if j < n - 1 else 0 for j in range(n)]
+             for t in range(m)],
+            dtype=np.intp,
+        ).reshape(m, n)
+
+    def index_rank(self, idx: np.ndarray) -> np.ndarray:
+        """Positions of the monomials x_{idx[r,0]} ... x_{idx[r,m-1]}; each
+        row of variable indices sorted ascending."""
+        return self._steps[np.arange(self.m), idx].sum(axis=-1)
+
+    def rank(self, exps) -> np.ndarray:
+        """Positions of exponent rows, each of length n summing to m."""
+        exps = np.asarray(exps, dtype=np.intp).reshape(-1, self.n)
+        var = np.broadcast_to(np.arange(self.n), exps.shape)
+        return self.index_rank(np.repeat(var.ravel(), exps.ravel()).reshape(len(exps), self.m))
+
+    @functools.cached_property
+    def position(self) -> dict[Exponent, int]:
+        """Exponent tuple -> position, for reads by key."""
+        return {e: i for i, e in enumerate(map(tuple, self.exps.tolist()))}
+
+    @functools.cached_property
+    def key_text(self) -> list[str]:
+        """Exponents as the "e1,...,en" keys of the JSON form."""
+        return [",".join(map(str, e)) for e in self.exps.tolist()]
+
+    @functools.cached_property
+    def lap_gather(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The Laplacian of a degree-(m+2) vector v lands here as
+        sum_i fac[t, i] v[src[t, i]]: src[t, i] is the position of
+        x_i^2 x^exps[t], fac[t, i] = (e_i + 2)(e_i + 1), and ``gain`` bounds
+        every row sum of fac."""
+        up = monomial_table(self.n, self.m + 2)
+        src = np.empty((self.size, self.n), dtype=np.intp)
+        for i in range(self.n):
+            shifted = self.exps.copy()
+            shifted[:, i] += 2
+            src[:, i] = up.rank(shifted)
+        fac = (self.exps + 2) * (self.exps + 1)
+        return src, fac, int(fac.sum(axis=1).max())
+
+    @functools.cached_property
+    def r2_gather(self) -> np.ndarray:
+        """r^2 times a degree-(m-2) vector v lands here as
+        sum_i v[src[t, i]]: src[t, i] is the position of x^exps[t] / x_i^2,
+        or len(v), an appended zero, where e_i < 2."""
+        down = monomial_table(self.n, self.m - 2)
+        src = np.full((self.size, self.n), down.size, dtype=np.intp)
+        src[down.lap_gather[0], np.arange(self.n)] = np.arange(down.size)[:, None]
+        return src
+
+
+@functools.cache
+def monomial_table(n: int, m: int) -> MonomialTable:
+    """The shared table of degree-m monomials in n variables."""
+    return MonomialTable(n, m)
+
+
+def _absmax(v: np.ndarray) -> int:
+    return int(np.abs(v).max())
+
+
+def _narrow(v: np.ndarray) -> np.ndarray:
+    """v as int64 when every entry fits, so the dtype follows the values."""
+    if v.dtype == object and _absmax(v) <= _INT64_MAX:
+        return v.astype(np.int64)
+    return v
+
+
+def _primitive(v: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
+    """scale * v as (primitive integer vector, content) in canonical form.
+
+    The entries are divided by their gcd and signed so the first nonzero
+    one is positive, and the content takes the factor; the zero polynomial
+    is (zeros, 0).
+    """
+    nz = np.flatnonzero(v)
+    if not nz.size or not scale:
+        return np.zeros(len(v), dtype=np.int64), _ZERO
+    g = abs(int(np.gcd.reduce(v)))  # a one-entry reduce returns the entry itself
+    if v[nz[0]] < 0:
         g = -g
-    if g == 1:
-        return ints, scale
-    return {e: v // g for e, v in ints.items()}, scale * g
+    if g != 1:
+        v = v // g
+        scale = scale * g
+    return _narrow(v), scale
 
 
 def scaled_text(content: Fraction, v: int) -> str:
@@ -69,44 +179,46 @@ def scaled_text(content: Fraction, v: int) -> str:
     return f"{p * v // g}/{q // g}"
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's coefficients as Fractions.
+class _Coeffs(Mapping):
+    """Read-only view of a polynomial's nonzero coefficients keyed by
+    exponent tuple: the integers when ``scale`` is None, else scale times
+    them as Fractions, made only when read."""
 
-    A Fraction is made only when a coefficient is read, so ``len`` and
-    membership cost nothing beyond the integer map.
-    """
+    __slots__ = ("_p", "_scale")
 
-    __slots__ = ("_ints", "_content")
+    def __init__(self, p: "HomogPoly", scale: Fraction | None):
+        self._p = p
+        self._scale = scale
 
-    def __init__(self, ints: dict[Exponent, int], content: Fraction):
-        self._ints = ints
-        self._content = content
-
-    def __getitem__(self, e: Exponent) -> Fraction:
-        return self._content * self._ints[e]
-
-    def __contains__(self, e) -> bool:
-        return e in self._ints
+    def __getitem__(self, e: Exponent):
+        p = self._p
+        i = monomial_table(p.n, p.degree).position.get(e)
+        v = 0 if i is None else int(p._v[i])
+        if not v:
+            raise KeyError(e)
+        return v if self._scale is None else self._scale * v
 
     def __iter__(self):
-        return iter(self._ints)
+        p = self._p
+        nz = np.flatnonzero(p._v)
+        return map(tuple, monomial_table(p.n, p.degree).exps[nz].tolist())
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return int(np.count_nonzero(self._p._v))
 
 
 class HomogPoly:
-    """Sparse homogeneous polynomial of fixed degree in n variables.
+    """Homogeneous polynomial of fixed degree in n variables.
 
-    The polynomial is ``content * sum ints[e] x^e``: ``ints`` maps an
-    exponent tuple (length n, entries summing to the degree) to a nonzero
-    integer, and the integers are primitive with a positive coefficient on
-    the lexicographically first exponent.  The zero polynomial has empty
-    ``ints`` and content 0 but keeps its (n, degree) signature.  Instances
-    are immutable; ``terms`` reads the coefficients as Fractions.
+    The polynomial is ``content * sum_i v[i] x^exps[i]`` over
+    ``monomial_table(n, degree)``: ``v`` is a primitive integer vector, int64
+    unless an entry passes that range, whose first nonzero entry is
+    positive.  The zero polynomial has a zero vector and content 0.
+    Instances are immutable; ``terms`` and ``ints`` read the nonzero
+    coefficients, as Fractions and as the integers, keyed by exponent tuple.
     """
 
-    __slots__ = ("n", "degree", "ints", "content")
+    __slots__ = ("n", "degree", "content", "_v")
 
     def __init__(self, n: int, degree: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n < 1:
@@ -123,31 +235,41 @@ class HomogPoly:
             acc[e] = acc.get(e, _ZERO) + _as_fraction(c)
         den = math.lcm(*(c.denominator for c in acc.values()))
         ints = {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}
+        v = np.zeros(math.comb(n + degree - 1, degree), dtype=np.int64)
+        if ints:
+            values = list(ints.values())
+            if max(map(abs, values)) > _INT64_MAX:
+                v = v.astype(object)
+            v[monomial_table(n, degree).rank(list(ints))] = values
         self.n = n
         self.degree = degree
-        self.ints, self.content = _primitive(ints, Fraction(1, den))
+        self._v, self.content = _primitive(v, Fraction(1, den))
 
     @classmethod
-    def _make(cls, n: int, degree: int, ints: dict[Exponent, int], content: Fraction):
-        # (ints, content) must already be canonical
+    def _make(cls, n: int, degree: int, v: np.ndarray, content: Fraction):
+        # (v, content) must already be canonical
         p = object.__new__(cls)
         p.n = n
         p.degree = degree
-        p.ints = ints
+        p._v = v
         p.content = content
         return p
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_ints(cls, n: int, degree: int, ints: Mapping[Exponent, int], scale=1) -> "HomogPoly":
-        """The polynomial scale * sum ints[e] x^e.
-
-        Exponents are trusted (length n, summing to the degree); zero
-        integers are dropped.
-        """
-        clean = {e: int(v) for e, v in ints.items() if v}
-        return cls._make(n, degree, *_primitive(clean, _as_fraction(scale)))
+    def from_vector(cls, n: int, degree: int, ints, scale=1) -> "HomogPoly":
+        """The polynomial scale * sum_i ints[i] x^exps[i] over
+        ``monomial_table(n, degree)``; ``ints`` is a signed-integer or
+        Python-int array of the table's length."""
+        v = np.array(ints)
+        if v.shape != (math.comb(n + degree - 1, degree),) or v.dtype.kind not in "iO":
+            raise ValueError(f"need one integer per monomial of degree {degree} in {n} variables")
+        if v.dtype != object:
+            v = v.astype(np.int64)
+            if (v == np.iinfo(np.int64).min).any():  # |v| would pass int64
+                v = v.astype(object)
+        return cls._make(n, degree, *_primitive(v, _as_fraction(scale)))
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "HomogPoly":
@@ -155,13 +277,7 @@ class HomogPoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "HomogPoly":
-        return cls.from_ints(n, 0, {(0,) * n: 1}, value)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "HomogPoly":
-        e = [0] * n
-        e[i] = 1
-        return cls(n, 1, {tuple(e): 1})
+        return cls.from_vector(n, 0, [1], value)
 
     @classmethod
     def monomial(cls, n: int, exponent: Iterable[int], coeff=1) -> "HomogPoly":
@@ -170,18 +286,24 @@ class HomogPoly:
 
     @classmethod
     def r_squared(cls, n: int) -> "HomogPoly":
-        ints = {(0,) * i + (2,) + (0,) * (n - i - 1): 1 for i in range(n)}
-        return cls._make(n, 2, ints, _ONE)
+        v = np.zeros(math.comb(n + 1, 2), dtype=np.int64)
+        v[monomial_table(n, 2).rank(2 * np.eye(n, dtype=np.intp))] = 1
+        return cls._make(n, 2, v, _ONE)
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Coefficients as a read-only map from exponent to Fraction."""
-        return _Terms(self.ints, self.content)
+        return _Coeffs(self, self.content)
+
+    @property
+    def ints(self) -> Mapping[Exponent, int]:
+        """The primitive integers as a read-only map from exponent."""
+        return _Coeffs(self, None)
 
     # -- ring operations ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.ints
+        return not self.content
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,93 +311,43 @@ class HomogPoly:
             and self.n == other.n
             and self.degree == other.degree
             and self.content == other.content
-            and self.ints == other.ints
+            and np.array_equal(self._v, other._v)
         )
 
     def __hash__(self):
-        return hash((self.n, self.degree, self.content, frozenset(self.ints.items())))
+        return hash((self.n, self.degree, self.content, tuple(self._v.tolist())))
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        self._check_compatible(other)
-        if not other.ints:
-            return self
-        if not self.ints:
-            return other
-        # a/b I + c/d J = g/(bd) (a d/g I + c b/g J) with g = gcd(ad, cb)
-        s, t = self.content, other.content
-        cs = s.numerator * t.denominator
-        ct = t.numerator * s.denominator
-        g = math.gcd(cs, ct)
-        cs //= g
-        ct //= g
-        out = dict(self.ints) if cs == 1 else {e: cs * v for e, v in self.ints.items()}
-        get = out.get
-        for e, v in other.ints.items():
-            w = get(e, 0) + ct * v
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        scale = Fraction(g, s.denominator * t.denominator)
-        return HomogPoly._make(self.n, self.degree, *_primitive(out, scale))
+        return _lincomb(self.n, self.degree, [(1, self), (1, other)])
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
+        return _lincomb(self.n, self.degree, [(1, self), (-1, other)])
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly._make(self.n, self.degree, self.ints, -self.content)
+        return HomogPoly._make(self.n, self.degree, self._v, -self.content)
 
     def scale(self, factor) -> "HomogPoly":
         f = _as_fraction(factor)
         if not f:
-            return HomogPoly._make(self.n, self.degree, {}, _ZERO)
-        return HomogPoly._make(self.n, self.degree, self.ints, self.content * f)
-
-    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
-            return self.scale(other)
-        if self.n != other.n:
-            raise ValueError("variable-count mismatch")
-        out: dict[Exponent, int] = {}
-        get = out.get
-        for e1, v1 in self.ints.items():
-            for e2, v2 in other.ints.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = get(e, 0) + v1 * v2
-        # Gauss's lemma: a product of primitive integer polynomials is
-        # primitive, and lexicographically first terms multiply, so the
-        # product is already canonical
-        ints = {e: v for e, v in out.items() if v}
-        content = self.content * other.content
-        return HomogPoly._make(self.n, self.degree + other.degree, ints, content)
-
-    __rmul__ = scale
+            return HomogPoly.zero(self.n, self.degree)
+        return HomogPoly._make(self.n, self.degree, self._v, self.content * f)
 
     def mul_r2k(self, k: int) -> "HomogPoly":
         """Multiply by r^{2k} (k >= 0).
 
-        Each factor r^2 adds every coefficient into the n exponents raised
-        by two in one slot.  r^2 is primitive with first coefficient 1, so
-        the product stays canonical (as in ``__mul__``) with the same content.
+        Each factor r^2 gathers, for every monomial, the coefficients of the
+        at most n monomials it divides by some x_i^2.  r^2 is primitive with
+        first coefficient 1, so by Gauss's lemma (and because the
+        lexicographically first terms multiply) the product stays canonical
+        with the same content.
         """
-        n = self.n
-        ints = self.ints
+        v, m = self._v, self.degree
         for _ in range(k):
-            out: dict[Exponent, int] = {}
-            get = out.get
-            for e, v in ints.items():
-                for i in range(n):
-                    f = e[:i] + (e[i] + 2,) + e[i + 1 :]
-                    out[f] = get(f, 0) + v
-            ints = {f: v for f, v in out.items() if v}
-        return HomogPoly._make(n, self.degree + 2 * k, ints, self.content)
-
-    def _check_compatible(self, other: "HomogPoly"):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError(
-                f"incompatible polynomials: (n={self.n}, m={self.degree}) vs "
-                f"(n={other.n}, m={other.degree})"
-            )
+            m += 2
+            if self.n * _absmax(v) > _INT64_MAX:
+                v = v.astype(object)
+            v = np.append(v, 0)[monomial_table(self.n, m).r2_gather].sum(axis=1)
+        return HomogPoly._make(self.n, m, _narrow(v), self.content)
 
     def __repr__(self):
         if self.is_zero():
@@ -291,9 +363,10 @@ class HomogPoly:
         Multi-indices are emitted in lexicographic order so the output is
         byte-reproducible; each p/q is reduced.
         """
-        terms = {}
-        for e in sorted(self.ints):
-            terms[",".join(map(str, e))] = scaled_text(self.content, self.ints[e])
+        keys = monomial_table(self.n, self.degree).key_text
+        nz = np.flatnonzero(self._v)
+        c = self.content
+        terms = {keys[i]: scaled_text(c, v) for i, v in zip(nz.tolist(), self._v[nz].tolist())}
         return {"n": self.n, "m": self.degree, "terms": terms}
 
     @classmethod
@@ -305,20 +378,48 @@ class HomogPoly:
         return cls(int(obj["n"]), int(obj["m"]), terms)
 
 
+def _lincomb(n: int, m: int, parts: Iterable[tuple]) -> HomogPoly:
+    """sum c * p over (c, p) in ``parts``, polynomials of shape (n, m).
+
+    The rationals c * content share one denominator, and the integer
+    vectors are summed with the resulting multipliers: in int64 when
+    sum |multiplier| * max |entry| stays in range, which bounds every
+    partial sum, and as Python ints otherwise.
+    """
+    rats, vecs = [], []
+    for c, p in parts:
+        if (p.n, p.degree) != (n, m):
+            raise ValueError(
+                f"incompatible polynomials: (n={n}, m={m}) vs (n={p.n}, m={p.degree})"
+            )
+        r = c * p.content
+        if r:
+            rats.append(r)
+            vecs.append(p._v)
+    if not rats:
+        return HomogPoly.zero(n, m)
+    if len(rats) == 1:
+        return HomogPoly._make(n, m, vecs[0], rats[0])
+    den = math.lcm(*(r.denominator for r in rats))
+    mults = [r.numerator * (den // r.denominator) for r in rats]
+    g = math.gcd(*mults)
+    mults = [a // g for a in mults]
+    if sum(abs(a) * _absmax(v) for a, v in zip(mults, vecs)) > _INT64_MAX:
+        vecs = [v.astype(object) for v in vecs]
+    out = mults[0] * vecs[0]
+    for a, v in zip(mults[1:], vecs[1:]):
+        out += a * v
+    return HomogPoly._make(n, m, *_primitive(out, Fraction(g, den)))
+
+
 def laplacian(p: HomogPoly) -> HomogPoly:
     """Euclidean Laplacian; drops the degree by two (zero if m < 2)."""
     m = p.degree
     if m < 2:
         return HomogPoly.zero(p.n, 0)
-    out: dict[Exponent, int] = {}
-    get = out.get
-    for e, v in p.ints.items():
-        for i, ei in enumerate(e):
-            if ei > 1:
-                f = e[:i] + (ei - 2,) + e[i + 1 :]
-                out[f] = get(f, 0) + v * ei * (ei - 1)
-    ints = {f: v for f, v in out.items() if v}
-    return HomogPoly._make(p.n, m - 2, *_primitive(ints, p.content))
+    src, fac, gain = monomial_table(p.n, m - 2).lap_gather
+    v = p._v if gain * _absmax(p._v) <= _INT64_MAX else p._v.astype(object)
+    return HomogPoly._make(p.n, m - 2, *_primitive((v[src] * fac).sum(axis=1), p.content))
 
 
 @dataclass(frozen=True)
@@ -352,22 +453,20 @@ def harmonic_decompose(p: HomogPoly) -> list[HarmonicBlock]:
         return val
 
     blocks: dict[int, HomogPoly] = {}
+    lifted: dict[int, HomogPoly] = {}  # k -> r^{2(k-j)} h_{m-2k} at the current j
     for j in range(kmax, -1, -1):
         # Lap^j p = sum_{k >= j} eigen_chain(k, j) r^{2(k-j)} h_{m-2k}
-        rhs = lap_pows[j]
-        for k in range(kmax, j, -1):
-            rhs = rhs - blocks[k].mul_r2k(k - j).scale(eigen_chain(k, j))
+        lifted = {k: h.mul_r2k(1) for k, h in lifted.items()}
         d = eigen_chain(j, j)
-        blocks[j] = rhs.scale(Fraction(1, d)) if j > 0 else rhs
+        parts = [(Fraction(1, d), lap_pows[j])]
+        parts += [(Fraction(-eigen_chain(k, j), d), h) for k, h in lifted.items()]
+        blocks[j] = lifted[j] = _lincomb(n, m - 2 * j, parts)
     return [HarmonicBlock(k, blocks[k]) for k in range(kmax + 1) if not blocks[k].is_zero()]
 
 
 def reassemble(n: int, m: int, blocks: Iterable[HarmonicBlock]) -> HomogPoly:
     """Inverse of harmonic_decompose: sum r^{2k} h."""
-    out = HomogPoly.zero(n, m)
-    for b in blocks:
-        out = out + b.h.mul_r2k(b.k)
-    return out
+    return _lincomb(n, m, [(1, b.h.mul_r2k(b.k)) for b in blocks])
 
 
 # -- radial operator family ------------------------------------------------
@@ -429,16 +528,6 @@ class LogRadialExpansion:
             out._add_term(i, k, poly)
         return out
 
-    def __sub__(self, other: "LogRadialExpansion") -> "LogRadialExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "LogRadialExpansion":
-        f = _as_fraction(factor)
-        out = LogRadialExpansion(self.n, self.radial_exp)
-        if f != 0:
-            out.terms = {key: poly.scale(f) for key, poly in self.terms.items()}
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LogRadialExpansion)
@@ -471,38 +560,30 @@ class LogRadialExpansion:
         return cls(int(obj["n"]), Fraction(obj["radial_exp"]), terms)
 
 
-def _apply_a_poly(alpha: Fraction, p: HomogPoly, n: int) -> HomogPoly:
-    # A_alpha restricted to P_m:  r^2 Lap + alpha (2m + alpha + n - 2)
-    m = p.degree
-    out = p.scale(alpha * (2 * m + alpha + n - 2))
-    if m >= 2:
-        out = out + laplacian(p).mul_r2k(1)
-    return out
-
-
-def _apply_b_poly(alpha: Fraction, p: HomogPoly, n: int) -> HomogPoly:
-    # B_alpha restricted to P_m is the scalar 2m + 2 alpha + n - 2
-    return p.scale(2 * p.degree + 2 * alpha + n - 2)
-
-
 def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     """Apply A_alpha to an expansion, absorbing the r^rho prefactor.
 
     A_alpha(r^rho phi) = r^rho A_{alpha+rho} phi, and on phi log^k r
 
         A_a(phi log^k r) = A_a phi log^k r + k B_a phi log^{k-1} r
-                           + k(k-1) phi log^{k-2} r.
+                           + k(k-1) phi log^{k-2} r,
+
+    where on degree i, A_a = r^2 Lap + a(2i + a + n - 2) and B_a is the
+    scalar 2i + 2a + n - 2.  Every output shell is summed in one pass.
     """
-    alpha = _as_fraction(alpha)
-    out = LogRadialExpansion(e.n, e.radial_exp)
-    a_eff = alpha + e.radial_exp
+    n = e.n
+    a = _as_fraction(alpha) + e.radial_exp
+    parts: dict[tuple[int, int], list] = {}
     for (i, k), poly in e.terms.items():
-        out._add_term(i, k, _apply_a_poly(a_eff, poly, e.n))
+        parts.setdefault((i, k), []).append((a * (2 * i + a + n - 2), poly))
+        if i >= 2:
+            parts[(i, k)].append((1, laplacian(poly).mul_r2k(1)))
         if k >= 1:
-            out._add_term(i, k - 1, _apply_b_poly(a_eff, poly, e.n).scale(k))
+            parts.setdefault((i, k - 1), []).append((k * (2 * i + 2 * a + n - 2), poly))
         if k >= 2:
-            out._add_term(i, k - 2, poly.scale(k * (k - 1)))
-    return out
+            parts.setdefault((i, k - 2), []).append((k * (k - 1), poly))
+    terms = {key: _lincomb(n, key[0], ps) for key, ps in parts.items()}
+    return LogRadialExpansion(n, e.radial_exp, terms)
 
 
 def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
@@ -555,33 +636,23 @@ def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
     Invertible blocks are divided by their eigen_AA scalar.  On kernel
     blocks the log power is raised by exactly one until the first operator
     in the log-derivative cascade acts invertibly (log r via the mixed operator,
-    then log^2, then log^3).
+    then log^2, then log^3).  The blocks of each log power are summed in one
+    pass.
     """
     m = rhs.degree
-    out = LogRadialExpansion(n, 0)
+    parts: dict[int, list] = {}
     for block in harmonic_decompose(rhs):
         k = block.k
-        lam = eigen_AA(n, m, k)
-        base = block.h.mul_r2k(k)
-        if lam != 0:
-            out._add_term(m, 0, base.scale(Fraction(-1) / lam))
-            continue
-        mu = _eigen_mixed(n, m, k)
-        if mu != 0:
-            out._add_term(m, 1, base.scale(Fraction(-1) / mu))
-            continue
-        tau = _eigen_log2(n, m, k)
-        if tau != 0:
-            out._add_term(m, 2, base.scale(Fraction(-1) / tau))
-            continue
-        sig = _eigen_log3(n, m, k)
-        if sig != 0:
-            out._add_term(m, 3, base.scale(Fraction(-1) / sig))
-            continue
-        raise UnresolvableBlockError(
-            f"block r^{2 * k} H_{m - 2 * k} (n={n}) unresolvable up to log^3"
-        )
-    return out
+        for logpow, eigen in enumerate((eigen_AA, _eigen_mixed, _eigen_log2, _eigen_log3)):
+            lam = eigen(n, m, k)
+            if lam != 0:
+                parts.setdefault(logpow, []).append((Fraction(-1) / lam, block.h.mul_r2k(k)))
+                break
+        else:
+            raise UnresolvableBlockError(
+                f"block r^{2 * k} H_{m - 2 * k} (n={n}) unresolvable up to log^3"
+            )
+    return LogRadialExpansion(n, 0, {(m, kk): _lincomb(n, m, ps) for kk, ps in parts.items()})
 
 
 def apply_AA(n: int, e: LogRadialExpansion) -> LogRadialExpansion:

@@ -8,6 +8,7 @@ no timing, so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -30,6 +31,65 @@ def jsonable(value: Any) -> Any:
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
         return value.item()
     return value
+
+
+_ESC = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _encode(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(jsonable(value), indent=2, sort_keys=True,
+    allow_nan=False)`` prints it, nested at indent ``pad``, in one pass that
+    maps and writes; a list of strings, or a dict of them, is joined in
+    one call."""
+    t = type(value)
+    if t is str:
+        return _ESC(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if t is int:
+        return int.__repr__(value)
+    if t is float:
+        return _float_text(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        try:  # the escaper refuses anything but strings
+            body = (",\n" + inner).join([_ESC(k) + ": " + _ESC(v) for k, v in items])
+        except TypeError:
+            body = (",\n" + inner).join([_ESC(k) + ": " + _encode(v, inner) for k, v in items])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = (",\n" + inner).join(map(_ESC, value))
+        except TypeError:
+            body = (",\n" + inner).join([_encode(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    mapped = jsonable(value)
+    if mapped is not value:
+        return _encode(mapped, pad)
+    # what jsonable passes through unchanged, json writes by its base type
+    if isinstance(value, str):
+        return _ESC(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -111,7 +171,7 @@ def dump_report(payload: dict, path: str | None = None) -> str:
     """
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    text = json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _encode(doc, "") + "\n"
     if path:
         import os
         import tempfile

@@ -144,8 +144,17 @@ def u1_delta_norm_sq(n: int) -> float:
     )
 
 
+# Largest n at which radial_moment(n, 0, n) is a normal float.  Past it the
+# moment is subnormal and loses digits (the moments check exceeds 1e-12 from
+# n = 333), and from n = 341 its power underflows to 0.
+MOMENTS_MAX_N = 326
+
+
 def y4_ratio_from_moments(n: int) -> float:
-    """The quotient ||Delta u_1||^2 / ||u_1||^2_{2n/(n-4)} via moments."""
+    """The quotient ||Delta u_1||^2 / ||u_1||^2_{2n/(n-4)} via moments;
+    n <= MOMENTS_MAX_N."""
+    if n > MOMENTS_MAX_N:
+        raise ValueError(f"moments leave the normal float range past n = {MOMENTS_MAX_N}")
     den = radial_moment(n, 0, n) ** ((n - 4) / n)
     return u1_delta_norm_sq(n) / den
 

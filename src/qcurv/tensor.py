@@ -14,13 +14,14 @@ integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import HarmonicBlock, HomogPoly, laplacian, scaled_text
+from .polyalg import HarmonicBlock, HomogPoly, monomial_table, scaled_text
 
 _INT64_MAX = 2**63 - 1
 
@@ -30,7 +31,7 @@ def int_bound(n: int) -> int:
     tensor is exact.
 
     A norm or cross contraction sums n^4 products of two entries, a
-    quartic-form coefficient at most 24 einsum entries of n^2 products
+    quartic-form coefficient at most 24 contraction entries of n^2 products
     each, and a gradient-square coefficient 2 entries of n^3 products of
     pair sums, 8 n^3 entry products in all.  No partial sum exceeds the
     largest count times the squared bound.
@@ -38,29 +39,22 @@ def int_bound(n: int) -> int:
     return math.isqrt(_INT64_MAX // max(n**4, 8 * n**3, 24 * n * n))
 
 
-def _symmetric_terms(T: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Integer coefficients of sum T[i1..id] x_i1 ... x_id.
+@functools.cache
+def _symmetric_ranks(n: int, d: int) -> np.ndarray:
+    """Position in ``monomial_table(n, d)`` of the monomial x_i1 ... x_id
+    of every flat index (i1, ..., id) of an n^d tensor."""
+    idx = np.sort(np.indices((n,) * d).reshape(d, -1).T, axis=1)
+    return monomial_table(n, d).index_rank(idx)
 
-    Equal monomials are found by sorting each index tuple and summed
-    exactly in int64, so Python sees each distinct monomial once.
-    """
-    n = T.shape[0]
-    nz = np.flatnonzero(T)
-    if not nz.size:
-        return {}
-    idx = np.sort(np.stack(np.unravel_index(nz, T.shape)), axis=0)
-    code = np.zeros(nz.size, dtype=np.int64)
-    for row in idx:
-        code = code * n + row
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-    sums = np.add.reduceat(T.reshape(-1)[nz[order]], starts)
-    exps = np.zeros((starts.size, n), dtype=np.int64)
-    rows = np.arange(starts.size)
-    for row in idx[:, order[starts]]:
-        exps[rows, row] += 1
-    return {tuple(e): v for e, v in zip(exps.tolist(), sums.tolist()) if v}
+
+def _symmetric_vector(T: np.ndarray) -> np.ndarray:
+    """Integer coefficients of sum T[i1..id] x_i1 ... x_id over the
+    monomial table, summed exactly in T's dtype: int64 when the caller
+    bounds the entries, Python ints otherwise."""
+    n, d = T.shape[0], T.ndim
+    v = np.zeros(monomial_table(n, d).size, dtype=T.dtype)
+    np.add.at(v, _symmetric_ranks(n, d), T.reshape(-1))
+    return v
 
 
 class WeylTensor:
@@ -115,9 +109,11 @@ class WeylTensor:
     def quartic_form(self) -> HomogPoly:
         """sum_{kl} ( W_{ikjl} x_i x_j )^2 as an exact degree-4 polynomial."""
         if self._quartic is None:
-            # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl}
-            T = np.einsum("ikjl,akbl->ijab", self.ints, self.ints)
-            self._quartic = HomogPoly.from_ints(self.n, 4, _symmetric_terms(T), self.scale**2)
+            # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl} = (X X^T)[(i,j),(a,b)]
+            # with X[(i,j),(k,l)] = W_{ikjl}
+            X = self.ints.transpose(0, 2, 1, 3).reshape(self.n**2, -1)
+            T = (X @ X.T).reshape((self.n,) * 4)
+            self._quartic = HomogPoly.from_vector(self.n, 4, _symmetric_vector(T), self.scale**2)
         return self._quartic
 
     def gradient_square_form(self) -> HomogPoly:
@@ -128,7 +124,7 @@ class WeylTensor:
         if self._gradsq is None:
             V = self.ints + np.transpose(self.ints, (0, 3, 2, 1))
             M = np.einsum("ijkl,ajkl->ia", V, V)
-            self._gradsq = HomogPoly.from_ints(self.n, 2, _symmetric_terms(M), self.scale**2)
+            self._gradsq = HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), self.scale**2)
         return self._gradsq
 
     def quartic_harmonic_split(self) -> list[HarmonicBlock]:
@@ -249,22 +245,12 @@ class SchoutenHessian:
 
     def quadratic_form(self) -> HomogPoly:
         """J_ij x_i x_j as a degree-2 polynomial."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                c = self.entries[i][j]
-                if c == 0:
-                    continue
-                e = [0] * self.n
-                e[i] += 1
-                e[j] += 1
-                key = tuple(e)
-                s = terms.get(key, Fraction(0)) + c
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return HomogPoly(self.n, 2, terms)
+        den = math.lcm(*(c.denominator for row in self.entries for c in row))
+        M = np.array([[c.numerator * (den // c.denominator) for c in row] for row in self.entries],
+                     dtype=object)
+        if 2 * int(np.abs(M).max()) <= _INT64_MAX:  # a coefficient sums two entries
+            M = M.astype(np.int64)
+        return HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), Fraction(1, den))
 
     def to_json(self) -> dict:
         return {

@@ -268,10 +268,34 @@ def test_parametrix_low_dimensions_pass(runner, n, seed):
     ["asymptotics", "--case", "flat", "--n", "5", "--a0", "inf"],
     ["asymptotics", "--case", "flat", "--n", "5", "--a0", "-inf"],
     ["asymptotics", "--case", "flat", "--n", "5", "--a0", "1e200"],
+    ["asymptotics", "--case", "high", "--n", "10", "--lambdas", "1e-80,1e-81,1e-82,1e-83"],
 ])
 def test_bad_numeric_options_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
+
+
+def test_overflowing_lambda_grid_is_named(runner):
+    res = runner.invoke(main, ["asymptotics", "--case", "high", "--n", "10",
+                               "--lambdas", "1e-80,1e-81,1e-82,1e-83"])
+    assert res.exit_code == 2
+    assert "overflow" in res.output and "[1e-80, 1e-81, 1e-82, 1e-83]" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["constants", "--n", "341"],
+    ["constants", "--n", "5..400"],
+    ["constants", "--n", "327"],
+    ["verify", "constants", "--n", "327"],
+])
+def test_constants_past_normal_moments_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "n <= 326" in res.output
+
+
+def test_constants_pass_at_last_normal_moment(runner):
+    assert runner.invoke(main, ["verify", "constants", "--n", "326"]).exit_code == 0
 
 
 @pytest.mark.parametrize("args,flag", [

@@ -97,7 +97,7 @@ def test_phi4_n6_ignores_traceless_schouten():
 # ------------------------------------------------------------------- psi4
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 20, 24])
 def test_psi4_solver_equals_closed_form(n):
     for seed in range(3):
         jet = random_jet(n, seed=seed)
@@ -204,8 +204,9 @@ def test_green_leading_flat_equals_flat_expansion():
 
 def test_recursion_residual_zero():
     assert verify_recursion_residual(CurvatureJet.flat(6), green_leading(CurvatureJet.flat(6))).passed
-    jet9 = random_jet(9, seed=4)
-    assert verify_recursion_residual(jet9, green_leading(jet9)).passed
+    for n in (9, 20, 24):
+        jet = random_jet(n, seed=4)
+        assert verify_recursion_residual(jet, green_leading(jet)).passed
     jet8 = random_jet(8, seed=4)
     rep = verify_recursion_residual(jet8, green_leading(jet8))
     assert rep.passed, rep.computed

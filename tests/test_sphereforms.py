@@ -1,6 +1,7 @@
 """Closed-form sphere quantities against quadrature and recurrence oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 
 from qcurv.radial import RadialTermSum
 from qcurv.sphereforms import (
+    MOMENTS_MAX_N,
     bubble_f,
     bubble_pde_residual,
     bubble_u,
@@ -172,6 +174,16 @@ def test_duality_product():
 def test_y4_triple_equality(n):
     sc = sharp_constants(n)
     assert abs(y4_ratio_from_moments(n) - sc.Y4_sphere) <= 1e-12 * sc.Y4_sphere
+
+
+def test_moments_max_n_is_the_last_normal_moment():
+    assert radial_moment(MOMENTS_MAX_N, 0, MOMENTS_MAX_N) >= sys.float_info.min
+    assert radial_moment(MOMENTS_MAX_N + 1, 0, MOMENTS_MAX_N + 1) < sys.float_info.min
+    sc = sharp_constants(MOMENTS_MAX_N)
+    assert abs(y4_ratio_from_moments(MOMENTS_MAX_N) - sc.Y4_sphere) <= 1e-12 * sc.Y4_sphere
+    for n in (MOMENTS_MAX_N + 1, 341):
+        with pytest.raises(ValueError, match="normal float range"):
+            y4_ratio_from_moments(n)
 
 
 @pytest.mark.parametrize("n", range(5, 13))

@@ -1,5 +1,6 @@
 """Brute-force verification of the curvature-tensor algebra."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -112,7 +113,7 @@ def test_quartic_laplacian_identity():
 
 
 def test_quartic_bilaplacian_is_12_norm():
-    for n, seed in [(5, 9), (8, 10)]:
+    for n, seed in [(5, 9), (8, 10), (20, 1), (24, 2)]:
         W = random_weyl(n, seed)
         lap2 = laplacian(laplacian(W.quartic_form()))
         assert lap2 == HomogPoly.constant(n, 12 * W.norm_sq())
@@ -149,7 +150,7 @@ def _check_quartic_against_loops(W):
 
 
 def test_harmonic_split_blocks_and_reassembly():
-    for n, seed in [(5, 2), (7, 3)]:
+    for n, seed in [(5, 2), (7, 3), (20, 4), (24, 5)]:
         W = random_weyl(n, seed)
         q = W.quartic_form()
         blocks = W.quartic_harmonic_split()
@@ -220,6 +221,21 @@ def test_schouten_quartic_generic_matches_expansion():
     assert got == want
 
 
+@pytest.mark.parametrize("big", [1, 2**62 + 1])
+def test_schouten_quadratic_form_matches_entry_loop(big):
+    # entries past int64 / 2 take the Python-int path
+    n = 4
+    raw = np.random.default_rng(3).integers(-9, 10, size=(n, n))
+    rows = [[F(int(raw[i, j] + raw[j, i]) * big, 1 + (i + j) % 3) for j in range(n)]
+            for i in range(n)]
+    terms = {}
+    for i in range(n):
+        for j in range(n):
+            e = tuple(int(k == i) + int(k == j) for k in range(n))
+            terms[e] = terms.get(e, F(0)) + rows[i][j]
+    assert SchoutenHessian.from_rows(rows).quadratic_form() == HomogPoly(n, 2, terms)
+
+
 def test_fix_trace_enforces_constraint():
     n = 7
     W = random_weyl(n, seed=17)
@@ -271,6 +287,15 @@ def test_weyl_json_matches_component_oracle(n, seed, factor):
     assert W.to_json() == {"n": n, "W": want}
 
 
+def _sum_power(n, d):
+    """(x_1 + ... + x_n)^d from its multinomial coefficients."""
+    terms = {}
+    for idx in itertools.combinations_with_replacement(range(n), d):
+        e = tuple(idx.count(i) for i in range(n))
+        terms[e] = math.factorial(d) // math.prod(math.factorial(v) for v in e)
+    return HomogPoly(n, d, terms)
+
+
 @pytest.mark.parametrize("n", [3, 5, 18])
 def test_int64_sums_exact_at_the_entry_bound(n):
     """At the entry bound every int64 sum is exact; one past it is refused.
@@ -283,9 +308,8 @@ def test_int64_sums_exact_at_the_entry_bound(n):
     W = WeylTensor(n, np.full((n,) * 4, B, dtype=np.int64))
     assert W.norm_sq() == n**4 * B**2
     assert W.cross_contraction() == n**4 * B**2
-    ones = HomogPoly(n, 1, {tuple(int(i == j) for j in range(n)): 1 for i in range(n)})
-    assert W.quartic_form() == (ones * ones * ones * ones).scale(n * n * B * B)
-    assert W.gradient_square_form() == (ones * ones).scale(4 * n**3 * B * B)
+    assert W.quartic_form() == _sum_power(n, 4).scale(n * n * B * B)
+    assert W.gradient_square_form() == _sum_power(n, 2).scale(4 * n**3 * B * B)
     with pytest.raises(ValueError, match="too large"):
         WeylTensor(n, np.full((n,) * 4, B + 1, dtype=np.int64))
 
