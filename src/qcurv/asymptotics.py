@@ -248,7 +248,9 @@ class TestFunctionModel:
     data (required where the row needs one, optional for lowdim), ``A0``
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
-    points, all in (0, delta/4); A0 must be finite.
+    points, all in (0, delta/4), whose fit weights stay finite; A0 must be
+    finite and small enough that the fit can square the values it scales.
+    Both are checked here, before any quadrature.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -279,6 +281,16 @@ class TestFunctionModel:
             raise ValueError("every lambda must lie in (0, delta/4)")
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
+        self.design  # refuses a grid whose weights overflow
+        if not row.needs_jet:
+            # the fitted values are about A0 times a closed form per point,
+            # and the least-squares norms square them
+            for c in (row.ratio_per_unit(self.n), *(f(self.n) for *_, f in row.split_checks)):
+                if not math.isfinite(len(self.lambdas) * (c * self.A0) * (c * self.A0)):
+                    raise ValueError(
+                        f"A0 = {self.A0:g} makes the fit values overflow the floating-point "
+                        f"range (closed form {c:.6g} per unit A0)"
+                    )
 
     @cached_property
     def angular(self) -> AngularData | None:
@@ -289,6 +301,22 @@ class TestFunctionModel:
     def psi4_block(self) -> float:
         """r^4 coefficient of the angular average of psi_4, shared by every lam."""
         return float(psi4_radial_block(self.jet))
+
+    @cached_property
+    def design(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fit weights lam^{-p} and the weighted basis matrix of the grid."""
+        row = CASES[self.case]
+        p = row.weight_power(self.n)
+        lams = np.array(self.lambdas, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = lams ** (-p)
+            A = np.column_stack([fn(lams, p) * w for fn in row.basis_fns])
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(A))):
+            raise ValueError(
+                f"fit weights lam^-{p:g} or basis {row.basis} overflow the floating-point "
+                f"range on grid {list(self.lambdas)}"
+            )
+        return w, A
 
     @cached_property
     def evaluations(self) -> list[dict]:
@@ -499,16 +527,8 @@ def _fit(model: TestFunctionModel, values: np.ndarray, lead: float):
     contamination, dominates the normal equations.
     """
     case = CASES[model.case]
-    p = case.weight_power(model.n)
-    lams = np.array(model.lambdas, dtype=float)
     y = values / lead - 1.0 if case.relative else values - lead
-    w = lams ** (-p)
-    A = np.column_stack([fn(lams, p) * w for fn in case.basis_fns])
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(A))):
-        raise ValueError(
-            f"fit weights lam^-{p:g} or basis {case.basis} overflow the floating-point "
-            f"range on grid {list(model.lambdas)}"
-        )
+    w, A = model.design
     cond = np.linalg.cond(A)
     if cond > _COND_LIMIT:
         raise ValueError(

@@ -238,7 +238,8 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
 
 @main.command("spectral")
 @click.option("--n", type=int, default=5, show_default=True)
-@click.option("--l", "--L", "trunc", type=click.IntRange(min=2), default=64, show_default=True)
+@click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L), default=64,
+              show_default=True, help="truncation degree")
 @click.option("--iters", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--damping", type=float, default=0.5, show_default=True)
 @click.option("--init", type=click.Choice(["constant", "perturbed"]), default="constant")
@@ -536,8 +537,8 @@ SUITES = {
 @click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--l", "--L", "trunc", type=click.IntRange(min=2), default=None,
-              help="spectral truncation degree")
+@click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L),
+              default=None, help="spectral truncation degree")
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
@@ -563,8 +564,11 @@ def cmd_verify(suite, n_range, trials, seed, trunc, out):
                 raise click.UsageError(f"verify {name} needs n <= {max_n}")
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
-        reports += checks(ns, default_trials if trials is None else trials, seed,
-                          default_L if trunc is None else trunc)
+        try:
+            reports += checks(ns, default_trials if trials is None else trials, seed,
+                              default_L if trunc is None else trunc)
+        except ValueError as e:  # a configuration the suite's numerics refuse
+            raise click.UsageError(str(e))
     config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
     _finish(reports, {"command": "verify", "config": config}, out)
 

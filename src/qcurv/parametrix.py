@@ -34,7 +34,6 @@ from .report import VerificationReport
 from .tensor import (
     SchoutenHessian,
     WeylTensor,
-    fix_trace,
     invariants_hold,
     random_schouten_hessian,
     random_weyl,
@@ -94,21 +93,11 @@ def random_jet(n: int, seed: int, normalize: bool = False) -> CurvatureJet:
     neglected quadratic-in-curvature terms small.
     """
     W = random_weyl(n, seed)
-    if normalize:
-        w2 = float(W.norm_sq())
-        s = Fraction(1.0 / math.sqrt(w2)).limit_denominator(10**9)
-        W = W.rescale(s)
-        rng = np.random.Generator(np.random.Philox(seed + (1 << 32)))
-        raw = rng.integers(-9, 10, size=(n, n))
-        scale = Fraction(1, 200)
-        rows = [
-            [Fraction(int(raw[i, j] + raw[j, i])) * scale for j in range(n)]
-            for i in range(n)
-        ]
-        Jh = fix_trace(SchoutenHessian.from_rows(rows), W)
-    else:
-        Jh = random_schouten_hessian(n, seed, W)
-    return CurvatureJet(n, W, Jh)
+    if not normalize:
+        return CurvatureJet(n, W, random_schouten_hessian(n, seed, W))
+    w2 = float(W.norm_sq())
+    W = W.rescale(Fraction(1.0 / math.sqrt(w2)).limit_denominator(10**9))
+    return CurvatureJet(n, W, random_schouten_hessian(n, seed, W, Fraction(1, 200)))
 
 
 # -- degree-4 source and its inverse -----------------------------------------

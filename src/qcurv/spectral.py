@@ -15,19 +15,30 @@ problem, and conformal dilations all run on top of the same transform pair.
 
 Fractional powers of fields are evaluated on an oversampled grid (>= 3x)
 and projected back to degree L.
+
+A Gauss-Jacobi rule depends only on its node count and the dimension, so
+each rule is computed once per process and shared, read-only, by every
+solver that needs it; the bases are built per solver and not kept.  The
+degree is capped at ``MAX_L``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .sphereforms import omega_n, sphere_area
 
 MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
+
+# Largest truncation degree.  At L = 2048 the oversampled basis alone is
+# 2049 x 12294 floats (about 200 MB), and building a solver takes about 7 s
+# and peaks near 580 MB (Python 3.11, numpy 2.4, one BLAS thread); the cost
+# grows as L^2.
+MAX_L = 2048
 
 
 @dataclass
@@ -43,20 +54,50 @@ class ZonalField:
 
 
 class PaneitzSpectrum:
-    """Exact eigenvalues of P (and of the conformal Laplacian) on S^n."""
+    """Exact eigenvalues of P (and of the conformal Laplacian) on S^n, as
+    int64 arrays over one denominator each:
+
+        lam_l = l(l+n-1),
+        mu_l = mu_num[l] / 16,     mu_num = (4 lam + n(n-2))(4 lam + (n+2)(n-4)),
+        nu_l = nu_num[l] / (n-2),  nu_num = 4(n-1) lam + n(n-1)(n-2).
+
+    Every entry lies below 2^53, so ``mu_f`` and ``nu_f`` are one division of
+    exact floats each, hence correctly rounded; a shape past that bound is
+    refused.
+    """
+
+    mu_den = 16
 
     def __init__(self, n: int, L: int):
         self.n = n
         self.L = L
-        self.lam = [Fraction(l * (l + n - 1)) for l in range(L + 1)]
-        c1 = Fraction(n * n - 2 * n - 4, 2)
-        c0 = Fraction(n * (n + 2) * (n - 2) * (n - 4), 16)
-        self.mu = [lam * lam + c1 * lam + c0 for lam in self.lam]
-        # conformal Laplacian: nu_l = 4(n-1)/(n-2) lam_l + n(n-1)
-        a = Fraction(4 * (n - 1), n - 2)
-        self.nu = [a * lam + n * (n - 1) for lam in self.lam]
-        self.mu_f = np.array([float(m) for m in self.mu])
-        self.nu_f = np.array([float(v) for v in self.nu])
+        self.nu_den = n - 2
+        # every factor grows with l, so the top entries bound the arrays
+        top = L * (L + n - 1)
+        top_mu = (4 * top + n * (n - 2)) * (4 * top + (n + 2) * (n - 4))
+        top_nu = 4 * (n - 1) * top + n * (n - 1) * (n - 2)
+        if max(top_mu, top_nu) >= 2**53:
+            raise ValueError(f"Paneitz spectrum at n={n}, L={L} leaves the exact float range")
+        l = np.arange(L + 1, dtype=np.int64)
+        self.lam = l * (l + (n - 1))
+        self.mu_num = (4 * self.lam + n * (n - 2)) * (4 * self.lam + (n + 2) * (n - 4))
+        self.nu_num = 4 * (n - 1) * self.lam + n * (n - 1) * (n - 2)
+        self.mu_f = self.mu_num / float(self.mu_den)
+        self.nu_f = self.nu_num / float(self.nu_den)
+
+
+@functools.cache
+def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the M-point Gauss-Jacobi rule with alpha = beta = a,
+    read-only and shared by every solver that asks for the same rule.  The
+    cache keeps every rule a process asks for, 16 M bytes each."""
+    # imported here: only the spectral path pays for scipy.special
+    from scipy.special import roots_jacobi
+
+    t, w = roots_jacobi(M, a, a)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 class SphereSolver:
@@ -67,6 +108,8 @@ class SphereSolver:
             raise ValueError("solver targets n >= 5")
         if oversample < 3:
             raise ValueError("nonlinearity grid must oversample by at least 3x")
+        if L > MAX_L:
+            raise ValueError(f"truncation degree L={L} exceeds {MAX_L}")
         self.n = n
         self.L = L
         self.M = grid_nodes if grid_nodes is not None else 2 * L + 2
@@ -74,16 +117,11 @@ class SphereSolver:
             raise ValueError("quadrature too coarse for degree L")
         self.spectrum = PaneitzSpectrum(n, L)
 
-        # imported here: only the spectral path pays for scipy.special
-        from scipy.special import roots_jacobi
-
         a = 0.5 * (n - 2)
         area_factor = n * omega_n(n)  # area of the S^{n-1} slice factor
-        t, wj = roots_jacobi(self.M, a, a)
-        self.t = t
+        self.t, wj = _gauss_jacobi(self.M, a)
         self.w = area_factor * wj
-        t2, wj2 = roots_jacobi(oversample * self.M, a, a)
-        self.t_over = t2
+        self.t_over, wj2 = _gauss_jacobi(oversample * self.M, a)
         self.w_over = area_factor * wj2
 
         # the norms come from the solver's own main-grid quadrature
@@ -151,33 +189,44 @@ class SphereSolver:
 
     # -- norms and functionals ----------------------------------------------
 
+    def _out_of_range(self, what: str, value: float) -> ValueError:
+        return ValueError(
+            f"{what} {value!r} leaves the floating-point range at n={self.n}, L={self.L}"
+        )
+
     def lp_norm(self, field: ZonalField, p: float) -> float:
+        """The L^p norm by oversampled quadrature.  Callers divide by the norm
+        or its square, so a norm whose square underflows to 0 or is not
+        finite is refused."""
         vals = self.synthesize(field, oversampled=True)
-        return float(np.sum(self.w_over * np.abs(vals) ** p) ** (1.0 / p))
+        norm = float(np.sum(self.w_over * np.abs(vals) ** p) ** (1.0 / p))
+        if not (0.0 < norm * norm < math.inf):
+            raise self._out_of_range(f"L^{p:g} norm", norm)
+        return norm
+
+    def _quotient(self, num: float, field: ZonalField, p: float) -> float:
+        """num / ||field||_p^2.  Each functional is positive on a nonzero
+        field, so a quotient that underflows to 0 is refused."""
+        if not np.any(field.coeffs):
+            raise ValueError("zero field")
+        q = num / self.lp_norm(field, p) ** 2
+        if not (0.0 < q < math.inf):
+            raise self._out_of_range("functional value", q)
+        return q
 
     def theta4_functional(self, f: ZonalField) -> float:
-        if not np.any(f.coeffs):
-            raise ValueError("zero field")
         num = float(np.sum(f.coeffs**2 / self.spectrum.mu_f))
-        den = self.lp_norm(f, 2.0 * self.n / (self.n + 4)) ** 2
-        return num / den
+        return self._quotient(num, f, 2.0 * self.n / (self.n + 4))
 
     def y4_functional(self, u: ZonalField) -> float:
-        if not np.any(u.coeffs):
-            raise ValueError("zero field")
-        return self.energy_E(u) / self.lp_norm(u, 2.0 * self.n / (self.n - 4)) ** 2
+        return self._quotient(self.energy_E(u), u, 2.0 * self.n / (self.n - 4))
 
     def theta2_functional(self, f: ZonalField) -> float:
-        if not np.any(f.coeffs):
-            raise ValueError("zero field")
         num = float(np.sum(f.coeffs**2 / self.spectrum.nu_f))
-        den = self.lp_norm(f, 2.0 * self.n / (self.n + 2)) ** 2
-        return num / den
+        return self._quotient(num, f, 2.0 * self.n / (self.n + 2))
 
     def yamabe_functional(self, u: ZonalField) -> float:
-        if not np.any(u.coeffs):
-            raise ValueError("zero field")
-        return self.energy_E2(u) / self.lp_norm(u, 2.0 * self.n / (self.n - 2)) ** 2
+        return self._quotient(self.energy_E2(u), u, 2.0 * self.n / (self.n - 2))
 
     # -- extremal iteration ---------------------------------------------------
 
@@ -254,6 +303,8 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> di
     values = [v for _, v in traj]
     const = solver.constant_field(1.0)
     theta4_const = solver.theta4_functional(const)
+    p = 2 * n / (n + 4)
+    const_norm = solver.lp_norm(const, p)
     invariance = []
     for tt in MOBIUS_T:
         pulled = solver.mobius_pullback(const, tt)
@@ -262,11 +313,7 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> di
                 "t": tt,
                 "theta4_drift": abs(solver.theta4_functional(pulled) - theta4_const)
                 / theta4_const,
-                "norm_drift": abs(
-                    solver.lp_norm(pulled, 2 * n / (n + 4))
-                    - solver.lp_norm(const, 2 * n / (n + 4))
-                )
-                / solver.lp_norm(const, 2 * n / (n + 4)),
+                "norm_drift": abs(solver.lp_norm(pulled, p) - const_norm) / const_norm,
             }
         )
     return {

@@ -217,10 +217,10 @@ class SchoutenHessian:
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
             raise ValueError("entries must be an n x n matrix")
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Schouten Hessian must be symmetric")
+        # rows against columns; tuple comparison skips entries that are the
+        # same object, as mirrored entries built from one matrix are
+        if any(row != col for row, col in zip(self.entries, zip(*self.entries))):
+            raise ValueError("Schouten Hessian must be symmetric")
 
     @classmethod
     def from_rows(cls, rows) -> "SchoutenHessian":
@@ -314,26 +314,34 @@ def random_weyl(n: int, seed: int) -> WeylTensor:
     return WeylTensor(n, W, Fraction(g, den))
 
 
-def random_schouten_hessian(n: int, seed: int, W: WeylTensor) -> SchoutenHessian:
-    """Seeded symmetric matrix whose trace satisfies the conformal normal
-    coordinate constraint trace = -|W|^2 / (12(n-1))."""
+def random_schouten_hessian(
+    n: int, seed: int, W: WeylTensor, scale: Fraction = Fraction(1, 2)
+) -> SchoutenHessian:
+    """Seeded symmetric matrix, scale times integers in [-18, 18], whose
+    trace satisfies the conformal normal coordinate constraint
+    trace = -|W|^2 / (12(n-1))."""
     rng = np.random.Generator(np.random.Philox(seed + (1 << 32)))
     raw = rng.integers(-9, 10, size=(n, n))
-    sym = [[Fraction(int(raw[i, j] + raw[j, i]), 2) for j in range(n)] for i in range(n)]
-    base = SchoutenHessian.from_rows(sym)
-    return fix_trace(base, W)
+    return fix_trace(raw + raw.T, W, scale)
 
 
-def fix_trace(Jh: SchoutenHessian, W: WeylTensor) -> SchoutenHessian:
-    """Shift the pure-trace part of Jh so trace(Jh) = -|W|^2/(12(n-1))."""
-    n = Jh.n
+def fix_trace(M, W: WeylTensor, scale: Fraction | int = 1) -> SchoutenHessian:
+    """scale * M, for a symmetric n x n matrix M of integers or rationals
+    (an integer array or nested rows), with its pure-trace part shifted so
+    the trace is -|W|^2/(12(n-1)).
+
+    Each distinct entry is scaled once, so mirrored entries are one object
+    and the symmetry check compares them by identity.
+    """
+    rows = M.tolist() if isinstance(M, np.ndarray) else M
+    n = len(rows)
     target = -W.norm_sq() / (12 * (n - 1))
-    shift = (target - Jh.trace()) / n
-    rows = [
-        [Jh.entries[i][j] + (shift if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return SchoutenHessian.from_rows(rows)
+    shift = (target - scale * sum(rows[i][i] for i in range(n))) / n
+    scaled = {v: Fraction(scale * v) for row in rows for v in row}
+    return SchoutenHessian(n, tuple(
+        tuple(scaled[v] + shift if i == j else scaled[v] for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    ))
 
 
 # -- invariant checks ---------------------------------------------------------

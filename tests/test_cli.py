@@ -1,12 +1,14 @@
 """CLI contract: exit codes, formats, reproducibility."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qcurv import asymptotics, spectral
 from qcurv.cli import main
 
 
@@ -148,7 +150,7 @@ def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
     ints[0, 1, 0, 1] += 1
     not_weyl_W = WeylTensor(9, ints, good.W.scale)
     not_weyl = {"n": 9, "W": not_weyl_W.to_json()["W"],
-                "J": fix_trace(good.Jh, not_weyl_W).to_json()["J"]}
+                "J": fix_trace(good.Jh.entries, not_weyl_W).to_json()["J"]}
     for doc in (short, wrong_trace, not_weyl, '{"n": 9, "W": [', {"n": 9}):
         res = runner.invoke(main, ["parametrix", "--n", "9", "--jet-file", _jet_file(tmp_path, doc)])
         assert res.exit_code == 2, res.output
@@ -275,11 +277,61 @@ def test_bad_numeric_options_usage_error(runner, args):
     assert res.exit_code == 2, res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["asymptotics", "--case", "flat", "--n", "5", "--a0", "1e200"],
+    ["asymptotics", "--case", "lowdim", "--n", "6", "--a0", "-1e200"],
+    ["asymptotics", "--case", "high", "--n", "10", "--lambdas", "1e-80,1e-81,1e-82,1e-83"],
+])
+def test_overflowing_asymptotics_inputs_refused_before_quadrature(runner, monkeypatch, args):
+    def no_quadrature(model, lam):
+        raise AssertionError("a refused input reached the quadratures")
+
+    monkeypatch.setattr(asymptotics, "evaluate_model", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, args)
+    assert res.exit_code == 2, repr(res.exception)
+    assert "overflow" in res.output
+
+
 def test_overflowing_lambda_grid_is_named(runner):
     res = runner.invoke(main, ["asymptotics", "--case", "high", "--n", "10",
                                "--lambdas", "1e-80,1e-81,1e-82,1e-83"])
     assert res.exit_code == 2
     assert "overflow" in res.output and "[1e-80, 1e-81, 1e-82, 1e-83]" in res.output
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["verify", "spectral"]])
+def test_truncation_degree_capped(runner, monkeypatch, argv):
+    def no_solver(*a, **k):
+        raise AssertionError("a solver was built past the cap")
+
+    monkeypatch.setattr(spectral, "SphereSolver", no_solver)
+    res = runner.invoke(main, [*argv, "--L", str(spectral.MAX_L + 1)])
+    assert res.exit_code == 2, res.output
+    assert f"2<=x<={spectral.MAX_L}" in res.output
+    assert f"2<=x<={spectral.MAX_L}" in runner.invoke(main, [*argv, "--help"]).output
+
+
+@pytest.mark.parametrize("argv", [["spectral", "--iters", "2"], ["verify", "spectral"]])
+def test_spectral_norm_underflow_usage_error(runner, argv):
+    # the t = 4 pullback of a constant has an L^p norm that underflows to 0
+    res = runner.invoke(main, [*argv, "--n", "400", "--L", "8"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert "n=400, L=8" in res.output
+
+
+@pytest.mark.parametrize("argv", [["spectral", "--iters", "2"], ["verify", "spectral"]])
+def test_spectral_n327_never_crashes(runner, argv):
+    # past n = 326 the sphere norms approach the underflow range: a run
+    # either reports or refuses its configuration by name, never a traceback
+    res = runner.invoke(main, [*argv, "--n", "327", "--L", "8"])
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    if res.exit_code == 2:
+        assert "n=327, L=8" in res.output
+    else:
+        assert res.exit_code in (0, 1)
+        assert json.loads(res.stdout)["pass"] is (res.exit_code == 0)
 
 
 @pytest.mark.parametrize("args", [

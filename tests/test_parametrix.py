@@ -87,10 +87,10 @@ def test_phi4_n6_ignores_traceless_schouten():
     # the J-term coefficient 2(n-4)(n-6) vanishes at n=6
     n = 6
     W = random_weyl(n, seed=2)
-    J1 = fix_trace(SchoutenHessian.zero(n), W)
+    J1 = fix_trace(SchoutenHessian.zero(n).entries, W)
     raw = [[F(i * j + 1) for j in range(n)] for i in range(n)]
     sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
-    J2 = fix_trace(SchoutenHessian.from_rows(sym), W)
+    J2 = fix_trace(sym, W)
     assert phi4(CurvatureJet(n, W, J1)) == phi4(CurvatureJet(n, W, J2))
 
 
@@ -152,7 +152,7 @@ def test_psi4_n8_log_block():
 
 def test_n8_log_coefficient_quadratic_in_weyl():
     jet = random_jet(8, seed=6)
-    doubled = CurvatureJet(8, jet.W.rescale(2), fix_trace(jet.Jh, jet.W.rescale(2)))
+    doubled = CurvatureJet(8, jet.W.rescale(2), fix_trace(jet.Jh.entries, jet.W.rescale(2)))
     assert n8_log_coefficient(doubled) == 4 * n8_log_coefficient(jet)
     assert psi4_solve(doubled).get(4, 1) == psi4_solve(jet).get(4, 1).scale(4)
 

@@ -3,6 +3,9 @@ digests of the reports that guard byte-identical output."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +66,18 @@ PINNED = [
      "70823b56f2ac69d5478a78cf8e3ca39b4445c12b33d68ecd51007f96cfb940c6"),
     (["parametrix", "--n", "16", "--seed", "1"],
      "83c81f3e34a0a732c1957b683e174aa1ea013e35a14134fbd405cf4f746b270a"),
+    (["spectral"],
+     "284450c33aa0f65a74dc6201f302c7a4fd1077c828d18bf8b6ff2be0e79a27ca"),
 ]
+
+# reports whose transforms are large enough for OpenBLAS to split them
+# across threads, which changes their sums: pinned under one BLAS thread
+PINNED_ONE_THREAD = [
+    (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
+     "e71e9938bfc1c9a32b7f68bc1b7ee2fd4881caa808599846d65ac2da36bbd870"),
+]
+_ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
 
 @pytest.mark.parametrize("argv,digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
@@ -71,3 +85,15 @@ def test_report_bytes_pinned(argv, digest):
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_ONE_THREAD,
+                         ids=[" ".join(a) for a, _ in PINNED_ONE_THREAD])
+def test_report_bytes_pinned_one_blas_thread(argv, digest):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **_ONE_THREAD,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "qcurv.cli", *argv], env=env,
+                         capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == digest

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcurv.sphereforms import sharp_constants, sphere_area
-from qcurv.spectral import PaneitzSpectrum, SphereSolver, ZonalField, spectral_report
+from qcurv.spectral import MAX_L, PaneitzSpectrum, SphereSolver, ZonalField, spectral_report
 
 F = Fraction
 
@@ -34,12 +34,14 @@ def y4plus_functional(solver: SphereSolver, u: ZonalField) -> float:
     return solver.y4_functional(u)
 
 
-def factorization_residuals(spec: PaneitzSpectrum) -> list[Fraction]:
-    """mu_l - (lam_l + n(n-2)/4)(lam_l + (n+2)(n-4)/4), exactly."""
+def expanded_mu_residuals(spec: PaneitzSpectrum) -> list[int]:
+    """16 mu_l - (16 lam_l^2 + 8(n^2-2n-4) lam_l + n(n+2)(n-2)(n-4)) in Python
+    integers: the stored factored form against the expanded polynomial."""
     n = spec.n
     return [
-        mu - (lam + F(n * (n - 2), 4)) * (lam + F((n + 2) * (n - 4), 4))
-        for lam, mu in zip(spec.lam, spec.mu)
+        int(mu) - (16 * int(lam) ** 2 + 8 * (n * n - 2 * n - 4) * int(lam)
+                   + n * (n + 2) * (n - 2) * (n - 4))
+        for lam, mu in zip(spec.lam, spec.mu_num)
     ]
 
 
@@ -73,6 +75,18 @@ def test_solver_validation():
         SphereSolver(5, 16, oversample=2)
     with pytest.raises(ValueError):
         SphereSolver(5, 16, grid_nodes=8)
+    with pytest.raises(ValueError, match="exceeds"):
+        SphereSolver(5, MAX_L + 1)
+
+
+def test_solvers_of_one_shape_share_read_only_rules(s5):
+    other = SphereSolver(5, s5.L)
+    assert other.t is s5.t and other.t_over is s5.t_over
+    assert not s5.t.flags.writeable and not s5.t_over.flags.writeable
+    # the weights are scaled per solver, from the same read-only rule
+    assert s5.w.flags.writeable and np.array_equal(other.w, s5.w)
+    with pytest.raises(ValueError):
+        s5.t[0] = 0.0
 
 
 # ----------------------------------------------------------- transforms
@@ -108,23 +122,52 @@ def test_random_field_round_trip(s5):
 
 def test_mu_values_n5():
     spec = PaneitzSpectrum(5, 4)
-    assert spec.mu[0] == F(105, 16)
-    # l=1: lam=5, mu = 25 + (11/2)*5 + 105/16
-    assert spec.mu[1] == F(945, 16)
-    assert spec.mu[1] == (5 + F(15, 4)) * (5 + F(7, 4))
+    assert spec.mu_den == 16
+    assert spec.mu_num[0] == 105
+    # l=1: lam=5, mu = 25 + (11/2)*5 + 105/16 = 945/16
+    assert spec.lam[1] == 5
+    assert spec.mu_num[1] == 945
+    assert F(int(spec.mu_num[1]), spec.mu_den) == (5 + F(15, 4)) * (5 + F(7, 4))
 
 
 def test_spectrum_factorization_exact():
     for n in (5, 8, 12):
         spec = PaneitzSpectrum(n, 64)
-        assert all(r == 0 for r in factorization_residuals(spec))
-        assert all(m > 0 for m in spec.mu)
+        assert all(r == 0 for r in expanded_mu_residuals(spec))
+        assert all(m > 0 for m in spec.mu_num)
 
 
 def test_nu_values():
     for n in (5, 9):
         spec = PaneitzSpectrum(n, 3)
-        assert spec.nu[0] == n * (n - 1)
+        assert spec.nu_den == n - 2
+        assert F(int(spec.nu_num[0]), spec.nu_den) == n * (n - 1)
+        # nu_l = 4(n-1)/(n-2) lam_l + n(n-1)
+        assert all(F(int(v), n - 2) == F(4 * (n - 1), n - 2) * int(lam) + n * (n - 1)
+                   for lam, v in zip(spec.lam, spec.nu_num))
+
+
+@pytest.mark.parametrize("n,L", [(5, 2), (7, 256), (12, 1024), (326, 64)])
+def test_spectrum_floats_correctly_rounded(n, L):
+    spec = PaneitzSpectrum(n, L)
+    assert spec.mu_f.tolist() == [float(F(int(m), 16)) for m in spec.mu_num]
+    assert spec.nu_f.tolist() == [float(F(int(v), n - 2)) for v in spec.nu_num]
+
+
+def test_spectrum_exact_at_the_cap():
+    # the degree cap at the largest dimension `constants` accepts
+    spec = PaneitzSpectrum(326, MAX_L)
+    for arr in (spec.lam, spec.mu_num, spec.nu_num):
+        assert arr.dtype == np.int64
+        assert 0 < int(arr.max()) < 2**53
+    L, n = MAX_L, 326
+    lam = L * (L + n - 1)
+    assert int(spec.mu_num[-1]) == (4 * lam + n * (n - 2)) * (4 * lam + (n + 2) * (n - 4))
+
+
+def test_spectrum_past_exact_range_refused():
+    with pytest.raises(ValueError, match="exact float range"):
+        PaneitzSpectrum(10**6, 8)
 
 
 def test_apply_P_GP_inverse(s5):
@@ -140,13 +183,13 @@ def test_apply_P_GP_inverse(s5):
 def test_energy_of_pure_mode(s5):
     for l in (0, 3, 7):
         u = mode(s5, l)
-        assert abs(s5.energy_E(u) - float(s5.spectrum.mu[l])) <= 1e-12
+        assert abs(s5.energy_E(u) - s5.spectrum.mu_f[l]) <= 1e-12
 
 
 def test_energy_of_constant(s5):
     c = 1.3
     u = s5.constant_field(c)
-    want = float(s5.spectrum.mu[0]) * c * c * sphere_area(5)
+    want = s5.spectrum.mu_f[0] * c * c * sphere_area(5)
     assert abs(s5.energy_E(u) - want) <= 1e-11 * want
 
 
@@ -265,6 +308,26 @@ def test_zero_field_errors(s5):
     for fn in (s5.theta4_functional, s5.y4_functional, s5.theta2_functional, s5.yamabe_functional):
         with pytest.raises(ValueError):
             fn(z)
+
+
+@pytest.mark.parametrize("n", [327, 400])
+def test_functionals_refuse_underflowing_norm(n):
+    s = SphereSolver(n, 8)
+    tiny = s.constant_field(1e-150)  # nonzero, but its L^p norm squared underflows
+    assert np.any(tiny.coeffs)
+    for fn in (s.theta4_functional, s.y4_functional, s.theta2_functional, s.yamabe_functional):
+        with pytest.raises(ValueError, match=f"n={n}, L=8"):
+            fn(tiny)
+    with pytest.raises(ValueError, match=f"n={n}, L=8"):
+        s.extremal_iteration(tiny, 1)
+
+
+def test_t4_pullback_underflow_refused_n400():
+    # the dilation weight of t = 4 is about 4^{-n} near the far pole
+    s = SphereSolver(400, 8)
+    pulled = s.mobius_pullback(s.constant_field(1.0), 4.0)
+    with pytest.raises(ValueError, match="n=400, L=8"):
+        s.theta4_functional(pulled)
 
 
 # ---------------------------------------------------------- second order

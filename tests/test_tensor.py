@@ -240,7 +240,7 @@ def test_fix_trace_enforces_constraint():
     n = 7
     W = random_weyl(n, seed=17)
     Jh = SchoutenHessian.identity(n)
-    fixed = fix_trace(Jh, W)
+    fixed = fix_trace(Jh.entries, W)
     assert fixed.trace() == -W.norm_sq() / (12 * (n - 1))
     # off-diagonal part untouched
     assert fixed.entries[0][1] == Jh.entries[0][1]
