@@ -117,11 +117,8 @@ class MonomialTable:
         x_i^2 x^exps[t], fac[t, i] = (e_i + 2)(e_i + 1), and ``gain`` bounds
         every row sum of fac."""
         up = monomial_table(self.n, self.m + 2)
-        src = np.empty((self.size, self.n), dtype=np.intp)
-        for i in range(self.n):
-            shifted = self.exps.copy()
-            shifted[:, i] += 2
-            src[:, i] = up.rank(shifted)
+        shifted = self.exps[:, None, :] + 2 * np.eye(self.n, dtype=np.intp)
+        src = up.rank(shifted).reshape(self.size, self.n)
         fac = (self.exps + 2) * (self.exps + 1)
         return src, fac, int(fac.sum(axis=1).max())
 

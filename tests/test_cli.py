@@ -202,10 +202,21 @@ def test_cli_import_leaves_scipy_special_out():
     import qcurv
 
     src = os.path.dirname(os.path.dirname(qcurv.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, qcurv.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
+                         env=env, check=True)
     assert out.stdout.strip() == "False"
+    # the spectral path builds its Gauss-Jacobi rules without scipy
+    code = ("import sys\n"
+            "from click.testing import CliRunner\n"
+            "from qcurv.cli import main\n"
+            "for argv in (['spectral'], ['verify', 'spectral']):\n"
+            "    assert CliRunner().invoke(main, argv).exit_code == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parametrix_jet_file_past_int64_bound_usage_error(runner, tmp_path):
@@ -319,6 +330,26 @@ def test_spectral_norm_underflow_usage_error(runner, argv):
     res = runner.invoke(main, [*argv, "--n", "400", "--L", "8"])
     assert res.exit_code == 2, repr(res.exception)
     assert "n=400, L=8" in res.output
+
+
+@pytest.mark.parametrize("argv,shape", [
+    (["spectral", "--n", "2000", "--L", "8"], "n=2000, L=8"),
+    (["verify", "spectral", "--n", "454", "--L", "2"], "n=454, L=2"),
+    (["spectral", "--n", "440", "--L", "2", "--iters", "2"], "n=440, L=2"),
+    (["spectral", "--n", "326", "--L", "256"], "n=326, L=256"),
+])
+def test_large_n_refused_before_any_transform(runner, monkeypatch, argv, shape):
+    # the sphere area or a Gauss-Jacobi weight leaves the normal floats
+    def no_transform(*a, **k):
+        raise AssertionError("a refused shape reached a transform")
+
+    for name in ("synthesize", "analyze", "synthesize_at"):
+        monkeypatch.setattr(spectral.SphereSolver, name, no_transform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, argv)
+    assert res.exit_code == 2, repr(res.exception)
+    assert shape in res.output
 
 
 @pytest.mark.parametrize("argv", [["spectral", "--iters", "2"], ["verify", "spectral"]])

@@ -59,7 +59,7 @@ def test_dump_report_refuses_nested_non_finite(bad):
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "462980ce04dabe6f0a1465d3218549beda255a7d984555f4102aac4f235b836b"),
+     "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
     (["parametrix", "--n", "8", "--seed", "1"],
      "2226ccddfc4f152499982eeb42259bbc03f2593b77f4aa562769f57dc2c4b1c3"),
     (["parametrix", "--n", "12", "--seed", "1"],
@@ -67,14 +67,14 @@ PINNED = [
     (["parametrix", "--n", "16", "--seed", "1"],
      "83c81f3e34a0a732c1957b683e174aa1ea013e35a14134fbd405cf4f746b270a"),
     (["spectral"],
-     "284450c33aa0f65a74dc6201f302c7a4fd1077c828d18bf8b6ff2be0e79a27ca"),
+     "a31f6b6bc772d48de242d455cc8c5eb9364a9a36dbe38db28f33ae8de6558b95"),
 ]
 
-# reports whose transforms are large enough for OpenBLAS to split them
-# across threads, which changes their sums: pinned under one BLAS thread
+# a large-L report, pinned under one BLAS thread: from L = 512 OpenBLAS
+# splits the transforms across threads, which changes their sums
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "e71e9938bfc1c9a32b7f68bc1b7ee2fd4881caa808599846d65ac2da36bbd870"),
+     "e76503dedcd8d547aa93403fb57a168ecd61c1e18f7a874c7a2a26e09e19493f"),
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}

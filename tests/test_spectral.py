@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcurv import spectral
 from qcurv.sphereforms import sharp_constants, sphere_area
 from qcurv.spectral import MAX_L, PaneitzSpectrum, SphereSolver, ZonalField, spectral_report
 
@@ -32,6 +33,36 @@ def y4plus_functional(solver: SphereSolver, u: ZonalField) -> float:
     if np.min(vals) <= 0:
         raise ValueError("field is not positive on the oversampled grid")
     return solver.y4_functional(u)
+
+
+def gegenbauer_norms(n: int, deg: int) -> np.ndarray:
+    """||C_l^lam||^2 against (1-t^2)^{lam-1/2}, lam = (n-1)/2, for l <= deg, in
+    closed form: h_0 = sqrt(pi) Gamma(a+1)/Gamma(a+3/2) with a = (n-2)/2 and
+    h_l = h_0 binom(l+2lam-1, l) lam/(l+lam), exact rationals times pi for
+    odd n, each rounded once to a float (twice for odd n)."""
+    if n % 2 == 0:
+        a = (n - 2) // 2
+        h0 = F(4 ** (a + 1) * math.factorial(a) * math.factorial(a + 1), math.factorial(2 * a + 2))
+        pi = 1.0
+    else:
+        m = (n - 1) // 2
+        h0 = F(math.factorial(2 * m), 4**m * math.factorial(m) ** 2)
+        pi = math.pi
+    return np.array([float(h0 * math.comb(l + n - 2, l) * F(n - 1, 2 * l + n - 1)) * pi
+                     for l in range(deg + 1)])
+
+
+def rule_gram_defect(t: np.ndarray, w: np.ndarray, n: int, deg: int) -> float:
+    """max |G - I| for the Gegenbauer polynomials of degree <= deg, normalized
+    by their exact norms, under the rule (t, w)."""
+    lam = 0.5 * (n - 1)
+    rows = np.empty((deg + 1, t.size))
+    rows[0] = 1.0
+    rows[1] = 2.0 * lam * t
+    for l in range(1, deg):
+        rows[l + 1] = (2.0 * (l + lam) * t * rows[l] - (l + 2.0 * lam - 1.0) * rows[l - 1]) / (l + 1.0)
+    B = rows / np.sqrt(gegenbauer_norms(n, deg))[:, None]
+    return float(np.max(np.abs((B * w) @ B.T - np.eye(deg + 1))))
 
 
 def expanded_mu_residuals(spec: PaneitzSpectrum) -> list[int]:
@@ -73,8 +104,6 @@ def test_solver_validation():
         SphereSolver(4, 16)
     with pytest.raises(ValueError):
         SphereSolver(5, 16, oversample=2)
-    with pytest.raises(ValueError):
-        SphereSolver(5, 16, grid_nodes=8)
     with pytest.raises(ValueError, match="exceeds"):
         SphereSolver(5, MAX_L + 1)
 
@@ -89,7 +118,98 @@ def test_solvers_of_one_shape_share_read_only_rules(s5):
         s5.t[0] = 0.0
 
 
+@pytest.mark.parametrize("M", [6, 18, 130, 390, 514, 1542])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 20, 60, 200, 326, 400])
+def test_gauss_jacobi_rule_against_scipy(n, M):
+    from scipy.special import roots_jacobi  # the oracle only: qcurv builds its own rule
+
+    a = 0.5 * (n - 2)
+    with np.errstate(all="ignore"):  # scipy's rule turns NaN once a is large
+        ts, ws = roots_jacobi(M, a, a)
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ws))):
+        # there the outer weights fall below the smallest float
+        with pytest.raises(ValueError, match="weights outside the float range"):
+            spectral._gauss_jacobi(M, a)
+        return
+    t, w = spectral._gauss_jacobi(M, a)
+    assert np.array_equal(t[::-1], -t) and np.array_equal(w[::-1], w)
+    assert spectral._certify(t[M // 2:], M, a + 0.5)[0].all()
+    assert np.max(np.abs(t - ts)) <= 1e-15
+    assert np.max(np.abs(w - ws) / ws) <= 1e-7
+    deg = min(M - 1, 60)
+    # both defects reach rounding level at small M, where they differ by an ulp
+    assert rule_gram_defect(t, w, n, deg) <= max(rule_gram_defect(ts, ws, n, deg),
+                                                 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [5, 6, 60, 326, 401])
+def test_jacobi_mass_closed_form(n):
+    want = gegenbauer_norms(n, 0)[0]
+    assert abs(spectral._jacobi_mass(0.5 * (n - 2)) - want) <= 4e-15 * want
+
+
+def test_rule_recovers_nodes_newton_loses(monkeypatch):
+    # two starts on one zero converge to it together: the certificate
+    # rejects both, and bisection on the Sturm count finds the two zeros
+    t0, w0 = spectral._gauss_jacobi(130, 1.5)
+    starts = spectral._zero_starts
+
+    def colliding(M, lam):
+        x = starts(M, lam)
+        x[10] = x[11]
+        x[-2] = x[-1]
+        return x
+
+    monkeypatch.setattr(spectral, "_zero_starts", colliding)
+    counted = []
+    recurrence = spectral._recurrence
+    monkeypatch.setattr(spectral, "_recurrence",
+                        lambda *a, **k: counted.append(k.get("count", False)) or recurrence(*a, **k))
+    t, w = spectral._gauss_jacobi.__wrapped__(130, 1.5)
+    assert sum(counted) > 2  # a certificate failed and the count bisected
+    assert np.max(np.abs(t - t0)) <= 2e-16
+    assert np.max(np.abs(w - w0) / w0) <= 1e-13
+
+
+def test_uncertifiable_rule_names_the_shape():
+    with pytest.raises(ValueError, match="n=326, L=256"):
+        SphereSolver(326, 256)
+
+
 # ----------------------------------------------------------- transforms
+
+
+@pytest.mark.parametrize("oversampled", [False, True])
+def test_folded_transforms_match_full_basis(s7, oversampled):
+    # the unfolded pair, one product with the (L+1) x M basis, is the reference
+    t, w = (s7.t_over, s7.w_over) if oversampled else (s7.t, s7.w)
+    B = s7._orthonormal_basis(t)
+    rng = np.random.Generator(np.random.Philox(7))
+    f = ZonalField(7, s7.L, rng.standard_normal(s7.L + 1))
+    vals = s7.synthesize(f, oversampled)
+    assert np.max(np.abs(vals - B.T @ f.coeffs)) <= 1e-13 * np.max(np.abs(vals))
+    v = rng.standard_normal(t.size)
+    back = s7.analyze(v, oversampled).coeffs
+    assert np.max(np.abs(back - B @ (w * v))) <= 1e-13 * np.max(np.abs(back))
+
+
+def test_synthesis_mirror_is_exact(s7):
+    rng = np.random.Generator(np.random.Philox(8))
+    c = rng.standard_normal(s7.L + 1)
+    flipped = c * (-1.0) ** np.arange(s7.L + 1)
+    for over in (False, True):
+        vals = s7.synthesize(ZonalField(7, s7.L, c), over)
+        assert np.array_equal(vals[::-1], s7.synthesize(ZonalField(7, s7.L, flipped), over))
+
+
+def test_gram_defect_is_the_full_gram(s7):
+    # rows Z_l on the full grid; the even-odd block vanishes to rounding
+    eye = np.eye(s7.L + 1)
+    B = np.array([s7.synthesize(ZonalField(7, s7.L, e)) for e in eye])
+    G = (B * s7.w) @ B.T
+    assert np.max(np.abs(G[0::2, 1::2])) <= 1e-15
+    assert abs(s7.gram_defect() - np.max(np.abs(G - eye))) <= 1e-15
+
 
 
 def test_constant_field_coefficients(s5):
@@ -369,6 +489,23 @@ def test_extremal_iteration_perturbed_bounded(s5):
 def test_extremal_iteration_plain_update(s5):
     traj = s5.extremal_iteration(s5.constant_field(1.0), 10, 1.0)
     assert len(traj) == 11
+
+
+@pytest.mark.parametrize("L", [64, 256])
+@pytest.mark.parametrize("damping", [0.1, 0.5, 1.0])
+def test_carried_iteration_values_track_synthesis(monkeypatch, L, damping):
+    s = SphereSolver(7, L)
+    seen = []
+    norm = s._norm
+    monkeypatch.setattr(s, "_norm", lambda vals, p: seen.append(vals.copy()) or norm(vals, p))
+    f0 = s.constant_field(1.0)
+    f0.coeffs[2] += 0.1 * f0.coeffs[0]
+    f, value = s.extremal_iteration(f0, 200, damping)[-1]
+    # the last norm taken is of the final blend, before it is normalized
+    carried = seen[-1] / norm(seen[-1], 2.0 * 7 / 11)
+    want = s.synthesize(f, oversampled=True)
+    assert np.max(np.abs(carried - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(value - s.theta4_functional(f)) <= 1e-13 * value
 
 
 def test_extremal_iteration_errors(s5):
