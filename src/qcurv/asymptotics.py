@@ -18,8 +18,18 @@ with v the bubble (high case) or the matching difference
 beta = lam^{(n-4)/2} r^{4-n} - u_lam (all other cases), and A4 the
 Schouten quartic.  Angular integrals of the curvature polynomials are done
 exactly through their harmonic-block averages, so only 1-D radial
-quadratures remain; those run on fixed composite Gauss-Legendre panels
-refined geometrically around r ~ lam.
+quadratures remain.
+
+Those run on composite 48-point Gauss-Legendre panels: on the ball, panels
+that double in width from lam/64 out to delta, so they are refined
+geometrically around r ~ lam; on the annulus, four equal panels.  Each
+integrand is elementwise in r and is called once per lam on the array of
+all its nodes; each panel is still summed as its own dot product and the
+panels left to right, so the result is the same, bit for bit, as one call
+per panel.  The exact radial factors (u_lam, f_lam, beta and their
+derivatives) do not depend on lam: they are built once per dimension and
+bound to each lam (``RadialTermSum.at``); the cutoff polynomial is built
+once per degree, and the float curvature averages once per model.
 
 Model scope: integrals are taken over the ball r <= delta plus, for the
 numerator of the matched cases, the exact cutoff annulus term
@@ -34,6 +44,7 @@ not modeled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,11 +162,12 @@ class Cutoff:
         self._derivs = [self._poly.deriv(m) if m else self._poly for m in range(5)]
 
     def eta1_derivs(self, s) -> np.ndarray:
-        """Rows 0..4: derivative values of eta1 with respect to s."""
+        """Rows 0..4: derivative values of eta1 with respect to s, each of
+        the shape of s."""
         s = np.asarray(s, dtype=float)
         inside = (s > 1.0) & (s < 2.0)
         t = np.clip(s - 1.0, 0.0, 1.0)
-        out = np.zeros((5, s.size))
+        out = np.zeros((5, *s.shape))
         out[0] = self._poly(t)
         for m in range(1, 5):
             out[m] = np.where(inside, self._derivs[m](t), 0.0)
@@ -178,7 +190,9 @@ class Case:
     the cutoff annulus term; an unmatched one the bubble alone.  Each
     split check fits one evaluate_model quantity against its own closed
     form: (check id formatted with case and n, provenance, quantity,
-    closed form per unit).
+    closed form per unit).  ``green_avg(model, lam, r)`` is the angular
+    average of the Green's-function correction the test function carries
+    with the bubble.
     """
 
     n_min: int
@@ -193,6 +207,7 @@ class Case:
     relative: bool = True
     matched: bool = True
     split_checks: tuple[tuple[str, str, str, Callable[[int], float]], ...] = ()
+    green_avg: Callable = lambda model, lam, r: 0.0
 
 
 _MASS = dict(
@@ -206,6 +221,7 @@ _MASS = dict(
     split_checks=(("asymptotics.numerator_coeff[{case},n={n}]",
                    "flat-case numerator expansion, explicit constant", "numerator",
                    flat_numerator_coefficient),),
+    green_avg=lambda m, lam, r: m.A0 * lam ** ((m.n - 4) / 2) * np.ones_like(r),
 )
 
 CASES = {
@@ -221,10 +237,12 @@ CASES = {
         relative=False,
         split_checks=(("asymptotics.numerator_log_coeff[n8]", "n=8 numerator lam^4 log(1/lam) term",
                        "numerator", lambda n: math.pi**4 / 90.0),),
+        green_avg=lambda m, lam, r: -(float(m.angular.w2) / 1440.0) * lam**2 * np.log(r),
     ),
     # no split checks: the mixed 1/pi pieces of n = 9 are not tracked
     # separately, so it is held at the ratio level alone
-    "n9": Case(9, 9, (0.04, 0.0283, 0.02, 0.01414, 0.01), 0.05, lambda n: float(n9_ratio_coefficient())),
+    "n9": Case(9, 9, (0.04, 0.0283, 0.02, 0.01414, 0.01), 0.05, lambda n: float(n9_ratio_coefficient()),
+               green_avg=lambda m, lam, r: lam**2.5 * m.psi4_block / r),
     "high": Case(
         10, None, (0.04, 0.02, 0.01, 0.005), 0.02, lambda n: float(high_ratio_coefficient(n)),
         matched=False,
@@ -303,6 +321,15 @@ class TestFunctionModel:
         return float(psi4_radial_block(self.jet))
 
     @cached_property
+    def corr_constants(self) -> tuple[float, float, float] | None:
+        """The Schouten-quartic, J and |W|^2 averages as floats, shared by
+        every lam; None where the jet carries no curvature correction."""
+        ang = self.angular
+        if ang is None or (ang.w2 == 0 and ang.gj2 == 0):
+            return None
+        return float(ang.schouten_quartic_avg()), float(ang.gj2), float(ang.w2)
+
+    @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
         """Fit weights lam^{-p} and the weighted basis matrix of the grid."""
         row = CASES[self.case]
@@ -337,12 +364,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
 def _panel_quad(fn, breakpoints) -> float:
+    """Sum over the panels [a, b] of consecutive breakpoints of the 48-point
+    Gauss-Legendre rule.  ``fn`` is elementwise in r and is called once, on
+    the (panels x 48) array of every node; each panel is then summed as its
+    own dot product and the panels left to right, so the total does not
+    depend on how the nodes were batched."""
+    a = np.asarray(breakpoints[:-1], dtype=float)
+    b = np.asarray(breakpoints[1:], dtype=float)
+    half = 0.5 * (b - a)
+    values = fn((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)
     total = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        r = mid + half * _GL_NODES
-        total += half * float(np.dot(_GL_WEIGHTS, fn(r)))
+    for h, row in zip(half.tolist(), values):
+        total += h * float(np.dot(_GL_WEIGHTS, row))
     return total
 
 
@@ -359,9 +392,35 @@ def _bulk_breakpoints(lam: float, delta: float) -> list[float]:
 # -- the radially reduced integrands --------------------------------------------
 
 
+@functools.cache
+def _cutoff(degree: int) -> Cutoff:
+    return Cutoff(degree)
+
+
+def _chain(h: RadialTermSum, order: int) -> list[RadialTermSum]:
+    """h and its derivatives up to the given order."""
+    out = [h]
+    for _ in range(order):
+        out.append(out[-1].diff())
+    return out
+
+
+@functools.cache
+def _radial_shapes(n: int) -> tuple[list[RadialTermSum], RadialTermSum, list[RadialTermSum]]:
+    """The lam-free radial factors of dimension n, built on first use: u_lam
+    and its first two derivatives, the bubble term n(n+2)(n-2)(n-4) f_lam of
+    P phi, and the matching difference beta = lam^{(n-4)/2} r^{4-n} - u_lam
+    and its derivatives of order 0..4.  Each evaluation binds them to its
+    lam."""
+    q = F(n - 4, 2)
+    beta = RadialTermSum(1.0, [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
+    main = bubble_f(1.0, n).scale(n * (n + 2) * (n - 2) * (n - 4))
+    return _chain(bubble_u(1.0, n), 2), main, _chain(beta, 4)
+
+
 class _ModelPieces:
-    """Radial factors of one (model, lam) evaluation, with the angular
-    averages ``ang`` of the curvature polynomials."""
+    """Radial factors of one (model, lam) evaluation.  The exact ones are
+    the per-dimension shapes bound to lam, so nothing is derived here."""
 
     def __init__(self, model: TestFunctionModel, lam: float):
         n = model.n
@@ -371,45 +430,29 @@ class _ModelPieces:
         self.p = 2.0 * n / (n + 4)
         self.surf = n * omega_n(n)
 
-        q = F(n - 4, 2)
-        self.u = bubble_u(lam, n)
-        self.main = bubble_f(lam, n).scale(n * (n + 2) * (n - 2) * (n - 4))
-        self.beta = RadialTermSum(
-            lam,
-            [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)],
-        )
+        u_chain, main, beta_chain = _radial_shapes(n)
+        self.u = u_chain[0].at(lam)
+        self.main = main.at(lam)
+        self.beta = [b.at(lam) for b in beta_chain]
 
-        self.ang = model.angular
-        self.cutoff = Cutoff(model.cutoff_degree)
+        self.corr_consts = model.corr_constants
+        self.cutoff = _cutoff(model.cutoff_degree)
 
         # correction rides on beta (matched cases) or on u itself (high)
-        matched = CASES[model.case].matched
-        self.corr_sign = -1.0 if matched else +1.0
-        self.v = self.beta if matched else self.u
-        self.v1 = self.v.diff()
-        self.v2 = self.v1.diff()
+        row = CASES[model.case]
+        self.corr_sign = -1.0 if row.matched else +1.0
+        self.v, self.v1, self.v2 = (self.beta[:3] if row.matched
+                                    else [d.at(lam) for d in u_chain])
 
         # angular-averaged green correction carried by the test function
-        lam_q = lam ** float(q)
-        if model.case in ("flat", "lowdim"):
-            self.gavg = lambda r: model.A0 * lam_q * np.ones_like(r)
-        elif model.case == "n8":
-            w2 = float(self.ang.w2)
-            self.gavg = lambda r: -(w2 / 1440.0) * lam**2 * np.log(r)
-        elif model.case == "n9":
-            c_psi = model.psi4_block
-            self.gavg = lambda r: lam**2.5 * c_psi / r
-        else:
-            self.gavg = lambda r: 0.0
+        self.gavg = lambda r: row.green_avg(model, lam, r)
 
     def corr_avg(self, r: np.ndarray) -> np.ndarray:
         """Angular average of the curvature correction to P phi."""
-        if self.ang is None or (self.ang.w2 == 0 and self.ang.gj2 == 0):
+        if self.corr_consts is None:
             return np.zeros_like(r)
         n = self.n
-        cA = float(self.ang.schouten_quartic_avg())
-        gj = float(self.ang.gj2)
-        w2 = float(self.ang.w2)
+        cA, gj, w2 = self.corr_consts
         v = self.v(r)
         v1 = self.v1(r)
         v2 = self.v2(r)
@@ -440,7 +483,7 @@ class _ModelPieces:
             e1[m] /= d**m
         e2 = -e1
         e2[0] = 1.0 - e1[0]
-        b = [self.beta.deriv(m, r) for m in range(5)]
+        b = [beta(r) for beta in self.beta]
         f = [
             sum(math.comb(m, i) * e2[i] * b[m - i] for i in range(m + 1))
             for m in range(5)

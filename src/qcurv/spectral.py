@@ -408,10 +408,14 @@ class SphereSolver:
             raise self._out_of_range("functional value", q)
         return q
 
-    def _quotient(self, num: float, field: ZonalField, p: float) -> float:
+    def _field_norm(self, field: ZonalField, p: float) -> float:
+        """``lp_norm`` of a field, which must not be zero."""
         if not np.any(field.coeffs):
             raise ValueError(f"zero field at n={self.n}, L={self.L}")
-        return self._ratio(num, self.lp_norm(field, p))
+        return self.lp_norm(field, p)
+
+    def _quotient(self, num: float, field: ZonalField, p: float) -> float:
+        return self._ratio(num, self._field_norm(field, p))
 
     def _theta4_num(self, coeffs: np.ndarray) -> float:
         return float(np.sum(coeffs**2 / self.spectrum.mu_f))
@@ -498,6 +502,19 @@ class SphereSolver:
         vals = self.synthesize_at(f, np.cos(theta_new)) * weight
         return self.analyze(vals)
 
+    def pulled_constant(self, t: float) -> tuple[float, float]:
+        """The dual functional and the L^{2n/(n+4)} norm of the constant 1
+        pulled back by the dilation t.  At large n the weight t^{-(n+4)/2}
+        can take that field out of the floating-point range, and the refusal
+        then names t."""
+        pulled = self.mobius_pullback(self.constant_field(1.0), t)
+        try:
+            norm = self._field_norm(pulled, 2.0 * self.n / (self.n + 4))
+            return self._ratio(self._theta4_num(pulled.coeffs), norm), norm
+        except ValueError as e:
+            raise ValueError(f"the constant pulled back by the dilation t={t:g} "
+                             f"(weight down to t^-(n+4)/2): {e}") from None
+
 
 def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> dict:
     """Assemble the JSON payload behind the `spectral` CLI subcommand."""
@@ -517,13 +534,12 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> di
     const_norm = solver.lp_norm(const, p)
     invariance = []
     for tt in MOBIUS_T:
-        pulled = solver.mobius_pullback(const, tt)
+        value, norm = solver.pulled_constant(tt)
         invariance.append(
             {
                 "t": tt,
-                "theta4_drift": abs(solver.theta4_functional(pulled) - theta4_const)
-                / theta4_const,
-                "norm_drift": abs(solver.lp_norm(pulled, p) - const_norm) / const_norm,
+                "theta4_drift": abs(value - theta4_const) / theta4_const,
+                "norm_drift": abs(norm - const_norm) / const_norm,
             }
         )
     return {

@@ -14,6 +14,7 @@ sphere's Q value) stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,25 +64,37 @@ def radial_moment(a: float, b: float, n: int) -> float:
 
 def bubble_u(lam: float, n: int) -> RadialTermSum:
     """u_lam = (lam / (r^2 + lam^2))^{(n-4)/2}."""
-    if n < 5:
-        raise ValueError("bubbles require n >= 5")
-    q = Fraction(n - 4, 2)
-    return RadialTermSum.single(lam, 1, q, 0, -q)
+    return _bubble(n, n - 4).at(lam)
 
 
 def bubble_f(lam: float, n: int) -> RadialTermSum:
     """f_lam = (lam / (r^2 + lam^2))^{(n+4)/2} = u_lam^{(n+4)/(n-4)}."""
-    if n < 5:
-        raise ValueError("bubbles require n >= 5")
-    q = Fraction(n + 4, 2)
-    return RadialTermSum.single(lam, 1, q, 0, -q)
+    return _bubble(n, n + 4).at(lam)
 
 
 def bubble_bilaplacian(lam: float, n: int) -> RadialTermSum:
     """Delta^2 u_lam in canonical form.  The bubble equation
     Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam holds exactly when this sum
-    equals n(n+2)(n-2)(n-4) f_lam term for term, for every lam at once."""
-    return bubble_u(lam, n).bilaplacian(n).canonical()
+    equals n(n+2)(n-2)(n-4) f_lam term for term, for every lam at once.
+    Every term of Delta^2 u_lam has an even r power j >= 0, where the
+    canonical form is unique."""
+    return _bubble_bilaplacian(n).at(lam)
+
+
+# the bubble profiles and the canonical Delta^2 u are lam-free term lists,
+# built once per dimension on first use and bound to each lam by ``at``
+@functools.cache
+def _bubble(n: int, twice_q: int) -> RadialTermSum:
+    """(lam / (r^2 + lam^2))^{twice_q/2} at lam = 1."""
+    if n < 5:
+        raise ValueError("bubbles require n >= 5")
+    q = Fraction(twice_q, 2)
+    return RadialTermSum.single(1.0, 1, q, 0, -q)
+
+
+@functools.cache
+def _bubble_bilaplacian(n: int) -> RadialTermSum:
+    return bubble_u(1.0, n).bilaplacian(n).canonical()
 
 
 def bubble_pde_residual(lam: float, n: int, r) -> np.ndarray:

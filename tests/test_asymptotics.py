@@ -28,6 +28,7 @@ from qcurv.asymptotics import (
 )
 from qcurv.parametrix import CurvatureJet, random_jet
 from qcurv.polyalg import HomogPoly
+from qcurv.radial import RadialTermSum
 from qcurv.sphereforms import omega_n
 from qcurv.tensor import random_weyl
 
@@ -382,6 +383,95 @@ def test_numerator_check_n9():
     jet = random_jet(9, seed=5, normalize=True)
     # n9 is held at the ratio level by fit_expansion only
     assert numerator_coefficient_check(TestFunctionModel(case="n9", n=9, jet=jet)) == []
+
+
+# ---------------------------------------------- batching and shape caches
+
+_DEFAULT_N = {"flat": 5, "lowdim": 6, "n8": 8, "n9": 9, "high": 10}
+
+
+def _default_model(case: str) -> TestFunctionModel:
+    n = _DEFAULT_N[case]
+    jet = random_jet(n, seed=7, normalize=True) if CASES[case].needs_jet else None
+    return TestFunctionModel(case=case, n=n, jet=jet)
+
+
+def _panel_quad_per_panel(fn, breakpoints) -> float:
+    """The quadrature as one integrand call per panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    total = 0.0
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        total += half * float(np.dot(weights, fn(mid + half * nodes)))
+    return total
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_batched_panel_quad_matches_per_panel_loop(case):
+    # one integrand call over every panel gives the per-panel sums bit for bit
+    m = _default_model(case)
+    annulus = [m.delta * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
+    for lam in m.lambdas:
+        pieces = _ModelPieces(m, lam)
+        bulk = _bulk_breakpoints(lam, m.delta)
+        for fn, bp in ((pieces.numerator_bulk, bulk), (pieces.norm_bulk, bulk),
+                       (pieces.numerator_annulus, annulus)):
+            assert _panel_quad(fn, bp) == _panel_quad_per_panel(fn, bp)
+
+
+def _chain(h: RadialTermSum, order: int) -> list[RadialTermSum]:
+    return [h] + _chain(h.diff(), order - 1) if order else [h]
+
+
+def _direct_sums(n: int, lam: float) -> dict:
+    """The radial factors built from scratch at lam, sharing nothing."""
+    q, q4 = F(n - 4, 2), F(n + 4, 2)
+    u = RadialTermSum(lam, [(F(1), q, 0, -q)])
+    beta = RadialTermSum(lam, [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
+    return {
+        "u": _chain(u, 2),
+        "main": RadialTermSum(lam, [(F(1), q4, 0, -q4)]).scale(n * (n + 2) * (n - 2) * (n - 4)),
+        "beta": _chain(beta, 4),
+    }
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bound_pieces_equal_pieces_built_at_lambda(case):
+    m = _default_model(case)
+    r = np.geomspace(1e-3, 2.0, 97).reshape(1, 97)
+    for lam in (*m.lambdas, 0.0371, 0.2):
+        pieces = _ModelPieces(m, lam)
+        want = _direct_sums(m.n, lam)
+        v = want["beta"][:3] if CASES[case].matched else want["u"]
+        pairs = [(pieces.u, want["u"][0]), (pieces.main, want["main"]),
+                 *zip(pieces.beta, want["beta"]), *zip((pieces.v, pieces.v1, pieces.v2), v)]
+        assert len(pairs) == 10
+        for got, direct in pairs:
+            assert got.lam == direct.lam == lam
+            assert got.terms == direct.terms
+            assert np.array_equal(got(r), direct(r))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
+    m = _default_model(case)
+    first = evaluate_model(m, m.lambdas[0])
+    calls = []
+    for name in ("__init__", "diff", "canonical"):
+        def counted(self, *args, _orig=getattr(RadialTermSum, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(RadialTermSum, name, counted)
+    evaluate_model(m, m.lambdas[1])
+    assert calls == []
+    # the same lam again gives the same floats
+    assert evaluate_model(m, m.lambdas[0]) == first
+    assert calls == []
+    # and the counters do see a derivation
+    RadialTermSum(1.0, [(F(1), F(0), 2, F(0))]).diff().canonical()
+    assert calls == ["__init__", "diff", "__init__", "canonical", "__init__"]
 
 
 # ------------------------------------------------------------------- MC

@@ -333,6 +333,23 @@ def test_spectral_norm_underflow_usage_error(runner, argv):
 
 
 @pytest.mark.parametrize("argv,shape", [
+    (["spectral", "--n", "410", "--L", "8", "--iters", "2"], "n=410, L=8"),
+    (["verify", "spectral", "--n", "410", "--L", "2"], "n=410, L=2"),
+    (["spectral", "--n", "398", "--L", "8", "--iters", "2"], "n=398, L=8"),
+    (["spectral", "--n", "399", "--L", "2", "--iters", "2"], "n=399, L=2"),
+    (["verify", "spectral", "--n", "399", "--L", "8"], "n=399, L=8"),
+])
+def test_pulled_back_constant_out_of_range_names_the_dilation(runner, argv, shape):
+    # the weight 4^{-(n+4)/2} of the t = 4 pullback takes the constant out of
+    # the float range: its coefficients underflow to 0, or its norm does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, argv)
+    assert res.exit_code == 2, repr(res.exception)
+    assert "dilation t=4" in res.output and shape in res.output
+
+
+@pytest.mark.parametrize("argv,shape", [
     (["spectral", "--n", "2000", "--L", "8"], "n=2000, L=8"),
     (["verify", "spectral", "--n", "454", "--L", "2"], "n=454, L=2"),
     (["spectral", "--n", "440", "--L", "2", "--iters", "2"], "n=440, L=2"),

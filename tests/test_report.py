@@ -68,6 +68,20 @@ PINNED = [
      "83c81f3e34a0a732c1957b683e174aa1ea013e35a14134fbd405cf4f746b270a"),
     (["spectral"],
      "a31f6b6bc772d48de242d455cc8c5eb9364a9a36dbe38db28f33ae8de6558b95"),
+    (["asymptotics", "--case", "flat", "--n", "5"],
+     "5a4a794b72d99716526a7332b5ea146ecaaa74b7a05d56a27aaca9678713f959"),
+    (["asymptotics", "--case", "lowdim", "--n", "6"],
+     "32ed068f39864379a19650e997378ed85931e76964839c75ea96214079b79a57"),
+    (["asymptotics", "--case", "n8", "--n", "8"],
+     "e4364fcd6b1a41941e1c72bc1a93120d65c4750f7636a9f4267505a4aa181fd6"),
+    (["asymptotics", "--case", "n9", "--n", "9"],
+     "7c2572897854468d9187bb9ef26b6dd71107e53695cb0328f8ad958c6127b86f"),
+    (["asymptotics", "--case", "high", "--n", "10"],
+     "07b138854fcf9b41f313bbecd42e2e794f6dfd764106a7ffd7d122270528cba3"),
+    (["verify", "asymptotics"],
+     "b253746af2c4f0ea228553993e877f040557f2b4e0677a14fa4e7ab7abaaabae"),
+    (["verify", "bubbles"],
+     "bc8342141700158978f534f7722839e1ea19e5e010e913a4be637cc531ca714d"),
 ]
 
 # a large-L report, pinned under one BLAS thread: from L = 512 OpenBLAS

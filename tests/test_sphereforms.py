@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from qcurv.radial import RadialTermSum
 from qcurv.sphereforms import (
     MOMENTS_MAX_N,
+    bubble_bilaplacian,
     bubble_f,
     bubble_pde_residual,
     bubble_u,
@@ -125,10 +126,66 @@ def test_bilap_of_constant_vanishes():
     assert const.bilaplacian(6)(2.0) == 0.0
 
 
+def test_at_binds_the_same_terms():
+    F = Fraction
+    x = RadialTermSum(0.5, [(F(2), 1, 4, F(-3)), (F(5), 0, 1, F(-1, 2))])
+    y = x.at(1.5)
+    assert y.lam == 1.5 and x.lam == 0.5 and y.terms is x.terms
+    fresh = RadialTermSum(1.5, x.terms)
+    r = np.geomspace(0.1, 10.0, 9)
+    for k in range(4):
+        assert np.array_equal(y.deriv(k, r), fresh.deriv(k, r))
+    # derived sums are shared by every binding, and bound to its lam
+    assert x.diff().terms is y.diff().terms and y.diff().lam == 1.5
+    assert y.canonical().terms == fresh.canonical().terms
+    assert np.array_equal(y.canonical()(r), fresh.canonical()(r))
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            x.at(bad)
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 12])
+def test_bubbles_bound_per_lambda_equal_fresh_sums(n):
+    F = Fraction
+    q, q4 = F(n - 4, 2), F(n + 4, 2)
+    r = np.geomspace(1e-2, 1e2, 41)
+    for lam in (0.3, 1.0, 2.7):
+        u = RadialTermSum(lam, [(F(1), q, 0, -q)])
+        pairs = [(bubble_u(lam, n), u), (bubble_f(lam, n), RadialTermSum(lam, [(F(1), q4, 0, -q4)])),
+                 (bubble_bilaplacian(lam, n), u.bilaplacian(n).canonical())]
+        for got, fresh in pairs:
+            assert got.lam == lam and got.terms == fresh.terms
+            assert np.array_equal(got(r), fresh(r))
+        for k in range(5):
+            assert np.array_equal(bubble_u(lam, n).deriv(k, r), u.deriv(k, r))
+        assert np.array_equal(bubble_pde_residual(lam, n, r),
+                              np.abs(pairs[2][1](r) - n * (n + 2) * (n - 2) * (n - 4)
+                                     * pairs[1][1](r)) / np.abs(n * (n + 2) * (n - 2) * (n - 4)
+                                                                * pairs[1][1](r)))
+
+
+def test_bubble_algebra_derived_once_per_dimension(monkeypatch):
+    bubble_bilaplacian(0.4, 7)
+    bubble_u(0.4, 7).deriv(4, 1.0)
+    calls = []
+    for name in ("__init__", "diff", "canonical"):
+        def counted(self, *args, _orig=getattr(RadialTermSum, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(RadialTermSum, name, counted)
+    bubble_bilaplacian(0.9, 7)
+    bubble_u(0.9, 7).deriv(4, 1.0)
+    # each diff is a lookup of the chain derived at lam = 0.4: nothing merges
+    assert calls == ["diff"] * 4
+
+
 @pytest.mark.parametrize("n", range(5, 31))
 def test_bubble_identity_exact(n):
     # Delta^2 u_lam - n(n+2)(n-2)(n-4) f_lam is the empty sum once canonical
     c = n * (n + 2) * (n - 2) * (n - 4)
+    # every r power is even and >= 0, where canonical term lists are unique
+    assert all(j >= 0 and j % 2 == 0 for _, _, j, _ in bubble_u(1.0, n).bilaplacian(n).terms)
     diff = bubble_u(1.0, n).bilaplacian(n) - bubble_f(1.0, n).scale(c)
     assert diff.terms != []
     assert diff.canonical().terms == []
