@@ -16,9 +16,11 @@ Inside the model ball, P phi reduces against the curvature jet to
 
 with v the bubble (high case) or the matching difference
 beta = lam^{(n-4)/2} r^{4-n} - u_lam (all other cases), and A4 the
-Schouten quartic.  Angular integrals of the curvature polynomials are done
-exactly through their harmonic-block averages, so only 1-D radial
-quadratures remain.
+Schouten quartic.  Only the sphere averages of these curvature
+polynomials, and of the Green's-function correction, enter the integrals,
+and each is an exact rational in n times |W|^2 (``curvature_averages``).
+So |W|^2 is the one number the model reads from the jet, and only 1-D
+radial quadratures remain.
 
 Those run on composite 48-point Gauss-Legendre panels: on the ball, panels
 that double in width from lam/64 out to delta, so they are refined
@@ -53,8 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .parametrix import CurvatureJet, psi4_closed_form
-from .polyalg import harmonic_decompose
+from .parametrix import CurvatureJet, psi4_radial_coefficient
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
 from .sphereforms import bubble_f, bubble_u, omega_n, sharp_constants
@@ -109,50 +110,43 @@ def n8_ratio_log_coefficient() -> float:
 # -- angular reduction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngularData:
-    """Exact angular averages of the jet polynomials on the unit sphere."""
+def curvature_averages(n: int) -> tuple[Fraction, Fraction, Fraction | None]:
+    """Sphere averages per unit |W|^2 of the curvature polynomials the model
+    integrates: the Schouten quartic A4 (coefficient of r^4), J_ij x_i x_j
+    (of r^2) and, for n >= 9, psi_4 (of r^4; None below).
 
-    n: int
-    w2: Fraction  # |W|^2
-    gq4: Fraction  # avg of quartic-form: gq4 * r^4
-    gj2: Fraction  # avg of J_ij x_i x_j: gj2 * r^2
-
-    @classmethod
-    def from_jet(cls, jet: CurvatureJet) -> "AngularData":
-        n = jet.n
-        w2 = jet.W.norm_sq()
-        return cls(
-            n=n,
-            w2=w2,
-            gq4=w2 * F(3, 2 * n * (n + 2)),
-            gj2=jet.Jh.trace() / n,
-        )
-
-    def schouten_quartic_avg(self) -> Fraction:
-        """avg of the Schouten quartic A4(x): coefficient of r^4."""
-        n = self.n
-        return -F(2, 9 * (n - 2)) * self.gq4 - F(1, n - 2) * self.gj2
-
-
-def psi4_radial_block(jet: CurvatureJet) -> Fraction:
-    """Coefficient of r^4 in the angular average of psi_4 (n >= 9)."""
-    blocks = {b.k: b.h for b in harmonic_decompose(psi4_closed_form(jet).get(4, 0))}
-    if 2 not in blocks:
-        return F(0)
-    return blocks[2].terms.get((0,) * jet.n, F(0))
+    The Weyl quartic sum_kl (W_ikjl x_i x_j)^2 averages to 3|W|^2/(2n(n+2))
+    (``WeylTensor.sphere_average_quartic``).  The trace constraint of
+    conformal normal coordinates, trace(J) = -|W|^2/(12(n-1)), makes the J
+    average trace(J)/n = -|W|^2/(12n(n-1)); then A4 = -2/(9(n-2)) times the
+    Weyl quartic - r^2/(n-2) J_ij x_i x_j averages to -|W|^2/(4n(n-1)(n+2)).
+    Of the three pieces of ``psi4_closed_form``, the first is harmonic of
+    degree 4 and the second is r^2 times a quadratic that is harmonic by
+    the same trace constraint, so both average to zero and only the pure
+    r^4 piece c(n)|W|^2 (``psi4_radial_coefficient``) remains.
+    """
+    psi4 = psi4_radial_coefficient(n) if n >= 9 else None
+    return F(-1, 4 * n * (n - 1) * (n + 2)), F(-1, 12 * n * (n - 1)), psi4
 
 
 # -- cutoff --------------------------------------------------------------------
 
+# The smoothstep is evaluated in the monomial basis, whose alternating
+# coefficients sum to 5e13 at degree 33 and grow about eightfold per step
+# of two: float cancellation then costs its 4th derivative about 2% of its
+# size at degree 33 and 26% at 35, where the flat, lowdim and n8 fits fail.
+# 33 is the largest degree at which every matched case still passes.
+MAX_CUTOFF_DEGREE = 33
+
 
 class Cutoff:
-    """Smoothstep of odd degree >= 9 on [1,2]: 0 to the left, 1 to the right,
-    with (degree-1)/2 >= 4 matched derivatives at both junctions."""
+    """Smoothstep of odd degree in [9, MAX_CUTOFF_DEGREE] on [1,2]: 0 to the
+    left, 1 to the right, with (degree-1)/2 >= 4 matched derivatives at both
+    junctions."""
 
     def __init__(self, degree: int = 9):
-        if degree < 9 or degree % 2 == 0:
-            raise ValueError("cutoff degree must be odd and >= 9")
+        if not 9 <= degree <= MAX_CUTOFF_DEGREE or degree % 2 == 0:
+            raise ValueError(f"cutoff degree must be odd and in [9, {MAX_CUTOFF_DEGREE}]")
         N = (degree - 1) // 2
         coeffs = np.zeros(degree + 1)
         for k in range(N + 1):
@@ -237,7 +231,7 @@ CASES = {
         relative=False,
         split_checks=(("asymptotics.numerator_log_coeff[n8]", "n=8 numerator lam^4 log(1/lam) term",
                        "numerator", lambda n: math.pi**4 / 90.0),),
-        green_avg=lambda m, lam, r: -(float(m.angular.w2) / 1440.0) * lam**2 * np.log(r),
+        green_avg=lambda m, lam, r: -(float(m.w2) / 1440.0) * lam**2 * np.log(r),
     ),
     # no split checks: the mixed 1/pi pieces of n = 9 are not tracked
     # separately, so it is held at the ratio level alone
@@ -262,13 +256,15 @@ class TestFunctionModel:
     """One concentrated-test-function experiment.
 
     ``case`` names a row of ``CASES``: the dimension regime and which
-    correction rides along with the bubble.  ``jet`` supplies curvature
-    data (required where the row needs one, optional for lowdim), ``A0``
+    correction rides along with the bubble.  ``jet`` supplies the
+    curvature, read through |W|^2 alone (required where the row needs one,
+    optional for lowdim), ``A0``
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
     points, all in (0, delta/4), whose fit weights stay finite; A0 must be
-    finite and small enough that the fit can square the values it scales.
-    Both are checked here, before any quadrature.
+    finite and small enough that the fit can square the values it scales;
+    the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].  All are
+    checked here, before any quadrature.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -299,6 +295,7 @@ class TestFunctionModel:
             raise ValueError("every lambda must lie in (0, delta/4)")
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
+        _cutoff(self.cutoff_degree)  # refuses a degree Cutoff does not admit
         self.design  # refuses a grid whose weights overflow
         if not row.needs_jet:
             # the fitted values are about A0 times a closed form per point,
@@ -311,23 +308,25 @@ class TestFunctionModel:
                     )
 
     @cached_property
-    def angular(self) -> AngularData | None:
-        """Exact angular averages of the jet, shared by every lam."""
-        return AngularData.from_jet(self.jet) if self.jet is not None else None
+    def w2(self) -> Fraction | None:
+        """|W|^2 of the jet, the only curvature datum the model reads; None
+        without a jet."""
+        return self.jet.W.norm_sq() if self.jet is not None else None
 
     @cached_property
     def psi4_block(self) -> float:
         """r^4 coefficient of the angular average of psi_4, shared by every lam."""
-        return float(psi4_radial_block(self.jet))
+        return float(curvature_averages(self.n)[2] * self.w2)
 
     @cached_property
     def corr_constants(self) -> tuple[float, float, float] | None:
         """The Schouten-quartic, J and |W|^2 averages as floats, shared by
-        every lam; None where the jet carries no curvature correction."""
-        ang = self.angular
-        if ang is None or (ang.w2 == 0 and ang.gj2 == 0):
+        every lam; None where the jet carries no curvature (|W|^2 = 0 makes
+        trace(J) and both averages vanish too)."""
+        if not self.w2:
             return None
-        return float(ang.schouten_quartic_avg()), float(ang.gj2), float(ang.w2)
+        a4, j, _ = curvature_averages(self.n)
+        return float(a4 * self.w2), float(j * self.w2), float(self.w2)
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +353,7 @@ class TestFunctionModel:
     def unit(self) -> tuple[str, float]:
         """Name and value of the unit the row's closed forms are given per."""
         if CASES[self.case].needs_jet:
-            return "w2", float(self.jet.W.norm_sq())
+            return "w2", float(self.w2)
         return "A0", self.A0
 
 

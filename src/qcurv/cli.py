@@ -188,10 +188,12 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @main.command("asymptotics")
 @click.option("--case", "case", type=click.Choice(list(asym.CASES)), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=int, default=7, show_default=True,
+              help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit reads")
 @click.option("--a0", type=float, default=1.0, show_default=True, help="flat/lowdim constant")
 @click.option("--lambdas", default=None, help="comma-separated lam grid override")
-@click.option("--cutoff-degree", type=int, default=9, show_default=True)
+@click.option("--cutoff-degree", type=click.IntRange(min=9, max=asym.MAX_CUTOFF_DEGREE), default=9,
+              show_default=True, help="odd degree of the smoothstep cutoff")
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
     """Fit the test-function expansion coefficient for one case."""

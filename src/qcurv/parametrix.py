@@ -127,12 +127,24 @@ def psi4_solve(jet: CurvatureJet) -> LogRadialExpansion:
     return solve_AA(jet.n, phi4(jet))
 
 
+def psi4_radial_coefficient(n: int) -> Fraction:
+    """c(n) of the pure r^4 piece c(n) |W|^2 r^4 of psi_4, n >= 9:
+
+        (n-4)(3n^2-2n-64) / (576 n(n+2)(n-1)(n-6)(n-8)).
+    """
+    return Fraction(
+        (n - 4) * (3 * n * n - 2 * n - 64),
+        576 * n * (n + 2) * (n - 1) * (n - 6) * (n - 8),
+    )
+
+
 def psi4_closed_form(jet: CurvatureJet) -> LogRadialExpansion:
     """Directly coded closed form of the degree-4 correction, n >= 9.
 
     Three harmonic pieces: the degree-4 harmonic part of the Weyl quartic
     over 40(n-2), a degree-2 harmonic part over 48(n-6) carrying the
-    Schouten Hessian, and a pure r^4 multiple of |W|^2.
+    Schouten Hessian, and the pure r^4 piece c(n) |W|^2 r^4
+    (``psi4_radial_coefficient``).
     """
     n = jet.n
     if n < 9:
@@ -154,13 +166,7 @@ def psi4_closed_form(jet: CurvatureJet) -> LogRadialExpansion:
         - jq.scale(Fraction(2 * (n - 6)))
         - r2.scale(w2 * Fraction(n * n + 6 * n - 32, 6 * n * (n + 4) * (n - 1)))
     ).mul_r2k(1).scale(Fraction(1, 48 * (n - 6)))
-    third = r4.scale(
-        w2
-        * Fraction(
-            (n - 4) * (3 * n * n - 2 * n - 64),
-            576 * n * (n + 2) * (n - 1) * (n - 6) * (n - 8),
-        )
-    )
+    third = r4.scale(w2 * psi4_radial_coefficient(n))
     total = first + second + third
     return LogRadialExpansion(n, 0, {(4, 0): total} if not total.is_zero() else None)
 

@@ -362,9 +362,6 @@ class SphereSolver:
 
     # -- operators ---------------------------------------------------------
 
-    def apply_P(self, u: ZonalField) -> ZonalField:
-        return ZonalField(self.n, self.L, self.spectrum.mu_f * u.coeffs)
-
     def apply_GP(self, f: ZonalField) -> ZonalField:
         return ZonalField(self.n, self.L, f.coeffs / self.spectrum.mu_f)
 

@@ -2,11 +2,8 @@
 
 Gamma-function moment integrals for bubble-type profiles, the bubble
 profiles themselves as exact radial sums with the canonical form of their
-bilaplacian, the sharp constants of the fourth-order Sobolev quotient and
-its dual, and the spherical Green's function in stereographic coordinates.  Stereographic convention:
-coordinates come from projecting away from the north pole, so the pole of
-the Green's function sits at x = infinity's antipode and all sphere/plane
-transfers in the package share this one convention.
+bilaplacian, and the sharp constants of the fourth-order Sobolev quotient
+and its dual.
 
 Floating evaluation goes through log-Gamma; rational quantities (the
 sphere's Q value) stay exact.
@@ -170,48 +167,6 @@ def y4_ratio_from_moments(n: int) -> float:
         raise ValueError(f"moments leave the normal float range past n = {MOMENTS_MAX_N}")
     den = radial_moment(n, 0, n) ** ((n - 4) / n)
     return u1_delta_norm_sq(n) / den
-
-
-def y4_ratio_by_quadrature(n: int) -> float:
-    """Same quotient by adaptive quadrature on the closed-form profile.
-
-    Fully independent of the Gamma identities: the integrands come from
-    the derivative algebra and the integrals from scipy.
-    """
-    from scipy.integrate import quad
-
-    u = bubble_u(1.0, n)
-    lap = u.laplacian(n)
-    surf = n * omega_n(n)
-
-    num, _ = quad(
-        lambda r: lap(r) ** 2 * r ** (n - 1), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
-    )
-    den, _ = quad(
-        lambda r: u(r) ** (2.0 * n / (n - 4)) * r ** (n - 1),
-        0.0,
-        np.inf,
-        epsabs=0.0,
-        epsrel=1e-13,
-        limit=300,
-    )
-    return (surf * num) / (surf * den) ** ((n - 4) / n)
-
-
-def green_north(x, n: int) -> float:
-    """Green's function of P on S^n with pole at the north pole,
-
-        (|x|^2 + 1)^{(n-4)/2} / ( n(n-2)(n-4) 2^{n-3} omega_n ),
-
-    in stereographic coordinates x.  Accepts a radius or a coordinate
-    vector.
-    """
-    if n < 5:
-        raise ValueError("n >= 5 required")
-    x = np.asarray(x, dtype=float)
-    r2 = float(np.dot(x, x)) if x.ndim == 1 else float(x) ** 2
-    pref = 1.0 / (n * (n - 2) * (n - 4) * 2.0 ** (n - 3) * omega_n(n))
-    return pref * (r2 + 1.0) ** ((n - 4) / 2.0)
 
 
 def constants_table(n_values) -> list[dict]:

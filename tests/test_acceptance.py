@@ -22,13 +22,10 @@ from qcurv.parametrix import (
     verify_recursion_residual,
 )
 from qcurv.polyalg import HomogPoly, laplacian, reassemble
-from qcurv.sphereforms import (
-    bubble_pde_residual,
-    sharp_constants,
-    y4_ratio_by_quadrature,
-)
+from qcurv.sphereforms import bubble_pde_residual, sharp_constants
 from qcurv.spectral import SphereSolver
 from qcurv.tensor import invariants_hold, random_schouten_hessian, random_weyl
+from test_sphereforms import y4_ratio_by_quadrature
 
 F = Fraction
 

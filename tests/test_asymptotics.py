@@ -1,7 +1,6 @@
 """Test-function asymptotics: cutoffs, angular reduction, coefficient fits."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +8,13 @@ import pytest
 
 from qcurv.asymptotics import (
     CASES,
-    AngularData,
+    MAX_CUTOFF_DEGREE,
     Cutoff,
     TestFunctionModel,
     _bulk_breakpoints,
     _ModelPieces,
     _panel_quad,
+    curvature_averages,
     evaluate_model,
     fit_expansion,
     flat_numerator_coefficient,
@@ -24,10 +24,10 @@ from qcurv.asymptotics import (
     n8_ratio_log_coefficient,
     n9_ratio_coefficient,
     numerator_coefficient_check,
-    psi4_radial_block,
 )
-from qcurv.parametrix import CurvatureJet, random_jet
-from qcurv.polyalg import HomogPoly
+from qcurv import parametrix, polyalg
+from qcurv.parametrix import CurvatureJet, psi4_closed_form, random_jet
+from qcurv.polyalg import HomogPoly, harmonic_decompose
 from qcurv.radial import RadialTermSum
 from qcurv.sphereforms import omega_n
 from qcurv.tensor import random_weyl
@@ -59,13 +59,16 @@ def angular_average_poly(p: HomogPoly) -> float:
 def mc_angular_check(
     jet: CurvatureJet, lam: float = 0.02, samples: int = 1_000_000, seed: int = 0
 ) -> dict:
-    """Replace the exact angular averages by Monte-Carlo estimates over
-    S^{n-1} and re-assemble the high-case numerator; the exact value must
-    sit within 3 sigma of the estimate.
+    """Replace the closed-form curvature averages by Monte-Carlo estimates
+    over S^{n-1} and re-assemble the high-case numerator; the exact value
+    must sit within 3 sigma of the estimate.
 
-    The numerator is affine in the two angular averages, so sampling them
-    is a full MC treatment of the angular integral, and unit steps in each
-    give its sensitivities exactly; the radial factors are reused unchanged.
+    The samples are the Weyl quartic and J_ij x_i x_j at uniform points of
+    the sphere; the Schouten quartic A4 there is their combination
+    -2/(9(n-2)) quartic - J_ij x_i x_j/(n-2).  The numerator is affine in
+    the A4 and J averages, so sampling them is a full MC treatment of the
+    angular integral, and unit steps in each give its sensitivities
+    exactly; the radial factors are reused unchanged.
     """
     n = jet.n
     rng = np.random.Generator(np.random.Philox(seed))
@@ -87,21 +90,28 @@ def mc_angular_check(
         j_vals[done : done + m] = np.einsum("si,ij,sj->s", g, Jf, g)
         done += m
 
-    gq_mc, gq_sig = q_vals.mean(), q_vals.std(ddof=1) / math.sqrt(samples)
-    gj_mc, gj_sig = j_vals.mean(), j_vals.std(ddof=1) / math.sqrt(samples)
-    ang = AngularData.from_jet(jet)
+    a_vals = -2.0 / (9.0 * (n - 2)) * q_vals - j_vals / (n - 2)
 
-    def numerator(a: AngularData) -> float:
+    w2 = jet.W.norm_sq()
+    a4, j, _ = curvature_averages(n)
+    exact = {"gq4": float(w2 * F(3, 2 * n * (n + 2))), "gj2": float(j * w2), "a4": float(a4 * w2)}
+    mc = {key: (v.mean(), v.std(ddof=1) / math.sqrt(samples))
+          for key, v in (("gq4", q_vals), ("gj2", j_vals), ("a4", a_vals))}
+
+    def numerator(ca: float, gj: float) -> float:
         model = TestFunctionModel(case="high", n=n, jet=jet)
-        model.angular = a  # overrides the cached exact averages
+        model.corr_constants = (ca, gj, float(w2))  # overrides the closed forms
         return _panel_quad(_ModelPieces(model, lam).numerator_bulk,
                            _bulk_breakpoints(lam, model.delta))
 
-    exact_num = numerator(ang)
-    d_dq = numerator(replace(ang, gq4=ang.gq4 + 1)) - exact_num
-    d_dj = numerator(replace(ang, gj2=ang.gj2 + 1)) - exact_num
-    mc_num = exact_num + d_dq * (gq_mc - float(ang.gq4)) + d_dj * (gj_mc - float(ang.gj2))
-    sigma = math.hypot(d_dq * gq_sig, d_dj * gj_sig)
+    exact_num = numerator(exact["a4"], exact["gj2"])
+    d_da = numerator(exact["a4"] + 1.0, exact["gj2"]) - exact_num
+    d_dj = numerator(exact["a4"], exact["gj2"] + 1.0) - exact_num
+    # the A4 and J samples share their points, so their errors are summed
+    # per sample rather than added in quadrature
+    shifts = d_da * (a_vals - exact["a4"]) + d_dj * (j_vals - exact["gj2"])
+    mc_num = exact_num + shifts.mean()
+    sigma = shifts.std(ddof=1) / math.sqrt(samples)
 
     return {
         "n": n,
@@ -111,8 +121,8 @@ def mc_angular_check(
         "mc_numerator": mc_num,
         "sigma": sigma,
         "within_3sigma": abs(mc_num - exact_num) <= 3.0 * sigma + 1e-12,
-        "gq4": {"exact": float(ang.gq4), "mc": gq_mc, "sigma": gq_sig},
-        "gj2": {"exact": float(ang.gj2), "mc": gj_mc, "sigma": gj_sig},
+        **{key: {"exact": exact[key], "mc": mean, "sigma": sig}
+           for key, (mean, sig) in mc.items()},
     }
 
 
@@ -147,6 +157,13 @@ def test_cutoff_degree_validation():
         Cutoff(8)
     with pytest.raises(ValueError):
         Cutoff(7)
+    Cutoff(MAX_CUTOFF_DEGREE)
+    for degree in (MAX_CUTOFF_DEGREE + 2, 2001):
+        with pytest.raises(ValueError, match=f"in \\[9, {MAX_CUTOFF_DEGREE}\\]"):
+            Cutoff(degree)
+        # refused by the model too, for a case that never evaluates the cutoff
+        with pytest.raises(ValueError, match="cutoff degree"):
+            TestFunctionModel(case="high", n=10, jet=random_jet(10, 1), cutoff_degree=degree)
 
 
 # -------------------------------------------------------- angular reduction
@@ -170,31 +187,78 @@ def test_angular_average_matches_exact_block():
 
 
 def test_angular_data_against_polynomial_oracle():
-    # the exact angular averages feeding the radial integrands must agree
+    # the closed-form averages feeding the radial integrands must agree
     # with floating sphere-moment averages of the actual jet polynomials
     from test_tensor import schouten_quartic
 
-    jet = random_jet(10, seed=3, normalize=True)
-    ang = AngularData.from_jet(jet)
-    # quartic form average: gq4 * r^4 on the unit sphere
+    n = 10
+    jet = random_jet(n, seed=3, normalize=True)
+    w2 = jet.W.norm_sq()
+    a4, j, _ = curvature_averages(n)
+    # quartic form average: 3|W|^2/(2n(n+2)) r^4 on the unit sphere
     got = angular_average_poly(jet.W.quartic_form())
-    assert abs(got - float(ang.gq4)) <= 1e-10 * max(abs(got), 1e-30)
-    # Schouten Hessian quadratic average: gj2 * r^2
+    assert abs(got - float(w2 * F(3, 2 * n * (n + 2)))) <= 1e-10 * max(abs(got), 1e-30)
+    # Schouten Hessian quadratic average: j |W|^2 r^2
     got = angular_average_poly(jet.Jh.quadratic_form())
-    assert abs(got - float(ang.gj2)) <= 1e-10 * max(abs(got), 1e-30)
+    assert abs(got - float(j * w2)) <= 1e-10 * max(abs(got), 1e-30)
     # full Schouten quartic average: the combination used in the bracket
     got = angular_average_poly(schouten_quartic(jet.W, jet.Jh))
-    want = float(ang.schouten_quartic_avg())
+    want = float(a4 * w2)
     assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
 
 
 def test_psi4_radial_block_against_float_oracle():
     jet = random_jet(9, seed=2)
-    from qcurv.parametrix import psi4_closed_form
-
     poly = psi4_closed_form(jet).get(4, 0)
     want = angular_average_poly(poly)
-    assert abs(float(psi4_radial_block(jet)) - want) <= 1e-10 * abs(want)
+    got = TestFunctionModel(case="n9", n=9, jet=jet).psi4_block
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _radial_block(p: HomogPoly) -> Fraction:
+    """The sphere average of a degree-4 polynomial read the polynomial way:
+    the constant of the k=2 block of its harmonic decomposition."""
+    blocks = {b.k: b.h for b in harmonic_decompose(p)}
+    return blocks[2].terms.get((0,) * p.n, F(0)) if 2 in blocks else F(0)
+
+
+@pytest.mark.parametrize("n", range(5, 25))
+def test_curvature_averages_equal_polynomial_route(n):
+    from test_tensor import schouten_quartic
+
+    a4, j, psi4 = curvature_averages(n)
+    assert (psi4 is None) == (n < 9)
+    for seed in (1, 2, 3, 5):
+        for normalize in (False, True):
+            jet = random_jet(n, seed, normalize=normalize)
+            w2 = jet.W.norm_sq()
+            assert w2 != 0
+            assert jet.Jh.trace() / n == j * w2
+            assert _radial_block(schouten_quartic(jet.W, jet.Jh)) == a4 * w2
+            if n >= 9:
+                assert _radial_block(psi4_closed_form(jet).get(4, 0)) == psi4 * w2
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fits_read_no_polynomial_algebra(monkeypatch, case):
+    # the fit and the split checks read the jet only through |W|^2
+    n = {"flat": 5, "lowdim": 6, "n8": 8, "n9": 9, "high": 10}[case]
+    jet = random_jet(n, seed=7, normalize=True) if case != "flat" else None
+    model = TestFunctionModel(case=case, n=n, jet=jet)
+    calls = []
+    for module, name in ((polyalg, "harmonic_decompose"), (parametrix, "psi4_closed_form")):
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert fit_expansion(model).rel_error <= CASES[case].rtol
+    assert all(r.passed for r in numerator_coefficient_check(model))
+    assert calls == []
+    # and the counters do see the polynomial route
+    polyalg.harmonic_decompose(HomogPoly.r_squared(5).mul_r2k(1))
+    parametrix.psi4_closed_form(random_jet(9, 1))
+    assert calls == ["harmonic_decompose", "psi4_closed_form"]
 
 
 # ------------------------------------------------------------- model setup
@@ -482,6 +546,6 @@ def test_mc_angular_spot_check():
     res = mc_angular_check(jet, lam=0.02, samples=1_000_000, seed=0)
     assert res["within_3sigma"]
     # the raw angular averages must individually sit inside 4 sigma
-    for key in ("gq4", "gj2"):
+    for key in ("gq4", "gj2", "a4"):
         d = res[key]
         assert abs(d["mc"] - d["exact"]) <= 4.0 * d["sigma"] + 1e-15

@@ -219,6 +219,30 @@ def test_cli_import_leaves_scipy_special_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_library_module_imports_scipy():
+    # scipy is a test-only dependency: the oracles that use it live in tests/
+    import ast
+    import pathlib
+    import tomllib
+
+    import qcurv
+
+    src = pathlib.Path(qcurv.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(nm.split(".")[0] == "scipy" for nm in names), (path.name, names)
+    pyproject = tomllib.loads((src.parent.parent / "pyproject.toml").read_text())
+    assert not any(d.startswith("scipy") for d in pyproject["project"]["dependencies"])
+
+
 def test_parametrix_jet_file_past_int64_bound_usage_error(runner, tmp_path):
     # n = 18 with entries near 1e7: |W|^2 would overflow int64
     W = np.full((18,) * 4, "10000000/1", dtype=object)
@@ -303,6 +327,35 @@ def test_overflowing_asymptotics_inputs_refused_before_quadrature(runner, monkey
         res = runner.invoke(main, args)
     assert res.exit_code == 2, repr(res.exception)
     assert "overflow" in res.output
+
+
+@pytest.mark.parametrize("case,n,degree", [
+    ("high", 10, 2001), ("n8", 8, asymptotics.MAX_CUTOFF_DEGREE + 2), ("flat", 5, 39),
+    ("lowdim", 6, 35), ("n9", 9, 7), ("high", 10, 10),
+])
+def test_cutoff_degree_bounded(runner, monkeypatch, case, n, degree):
+    def no_quadrature(model, lam):
+        raise AssertionError("a refused degree reached the quadratures")
+
+    monkeypatch.setattr(asymptotics, "evaluate_model", no_quadrature)
+    args = ["asymptotics", "--case", case, "--n", str(n), "--cutoff-degree", str(degree)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, args)
+    assert res.exit_code == 2, repr(res.exception)
+    assert (f"9<=x<={asymptotics.MAX_CUTOFF_DEGREE}" in res.output
+            or f"odd and in [9, {asymptotics.MAX_CUTOFF_DEGREE}]" in res.output), res.output
+
+
+@pytest.mark.parametrize("case,n", [("flat", 5), ("lowdim", 6), ("n8", 8), ("n9", 9)])
+def test_cutoff_degree_at_bound_passes(runner, case, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, ["asymptotics", "--case", case, "--n", str(n),
+                                   "--cutoff-degree", str(asymptotics.MAX_CUTOFF_DEGREE)])
+    assert res.exit_code == 0, res.output
+    assert f"9<=x<={asymptotics.MAX_CUTOFF_DEGREE}" in runner.invoke(
+        main, ["asymptotics", "--help"]).output
 
 
 def test_overflowing_lambda_grid_is_named(runner):

@@ -16,15 +16,54 @@ from qcurv.sphereforms import (
     bubble_pde_residual,
     bubble_u,
     constants_table,
-    green_north,
     omega_n,
     radial_moment,
     sharp_constants,
     sphere_area,
     u1_delta_norm_sq,
-    y4_ratio_by_quadrature,
     y4_ratio_from_moments,
 )
+
+
+def y4_ratio_by_quadrature(n: int) -> float:
+    """||Delta u_1||^2 / ||u_1||^2_{2n/(n-4)} by adaptive quadrature on the
+    closed-form profile.
+
+    Fully independent of the Gamma identities: the integrands come from
+    the derivative algebra and the integrals from scipy.
+    """
+    u = bubble_u(1.0, n)
+    lap = u.laplacian(n)
+    surf = n * omega_n(n)
+
+    num, _ = quad(
+        lambda r: lap(r) ** 2 * r ** (n - 1), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
+    )
+    den, _ = quad(
+        lambda r: u(r) ** (2.0 * n / (n - 4)) * r ** (n - 1),
+        0.0,
+        np.inf,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=300,
+    )
+    return (surf * num) / (surf * den) ** ((n - 4) / n)
+
+
+def green_north(x, n: int) -> float:
+    """Green's function of P on S^n with pole at the north pole,
+
+        (|x|^2 + 1)^{(n-4)/2} / ( n(n-2)(n-4) 2^{n-3} omega_n ),
+
+    in stereographic coordinates x.  Accepts a radius or a coordinate
+    vector.
+    """
+    if n < 5:
+        raise ValueError("n >= 5 required")
+    x = np.asarray(x, dtype=float)
+    r2 = float(np.dot(x, x)) if x.ndim == 1 else float(x) ** 2
+    pref = 1.0 / (n * (n - 2) * (n - 4) * 2.0 ** (n - 3) * omega_n(n))
+    return pref * (r2 + 1.0) ** ((n - 4) / 2.0)
 
 
 # ------------------------------------------------------------- radial_moment
