@@ -1,36 +1,26 @@
-"""Curvature quartic identities, verified exactly on seeded Weyl tensors.
+"""Curvature quartic identities, verified exactly on a seeded Weyl tensor
+and Schouten Hessian.
 
-The generator enforces all index symmetries and zero traces in rational
-arithmetic; the identities below then hold with exact equality of every
+The generators enforce all index symmetries, zero traces and the trace
+constraint in rational arithmetic; every identity of the named list
+``tensor.weyl_identities`` then holds with exact equality of every
 polynomial coefficient.
 """
 
-from qcurv.polyalg import HomogPoly, laplacian, reassemble
-from qcurv.tensor import invariants_hold, random_weyl
+from qcurv.tensor import random_schouten_hessian, random_weyl, weyl_identities
 
 n, seed = 6, 2
 W = random_weyl(n, seed)
-print(f"random Weyl tensor: n={n}, seed={seed}")
-print("  all symmetry/trace invariants hold exactly:", invariants_hold(W))
-print("  |W|^2 =", W.norm_sq())
-
-# cross contraction is half the norm (a Bianchi consequence)
-print("  cross contraction / |W|^2 =", W.cross_contraction() / W.norm_sq())
-
-q = W.quartic_form()
-print("\nquartic form sum_kl (W_ikjl x_i x_j)^2 has", len(q.terms), "monomials")
-
-# Laplacian identity at coefficient level
-print("  Lap(quartic) == 2 * gradient-square:",
-      laplacian(q) == W.gradient_square_form().scale(2))
-print("  Lap^2(quartic) == 12 |W|^2:",
-      laplacian(laplacian(q)) == HomogPoly.constant(n, 12 * W.norm_sq()))
-
-# three-block harmonic split
+Jh = random_schouten_hessian(n, seed, W)
 blocks = W.quartic_harmonic_split()
-print("\nharmonic split blocks (k, degree of h):",
-      [(b.k, b.h.degree) for b in blocks])
-print("  every block harmonic:", all(laplacian(b.h).is_zero() for b in blocks))
-print("  exact reassembly:", reassemble(n, 4, blocks) == q)
+print(f"random Weyl tensor and Schouten Hessian: n={n}, seed={seed}")
+print("  |W|^2 =", W.norm_sq())
+print("  trace of J =", Jh.trace())
+print("  quartic form sum_kl (W_ikjl x_i x_j)^2 has", len(W.quartic_form().terms), "monomials")
+print("  harmonic split blocks (k, degree of h):", [(b.k, b.h.degree) for b in blocks])
 print("  radial block constant:", blocks[2].h)
 print("  sphere average (in units of omega_n):", W.sphere_average_quartic())
+
+print("\nexact identities:")
+for name, ok in weyl_identities(W, Jh):
+    print(f"  {name:<18} {ok}")

@@ -5,7 +5,10 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error.  All randomness derives from a single 64-bit seed
 through counter-based generators, and serialized reports carry no timing,
 so a fixed (subcommand, config, seed) triple reproduces its report byte
-for byte.
+for byte.  The ``verify`` suites run the identity lists of the library
+modules (``tensor.weyl_identities``, ``polyalg.split_identities``, ...) over
+seeds or trials; a failing aggregated check computes the first failing
+witness, such as "n=7,seed=3: lap_quartic", in place of true.
 """
 
 from __future__ import annotations
@@ -308,45 +311,30 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
 # --------------------------------------------------------------------- verify
 
 
+def _witness_check(check_id, inputs, provenance, witnesses) -> VerificationReport:
+    """One exact check over (label, holds) witnesses: computed is true when
+    every witness holds, else the label of the first that fails."""
+    failed = next((label for label, ok in witnesses if not ok), None)
+    return exact_check(check_id, inputs, True, provenance, True if failed is None else failed)
+
+
 def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
-    out = []
-    for n in ns:
-        all_ok = True
-        for k in range(trials):
-            W = tensor.random_weyl(n, seed + k)
-            q = W.quartic_form()
-            lap_q = polyalg.laplacian(q)
-            ok = (
-                tensor.invariants_hold(W)
-                and lap_q == W.gradient_square_form().scale(2)
-                and polyalg.laplacian(lap_q) == polyalg.HomogPoly.constant(n, 12 * W.norm_sq())
-                and W.cross_contraction() == W.norm_sq() / 2
-            )
-            blocks = W.quartic_harmonic_split()
-            ok = ok and polyalg.reassemble(n, 4, blocks) == q
-            ok = ok and all(polyalg.laplacian(b.h).is_zero() for b in blocks)
-            ok = ok and blocks[2].h == polyalg.HomogPoly.constant(
-                n, W.norm_sq() * Fraction(3, 2 * n * (n + 2))
-            )
-            Jh = tensor.random_schouten_hessian(n, seed + k, W)
-            ok = ok and Jh.trace() == -W.norm_sq() / (12 * (n - 1))
-            all_ok = all_ok and ok
-        out.append(
-            exact_check(
-                f"weyl.identities[n={n},trials={trials}]",
-                {"n": n, "trials": trials, "seed": seed},
-                True,
-                "curvature quartic and trace identities, exact",
-                all_ok,
-            )
-        )
-    return out
+    def witnesses(n):
+        for s in range(seed, seed + trials):
+            W = tensor.random_weyl(n, s)
+            for name, ok in tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W)):
+                yield f"n={n},seed={s}: {name}", ok
+
+    return [_witness_check(f"weyl.identities[n={n},trials={trials}]",
+                           {"n": n, "trials": trials, "seed": seed},
+                           "curvature quartic and trace identities, exact", witnesses(n))
+            for n in ns]
 
 
 def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
     rng = np.random.Generator(np.random.Philox(seed))
-    ok_dec, ok_solve = True, True
-    for _ in range(trials):
+    split, solved = [], []  # the latest trial's witnesses, frozen once one fails
+    for k in range(trials):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(0, 9))
         terms = {}
@@ -356,50 +344,36 @@ def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
                 int(rng.integers(-9, 10)), int(rng.integers(1, 10))
             )
         p = polyalg.HomogPoly(n, m, terms)
-        blocks = polyalg.harmonic_decompose(p)
-        ok_dec = ok_dec and polyalg.reassemble(n, m, blocks) == p
-        ok_dec = ok_dec and all(polyalg.laplacian(b.h).is_zero() for b in blocks)
-        psi = polyalg.solve_AA(n, p)
-        residual = polyalg.apply_AA(n, psi) + polyalg.LogRadialExpansion.from_poly(p)
-        ok_solve = ok_solve and residual.is_zero()
+        if all(ok for _, ok in split):
+            split = [(f"trial={k}: {name}", ok)
+                     for name, ok in polyalg.split_identities(p, polyalg.harmonic_decompose(p))]
+        if all(ok for _, ok in solved):
+            solved = [(f"trial={k}: solve_residual",
+                       polyalg.solve_residual(n, polyalg.solve_AA(n, p), p).is_zero())]
+    inputs = {"trials": trials, "seed": seed}
     return [
-        exact_check(
-            f"polyalg.decomposition[trials={trials}]",
-            {"trials": trials, "seed": seed},
-            True,
-            "harmonic reassembly, exact",
-            ok_dec,
-        ),
-        exact_check(
-            f"polyalg.solver[trials={trials}]",
-            {"trials": trials, "seed": seed},
-            True,
-            "radial bilaplacian-family inversion, exact",
-            ok_solve,
-        ),
+        _witness_check(f"polyalg.decomposition[trials={trials}]", inputs,
+                       "harmonic reassembly, exact", split),
+        _witness_check(f"polyalg.solver[trials={trials}]", inputs,
+                       "radial bilaplacian-family inversion, exact", solved),
     ]
 
 
 def _verify_parametrix(ns, trials, seed, L) -> list[VerificationReport]:
-    out = []
-    for n in ns:
-        ok = True
-        for k in range(trials):
-            jet = par.random_jet(n, seed + k)
+    def witnesses(n):
+        for s in range(seed, seed + trials):
+            jet = par.random_jet(n, s)
             green = par.green_leading(jet)
             got, want = par.psi4_shell(jet, green)
-            ok = ok and got == want and par.verify_recursion_residual(jet, green).passed
-        label = "closed-form" if n >= 9 else "log-coefficient"
-        out.append(
-            exact_check(
-                f"parametrix.{label}[n={n},trials={trials}]",
-                {"n": n, "trials": trials, "seed": seed},
-                True,
-                "degree-4 expansion shell, exact",
-                ok,
-            )
-        )
-    return out
+            yield f"n={n},seed={s}: psi4_shell", got == want
+            residual = par.verify_recursion_residual(jet, green)
+            yield f"n={n},seed={s}: recursion_residual", residual.passed
+
+    return [_witness_check(f"parametrix.{'closed-form' if n >= 9 else 'log-coefficient'}"
+                           f"[n={n},trials={trials}]",
+                           {"n": n, "trials": trials, "seed": seed},
+                           "degree-4 expansion shell, exact", witnesses(n))
+            for n in ns]
 
 
 def _constants_checks(rows: list[dict]) -> list[VerificationReport]:
@@ -457,7 +431,7 @@ def _verify_spectral(ns, trials, seed, L) -> list[VerificationReport]:
         y4 = solver.y4_functional(const)
         th2 = solver.theta2_functional(const)
         y2 = solver.yamabe_functional(const)
-        drift = max(abs(solver.pulled_constant(t)[0] - th) / th for t in spectral.MOBIUS_T)
+        drift = max(row["theta4_drift"] for row in spectral.mobius_drifts(solver))
         out += [
             close_check(
                 f"spectral.theta4_const[n={n},L={L}]",

@@ -27,8 +27,8 @@ import numpy as np
 from .polyalg import (
     HomogPoly,
     LogRadialExpansion,
-    apply_AA,
     solve_AA,
+    solve_residual,
 )
 from .report import VerificationReport
 from .tensor import (
@@ -265,9 +265,8 @@ def verify_recursion_residual(jet: CurvatureJet, green: GreenExpansion) -> Verif
     """
     n = jet.n
     correction = LogRadialExpansion(n, 0, dict(green.expansion.terms))
-    applied = apply_AA(n, correction)
     src = phi4(jet) if n >= 8 and not jet.is_flat() else HomogPoly.zero(n, 4)
-    residual = applied + LogRadialExpansion.from_poly(src)
+    residual = solve_residual(n, correction, src)
     ok = residual.is_zero()
     return VerificationReport(
         check_id="parametrix.recursion_residual",

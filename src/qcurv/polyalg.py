@@ -178,22 +178,20 @@ def scaled_text(content: Fraction, v: int) -> str:
 
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
-    exponent tuple: the integers when ``scale`` is None, else scale times
-    them as Fractions, made only when read."""
+    exponent tuple, as Fractions made only when read."""
 
-    __slots__ = ("_p", "_scale")
+    __slots__ = ("_p",)
 
-    def __init__(self, p: "HomogPoly", scale: Fraction | None):
+    def __init__(self, p: "HomogPoly"):
         self._p = p
-        self._scale = scale
 
-    def __getitem__(self, e: Exponent):
+    def __getitem__(self, e: Exponent) -> Fraction:
         p = self._p
         i = monomial_table(p.n, p.degree).position.get(e)
         v = 0 if i is None else int(p._v[i])
         if not v:
             raise KeyError(e)
-        return v if self._scale is None else self._scale * v
+        return p.content * v
 
     def __iter__(self):
         p = self._p
@@ -211,8 +209,8 @@ class HomogPoly:
     ``monomial_table(n, degree)``: ``v`` is a primitive integer vector, int64
     unless an entry passes that range, whose first nonzero entry is
     positive.  The zero polynomial has a zero vector and content 0.
-    Instances are immutable; ``terms`` and ``ints`` read the nonzero
-    coefficients, as Fractions and as the integers, keyed by exponent tuple.
+    Instances are immutable; ``terms`` reads the nonzero coefficients as
+    Fractions keyed by exponent tuple.
     """
 
     __slots__ = ("n", "degree", "content", "_v")
@@ -290,12 +288,7 @@ class HomogPoly:
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """Coefficients as a read-only map from exponent to Fraction."""
-        return _Coeffs(self, self.content)
-
-    @property
-    def ints(self) -> Mapping[Exponent, int]:
-        """The primitive integers as a read-only map from exponent."""
-        return _Coeffs(self, None)
+        return _Coeffs(self)
 
     # -- ring operations ----------------------------------------------
 
@@ -464,6 +457,15 @@ def harmonic_decompose(p: HomogPoly) -> list[HarmonicBlock]:
 def reassemble(n: int, m: int, blocks: Iterable[HarmonicBlock]) -> HomogPoly:
     """Inverse of harmonic_decompose: sum r^{2k} h."""
     return _lincomb(n, m, [(1, b.h.mul_r2k(b.k)) for b in blocks])
+
+
+def split_identities(p: HomogPoly, blocks: list[HarmonicBlock]) -> list[tuple[str, bool]]:
+    """The exact identities of a harmonic split of p, as ordered (name,
+    holds) pairs: the blocks reassemble p, and every block is harmonic."""
+    return [
+        ("reassembles", reassemble(p.n, p.degree, blocks) == p),
+        ("blocks_harmonic", all(laplacian(b.h).is_zero() for b in blocks)),
+    ]
 
 
 # -- radial operator family ------------------------------------------------
@@ -655,3 +657,9 @@ def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
 def apply_AA(n: int, e: LogRadialExpansion) -> LogRadialExpansion:
     """A_{2-n} A_{4-n} with full log bookkeeping."""
     return apply_A(2 - n, apply_A(4 - n, e))
+
+
+def solve_residual(n: int, psi: LogRadialExpansion, rhs: HomogPoly) -> LogRadialExpansion:
+    """A_{2-n} A_{4-n} psi + rhs, which is zero exactly when psi solves the
+    equation ``solve_AA(n, rhs)`` inverts."""
+    return apply_AA(n, psi) + LogRadialExpansion.from_poly(rhs)

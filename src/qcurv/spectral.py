@@ -59,9 +59,6 @@ class ZonalField:
     L: int
     coeffs: np.ndarray
 
-    def copy(self) -> "ZonalField":
-        return ZonalField(self.n, self.L, self.coeffs.copy())
-
 
 class PaneitzSpectrum:
     """Exact eigenvalues of P (and of the conformal Laplacian) on S^n, as
@@ -513,6 +510,21 @@ class SphereSolver:
                              f"(weight down to t^-(n+4)/2): {e}") from None
 
 
+def mobius_drifts(solver: SphereSolver) -> list[dict]:
+    """One row per dilation t in MOBIUS_T: the relative drift of the dual
+    functional and of the L^{2n/(n+4)} norm of the constant 1 pulled back
+    by t, against the constant's own values."""
+    const = solver.constant_field(1.0)
+    theta4_const = solver.theta4_functional(const)
+    const_norm = solver.lp_norm(const, 2 * solver.n / (solver.n + 4))
+    rows = []
+    for t in MOBIUS_T:
+        value, norm = solver.pulled_constant(t)
+        rows.append({"t": t, "theta4_drift": abs(value - theta4_const) / theta4_const,
+                     "norm_drift": abs(norm - const_norm) / const_norm})
+    return rows
+
+
 def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> dict:
     """Assemble the JSON payload behind the `spectral` CLI subcommand."""
     solver = SphereSolver(n, L)
@@ -525,20 +537,7 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> di
         raise ValueError(f"unknown init {init!r}")
     traj = solver.extremal_iteration(f0, iters, damping)
     values = [v for _, v in traj]
-    const = solver.constant_field(1.0)
-    theta4_const = solver.theta4_functional(const)
-    p = 2 * n / (n + 4)
-    const_norm = solver.lp_norm(const, p)
-    invariance = []
-    for tt in MOBIUS_T:
-        value, norm = solver.pulled_constant(tt)
-        invariance.append(
-            {
-                "t": tt,
-                "theta4_drift": abs(value - theta4_const) / theta4_const,
-                "norm_drift": abs(norm - const_norm) / const_norm,
-            }
-        )
+    invariance = mobius_drifts(solver)
     return {
         "n": n,
         "L": L,
@@ -546,7 +545,7 @@ def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> di
         "init": init,
         "functional_values": values,
         "final_coeffs": list(traj[-1][0].coeffs),
-        "theta4_constant": theta4_const,
+        "theta4_constant": solver.theta4_functional(solver.constant_field(1.0)),
         "gram_defect": solver.gram_defect(),
         "invariance_checks": invariance,
     }

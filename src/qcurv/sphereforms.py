@@ -21,13 +21,9 @@ import numpy as np
 from .radial import RadialTermSum
 
 
-def _gammaln(x: float) -> float:
-    return math.lgamma(x)
-
-
 def omega_n(n: int) -> float:
     """Volume of the unit ball in R^n: pi^{n/2} / Gamma(n/2 + 1)."""
-    return math.exp(0.5 * n * math.log(math.pi) - _gammaln(0.5 * n + 1))
+    return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1))
 
 
 def sphere_area(n: int) -> float:
@@ -48,10 +44,10 @@ def radial_moment(a: float, b: float, n: int) -> float:
     h = 0.5 * (b + n)
     logval = (
         0.5 * n * math.log(math.pi)
-        + _gammaln(h)
-        + _gammaln(a - h)
-        - _gammaln(a)
-        - _gammaln(0.5 * n)
+        + math.lgamma(h)
+        + math.lgamma(a - h)
+        - math.lgamma(a)
+        - math.lgamma(0.5 * n)
     )
     return math.exp(logval)
 
@@ -129,7 +125,7 @@ def sharp_constants(n: int) -> SharpConstants:
     logval = (
         (4.0 / n) * math.log(2.0)
         + (2.0 * (n + 1) / n) * math.log(math.pi)
-        - (4.0 / n) * _gammaln(0.5 * (n + 1))
+        - (4.0 / n) * math.lgamma(0.5 * (n + 1))
     )
     y4 = lead * math.exp(logval)
     return SharpConstants(

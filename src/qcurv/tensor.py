@@ -8,8 +8,8 @@ the heavy contractions (norms, quartic forms) run through int64 numpy.
 The integer entries are bounded by a dimension-dependent limit under
 which no int64 sum can overflow; larger tensors are refused with a
 ValueError.  Seeded generators produce tensors satisfying all the
-algebraic symmetries exactly, and ``invariants_hold`` checks them on the
-integers.
+algebraic symmetries exactly; ``weyl_identities`` names every exact
+identity they satisfy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import HarmonicBlock, HomogPoly, monomial_table, scaled_text
+from .polyalg import (HarmonicBlock, HomogPoly, laplacian, monomial_table, scaled_text,
+                      split_identities)
 
 _INT64_MAX = 2**63 - 1
 
@@ -80,9 +81,6 @@ class WeylTensor:
         self.scale = Fraction(scale)
         self._quartic = None
         self._gradsq = None
-
-    def component(self, i: int, k: int, j: int, l: int) -> Fraction:
-        return self.scale * int(self.ints[i, k, j, l])
 
     def rescale(self, factor) -> "WeylTensor":
         return WeylTensor(self.n, self.ints.copy(), self.scale * Fraction(factor))
@@ -231,15 +229,6 @@ class SchoutenHessian:
     def zero(cls, n: int) -> "SchoutenHessian":
         return cls(n, tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
 
-    @classmethod
-    def identity(cls, n: int) -> "SchoutenHessian":
-        return cls(
-            n,
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-            ),
-        )
-
     def trace(self) -> Fraction:
         return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
@@ -364,3 +353,27 @@ def invariants_hold(W: WeylTensor) -> bool:
         if np.trace(A, axis1=a, axis2=b).any():
             return False
     return True
+
+
+def weyl_identities(W: WeylTensor, Jh: SchoutenHessian) -> list[tuple[str, bool]]:
+    """The exact identities of a Weyl tensor and a Schouten Hessian in
+    conformal normal coordinates, as ordered (name, holds) pairs: the
+    invariants, Lap q = 2 (gradient square) and Lap^2 q = 12|W|^2 for the
+    quartic form q, the cross contraction |W|^2/2, the three-block split of
+    q, its radial block 3|W|^2/(2n(n+2)) and n times it the sphere average,
+    and the trace constraint tr J = -|W|^2/(12(n-1))."""
+    n, w2 = W.n, W.norm_sq()
+    q = W.quartic_form()
+    lap_q = laplacian(q)
+    blocks = W.quartic_harmonic_split()
+    radial = blocks[2].h
+    return [
+        ("invariants", invariants_hold(W)),
+        ("lap_quartic", lap_q == W.gradient_square_form().scale(2)),
+        ("bilap_quartic", laplacian(lap_q) == HomogPoly.constant(n, 12 * w2)),
+        ("cross_contraction", W.cross_contraction() == w2 / 2),
+        *split_identities(q, blocks),
+        ("radial_block", radial == HomogPoly.constant(n, w2 * Fraction(3, 2 * n * (n + 2)))),
+        ("sphere_average", HomogPoly.constant(n, W.sphere_average_quartic()) == radial.scale(n)),
+        ("schouten_trace", Jh.trace() == -w2 / (12 * (n - 1))),
+    ]

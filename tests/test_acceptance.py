@@ -21,10 +21,10 @@ from qcurv.parametrix import (
     random_jet,
     verify_recursion_residual,
 )
-from qcurv.polyalg import HomogPoly, laplacian, reassemble
+from qcurv.polyalg import HomogPoly
 from qcurv.sphereforms import bubble_pde_residual, sharp_constants
 from qcurv.spectral import SphereSolver
-from qcurv.tensor import invariants_hold, random_schouten_hessian, random_weyl
+from qcurv.tensor import random_schouten_hessian, random_weyl, weyl_identities
 from test_sphereforms import y4_ratio_by_quadrature
 
 F = Fraction
@@ -87,34 +87,27 @@ def test_criterion_2_n8_log_term():
             ok, time.perf_counter() - t0, 2.0)
 
 
+# the identities criterion 3 demands, in the order tensor.weyl_identities
+# lists them
+WEYL_IDENTITIES = ("invariants", "lap_quartic", "bilap_quartic", "cross_contraction",
+                   "reassembles", "blocks_harmonic", "radial_block", "sphere_average",
+                   "schouten_trace")
+
+
 def test_criterion_3_weyl_identity_suite():
     t0 = time.perf_counter()
-    ok = True
+    failed = []
     for n in range(5, 11):
         for seed in range(50):
             W = random_weyl(n, seed)
-            ok = ok and invariants_hold(W)
-            q = W.quartic_form()
-            # gradient-square identity at polynomial-coefficient level
-            ok = ok and laplacian(q) == W.gradient_square_form().scale(2)
-            # bilaplacian scalar identity
-            ok = ok and laplacian(laplacian(q)) == HomogPoly.constant(n, 12 * W.norm_sq())
-            # cross contraction is half the norm
-            ok = ok and W.cross_contraction() == W.norm_sq() / 2
-            # three-block split: harmonic blocks, exact reassembly
-            blocks = W.quartic_harmonic_split()
-            ok = ok and all(laplacian(b.h).is_zero() for b in blocks)
-            ok = ok and reassemble(n, 4, blocks) == q
-            # sphere average consistent with the verified radial block
-            c2 = blocks[2].h.terms.get((0,) * n, F(0))
-            ok = ok and W.sphere_average_quartic() == n * c2
-            # trace constraint of the Schouten Hessian, exact
-            Jh = random_schouten_hessian(n, seed, W)
-            ok = ok and Jh.trace() == -W.norm_sq() / (12 * (n - 1))
-        if not ok:
+            checks = weyl_identities(W, random_schouten_hessian(n, seed, W))
+            if tuple(name for name, _ in checks) != WEYL_IDENTITIES:
+                failed.append(f"n={n},seed={seed}: names {[name for name, _ in checks]}")
+            failed += [f"n={n},seed={seed}: {name}" for name, ok in checks if not ok]
+        if failed:
             break
     _report("criterion 3 (Weyl identities, 50 seeds x n=5..10, exact)",
-            ok, time.perf_counter() - t0, 30.0)
+            not failed, time.perf_counter() - t0, 30.0, "; ".join(failed[:3]))
 
 
 def test_criterion_4_sphere_constants():

@@ -181,6 +181,96 @@ def test_verify_tolerances_pinned(runner):
     assert got == want
 
 
+def test_subcommand_tolerances_pinned(runner):
+    """The spectral and asymptotics subcommands' tolerances equal the
+    acceptance numbers: criteria 6, 7 and 8 for spectral, and the fit
+    rtols of criterion 9 for every case (lowdim fits the same mass term as
+    flat, with its 2%)."""
+    want = {
+        "spectral.theta4_constant": 1e-8,
+        "spectral.mobius_invariance": 1e-6,
+        "spectral.iteration_bounded": 1e-6,
+        "spectral.fixed_point_drift": 1e-8,
+        "asymptotics.ratio_coefficient[flat,n=5]": 0.02,
+        "asymptotics.numerator_coeff[flat,n=5]": 0.02,
+        "asymptotics.ratio_coefficient[lowdim,n=6]": 0.02,
+        "asymptotics.numerator_coeff[lowdim,n=6]": 0.02,
+        "asymptotics.ratio_coefficient[high,n=10]": 0.02,
+        "asymptotics.numerator_coeff[high,n=10]": 0.02,
+        "asymptotics.norm_integral_coeff[high,n=10]": 0.02,
+        "asymptotics.ratio_coefficient[n9,n=9]": 0.05,
+        "asymptotics.ratio_coefficient[n8,n=8]": 0.10,
+        "asymptotics.numerator_log_coeff[n8]": 0.10,
+    }
+    got = {}
+    for args in (["spectral", "--n", "5"], ["asymptotics", "--case", "flat", "--n", "5"],
+                 ["asymptotics", "--case", "lowdim", "--n", "6"],
+                 ["asymptotics", "--case", "high", "--n", "10"],
+                 ["asymptotics", "--case", "n9", "--n", "9"],
+                 ["asymptotics", "--case", "n8", "--n", "8"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        got.update({r["check"]: r["tolerance"] for r in json.loads(res.stdout)["reports"]})
+    assert got == want
+
+
+def _report_check(res, check_id) -> dict:
+    return next(r for r in json.loads(res.stdout)["reports"] if r["check"] == check_id)
+
+
+def test_failing_weyl_check_names_its_witness(runner, monkeypatch):
+    from qcurv import tensor
+
+    real, calls = tensor.weyl_identities, []
+
+    def broken(W, Jh):  # lap_quartic fails on the second tensor, seed 2
+        calls.append(W.n)
+        return [(name, ok and not (len(calls) == 2 and name == "lap_quartic"))
+                for name, ok in real(W, Jh)]
+
+    monkeypatch.setattr(tensor, "weyl_identities", broken)
+    res = runner.invoke(main, ["verify", "weyl", "--n", "6", "--trials", "3"])
+    assert res.exit_code == 1, res.output
+    check = _report_check(res, "weyl.identities[n=6,trials=3]")
+    assert check["computed"] == "n=6,seed=2: lap_quartic" and check["pass"] is False
+    assert "[FAIL] weyl.identities[n=6,trials=3]" in res.stderr
+
+
+def test_failing_polyalg_check_names_its_witness(runner, monkeypatch):
+    from qcurv import polyalg
+
+    real, calls = polyalg.solve_residual, []
+
+    def broken(n, psi, rhs):  # the fifth solve, trial 4, leaves a residual
+        calls.append(n)
+        residual = real(n, psi, rhs)
+        if len(calls) == 5:
+            residual += polyalg.LogRadialExpansion.from_poly(polyalg.HomogPoly.constant(n, 1))
+        return residual
+
+    monkeypatch.setattr(polyalg, "solve_residual", broken)
+    res = runner.invoke(main, ["verify", "polyalg"])
+    assert res.exit_code == 1, res.output
+    assert _report_check(res, "polyalg.solver[trials=40]")["computed"] == "trial=4: solve_residual"
+    assert _report_check(res, "polyalg.decomposition[trials=40]")["computed"] is True
+
+
+def test_cli_computes_no_identity_itself():
+    # each exact identity is defined in the library module that owns it;
+    # the CLI only runs the named lists
+    import ast
+    import pathlib
+
+    import qcurv.cli
+
+    tree = ast.parse(pathlib.Path(qcurv.cli.__file__).read_text())
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"laplacian", "reassemble", "apply_AA", "invariants_hold",
+                         "pulled_constant"}
+    assert called >= {"weyl_identities", "split_identities", "solve_residual", "mobius_drifts"}
+
+
 def test_psi4_solved_once_per_jet(runner, monkeypatch):
     import qcurv.parametrix as par
 

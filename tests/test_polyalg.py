@@ -24,10 +24,19 @@ from qcurv.polyalg import (
     monomial_table,
     reassemble,
     solve_AA,
+    solve_residual,
+    split_identities,
     _as_fraction,
 )
 
 F = Fraction
+
+
+def ints(p: HomogPoly) -> dict[tuple[int, ...], int]:
+    """The primitive integers of p, keyed by exponent."""
+    nz = np.flatnonzero(p._v)
+    exps = monomial_table(p.n, p.degree).exps[nz].tolist()
+    return dict(zip(map(tuple, exps), p._v[nz].tolist()))
 
 
 def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
@@ -471,14 +480,14 @@ def test_core_form_is_canonical(pair, f):
     # the same polynomial reached by two routes has one representation
     q = HomogPoly(n, m, b)
     assert (p + q) - q == p and hash((p + q) - q) == hash(p)
-    if p.ints:
-        assert math.gcd(*p.ints.values()) == 1
-        assert p.ints[min(p.ints)] > 0
+    if ints(p):
+        assert math.gcd(*ints(p).values()) == 1
+        assert ints(p)[min(ints(p))] > 0
 
 
 def test_terms_view_reads_fractions_from_ints():
     p = HomogPoly.r_squared(6).mul_r2k(2)
-    assert len(p.terms) == len(p.ints) == 56
+    assert len(p.terms) == len(ints(p)) == 56
     assert (0, 0, 0, 0, 0, 6) in p.terms
     assert p.terms[(0, 0, 0, 0, 0, 6)] == 1 and p.terms[(2, 2, 2, 0, 0, 0)] == 6
 
@@ -540,7 +549,7 @@ def test_int64_switch_both_sides():
         (laplacian(p), m - 2, _ref_laplacian(a)),
         (p.mul_r2k(1), m + 2, _ref_mul_r2k(a, n, 1)),
     ]:
-        assert got._v.dtype == object and max(map(abs, got.ints.values())) > 2**63 - 1
+        assert got._v.dtype == object and max(map(abs, ints(got).values())) > 2**63 - 1
         _assert_matches(got, n, want_m, want)
     back = (p + q) - q
     assert back == p and back._v.dtype == np.int64
@@ -592,4 +601,23 @@ def test_core_past_int64_matches_fraction_reference(t1, t2):
 def test_one_monomial_tables_keep_the_sign_in_the_content():
     for p in (HomogPoly.constant(3, -5), HomogPoly(1, 2, {(2,): F(-7, 2)}),
               laplacian(HomogPoly.r_squared(4).scale(-1))):
-        assert list(p.ints.values()) == [1] and p.content < 0
+        assert list(ints(p).values()) == [1] and p.content < 0
+
+
+def test_split_identities_fail_on_a_mutated_split():
+    n = 5
+    p = HomogPoly.r_squared(n).mul_r2k(1) + HomogPoly.monomial(n, [4, 0, 0, 0, 0], F(3, 7))
+    blocks = harmonic_decompose(p)
+    assert split_identities(p, blocks) == [("reassembles", True), ("blocks_harmonic", True)]
+    scaled = [HarmonicBlock(b.k, b.h.scale(2) if b.k == 1 else b.h) for b in blocks]
+    assert dict(split_identities(p, scaled)) == {"reassembles": False, "blocks_harmonic": True}
+    assert dict(split_identities(p, [HarmonicBlock(0, p)])) == {"reassembles": True,
+                                                                "blocks_harmonic": False}
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_solve_residual_vanishes_at_the_solution_only(n):
+    rhs = HomogPoly.r_squared(n).mul_r2k(1) + HomogPoly.monomial(n, [1, 1, 1, 1] + [0] * (n - 4))
+    psi = solve_AA(n, rhs)
+    assert solve_residual(n, psi, rhs).is_zero()
+    assert not solve_residual(n, psi, rhs.scale(2)).is_zero()

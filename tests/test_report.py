@@ -82,6 +82,14 @@ PINNED = [
      "b253746af2c4f0ea228553993e877f040557f2b4e0677a14fa4e7ab7abaaabae"),
     (["verify", "bubbles"],
      "bc8342141700158978f534f7722839e1ea19e5e010e913a4be637cc531ca714d"),
+    (["verify", "weyl", "--n", "4..12", "--trials", "5"],
+     "dc94188acbaadf34259b7cff7f7ba0211e64c362985fecaa5b01089c51d82ecd"),
+    (["verify", "polyalg", "--seed", "3", "--trials", "8"],
+     "2ab17499e1b8f69597f487eb5d161126a9379cc05d07fbcfbffa66368ba6681d"),
+    (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
+     "35c3728cd1d93b44a11fb32abaadc3f14e246dceeae5eb3e5a78d300f67daddf"),
+    (["verify", "spectral"],
+     "1910867a71e5440cf387bb7dfb78cc03e3c8dca5900da12380c6c80a4993dfc1"),
 ]
 
 # a large-L report, pinned under one BLAS thread: from L = 512 OpenBLAS

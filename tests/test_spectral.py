@@ -376,7 +376,7 @@ def test_theta4_scale_invariance(s5):
 def test_theta4_maximal_at_constant(s5):
     f = s5.constant_field(1.0)
     base = s5.theta4_functional(f)
-    pert = f.copy()
+    pert = ZonalField(f.n, f.L, f.coeffs.copy())
     pert.coeffs[1] += 0.2 * pert.coeffs[0]
     assert s5.theta4_functional(pert) < base
 

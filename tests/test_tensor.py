@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcurv.polyalg import HomogPoly, harmonic_decompose, laplacian, reassemble
+from qcurv.polyalg import HarmonicBlock, HomogPoly, harmonic_decompose, laplacian, reassemble
 from qcurv.tensor import (
     SchoutenHessian,
     WeylTensor,
@@ -15,9 +15,22 @@ from qcurv.tensor import (
     random_schouten_hessian,
     random_weyl,
     int_bound,
+    weyl_identities,
 )
 
 F = Fraction
+
+WEYL_IDENTITY_NAMES = ("invariants", "lap_quartic", "bilap_quartic", "cross_contraction",
+                       "reassembles", "blocks_harmonic", "radial_block", "sphere_average",
+                       "schouten_trace")
+
+
+def component(W: WeylTensor, i: int, k: int, j: int, l: int) -> Fraction:
+    return W.scale * int(W.ints[i, k, j, l])
+
+
+def identity_hessian(n: int) -> SchoutenHessian:
+    return SchoutenHessian.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def schouten_quartic(W: WeylTensor, Jh: SchoutenHessian) -> HomogPoly:
@@ -47,11 +60,11 @@ def symmetry_residuals(W: WeylTensor) -> dict[str, Fraction]:
         for k in range(n):
             for j in range(n):
                 for l in range(n):
-                    w = W.component(i, k, j, l)
-                    res["antisym_ik"] = max(res["antisym_ik"], abs(w + W.component(k, i, j, l)))
-                    res["antisym_jl"] = max(res["antisym_jl"], abs(w + W.component(i, k, l, j)))
-                    res["pair_swap"] = max(res["pair_swap"], abs(w - W.component(j, l, i, k)))
-                    b = w + W.component(i, j, l, k) + W.component(i, l, k, j)
+                    w = component(W, i, k, j, l)
+                    res["antisym_ik"] = max(res["antisym_ik"], abs(w + component(W, k, i, j, l)))
+                    res["antisym_jl"] = max(res["antisym_jl"], abs(w + component(W, i, k, l, j)))
+                    res["pair_swap"] = max(res["pair_swap"], abs(w - component(W, j, l, i, k)))
+                    b = w + component(W, i, j, l, k) + component(W, i, l, k, j)
                     res["bianchi"] = max(res["bianchi"], abs(b))
     return res
 
@@ -87,7 +100,7 @@ def test_norm_sq_matches_brute_force():
         for k in range(5):
             for j in range(5):
                 for l in range(5):
-                    total += W.component(i, k, j, l) ** 2
+                    total += component(W, i, k, j, l) ** 2
     assert W.norm_sq() == total
     assert W.rescale(2).norm_sq() == 4 * W.norm_sq()
 
@@ -134,7 +147,7 @@ def _check_quartic_against_loops(W):
             quad = {}
             for i in range(n):
                 for j in range(n):
-                    c = W.component(i, k, j, l)
+                    c = component(W, i, k, j, l)
                     if c == 0:
                         continue
                     quad[(i, j)] = quad.get((i, j), F(0)) + c
@@ -168,6 +181,57 @@ def test_harmonic_split_blocks_and_reassembly():
         assert blocks[2].h == HomogPoly.constant(
             n, W.norm_sq() * F(3, 2 * n * (n + 2))
         )
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (9, 3), (16, 4)])
+def test_weyl_identities_hold(n, seed):
+    W = random_weyl(n, seed)
+    checks = weyl_identities(W, random_schouten_hessian(n, seed, W))
+    assert tuple(name for name, _ in checks) == WEYL_IDENTITY_NAMES
+    assert all(ok for _, ok in checks), checks
+
+
+def _failing(W: WeylTensor, Jh: SchoutenHessian) -> set[str]:
+    return {name for name, ok in weyl_identities(W, Jh) if not ok}
+
+
+def test_each_weyl_identity_fails_on_a_mutated_input(monkeypatch):
+    # no identity in the list is vacuous: each reads False on some input
+    n = 6
+    W = random_weyl(n, seed=2)
+    Jh = random_schouten_hessian(n, 2, W)
+    assert _failing(W, Jh) == set()
+    seen = set()
+
+    ints = W.ints.copy()
+    ints[0, 1, 0, 1] += 1  # breaks the symmetries and the traces
+    bad = WeylTensor(n, ints, W.scale)
+    got = _failing(bad, random_schouten_hessian(n, 2, bad))
+    assert got == {"invariants", "lap_quartic", "bilap_quartic", "cross_contraction",
+                   "blocks_harmonic"}
+    seen |= got
+
+    rows = [list(row) for row in Jh.entries]
+    rows[0][0] += 1
+    got = _failing(W, SchoutenHessian.from_rows(rows))
+    assert got == {"schouten_trace"}
+    seen |= got
+
+    split = WeylTensor.quartic_harmonic_split
+    monkeypatch.setattr(WeylTensor, "quartic_harmonic_split",
+                        lambda self: [*split(self)[:2], HarmonicBlock(2, split(self)[2].h.scale(2))])
+    got = _failing(W, Jh)
+    assert got == {"reassembles", "radial_block", "sphere_average"}
+    seen |= got
+    monkeypatch.undo()
+
+    average = WeylTensor.sphere_average_quartic
+    monkeypatch.setattr(WeylTensor, "sphere_average_quartic", lambda self: 2 * average(self))
+    got = _failing(W, Jh)
+    assert got == {"sphere_average"}
+    seen |= got
+
+    assert seen == set(WEYL_IDENTITY_NAMES)
 
 
 def test_sphere_average_scaling_and_zero():
@@ -206,7 +270,7 @@ def test_schouten_quartic_special_cases():
     zero = schouten_quartic(Z, SchoutenHessian.zero(n))
     assert zero.is_zero()
     r4 = HomogPoly.r_squared(n).mul_r2k(1)
-    got = schouten_quartic(Z, SchoutenHessian.identity(n))
+    got = schouten_quartic(Z, identity_hessian(n))
     assert got == r4.scale(F(-1, n - 2))
 
 
@@ -239,7 +303,7 @@ def test_schouten_quadratic_form_matches_entry_loop(big):
 def test_fix_trace_enforces_constraint():
     n = 7
     W = random_weyl(n, seed=17)
-    Jh = SchoutenHessian.identity(n)
+    Jh = identity_hessian(n)
     fixed = fix_trace(Jh.entries, W)
     assert fixed.trace() == -W.norm_sq() / (12 * (n - 1))
     # off-diagonal part untouched
@@ -256,7 +320,7 @@ def test_weyl_json_round_trip():
     W2 = WeylTensor.from_json(W.to_json())
     assert W2.n == W.n
     for idx in [(0, 1, 2, 3), (1, 2, 3, 4), (4, 3, 2, 1)]:
-        assert W2.component(*idx) == W.component(*idx)
+        assert component(W2, *idx) == component(W, *idx)
     assert W2.norm_sq() == W.norm_sq()
 
 
@@ -283,7 +347,7 @@ def test_weyl_json_matches_component_oracle(n, seed, factor):
     def text(c):
         return f"{c.numerator}/{c.denominator}"
 
-    want = [[[[text(W.component(i, k, j, l)) for l in R] for j in R] for k in R] for i in R]
+    want = [[[[text(component(W, i, k, j, l)) for l in R] for j in R] for k in R] for i in R]
     assert W.to_json() == {"n": n, "W": want}
 
 
