@@ -154,6 +154,7 @@ class Cutoff:
             coeffs[N + 1 + k] = c
         self._poly = np.polynomial.Polynomial(coeffs)
         self._derivs = [self._poly.deriv(m) if m else self._poly for m in range(5)]
+        self._annulus = None  # ((delta, node shape, node bytes), radial_derivs)
 
     def eta1_derivs(self, s) -> np.ndarray:
         """Rows 0..4: derivative values of eta1 with respect to s, each of
@@ -166,6 +167,20 @@ class Cutoff:
         for m in range(1, 5):
             out[m] = np.where(inside, self._derivs[m](t), 0.0)
         return out
+
+    def radial_derivs(self, r: np.ndarray, delta: float) -> np.ndarray:
+        """Rows 0..4: derivative values of eta1(r/delta) with respect to r,
+        read-only.  The annulus quadrature meets the same nodes at every
+        lam, so the latest (delta, nodes) is kept."""
+        key = (delta, r.shape, r.tobytes())
+        cached = self._annulus
+        if cached is None or cached[0] != key:
+            out = self.eta1_derivs(r / delta)
+            for m in range(1, 5):
+                out[m] /= delta**m
+            out.setflags(write=False)
+            cached = self._annulus = (key, out)
+        return cached[1]
 
 
 # -- the dimension regimes -------------------------------------------------------
@@ -476,10 +491,7 @@ class _ModelPieces:
         """-Delta^2(eta2 beta) * phi on [delta, 2 delta] (matched cases)."""
         n = self.n
         d = self.delta
-        s = r / d
-        e1 = self.cutoff.eta1_derivs(s)
-        for m in range(1, 5):
-            e1[m] /= d**m
+        e1 = self.cutoff.radial_derivs(r, d)
         e2 = -e1
         e2[0] = 1.0 - e1[0]
         b = [beta(r) for beta in self.beta]

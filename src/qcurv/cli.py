@@ -134,6 +134,8 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
     """Green's-function expansion at the leading curvature order."""
     if n < 5:
         raise click.UsageError("n >= 5 required")
+    if n > tensor.MAX_N:
+        raise click.UsageError(f"n <= {tensor.MAX_N} required, the largest Weyl tensor dimension")
     if jet_file:
         try:
             with open(jet_file) as f:
@@ -204,8 +206,12 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
         lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas else ()
     except ValueError:
         raise click.UsageError(f"bad --lambdas {lambdas!r}; use e.g. 0.04,0.02,0.01,0.005")
-    jet = par.random_jet(n, seed, normalize=True) if asym.CASES[case].needs_jet else None
+    needs_jet = asym.CASES[case].needs_jet
+    if needs_jet and n > tensor.MAX_N:
+        raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
+                               "the largest Weyl tensor dimension")
     try:
+        jet = par.random_jet(n, seed, normalize=True) if needs_jet else None
         model = asym.TestFunctionModel(
             case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid, cutoff_degree=cutoff_degree
         )
@@ -492,12 +498,13 @@ def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
 # suite -> (checks, default dimensions, the smallest and largest ones it
 # accepts, default trials, default truncation L); None where the suite reads
 # no such option or sets no largest dimension.  Weyl tensors first exist at
-# n = 4, the degree-4 shell at n = 8, the sphere forms need n >= 5, and the
-# moments stay normal floats up to sphereforms.MOMENTS_MAX_N
+# n = 4 and are built up to tensor.MAX_N, the degree-4 shell starts at n = 8,
+# the sphere forms need n >= 5, and the moments stay normal floats up to
+# sphereforms.MOMENTS_MAX_N
 SUITES = {
-    "weyl": (_verify_weyl, range(5, 11), 4, None, 50, None),
+    "weyl": (_verify_weyl, range(5, 11), 4, tensor.MAX_N, 50, None),
     "polyalg": (_verify_polyalg, None, None, None, 40, None),
-    "parametrix": (_verify_parametrix, range(8, 13), 8, None, 10, None),
+    "parametrix": (_verify_parametrix, range(8, 13), 8, tensor.MAX_N, 10, None),
     "constants": (_verify_constants, range(5, 13), 5, sphereforms.MOMENTS_MAX_N, None, None),
     "bubbles": (_verify_bubbles, range(5, 13), 5, None, None, None),
     "spectral": (_verify_spectral, range(5, 10), 5, None, None, 64),

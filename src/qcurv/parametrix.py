@@ -96,6 +96,8 @@ def random_jet(n: int, seed: int, normalize: bool = False) -> CurvatureJet:
     if not normalize:
         return CurvatureJet(n, W, random_schouten_hessian(n, seed, W))
     w2 = float(W.norm_sq())
+    if w2 == 0:
+        raise ValueError(f"no nonzero Weyl tensor to normalize at n={n}")
     W = W.rescale(Fraction(1.0 / math.sqrt(w2)).limit_denominator(10**9))
     return CurvatureJet(n, W, random_schouten_hessian(n, seed, W, Fraction(1, 200)))
 

@@ -10,6 +10,15 @@ which no int64 sum can overflow; larger tensors are refused with a
 ValueError.  Seeded generators produce tensors satisfying all the
 algebraic symmetries exactly; ``weyl_identities`` names every exact
 identity they satisfy.
+
+The two Gram products behind the quartic and gradient-square forms go
+through float64 BLAS when a certificate proves it exact (``_gram``): if
+every squared row norm is below 2^53, every product and partial sum of
+the Gram matrix is an integer below 2^53 in magnitude, which float64
+holds exactly, whatever the summation order, kernel or thread count.
+The one assumption is that dgemm forms each entry as a sum of IEEE
+products, with no Strassen-type algorithm.  Otherwise the product runs
+in int64.  ``MAX_N`` is the largest dimension the CLI builds a tensor in.
 """
 
 from __future__ import annotations
@@ -25,6 +34,11 @@ from .polyalg import (HarmonicBlock, HomogPoly, laplacian, monomial_table, scale
                       split_identities)
 
 _INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
+
+# largest dimension the CLI builds a Weyl tensor in: an n^4 int64 array is
+# 20 MB at n = 40, and the quartic form has C(n+3, 4) = 123410 terms
+MAX_N = 40
 
 
 def int_bound(n: int) -> int:
@@ -35,9 +49,25 @@ def int_bound(n: int) -> int:
     quartic-form coefficient at most 24 contraction entries of n^2 products
     each, and a gradient-square coefficient 2 entries of n^3 products of
     pair sums, 8 n^3 entry products in all.  No partial sum exceeds the
-    largest count times the squared bound.
+    largest count times the squared bound.  The same bound keeps the
+    squared row norms that certify ``_gram``'s float64 path exact in int64;
+    from n = 32 on it also keeps every quartic-form row norm below 2^53.
     """
     return math.isqrt(_INT64_MAX // max(n**4, 8 * n**3, 24 * n * n))
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A @ A.T for an int64 matrix A, exact, in int64.
+
+    The certificate is the largest squared row norm, summed in int64 (the
+    caller's entry bound keeps it from overflowing).  Below 2^53, Cauchy-
+    Schwarz bounds every product and partial sum of every entry by it, so
+    float64 dgemm is exact; otherwise the product runs in int64.
+    """
+    if int(np.einsum("ij,ij->i", A, A).max(initial=0)) < _FLOAT_EXACT:
+        F = A.astype(np.float64)
+        return (F @ F.T).astype(np.int64)
+    return A @ A.T
 
 
 @functools.cache
@@ -110,7 +140,7 @@ class WeylTensor:
             # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl} = (X X^T)[(i,j),(a,b)]
             # with X[(i,j),(k,l)] = W_{ikjl}
             X = self.ints.transpose(0, 2, 1, 3).reshape(self.n**2, -1)
-            T = (X @ X.T).reshape((self.n,) * 4)
+            T = _gram(X).reshape((self.n,) * 4)
             self._quartic = HomogPoly.from_vector(self.n, 4, _symmetric_vector(T), self.scale**2)
         return self._quartic
 
@@ -121,7 +151,7 @@ class WeylTensor:
         """
         if self._gradsq is None:
             V = self.ints + np.transpose(self.ints, (0, 3, 2, 1))
-            M = np.einsum("ijkl,ajkl->ia", V, V)
+            M = _gram(V.reshape(self.n, -1))
             self._gradsq = HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), self.scale**2)
         return self._gradsq
 

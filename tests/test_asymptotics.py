@@ -152,6 +152,38 @@ def test_cutoff_c4_junctions(degree):
         assert np.all(np.abs(d[m]) <= 1e6 * eps)
 
 
+def test_cutoff_radial_derivs_cached_per_delta_and_nodes(monkeypatch):
+    c = Cutoff(9)
+    real = c.eta1_derivs
+    calls = []
+    monkeypatch.setattr(c, "eta1_derivs", lambda s: calls.append(s) or real(s))
+    r = np.linspace(0.55, 1.45, 12).reshape(2, 6)
+
+    def want(delta):
+        out = real(r / delta)
+        for m in range(1, 5):
+            out[m] /= delta**m
+        return out
+
+    got = c.radial_derivs(r, 0.5)
+    assert np.array_equal(got, want(0.5))
+    assert c.radial_derivs(r.copy(), 0.5) is got and len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0, 0] = 1.0
+    for other in (r.reshape(3, 4), r + 0.01, r):
+        c.radial_derivs(other, 0.5)
+    assert np.array_equal(c.radial_derivs(r, 0.25), want(0.25))
+    assert len(calls) == 5
+
+
+def test_cutoff_evaluated_once_per_fit(monkeypatch):
+    calls = []
+    real = Cutoff.eta1_derivs
+    monkeypatch.setattr(Cutoff, "eta1_derivs", lambda self, s: calls.append(s) or real(self, s))
+    fit = fit_expansion(TestFunctionModel(case="n8", n=8, jet=random_jet(8, 3, normalize=True)))
+    assert len(fit.lambdas) >= 4 and len(calls) <= 1
+
+
 def test_cutoff_degree_validation():
     with pytest.raises(ValueError):
         Cutoff(8)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcurv import asymptotics, spectral
+from qcurv import asymptotics, parametrix, spectral, tensor
 from qcurv.cli import main
 
 
@@ -355,6 +355,41 @@ def test_verify_below_suite_minimum_usage_error(runner, args):
     res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2, res.output
     assert "needs n >=" in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["parametrix", "--n", "{past}"],
+    ["parametrix", "--n", "{past}", "--jet-file", "{jet}"],
+    ["parametrix", "--n", "200"],
+    ["verify", "weyl", "--n", "{past}"],
+    ["verify", "weyl", "--n", "38..{past}"],
+    ["verify", "parametrix", "--n", "{past}", "--trials", "1"],
+    ["asymptotics", "--case", "high", "--n", "{past}"],
+])
+def test_weyl_dimension_capped(runner, monkeypatch, tmp_path, argv):
+    def no_tensor(*a, **k):
+        raise AssertionError("a Weyl tensor was built past the cap")
+
+    for module in (tensor, parametrix):
+        monkeypatch.setattr(module, "random_weyl", no_tensor)
+    monkeypatch.setattr(tensor.WeylTensor, "from_json", no_tensor)
+    # a jet file of the capped dimension is refused before it is read
+    jet = _jet_file(tmp_path, {"n": tensor.MAX_N + 1, "W": [], "J": []})
+    res = runner.invoke(main, [a.format(past=tensor.MAX_N + 1, jet=jet) for a in argv])
+    assert res.exit_code == 2, res.output
+    assert f"n <= {tensor.MAX_N}" in res.output
+
+
+def test_verify_weyl_passes_at_the_dimension_cap(runner):
+    res = runner.invoke(main, ["verify", "weyl", "--n", str(tensor.MAX_N), "--trials", "1"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_asymptotics_without_weyl_tensor_usage_error(runner, n):
+    # Weyl tensors vanish below n = 4, so there is no |W|^2 to normalize
+    res = runner.invoke(main, ["asymptotics", "--case", "high", "--n", n])
+    assert res.exit_code == 2, repr(res.exception)
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

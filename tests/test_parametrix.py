@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcurv.polyalg import HomogPoly, LogRadialExpansion, apply_AA
+from qcurv.polyalg import HomogPoly, LogRadialExpansion, apply_AA, solve_AA
 from qcurv.parametrix import (
     CurvatureJet,
     GreenExpansion,
@@ -102,6 +102,11 @@ def test_psi4_solver_equals_closed_form(n):
     for seed in range(3):
         jet = random_jet(n, seed=seed)
         assert psi4_solve(jet) == psi4_closed_form(jet)
+
+
+def test_psi4_solver_equals_closed_form_at_n32():
+    jet = random_jet(32, seed=1)
+    assert solve_AA(32, phi4(jet)) == psi4_closed_form(jet)
 
 
 def test_closed_form_specializes_to_n9_literal():

@@ -92,11 +92,17 @@ PINNED = [
      "1910867a71e5440cf387bb7dfb78cc03e3c8dca5900da12380c6c80a4993dfc1"),
 ]
 
-# a large-L report, pinned under one BLAS thread: from L = 512 OpenBLAS
-# splits the transforms across threads, which changes their sums
+# reports pinned under one BLAS thread.  A large-L spectral report: from
+# L = 512 OpenBLAS splits the transforms across threads, which changes their
+# sums.  Two reports whose Weyl Gram products run through float64 BLAS keep
+# their PINNED digests, taken under the default thread count: those sums
+# are exact, so no thread count can change them.
+_BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
+              ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
      "e76503dedcd8d547aa93403fb57a168ecd61c1e18f7a874c7a2a26e09e19493f"),
+    *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}

@@ -11,6 +11,8 @@ from qcurv.polyalg import HarmonicBlock, HomogPoly, harmonic_decompose, laplacia
 from qcurv.tensor import (
     SchoutenHessian,
     WeylTensor,
+    _gram,
+    _symmetric_vector,
     fix_trace,
     random_schouten_hessian,
     random_weyl,
@@ -183,7 +185,7 @@ def test_harmonic_split_blocks_and_reassembly():
         )
 
 
-@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (9, 3), (16, 4)])
+@pytest.mark.parametrize("n,seed", [(4, 1), (5, 2), (9, 3), (16, 4), (32, 5), (40, 6)])
 def test_weyl_identities_hold(n, seed):
     W = random_weyl(n, seed)
     checks = weyl_identities(W, random_schouten_hessian(n, seed, W))
@@ -388,3 +390,43 @@ def test_n18_large_entries_refused():
     obj = {"n": 18, "W": big.tolist()}
     with pytest.raises(ValueError, match="too large"):
         WeylTensor.from_json(obj)
+
+
+# 94906265^2 + 10885^2 + 71^2 + 50^2 = 2^53 - 1
+_BELOW = [94906265, 10885, 71, 50]
+
+
+@pytest.mark.parametrize("row,norm", [
+    (_BELOW, 2**53 - 1),          # float64 path: every partial sum below 2^53
+    ([2**26, 2**26, 0, 0], 2**53),  # int64 fallback
+    ([2**26, 2**26, 1, 0], 2**53 + 1),
+])
+def test_gram_exact_on_both_sides_of_the_certificate(row, norm):
+    assert sum(v * v for v in row) == norm
+    r = np.array(row, dtype=np.int64)
+    A = np.stack([r, -r[::-1], np.roll(r, 1), r, r // 3])
+    G = _gram(A)
+    assert G.dtype == np.int64
+    assert (G.astype(object) == A.astype(object) @ A.T.astype(object)).all()
+
+
+def test_gram_fallback_is_needed_past_the_certificate():
+    # 2^52 + 2^52 + 1 rounds to 2^53 in float64 in any summation order
+    A = np.array([[2**26, 2**26, 1]], dtype=np.int64)
+    F = A.astype(np.float64)
+    assert int((F @ F.T)[0, 0]) == 2**53
+    assert int(_gram(A)[0, 0]) == 2**53 + 1
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_weyl_gram_forms_match_int64_products(n):
+    """The quartic and gradient-square forms equal the same forms built
+    from the plain int64 Gram products."""
+    W = random_weyl(n, seed=n)
+    X = W.ints.transpose(0, 2, 1, 3).reshape(n * n, -1)
+    q = HomogPoly.from_vector(n, 4, _symmetric_vector((X @ X.T).reshape((n,) * 4)), W.scale**2)
+    V = W.ints + np.transpose(W.ints, (0, 3, 2, 1))
+    M = np.einsum("ijkl,ajkl->ia", V, V)
+    g = HomogPoly.from_vector(n, 2, _symmetric_vector(M), W.scale**2)
+    assert W.quartic_form() == q
+    assert W.gradient_square_form() == g
