@@ -23,7 +23,8 @@ import numpy as np
 from . import asymptotics as asym
 from . import parametrix as par
 from . import polyalg, report, sphereforms, spectral, tensor
-from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
+from .report import (VerificationReport, abs_check, close_check, dump_report, exact_check,
+                     write_report)
 
 # tolerances of the spectral and constants checks; the fit tolerances are
 # the rtol of each asymptotics.CASES row
@@ -93,6 +94,7 @@ def cmd_constants(n_range, fmt, out):
     rows = sphereforms.constants_table(ns)
     ok = all(c.passed for c in _constants_checks(rows))
     payload = {"command": "constants", "rows": rows, "pass": ok}
+    text = dump_report(payload) if out or fmt == "json" else None
 
     if fmt == "csv":
         cols = ["n", "Q_sphere", "omega_n", "Y4", "Theta4", "resid_Y4_vs_moments", "resid_duality"]
@@ -114,10 +116,10 @@ def cmd_constants(n_range, fmt, out):
         lines.append(r"\end{tabular}")
         click.echo("\n".join(lines))
     else:
-        click.echo(dump_report(payload), nl=False)
+        click.echo(text, nl=False)
 
     if out:
-        dump_report(payload, out)
+        write_report(text, out)
     sys.exit(0 if ok else 1)
 
 

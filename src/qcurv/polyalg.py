@@ -176,6 +176,21 @@ def scaled_text(content: Fraction, v: int) -> str:
     return f"{p * v // g}/{q // g}"
 
 
+def scaled_texts(content: Fraction, v: np.ndarray) -> list[str]:
+    """``scaled_text(content, x)`` for every entry x of the integer array v.
+
+    For content p/q and an int64 v with |p| max|v| and q below 2^63, one
+    int64 pass reduces every entry: g = gcd(v, q), numerators (v/g) p and
+    denominators q/g, where no product leaves int64.  Past that certificate
+    each entry goes through ``scaled_text``.
+    """
+    p, q = content.numerator, content.denominator
+    if v.dtype == np.int64 and v.size and abs(p) * _absmax(v) <= _INT64_MAX and q <= _INT64_MAX:
+        g = np.gcd(v, q)
+        return [f"{a}/{b}" for a, b in zip(((v // g) * p).tolist(), (q // g).tolist())]
+    return [scaled_text(content, x) for x in v.tolist()]
+
+
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
     exponent tuple, as Fractions made only when read."""
@@ -351,12 +366,12 @@ class HomogPoly:
         """JSON form {"n":…, "m":…, "terms": {"e1,e2,...,en": "p/q"}}.
 
         Multi-indices are emitted in lexicographic order so the output is
-        byte-reproducible; each p/q is reduced.
+        byte-reproducible; each p/q is reduced, all in one int64 pass when
+        ``scaled_texts``'s certificate holds.
         """
         keys = monomial_table(self.n, self.degree).key_text
         nz = np.flatnonzero(self._v)
-        c = self.content
-        terms = {keys[i]: scaled_text(c, v) for i, v in zip(nz.tolist(), self._v[nz].tolist())}
+        terms = dict(zip(map(keys.__getitem__, nz.tolist()), scaled_texts(self.content, self._v[nz])))
         return {"n": self.n, "m": self.degree, "terms": terms}
 
     @classmethod

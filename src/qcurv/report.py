@@ -3,10 +3,22 @@
 A report captures one check: what went in, the expected value with its
 provenance, what came out, the tolerance, and pass/fail.  Reports carry
 no timing, so identical configurations produce byte-identical files.
+
+``dump_report`` writes exactly what ``json.dumps(jsonable(doc), indent=2,
+sort_keys=True, allow_nan=False)`` would, in one walk that appends text
+pieces to a single list joined once at the end.  A list or dict whose items
+are all strings is written in one join: JSON escapes character by
+character, so if the concatenation of the strings is printable ASCII with
+no '"' and no '\\', none of them holds a character to escape, and each is
+written as itself between quotes.  One test on the concatenation decides
+for all of them; otherwise each item is encoded on its own.  Rows of
+such strings, like the n^4 table of a Weyl tensor, are written by the list
+that holds them, without a call per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,54 +54,86 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _encode(value: Any, pad: str) -> str:
-    """``value`` as ``json.dumps(jsonable(value), indent=2, sort_keys=True,
-    allow_nan=False)`` prints it, nested at indent ``pad``, in one pass that
-    maps and writes; a list of strings, or a dict of them, is joined in
-    one call."""
+def _escape_free(strings) -> bool:
+    """Whether every item is a str that JSON writes as itself between
+    quotes (see the module docstring)."""
+    try:
+        whole = "".join(strings)
+    except TypeError:  # an item is not a str
+        return False
+    return whole.isascii() and whole.isprintable() and '"' not in whole and "\\" not in whole
+
+
+def _encode(value: Any, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``value`` as ``json.dumps(jsonable(value),
+    indent=2, sort_keys=True, allow_nan=False)`` prints it, nested at indent
+    ``pad``, in one pass that maps and writes."""
     t = type(value)
     if t is str:
-        return _ESC(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if t is int:
-        return int.__repr__(value)
-    if t is float:
-        return _float_text(value)
-    if isinstance(value, dict):
+        out.append(_ESC(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif t is float:
+        out.append(_float_text(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = pad + "  "
+        sep = ",\n" + inner
         items = sorted({str(k): v for k, v in value.items()}.items())
-        try:  # the escaper refuses anything but strings
-            body = (",\n" + inner).join([_ESC(k) + ": " + _ESC(v) for k, v in items])
-        except TypeError:
-            body = (",\n" + inner).join([_ESC(k) + ": " + _encode(v, inner) for k, v in items])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
+        if _escape_free(itertools.chain.from_iterable(items)):  # a dict of strings
+            body = '"' + ('"' + sep + '"').join(map('": "'.join, items)) + '"'
+            out.append("{\n" + inner + body + "\n" + pad + "}")
+            return
+        out.append("{\n" + inner)
+        for k, v in items:
+            out.append(_ESC(k) + ": ")
+            _encode(v, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + pad + "}"  # the last separator closes the dict
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = pad + "  "
-        try:
-            body = (",\n" + inner).join(map(_ESC, value))
-        except TypeError:
-            body = (",\n" + inner).join([_encode(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    mapped = jsonable(value)
-    if mapped is not value:
-        return _encode(mapped, pad)
-    # what jsonable passes through unchanged, json writes by its base type
-    if isinstance(value, str):
-        return _ESC(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        sep = ",\n" + inner
+        if _escape_free(value):  # a list of strings
+            body = '"' + ('"' + sep + '"').join(value) + '"'
+        elif (all(type(v) is list for v in value)
+              and _escape_free(itertools.chain.from_iterable(value))):
+            # rows of strings, written here rather than by one call each
+            row_pad = inner + "  "
+            head, tail = "[\n" + row_pad + '"', '"\n' + inner + "]"
+            quoted_sep = '",\n' + row_pad + '"'
+            body = sep.join([head + quoted_sep.join(row) + tail if row else "[]" for row in value])
+        else:
+            out.append("[\n" + inner)
+            for v in value:
+                _encode(v, inner, out)
+                out.append(sep)
+            out[-1] = "\n" + pad + "]"  # the last separator closes the list
+            return
+        out.append("[\n" + inner + body + "\n" + pad + "]")
+    else:
+        mapped = jsonable(value)
+        if mapped is not value:
+            _encode(mapped, pad, out)
+        # what jsonable passes through unchanged, json writes by its base type
+        elif isinstance(value, str):
+            out.append(_ESC(value))
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, float):
+            out.append(_float_text(value))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -166,23 +210,30 @@ def dump_report(payload: dict, path: str | None = None) -> str:
     """Serialize a report envelope with sorted keys; optionally write it.
 
     A non-finite float raises ValueError: strict JSON has no token for it.
-    Writing goes through a temp file and rename so partial output never
-    lands at the target path.
     """
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    text = _encode(doc, "") + "\n"
+    out: list[str] = []
+    _encode(doc, "", out)
+    out.append("\n")
+    text = "".join(out)
     if path:
-        import os
-        import tempfile
-
-        d = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_report(text, path)
     return text
+
+
+def write_report(text: str, path: str) -> None:
+    """Write report text through a temp file and rename, so partial output
+    never lands at ``path``."""
+    import os
+    import tempfile
+
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

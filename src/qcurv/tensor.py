@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (HarmonicBlock, HomogPoly, laplacian, monomial_table, scaled_text,
+from .polyalg import (HarmonicBlock, HomogPoly, laplacian, monomial_table, scaled_texts,
                       split_identities)
 
 _INT64_MAX = 2**63 - 1
@@ -191,7 +191,7 @@ class WeylTensor:
         """{"n": n, "W": nested n^4 lists of reduced "p/q"}; each distinct
         integer entry is rendered once."""
         values, inverse = np.unique(self.ints, return_inverse=True)
-        text = np.array([scaled_text(self.scale, v) for v in values.tolist()], dtype=object)
+        text = np.array(scaled_texts(self.scale, values), dtype=object)
         W = text[inverse.reshape(self.ints.shape)]
         return {"n": self.n, "W": W.tolist()}
 
@@ -356,7 +356,7 @@ def fix_trace(M, W: WeylTensor, scale: Fraction | int = 1) -> SchoutenHessian:
     n = len(rows)
     target = -W.norm_sq() / (12 * (n - 1))
     shift = (target - scale * sum(rows[i][i] for i in range(n))) / n
-    scaled = {v: Fraction(scale * v) for row in rows for v in row}
+    scaled = {v: Fraction(scale * v) for v in set().union(*rows)}
     return SchoutenHessian(n, tuple(
         tuple(scaled[v] + shift if i == j else scaled[v] for j, v in enumerate(row))
         for i, row in enumerate(rows)

@@ -35,6 +35,17 @@ def test_constants_latex_matches_csv_values(runner):
     assert abs(y4_csv - y4_tex) <= 1e-9 * y4_csv
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_constants_report_file_is_the_json_stdout(runner, tmp_path, fmt):
+    plain = runner.invoke(main, ["constants", "--format", "json"]).stdout
+    out = tmp_path / "c.json"
+    res = runner.invoke(main, ["constants", "--format", fmt, "--report", str(out)])
+    assert res.exit_code == 0
+    assert out.read_text() == plain
+    if fmt == "json":
+        assert res.stdout == plain
+
+
 def test_constants_bad_range_usage_error(runner):
     res = runner.invoke(main, ["constants", "--n", "8..5"])
     assert res.exit_code == 2

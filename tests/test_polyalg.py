@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcurv import polyalg
 from qcurv.polyalg import (
     HarmonicBlock,
     HomogPoly,
@@ -28,6 +29,7 @@ from qcurv.polyalg import (
     split_identities,
     _as_fraction,
 )
+from qcurv.tensor import random_weyl
 
 F = Fraction
 
@@ -621,3 +623,46 @@ def test_solve_residual_vanishes_at_the_solution_only(n):
     psi = solve_AA(n, rhs)
     assert solve_residual(n, psi, rhs).is_zero()
     assert not solve_residual(n, psi, rhs.scale(2)).is_zero()
+
+
+def _fraction_terms(p: HomogPoly) -> dict[str, str]:
+    keys = monomial_table(p.n, p.degree).key_text
+    out = {}
+    for i in np.flatnonzero(p._v).tolist():
+        c = p.content * int(p._v[i])
+        out[keys[i]] = f"{c.numerator}/{c.denominator}"
+    return out
+
+
+_P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
+
+
+@pytest.mark.parametrize("v,content,bulk", [
+    ([1, -7, 6, 5, 0, 2], F(_P63, 210), True),        # |p| max|v| = 2^63 - 1
+    ([1, -7, 6, 5, 0, 2], F(-_P63, 210), True),
+    ([1, -8, 3, 5, 7, 0], F(2**60, 945), False),      # |p| max|v| = 2^63
+    ([1, -8, 3, 5, 7, 0], F(-(2**60), 945), False),
+    ([3, 0, -2, 9, 4, 6], F(5, 2**63 - 1), True),     # q = 2^63 - 1
+    ([3, 0, -2, 9, 4, 6], F(5, 2**63), False),        # q = 2^63
+    ([1, 2**70, -3, 0, 5, 7], F(7, 30), False),       # an object vector
+])
+def test_to_json_int64_certificate_edges(monkeypatch, v, content, bulk):
+    """The one-pass int64 rendering of the terms holds up to the bound, and
+    past it each term goes through scaled_text; both give the reduced
+    Fraction text."""
+    p = HomogPoly.from_vector(3, 2, np.array(v, dtype=object), content)
+    assert p.content == content and (p._v.dtype == np.int64) == (max(map(abs, v)) < 2**63)
+    calls = []
+    per_term = polyalg.scaled_text
+    monkeypatch.setattr(polyalg, "scaled_text", lambda c, x: calls.append(x) or per_term(c, x))
+    assert p.to_json()["terms"] == _fraction_terms(p)
+    assert len(calls) == (0 if bulk else np.count_nonzero(p._v))
+
+
+def test_to_json_of_a_large_int64_polynomial_renders_in_bulk(monkeypatch):
+    q = random_weyl(12, 5).quartic_form()
+    assert q._v.dtype == np.int64 and np.count_nonzero(q._v) >= 1000
+    calls = []
+    monkeypatch.setattr(polyalg, "scaled_text", lambda c, x: calls.append(x))
+    assert q.to_json()["terms"] == _fraction_terms(q)
+    assert calls == []

@@ -11,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qcurv import report
 from qcurv.cli import main
+from qcurv.parametrix import green_leading, random_jet
 from qcurv.report import SCHEMA, dump_report, jsonable
 
 
@@ -23,7 +25,15 @@ def _oracle(payload: dict) -> str:
     return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-_text = st.text() | st.sampled_from(['', '"', "\\", "\n\t\x00\x1f", "é∂😀", "a/b", " "])
+class _Str(str):
+    pass
+
+
+_text = st.text() | st.sampled_from(['', '"', "\\", "\n\t\x00\x1f", "é∂😀", "a/b", " "])
+# strings JSON writes as themselves, and single characters it escapes
+_plain = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'))
+_awkward = st.sampled_from(['"', "\\", "\x7f", "\x00", "\x1f", "\n", "é", "😀", "\u2028", "a\"b"])
+_strings = _plain | _awkward | _text | st.builds(_Str, _plain | _awkward)
 _leaves = (
     st.none()
     | st.booleans()
@@ -34,20 +44,53 @@ _leaves = (
     | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False))
     | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
 )
+_string_rows = (
+    st.lists(_plain, min_size=1, max_size=5)
+    | st.lists(_strings, max_size=5)
+    | st.lists(_plain, max_size=4).map(tuple)
+)
 _values = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
-    | st.lists(_text, max_size=5)
+    | _string_rows
+    | st.lists(_string_rows, max_size=4)
+    | st.lists(st.lists(_string_rows, max_size=3), max_size=3)
+    | st.dictionaries(_plain | _awkward, _plain | _awkward | st.builds(_Str, _plain), max_size=5)
+    | st.tuples(st.lists(_plain, max_size=4), inner).map(lambda t: [*t[0], t[1]])
     | st.dictionaries(_text | st.integers(), inner, max_size=5),
     max_leaves=40,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.dictionaries(_text, _values, max_size=6))
+@example({"a": {"\x1f": None}})
+@example({"a": {"\x1f": "x", "k": "v"}, "b": [["x", "y"], ["z", "\x7f"]], "c": ["p", "q", 1]})
+@example({"a": [["x", "y"], [], ["z"]], "b": [["x"], ("y",)], "c": [_Str("s"), "t"]})
 def test_dump_report_matches_json_dumps(payload):
     assert dump_report(payload) == _oracle(payload)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_parametrix_payload_matches_json_dumps(n):
+    jet = random_jet(n, 1)
+    green = green_leading(jet)
+    payload = {"jet": jet.to_json(), "expansion": green.to_json(), "log_terms": green.log_terms()}
+    assert dump_report(payload) == _oracle(payload)
+
+
+def test_jet_payload_escapes_no_entry(monkeypatch):
+    """The n^4 table of "p/q" strings is joined raw: the escaper sees the
+    keys only, never one entry."""
+    escaped = []
+    escape = report._ESC
+    monkeypatch.setattr(report, "_ESC", lambda s: escaped.append(s) or escape(s))
+    jet = random_jet(12, 1)
+    payload = {"command": "parametrix", "jet": jet.to_json()}
+    assert dump_report(payload) == _oracle(payload)
+    assert sorted(escaped) == ["J", "W", "command", "jet", "n", "parametrix", "qcurv-report/1",
+                               "schema"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -66,6 +109,8 @@ PINNED = [
      "70823b56f2ac69d5478a78cf8e3ca39b4445c12b33d68ecd51007f96cfb940c6"),
     (["parametrix", "--n", "16", "--seed", "1"],
      "83c81f3e34a0a732c1957b683e174aa1ea013e35a14134fbd405cf4f746b270a"),
+    (["constants", "--format", "json"],
+     "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
     (["spectral"],
      "a31f6b6bc772d48de242d455cc8c5eb9364a9a36dbe38db28f33ae8de6558b95"),
     (["asymptotics", "--case", "flat", "--n", "5"],

@@ -312,6 +312,22 @@ def test_fix_trace_enforces_constraint():
     assert fixed.entries[0][1] == Jh.entries[0][1]
 
 
+@pytest.mark.parametrize("scale", [1, F(1, 2), F(-3, 7)])
+def test_fix_trace_scales_each_distinct_entry_once(scale):
+    n = 6
+    W = random_weyl(n, seed=4)
+    raw = np.random.default_rng(2).integers(-3, 4, size=(n, n))
+    for M in (raw + raw.T, [[F(int(v), 3) for v in row] for row in (raw + raw.T).tolist()]):
+        rows = M.tolist() if isinstance(M, np.ndarray) else M
+        J = fix_trace(M, W, scale)
+        shift = (-W.norm_sq() / (12 * (n - 1)) - scale * sum(rows[i][i] for i in range(n))) / n
+        assert J.entries == tuple(
+            tuple(F(scale * rows[i][j]) + (shift if i == j else 0) for j in range(n))
+            for i in range(n)
+        )
+        assert all(J.entries[i][j] is J.entries[j][i] for i in range(n) for j in range(n))
+
+
 def test_schouten_validation():
     with pytest.raises(ValueError):
         SchoutenHessian.from_rows([[0, 1], [2, 0]])
