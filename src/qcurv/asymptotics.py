@@ -23,19 +23,20 @@ So |W|^2 is the one number the model reads from the jet, and only 1-D
 radial quadratures remain.
 
 Those run on composite 48-point Gauss-Legendre panels: on the ball, panels
-that double in width from lam/64 out to delta, so they are refined
+that double in width from lam/64 out to DELTA, so they are refined
 geometrically around r ~ lam; on the annulus, four equal panels.  Each
 integrand is elementwise in r and is called once per lam on the array of
 all its nodes; each panel is still summed as its own dot product and the
 panels left to right, so the result is the same, bit for bit, as one call
 per panel.  The exact radial factors (u_lam, f_lam, beta and their
 derivatives) do not depend on lam: they are built once per dimension and
-bound to each lam (``RadialTermSum.at``); the cutoff polynomial is built
-once per degree, and the float curvature averages once per model.
+bound to each lam (``RadialTermSum.at``); the cutoff polynomial and its
+derivatives at the fixed annulus nodes are built once per degree, and the
+float curvature averages once per model.
 
-Model scope: integrals are taken over the ball r <= delta plus, for the
+Model scope: integrals are taken over the ball r <= DELTA plus, for the
 numerator of the matched cases, the exact cutoff annulus term
--Delta^2(eta2 beta) * phi on [delta, 2delta], where integration by parts
+-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA], where integration by parts
 makes it higher order.  Raw |cutoff|^p contributions to the norm and the
 high-case cutoff terms are omitted: they are o() remainders of the
 expansions being reproduced, but their absolute size at feasible lam
@@ -131,6 +132,8 @@ def curvature_averages(n: int) -> tuple[Fraction, Fraction, Fraction | None]:
 
 # -- cutoff --------------------------------------------------------------------
 
+DELTA = 1.0  # radius of the model ball; the cutoff annulus is [DELTA, 2 DELTA]
+
 # The smoothstep is evaluated in the monomial basis, whose alternating
 # coefficients sum to 5e13 at degree 33 and grow about eightfold per step
 # of two: float cancellation then costs its 4th derivative about 2% of its
@@ -154,7 +157,6 @@ class Cutoff:
             coeffs[N + 1 + k] = c
         self._poly = np.polynomial.Polynomial(coeffs)
         self._derivs = [self._poly.deriv(m) if m else self._poly for m in range(5)]
-        self._annulus = None  # ((delta, node shape, node bytes), radial_derivs)
 
     def eta1_derivs(self, s) -> np.ndarray:
         """Rows 0..4: derivative values of eta1 with respect to s, each of
@@ -168,19 +170,20 @@ class Cutoff:
             out[m] = np.where(inside, self._derivs[m](t), 0.0)
         return out
 
-    def radial_derivs(self, r: np.ndarray, delta: float) -> np.ndarray:
-        """Rows 0..4: derivative values of eta1(r/delta) with respect to r,
-        read-only.  The annulus quadrature meets the same nodes at every
-        lam, so the latest (delta, nodes) is kept."""
-        key = (delta, r.shape, r.tobytes())
-        cached = self._annulus
-        if cached is None or cached[0] != key:
-            out = self.eta1_derivs(r / delta)
-            for m in range(1, 5):
-                out[m] /= delta**m
-            out.setflags(write=False)
-            cached = self._annulus = (key, out)
-        return cached[1]
+    def radial_derivs(self, r: np.ndarray) -> np.ndarray:
+        """Rows 0..4: derivative values of eta1(r/DELTA) with respect to r."""
+        out = self.eta1_derivs(r / DELTA)
+        for m in range(1, 5):
+            out[m] /= DELTA**m
+        return out
+
+    @cached_property
+    def annulus_derivs(self) -> np.ndarray:
+        """``radial_derivs`` at the annulus quadrature nodes, read-only.  The
+        nodes are fixed, so this is computed once per cutoff."""
+        out = self.radial_derivs(_ANNULUS_NODES)
+        out.setflags(write=False)
+        return out
 
 
 # -- the dimension regimes -------------------------------------------------------
@@ -276,7 +279,7 @@ class TestFunctionModel:
     optional for lowdim), ``A0``
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
-    points, all in (0, delta/4), whose fit weights stay finite; A0 must be
+    points, all in (0, DELTA/4), whose fit weights stay finite; A0 must be
     finite and small enough that the fit can square the values it scales;
     the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].  All are
     checked here, before any quadrature.
@@ -288,7 +291,6 @@ class TestFunctionModel:
     n: int
     jet: CurvatureJet | None = None
     A0: float = 1.0
-    delta: float = 1.0
     lambdas: tuple[float, ...] = ()
     cutoff_degree: int = 9
 
@@ -306,8 +308,8 @@ class TestFunctionModel:
             self.lambdas = row.lambdas
         if len(self.lambdas) < 4:
             raise ValueError("need at least 4 lambda grid points")
-        if not all(0 < lam < self.delta / 4 for lam in self.lambdas):
-            raise ValueError("every lambda must lie in (0, delta/4)")
+        if not all(0 < lam < DELTA / 4 for lam in self.lambdas):
+            raise ValueError("every lambda must lie in (0, DELTA/4)")
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
         _cutoff(self.cutoff_degree)  # refuses a degree Cutoff does not admit
@@ -377,30 +379,44 @@ class TestFunctionModel:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
+def _panel_nodes(breakpoints) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the panels [a, b] of consecutive breakpoints, and the
+    (panels x 48) array of their Gauss-Legendre nodes."""
+    a = np.asarray(breakpoints[:-1], dtype=float)
+    b = np.asarray(breakpoints[1:], dtype=float)
+    half = 0.5 * (b - a)
+    return half, (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+
+
 def _panel_quad(fn, breakpoints) -> float:
     """Sum over the panels [a, b] of consecutive breakpoints of the 48-point
     Gauss-Legendre rule.  ``fn`` is elementwise in r and is called once, on
     the (panels x 48) array of every node; each panel is then summed as its
     own dot product and the panels left to right, so the total does not
     depend on how the nodes were batched."""
-    a = np.asarray(breakpoints[:-1], dtype=float)
-    b = np.asarray(breakpoints[1:], dtype=float)
-    half = 0.5 * (b - a)
-    values = fn((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES)
+    half, nodes = _panel_nodes(breakpoints)
+    return _panel_sum(half, fn(nodes))
+
+
+def _panel_sum(half: np.ndarray, values: np.ndarray) -> float:
     total = 0.0
     for h, row in zip(half.tolist(), values):
         total += h * float(np.dot(_GL_WEIGHTS, row))
     return total
 
 
-def _bulk_breakpoints(lam: float, delta: float) -> list[float]:
+def _bulk_breakpoints(lam: float) -> list[float]:
     pts = [0.0]
     x = lam / 64.0
-    while x < delta:
+    while x < DELTA:
         pts.append(x)
         x *= 2.0
-    pts.append(delta)
+    pts.append(DELTA)
     return pts
+
+
+# the cutoff annulus [DELTA, 2 DELTA] in four equal panels
+_ANNULUS_HALF, _ANNULUS_NODES = _panel_nodes([DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)])
 
 
 # -- the radially reduced integrands --------------------------------------------
@@ -440,7 +456,6 @@ class _ModelPieces:
         n = model.n
         self.n = n
         self.lam = lam
-        self.delta = model.delta
         self.p = 2.0 * n / (n + 4)
         self.surf = n * omega_n(n)
 
@@ -487,11 +502,10 @@ class _ModelPieces:
         )
         return integrand * r ** (self.n - 1) * self.surf
 
-    def numerator_annulus(self, r: np.ndarray) -> np.ndarray:
-        """-Delta^2(eta2 beta) * phi on [delta, 2 delta] (matched cases)."""
+    def numerator_annulus(self, r: np.ndarray, e1: np.ndarray) -> np.ndarray:
+        """-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA] (matched cases), with
+        e1 the cutoff's ``radial_derivs`` at r."""
         n = self.n
-        d = self.delta
-        e1 = self.cutoff.radial_derivs(r, d)
         e2 = -e1
         e2[0] = 1.0 - e1[0]
         b = [beta(r) for beta in self.beta]
@@ -521,11 +535,11 @@ def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
     matched cases, the numerator's annulus term are the whole integrals.
     """
     pieces = _ModelPieces(model, lam)
-    d = model.delta
-    bulk = _bulk_breakpoints(lam, d)
+    bulk = _bulk_breakpoints(lam)
     num = _panel_quad(pieces.numerator_bulk, bulk)
     if CASES[model.case].matched:
-        num += _panel_quad(pieces.numerator_annulus, [d, 1.25 * d, 1.5 * d, 1.75 * d, 2.0 * d])
+        annulus = pieces.numerator_annulus(_ANNULUS_NODES, pieces.cutoff.annulus_derivs)
+        num += _panel_sum(_ANNULUS_HALF, annulus)
     norm_int = _panel_quad(pieces.norm_bulk, bulk)
     n = model.n
     norm_sq = norm_int ** ((n + 4.0) / n)

@@ -67,9 +67,7 @@ class CurvatureJet:
         return cls(n, WeylTensor(n, np.zeros((n,) * 4, dtype=np.int64)), SchoutenHessian.zero(n))
 
     def is_flat(self) -> bool:
-        return self.W.is_zero() and all(
-            c == 0 for row in self.Jh.entries for c in row
-        )
+        return self.W.is_zero() and not self.Jh.ints.any()
 
     def to_json(self) -> dict:
         return {"n": self.n, "W": self.W.to_json()["W"], "J": self.Jh.to_json()["J"]}

@@ -45,13 +45,19 @@ _INT64_MAX = 2**63 - 1
 
 
 def _as_fraction(x) -> Fraction:
+    """x as a Fraction, for x an integer, a Fraction or rational text such
+    as "p/q".  A float, a bool or a zero denominator is not exact input
+    and raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f'{x!r} is not an exact rational: give an integer or "p/q" text')
 
 
 class MonomialTable:
@@ -169,6 +175,35 @@ def _primitive(v: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
     return _narrow(v), scale
 
 
+def exact_ints(values, scale=1) -> tuple[np.ndarray, Fraction]:
+    """scale times an array of exact rationals as (ints, content), with
+    scale * values = content * ints.
+
+    ``values`` is a signed-integer numpy array or a nested array of
+    integers, Fractions and rational text (``_as_fraction``); each distinct
+    entry is parsed once.  ``ints`` has the shape of ``values`` and, read
+    flat, the canonical form of ``_primitive``.  This is the one path from
+    exact rationals to integers.
+    """
+    content = _as_fraction(scale)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        v = values.astype(np.int64)
+        if (v == np.iinfo(np.int64).min).any():  # |v| would pass int64
+            v = v.astype(object)
+    else:
+        a = np.array(values, dtype=object)
+        codes: dict = {}  # keyed by type too: True == 1 and 1.0 == 1 must not share a parse
+        inverse = [codes.setdefault((type(x), x), len(codes)) for x in a.ravel().tolist()]
+        fracs = [_as_fraction(x) for _, x in codes]
+        den = math.lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        wide = max(map(abs, nums), default=0) > _INT64_MAX
+        v = np.array(nums, dtype=object if wide else np.int64)[inverse].reshape(a.shape)
+        content /= den
+    ints, content = _primitive(v.reshape(-1), content)
+    return ints.reshape(v.shape), content
+
+
 def scaled_text(content: Fraction, v: int) -> str:
     """content * v as reduced "p/q" text, with one integer gcd."""
     p, q = content.numerator, content.denominator
@@ -235,25 +270,22 @@ class HomogPoly:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in (terms or {}).items():
-            e = tuple(int(v) for v in e)
+        terms = terms or {}
+        exps = [tuple(int(v) for v in e) for e in terms]
+        for e in exps:
             if len(e) != n or any(v < 0 for v in e):
                 raise ValueError(f"bad exponent {e} for n={n}")
             if sum(e) != degree:
                 raise ValueError(f"exponent {e} does not sum to degree {degree}")
-            acc[e] = acc.get(e, _ZERO) + _as_fraction(c)
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}
-        v = np.zeros(math.comb(n + degree - 1, degree), dtype=np.int64)
-        if ints:
-            values = list(ints.values())
-            if max(map(abs, values)) > _INT64_MAX:
-                v = v.astype(object)
-            v[monomial_table(n, degree).rank(list(ints))] = values
+        if len(set(exps)) != len(exps):
+            raise ValueError("two keys name the same exponent")
+        ints, content = exact_ints(list(terms.values()))
+        table = monomial_table(n, degree)
+        v = np.zeros(table.size, dtype=ints.dtype)
+        v[table.rank(exps)] = ints
         self.n = n
         self.degree = degree
-        self._v, self.content = _primitive(v, Fraction(1, den))
+        self._v, self.content = _primitive(v, content)
 
     @classmethod
     def _make(cls, n: int, degree: int, v: np.ndarray, content: Fraction):
@@ -283,7 +315,8 @@ class HomogPoly:
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "HomogPoly":
-        return cls(n, degree)
+        size = math.comb(n + degree - 1, degree)
+        return cls._make(n, degree, np.zeros(size, dtype=np.int64), _ZERO)
 
     @classmethod
     def constant(cls, n: int, value) -> "HomogPoly":
@@ -373,14 +406,6 @@ class HomogPoly:
         nz = np.flatnonzero(self._v)
         terms = dict(zip(map(keys.__getitem__, nz.tolist()), scaled_texts(self.content, self._v[nz])))
         return {"n": self.n, "m": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HomogPoly":
-        terms = {
-            tuple(int(v) for v in key.split(",")): Fraction(val)
-            for key, val in obj["terms"].items()
-        }
-        return cls(int(obj["n"]), int(obj["m"]), terms)
 
 
 def _lincomb(n: int, m: int, parts: Iterable[tuple]) -> HomogPoly:
@@ -565,14 +590,6 @@ class LogRadialExpansion:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LogRadialExpansion":
-        terms = {
-            (int(t["deg"]), int(t["logpow"])): HomogPoly.from_json(t["poly"])
-            for t in obj["terms"]
-        }
-        return cls(int(obj["n"]), Fraction(obj["radial_exp"]), terms)
-
 
 def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     """Apply A_alpha to an expansion, absorbing the r^rho prefactor.
@@ -606,35 +623,25 @@ def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
     return (alpha + 2 * k) * (2 * m - 2 * k + alpha + n - 2)
 
 
+def _escalation_scalars(n: int, m: int, k: int) -> list[int]:
+    """E^(j)(0), j = 0..3, of E(eps) = eigen_A(2-n+eps) eigen_A(4-n+eps) on
+    r^{2k} H_{m-2k}, the quartic (eps+2-n+2k)(eps+2m-2k)(eps+4-n+2k)(eps+2m-2k+2).
+
+    A_{2-n} A_{4-n} maps r^eps times the block to E(eps) r^eps times it, so
+    j eps-derivatives at 0 give its action on log^j r: E(0) is eigen_AA, and
+    the first nonzero E^(j)(0) inverts a kernel block with log^j r.
+    """
+    coeffs = [1]  # of the expanded product, lowest power of eps first
+    for c in (2 - n + 2 * k, 2 * m - 2 * k, 4 - n + 2 * k, 2 * m - 2 * k + 2):
+        coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return [math.factorial(j) * coeffs[j] for j in range(4)]
+
+
 def eigen_AA(n: int, m: int, k: int) -> Fraction:
     """Scalar of A_{2-n} A_{4-n} on r^{2k} H_{m-2k}."""
     if not (0 <= k <= m // 2):
         raise ValueError(f"block index k={k} out of range for degree {m}")
-    return Fraction((2 * m - 2 * k) * (2 * m - 2 * k + 2) * (2 * k + 2 - n) * (2 * k + 4 - n))
-
-
-def _eigen_mixed(n: int, m: int, k: int) -> Fraction:
-    # (A_{2-n} B_{4-n} + B_{2-n} A_{4-n}) on r^{2k} H_{m-2k}
-    a2, a4 = Fraction(2 - n), Fraction(4 - n)
-    b4 = 2 * m + 2 * a4 + n - 2
-    b2 = 2 * m + 2 * a2 + n - 2
-    return b4 * eigen_A(n, m, k, a2) + b2 * eigen_A(n, m, k, a4)
-
-
-def _eigen_log2(n: int, m: int, k: int) -> Fraction:
-    # log^2 escalation scalar: 2 (A_{2-n} + A_{4-n} + B_{2-n} B_{4-n})
-    a2, a4 = Fraction(2 - n), Fraction(4 - n)
-    b4 = 2 * m + 2 * a4 + n - 2
-    b2 = 2 * m + 2 * a2 + n - 2
-    return 2 * (eigen_A(n, m, k, a2) + eigen_A(n, m, k, a4) + b2 * b4)
-
-
-def _eigen_log3(n: int, m: int, k: int) -> Fraction:
-    # log^3 escalation scalar: 6 (B_{2-n} + B_{4-n})
-    a2, a4 = Fraction(2 - n), Fraction(4 - n)
-    b4 = 2 * m + 2 * a4 + n - 2
-    b2 = 2 * m + 2 * a2 + n - 2
-    return 6 * (b2 + b4)
+    return Fraction(_escalation_scalars(n, m, k)[0])
 
 
 class UnresolvableBlockError(ArithmeticError):
@@ -650,17 +657,16 @@ def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
     Invertible blocks are divided by their eigen_AA scalar.  On kernel
     blocks the log power is raised by exactly one until the first operator
     in the log-derivative cascade acts invertibly (log r via the mixed operator,
-    then log^2, then log^3).  The blocks of each log power are summed in one
-    pass.
+    then log^2, then log^3; ``_escalation_scalars``).  The blocks of each log
+    power are summed in one pass.
     """
     m = rhs.degree
     parts: dict[int, list] = {}
     for block in harmonic_decompose(rhs):
         k = block.k
-        for logpow, eigen in enumerate((eigen_AA, _eigen_mixed, _eigen_log2, _eigen_log3)):
-            lam = eigen(n, m, k)
+        for logpow, lam in enumerate(_escalation_scalars(n, m, k)):
             if lam != 0:
-                parts.setdefault(logpow, []).append((Fraction(-1) / lam, block.h.mul_r2k(k)))
+                parts.setdefault(logpow, []).append((Fraction(-1, lam), block.h.mul_r2k(k)))
                 break
         else:
             raise UnresolvableBlockError(

@@ -13,8 +13,8 @@ fourth-order Sobolev quotient, its dual, the second-order (conformal
 Laplacian) analogues, the fixed-point iteration for the dual extremal
 problem, and conformal dilations all run on top of the same transform pair.
 
-Fractional powers of fields are evaluated on an oversampled grid (>= 3x)
-and projected back to degree L.
+Fractional powers of fields are evaluated on a grid ``OVERSAMPLE`` times
+finer and projected back to degree L.
 
 Every grid is a Gauss-Jacobi rule with an even number of nodes, computed
 here in numpy on t > 0 and mirrored exactly.  The recurrence then gives
@@ -46,6 +46,8 @@ MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
 # rule, and peaks near 290 MB (Python 3.11, numpy 2.4, one BLAS thread).
 # The cost grows as L^2.
 MAX_L = 2048
+
+OVERSAMPLE = 3  # node ratio of the nonlinearity grid to the main grid
 
 # Newton passes on the rule's nodes before the certificate decides
 _NEWTON_PASSES = 30
@@ -263,15 +265,13 @@ def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 class SphereSolver:
     """Transform pair, quadratures, and functionals for zonal fields on S^n.
 
-    The main grid has 2L+2 nodes and the nonlinearity grid ``oversample``
+    The main grid has 2L+2 nodes and the nonlinearity grid ``OVERSAMPLE``
     times as many; ``t``, ``w``, ``t_over`` and ``w_over`` are the full
     grids, and transforms take and return values on them in that order."""
 
-    def __init__(self, n: int, L: int, oversample: int = 3):
+    def __init__(self, n: int, L: int):
         if n < 5:
             raise ValueError("solver targets n >= 5")
-        if oversample < 3:
-            raise ValueError("nonlinearity grid must oversample by at least 3x")
         if L > MAX_L:
             raise ValueError(f"truncation degree L={L} exceeds {MAX_L}")
         self.n = n
@@ -287,7 +287,7 @@ class SphereSolver:
         area_factor = n * omega_n(n)  # area of the S^{n-1} slice factor
         try:
             self.t, wj = _gauss_jacobi(self.M, a)
-            self.t_over, wj2 = _gauss_jacobi(oversample * self.M, a)
+            self.t_over, wj2 = _gauss_jacobi(OVERSAMPLE * self.M, a)
         except ValueError as e:
             raise ValueError(f"{e} at n={n}, L={L}") from None
         self.w = area_factor * wj

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (HarmonicBlock, HomogPoly, laplacian, monomial_table, scaled_texts,
-                      split_identities)
+from .polyalg import (HarmonicBlock, HomogPoly, _absmax, exact_ints, laplacian, monomial_table,
+                      scaled_texts, split_identities)
 
 _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
@@ -102,12 +101,13 @@ class WeylTensor:
 
     def __init__(self, n: int, ints: np.ndarray, scale: Fraction = Fraction(1)):
         self.n = n
-        ints = np.asarray(ints, dtype=np.int64)
+        ints = np.asarray(ints)
         if ints.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {ints.shape}")
-        if ints.size and int(np.abs(ints).max()) > int_bound(n):
+        bound = int_bound(n)
+        if ints.size and (ints.max() > bound or ints.min() < -bound):
             raise ValueError(f"integer components too large for exact int64 sums at n={n}")
-        self.ints = ints
+        self.ints = np.asarray(ints, dtype=np.int64)
         self.scale = Fraction(scale)
         self._quartic = None
         self._gradsq = None
@@ -200,88 +200,60 @@ class WeylTensor:
         n = int(obj["n"])
         if np.shape(obj["W"]) != (n,) * 4:
             raise ValueError(f"W must be an array of shape {(n,) * 4}")
-        fr = [
-            [[[Fraction(obj["W"][i][k][j][l]) for l in range(n)] for j in range(n)] for k in range(n)]
-            for i in range(n)
-        ]
-        return _from_fraction_array(n, fr)
+        return cls(n, *exact_ints(obj["W"]))
 
 
-def _from_fraction_array(n: int, fr) -> WeylTensor:
-    den = 1
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    den = math.lcm(den, fr[i][k][j][l].denominator)
-    ints = np.zeros((n, n, n, n), dtype=object)
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    ints[i, k, j, l] = int(fr[i][k][j][l] * den)
-    g = 0
-    for v in ints.reshape(-1):
-        g = math.gcd(g, abs(int(v)))
-    if g > 1:
-        ints = ints // g
-        num = g
-    else:
-        num = 1
-    worst = max((abs(int(v)) for v in ints.reshape(-1)), default=0)
-    if worst > int_bound(n):
-        # astype would wrap silently; refuse before any conversion
-        raise ValueError("rational components too large for exact fast paths")
-    return WeylTensor(n, ints.astype(np.int64), Fraction(num, den))
-
-
-@dataclass(frozen=True)
 class SchoutenHessian:
-    """Symmetric rational matrix J_ij (covariant Hessian of J at the point)."""
+    """Symmetric rational matrix J_ij (covariant Hessian of J at the point).
 
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    Entries J_ij = scale * ints[i, j], with (ints, scale) in the canonical
+    form of ``exact_ints``, so ``==`` compares the pair directly; ``ints``
+    is int64 where every entry fits.
+    """
 
-    def __post_init__(self):
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError("entries must be an n x n matrix")
-        # rows against columns; tuple comparison skips entries that are the
-        # same object, as mirrored entries built from one matrix are
-        if any(row != col for row, col in zip(self.entries, zip(*self.entries))):
+    __slots__ = ("n", "ints", "scale")
+
+    def __init__(self, n: int, ints, scale: Fraction | int = 1):
+        self.ints, self.scale = exact_ints(ints, scale)
+        if self.ints.shape != (n, n):
+            raise ValueError(f"expected shape {(n, n)}, got {self.ints.shape}")
+        if not np.array_equal(self.ints, self.ints.T):
             raise ValueError("Schouten Hessian must be symmetric")
-
-    @classmethod
-    def from_rows(cls, rows) -> "SchoutenHessian":
-        n = len(rows)
-        return cls(n, tuple(tuple(Fraction(v) for v in row) for row in rows))
+        self.n = n
 
     @classmethod
     def zero(cls, n: int) -> "SchoutenHessian":
-        return cls(n, tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
+        return cls(n, np.zeros((n, n), dtype=np.int64))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SchoutenHessian)
+            and self.n == other.n
+            and self.scale == other.scale
+            and np.array_equal(self.ints, other.ints)
+        )
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+        return self.scale * sum(np.diagonal(self.ints).tolist())
 
     def quadratic_form(self) -> HomogPoly:
         """J_ij x_i x_j as a degree-2 polynomial."""
-        den = math.lcm(*(c.denominator for row in self.entries for c in row))
-        M = np.array([[c.numerator * (den // c.denominator) for c in row] for row in self.entries],
-                     dtype=object)
-        if 2 * int(np.abs(M).max()) <= _INT64_MAX:  # a coefficient sums two entries
-            M = M.astype(np.int64)
-        return HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), Fraction(1, den))
+        M = self.ints
+        if 2 * _absmax(M) > _INT64_MAX:  # a coefficient sums two entries
+            M = M.astype(object)
+        return HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), self.scale)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "J": [
-                [f"{c.numerator}/{c.denominator}" for c in row] for row in self.entries
-            ],
-        }
+        """{"n": n, "J": n x n nested lists of reduced "p/q"}."""
+        texts = scaled_texts(self.scale, self.ints.reshape(-1))
+        return {"n": self.n, "J": [texts[i:i + self.n] for i in range(0, self.n**2, self.n)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchoutenHessian":
-        return cls.from_rows([[Fraction(v) for v in row] for row in obj["J"]])
+        n = int(obj["n"])
+        if np.shape(obj["J"]) != (n, n):
+            raise ValueError(f"J must be an array of shape {(n, n)}")
+        return cls(n, obj["J"])
 
 
 # -- generators --------------------------------------------------------------
@@ -345,22 +317,25 @@ def random_schouten_hessian(
 
 
 def fix_trace(M, W: WeylTensor, scale: Fraction | int = 1) -> SchoutenHessian:
-    """scale * M, for a symmetric n x n matrix M of integers or rationals
-    (an integer array or nested rows), with its pure-trace part shifted so
-    the trace is -|W|^2/(12(n-1)).
+    """scale * M, for a symmetric n x n array M of exact rationals
+    (``exact_ints``), with its pure-trace part shifted so the trace is
+    -|W|^2/(12(n-1)).
 
-    Each distinct entry is scaled once, so mirrored entries are one object
-    and the symmetry check compares them by identity.
+    The shift is added to the diagonal in integers over one common
+    denominator: int64 while the entries stay in range, Python ints past
+    it.
     """
-    rows = M.tolist() if isinstance(M, np.ndarray) else M
-    n = len(rows)
-    target = -W.norm_sq() / (12 * (n - 1))
-    shift = (target - scale * sum(rows[i][i] for i in range(n))) / n
-    scaled = {v: Fraction(scale * v) for v in set().union(*rows)}
-    return SchoutenHessian(n, tuple(
-        tuple(scaled[v] + shift if i == j else scaled[v] for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    ))
+    ints, s = exact_ints(M, scale)
+    n = len(ints)
+    shift = (-W.norm_sq() / (12 * (n - 1)) - s * sum(np.diagonal(ints).tolist())) / n
+    den = math.lcm(s.denominator, shift.denominator)
+    a = s.numerator * (den // s.denominator)
+    b = shift.numerator * (den // shift.denominator)
+    if abs(a) * max(_absmax(ints), 1) + abs(b) > _INT64_MAX:
+        ints = ints.astype(object)
+    out = a * ints
+    out[np.diag_indices(n)] += b
+    return SchoutenHessian(n, out, Fraction(1, den))
 
 
 # -- invariant checks ---------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 
 from qcurv.asymptotics import (
     CASES,
+    DELTA,
     MAX_CUTOFF_DEGREE,
     Cutoff,
     TestFunctionModel,
+    _ANNULUS_NODES,
     _bulk_breakpoints,
     _ModelPieces,
     _panel_quad,
@@ -74,7 +76,7 @@ def mc_angular_check(
     rng = np.random.Generator(np.random.Philox(seed))
     Wf = jet.W.ints.astype(float) * float(jet.W.scale)
     Wmat = np.ascontiguousarray(Wf.transpose(0, 2, 1, 3).reshape(n * n, n * n))
-    Jf = np.array([[float(c) for c in row] for row in jet.Jh.entries])
+    Jf = (jet.Jh.scale * jet.Jh.ints).astype(float)
 
     q_vals = np.empty(samples)
     j_vals = np.empty(samples)
@@ -102,7 +104,7 @@ def mc_angular_check(
         model = TestFunctionModel(case="high", n=n, jet=jet)
         model.corr_constants = (ca, gj, float(w2))  # overrides the closed forms
         return _panel_quad(_ModelPieces(model, lam).numerator_bulk,
-                           _bulk_breakpoints(lam, model.delta))
+                           _bulk_breakpoints(lam))
 
     exact_num = numerator(exact["a4"], exact["gj2"])
     d_da = numerator(exact["a4"] + 1.0, exact["gj2"]) - exact_num
@@ -152,28 +154,20 @@ def test_cutoff_c4_junctions(degree):
         assert np.all(np.abs(d[m]) <= 1e6 * eps)
 
 
-def test_cutoff_radial_derivs_cached_per_delta_and_nodes(monkeypatch):
-    c = Cutoff(9)
-    real = c.eta1_derivs
+def test_cutoff_annulus_derivs_computed_once_per_degree(monkeypatch):
     calls = []
-    monkeypatch.setattr(c, "eta1_derivs", lambda s: calls.append(s) or real(s))
-    r = np.linspace(0.55, 1.45, 12).reshape(2, 6)
-
-    def want(delta):
-        out = real(r / delta)
-        for m in range(1, 5):
-            out[m] /= delta**m
-        return out
-
-    got = c.radial_derivs(r, 0.5)
-    assert np.array_equal(got, want(0.5))
-    assert c.radial_derivs(r.copy(), 0.5) is got and len(calls) == 1
+    real = Cutoff.eta1_derivs
+    monkeypatch.setattr(Cutoff, "eta1_derivs", lambda self, s: calls.append(s) or real(self, s))
+    c = Cutoff(9)
+    got = c.annulus_derivs
+    assert c.annulus_derivs is got and len(calls) == 1
     with pytest.raises(ValueError, match="read-only"):
         got[0, 0, 0] = 1.0
-    for other in (r.reshape(3, 4), r + 0.01, r):
-        c.radial_derivs(other, 0.5)
-    assert np.array_equal(c.radial_derivs(r, 0.25), want(0.25))
-    assert len(calls) == 5
+    assert got.shape == (5, *_ANNULUS_NODES.shape)
+    assert np.array_equal(got, c.radial_derivs(_ANNULUS_NODES))
+    # at DELTA = 1 the r-derivatives are the s-derivatives, bit for bit
+    assert DELTA == 1.0 and np.array_equal(got, real(c, _ANNULUS_NODES))
+    assert not np.array_equal(Cutoff(11).annulus_derivs, got)
 
 
 def test_cutoff_evaluated_once_per_fit(monkeypatch):
@@ -333,8 +327,9 @@ def test_model_integrand_tasks():
         lam = m.lambdas[0]
         pieces = _ModelPieces(m, lam)
         assert np.all(np.isfinite(pieces.numerator_bulk(np.array([0.3, 0.7]))))
-        bulk = _panel_quad(pieces.numerator_bulk, _bulk_breakpoints(lam, m.delta))
-        annulus = _panel_quad(pieces.numerator_annulus, [1.0, 1.25, 1.5, 1.75, 2.0])
+        bulk = _panel_quad(pieces.numerator_bulk, _bulk_breakpoints(lam))
+        annulus = _panel_quad(lambda r: pieces.numerator_annulus(r, pieces.cutoff.radial_derivs(r)),
+                              [1.0, 1.25, 1.5, 1.75, 2.0])
         assert annulus != 0.0
         want = bulk + annulus if CASES[case].matched else bulk
         assert evaluate_model(m, lam)["numerator"] == want
@@ -355,7 +350,7 @@ def test_grid_refinement_stability():
     jet = random_jet(10, seed=1, normalize=True)
     m = TestFunctionModel(case="high", n=10, jet=jet)
     pieces = _ModelPieces(m, 0.02)
-    bp = _bulk_breakpoints(0.02, m.delta)
+    bp = _bulk_breakpoints(0.02)
     bp2 = []
     for a, b in zip(bp[:-1], bp[1:]):
         bp2 += [a, 0.5 * (a + b)]
@@ -507,12 +502,13 @@ def _panel_quad_per_panel(fn, breakpoints) -> float:
 def test_batched_panel_quad_matches_per_panel_loop(case):
     # one integrand call over every panel gives the per-panel sums bit for bit
     m = _default_model(case)
-    annulus = [m.delta * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
+    annulus = [DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
     for lam in m.lambdas:
         pieces = _ModelPieces(m, lam)
-        bulk = _bulk_breakpoints(lam, m.delta)
+        bulk = _bulk_breakpoints(lam)
         for fn, bp in ((pieces.numerator_bulk, bulk), (pieces.norm_bulk, bulk),
-                       (pieces.numerator_annulus, annulus)):
+                       (lambda r: pieces.numerator_annulus(r, pieces.cutoff.radial_derivs(r)),
+                        annulus)):
             assert _panel_quad(fn, bp) == _panel_quad_per_panel(fn, bp)
 
 

@@ -161,8 +161,14 @@ def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
     ints[0, 1, 0, 1] += 1
     not_weyl_W = WeylTensor(9, ints, good.W.scale)
     not_weyl = {"n": 9, "W": not_weyl_W.to_json()["W"],
-                "J": fix_trace(good.Jh.entries, not_weyl_W).to_json()["J"]}
-    for doc in (short, wrong_trace, not_weyl, '{"n": 9, "W": [', {"n": 9}):
+                "J": fix_trace(good.Jh.scale * good.Jh.ints, not_weyl_W).to_json()["J"]}
+    # exact input only: a zero denominator, and a float even where its value is right
+    zero_den_W, zero_den_J, float_W = good.to_json(), good.to_json(), good.to_json()
+    zero_den_W["W"][0][1][0][1] = "1/0"
+    zero_den_J["J"][0][0] = "1/0"
+    float_W["W"][0][0][0][0] = 0.0
+    for doc in (short, wrong_trace, not_weyl, '{"n": 9, "W": [', {"n": 9},
+                zero_den_W, zero_den_J, float_W):
         res = runner.invoke(main, ["parametrix", "--n", "9", "--jet-file", _jet_file(tmp_path, doc)])
         assert res.exit_code == 2, res.output
         assert "bad jet file" in res.output

@@ -53,6 +53,18 @@ def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     return out
 
 
+def poly_from_json(obj: dict) -> HomogPoly:
+    """The inverse of ``HomogPoly.to_json``."""
+    terms = {tuple(int(v) for v in key.split(",")): val for key, val in obj["terms"].items()}
+    return HomogPoly(int(obj["n"]), int(obj["m"]), terms)
+
+
+def expansion_from_json(obj: dict) -> LogRadialExpansion:
+    """The inverse of ``LogRadialExpansion.to_json``."""
+    terms = {(int(t["deg"]), int(t["logpow"])): poly_from_json(t["poly"]) for t in obj["terms"]}
+    return LogRadialExpansion(int(obj["n"]), F(obj["radial_exp"]), terms)
+
+
 def poly_from_coeffs(n, entries):
     """entries: list of (exponent tuple, coeff)."""
     terms = {}
@@ -274,6 +286,34 @@ def test_eigen_AA_values():
         assert eigen_AA(n, 0, 0) == 0
 
 
+def _eigen_mixed(n, m, k):
+    # (A_{2-n} B_{4-n} + B_{2-n} A_{4-n}) on r^{2k} H_{m-2k}
+    b2, b4 = 2 * m + 2 * (2 - n) + n - 2, 2 * m + 2 * (4 - n) + n - 2
+    return b4 * eigen_A(n, m, k, 2 - n) + b2 * eigen_A(n, m, k, 4 - n)
+
+
+def _eigen_log2(n, m, k):
+    # 2 (A_{2-n} + A_{4-n} + B_{2-n} B_{4-n})
+    b2, b4 = 2 * m + 2 * (2 - n) + n - 2, 2 * m + 2 * (4 - n) + n - 2
+    return 2 * (eigen_A(n, m, k, 2 - n) + eigen_A(n, m, k, 4 - n) + b2 * b4)
+
+
+def _eigen_log3(n, m, k):
+    # 6 (B_{2-n} + B_{4-n})
+    b2, b4 = 2 * m + 2 * (2 - n) + n - 2, 2 * m + 2 * (4 - n) + n - 2
+    return 6 * (b2 + b4)
+
+
+def test_escalation_scalars_equal_the_hand_derived_formulas():
+    # the derivatives of one quartic in eps against the cascade's operators
+    for n in range(5, 41):
+        for m in range(16):
+            for k in range(m // 2 + 1):
+                want = [eigen_AA(n, m, k), _eigen_mixed(n, m, k), _eigen_log2(n, m, k),
+                        _eigen_log3(n, m, k)]
+                assert polyalg._escalation_scalars(n, m, k) == want, (n, m, k)
+
+
 # ------------------------------------------------------------------ solve_AA
 
 
@@ -330,7 +370,7 @@ def test_poly_json_round_trip():
     p = poly_from_coeffs(3, [((2, 1, 0), F(3, 4)), ((0, 1, 2), F(-5, 1))])
     obj = p.to_json()
     assert obj["terms"]["2,1,0"] == "3/4"
-    assert HomogPoly.from_json(obj) == p
+    assert poly_from_json(obj) == p
 
 
 def test_expansion_json_round_trip():
@@ -343,7 +383,7 @@ def test_expansion_json_round_trip():
             (4, 1): HomogPoly.r_squared(n).mul_r2k(1).scale(F(-1, 48)),
         },
     )
-    assert LogRadialExpansion.from_json(e.to_json()) == e
+    assert expansion_from_json(e.to_json()) == e
 
 
 def test_poly_validation_errors():
@@ -351,6 +391,35 @@ def test_poly_validation_errors():
         HomogPoly(3, 2, {(1, 0, 0): F(1)})  # degree mismatch
     with pytest.raises(ValueError):
         HomogPoly(0, 1)
+    for bad in (0.5, True, "1/0"):  # not exact input
+        with pytest.raises(ValueError, match="exact rational|zero denominator"):
+            HomogPoly(2, 1, {(1, 0): bad})
+    with pytest.raises(ValueError, match="same exponent"):
+        HomogPoly(2, 1, {(1, 0): 1, ("1", 0): 2})
+
+
+@pytest.mark.parametrize("values,ints,content", [
+    ([[F(1, 2), "3/4"], [-1, 0]], [[2, 3], [-4, 0]], F(1, 4)),
+    (np.array([[6, -4], [0, 2]]), [[3, -2], [0, 1]], F(2)),
+    ([0, "0/5"], [0, 0], F(0)),
+    ([], [], F(0)),
+    (["-7/3", 14], [1, -6], F(-7, 3)),
+    ([2**70, 3 * 2**70], [1, 3], F(2**70)),
+    ([2**70 + 1, 1], [2**70 + 1, 1], F(1)),
+])
+def test_exact_ints_canonical_form(values, ints, content):
+    got, c = polyalg.exact_ints(values)
+    assert got.tolist() == ints and c == content
+    assert got.dtype == (object if max(map(abs, got.ravel().tolist()), default=0) >= 2**63
+                         else np.int64)
+    neg, c2 = polyalg.exact_ints(values, F(-1, 3))
+    assert np.array_equal(neg, got) and c2 == -c / 3
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, True, np.bool_(False), "1/0", None])
+def test_exact_ints_refuses_inexact_input(bad):
+    with pytest.raises(ValueError):
+        polyalg.exact_ints([[1, 2], [bad, 3]])
 
 
 # ------------------------------------- integer core against a Fraction model

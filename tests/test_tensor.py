@@ -32,7 +32,7 @@ def component(W: WeylTensor, i: int, k: int, j: int, l: int) -> Fraction:
 
 
 def identity_hessian(n: int) -> SchoutenHessian:
-    return SchoutenHessian.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return SchoutenHessian(n, np.eye(n, dtype=np.int64))
 
 
 def schouten_quartic(W: WeylTensor, Jh: SchoutenHessian) -> HomogPoly:
@@ -213,9 +213,9 @@ def test_each_weyl_identity_fails_on_a_mutated_input(monkeypatch):
                    "blocks_harmonic"}
     seen |= got
 
-    rows = [list(row) for row in Jh.entries]
-    rows[0][0] += 1
-    got = _failing(W, SchoutenHessian.from_rows(rows))
+    M = Jh.scale * Jh.ints
+    M[0, 0] += 1
+    got = _failing(W, SchoutenHessian(n, M))
     assert got == {"schouten_trace"}
     seen |= got
 
@@ -299,21 +299,23 @@ def test_schouten_quadratic_form_matches_entry_loop(big):
         for j in range(n):
             e = tuple(int(k == i) + int(k == j) for k in range(n))
             terms[e] = terms.get(e, F(0)) + rows[i][j]
-    assert SchoutenHessian.from_rows(rows).quadratic_form() == HomogPoly(n, 2, terms)
+    assert SchoutenHessian(n, rows).quadratic_form() == HomogPoly(n, 2, terms)
 
 
 def test_fix_trace_enforces_constraint():
     n = 7
     W = random_weyl(n, seed=17)
     Jh = identity_hessian(n)
-    fixed = fix_trace(Jh.entries, W)
+    fixed = fix_trace(Jh.scale * Jh.ints, W)
     assert fixed.trace() == -W.norm_sq() / (12 * (n - 1))
     # off-diagonal part untouched
-    assert fixed.entries[0][1] == Jh.entries[0][1]
+    assert fixed.scale * fixed.ints[0, 1] == Jh.scale * Jh.ints[0, 1]
 
 
-@pytest.mark.parametrize("scale", [1, F(1, 2), F(-3, 7)])
+@pytest.mark.parametrize("scale", [1, F(1, 2), F(-3, 7), 2**62])
 def test_fix_trace_scales_each_distinct_entry_once(scale):
+    # every entry is scale * M, plus one shift on the diagonal; the integers
+    # leave int64 only where the entries do
     n = 6
     W = random_weyl(n, seed=4)
     raw = np.random.default_rng(2).integers(-3, 4, size=(n, n))
@@ -321,16 +323,17 @@ def test_fix_trace_scales_each_distinct_entry_once(scale):
         rows = M.tolist() if isinstance(M, np.ndarray) else M
         J = fix_trace(M, W, scale)
         shift = (-W.norm_sq() / (12 * (n - 1)) - scale * sum(rows[i][i] for i in range(n))) / n
-        assert J.entries == tuple(
-            tuple(F(scale * rows[i][j]) + (shift if i == j else 0) for j in range(n))
-            for i in range(n)
-        )
-        assert all(J.entries[i][j] is J.entries[j][i] for i in range(n) for j in range(n))
+        want = [[F(scale * rows[i][j]) + (shift if i == j else 0) for j in range(n)]
+                for i in range(n)]
+        assert (J.scale * J.ints).tolist() == want
+        assert J.ints.dtype == (object if scale == 2**62 else np.int64)
 
 
 def test_schouten_validation():
     with pytest.raises(ValueError):
-        SchoutenHessian.from_rows([[0, 1], [2, 0]])
+        SchoutenHessian(2, [[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="shape"):
+        SchoutenHessian(3, [[0, 1], [1, 0]])
 
 
 def test_weyl_json_round_trip():
