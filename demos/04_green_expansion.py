@@ -15,7 +15,7 @@ from qcurv.parametrix import (
     psi4_closed_form,
     psi4_solve,
     random_jet,
-    verify_recursion_residual,
+    shell_identities,
 )
 
 # flat: bare r^{4-n} to any order
@@ -28,7 +28,7 @@ print("\nn=10 seeded jet: |W|^2 =", jet.W.norm_sq())
 print("  solver == closed form:", psi4_solve(jet) == psi4_closed_form(jet))
 green = green_leading(jet)
 print("  remainder class:", green.remainder)
-print("  recursion residual zero:", verify_recursion_residual(jet, green).passed)
+print("  shell identities:", shell_identities(jet, green))
 
 # n = 8: the log shell and its coefficient
 jet8 = random_jet(8, seed=3)
@@ -36,6 +36,7 @@ green8 = green_leading(jet8)
 print("\nn=8 seeded jet: log terms:", len(green8.log_terms()))
 print("  log coefficient:", n8_log_coefficient(jet8))
 print("  equals -|W|^2/1440:", n8_log_coefficient(jet8) == -jet8.W.norm_sq() / 1440)
+print("  shell identities:", shell_identities(jet8, green8))
 
 # dimensions 5..7 carry only the symbolic constant
 g5 = green_leading(random_jet(5, seed=1))

@@ -19,7 +19,7 @@ that the curvature jet does not carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +30,6 @@ from .polyalg import (
     solve_AA,
     solve_residual,
 )
-from .report import VerificationReport
 from .tensor import (
     SchoutenHessian,
     WeylTensor,
@@ -74,13 +73,12 @@ class CurvatureJet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CurvatureJet":
-        """Load a jet, refusing a W that breaks any Weyl symmetry or trace."""
-        n = int(obj["n"])
-        W = WeylTensor.from_json({"n": n, "W": obj["W"]})
+        """Load a jet, refusing a W that breaks any Weyl symmetry or trace;
+        the two loaders read the keys "n", "W" and "J" of ``obj``."""
+        W = WeylTensor.from_json(obj)
         if not invariants_hold(W):
             raise ValueError("W violates a Weyl symmetry, Bianchi or trace identity")
-        Jh = SchoutenHessian.from_json({"n": n, "J": obj["J"]})
-        return cls(n, W, Jh)
+        return cls(W.n, W, SchoutenHessian.from_json(obj))
 
 
 def random_jet(n: int, seed: int, normalize: bool = False) -> CurvatureJet:
@@ -254,29 +252,29 @@ def psi4_shell(jet: CurvatureJet, green: GreenExpansion) -> tuple:
     return psi4, psi4_closed_form(jet)
 
 
-def verify_recursion_residual(jet: CurvatureJet, green: GreenExpansion) -> VerificationReport:
-    """Check A_{2-n} A_{4-n} psi_4 + phi_4 = 0 on the degree-4 shell.
+def shell_identities(jet: CurvatureJet, green: GreenExpansion) -> list[tuple[str, bool]]:
+    """The exact identities of the expansion ``green`` of ``jet``, as
+    ordered (name, holds) pairs: for a curved jet with n >= 8 its degree-4
+    shell against the closed form (``psi4_shell``), then the recursion
+    A_{2-n} A_{4-n} psi_4 + phi_4 = 0 on the degree-4 shell.
 
-    Applies the operators with full log bookkeeping; the constant term of
-    the expansion is annihilated automatically, so the whole correction
-    part can be fed through.  The source is phi_4 only where the expansion
-    must carry psi_4: a curved jet with n >= 8.  Below that psi_4 belongs
-    to the remainder, and the bare r^{4-n} answers no source.
+    The recursion applies the operators with full log bookkeeping; the
+    constant term of the expansion is annihilated automatically, so the
+    whole correction part can be fed through.  The source is phi_4 only
+    where the expansion must carry psi_4: a curved jet with n >= 8.  Below
+    that psi_4 belongs to the remainder, and the bare r^{4-n} answers no
+    source.
     """
     n = jet.n
+    curved = n >= 8 and not jet.is_flat()
+    out = []
+    if curved:
+        got, want = psi4_shell(jet, green)
+        out.append(("psi4_shell", got == want))
     correction = LogRadialExpansion(n, 0, dict(green.expansion.terms))
-    src = phi4(jet) if n >= 8 and not jet.is_flat() else HomogPoly.zero(n, 4)
-    residual = solve_residual(n, correction, src)
-    ok = residual.is_zero()
-    return VerificationReport(
-        check_id="parametrix.recursion_residual",
-        inputs={"n": n, "flat": jet.is_flat()},
-        expected="0",
-        provenance="degree-4 shell of the parametrix recursion",
-        computed="0" if ok else repr(residual),
-        tolerance="exact",
-        passed=ok,
-    )
+    src = phi4(jet) if curved else HomogPoly.zero(n, 4)
+    out.append(("recursion_residual", solve_residual(n, correction, src).is_zero()))
+    return out
 
 
 def latex_lines(e: LogRadialExpansion) -> list[str]:

@@ -156,6 +156,13 @@ def _narrow(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _widen(v: np.ndarray) -> np.ndarray:
+    """A signed-integer array as int64, or as Python ints where an entry is
+    the int64 minimum, whose |v| would pass int64."""
+    v = v.astype(np.int64)
+    return v.astype(object) if (v == np.iinfo(np.int64).min).any() else v
+
+
 def _primitive(v: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
     """scale * v as (primitive integer vector, content) in canonical form.
 
@@ -187,9 +194,7 @@ def exact_ints(values, scale=1) -> tuple[np.ndarray, Fraction]:
     """
     content = _as_fraction(scale)
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        v = values.astype(np.int64)
-        if (v == np.iinfo(np.int64).min).any():  # |v| would pass int64
-            v = v.astype(object)
+        v = _widen(values)
     else:
         a = np.array(values, dtype=object)
         codes: dict = {}  # keyed by type too: True == 1 and 1.0 == 1 must not share a parse
@@ -308,9 +313,7 @@ class HomogPoly:
         if v.shape != (math.comb(n + degree - 1, degree),) or v.dtype.kind not in "iO":
             raise ValueError(f"need one integer per monomial of degree {degree} in {n} variables")
         if v.dtype != object:
-            v = v.astype(np.int64)
-            if (v == np.iinfo(np.int64).min).any():  # |v| would pass int64
-                v = v.astype(object)
+            v = _widen(v)
         return cls._make(n, degree, *_primitive(v, _as_fraction(scale)))
 
     @classmethod

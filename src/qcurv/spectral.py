@@ -525,27 +525,22 @@ def mobius_drifts(solver: SphereSolver) -> list[dict]:
     return rows
 
 
-def spectral_report(n: int, L: int, iters: int, damping: float, init: str) -> dict:
-    """Assemble the JSON payload behind the `spectral` CLI subcommand."""
-    solver = SphereSolver(n, L)
-    if init == "constant":
-        f0 = solver.constant_field(1.0)
-    elif init == "perturbed":
-        f0 = solver.constant_field(1.0)
-        f0.coeffs[2] += 0.1 * f0.coeffs[0]
-    else:
+def spectral_report(solver: SphereSolver, iters: int, damping: float, init: str) -> dict:
+    """Assemble the JSON payload behind the `spectral` CLI subcommand; its
+    ``invariance_checks`` are the ``mobius_drifts`` rows of ``solver``."""
+    if init not in ("constant", "perturbed"):
         raise ValueError(f"unknown init {init!r}")
+    f0 = solver.constant_field(1.0)
+    if init == "perturbed":
+        f0.coeffs[2] += 0.1 * f0.coeffs[0]
     traj = solver.extremal_iteration(f0, iters, damping)
-    values = [v for _, v in traj]
-    invariance = mobius_drifts(solver)
     return {
-        "n": n,
-        "L": L,
+        "n": solver.n,
+        "L": solver.L,
         "damping": damping,
         "init": init,
-        "functional_values": values,
+        "functional_values": [v for _, v in traj],
         "final_coeffs": list(traj[-1][0].coeffs),
-        "theta4_constant": solver.theta4_functional(solver.constant_field(1.0)),
         "gram_defect": solver.gram_defect(),
-        "invariance_checks": invariance,
+        "invariance_checks": mobius_drifts(solver),
     }

@@ -55,6 +55,15 @@ def int_bound(n: int) -> int:
     return math.isqrt(_INT64_MAX // max(n**4, 8 * n**3, 24 * n * n))
 
 
+def _json_dimension(obj: dict) -> int:
+    """The dimension ``obj["n"]`` of a JSON jet, tensor or matrix: only a
+    JSON integer >= 1, so 5.9, 5.0, "5", true and -5 are refused."""
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return n
+
+
 def _gram(A: np.ndarray) -> np.ndarray:
     """A @ A.T for an int64 matrix A, exact, in int64.
 
@@ -197,7 +206,7 @@ class WeylTensor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
-        n = int(obj["n"])
+        n = _json_dimension(obj)
         if np.shape(obj["W"]) != (n,) * 4:
             raise ValueError(f"W must be an array of shape {(n,) * 4}")
         return cls(n, *exact_ints(obj["W"]))
@@ -250,7 +259,7 @@ class SchoutenHessian:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchoutenHessian":
-        n = int(obj["n"])
+        n = _json_dimension(obj)
         if np.shape(obj["J"]) != (n, n):
             raise ValueError(f"J must be an array of shape {(n, n)}")
         return cls(n, obj["J"])

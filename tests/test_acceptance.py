@@ -19,7 +19,7 @@ from qcurv.parametrix import (
     psi4_closed_form,
     psi4_solve,
     random_jet,
-    verify_recursion_residual,
+    shell_identities,
 )
 from qcurv.polyalg import HomogPoly
 from qcurv.sphereforms import bubble_pde_residual, sharp_constants
@@ -82,7 +82,7 @@ def test_criterion_2_n8_log_term():
         got = psi4_solve(jet).get(4, 1)
         ok = ok and got == want
         ok = ok and n8_log_coefficient(jet) == -jet.W.norm_sq() / 1440
-        ok = ok and verify_recursion_residual(jet, green_leading(jet)).passed
+        ok = ok and all(holds for _, holds in shell_identities(jet, green_leading(jet)))
     _report("criterion 2 (n=8 log coefficient -|W|^2/1440, exact)",
             ok, time.perf_counter() - t0, 2.0)
 

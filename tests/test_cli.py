@@ -1,5 +1,6 @@
 """CLI contract: exit codes, formats, reproducibility."""
 
+import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcurv import asymptotics, parametrix, spectral, tensor
+from qcurv import asymptotics, parametrix, sphereforms, spectral, tensor
 from qcurv.cli import main
 
 
@@ -59,7 +60,7 @@ def test_parametrix_n9_report(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "qcurv-report/1"
-    assert doc["psi4_matches_closed_form"] is True
+    assert [(r["check"], r["computed"]) for r in doc["reports"]] == [("parametrix.identities", True)]
     assert doc["remainder"] == "O4(r^{9-n})"
     assert doc["pass"] is True
 
@@ -174,61 +175,75 @@ def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
         assert "bad jet file" in res.output
 
 
-def test_verify_tolerances_pinned(runner):
-    """The CLI's tolerances equal the acceptance numbers."""
-    want = {
-        "asymptotics.flat[n=5]": 0.02,
-        "asymptotics.high[n=10]": 0.02,
-        "asymptotics.n9[n=9]": 0.05,
-        "asymptotics.n8[n=8]": 0.10,
-        "spectral.theta4_const[n=5,L=64]": 1e-8,
-        "spectral.duality[n=5,L=64]": 1e-10,
-        "spectral.theta2_duality[n=5,L=64]": 1e-8,
-        "spectral.mobius[n=5,L=64]": 1e-6,
-        "constants.moments[n=5]": 1e-12,
-        "constants.duality[n=5]": 1e-14,
-        "bubble.pde[n=5]": "exact",
-    }
+_SPECTRAL_TOLERANCES = {"theta4_const": 1e-8, "duality": 1e-10, "theta2_duality": 1e-8,
+                        "mobius": 1e-6}
+# the tolerance of every check that `verify all --seed 1` emits, keyed by
+# check id: the acceptance numbers of criteria 6, 7 and 8 for spectral, and
+# the fit rtols of criterion 9 for every case (lowdim fits the same mass term
+# as flat, with its 2%)
+VERIFY_TOLERANCES = {
+    **{f"weyl.identities[n={n},trials=10]": "exact" for n in range(5, 11)},
+    "polyalg.decomposition[trials=40]": "exact",
+    "polyalg.solver[trials=40]": "exact",
+    "parametrix.log-coefficient[n=8,trials=10]": "exact",
+    **{f"parametrix.closed-form[n={n},trials=10]": "exact" for n in range(9, 13)},
+    **{f"constants.moments[n={n}]": 1e-12 for n in range(5, 13)},
+    **{f"constants.duality[n={n}]": 1e-14 for n in range(5, 13)},
+    **{f"bubble.pde[n={n}]": "exact" for n in range(5, 13)},
+    **{f"spectral.{name}[n={n},L=64]": tol
+       for n in range(5, 10) for name, tol in _SPECTRAL_TOLERANCES.items()},
+    "asymptotics.flat[n=5]": 0.02,
+    "asymptotics.high[n=10]": 0.02,
+    "asymptotics.n9[n=9]": 0.05,
+    "asymptotics.n8[n=8]": 0.10,
+}
+# the tolerance of every check that the pinned subcommands emit; the suite
+# checks they share with `verify` read their tolerance from VERIFY_TOLERANCES,
+# so one id has one tolerance wherever it is emitted
+SUBCOMMAND_TOLERANCES = {
+    **{k: VERIFY_TOLERANCES[k] for k in (
+        *(f"spectral.{name}[n=5,L=64]" for name in _SPECTRAL_TOLERANCES),
+        "asymptotics.flat[n=5]", "asymptotics.high[n=10]", "asymptotics.n9[n=9]",
+        "asymptotics.n8[n=8]")},
+    "parametrix.identities": "exact",
+    "asymptotics.lowdim[n=6]": 0.02,
+    "spectral.iteration_bounded": 1e-6,
+    "spectral.fixed_point_drift": 1e-8,
+    "asymptotics.numerator_coeff[flat,n=5]": 0.02,
+    "asymptotics.numerator_coeff[lowdim,n=6]": 0.02,
+    "asymptotics.numerator_coeff[high,n=10]": 0.02,
+    "asymptotics.norm_integral_coeff[high,n=10]": 0.02,
+    "asymptotics.numerator_log_coeff[n8]": 0.10,
+}
+
+
+def _emitted_tolerances(runner, argvs) -> dict:
+    """Check id -> tolerance over the reports of `argvs`; an id emitted twice
+    must carry one tolerance."""
     got = {}
-    for args in (["constants", "--n", "5"], ["bubbles", "--n", "5"],
-                 ["spectral", "--n", "5"], ["asymptotics"]):
-        res = runner.invoke(main, ["verify", *args])
+    for argv in argvs:
+        res = runner.invoke(main, argv)
         assert res.exit_code == 0, res.output
-        got.update({r["check"]: r["tolerance"] for r in json.loads(res.stdout)["reports"]})
-    assert got == want
+        for r in json.loads(res.stdout).get("reports", []):
+            assert got.setdefault(r["check"], r["tolerance"]) == r["tolerance"], r["check"]
+    return got
+
+
+def test_verify_tolerances_pinned(runner):
+    """The tolerances of `verify all` equal the acceptance numbers."""
+    got = _emitted_tolerances(runner, [["verify", "all", "--seed", "1"]])
+    assert set(got) - set(VERIFY_TOLERANCES) == set(), "check ids missing from VERIFY_TOLERANCES"
+    assert got == VERIFY_TOLERANCES
 
 
 def test_subcommand_tolerances_pinned(runner):
-    """The spectral and asymptotics subcommands' tolerances equal the
-    acceptance numbers: criteria 6, 7 and 8 for spectral, and the fit
-    rtols of criterion 9 for every case (lowdim fits the same mass term as
-    flat, with its 2%)."""
-    want = {
-        "spectral.theta4_constant": 1e-8,
-        "spectral.mobius_invariance": 1e-6,
-        "spectral.iteration_bounded": 1e-6,
-        "spectral.fixed_point_drift": 1e-8,
-        "asymptotics.ratio_coefficient[flat,n=5]": 0.02,
-        "asymptotics.numerator_coeff[flat,n=5]": 0.02,
-        "asymptotics.ratio_coefficient[lowdim,n=6]": 0.02,
-        "asymptotics.numerator_coeff[lowdim,n=6]": 0.02,
-        "asymptotics.ratio_coefficient[high,n=10]": 0.02,
-        "asymptotics.numerator_coeff[high,n=10]": 0.02,
-        "asymptotics.norm_integral_coeff[high,n=10]": 0.02,
-        "asymptotics.ratio_coefficient[n9,n=9]": 0.05,
-        "asymptotics.ratio_coefficient[n8,n=8]": 0.10,
-        "asymptotics.numerator_log_coeff[n8]": 0.10,
-    }
-    got = {}
-    for args in (["spectral", "--n", "5"], ["asymptotics", "--case", "flat", "--n", "5"],
-                 ["asymptotics", "--case", "lowdim", "--n", "6"],
-                 ["asymptotics", "--case", "high", "--n", "10"],
-                 ["asymptotics", "--case", "n9", "--n", "9"],
-                 ["asymptotics", "--case", "n8", "--n", "8"]):
-        res = runner.invoke(main, args)
-        assert res.exit_code == 0, res.output
-        got.update({r["check"]: r["tolerance"] for r in json.loads(res.stdout)["reports"]})
-    assert got == want
+    """The tolerances of every pinned subcommand equal the acceptance numbers."""
+    from test_report import PINNED
+
+    got = _emitted_tolerances(runner, [a for a, _ in PINNED if a[0] != "verify"])
+    assert set(got) - set(SUBCOMMAND_TOLERANCES) == set(), \
+        "check ids missing from SUBCOMMAND_TOLERANCES"
+    assert got == SUBCOMMAND_TOLERANCES
 
 
 def _report_check(res, check_id) -> dict:
@@ -284,8 +299,9 @@ def test_cli_computes_no_identity_itself():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not called & {"laplacian", "reassemble", "apply_AA", "invariants_hold",
-                         "pulled_constant"}
-    assert called >= {"weyl_identities", "split_identities", "solve_residual", "mobius_drifts"}
+                         "pulled_constant", "psi4_shell"}
+    assert called >= {"weyl_identities", "split_identities", "solve_residual", "mobius_drifts",
+                      "shell_identities"}
 
 
 def test_psi4_solved_once_per_jet(runner, monkeypatch):
@@ -612,6 +628,113 @@ def test_verify_refuses_option_suite_ignores(runner, args, flag):
     res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2, res.output
     assert f"verify {args[0]} takes no {flag}" in res.output
+
+
+@pytest.mark.parametrize("n", [5.9, 5.0, "5", True, -5])
+def test_jet_dimension_must_be_a_json_integer(runner, tmp_path, n):
+    doc = parametrix.random_jet(5, seed=1).to_json()
+    doc["n"] = n
+    res = runner.invoke(main, ["parametrix", "--n", "5", "--jet-file", _jet_file(tmp_path, doc)])
+    assert res.exit_code == 2, res.output
+    assert "bad jet file" in res.output
+
+
+def _checks(runner, argv) -> dict:
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    return {r["check"]: r for r in json.loads(res.stdout)["reports"]}
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_spectral_constant_checks_are_the_suite_checks(runner, n):
+    suite = _checks(runner, ["verify", "spectral", "--n", str(n)])
+    assert len(suite) == 4
+    sub = _checks(runner, ["spectral", "--n", str(n), "--L", "64"])
+    assert {check_id: sub[check_id] for check_id in suite} == suite
+
+
+def test_asymptotics_ratio_check_is_the_suite_check(runner):
+    suite = _checks(runner, ["verify", "asymptotics", "--seed", "3"])
+    for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
+        sub = _checks(runner, ["asymptotics", "--case", case, "--n", str(n), "--seed", "3"])
+        check_id = f"asymptotics.{case}[n={n}]"
+        assert sub[check_id] == suite[check_id]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_parametrix_witnesses_are_the_suite_witnesses(runner, monkeypatch, n):
+    real, seen = parametrix.shell_identities, []
+
+    def recorded(jet, green):
+        out = real(jet, green)
+        seen.append((jet.to_json(), out))
+        return out
+
+    monkeypatch.setattr(parametrix, "shell_identities", recorded)
+    _checks(runner, ["parametrix", "--n", str(n), "--seed", "4"])
+    _checks(runner, ["verify", "parametrix", "--n", str(n), "--seed", "4", "--trials", "1"])
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert [name for name, _ in seen[0][1]] == ["psi4_shell", "recursion_residual"]
+
+
+def _scaled(cls, name, factor):
+    real = getattr(cls, name)
+    return lambda *a: real(*a) * factor
+
+
+@pytest.mark.parametrize("check,patch", [
+    ("spectral.theta4_const[n=5,L=64]",
+     lambda mp: mp.setattr(sphereforms, "sharp_constants", lambda n, real=sphereforms.sharp_constants:
+                           dataclasses.replace(real(n), Theta4_sphere=1.001 * real(n).Theta4_sphere))),
+    ("spectral.duality[n=5,L=64]",
+     lambda mp: mp.setattr(spectral.SphereSolver, "y4_functional",
+                           _scaled(spectral.SphereSolver, "y4_functional", 1.001))),
+    ("spectral.theta2_duality[n=5,L=64]",
+     lambda mp: mp.setattr(spectral.SphereSolver, "yamabe_functional",
+                           _scaled(spectral.SphereSolver, "yamabe_functional", 1.001))),
+    ("spectral.mobius[n=5,L=64]",
+     lambda mp: mp.setattr(spectral.SphereSolver, "pulled_constant",
+                           lambda self, t, real=spectral.SphereSolver.pulled_constant:
+                           (1.001 * real(self, t)[0], real(self, t)[1]))),
+])
+@pytest.mark.parametrize("argv", [["verify", "spectral", "--n", "5"],
+                                  ["spectral", "--n", "5", "--iters", "3"]])
+def test_every_spectral_check_can_fail(runner, monkeypatch, check, patch, argv):
+    patch(monkeypatch)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1, res.output
+    assert _report_check(res, check)["pass"] is False
+    assert f"[FAIL] {check}" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "asymptotics"],
+                                  ["asymptotics", "--case", "n9", "--n", "9"]])
+def test_asymptotics_ratio_check_can_fail(runner, monkeypatch, argv):
+    real = asymptotics.fit_expansion
+    monkeypatch.setattr(asymptotics, "fit_expansion",
+                        lambda model: dataclasses.replace(real(model), coefficient=0.0))
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1, res.output
+    assert _report_check(res, "asymptotics.n9[n=9]")["pass"] is False
+    assert "[FAIL] asymptotics.n9[n=9]" in res.stderr
+
+
+@pytest.mark.parametrize("argv,check,computed", [
+    (["parametrix", "--n", "9"], "parametrix.identities", "recursion_residual"),
+    (["parametrix", "--n", "6"], "parametrix.identities", "recursion_residual"),
+    (["verify", "parametrix", "--n", "9", "--trials", "2"], "parametrix.closed-form[n=9,trials=2]",
+     "n=9,seed=1: recursion_residual"),
+])
+def test_parametrix_identities_can_fail(runner, monkeypatch, argv, check, computed):
+    from qcurv.polyalg import HomogPoly, LogRadialExpansion
+
+    real = parametrix.solve_residual
+    monkeypatch.setattr(parametrix, "solve_residual", lambda n, psi, rhs: real(n, psi, rhs)
+                        + LogRadialExpansion.from_poly(HomogPoly.constant(n, 1)))
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1, res.output
+    assert _report_check(res, check)["computed"] == computed
+    assert f"[FAIL] {check}" in res.stderr
 
 
 def test_report_refuses_non_finite():

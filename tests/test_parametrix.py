@@ -21,7 +21,7 @@ from qcurv.parametrix import (
     psi4_closed_form,
     psi4_solve,
     random_jet,
-    verify_recursion_residual,
+    shell_identities,
 )
 from qcurv.tensor import SchoutenHessian, WeylTensor, fix_trace, random_weyl
 from test_polyalg import expansion_from_json
@@ -209,13 +209,12 @@ def test_green_leading_flat_equals_flat_expansion():
 
 
 def test_recursion_residual_zero():
-    assert verify_recursion_residual(CurvatureJet.flat(6), green_leading(CurvatureJet.flat(6))).passed
-    for n in (9, 20, 24):
+    flat = CurvatureJet.flat(6)
+    assert shell_identities(flat, green_leading(flat)) == [("recursion_residual", True)]
+    for n in (8, 9, 20, 24):
         jet = random_jet(n, seed=4)
-        assert verify_recursion_residual(jet, green_leading(jet)).passed
-    jet8 = random_jet(8, seed=4)
-    rep = verify_recursion_residual(jet8, green_leading(jet8))
-    assert rep.passed, rep.computed
+        assert shell_identities(jet, green_leading(jet)) == [("psi4_shell", True),
+                                                             ("recursion_residual", True)]
 
 
 def test_residual_detects_corruption():
@@ -228,7 +227,7 @@ def test_residual_detects_corruption():
         expansion=LogRadialExpansion(9, g.expansion.radial_exp, bad_terms),
         remainder=g.remainder,
     )
-    assert not verify_recursion_residual(jet, bad).passed
+    assert shell_identities(jet, bad) == [("psi4_shell", False), ("recursion_residual", False)]
 
 
 def test_residual_source_follows_dimension():
@@ -237,13 +236,12 @@ def test_residual_source_follows_dimension():
     for n in (5, 6, 7):
         for seed in (1, 3):
             jet = random_jet(n, seed=seed)
-            rep = verify_recursion_residual(jet, green_leading(jet))
-            assert rep.passed, rep.computed
+            assert shell_identities(jet, green_leading(jet)) == [("recursion_residual", True)]
     jet = random_jet(9, seed=8)
     g = green_leading(jet)
     terms = {key: p for key, p in g.expansion.terms.items() if key != (4, 0)}
     bare = GreenExpansion(9, LogRadialExpansion(9, g.expansion.radial_exp, terms), g.remainder)
-    assert not verify_recursion_residual(jet, bare).passed
+    assert shell_identities(jet, bare) == [("psi4_shell", False), ("recursion_residual", False)]
 
 
 def test_expansion_serialization_and_latex():

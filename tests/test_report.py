@@ -104,25 +104,25 @@ PINNED = [
     (["verify", "all", "--seed", "1"],
      "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "2226ccddfc4f152499982eeb42259bbc03f2593b77f4aa562769f57dc2c4b1c3"),
+     "80c3761ccf4c714f934ff27486e3b461b36864a53675f00fcb5dfe371a8cf51a"),
     (["parametrix", "--n", "12", "--seed", "1"],
-     "70823b56f2ac69d5478a78cf8e3ca39b4445c12b33d68ecd51007f96cfb940c6"),
+     "d2f25b2159ed7929ea47e33f1dd155444329f52c056510d73918f39e4a3d1129"),
     (["parametrix", "--n", "16", "--seed", "1"],
-     "83c81f3e34a0a732c1957b683e174aa1ea013e35a14134fbd405cf4f746b270a"),
+     "b3b31f8ec5837745758f8c4fe3339b0a751a2d86ebca376735cde9f5e3e437a7"),
     (["constants", "--format", "json"],
      "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
     (["spectral"],
-     "a31f6b6bc772d48de242d455cc8c5eb9364a9a36dbe38db28f33ae8de6558b95"),
+     "9762f7e343fbe6a3476d38eca8622652f18e2fdd1db0d8f4e7532ad0f0f3471f"),
     (["asymptotics", "--case", "flat", "--n", "5"],
-     "5a4a794b72d99716526a7332b5ea146ecaaa74b7a05d56a27aaca9678713f959"),
+     "29f37fed55cc4fa60778b111fac11b97d29a3ff326fab911e7e4ea64596fad83"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
-     "32ed068f39864379a19650e997378ed85931e76964839c75ea96214079b79a57"),
+     "5a525703e805fd57a4c1c543faaa910e439479303c2605a40e43356bc2f832cb"),
     (["asymptotics", "--case", "n8", "--n", "8"],
-     "e4364fcd6b1a41941e1c72bc1a93120d65c4750f7636a9f4267505a4aa181fd6"),
+     "0d85ee9d70675e23d08df592ac06d5372f26a3caa932d6bc79cb80537dc93c25"),
     (["asymptotics", "--case", "n9", "--n", "9"],
-     "7c2572897854468d9187bb9ef26b6dd71107e53695cb0328f8ad958c6127b86f"),
+     "d575612d975bf88262963efb90e2394a621eb3c9c42a16f06ccd0760caa09a73"),
     (["asymptotics", "--case", "high", "--n", "10"],
-     "07b138854fcf9b41f313bbecd42e2e794f6dfd764106a7ffd7d122270528cba3"),
+     "a026c5a8a3c3539b8750541124a91a7732bbaa243d235aff88489242aa6d03ff"),
     (["verify", "asymptotics"],
      "b253746af2c4f0ea228553993e877f040557f2b4e0677a14fa4e7ab7abaaabae"),
     (["verify", "bubbles"],
@@ -146,7 +146,7 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
               ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "e76503dedcd8d547aa93403fb57a168ecd61c1e18f7a874c7a2a26e09e19493f"),
+     "2379a4eccbd2b9333c303d7ab69013abe097c59a53a2e6f5127f97b913bae258"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -8,7 +8,8 @@ import pytest
 
 from qcurv import spectral
 from qcurv.sphereforms import sharp_constants, sphere_area
-from qcurv.spectral import MAX_L, PaneitzSpectrum, SphereSolver, ZonalField, spectral_report
+from qcurv.spectral import (MAX_L, PaneitzSpectrum, SphereSolver, ZonalField, mobius_drifts,
+                            spectral_report)
 
 F = Fraction
 
@@ -560,10 +561,12 @@ def test_mobius_rejects_bad_t(s5):
 
 
 def test_spectral_report_payload():
-    rep = spectral_report(5, 32, iters=5, damping=0.5, init="perturbed")
-    assert rep["n"] == 5
+    solver = SphereSolver(5, 32)
+    rep = spectral_report(solver, iters=5, damping=0.5, init="perturbed")
+    assert (rep["n"], rep["L"]) == (5, 32)
     assert len(rep["functional_values"]) == 6
     assert rep["gram_defect"] < 1e-12
+    assert rep["invariance_checks"] == mobius_drifts(solver)
     assert all(c["theta4_drift"] < 1e-6 for c in rep["invariance_checks"])
     with pytest.raises(ValueError):
-        spectral_report(5, 8, 1, 0.5, init="bogus")
+        spectral_report(SphereSolver(5, 8), 1, 0.5, init="bogus")

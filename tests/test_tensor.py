@@ -352,6 +352,15 @@ def test_schouten_json_round_trip():
     assert SchoutenHessian.from_json(J.to_json()) == J
 
 
+@pytest.mark.parametrize("n", [5.9, 5.0, "5", True, -5, 0])
+def test_json_dimension_must_be_a_json_integer(n):
+    W = random_weyl(5, seed=3)
+    for load, obj in ((WeylTensor.from_json, W.to_json()),
+                      (SchoutenHessian.from_json, random_schouten_hessian(5, 4, W).to_json())):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            load({**obj, "n": n})
+
+
 def test_rejects_oversized_rational_components():
     # silent int64 wraparound must be impossible
     obj = random_weyl(5, seed=1).to_json()
