@@ -59,7 +59,7 @@ import numpy as np
 from .parametrix import CurvatureJet, psi4_radial_coefficient
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
-from .sphereforms import bubble_f, bubble_u, omega_n, sharp_constants
+from .sphereforms import bubble_constant, bubble_source, bubble_u, omega_n, sharp_constants
 
 F = Fraction
 
@@ -444,7 +444,7 @@ def _radial_shapes(n: int) -> tuple[list[RadialTermSum], RadialTermSum, list[Rad
     lam."""
     q = F(n - 4, 2)
     beta = RadialTermSum(1.0, [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
-    main = bubble_f(1.0, n).scale(n * (n + 2) * (n - 2) * (n - 4))
+    main = bubble_source(n)
     return _chain(bubble_u(1.0, n), 2), main, _chain(beta, 4)
 
 
@@ -645,10 +645,10 @@ def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationRe
     n = model.n
     lead = {
         "numerator": (
-            n * (n + 2) * (n - 2) * (n - 4) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
+            bubble_constant(n) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
         ),
         "norm_integral": (
-            (n * (n + 2) * (n - 2) * (n - 4)) ** (2 * n / (n + 4))
+            bubble_constant(n) ** (2 * n / (n + 4))
             * math.gamma(n / 2)
             * math.pi ** (n / 2)
             / math.gamma(n)

@@ -283,17 +283,24 @@ def _witness_check(check_id, inputs, provenance, witnesses) -> VerificationRepor
     return exact_check(check_id, inputs, True, provenance, True if failed is None else failed)
 
 
-def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
-    def witnesses(n):
-        for s in range(seed, seed + trials):
-            W = tensor.random_weyl(n, s)
-            for name, ok in tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W)):
-                yield f"n={n},seed={s}: {name}", ok
-
-    return [_witness_check(f"weyl.identities[n={n},trials={trials}]",
-                           {"n": n, "trials": trials, "seed": seed},
-                           "curvature quartic and trace identities, exact", witnesses(n))
+def _seeded_checks(ns, trials, seed, family, provenance, identities) -> list[VerificationReport]:
+    """One exact check per n, ``family(n)[n=..,trials=..]``, over the
+    (name, holds) pairs of ``identities(n, s)`` for the seeds s = seed ..
+    seed + trials - 1; a witness reads "n=7,seed=3: name"."""
+    return [_witness_check(f"{family(n)}[n={n},trials={trials}]",
+                           {"n": n, "trials": trials, "seed": seed}, provenance,
+                           ((f"n={n},seed={s}: {name}", ok)
+                            for s in range(seed, seed + trials) for name, ok in identities(n, s)))
             for n in ns]
+
+
+def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
+    def identities(n, s):
+        W = tensor.random_weyl(n, s)
+        return tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W))
+
+    return _seeded_checks(ns, trials, seed, lambda n: "weyl.identities",
+                          "curvature quartic and trace identities, exact", identities)
 
 
 def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
@@ -325,17 +332,13 @@ def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
 
 
 def _verify_parametrix(ns, trials, seed, L) -> list[VerificationReport]:
-    def witnesses(n):
-        for s in range(seed, seed + trials):
-            jet = par.random_jet(n, s)
-            for name, ok in par.shell_identities(jet, par.green_leading(jet)):
-                yield f"n={n},seed={s}: {name}", ok
+    def identities(n, s):
+        jet = par.random_jet(n, s)
+        return par.shell_identities(jet, par.green_leading(jet))
 
-    return [_witness_check(f"parametrix.{'closed-form' if n >= 9 else 'log-coefficient'}"
-                           f"[n={n},trials={trials}]",
-                           {"n": n, "trials": trials, "seed": seed}, SHELL_PROVENANCE,
-                           witnesses(n))
-            for n in ns]
+    return _seeded_checks(ns, trials, seed,
+                          lambda n: f"parametrix.{'closed-form' if n >= 9 else 'log-coefficient'}",
+                          SHELL_PROVENANCE, identities)
 
 
 def _constants_checks(rows: list[dict]) -> list[VerificationReport]:
@@ -374,7 +377,7 @@ def _verify_bubbles(ns, trials, seed, L) -> list[VerificationReport]:
         exact_check(
             f"bubble.pde[n={n}]",
             {"n": n},
-            sphereforms.bubble_f(1.0, n).scale(n * (n + 2) * (n - 2) * (n - 4)).terms,
+            sphereforms.bubble_source(n).terms,
             "Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam as canonical terms "
             "(c, lam power, r power, (r^2+lam^2) power)",
             sphereforms.bubble_bilaplacian(1.0, n).terms,

@@ -216,21 +216,6 @@ def scaled_text(content: Fraction, v: int) -> str:
     return f"{p * v // g}/{q // g}"
 
 
-def scaled_texts(content: Fraction, v: np.ndarray) -> list[str]:
-    """``scaled_text(content, x)`` for every entry x of the integer array v.
-
-    For content p/q and an int64 v with |p| max|v| and q below 2^63, one
-    int64 pass reduces every entry: g = gcd(v, q), numerators (v/g) p and
-    denominators q/g, where no product leaves int64.  Past that certificate
-    each entry goes through ``scaled_text``.
-    """
-    p, q = content.numerator, content.denominator
-    if v.dtype == np.int64 and v.size and abs(p) * _absmax(v) <= _INT64_MAX and q <= _INT64_MAX:
-        g = np.gcd(v, q)
-        return [f"{a}/{b}" for a, b in zip(((v // g) * p).tolist(), (q // g).tolist())]
-    return [scaled_text(content, x) for x in v.tolist()]
-
-
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
     exponent tuple, as Fractions made only when read."""
@@ -402,12 +387,12 @@ class HomogPoly:
         """JSON form {"n":…, "m":…, "terms": {"e1,e2,...,en": "p/q"}}.
 
         Multi-indices are emitted in lexicographic order so the output is
-        byte-reproducible; each p/q is reduced, all in one int64 pass when
-        ``scaled_texts``'s certificate holds.
+        byte-reproducible; each p/q is reduced.
         """
         keys = monomial_table(self.n, self.degree).key_text
         nz = np.flatnonzero(self._v)
-        terms = dict(zip(map(keys.__getitem__, nz.tolist()), scaled_texts(self.content, self._v[nz])))
+        terms = {keys[i]: scaled_text(self.content, v)
+                 for i, v in zip(nz.tolist(), self._v[nz].tolist())}
         return {"n": self.n, "m": self.degree, "terms": terms}
 
 
@@ -620,15 +605,10 @@ def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     return LogRadialExpansion(n, e.radial_exp, terms)
 
 
-def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
-    """Scalar by which A_alpha acts on the block r^{2k} H_{m-2k}."""
-    alpha = _as_fraction(alpha)
-    return (alpha + 2 * k) * (2 * m - 2 * k + alpha + n - 2)
-
-
 def _escalation_scalars(n: int, m: int, k: int) -> list[int]:
-    """E^(j)(0), j = 0..3, of E(eps) = eigen_A(2-n+eps) eigen_A(4-n+eps) on
-    r^{2k} H_{m-2k}, the quartic (eps+2-n+2k)(eps+2m-2k)(eps+4-n+2k)(eps+2m-2k+2).
+    """E^(j)(0), j = 0..3, of E(eps) = (eps+2-n+2k)(eps+2m-2k)(eps+4-n+2k)(eps+2m-2k+2),
+    the product of the scalars (a+2k)(2m-2k+a+n-2) by which A_a acts on
+    r^{2k} H_{m-2k}, at a = 2-n+eps and at a = 4-n+eps.
 
     A_{2-n} A_{4-n} maps r^eps times the block to E(eps) r^eps times it, so
     j eps-derivatives at 0 give its action on log^j r: E(0) is eigen_AA, and

@@ -6,19 +6,11 @@ no timing, so identical configurations produce byte-identical files.
 
 ``dump_report`` writes exactly what ``json.dumps(jsonable(doc), indent=2,
 sort_keys=True, allow_nan=False)`` would, in one walk that appends text
-pieces to a single list joined once at the end.  A list or dict whose items
-are all strings is written in one join: JSON escapes character by
-character, so if the concatenation of the strings is printable ASCII with
-no '"' and no '\\', none of them holds a character to escape, and each is
-written as itself between quotes.  One test on the concatenation decides
-for all of them; otherwise each item is encoded on its own.  Rows of
-such strings, like the n^4 table of a Weyl tensor, are written by the list
-that holds them, without a call per row.
+pieces to a single list joined once at the end.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,16 +46,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _escape_free(strings) -> bool:
-    """Whether every item is a str that JSON writes as itself between
-    quotes (see the module docstring)."""
-    try:
-        whole = "".join(strings)
-    except TypeError:  # an item is not a str
-        return False
-    return whole.isascii() and whole.isprintable() and '"' not in whole and "\\" not in whole
-
-
 def _encode(value: Any, pad: str, out: list[str]) -> None:
     """Append to ``out`` the text of ``value`` as ``json.dumps(jsonable(value),
     indent=2, sort_keys=True, allow_nan=False)`` prints it, nested at indent
@@ -87,13 +69,8 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        items = sorted({str(k): v for k, v in value.items()}.items())
-        if _escape_free(itertools.chain.from_iterable(items)):  # a dict of strings
-            body = '"' + ('"' + sep + '"').join(map('": "'.join, items)) + '"'
-            out.append("{\n" + inner + body + "\n" + pad + "}")
-            return
         out.append("{\n" + inner)
-        for k, v in items:
+        for k, v in sorted({str(k): v for k, v in value.items()}.items()):
             out.append(_ESC(k) + ": ")
             _encode(v, inner, out)
             out.append(sep)
@@ -104,23 +81,11 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        if _escape_free(value):  # a list of strings
-            body = '"' + ('"' + sep + '"').join(value) + '"'
-        elif (all(type(v) is list for v in value)
-              and _escape_free(itertools.chain.from_iterable(value))):
-            # rows of strings, written here rather than by one call each
-            row_pad = inner + "  "
-            head, tail = "[\n" + row_pad + '"', '"\n' + inner + "]"
-            quoted_sep = '",\n' + row_pad + '"'
-            body = sep.join([head + quoted_sep.join(row) + tail if row else "[]" for row in value])
-        else:
-            out.append("[\n" + inner)
-            for v in value:
-                _encode(v, inner, out)
-                out.append(sep)
-            out[-1] = "\n" + pad + "]"  # the last separator closes the list
-            return
-        out.append("[\n" + inner + body + "\n" + pad + "]")
+        out.append("[\n" + inner)
+        for v in value:
+            _encode(v, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + pad + "]"  # the last separator closes the list
     else:
         mapped = jsonable(value)
         if mapped is not value:

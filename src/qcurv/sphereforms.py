@@ -65,13 +65,22 @@ def bubble_f(lam: float, n: int) -> RadialTermSum:
     return _bubble(n, n + 4).at(lam)
 
 
+def bubble_constant(n: int) -> int:
+    """n(n+2)(n-2)(n-4), the constant c of the bubble equation Delta^2 u_lam = c f_lam."""
+    return n * (n + 2) * (n - 2) * (n - 4)
+
+
 def bubble_bilaplacian(lam: float, n: int) -> RadialTermSum:
-    """Delta^2 u_lam in canonical form.  The bubble equation
-    Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam holds exactly when this sum
-    equals n(n+2)(n-2)(n-4) f_lam term for term, for every lam at once.
-    Every term of Delta^2 u_lam has an even r power j >= 0, where the
-    canonical form is unique."""
+    """Delta^2 u_lam in canonical form.  The bubble equation holds exactly
+    when this sum equals ``bubble_source(n)`` term for term, for every lam
+    at once.  Every term of Delta^2 u_lam has an even r power j >= 0, where
+    the canonical form is unique."""
     return _bubble_bilaplacian(n).at(lam)
+
+
+def bubble_source(n: int) -> RadialTermSum:
+    """n(n+2)(n-2)(n-4) f_lam at lam = 1, the right side of the bubble equation."""
+    return bubble_f(1.0, n).scale(bubble_constant(n))
 
 
 # the bubble profiles and the canonical Delta^2 u are lam-free term lists,
@@ -95,7 +104,7 @@ def bubble_pde_residual(lam: float, n: int, r) -> np.ndarray:
     with Delta^2 u_lam evaluated from its canonical form.  Evaluated term by
     term as derived, its terms cancel and the residual grows past 1e-10
     from about r/lam = 24."""
-    rhs = n * (n + 2) * (n - 2) * (n - 4) * bubble_f(lam, n)(r)
+    rhs = bubble_constant(n) * bubble_f(lam, n)(r)
     return np.abs(bubble_bilaplacian(lam, n)(r) - rhs) / np.abs(rhs)
 
 
@@ -121,7 +130,7 @@ def sharp_constants(n: int) -> SharpConstants:
     """
     if n < 5:
         raise ValueError("n >= 5 required")
-    lead = n * (n + 2) * (n - 2) * (n - 4) / 16.0
+    lead = bubble_constant(n) / 16.0
     logval = (
         (4.0 / n) * math.log(2.0)
         + (2.0 * (n + 1) / n) * math.log(math.pi)

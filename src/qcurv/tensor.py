@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import (HarmonicBlock, HomogPoly, _absmax, exact_ints, laplacian, monomial_table,
-                      scaled_texts, split_identities)
+                      split_identities)
 
 _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
@@ -62,6 +62,25 @@ def _json_dimension(obj: dict) -> int:
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return n
+
+
+def _json_exact(obj: dict, key: str) -> tuple[np.ndarray, Fraction]:
+    """(ints, scale) of ``obj[key]``, written {"scale": "p/q", "ints": [...]},
+    or as a nested array of "p/q" text in older files."""
+    v = obj[key]
+    return exact_ints(*((v["ints"], v["scale"]) if isinstance(v, dict) else (v, 1)))
+
+
+def _exact_json(ints: np.ndarray, scale: Fraction) -> dict:
+    return {"scale": f"{scale.numerator}/{scale.denominator}", "ints": ints.tolist()}
+
+
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """The pairs i < k of n indices, in ``np.triu_indices(n, 1)`` order, and
+    the upper triangle, diagonal included, of a matrix over them."""
+    i, k = np.triu_indices(n, 1)
+    return i, k, np.triu_indices(len(i))
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -197,19 +216,32 @@ class WeylTensor:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        """{"n": n, "W": nested n^4 lists of reduced "p/q"}; each distinct
-        integer entry is rendered once."""
-        values, inverse = np.unique(self.ints, return_inverse=True)
-        text = np.array(scaled_texts(self.scale, values), dtype=object)
-        W = text[inverse.reshape(self.ints.shape)]
-        return {"n": self.n, "W": W.tolist()}
+        """{"n": n, "W": {"scale": "p/q", "ints": [...]}}: the upper triangle,
+        row by row, of the symmetric matrix M[p, q] = W[i_p, k_p, i_q, k_q]
+        over the pairs p = (i_p < k_p) of ``_pairs``, in the canonical form
+        of ``exact_ints``; the pair antisymmetries give every other entry."""
+        i, k, upper = _pairs(self.n)
+        M = self.ints[i[:, None], k[:, None], i, k]
+        return {"n": self.n, "W": _exact_json(*exact_ints(M[upper], self.scale))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
+        """Read ``to_json``'s form, or the n^4 table of "p/q" text that older
+        files hold.  No symmetry is checked here; ``invariants_hold`` does."""
         n = _json_dimension(obj)
-        if np.shape(obj["W"]) != (n,) * 4:
-            raise ValueError(f"W must be an array of shape {(n,) * 4}")
-        return cls(n, *exact_ints(obj["W"]))
+        ints, scale = _json_exact(obj, "W")
+        if isinstance(obj["W"], dict):
+            N = n * (n - 1) // 2
+            if ints.shape != (N * (N + 1) // 2,):  # before any array of n^4 entries is made
+                raise ValueError(f"W at n={n} needs {N * (N + 1) // 2} ints, got {ints.shape}")
+            i, k, upper = _pairs(n)
+            M = np.zeros((N, N), dtype=ints.dtype)
+            M[upper] = M.T[upper] = ints
+            ints = np.zeros((n,) * 4, dtype=ints.dtype)
+            for a, b, sign in ((i, k, 1), (k, i, -1)):
+                ints[a[:, None], b[:, None], i, k] = sign * M
+                ints[a[:, None], b[:, None], k, i] = -sign * M
+        return cls(n, ints, scale)
 
 
 class SchoutenHessian:
@@ -253,16 +285,13 @@ class SchoutenHessian:
         return HomogPoly.from_vector(self.n, 2, _symmetric_vector(M), self.scale)
 
     def to_json(self) -> dict:
-        """{"n": n, "J": n x n nested lists of reduced "p/q"}."""
-        texts = scaled_texts(self.scale, self.ints.reshape(-1))
-        return {"n": self.n, "J": [texts[i:i + self.n] for i in range(0, self.n**2, self.n)]}
+        """{"n": n, "J": {"scale": "p/q", "ints": n x n nested lists}}."""
+        return {"n": self.n, "J": _exact_json(self.ints, self.scale)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchoutenHessian":
-        n = _json_dimension(obj)
-        if np.shape(obj["J"]) != (n, n):
-            raise ValueError(f"J must be an array of shape {(n, n)}")
-        return cls(n, obj["J"])
+        """Read ``to_json``'s form, or the n x n "p/q" table of older files."""
+        return cls(_json_dimension(obj), *_json_exact(obj, "J"))
 
 
 # -- generators --------------------------------------------------------------

@@ -1,16 +1,21 @@
 """CLI contract: exit codes, formats, reproducibility."""
 
+import copy
 import dataclasses
+import functools
 import json
+import operator
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qcurv import asymptotics, parametrix, sphereforms, spectral, tensor
 from qcurv.cli import main
+from test_tensor import legacy_jet
 
 
 @pytest.fixture()
@@ -82,15 +87,18 @@ def test_parametrix_flat(runner):
 
 
 def test_parametrix_jet_file_round_trip(runner, tmp_path):
-    from qcurv.parametrix import random_jet
-
-    jet = random_jet(9, seed=5)
-    jf = tmp_path / "jet.json"
-    jf.write_text(json.dumps(jet.to_json()))
-    res = runner.invoke(main, ["parametrix", "--n", "9", "--jet-file", str(jf)])
-    assert res.exit_code == 0
-    res = runner.invoke(main, ["parametrix", "--n", "10", "--jet-file", str(jf)])
-    assert res.exit_code == 2  # dimension mismatch
+    """A jet file, compact or legacy, gives the report of the seeded run it
+    was written from, byte for byte."""
+    jet = parametrix.random_jet(9, seed=5)
+    seeded = runner.invoke(main, ["parametrix", "--n", "9", "--seed", "5"])
+    for i, doc in enumerate((jet.to_json(), legacy_jet(jet))):
+        jf = tmp_path / f"jet{i}.json"
+        jf.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["parametrix", "--n", "9", "--seed", "5", "--jet-file", str(jf)])
+        assert res.exit_code == 0
+        assert res.stdout_bytes == seeded.stdout_bytes
+        res = runner.invoke(main, ["parametrix", "--n", "10", "--jet-file", str(jf)])
+        assert res.exit_code == 2  # dimension mismatch
 
 
 def test_verify_weyl_exit_zero(runner):
@@ -148,31 +156,106 @@ def _jet_file(tmp_path, doc) -> str:
     return str(jf)
 
 
-def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
-    from qcurv.parametrix import random_jet
-    from qcurv.tensor import WeylTensor, fix_trace
+_DROP = object()
 
-    good = random_jet(9, seed=5)
-    short = good.to_json()
-    short["W"] = short["W"][:-1]
-    wrong_trace = good.to_json()
-    wrong_trace["J"][0][0] = str(Fraction(wrong_trace["J"][0][0]) + 1)
-    # breaks the pair symmetries; J is fixed so the trace constraint holds
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the item at ``path`` set to ``value``, or
+    deleted for _DROP."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _bad_jets() -> list:
+    """Jet files for --n 9 that each break the jet format or a jet identity:
+    every case in the legacy "p/q" tables, its twin in the compact form, and
+    the cases only the compact form has."""
+    good = parametrix.random_jet(9, seed=5)
+    legacy, compact = legacy_jet(good), good.to_json()
+    # breaks the pair symmetries (its compact twin, which keeps them, the
+    # traces); J is fixed so the trace constraint holds
     ints = good.W.ints.copy()
     ints[0, 1, 0, 1] += 1
-    not_weyl_W = WeylTensor(9, ints, good.W.scale)
-    not_weyl = {"n": 9, "W": not_weyl_W.to_json()["W"],
-                "J": fix_trace(good.Jh.scale * good.Jh.ints, not_weyl_W).to_json()["J"]}
-    # exact input only: a zero denominator, and a float even where its value is right
-    zero_den_W, zero_den_J, float_W = good.to_json(), good.to_json(), good.to_json()
-    zero_den_W["W"][0][1][0][1] = "1/0"
-    zero_den_J["J"][0][0] = "1/0"
-    float_W["W"][0][0][0][0] = 0.0
-    for doc in (short, wrong_trace, not_weyl, '{"n": 9, "W": [', {"n": 9},
-                zero_den_W, zero_den_J, float_W):
+    not_weyl_W = tensor.WeylTensor(9, ints, good.W.scale)
+    not_weyl = parametrix.CurvatureJet(
+        9, not_weyl_W, tensor.fix_trace(good.Jh.scale * good.Jh.ints, not_weyl_W))
+    W_ints, J_ints = compact["W"]["ints"], compact["J"]["ints"]
+    return [
+        # legacy: a short W, a wrong trace, a W that is not Weyl, truncated
+        # JSON, no W or J, zero denominators, and a float even where its
+        # value is right
+        _with(legacy, ("W",), legacy["W"][:-1]),
+        _with(legacy, ("J", 0, 0), str(Fraction(legacy["J"][0][0]) + 1)),
+        legacy_jet(not_weyl),
+        '{"n": 9, "W": [',
+        {"n": 9},
+        _with(legacy, ("W", 0, 1, 0, 1), "1/0"),
+        _with(legacy, ("J", 0, 0), "1/0"),
+        _with(legacy, ("W", 0, 0, 0, 0), 0.0),
+        # their compact twins
+        _with(compact, ("W", "ints"), W_ints[:-1]),
+        _with(compact, ("J", "ints", 0, 0), J_ints[0][0] + 1),
+        not_weyl.to_json(),
+        '{"n": 9, "W": {"scale": ',
+        _with(compact, ("J",), _DROP),
+        _with(compact, ("W", "ints", 1), "1/0"),
+        _with(compact, ("J", "scale"), "1/0"),
+        _with(compact, ("W", "ints", 0), float(W_ints[0])),
+        # compact only: a long ints list, an n far past its length, a
+        # missing or inexact scale, a float entry, and a W that breaks
+        # Bianchi
+        _with(compact, ("W", "ints"), W_ints + [0]),
+        _with(compact, ("n",), 10**6),  # refused before any array of n^4 entries is made
+        _with(compact, ("W", "scale"), _DROP),
+        *(_with(compact, ("W", "scale"), scale) for scale in ("1/0", 0.5, True)),
+        _with(compact, ("J", "ints", 1, 1), 2.5),
+        # W[0,1,2,3], at (0, 15) of the pair matrix, lies in no trace
+        _with(compact, ("W", "ints", 15), W_ints[15] + 1),
+    ]
+
+
+def test_parametrix_bad_jet_files_usage_error(runner, tmp_path):
+    for doc in _bad_jets():
         res = runner.invoke(main, ["parametrix", "--n", "9", "--jet-file", _jet_file(tmp_path, doc)])
-        assert res.exit_code == 2, res.output
+        assert res.exit_code == 2, (doc if isinstance(doc, str) else doc.get("W", {}), res.output)
         assert "bad jet file" in res.output
+
+
+def _json_paths(doc, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, (*path, key))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=6)
+_JETS5 = (parametrix.random_jet(5, seed=2).to_json(), legacy_jet(parametrix.random_jet(5, seed=2)))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_jet_files_never_crash(runner, tmp_path, data):
+    """A jet file with one item replaced or dropped exits 0, 1 or 2, never
+    with an uncaught exception, and a report it writes is strict JSON."""
+    doc = data.draw(st.sampled_from(_JETS5))
+    path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    doc = _with(doc, path, data.draw(_JSON | st.just(_DROP)))
+    res = runner.invoke(main, ["parametrix", "--n", "5", "--jet-file", _jet_file(tmp_path, doc)])
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in (0, 1, 2)
+    if res.exit_code < 2:
+        json.loads(res.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
 
 
 _SPECTRAL_TOLERANCES = {"theta4_const": 1e-8, "duality": 1e-10, "theta2_duality": 1e-8,
@@ -707,16 +790,88 @@ def test_every_spectral_check_can_fail(runner, monkeypatch, check, patch, argv):
     assert f"[FAIL] {check}" in res.stderr
 
 
+def _assert_fails(res, checks):
+    assert res.exit_code == 1, res.output
+    for check in checks:
+        assert _report_check(res, check)["pass"] is False, check
+        assert f"[FAIL] {check}" in res.stderr
+
+
 @pytest.mark.parametrize("argv", [["verify", "asymptotics"],
-                                  ["asymptotics", "--case", "n9", "--n", "9"]])
+                                  ["asymptotics", "--case", "n9", "--n", "9"],
+                                  ["asymptotics", "--case", "lowdim", "--n", "6"]])
 def test_asymptotics_ratio_check_can_fail(runner, monkeypatch, argv):
     real = asymptotics.fit_expansion
     monkeypatch.setattr(asymptotics, "fit_expansion",
                         lambda model: dataclasses.replace(real(model), coefficient=0.0))
     res = runner.invoke(main, argv)
-    assert res.exit_code == 1, res.output
-    assert _report_check(res, "asymptotics.n9[n=9]")["pass"] is False
-    assert "[FAIL] asymptotics.n9[n=9]" in res.stderr
+    ratio = [r["check"] for r in json.loads(res.stdout)["reports"]
+             if r["check"].split("[")[0] in {f"asymptotics.{case}" for case in asymptotics.CASES}]
+    assert len(ratio) == (4 if argv[0] == "verify" else 1)
+    _assert_fails(res, ratio)
+
+
+@pytest.mark.parametrize("argv,check,key", [
+    (["--case", "flat", "--n", "5"], "asymptotics.numerator_coeff[flat,n=5]", "numerator"),
+    (["--case", "lowdim", "--n", "6"], "asymptotics.numerator_coeff[lowdim,n=6]", "numerator"),
+    (["--case", "high", "--n", "10"], "asymptotics.numerator_coeff[high,n=10]", "numerator"),
+    (["--case", "high", "--n", "10"], "asymptotics.norm_integral_coeff[high,n=10]",
+     "norm_integral"),
+    (["--case", "n8", "--n", "8"], "asymptotics.numerator_log_coeff[n8]", "numerator"),
+])
+def test_asymptotics_split_checks_can_fail(runner, monkeypatch, argv, check, key):
+    real = asymptotics.evaluate_model
+
+    def off(model, lam):  # the quantity one split check fits, 1.5 times too large
+        values = real(model, lam)
+        return {**values, key: 1.5 * values[key]}
+
+    monkeypatch.setattr(asymptotics, "evaluate_model", off)
+    _assert_fails(runner.invoke(main, ["asymptotics", *argv]), [check])
+
+
+@pytest.mark.parametrize("check,patch", [
+    ("constants.moments[n=5]",
+     lambda mp: mp.setattr(sphereforms, "y4_ratio_from_moments",
+                           lambda n, real=sphereforms.y4_ratio_from_moments: real(n) * (1 + 1e-9))),
+    ("constants.duality[n=5]",
+     lambda mp: mp.setattr(sphereforms, "sharp_constants",
+                           lambda n, real=sphereforms.sharp_constants: dataclasses.replace(
+                               real(n), Theta4_sphere=(1 + 1e-12) * real(n).Theta4_sphere))),
+])
+def test_every_constants_check_can_fail(runner, monkeypatch, check, patch):
+    patch(monkeypatch)
+    _assert_fails(runner.invoke(main, ["verify", "constants", "--n", "5"]), [check])
+
+
+def test_bubble_check_can_fail(runner, monkeypatch):
+    real = sphereforms.bubble_bilaplacian
+    monkeypatch.setattr(sphereforms, "bubble_bilaplacian", lambda lam, n: real(lam, n).scale(2))
+    _assert_fails(runner.invoke(main, ["verify", "bubbles", "--n", "5"]), ["bubble.pde[n=5]"])
+
+
+def test_spectral_iteration_checks_can_fail(runner, monkeypatch):
+    real = spectral.spectral_report
+
+    def off(*args):  # the last functional value 0.1% above the maximum at constants
+        rep = real(*args)
+        rep["functional_values"][-1] *= 1.001
+        return rep
+
+    monkeypatch.setattr(spectral, "spectral_report", off)
+    _assert_fails(runner.invoke(main, ["spectral", "--n", "5", "--iters", "3"]),
+                  ["spectral.iteration_bounded", "spectral.fixed_point_drift"])
+
+
+def test_polyalg_decomposition_check_can_fail(runner, monkeypatch):
+    from qcurv import polyalg
+
+    real = polyalg.reassemble
+    monkeypatch.setattr(polyalg, "reassemble", lambda n, m, blocks: real(n, m, blocks).scale(2))
+    res = runner.invoke(main, ["verify", "polyalg"])
+    _assert_fails(res, ["polyalg.decomposition[trials=40]"])
+    check = _report_check(res, "polyalg.decomposition[trials=40]")
+    assert check["computed"] == "trial=0: reassembles"
 
 
 @pytest.mark.parametrize("argv,check,computed", [
@@ -724,6 +879,8 @@ def test_asymptotics_ratio_check_can_fail(runner, monkeypatch, argv):
     (["parametrix", "--n", "6"], "parametrix.identities", "recursion_residual"),
     (["verify", "parametrix", "--n", "9", "--trials", "2"], "parametrix.closed-form[n=9,trials=2]",
      "n=9,seed=1: recursion_residual"),
+    (["verify", "parametrix", "--n", "8", "--trials", "1"],
+     "parametrix.log-coefficient[n=8,trials=1]", "n=8,seed=1: recursion_residual"),
 ])
 def test_parametrix_identities_can_fail(runner, monkeypatch, argv, check, computed):
     from qcurv.polyalg import HomogPoly, LogRadialExpansion
@@ -743,3 +900,33 @@ def test_report_refuses_non_finite():
     for x in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dump_report({"x": x})
+
+
+# the failing test of every check-id family (the id up to "[") that `verify
+# all` or a PINNED subcommand emits.  VERIFY_TOLERANCES and
+# SUBCOMMAND_TOLERANCES hold exactly the emitted ids, so a new check without
+# a failing test fails below.
+FAILING_TESTS = {
+    "weyl.identities": test_failing_weyl_check_names_its_witness,
+    "polyalg.decomposition": test_polyalg_decomposition_check_can_fail,
+    "polyalg.solver": test_failing_polyalg_check_names_its_witness,
+    **dict.fromkeys(["parametrix.identities", "parametrix.closed-form",
+                     "parametrix.log-coefficient"], test_parametrix_identities_can_fail),
+    **dict.fromkeys(["constants.moments", "constants.duality"],
+                    test_every_constants_check_can_fail),
+    "bubble.pde": test_bubble_check_can_fail,
+    **dict.fromkeys([f"spectral.{name}" for name in _SPECTRAL_TOLERANCES],
+                    test_every_spectral_check_can_fail),
+    **dict.fromkeys(["spectral.iteration_bounded", "spectral.fixed_point_drift"],
+                    test_spectral_iteration_checks_can_fail),
+    **dict.fromkeys([f"asymptotics.{case}" for case in asymptotics.CASES],
+                    test_asymptotics_ratio_check_can_fail),
+    **dict.fromkeys(["asymptotics.numerator_coeff", "asymptotics.norm_integral_coeff",
+                     "asymptotics.numerator_log_coeff"], test_asymptotics_split_checks_can_fail),
+}
+
+
+def test_every_emitted_check_family_has_a_failing_test():
+    emitted = {check.split("[")[0] for check in (*VERIFY_TOLERANCES, *SUBCOMMAND_TOLERANCES)}
+    assert emitted - set(FAILING_TESTS) == set(), "check families without a failing test"
+    assert set(FAILING_TESTS) == emitted

@@ -4,6 +4,7 @@ The n=9 closed form frozen below (the 1/280, 2/117, ... coefficients) is
 the independently coded specialization used to pin the general formula.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from qcurv.parametrix import (
 )
 from qcurv.tensor import SchoutenHessian, WeylTensor, fix_trace, random_weyl
 from test_polyalg import expansion_from_json
+from test_tensor import legacy_jet
 
 F = Fraction
 
@@ -65,10 +67,16 @@ def test_flat_jet():
 
 
 def test_jet_json_round_trip():
-    jet = random_jet(5, seed=4)
-    jet2 = CurvatureJet.from_json(jet.to_json())
-    assert jet2.W.norm_sq() == jet.W.norm_sq()
-    assert jet2.Jh == jet.Jh
+    """A jet reads back from its JSON, and from the legacy "p/q" tables, to
+    the same JSON: the compact form is canonical."""
+    for n in range(4, 17):
+        for seed in range(1, 6):
+            jet = random_jet(n, seed)
+            doc = jet.to_json()
+            for src in (json.loads(json.dumps(doc)), legacy_jet(jet)):
+                jet2 = CurvatureJet.from_json(src)
+                assert jet2.to_json() == doc, (n, seed)
+                assert jet2.W.norm_sq() == jet.W.norm_sq() and jet2.Jh == jet.Jh
 
 
 def test_normalized_jet_unit_weyl():

@@ -18,7 +18,6 @@ from qcurv.polyalg import (
     UnresolvableBlockError,
     apply_A,
     apply_AA,
-    eigen_A,
     eigen_AA,
     harmonic_decompose,
     laplacian,
@@ -29,7 +28,6 @@ from qcurv.polyalg import (
     split_identities,
     _as_fraction,
 )
-from qcurv.tensor import random_weyl
 
 F = Fraction
 
@@ -39,6 +37,12 @@ def ints(p: HomogPoly) -> dict[tuple[int, ...], int]:
     nz = np.flatnonzero(p._v)
     exps = monomial_table(p.n, p.degree).exps[nz].tolist()
     return dict(zip(map(tuple, exps), p._v[nz].tolist()))
+
+
+def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
+    """Scalar by which A_alpha acts on the block r^{2k} H_{m-2k}."""
+    alpha = _as_fraction(alpha)
+    return (alpha + 2 * k) * (2 * m - 2 * k + alpha + n - 2)
 
 
 def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
@@ -706,7 +710,7 @@ def _fraction_terms(p: HomogPoly) -> dict[str, str]:
 _P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
 
 
-@pytest.mark.parametrize("v,content,bulk", [
+@pytest.mark.parametrize("v,content,in_int64", [
     ([1, -7, 6, 5, 0, 2], F(_P63, 210), True),        # |p| max|v| = 2^63 - 1
     ([1, -7, 6, 5, 0, 2], F(-_P63, 210), True),
     ([1, -8, 3, 5, 7, 0], F(2**60, 945), False),      # |p| max|v| = 2^63
@@ -715,23 +719,11 @@ _P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
     ([3, 0, -2, 9, 4, 6], F(5, 2**63), False),        # q = 2^63
     ([1, 2**70, -3, 0, 5, 7], F(7, 30), False),       # an object vector
 ])
-def test_to_json_int64_certificate_edges(monkeypatch, v, content, bulk):
-    """The one-pass int64 rendering of the terms holds up to the bound, and
-    past it each term goes through scaled_text; both give the reduced
-    Fraction text."""
+def test_to_json_int64_certificate_edges(v, content, in_int64):
+    """Each term renders as its reduced Fraction text on both sides of the
+    int64 edges, where |p| max|v| or q, for content p/q, passes 2^63 - 1."""
     p = HomogPoly.from_vector(3, 2, np.array(v, dtype=object), content)
     assert p.content == content and (p._v.dtype == np.int64) == (max(map(abs, v)) < 2**63)
-    calls = []
-    per_term = polyalg.scaled_text
-    monkeypatch.setattr(polyalg, "scaled_text", lambda c, x: calls.append(x) or per_term(c, x))
+    p_num, q = abs(content.numerator), content.denominator
+    assert (p_num * max(map(abs, v)) < 2**63 and q < 2**63) == in_int64
     assert p.to_json()["terms"] == _fraction_terms(p)
-    assert len(calls) == (0 if bulk else np.count_nonzero(p._v))
-
-
-def test_to_json_of_a_large_int64_polynomial_renders_in_bulk(monkeypatch):
-    q = random_weyl(12, 5).quartic_form()
-    assert q._v.dtype == np.int64 and np.count_nonzero(q._v) >= 1000
-    calls = []
-    monkeypatch.setattr(polyalg, "scaled_text", lambda c, x: calls.append(x))
-    assert q.to_json()["terms"] == _fraction_terms(q)
-    assert calls == []

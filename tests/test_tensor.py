@@ -31,6 +31,23 @@ def component(W: WeylTensor, i: int, k: int, j: int, l: int) -> Fraction:
     return W.scale * int(W.ints[i, k, j, l])
 
 
+def legacy_table(scale: Fraction, ints) -> list:
+    """Exact entries as the nested table of reduced "p/q" text that older
+    jet files hold."""
+    def text(v):
+        c = scale * int(v)
+        return f"{c.numerator}/{c.denominator}"
+
+    return np.vectorize(text, otypes=[object])(ints).tolist()
+
+
+def legacy_jet(jet) -> dict:
+    """A curvature jet as older jet files write it: W as its n^4 table and J
+    as its n x n table."""
+    return {"n": jet.n, "W": legacy_table(jet.W.scale, jet.W.ints),
+            "J": legacy_table(jet.Jh.scale, jet.Jh.ints)}
+
+
 def identity_hessian(n: int) -> SchoutenHessian:
     return SchoutenHessian(n, np.eye(n, dtype=np.int64))
 
@@ -363,22 +380,35 @@ def test_json_dimension_must_be_a_json_integer(n):
 
 def test_rejects_oversized_rational_components():
     # silent int64 wraparound must be impossible
-    obj = random_weyl(5, seed=1).to_json()
-    obj["W"][0][1][2][3] = "123456789012345678901/2"
-    with pytest.raises(ValueError, match="too large"):
-        WeylTensor.from_json(obj)
+    W = random_weyl(5, seed=1)
+    legacy = {"n": 5, "W": legacy_table(W.scale, W.ints)}
+    legacy["W"][0][1][2][3] = "123456789012345678901/2"
+    compact = W.to_json()
+    compact["W"]["ints"][3] = 123456789012345678901
+    for obj in (legacy, compact):
+        with pytest.raises(ValueError, match="too large"):
+            WeylTensor.from_json(obj)
 
 
 @pytest.mark.parametrize("n,seed,factor", [(4, 1, F(1)), (5, 3, F(-7, 12)), (9, 2, F(3, 1000))])
 def test_weyl_json_matches_component_oracle(n, seed, factor):
+    """W is written as the upper triangle of W[(i<k),(j<l)], row by row, in
+    canonical integers over one scale; it reads back, as does the legacy
+    n^4 table, to every component and to the same JSON."""
     W = random_weyl(n, seed).rescale(factor)
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    want = [component(W, *p, *q) for a, p in enumerate(pairs) for q in pairs[a:]]
+    obj = W.to_json()
+    assert obj["n"] == n and set(obj["W"]) == {"scale", "ints"}
+    ints, scale = obj["W"]["ints"], Fraction(obj["W"]["scale"])
+    assert [scale * v for v in ints] == want
+    assert next(v for v in ints if v) > 0 and math.gcd(*ints) == 1
     R = range(n)
-
-    def text(c):
-        return f"{c.numerator}/{c.denominator}"
-
-    want = [[[[text(component(W, i, k, j, l)) for l in R] for j in R] for k in R] for i in R]
-    assert W.to_json() == {"n": n, "W": want}
+    for doc in (obj, {"n": n, "W": legacy_table(W.scale, W.ints)}):
+        W2 = WeylTensor.from_json(doc)
+        assert all(component(W2, i, k, j, l) == component(W, i, k, j, l)
+                   for i in R for k in R for j in R for l in R)
+        assert W2.to_json() == obj
 
 
 def _sum_power(n, d):
