@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -279,10 +280,10 @@ class TestFunctionModel:
     optional for lowdim), ``A0``
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
-    points, all in (0, DELTA/4), whose fit weights stay finite; A0 must be
-    finite and small enough that the fit can square the values it scales;
-    the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].  All are
-    checked here, before any quadrature.
+    distinct points, all in (0, DELTA/4), whose fit weights stay finite;
+    A0 must be finite and small enough that the fit can square the values
+    it scales; the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].
+    All are checked here, before any quadrature.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -308,6 +309,10 @@ class TestFunctionModel:
             self.lambdas = row.lambdas
         if len(self.lambdas) < 4:
             raise ValueError("need at least 4 lambda grid points")
+        repeated = [lam for lam, count in Counter(self.lambdas).items() if count > 1]
+        if repeated:
+            raise ValueError(f"lambda {repeated[0]!r} appears more than once in the grid; "
+                             "the fit needs distinct points")
         if not all(0 < lam < DELTA / 4 for lam in self.lambdas):
             raise ValueError("every lambda must lie in (0, DELTA/4)")
         if not math.isfinite(self.A0):

@@ -209,13 +209,6 @@ def exact_ints(values, scale=1) -> tuple[np.ndarray, Fraction]:
     return ints.reshape(v.shape), content
 
 
-def scaled_text(content: Fraction, v: int) -> str:
-    """content * v as reduced "p/q" text, with one integer gcd."""
-    p, q = content.numerator, content.denominator
-    g = math.gcd(v, q)  # = gcd(p v, q), since p and q are coprime
-    return f"{p * v // g}/{q // g}"
-
-
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
     exponent tuple, as Fractions made only when read."""
@@ -384,16 +377,18 @@ class HomogPoly:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form {"n":…, "m":…, "terms": {"e1,e2,...,en": "p/q"}}.
+        """JSON form {"n":…, "m":…, "scale": "p/q", "terms": {"e1,e2,...,en": int}}.
 
-        Multi-indices are emitted in lexicographic order so the output is
-        byte-reproducible; each p/q is reduced.
+        ``scale`` is the content as reduced text and ``terms`` holds the
+        canonical integers of the nonzero monomials, keyed in lexicographic
+        order of their exponents, so the output is byte-reproducible.  The
+        zero polynomial is scale "0/1" with no terms.
         """
         keys = monomial_table(self.n, self.degree).key_text
-        nz = np.flatnonzero(self._v)
-        terms = {keys[i]: scaled_text(self.content, v)
-                 for i, v in zip(nz.tolist(), self._v[nz].tolist())}
-        return {"n": self.n, "m": self.degree, "terms": terms}
+        nz = np.flatnonzero(self._v).tolist()
+        c = self.content
+        return {"n": self.n, "m": self.degree, "scale": f"{c.numerator}/{c.denominator}",
+                "terms": dict(zip([keys[i] for i in nz], self._v[nz].tolist()))}
 
 
 def _lincomb(n: int, m: int, parts: Iterable[tuple]) -> HomogPoly:

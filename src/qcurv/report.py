@@ -6,11 +6,18 @@ no timing, so identical configurations produce byte-identical files.
 
 ``dump_report`` writes exactly what ``json.dumps(jsonable(doc), indent=2,
 sort_keys=True, allow_nan=False)`` would, in one walk that appends text
-pieces to a single list joined once at the end.
+pieces to a single list joined once at the end.  A dict or list whose
+values are all plain str, int, float, bool or None (and whose keys are all
+plain str) is written whole by the stdlib C encoder, given ``json.dumps``'
+own item separator at that depth, ",\n" plus the indent.  With no nested
+container inside, that separator is the only place indentation enters, and
+the C encoder is the one ``json.dumps`` itself runs, so key order, escapes
+and number text are the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,6 +53,18 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """The C-encoder ``encode`` of a container of scalars whose items sit
+    at indent ``inner``."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True,
+                            allow_nan=False).encode
+
+
 def _encode(value: Any, pad: str, out: list[str]) -> None:
     """Append to ``out`` the text of ``value`` as ``json.dumps(jsonable(value),
     indent=2, sort_keys=True, allow_nan=False)`` prints it, nested at indent
@@ -68,6 +87,11 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
             out.append("{}")
             return
         inner = pad + "  "
+        if t is dict and _SCALARS.issuperset(map(type, value.values())) \
+                and _STR.issuperset(map(type, value)):
+            text = _flat_encoder(inner)(value)
+            out.append("{\n" + inner + text[1:-1] + "\n" + pad + "}")
+            return
         sep = ",\n" + inner
         out.append("{\n" + inner)
         for k, v in sorted({str(k): v for k, v in value.items()}.items()):
@@ -80,6 +104,10 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = pad + "  "
+        if t is list and _SCALARS.issuperset(map(type, value)):
+            text = _flat_encoder(inner)(value)
+            out.append("[\n" + inner + text[1:-1] + "\n" + pad + "]")
+            return
         sep = ",\n" + inner
         out.append("[\n" + inner)
         for v in value:

@@ -314,6 +314,8 @@ def test_model_grid_validation():
         TestFunctionModel(case="flat", n=5, lambdas=(0.1, 0.05, 0.02))
     with pytest.raises(ValueError, match="lie in"):
         TestFunctionModel(case="flat", n=5, lambdas=(0.04, 0.02, 0.01, float("nan")))
+    with pytest.raises(ValueError, match="lambda 0.02 appears more than once"):
+        TestFunctionModel(case="flat", n=5, lambdas=(0.04, 0.02, 0.01, 0.02))
     with pytest.raises(ValueError, match="finite"):
         TestFunctionModel(case="flat", n=5, A0=float("inf"))
 
@@ -442,7 +444,9 @@ def test_cutoff_degree_independence():
 
 def test_ill_conditioned_fit_raises():
     jet = random_jet(8, seed=1, normalize=True)
-    m = TestFunctionModel(case="n8", n=8, jet=jet, lambdas=(0.01, 0.01, 0.01, 0.01))
+    # distinct points 1e-12 apart: the two basis columns agree to ~1e-10
+    m = TestFunctionModel(case="n8", n=8, jet=jet,
+                          lambdas=(0.01, 0.010000000001, 0.010000000002, 0.010000000003))
     with pytest.raises(ValueError, match="ill-conditioned"):
         fit_expansion(m)
 

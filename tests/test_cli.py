@@ -251,11 +251,8 @@ def test_mutated_jet_files_never_crash(runner, tmp_path, data):
     doc = data.draw(st.sampled_from(_JETS5))
     path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
     doc = _with(doc, path, data.draw(_JSON | st.just(_DROP)))
-    res = runner.invoke(main, ["parametrix", "--n", "5", "--jet-file", _jet_file(tmp_path, doc)])
-    assert isinstance(res.exception, SystemExit), repr(res.exception)
-    assert res.exit_code in (0, 1, 2)
-    if res.exit_code < 2:
-        json.loads(res.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    _assert_cli_contract(runner.invoke(main, ["parametrix", "--n", "5", "--jet-file",
+                                              _jet_file(tmp_path, doc)]))
 
 
 _SPECTRAL_TOLERANCES = {"theta4_const": 1e-8, "duality": 1e-10, "theta2_duality": 1e-8,
@@ -547,6 +544,10 @@ def test_parametrix_low_dimensions_pass(runner, n, seed):
     ["asymptotics", "--case", "flat", "--n", "5", "--a0", "-inf"],
     ["asymptotics", "--case", "flat", "--n", "5", "--a0", "1e200"],
     ["asymptotics", "--case", "high", "--n", "10", "--lambdas", "1e-80,1e-81,1e-82,1e-83"],
+    # a repeated lambda: four grid points, fewer distinct ones
+    *(["asymptotics", "--case", case, "--n", n, "--lambdas", "0.04,0.04,0.04,0.04"]
+      for case, n in (("flat", "5"), ("high", "10"), ("n9", "9"), ("lowdim", "6"))),
+    ["asymptotics", "--case", "n8", "--n", "8", "--lambdas", "0.04,0.04,0.02,0.02"],
 ])
 def test_bad_numeric_options_usage_error(runner, args):
     res = runner.invoke(main, args)
@@ -604,6 +605,73 @@ def test_overflowing_lambda_grid_is_named(runner):
                                "--lambdas", "1e-80,1e-81,1e-82,1e-83"])
     assert res.exit_code == 2
     assert "overflow" in res.output and "[1e-80, 1e-81, 1e-82, 1e-83]" in res.output
+
+
+def test_repeated_lambda_is_named_before_quadrature(runner, monkeypatch):
+    def no_quadrature(model, lam):
+        raise AssertionError("a refused grid reached the quadratures")
+
+    monkeypatch.setattr(asymptotics, "evaluate_model", no_quadrature)
+    res = runner.invoke(main, ["asymptotics", "--case", "n9", "--n", "9",
+                               "--lambdas", "0.04,0.02,0.01,0.005,0.02"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert "lambda 0.02 appears more than once" in res.output
+
+
+def _assert_cli_contract(res):
+    """Exit 0, 1 or 2, never an uncaught exception, and a report on stdout
+    that parses as strict JSON.  The runner keeps a SystemExit as the
+    exception only for a nonzero code."""
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in (0, 1, 2)
+    if res.exit_code < 2:
+        json.loads(res.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-80, 1.0,
+                1.5, -0.5, 1e308]
+_VALID_GRID = st.lists(st.floats(1e-3, 0.06), min_size=4, max_size=6, unique=True)
+_GRIDS = st.one_of(
+    st.just([]),  # the case's own grid
+    _VALID_GRID,
+    _VALID_GRID.map(lambda g: sorted(g, reverse=True)),
+    _VALID_GRID.map(sorted),
+    _VALID_GRID.map(lambda g: g[:3]),  # too short
+    _VALID_GRID.map(lambda g: g + g[-1:]),  # one repeat
+    st.tuples(_VALID_GRID, st.sampled_from(_EDGE_FLOATS + [-0.01, 0.3])).map(
+        lambda t: t[0][:-1] + [t[1]]),  # one point non-finite, negative or out of range
+    st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(-0.05, 0.3), max_size=7),
+)
+_CASE_N = st.sampled_from(sorted(asymptotics.CASES)).flatmap(
+    lambda case: st.tuples(st.just(case),
+                           st.integers(asymptotics.CASES[case].n_min - 1,
+                                       asymptotics.CASES[case].n_min + 3)))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case_n=_CASE_N, grid=_GRIDS)
+def test_asymptotics_options_never_crash(runner, case_n, grid):
+    case, n = case_n
+    args = ["asymptotics", "--case", case, "--n", str(n)]
+    if grid:
+        args += ["--lambdas", ",".join(map(repr, grid))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_cli_contract(runner.invoke(main, args))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(5, 12), L=st.integers(2, 96), iters=st.integers(0, 3),
+       damping=st.floats(0.01, 1.0) | st.sampled_from(_EDGE_FLOATS) | st.floats(-0.5, 1.5),
+       init=st.sampled_from(["constant", "perturbed"]))
+def test_spectral_options_never_crash(runner, n, L, iters, damping, init):
+    args = ["spectral", "--n", str(n), "--L", str(L), "--iters", str(iters),
+            "--damping", repr(damping), "--init", init]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_cli_contract(runner.invoke(main, args))
 
 
 @pytest.mark.parametrize("argv", [["spectral"], ["verify", "spectral"]])

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from qcurv.cli import main
 from qcurv.polyalg import HomogPoly, LogRadialExpansion, apply_AA, solve_AA
 from qcurv.parametrix import (
     CurvatureJet,
@@ -262,3 +264,16 @@ def test_expansion_serialization_and_latex():
     assert round_trip == g.expansion
     lines = latex_lines(g.expansion)
     assert any("\\log r" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_written_report_expansion_reads_back(tmp_path, n):
+    """The compact polynomials of a written report, the n = 8 log shell
+    among them, parse back to the expansion they were written from."""
+    out = tmp_path / "p.json"
+    res = CliRunner().invoke(main, ["parametrix", "--n", str(n), "--seed", "1", "--report", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    want = green_leading(random_jet(n, 1)).expansion
+    assert expansion_from_json(doc["expansion"]) == want
+    assert any(k > 0 for _, k in want.terms) == (n == 8)

@@ -57,9 +57,16 @@ def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     return out
 
 
+def _fraction_terms(obj: dict) -> dict[str, Fraction]:
+    """The coefficients, scale times integer, that a JSON polynomial states,
+    keyed as written."""
+    scale = F(obj["scale"])
+    return {key: scale * v for key, v in obj["terms"].items()}
+
+
 def poly_from_json(obj: dict) -> HomogPoly:
     """The inverse of ``HomogPoly.to_json``."""
-    terms = {tuple(int(v) for v in key.split(",")): val for key, val in obj["terms"].items()}
+    terms = {tuple(int(v) for v in key.split(",")): c for key, c in _fraction_terms(obj).items()}
     return HomogPoly(int(obj["n"]), int(obj["m"]), terms)
 
 
@@ -373,7 +380,8 @@ def test_solver_log2_escalation_block():
 def test_poly_json_round_trip():
     p = poly_from_coeffs(3, [((2, 1, 0), F(3, 4)), ((0, 1, 2), F(-5, 1))])
     obj = p.to_json()
-    assert obj["terms"]["2,1,0"] == "3/4"
+    # the lexicographically first monomial, y z^2, takes the positive integer
+    assert obj == {"n": 3, "m": 3, "scale": "-1/4", "terms": {"0,1,2": 20, "2,1,0": -3}}
     assert poly_from_json(obj) == p
 
 
@@ -475,10 +483,19 @@ def _ref_laplacian(a):
 
 
 def _ref_json(n, m, a):
-    terms = {
-        ",".join(str(v) for v in e): f"{a[e].numerator}/{a[e].denominator}" for e in sorted(a)
-    }
-    return json.dumps({"n": n, "m": m, "terms": terms})
+    """json.dumps of the JSON form of the Fraction term map ``a``: the
+    content is the gcd of the coefficients' numerators over the lcm of
+    their denominators, signed so the lexicographically first integer is
+    positive."""
+    exps = sorted(a)
+    content = F(0)
+    if exps:
+        den = math.lcm(*(a[e].denominator for e in exps))
+        content = F(math.gcd(*(a[e].numerator * (den // a[e].denominator) for e in exps)), den)
+        content *= 1 if a[exps[0]] > 0 else -1
+    terms = {",".join(str(v) for v in e): int(a[e] / content) for e in exps}
+    scale = f"{content.numerator}/{content.denominator}"
+    return json.dumps({"n": n, "m": m, "scale": scale, "terms": terms})
 
 
 def _exponents(draw, n, m):
@@ -698,15 +715,6 @@ def test_solve_residual_vanishes_at_the_solution_only(n):
     assert not solve_residual(n, psi, rhs.scale(2)).is_zero()
 
 
-def _fraction_terms(p: HomogPoly) -> dict[str, str]:
-    keys = monomial_table(p.n, p.degree).key_text
-    out = {}
-    for i in np.flatnonzero(p._v).tolist():
-        c = p.content * int(p._v[i])
-        out[keys[i]] = f"{c.numerator}/{c.denominator}"
-    return out
-
-
 _P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
 
 
@@ -718,12 +726,22 @@ _P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
     ([3, 0, -2, 9, 4, 6], F(5, 2**63 - 1), True),     # q = 2^63 - 1
     ([3, 0, -2, 9, 4, 6], F(5, 2**63), False),        # q = 2^63
     ([1, 2**70, -3, 0, 5, 7], F(7, 30), False),       # an object vector
+    ([1, 2**63, -(2**63) - 1, 0, 2**64 + 1, -2], F(-1, 3), False),
+    ([2**63, -5, 0, 0, 1, -(2**80)], F(3), False),
+    ([0, 0, 0, 0, 0, 0], F(0), True),                 # the zero polynomial
 ])
 def test_to_json_int64_certificate_edges(v, content, in_int64):
-    """Each term renders as its reduced Fraction text on both sides of the
-    int64 edges, where |p| max|v| or q, for content p/q, passes 2^63 - 1."""
+    """The JSON form states the content and the canonical integers as
+    written, and reads back through its text to the same polynomial, on
+    both sides of the int64 edges: where an integer, or |p| max|v| or q
+    for content p/q, passes 2^63 - 1."""
     p = HomogPoly.from_vector(3, 2, np.array(v, dtype=object), content)
     assert p.content == content and (p._v.dtype == np.int64) == (max(map(abs, v)) < 2**63)
     p_num, q = abs(content.numerator), content.denominator
     assert (p_num * max(map(abs, v)) < 2**63 and q < 2**63) == in_int64
-    assert p.to_json()["terms"] == _fraction_terms(p)
+    obj = json.loads(json.dumps(p.to_json()))
+    keys = monomial_table(3, 2).key_text
+    assert obj == {"n": 3, "m": 2, "scale": f"{content.numerator}/{content.denominator}",
+                   "terms": {keys[i]: x for i, x in enumerate(v) if x}}
+    assert _fraction_terms(obj) == {",".join(map(str, e)): c for e, c in p.terms.items()}
+    assert poly_from_json(obj) == p

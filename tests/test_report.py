@@ -48,8 +48,34 @@ _string_rows = (
     | st.lists(_strings, max_size=5)
     | st.lists(_plain, max_size=4).map(tuple)
 )
+# scalars the C encoder writes whole when a dict or list holds nothing else
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**63 - 4, 2**70) | st.integers(-(2**70), -(2**63) + 4)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1.5e-7])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _plain | _awkward | _text
+)
+_keys = _plain | _awkward | _text
+_scalar_rows = st.lists(_scalars, min_size=1, max_size=6) | st.dictionaries(
+    _keys, _scalars, min_size=1, max_size=6)
+# a container that is scalar-only but for one value, which must take the walk
+_odd_scalars = (
+    st.builds(_Str, _plain | _awkward)
+    | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False))
+    | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+    | st.builds(np.bool_, st.booleans())
+    | st.builds(Fraction, st.integers(), st.integers(1, 10**6))
+)
+_almost_rows = st.tuples(st.lists(_scalars, max_size=4), _odd_scalars, st.integers(0, 4)).map(
+    lambda t: [*t[0][:t[2]], t[1], *t[0][t[2]:]]
+) | st.tuples(st.dictionaries(_keys, _scalars, max_size=4), _keys, _odd_scalars).map(
+    lambda t: {**t[0], t[1]: t[2]}
+)
 _values = st.recursive(
-    _leaves,
+    _leaves | _scalar_rows | _almost_rows,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | _string_rows
@@ -67,6 +93,10 @@ _values = st.recursive(
 @example({"a": {"\x1f": None}})
 @example({"a": {"\x1f": "x", "k": "v"}, "b": [["x", "y"], ["z", "\x7f"]], "c": ["p", "q", 1]})
 @example({"a": [["x", "y"], [], ["z"]], "b": [["x"], ("y",)], "c": [_Str("s"), "t"]})
+@example({"a": [2**64, -(2**63) - 1, -0.0, 5e-324, 1e308, True, None, "\u2028"],
+          "b": {"\x00": False, "é": 0.1, '"': 2**100, "k": [None]},
+          "c": {"s": _Str("x"), "t": 1}, "d": [1.0, np.float64(2.5)], "e": {"f": np.int64(3)},
+          "g": [[[[{"h": [1, "x", None]}]]]]})
 def test_dump_report_matches_json_dumps(payload):
     assert dump_report(payload) == _oracle(payload)
 
@@ -90,11 +120,11 @@ PINNED = [
     (["verify", "all", "--seed", "1"],
      "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "fcbe0380753a88336fd3e7ab7eb6f389c5e9276a3efa9f45532c5d1018e80a7c"),
+     "fb3b0f85a3cb71ac50611dde0eec5fd42bbe74aa44b34ce8438a762407079a8a"),
     (["parametrix", "--n", "12", "--seed", "1"],
-     "292d7ac4e5179d3b3f17b2893ce0860ae7050c6208388cd926809ab69dde6484"),
+     "cea2b5029acb6cc02d3d27ca5ed93fb67a3b4a0d9b45aba7da45ccd2cc1d4ff0"),
     (["parametrix", "--n", "16", "--seed", "1"],
-     "31a574c9d3163dd7dd2e5f69102ff8e2dc03ba1adf2f794042d84d1f2624cd91"),
+     "f7b176e34f939fe05c7612e82b511cbb7cf42d1c9e323291877381eb344c7c61"),
     (["constants", "--format", "json"],
      "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
     (["spectral"],
