@@ -33,7 +33,8 @@ print("  shell identities:", shell_identities(jet, green))
 # n = 8: the log shell and its coefficient
 jet8 = random_jet(8, seed=3)
 green8 = green_leading(jet8)
-print("\nn=8 seeded jet: log terms:", len(green8.log_terms()))
+print("\nn=8 seeded jet: log shells (deg, logpow):", green8.log_terms())
+print("  r^4 log r shell terms:", len(green8.expansion.get(4, 1).terms))
 print("  log coefficient:", n8_log_coefficient(jet8))
 print("  equals -|W|^2/1440:", n8_log_coefficient(jet8) == -jet8.W.norm_sq() / 1440)
 print("  shell identities:", shell_identities(jet8, green8))

@@ -195,11 +195,9 @@ class GreenExpansion:
     constant_symbol: str | None = None
 
     def log_terms(self) -> list[dict]:
-        return [
-            {"deg": i, "logpow": k, "poly": self.expansion.terms[(i, k)].to_json()}
-            for (i, k) in sorted(self.expansion.terms)
-            if k > 0
-        ]
+        """The (deg, logpow) keys of the log shells; their polynomials are
+        written once, in the expansion."""
+        return [{"deg": i, "logpow": k} for (i, k) in sorted(self.expansion.terms) if k > 0]
 
     def to_json(self) -> dict:
         out = {

@@ -21,10 +21,14 @@ here in numpy on t > 0 and mirrored exactly.  The recurrence then gives
 C_l(-t) = (-1)^l C_l(t) bit for bit, so each basis is stored on t > 0 only,
 split by the parity of l: a synthesis is one half-size product per parity,
 whose sum and difference are the values at t and -t, and an analysis pairs
-the values at t and -t before its two products.  A rule depends only on its
-node count and the dimension, so each is computed once per process and
-shared, read-only, by every solver that needs it; the bases are built per
-solver and not kept.  The degree is capped at ``MAX_L``.
+the values at t and -t before its two products.  An even field runs only
+the even product: a synthesis whose odd coefficients are all zero, and an
+analysis of values that agree at t and -t, skip the odd one, whose output
+would be +0.0, and give the bits of both products.  One recurrence over the
+two half grids builds both bases.  A rule depends only on its node count
+and the dimension, so each is computed once per process and shared,
+read-only, by every solver that needs it; the bases are built per solver
+and not kept.  The degree is capped at ``MAX_L``.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ from .sphereforms import omega_n, sphere_area
 MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
 
 # Largest truncation degree.  At L = 2048 the two half-grid bases hold
-# 2049 x (6147 + 2049) floats (about 134 MB, half of the full-grid bases);
-# building a solver there takes about 1.8 s, 1.3 s of it the 12294-node
-# rule, and peaks near 290 MB (Python 3.11, numpy 2.4, one BLAS thread).
-# The cost grows as L^2.
+# 2049 x (2049 + 6147) floats (about 134 MB, half of the full-grid bases).
+# One recurrence fills the rows of both grids before they are folded, so a
+# first build there peaks near 290 MB RSS and takes 1.6-2.0 s: 1.2-1.3 s for
+# the 12294-node rule and about 0.2 s for the bases (Python 3.11, numpy 2.4,
+# one BLAS thread).  The cost grows as L^2.
 MAX_L = 2048
 
 OVERSAMPLE = 3  # node ratio of the nonlinearity grid to the main grid
@@ -293,13 +298,14 @@ class SphereSolver:
         self.w = area_factor * wj
         self.w_over = area_factor * wj2
 
-        # the norms come from the solver's own main-grid quadrature
-        K = self.M // 2
-        rows = self._gegenbauer_rows(self.t[K:])
-        self._norms = np.sqrt(2.0 * np.sum(self.w[K:] * rows * rows, axis=1))
-        self._main = self._fold(rows, self.w[K:])
-        K = self.t_over.size // 2
-        self._over = self._fold(self._gegenbauer_rows(self.t_over[K:]), self.w_over[K:])
+        # one recurrence over both half grids; the norms come from the
+        # solver's own main-grid quadrature
+        K, K2 = self.M // 2, self.t_over.size // 2
+        rows = self._gegenbauer_rows(np.concatenate((self.t[K:], self.t_over[K2:])))
+        main, over = rows[:, :K], rows[:, K:]
+        self._norms = np.sqrt(2.0 * np.sum(self.w[K:] * main * main, axis=1))
+        self._main = self._fold(main, self.w[K:])
+        self._over = self._fold(over, self.w_over[K2:])
 
     # -- basis ----------------------------------------------------------
 
@@ -320,7 +326,9 @@ class SphereSolver:
         return rows[0::2] / self._norms[0::2, None], rows[1::2] / self._norms[1::2, None], w_half
 
     def _orthonormal_basis(self, t: np.ndarray) -> np.ndarray:
-        return self._gegenbauer_rows(t) / self._norms[:, None]
+        rows = self._gegenbauer_rows(t)
+        rows /= self._norms[:, None]
+        return rows
 
     def gram_defect(self) -> float:
         """Largest entry of |G - I| for the main-grid Gram matrix G.  Only its
@@ -337,15 +345,22 @@ class SphereSolver:
         even, odd, w = self._over if oversampled else self._main
         K = w.size
         up, down = values[K:], values[K - 1::-1]
-        coeffs = np.empty(self.L + 1)
+        coeffs = np.zeros(self.L + 1)
         coeffs[0::2] = np.dot(even, w * (up + down))
-        coeffs[1::2] = np.dot(odd, w * (up - down))
+        diff = up - down
+        if diff.any():  # else the values are even and the odd product +0.0
+            coeffs[1::2] = np.dot(odd, w * diff)
         return ZonalField(self.n, self.L, coeffs)
 
     def synthesize(self, field: ZonalField, oversampled: bool = False) -> np.ndarray:
         even, odd, _ = self._over if oversampled else self._main
         e = np.dot(field.coeffs[0::2], even)
-        o = np.dot(field.coeffs[1::2], odd)
+        c_odd = field.coeffs[1::2]
+        if not c_odd.any():
+            # an even field: the odd product would be +0.0, so e - o and
+            # e + o are e and e + 0.0 (which turns a -0.0 to +0.0)
+            return np.concatenate((e[::-1], e + 0.0))
+        o = np.dot(c_odd, odd)
         return np.concatenate(((e - o)[::-1], e + o))
 
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
@@ -445,6 +460,13 @@ class SphereSolver:
         a step synthesizes only G_P f and the update; each norm and dual
         value is read from the carried values, the value of f/||f|| being
         that of f.
+
+        An even start (odd coefficients all zero, as the constant and the
+        constant plus a Z_2 are) stays even, so each transform of a step
+        runs its even product only: G_P is diagonal, so G_P f is even; its
+        values on the mirrored grid agree at t and -t; the nonlinearity is
+        pointwise, so the powered values agree too, and their analysis has
+        odd coefficients +0.0, which the blend keeps.
         """
         if not (0.0 < damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")

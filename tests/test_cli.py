@@ -74,7 +74,10 @@ def test_parametrix_n8_log_term(runner):
     res = runner.invoke(main, ["parametrix", "--n", "8", "--seed", "1"])
     assert res.exit_code == 0
     doc = json.loads(res.stdout)
-    assert len(doc["log_terms"]) == 1
+    # the log shell's polynomial is written once, in the expansion
+    assert doc["log_terms"] == [{"deg": 4, "logpow": 1}]
+    assert [(t["deg"], t["logpow"]) for t in doc["expansion"]["terms"]].count((4, 1)) == 1
+    assert res.stdout.count('"poly"') == len(doc["expansion"]["terms"])
     assert doc["n8_log_coefficient"].startswith("-")
 
 
@@ -282,7 +285,7 @@ VERIFY_TOLERANCES = {
 # so one id has one tolerance wherever it is emitted
 SUBCOMMAND_TOLERANCES = {
     **{k: VERIFY_TOLERANCES[k] for k in (
-        *(f"spectral.{name}[n=5,L=64]" for name in _SPECTRAL_TOLERANCES),
+        *(f"spectral.{name}[n={n},L=64]" for n in (5, 9) for name in _SPECTRAL_TOLERANCES),
         "asymptotics.flat[n=5]", "asymptotics.high[n=10]", "asymptotics.n9[n=9]",
         "asymptotics.n8[n=8]")},
     "parametrix.identities": "exact",
@@ -672,6 +675,79 @@ def test_spectral_options_never_crash(runner, n, L, iters, damping, init):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _assert_cli_contract(runner.invoke(main, args))
+
+
+# dimensions at and past the edges of the cheap suites: below 5, the
+# moments' last normal n (326) and one past it; ranges at most three wide
+_N_EDGES = [0, 4, 5, 6, 325, sphereforms.MOMENTS_MAX_N, sphereforms.MOMENTS_MAX_N + 1]
+_N_RANGES = st.one_of(
+    st.sampled_from(_N_EDGES).map(str),
+    st.tuples(st.sampled_from(_N_EDGES), st.integers(0, 2)).map(lambda t: f"{t[0]}..{sum(t)}"),
+    st.tuples(st.sampled_from(_N_EDGES), st.integers(1, 2)).map(lambda t: f"{sum(t)}..{t[0]}"),
+    st.lists(st.sampled_from(_N_EDGES), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    st.sampled_from(["", "..", "5..", "..7", "5..6..7", "five", "5;6", "5,,6", "1e3", "5.5",
+                     "-5", "5..-1", " 5 "]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_range=_N_RANGES, fmt=st.sampled_from([None, "csv", "json", "latex", "xml"]))
+def test_constants_options_never_crash(runner, tmp_path, n_range, fmt):
+    out = tmp_path / "constants.json"
+    out.unlink(missing_ok=True)
+    args = ["constants", "--n", n_range, "--report", str(out)] + (["--format", fmt] if fmt else [])
+    res = runner.invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code in (0, 1, 2)
+    if res.exit_code == 2:
+        assert "Error:" in res.output and not out.exists()
+        return
+    # csv and latex go to stdout only; the report is the JSON form either way
+    text = out.read_text()
+    doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert doc["pass"] is (res.exit_code == 0)
+    if fmt == "json":
+        assert res.stdout == text
+    elif fmt in (None, "csv"):
+        assert len(res.stdout.splitlines()) == len(doc["rows"]) + 1
+
+
+# suite -> the options it reads besides --seed
+_CHEAP_SUITES = {"constants": ("--n",), "bubbles": ("--n",), "spectral": ("--n", "--L"),
+                 "polyalg": ("--trials",)}
+_VERIFY_VALUES = {"--n": _N_RANGES, "--trials": st.integers(-1, 2), "--L": st.integers(-1, 96),
+                  "--seed": st.integers(-2, 3)}
+
+
+@st.composite
+def _verify_options(draw):
+    """A cheap suite and options for it: mostly those it reads, and in one
+    draw of four also those it refuses."""
+    suite = draw(st.sampled_from(sorted(_CHEAP_SUITES)))
+    stray = draw(st.integers(0, 3)) == 0
+    opts = {}
+    for flag, values in _VERIFY_VALUES.items():
+        if (stray or flag == "--seed" or flag in _CHEAP_SUITES[suite]) and draw(st.booleans()):
+            opts[flag] = draw(values)
+    return suite, opts
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(suite_opts=_verify_options())
+def test_verify_options_never_crash(runner, suite_opts):
+    suite, opts = suite_opts
+    args = ["verify", suite, *(a for flag, value in opts.items() for a in (flag, str(value)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = runner.invoke(main, args)
+    _assert_cli_contract(res)
+    if res.exit_code == 2:
+        assert "Error:" in res.output
+    else:
+        assert json.loads(res.stdout)["pass"] is (res.exit_code == 0)
 
 
 @pytest.mark.parametrize("argv", [["spectral"], ["verify", "spectral"]])

@@ -208,7 +208,9 @@ def test_green_leading_dispatch():
     jet8 = random_jet(8, seed=3)
     g8 = green_leading(jet8)
     assert g8.remainder == "O4(1)"
-    assert len(g8.log_terms()) == 1
+    assert g8.log_terms() == [{"deg": 4, "logpow": 1}]
+    assert g8.expansion.get(4, 1) == HomogPoly.r_squared(8).mul_r2k(1).scale(
+        -jet8.W.norm_sq() / 1440)
 
 
 def test_green_leading_flat_equals_flat_expansion():
@@ -259,7 +261,7 @@ def test_expansion_serialization_and_latex():
     g = green_leading(jet)
     obj = g.to_json()
     assert obj["remainder"] == "O4(1)"
-    assert obj["log_terms"]
+    assert obj["log_terms"] == [{"deg": 4, "logpow": 1}]
     round_trip = expansion_from_json(obj["expansion"])
     assert round_trip == g.expansion
     lines = latex_lines(g.expansion)

@@ -120,7 +120,7 @@ PINNED = [
     (["verify", "all", "--seed", "1"],
      "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "fb3b0f85a3cb71ac50611dde0eec5fd42bbe74aa44b34ce8438a762407079a8a"),
+     "90a2738b20801817e06459298fa0f8f6e76f1be82dfad097df657aadf2469a31"),
     (["parametrix", "--n", "12", "--seed", "1"],
      "cea2b5029acb6cc02d3d27ca5ed93fb67a3b4a0d9b45aba7da45ccd2cc1d4ff0"),
     (["parametrix", "--n", "16", "--seed", "1"],
@@ -129,6 +129,8 @@ PINNED = [
      "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
     (["spectral"],
      "9762f7e343fbe6a3476d38eca8622652f18e2fdd1db0d8f4e7532ad0f0f3471f"),
+    (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
+     "cb1e72e6492782b1cc070325e51ed6e4d47ce131e4f9e1ca799b61d7d4c23c91"),
     (["asymptotics", "--case", "flat", "--n", "5"],
      "29f37fed55cc4fa60778b111fac11b97d29a3ff326fab911e7e4ea64596fad83"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
@@ -163,6 +165,8 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
      "2379a4eccbd2b9333c303d7ab69013abe097c59a53a2e6f5127f97b913bae258"),
+    (["spectral", "--n", "5", "--L", "256", "--iters", "50", "--init", "perturbed"],
+     "7d8caddac19d2f9cf5ca8f9845b7cc05adc2719750f9650d6dc08ca630edb9a2"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -1,5 +1,6 @@
 """Zonal solver checks: transforms, spectra, functionals, invariance."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -204,6 +205,123 @@ def test_synthesis_mirror_is_exact(s7):
     for over in (False, True):
         vals = s7.synthesize(ZonalField(7, s7.L, c), over)
         assert np.array_equal(vals[::-1], s7.synthesize(ZonalField(7, s7.L, flipped), over))
+
+
+@functools.cache
+def solver(n: int, L: int) -> SphereSolver:
+    return SphereSolver(n, L)
+
+
+def two_product_synthesis(s: SphereSolver, coeffs: np.ndarray, oversampled: bool) -> np.ndarray:
+    """Both parity products, whatever the coefficients: the reference that
+    skipping the odd one must match bit for bit."""
+    even, odd, _ = s._over if oversampled else s._main
+    e = np.dot(coeffs[0::2], even)
+    o = np.dot(coeffs[1::2], odd)
+    return np.concatenate(((e - o)[::-1], e + o))
+
+
+def two_product_analysis(s: SphereSolver, values: np.ndarray, oversampled: bool) -> np.ndarray:
+    even, odd, w = s._over if oversampled else s._main
+    K = w.size
+    up, down = values[K:], values[K - 1::-1]
+    coeffs = np.empty(s.L + 1)
+    coeffs[0::2] = np.dot(even, w * (up + down))
+    coeffs[1::2] = np.dot(odd, w * (up - down))
+    return coeffs
+
+
+def odd_coeffs_positive_zero(coeffs: np.ndarray) -> bool:
+    return bool(np.all(coeffs[1::2] == 0.0) and not np.signbit(coeffs[1::2]).any())
+
+
+PARITY_SHAPES = [(n, L) for n in range(5, 10) for L in (3, 64, 256)]
+
+
+@pytest.mark.parametrize("oversampled", [False, True])
+@pytest.mark.parametrize("n,L", PARITY_SHAPES)
+def test_even_transforms_match_two_products(n, L, oversampled):
+    s = solver(n, L)
+    rng = np.random.Generator(np.random.Philox(n * 1000 + L))
+    c = rng.standard_normal(L + 1)
+    c[1::2] = 0.0
+    vals = s.synthesize(ZonalField(n, L, c), oversampled)
+    assert vals.tobytes() == two_product_synthesis(s, c, oversampled).tobytes()
+    assert np.array_equal(vals, vals[::-1])
+    half = rng.standard_normal(vals.size // 2)
+    for mirrored in (vals, np.concatenate((half[::-1], half))):
+        back = s.analyze(mirrored, oversampled).coeffs
+        assert back.tobytes() == two_product_analysis(s, mirrored, oversampled).tobytes()
+        assert odd_coeffs_positive_zero(back)
+
+
+@pytest.mark.parametrize("oversampled", [False, True])
+@pytest.mark.parametrize("n,L", PARITY_SHAPES)
+def test_asymmetric_transforms_keep_odd_coefficients(n, L, oversampled):
+    s = solver(n, L)
+    rng = np.random.Generator(np.random.Philox(n * 1000 + L + 1))
+    c = rng.standard_normal(L + 1)
+    vals = s.synthesize(ZonalField(n, L, c), oversampled)
+    assert vals.tobytes() == two_product_synthesis(s, c, oversampled).tobytes()
+    v = rng.standard_normal(vals.size)
+    for values in (vals, v):
+        back = s.analyze(values, oversampled).coeffs
+        assert back.tobytes() == two_product_analysis(s, values, oversampled).tobytes()
+        assert np.all(back[1::2] != 0.0)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 8])
+def test_signed_zeros_match_two_products(L):
+    # an odd coefficient -0.0, an even one -0.0, and mirrored values that
+    # differ only in the sign of a zero all give the two-product bits
+    s = solver(6, L)
+    rng = np.random.Generator(np.random.Philox(L))
+    even = rng.standard_normal(L + 1)
+    even[1::2] = 0.0
+    neg_odd = even.copy()
+    neg_odd[1::2] = -0.0
+    neg_zero = np.zeros(L + 1)
+    neg_zero[0::2] = -0.0
+    for over in (False, True):
+        for c in (even, neg_odd, neg_zero, np.zeros(L + 1), np.full(L + 1, -0.0)):
+            vals = s.synthesize(ZonalField(6, L, c), over)
+            assert vals.tobytes() == two_product_synthesis(s, c, over).tobytes()
+        K = vals.size // 2
+        zeros = np.zeros(2 * K)
+        zeros[:K] = -0.0
+        back = s.analyze(zeros, over).coeffs
+        assert back.tobytes() == two_product_analysis(s, zeros, over).tobytes()
+
+
+def test_even_fields_never_read_the_odd_basis():
+    s = SphereSolver(7, 64)
+    for name in ("_main", "_over"):
+        even, odd, w = getattr(s, name)
+        setattr(s, name, (even, np.full_like(odd, np.nan), w))
+    traj = s.extremal_iteration(s.constant_field(1.0), 5)
+    assert all(np.all(np.isfinite(f.coeffs)) and odd_coeffs_positive_zero(f.coeffs)
+               for f, _ in traj)
+
+
+def test_one_recurrence_builds_both_bases():
+    s = solver(7, 256)
+    for (even, odd, w), t in ((s._main, s.t), (s._over, s.t_over)):
+        rows = s._gegenbauer_rows(t[t.size // 2:])
+        assert even.tobytes() == (rows[0::2] / s._norms[0::2, None]).tobytes()
+        assert odd.tobytes() == (rows[1::2] / s._norms[1::2, None]).tobytes()
+    B = s._orthonormal_basis(s.t)
+    assert B.tobytes() == (s._gegenbauer_rows(s.t) / s._norms[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("n,L", PARITY_SHAPES)
+def test_iterates_from_even_starts_stay_even(n, L):
+    s = solver(n, L)
+    f0 = s.constant_field(1.0)
+    perturbed = s.constant_field(1.0)
+    perturbed.coeffs[2] += 0.1 * perturbed.coeffs[0]
+    for start in (f0, perturbed):
+        traj = s.extremal_iteration(start, 30, 0.5)
+        assert all(odd_coeffs_positive_zero(f.coeffs) for f, _ in traj)
 
 
 def test_gram_defect_is_the_full_gram(s7):
