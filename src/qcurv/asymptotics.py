@@ -24,15 +24,15 @@ radial quadratures remain.
 
 Those run on composite 48-point Gauss-Legendre panels: on the ball, panels
 that double in width from lam/64 out to DELTA, so they are refined
-geometrically around r ~ lam; on the annulus, four equal panels.  Each
-integrand is elementwise in r and is called once per lam on the array of
-all its nodes; each panel is still summed as its own dot product and the
+geometrically around r ~ lam; on the annulus, four equal panels.  Per lam
+one pass over all the ball nodes yields both the numerator and the norm
+integrands; each panel is still summed as its own dot product and the
 panels left to right, so the result is the same, bit for bit, as one call
 per panel.  The exact radial factors (u_lam, f_lam, beta and their
 derivatives) do not depend on lam: they are built once per dimension and
-bound to each lam (``RadialTermSum.at``); the cutoff polynomial and its
-derivatives at the fixed annulus nodes are built once per degree, and the
-float curvature averages once per model.
+bound to each lam (``RadialTermSum.at``).  The cutoff is a polynomial in
+r/DELTA - 1 (``smoothstep``), tabulated with its derivatives at the fixed
+annulus nodes once per degree; the curvature averages, once per model.
 
 Model scope: integrals are taken over the ball r <= DELTA plus, for the
 numerator of the matched cases, the exact cutoff annulus term
@@ -143,48 +143,19 @@ DELTA = 1.0  # radius of the model ball; the cutoff annulus is [DELTA, 2 DELTA]
 MAX_CUTOFF_DEGREE = 33
 
 
-class Cutoff:
-    """Smoothstep of odd degree in [9, MAX_CUTOFF_DEGREE] on [1,2]: 0 to the
-    left, 1 to the right, with (degree-1)/2 >= 4 matched derivatives at both
-    junctions."""
-
-    def __init__(self, degree: int = 9):
-        if not 9 <= degree <= MAX_CUTOFF_DEGREE or degree % 2 == 0:
-            raise ValueError(f"cutoff degree must be odd and in [9, {MAX_CUTOFF_DEGREE}]")
-        N = (degree - 1) // 2
-        coeffs = np.zeros(degree + 1)
-        for k in range(N + 1):
-            c = math.comb(N + k, k) * math.comb(2 * N + 1, N - k) * (-1) ** k
-            coeffs[N + 1 + k] = c
-        self._poly = np.polynomial.Polynomial(coeffs)
-        self._derivs = [self._poly.deriv(m) if m else self._poly for m in range(5)]
-
-    def eta1_derivs(self, s) -> np.ndarray:
-        """Rows 0..4: derivative values of eta1 with respect to s, each of
-        the shape of s."""
-        s = np.asarray(s, dtype=float)
-        inside = (s > 1.0) & (s < 2.0)
-        t = np.clip(s - 1.0, 0.0, 1.0)
-        out = np.zeros((5, *s.shape))
-        out[0] = self._poly(t)
-        for m in range(1, 5):
-            out[m] = np.where(inside, self._derivs[m](t), 0.0)
-        return out
-
-    def radial_derivs(self, r: np.ndarray) -> np.ndarray:
-        """Rows 0..4: derivative values of eta1(r/DELTA) with respect to r."""
-        out = self.eta1_derivs(r / DELTA)
-        for m in range(1, 5):
-            out[m] /= DELTA**m
-        return out
-
-    @cached_property
-    def annulus_derivs(self) -> np.ndarray:
-        """``radial_derivs`` at the annulus quadrature nodes, read-only.  The
-        nodes are fixed, so this is computed once per cutoff."""
-        out = self.radial_derivs(_ANNULUS_NODES)
-        out.setflags(write=False)
-        return out
+@functools.cache
+def smoothstep(degree: int) -> np.polynomial.Polynomial:
+    """The cutoff eta1 on the annulus as a polynomial in t = r/DELTA - 1:
+    0 at t = 0, 1 at t = 1, of odd degree in [9, MAX_CUTOFF_DEGREE], with
+    (degree-1)/2 >= 4 matched derivatives at both junctions.  eta1 is 0
+    on the ball and 1 beyond the annulus."""
+    if not 9 <= degree <= MAX_CUTOFF_DEGREE or degree % 2 == 0:
+        raise ValueError(f"cutoff degree must be odd and in [9, {MAX_CUTOFF_DEGREE}]")
+    N = (degree - 1) // 2
+    coeffs = np.zeros(degree + 1)
+    for k in range(N + 1):
+        coeffs[N + 1 + k] = math.comb(N + k, k) * math.comb(2 * N + 1, N - k) * (-1) ** k
+    return np.polynomial.Polynomial(coeffs)
 
 
 # -- the dimension regimes -------------------------------------------------------
@@ -317,7 +288,7 @@ class TestFunctionModel:
             raise ValueError("every lambda must lie in (0, DELTA/4)")
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
-        _cutoff(self.cutoff_degree)  # refuses a degree Cutoff does not admit
+        smoothstep(self.cutoff_degree)  # refuses a degree the cutoff does not admit
         self.design  # refuses a grid whose weights overflow
         if not row.needs_jet:
             # the fitted values are about A0 times a closed form per point,
@@ -393,17 +364,9 @@ def _panel_nodes(breakpoints) -> tuple[np.ndarray, np.ndarray]:
     return half, (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
 
 
-def _panel_quad(fn, breakpoints) -> float:
-    """Sum over the panels [a, b] of consecutive breakpoints of the 48-point
-    Gauss-Legendre rule.  ``fn`` is elementwise in r and is called once, on
-    the (panels x 48) array of every node; each panel is then summed as its
-    own dot product and the panels left to right, so the total does not
-    depend on how the nodes were batched."""
-    half, nodes = _panel_nodes(breakpoints)
-    return _panel_sum(half, fn(nodes))
-
-
 def _panel_sum(half: np.ndarray, values: np.ndarray) -> float:
+    """Gauss-Legendre sum of values at ``_panel_nodes``: each panel its own
+    dot product, the panels left to right."""
     total = 0.0
     for h, row in zip(half.tolist(), values):
         total += h * float(np.dot(_GL_WEIGHTS, row))
@@ -424,12 +387,18 @@ def _bulk_breakpoints(lam: float) -> list[float]:
 _ANNULUS_HALF, _ANNULUS_NODES = _panel_nodes([DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)])
 
 
-# -- the radially reduced integrands --------------------------------------------
-
-
 @functools.cache
-def _cutoff(degree: int) -> Cutoff:
-    return Cutoff(degree)
+def _annulus_cutoff(degree: int) -> np.ndarray:
+    """Rows 0..4: eta1 and its first four r-derivatives at the annulus
+    nodes, read-only.  The nodes lie strictly inside the annulus, where
+    eta1 is the smoothstep polynomial."""
+    poly, t = smoothstep(degree), _ANNULUS_NODES / DELTA - 1.0
+    out = np.array([poly.deriv(m)(t) / DELTA**m for m in range(5)])
+    out.setflags(write=False)
+    return out
+
+
+# -- the radially reduced integrands --------------------------------------------
 
 
 def _chain(h: RadialTermSum, order: int) -> list[RadialTermSum]:
@@ -470,7 +439,6 @@ class _ModelPieces:
         self.beta = [b.at(lam) for b in beta_chain]
 
         self.corr_consts = model.corr_constants
-        self.cutoff = _cutoff(model.cutoff_degree)
 
         # correction rides on beta (matched cases) or on u itself (high)
         row = CASES[model.case]
@@ -495,21 +463,20 @@ class _ModelPieces:
         term_q = (n - 4.0) / (24.0 * (n - 1.0)) * w2 * v
         return term_a + term_j + term_q
 
-    def numerator_bulk(self, r: np.ndarray) -> np.ndarray:
-        phi = self.u(r) + self.gavg(r)
-        pphi = self.main(r) + self.corr_sign * self.corr_avg(r)
-        return pphi * phi * r ** (self.n - 1) * self.surf
-
-    def norm_bulk(self, r: np.ndarray) -> np.ndarray:
+    def bulk(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The numerator and norm integrands on the ball, from one
+        evaluation of main, corr_avg and r^{n-1}."""
         main = self.main(r)
-        integrand = main ** (self.p - 1.0) * (
-            main + self.p * self.corr_sign * self.corr_avg(r)
-        )
-        return integrand * r ** (self.n - 1) * self.surf
+        corr = self.corr_sign * self.corr_avg(r)
+        weight = r ** (self.n - 1)
+        phi = self.u(r) + self.gavg(r)
+        numerator = (main + corr) * phi * weight * self.surf
+        norm = main ** (self.p - 1.0) * (main + self.p * corr) * weight * self.surf
+        return numerator, norm
 
     def numerator_annulus(self, r: np.ndarray, e1: np.ndarray) -> np.ndarray:
         """-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA] (matched cases), with
-        e1 the cutoff's ``radial_derivs`` at r."""
+        e1 eta1 and its first four r-derivatives at r."""
         n = self.n
         e2 = -e1
         e2[0] = 1.0 - e1[0]
@@ -540,12 +507,13 @@ def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
     matched cases, the numerator's annulus term are the whole integrals.
     """
     pieces = _ModelPieces(model, lam)
-    bulk = _bulk_breakpoints(lam)
-    num = _panel_quad(pieces.numerator_bulk, bulk)
+    half, nodes = _panel_nodes(_bulk_breakpoints(lam))
+    numerator, norm = pieces.bulk(nodes)
+    num = _panel_sum(half, numerator)
     if CASES[model.case].matched:
-        annulus = pieces.numerator_annulus(_ANNULUS_NODES, pieces.cutoff.annulus_derivs)
+        annulus = pieces.numerator_annulus(_ANNULUS_NODES, _annulus_cutoff(model.cutoff_degree))
         num += _panel_sum(_ANNULUS_HALF, annulus)
-    norm_int = _panel_quad(pieces.norm_bulk, bulk)
+    norm_int = _panel_sum(half, norm)
     n = model.n
     norm_sq = norm_int ** ((n + 4.0) / n)
     return {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import click
@@ -62,17 +63,31 @@ def _finish(reports: list[VerificationReport], payload: dict, out: str | None):
     sys.exit(0 if ok else 1)
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, min_n: int, max_n: int | None, who: str) -> range | list[int]:
+    """The dimensions of a ``--n`` value: "lo..hi" as a lazy range, "a,b,c"
+    as a list.  The bounds [min_n, max_n] (None: no upper bound) are checked
+    before any dimension is listed, their messages opening with ``who``,
+    and a repeated dimension is refused."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
+            lo, hi = (int(v) for v in text.split(".."))
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(v) for v in text.split(",")]
+            ns, repeated = range(lo, hi + 1), []
+        else:
+            ns = [int(v) for v in text.split(",")]
+            lo, hi = min(ns), max(ns)
+            repeated = [n for n, count in Counter(ns).items() if count > 1]
     except ValueError:
         raise click.UsageError(f"bad dimension range {text!r}; use e.g. 5..8 or 5,7,9")
+    if lo < min_n:
+        raise click.UsageError(f"{who} n >= {min_n}")
+    if max_n is not None and hi > max_n:
+        raise click.UsageError(f"{who} n <= {max_n}")
+    if repeated:
+        raise click.UsageError(f"dimension {repeated[0]} appears more than once in --n {text}; "
+                               "each dimension runs once")
+    return ns
 
 
 @click.group()
@@ -89,12 +104,8 @@ def main():
 @click.option("--report", "out", type=click.Path(), default=None, help="write JSON report here")
 def cmd_constants(n_range, fmt, out):
     """Sphere constants Q, omega_n, Y4, Theta4 with cross-check residuals."""
-    ns = _parse_n_range(n_range)
-    if any(n < 5 for n in ns):
-        raise click.UsageError("constants need n >= 5")
-    if max(ns) > sphereforms.MOMENTS_MAX_N:
-        raise click.UsageError(f"constants need n <= {sphereforms.MOMENTS_MAX_N}")
-    rows = sphereforms.constants_table(ns)
+    rows = sphereforms.constants_table(
+        _parse_n_range(n_range, 5, sphereforms.MOMENTS_MAX_N, "constants need"))
     ok = all(c.passed for c in _constants_checks(rows))
     payload = {"command": "constants", "rows": rows, "pass": ok}
     text = dump_report(payload) if out or fmt == "json" else None
@@ -305,8 +316,8 @@ def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
 
 def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
     rng = np.random.Generator(np.random.Philox(seed))
-    split, solved = [], []  # the latest trial's witnesses, frozen once one fails
-    for k in range(trials):
+    polys = []
+    for _ in range(trials):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(0, 9))
         terms = {}
@@ -315,13 +326,13 @@ def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
             terms[tuple(int(v) for v in e)] = Fraction(
                 int(rng.integers(-9, 10)), int(rng.integers(1, 10))
             )
-        p = polyalg.HomogPoly(n, m, terms)
-        if all(ok for _, ok in split):
-            split = [(f"trial={k}: {name}", ok)
-                     for name, ok in polyalg.split_identities(p, polyalg.harmonic_decompose(p))]
-        if all(ok for _, ok in solved):
-            solved = [(f"trial={k}: solve_residual",
-                       polyalg.solve_residual(n, polyalg.solve_AA(n, p), p).is_zero())]
+        polys.append(polyalg.HomogPoly(n, m, terms))
+    # lazy witnesses: each check stops at its first failing trial
+    split = ((f"trial={k}: {name}", ok) for k, p in enumerate(polys)
+             for name, ok in polyalg.split_identities(p, polyalg.harmonic_decompose(p)))
+    solved = ((f"trial={k}: solve_residual",
+               polyalg.solve_residual(p.n, polyalg.solve_AA(p.n, p), p).is_zero())
+              for k, p in enumerate(polys))
     inputs = {"trials": trials, "seed": seed}
     return [
         _witness_check(f"polyalg.decomposition[trials={trials}]", inputs,
@@ -488,30 +499,28 @@ SUITES = {
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
+    dims = None  # the --n dimensions, parsed for the one suite that reads them
     if suite == "all":
         # each suite runs at its default dimensions; --trials and --L reach
         # the suites that read them
         if n_range is not None:
             raise click.UsageError("verify all takes no --n")
     else:
-        _, ns, _, _, default_trials, default_L = SUITES[suite]
+        _, ns, min_n, max_n, default_trials, default_L = SUITES[suite]
         for flag, value, default in (("--n", n_range, ns), ("--trials", trials, default_trials),
                                      ("--L", trunc, default_L)):
             if value is not None and default is None:
                 raise click.UsageError(f"verify {suite} takes no {flag}")
+        if n_range is not None:
+            dims = _parse_n_range(n_range, min_n, max_n, f"verify {suite} needs")
     reports: list[VerificationReport] = []
     for name in SUITES if suite == "all" else [suite]:
-        checks, ns, min_n, max_n, default_trials, default_L = SUITES[name]
-        if n_range is not None:
-            ns = _parse_n_range(n_range)
-            if min(ns) < min_n:
-                raise click.UsageError(f"verify {name} needs n >= {min_n}")
-            if max_n is not None and max(ns) > max_n:
-                raise click.UsageError(f"verify {name} needs n <= {max_n}")
+        checks, ns, _, _, default_trials, default_L = SUITES[name]
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
         try:
-            reports += checks(ns, default_trials if trials is None else trials, seed,
+            reports += checks(ns if dims is None else dims,
+                              default_trials if trials is None else trials, seed,
                               default_L if trunc is None else trunc)
         except ValueError as e:  # a configuration the suite's numerics refuse
             raise click.UsageError(str(e))

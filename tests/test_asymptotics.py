@@ -10,12 +10,14 @@ from qcurv.asymptotics import (
     CASES,
     DELTA,
     MAX_CUTOFF_DEGREE,
-    Cutoff,
     TestFunctionModel,
+    _ANNULUS_HALF,
     _ANNULUS_NODES,
+    _annulus_cutoff,
     _bulk_breakpoints,
     _ModelPieces,
-    _panel_quad,
+    _panel_nodes,
+    _panel_sum,
     curvature_averages,
     evaluate_model,
     fit_expansion,
@@ -26,6 +28,7 @@ from qcurv.asymptotics import (
     n8_ratio_log_coefficient,
     n9_ratio_coefficient,
     numerator_coefficient_check,
+    smoothstep,
 )
 from qcurv import parametrix, polyalg
 from qcurv.parametrix import CurvatureJet, psi4_closed_form, random_jet
@@ -35,6 +38,19 @@ from qcurv.sphereforms import omega_n
 from qcurv.tensor import random_weyl
 
 F = Fraction
+
+
+def ball_integrals(pieces: _ModelPieces, breakpoints) -> tuple[float, float]:
+    """The numerator and norm quadratures of ``_ModelPieces.bulk`` over the
+    panels of consecutive breakpoints."""
+    half, nodes = _panel_nodes(breakpoints)
+    return tuple(_panel_sum(half, values) for values in pieces.bulk(nodes))
+
+
+def cutoff_rows(degree: int, r: np.ndarray) -> np.ndarray:
+    """eta1 and its first four r-derivatives at r inside the annulus."""
+    poly = smoothstep(degree)
+    return np.array([poly.deriv(m)(r / DELTA - 1.0) / DELTA**m for m in range(5)])
 
 
 # ------------------------------------------------- floating angular oracles
@@ -103,8 +119,7 @@ def mc_angular_check(
     def numerator(ca: float, gj: float) -> float:
         model = TestFunctionModel(case="high", n=n, jet=jet)
         model.corr_constants = (ca, gj, float(w2))  # overrides the closed forms
-        return _panel_quad(_ModelPieces(model, lam).numerator_bulk,
-                           _bulk_breakpoints(lam))
+        return ball_integrals(_ModelPieces(model, lam), _bulk_breakpoints(lam))[0]
 
     exact_num = numerator(exact["a4"], exact["gj2"])
     d_da = numerator(exact["a4"] + 1.0, exact["gj2"]) - exact_num
@@ -132,61 +147,62 @@ def mc_angular_check(
 
 
 def test_cutoff_range():
-    c = Cutoff(9)
-    s = np.linspace(0.0, 3.0, 301)
-    e1 = c.eta1_derivs(s)[0]
+    # across the annulus, t = r/DELTA - 1 in [0, 1], the smoothstep climbs
+    # from exactly 0 to 1
+    t = np.linspace(0.0, 1.0, 101)
+    e1 = smoothstep(9)(t)
+    assert e1[0] == 0.0 and abs(e1[-1] - 1.0) <= 1e-15
     assert np.all(e1 >= -1e-15) and np.all(e1 <= 1 + 1e-15)
-    assert np.all(e1[s <= 1.0] == 0.0)
-    assert np.allclose(e1[s >= 2.0], 1.0, atol=1e-15)
+    assert np.all(np.diff(e1) >= -1e-15)
 
 
 @pytest.mark.parametrize("degree", [9, 11])
 def test_cutoff_c4_junctions(degree):
     # derivatives through order 4 vanish exactly at both junction points
-    c = Cutoff(degree)
+    poly = smoothstep(degree)
     for t0 in (0.0, 1.0):
         for m in range(1, 5):
-            assert c._derivs[m](t0) == 0.0
+            assert poly.deriv(m)(t0) == 0.0
     # and grow only linearly just inside (C^4 regularity)
     eps = 1e-9
-    d = c.eta1_derivs(np.array([1.0 + eps, 2.0 - eps]))
+    d = cutoff_rows(degree, DELTA * np.array([1.0 + eps, 2.0 - eps]))
     for m in range(1, 5):
         assert np.all(np.abs(d[m]) <= 1e6 * eps)
 
 
-def test_cutoff_annulus_derivs_computed_once_per_degree(monkeypatch):
-    calls = []
-    real = Cutoff.eta1_derivs
-    monkeypatch.setattr(Cutoff, "eta1_derivs", lambda self, s: calls.append(s) or real(self, s))
-    c = Cutoff(9)
-    got = c.annulus_derivs
-    assert c.annulus_derivs is got and len(calls) == 1
-    with pytest.raises(ValueError, match="read-only"):
-        got[0, 0, 0] = 1.0
-    assert got.shape == (5, *_ANNULUS_NODES.shape)
-    assert np.array_equal(got, c.radial_derivs(_ANNULUS_NODES))
-    # at DELTA = 1 the r-derivatives are the s-derivatives, bit for bit
-    assert DELTA == 1.0 and np.array_equal(got, real(c, _ANNULUS_NODES))
-    assert not np.array_equal(Cutoff(11).annulus_derivs, got)
+def test_cutoff_annulus_derivs_computed_once_per_degree():
+    # every node lies strictly inside the annulus, where eta1 is the
+    # polynomial itself, so the table is its derivatives there, bit for bit
+    assert np.all((_ANNULUS_NODES > DELTA) & (_ANNULUS_NODES < 2 * DELTA))
+    t = _ANNULUS_NODES / DELTA - 1.0
+    for degree in (9, 11, MAX_CUTOFF_DEGREE):
+        got = _annulus_cutoff(degree)
+        assert _annulus_cutoff(degree) is got and smoothstep(degree) is smoothstep(degree)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0, 0] = 1.0
+        assert got.shape == (5, *_ANNULUS_NODES.shape)
+        for m in range(5):
+            want = smoothstep(degree).deriv(m)(t) / DELTA**m
+            assert got[m].tobytes() == want.tobytes()
+    assert not np.array_equal(_annulus_cutoff(11), _annulus_cutoff(9))
 
 
-def test_cutoff_evaluated_once_per_fit(monkeypatch):
-    calls = []
-    real = Cutoff.eta1_derivs
-    monkeypatch.setattr(Cutoff, "eta1_derivs", lambda self, s: calls.append(s) or real(self, s))
+def test_cutoff_evaluated_once_per_fit():
+    _annulus_cutoff.cache_clear()
     fit = fit_expansion(TestFunctionModel(case="n8", n=8, jet=random_jet(8, 3, normalize=True)))
-    assert len(fit.lambdas) >= 4 and len(calls) <= 1
+    info = _annulus_cutoff.cache_info()
+    assert len(fit.lambdas) >= 4 and info.misses == 1 and info.hits == len(fit.lambdas) - 1
 
 
 def test_cutoff_degree_validation():
     with pytest.raises(ValueError):
-        Cutoff(8)
+        smoothstep(8)
     with pytest.raises(ValueError):
-        Cutoff(7)
-    Cutoff(MAX_CUTOFF_DEGREE)
+        smoothstep(7)
+    smoothstep(MAX_CUTOFF_DEGREE)
     for degree in (MAX_CUTOFF_DEGREE + 2, 2001):
         with pytest.raises(ValueError, match=f"in \\[9, {MAX_CUTOFF_DEGREE}\\]"):
-            Cutoff(degree)
+            smoothstep(degree)
         # refused by the model too, for a case that never evaluates the cutoff
         with pytest.raises(ValueError, match="cutoff degree"):
             TestFunctionModel(case="high", n=10, jet=random_jet(10, 1), cutoff_degree=degree)
@@ -328,10 +344,10 @@ def test_model_integrand_tasks():
         m = TestFunctionModel(case=case, n=n, jet=jet)
         lam = m.lambdas[0]
         pieces = _ModelPieces(m, lam)
-        assert np.all(np.isfinite(pieces.numerator_bulk(np.array([0.3, 0.7]))))
-        bulk = _panel_quad(pieces.numerator_bulk, _bulk_breakpoints(lam))
-        annulus = _panel_quad(lambda r: pieces.numerator_annulus(r, pieces.cutoff.radial_derivs(r)),
-                              [1.0, 1.25, 1.5, 1.75, 2.0])
+        assert all(np.all(np.isfinite(v)) for v in pieces.bulk(np.array([0.3, 0.7])))
+        bulk = ball_integrals(pieces, _bulk_breakpoints(lam))[0]
+        annulus = _panel_sum(_ANNULUS_HALF, pieces.numerator_annulus(
+            _ANNULUS_NODES, cutoff_rows(m.cutoff_degree, _ANNULUS_NODES)))
         assert annulus != 0.0
         want = bulk + annulus if CASES[case].matched else bulk
         assert evaluate_model(m, lam)["numerator"] == want
@@ -357,9 +373,7 @@ def test_grid_refinement_stability():
     for a, b in zip(bp[:-1], bp[1:]):
         bp2 += [a, 0.5 * (a + b)]
     bp2.append(bp[-1])
-    for fn in (pieces.numerator_bulk, pieces.norm_bulk):
-        coarse = _panel_quad(fn, bp)
-        fine = _panel_quad(fn, bp2)
+    for coarse, fine in zip(ball_integrals(pieces, bp), ball_integrals(pieces, bp2)):
         assert abs(coarse - fine) <= 1e-9 * abs(fine)
 
 
@@ -504,16 +518,42 @@ def _panel_quad_per_panel(fn, breakpoints) -> float:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_batched_panel_quad_matches_per_panel_loop(case):
-    # one integrand call over every panel gives the per-panel sums bit for bit
+    # one integrand pass over every panel gives the per-panel sums bit for
+    # bit, and evaluate_model reports exactly those sums
     m = _default_model(case)
     annulus = [DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
     for lam in m.lambdas:
         pieces = _ModelPieces(m, lam)
         bulk = _bulk_breakpoints(lam)
-        for fn, bp in ((pieces.numerator_bulk, bulk), (pieces.norm_bulk, bulk),
-                       (lambda r: pieces.numerator_annulus(r, pieces.cutoff.radial_derivs(r)),
-                        annulus)):
-            assert _panel_quad(fn, bp) == _panel_quad_per_panel(fn, bp)
+        num, norm = (_panel_quad_per_panel(lambda r, i=i: pieces.bulk(r)[i], bulk) for i in (0, 1))
+        assert ball_integrals(pieces, bulk) == (num, norm)
+        ring = _panel_quad_per_panel(
+            lambda r: pieces.numerator_annulus(r, cutoff_rows(m.cutoff_degree, r)), annulus)
+        got = evaluate_model(m, lam)
+        assert got["norm_integral"] == norm
+        assert got["numerator"] == (num + ring if CASES[case].matched else num)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_ball_integrands_share_one_evaluation(monkeypatch, case):
+    # per lam, main and corr_avg run once each, on the array of every ball node
+    m = _default_model(case)
+    calls = []
+    real_init, real_corr = _ModelPieces.__init__, _ModelPieces.corr_avg
+
+    def init(self, model, lam):
+        real_init(self, model, lam)
+        main = self.main
+        self.main = lambda r: calls.append(("main", r.shape)) or main(r)
+
+    monkeypatch.setattr(_ModelPieces, "__init__", init)
+    monkeypatch.setattr(_ModelPieces, "corr_avg",
+                        lambda self, r: calls.append(("corr_avg", r.shape)) or real_corr(self, r))
+    for lam in m.lambdas:
+        calls.clear()
+        evaluate_model(m, lam)
+        nodes = (len(_bulk_breakpoints(lam)) - 1, 48)
+        assert sorted(calls) == [("corr_avg", nodes), ("main", nodes)]
 
 
 def _chain(h: RadialTermSum, order: int) -> list[RadialTermSum]:

@@ -836,6 +836,49 @@ def test_constants_pass_at_last_normal_moment(runner):
     assert runner.invoke(main, ["verify", "constants", "--n", "326"]).exit_code == 0
 
 
+@pytest.mark.parametrize("argv", [["constants", "--n", "5..1000000"],
+                                  ["verify", "constants", "--n", "5..1000000"]])
+def test_dimension_range_bounded_before_it_is_listed(runner, monkeypatch, argv):
+    # a million-wide range is refused on its ends; listing it would take
+    # about 40 MB
+    import tracemalloc
+
+    def no_table(ns):
+        raise AssertionError("constants were computed past the bound")
+
+    monkeypatch.setattr(sphereforms, "constants_table", no_table)
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2, res.output
+    assert "n <= 326" in res.output
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["constants", "--n", "5,5"], 5),
+    (["verify", "constants", "--n", "5,5"], 5),
+    (["verify", "bubbles", "--n", "7,6,7"], 7),
+    (["verify", "weyl", "--n", "6,6", "--trials", "1"], 6),
+])
+def test_repeated_dimension_usage_error(runner, argv, n):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert f"dimension {n} appears more than once" in res.output
+
+
+def test_dimension_ranges_run_lazily(runner):
+    from qcurv.cli import _parse_n_range
+
+    assert _parse_n_range("5..10", 5, None, "verify bubbles needs") == range(5, 11)
+    assert _parse_n_range("7,5", 5, 326, "constants need") == [7, 5]
+    res = runner.invoke(main, ["constants", "--n", "7,5"])
+    assert res.exit_code == 0 and [row.split(",")[0] for row in res.stdout.split()[1:]] == ["7", "5"]
+
+
 @pytest.mark.parametrize("args,flag", [
     (["all", "--n", "5..6"], "--n"),
     (["polyalg", "--n", "5"], "--n"),
