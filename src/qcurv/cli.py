@@ -163,17 +163,17 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
     elif flat:
         jet = par.CurvatureJet.flat(n)
     else:
-        jet = par.random_jet(n, seed)
+        try:
+            jet = par.random_jet(n, seed)
+        except ValueError as e:  # a negative seed
+            raise click.UsageError(str(e))
 
     green = par.green_leading(jet)
     payload = {
         "command": "parametrix",
         "config": {"n": n, "seed": seed, "flat": flat},
-        "n": n,
         "jet": jet.to_json(),
-        "expansion": green.expansion.to_json(),
-        "remainder": green.remainder,
-        "log_terms": green.log_terms(),
+        **green.to_json(),
     }
     if n == 8 and not jet.is_flat():
         payload["n8_log_coefficient"] = report.jsonable(par.n8_log_coefficient(jet))

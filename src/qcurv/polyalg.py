@@ -446,35 +446,25 @@ class HarmonicBlock:
 def harmonic_decompose(p: HomogPoly) -> list[HarmonicBlock]:
     """Split p (degree m) as sum_k r^{2k} h_{m-2k} with every h harmonic.
 
-    Iterated Laplacians give a triangular integer system: applying the
-    Laplacian to r^{2k} h_{m-2k} inside degree m multiplies by
-    2k(2m-2k+n-2) and lowers k by one.  Solving from the deepest block up
-    is exact and needs no inner products.
+    The Laplacian maps r^{2k} h_{m-2k} to 2k(2m-2k+n-2) r^{2k-2} h_{m-2k},
+    so block k of the split of Lap p, divided by 2(k+1)(2m-2k+n-4), is
+    block k+1 of p, and the top block h_m is p minus the lower ones.  The
+    splits run from the last Laplacian, of degree 0 or 1 and harmonic, up
+    to p; each is exact and needs no inner products.  The blocks come in
+    ascending k, and zero blocks are left out.
     """
-    n, m = p.n, p.degree
-    kmax = m // 2
-    # lap_pows[j] = Lap^j p, degree m - 2j
-    lap_pows = [p]
-    for _ in range(kmax):
-        lap_pows.append(laplacian(lap_pows[-1]))
-
-    def eigen_chain(k: int, j: int) -> int:
-        # factor picked up by Lap^j acting on r^{2k} h_{m-2k}
-        val = 1
-        for i in range(j):
-            val *= 2 * (k - i) * (2 * m - 2 * k - 2 * i + n - 2)
-        return val
-
-    blocks: dict[int, HomogPoly] = {}
-    lifted: dict[int, HomogPoly] = {}  # k -> r^{2(k-j)} h_{m-2k} at the current j
-    for j in range(kmax, -1, -1):
-        # Lap^j p = sum_{k >= j} eigen_chain(k, j) r^{2(k-j)} h_{m-2k}
-        lifted = {k: h.mul_r2k(1) for k, h in lifted.items()}
-        d = eigen_chain(j, j)
-        parts = [(Fraction(1, d), lap_pows[j])]
-        parts += [(Fraction(-eigen_chain(k, j), d), h) for k, h in lifted.items()]
-        blocks[j] = lifted[j] = _lincomb(n, m - 2 * j, parts)
-    return [HarmonicBlock(k, blocks[k]) for k in range(kmax + 1) if not blocks[k].is_zero()]
+    n = p.n
+    chain = [p]
+    while chain[-1].degree >= 2:
+        chain.append(laplacian(chain[-1]))
+    blocks: list[HomogPoly] = []  # the split of the current q, block k at index k
+    for q in reversed(chain):
+        m = q.degree
+        lower = [h.scale(Fraction(1, 2 * (k + 1) * (2 * m - 2 * k + n - 4)))
+                 for k, h in enumerate(blocks)]
+        top = _lincomb(n, m, [(1, q)] + [(-1, h.mul_r2k(k + 1)) for k, h in enumerate(lower)])
+        blocks = [top] + lower
+    return [HarmonicBlock(k, h) for k, h in enumerate(blocks) if not h.is_zero()]
 
 
 def reassemble(n: int, m: int, blocks: Iterable[HarmonicBlock]) -> HomogPoly:
@@ -499,7 +489,8 @@ class LogRadialExpansion:
 
     ``terms`` maps (degree i, log power k) to a HomogPoly of degree i.
     The radial exponent rho is an arbitrary Fraction (4-n for Green's
-    expansions, 0 for plain polynomial data).
+    expansions, 0 for plain polynomial data).  An expansion is a value:
+    zero shells are dropped when it is built, and nothing edits it later.
     """
 
     __slots__ = ("n", "radial_exp", "terms")
@@ -531,24 +522,13 @@ class LogRadialExpansion:
     def get(self, degree: int, logpow: int) -> HomogPoly:
         return self.terms.get((degree, logpow), HomogPoly.zero(self.n, degree))
 
-    def _add_term(self, i: int, k: int, poly: HomogPoly):
-        if poly.is_zero():
-            return
-        key = (i, k)
-        cur = self.terms.get(key)
-        s = poly if cur is None else cur + poly
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
     def __add__(self, other: "LogRadialExpansion") -> "LogRadialExpansion":
+        """The sum, shell by shell; shells that cancel are dropped."""
         if self.n != other.n or self.radial_exp != other.radial_exp:
             raise ValueError("expansions must share n and radial exponent")
-        out = LogRadialExpansion(self.n, self.radial_exp, self.terms)
-        for (i, k), poly in other.terms.items():
-            out._add_term(i, k, poly)
-        return out
+        keys = sorted(self.terms.keys() | other.terms.keys())
+        return LogRadialExpansion(self.n, self.radial_exp,
+                                  {key: self.get(*key) + other.get(*key) for key in keys})
 
     def __eq__(self, other) -> bool:
         return (

@@ -406,7 +406,10 @@ class SphereSolver:
         return norm
 
     def lp_norm(self, field: ZonalField, p: float) -> float:
-        """The L^p norm by oversampled quadrature, refused as in ``_norm``."""
+        """The L^p norm by oversampled quadrature, refused as in ``_norm``; a
+        zero field is refused by name."""
+        if not np.any(field.coeffs):
+            raise ValueError(f"zero field at n={self.n}, L={self.L}")
         return self._norm(self.synthesize(field, oversampled=True), p)
 
     def _ratio(self, num: float, norm: float) -> float:
@@ -417,30 +420,21 @@ class SphereSolver:
             raise self._out_of_range("functional value", q)
         return q
 
-    def _field_norm(self, field: ZonalField, p: float) -> float:
-        """``lp_norm`` of a field, which must not be zero."""
-        if not np.any(field.coeffs):
-            raise ValueError(f"zero field at n={self.n}, L={self.L}")
-        return self.lp_norm(field, p)
-
-    def _quotient(self, num: float, field: ZonalField, p: float) -> float:
-        return self._ratio(num, self._field_norm(field, p))
-
     def _theta4_num(self, coeffs: np.ndarray) -> float:
         return float(np.sum(coeffs**2 / self.spectrum.mu_f))
 
     def theta4_functional(self, f: ZonalField) -> float:
-        return self._quotient(self._theta4_num(f.coeffs), f, 2.0 * self.n / (self.n + 4))
+        return self._ratio(self._theta4_num(f.coeffs), self.lp_norm(f, 2.0 * self.n / (self.n + 4)))
 
     def y4_functional(self, u: ZonalField) -> float:
-        return self._quotient(self.energy_E(u), u, 2.0 * self.n / (self.n - 4))
+        return self._ratio(self.energy_E(u), self.lp_norm(u, 2.0 * self.n / (self.n - 4)))
 
     def theta2_functional(self, f: ZonalField) -> float:
         num = float(np.sum(f.coeffs**2 / self.spectrum.nu_f))
-        return self._quotient(num, f, 2.0 * self.n / (self.n + 2))
+        return self._ratio(num, self.lp_norm(f, 2.0 * self.n / (self.n + 2)))
 
     def yamabe_functional(self, u: ZonalField) -> float:
-        return self._quotient(self.energy_E2(u), u, 2.0 * self.n / (self.n - 2))
+        return self._ratio(self.energy_E2(u), self.lp_norm(u, 2.0 * self.n / (self.n - 2)))
 
     # -- extremal iteration ---------------------------------------------------
 
@@ -525,7 +519,7 @@ class SphereSolver:
         then names t."""
         pulled = self.mobius_pullback(self.constant_field(1.0), t)
         try:
-            norm = self._field_norm(pulled, 2.0 * self.n / (self.n + 4))
+            norm = self.lp_norm(pulled, 2.0 * self.n / (self.n + 4))
             return self._ratio(self._theta4_num(pulled.coeffs), norm), norm
         except ValueError as e:
             raise ValueError(f"the constant pulled back by the dilation t={t:g} "

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qcurv import asymptotics, parametrix, sphereforms, spectral, tensor
 from qcurv.cli import main
@@ -508,6 +508,17 @@ def test_asymptotics_without_weyl_tensor_usage_error(runner, n):
     assert res.exit_code == 2, repr(res.exception)
 
 
+@pytest.mark.parametrize("argv", [
+    ["parametrix", "--n", "9"],
+    ["asymptotics", "--case", "high", "--n", "10"],
+    ["verify", "weyl", "--n", "5", "--trials", "1"],
+])
+def test_negative_seed_usage_error(runner, argv):
+    res = runner.invoke(main, [*argv, "--seed", "-1"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert "non-negative" in res.output
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_trials_must_be_positive(runner, trials):
     res = runner.invoke(main, ["verify", "weyl", "--n", "5", "--trials", trials])
@@ -532,6 +543,21 @@ def test_parametrix_low_dimensions_pass(runner, n, seed):
     res = runner.invoke(main, ["parametrix", "--n", str(n), "--seed", str(seed)])
     assert res.exit_code == 0, res.output
     assert json.loads(res.stdout)["remainder"] == "O4(r)"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_parametrix_report_writes_the_green_expansion(runner, n):
+    """A parametrix report holds ``GreenExpansion.to_json()`` whole: a curved
+    jet at n = 5..7 carries the mass term A, and a flat jet carries none."""
+    for argv, jet in ((["--seed", "1"], parametrix.random_jet(n, 1)),
+                      (["--flat"], parametrix.CurvatureJet.flat(n))):
+        res = runner.invoke(main, ["parametrix", "--n", str(n), *argv])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        green = json.loads(json.dumps(parametrix.green_leading(jet).to_json()))
+        assert {key: doc[key] for key in green} == green
+        curved_low = n <= 7 and "--flat" not in argv
+        assert doc.get("constant_term") == ("A" if curved_low else None)
 
 
 @pytest.mark.parametrize("args", [
@@ -738,6 +764,87 @@ def _verify_options(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(suite_opts=_verify_options())
 def test_verify_options_never_crash(runner, suite_opts):
+    suite, opts = suite_opts
+    args = ["verify", suite, *(a for flag, value in opts.items() for a in (flag, str(value)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = runner.invoke(main, args)
+    _assert_cli_contract(res)
+    if res.exit_code == 2:
+        assert "Error:" in res.output
+    else:
+        assert json.loads(res.stdout)["pass"] is (res.exit_code == 0)
+
+
+# jet seeds at their edges: negative (refused), zero, and past 64 bits
+_SEEDS = st.sampled_from([-1, 0, 2**63, 2**64]) | st.integers(1, 50)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case_n=_CASE_N, a0=st.sampled_from(_EDGE_FLOATS) | st.floats(-3.0, 3.0),
+       degree=st.none() | st.integers(7, asymptotics.MAX_CUTOFF_DEGREE + 2),
+       seed=st.none() | _SEEDS)
+def test_asymptotics_a0_degree_seed_never_crash(runner, case_n, a0, degree, seed):
+    case, n = case_n
+    args = ["asymptotics", "--case", case, "--n", str(n), "--a0", repr(a0)]
+    for flag, value in (("--cutoff-degree", degree), ("--seed", seed)):
+        if value is not None:
+            args += [flag, str(value)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_cli_contract(runner.invoke(main, args))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([-1, 0, 4, 5, 6, 7, 8, 9, 12, tensor.MAX_N + 1]),
+       seed=st.none() | _SEEDS, flat=st.booleans(),
+       jet_n=st.none() | st.sampled_from([4, 5, 8, 9]))
+@example(n=9, seed=-1, flat=False, jet_n=None)
+def test_parametrix_options_never_crash(runner, tmp_path, n, seed, flat, jet_n):
+    args = ["parametrix", "--n", str(n)] + (["--flat"] if flat else [])
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    if jet_n is not None:
+        args += ["--jet-file", _jet_file(tmp_path, parametrix.random_jet(jet_n, 1).to_json())]
+    res = runner.invoke(main, args)
+    _assert_cli_contract(res)
+    if jet_n is not None and jet_n != n:
+        assert res.exit_code == 2, res.output
+
+
+# suite -> the --n values at and past its edges; [] if it takes no --n
+_VERIFY_EDGES = {"weyl": [3, 4, 5, tensor.MAX_N + 1], "parametrix": [7, 8, 9, tensor.MAX_N + 1],
+                 "asymptotics": [], "all": []}
+
+
+@st.composite
+def _verify_edge_options(draw):
+    """A suite with options at their edges.  Every suite that reads --trials
+    gets at most 2, which keeps a run cheap; in one draw of four one more
+    option rides along, which the suite may refuse."""
+    suite = draw(st.sampled_from(sorted(_VERIFY_EDGES)))
+    edges = _VERIFY_EDGES[suite]
+    opts = {}
+    if suite != "asymptotics":
+        opts["--trials"] = draw(st.integers(-1, 2))
+    if edges and draw(st.booleans()):
+        lo = draw(st.sampled_from(edges))
+        opts["--n"] = draw(st.sampled_from([str(lo), f"{lo}..{lo + 1}"]))
+    if suite == "all" and draw(st.booleans()):
+        opts["--L"] = draw(st.sampled_from([1, 2, 40, spectral.MAX_L + 1]))
+    if draw(st.booleans()):
+        opts["--seed"] = draw(_SEEDS)
+    if draw(st.integers(0, 3)) == 0:
+        opts.update(draw(st.sampled_from([{"--n": "5"}, {"--L": 8}, {"--trials": 1}])))
+    return suite, opts
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(suite_opts=_verify_edge_options())
+def test_verify_suites_at_their_edges_never_crash(runner, suite_opts):
     suite, opts = suite_opts
     args = ["verify", suite, *(a for flag, value in opts.items() for a in (flag, str(value)))]
     with warnings.catch_warnings():

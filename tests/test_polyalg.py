@@ -51,9 +51,9 @@ def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     out = LogRadialExpansion(e.n, e.radial_exp)
     a_eff = alpha + e.radial_exp
     for (i, k), poly in e.terms.items():
-        out._add_term(i, k, poly.scale(2 * i + 2 * a_eff + e.n - 2))
+        out += LogRadialExpansion(e.n, e.radial_exp, {(i, k): poly.scale(2 * i + 2 * a_eff + e.n - 2)})
         if k >= 1:
-            out._add_term(i, k - 1, poly.scale(2 * k))
+            out += LogRadialExpansion(e.n, e.radial_exp, {(i, k - 1): poly.scale(2 * k)})
     return out
 
 
@@ -135,9 +135,8 @@ def test_decompose_x1_squared():
 
 
 @st.composite
-def random_homog(draw):
-    n = draw(st.integers(min_value=2, max_value=8))
-    m = draw(st.integers(min_value=0, max_value=8))
+def random_homog(draw, n=st.integers(2, 8), m=st.integers(0, 8)):
+    n, m = draw(n), draw(m)
     nterms = draw(st.integers(min_value=1, max_value=6))
     terms = []
     for _ in range(nterms):
@@ -161,6 +160,29 @@ def test_decompose_reassembles_exactly(p):
     assert reassemble(p.n, p.degree, blocks) == p
     for b in blocks:
         assert laplacian(b.h).is_zero()
+
+
+def harmonic_projection(p: HomogPoly) -> HomogPoly:
+    """The harmonic part of p by the classical formula sum_j c_j r^{2j} Lap^j p,
+    with c_0 = 1 and c_{j+1} = -c_j / (2(j+1)(n+2m-2j-4))."""
+    n, m = p.n, p.degree
+    top, c, lap = p, F(1), p
+    for j in range(1, m // 2 + 1):
+        c = -c / (2 * j * (n + 2 * m - 2 * j - 2))
+        lap = laplacian(lap)
+        top = top + lap.mul_r2k(j).scale(c)
+    return top
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_homog(st.integers(1, 8), st.integers(0, 10)))
+def test_top_block_is_the_harmonic_projection(p):
+    blocks = harmonic_decompose(p)
+    ks = [b.k for b in blocks]
+    assert ks == sorted(set(ks))
+    assert not any(b.h.is_zero() for b in blocks)
+    top = blocks[0].h if ks[:1] == [0] else HomogPoly.zero(p.n, p.degree)
+    assert top == harmonic_projection(p)
 
 
 # ------------------------------------------------------------- A_a and B_a
@@ -192,6 +214,30 @@ def test_eigen_consistency_on_all_blocks(p, num, den):
             lifted.scale(eigen_A(n, m, block.k, alpha))
         )
         assert got == want
+
+
+@st.composite
+def random_expansion(draw, n):
+    keys = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), max_size=4, unique=True))
+    terms = {(i, k): draw(random_homog(st.just(n), st.just(i))) for i, k in keys}
+    return LogRadialExpansion(n, F(4 - n), terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(random_expansion(n), random_expansion(n))))
+def test_expansion_sum_is_a_value(pair):
+    # + builds a new expansion shell by shell and edits neither operand
+    a, b = pair
+    before = (dict(a.terms), dict(b.terms))
+    total = a + b
+    assert total == b + a
+    assert (dict(a.terms), dict(b.terms)) == before
+    for key in a.terms.keys() | b.terms.keys():
+        assert total.get(*key) == a.get(*key) + b.get(*key)
+    assert all(not p.is_zero() for p in total.terms.values())
+    negated = LogRadialExpansion(a.n, a.radial_exp, {key: -p for key, p in a.terms.items()})
+    assert (a + negated).is_zero() and (negated + a).is_zero()
+    assert a + LogRadialExpansion(a.n, a.radial_exp) == a
 
 
 def test_apply_A_zero_alpha_on_constant():
@@ -241,14 +287,14 @@ def test_log_cascade_for_A(p, num, den, k):
     n = p.n
     e = LogRadialExpansion(n, 0, {(p.degree, k): p}) if not p.is_zero() else LogRadialExpansion(n, 0)
     got = apply_A(alpha, e)
-    want = LogRadialExpansion(n, 0)
+    want = {}
     if not p.is_zero():
-        want._add_term(p.degree, k, _apply_a(alpha, p))
+        want[(p.degree, k)] = _apply_a(alpha, p)
         if k >= 1:
-            want._add_term(p.degree, k - 1, _apply_b(alpha, p).scale(k))
+            want[(p.degree, k - 1)] = _apply_b(alpha, p).scale(k)
         if k >= 2:
-            want._add_term(p.degree, k - 2, p.scale(k * (k - 1)))
-    assert got == want
+            want[(p.degree, k - 2)] = p.scale(k * (k - 1))
+    assert got == LogRadialExpansion(n, 0, want)
 
 
 def _apply_a(alpha, p):
@@ -270,21 +316,21 @@ def test_composite_AA_on_logs(p, k):
     a, b = F(2 - n), F(4 - n)
     e = LogRadialExpansion(n, 0, {(p.degree, k): p} if not p.is_zero() else None)
     got = apply_A(a, apply_A(b, e))
-    want = LogRadialExpansion(n, 0)
+    want = {}
     if not p.is_zero():
-        want._add_term(p.degree, k, _apply_a(a, _apply_a(b, p)))
+        want[(p.degree, k)] = _apply_a(a, _apply_a(b, p))
         if k >= 1:
             mixed = _apply_a(a, _apply_b(b, p)) + _apply_b(a, _apply_a(b, p))
-            want._add_term(p.degree, k - 1, mixed.scale(k))
+            want[(p.degree, k - 1)] = mixed.scale(k)
         if k >= 2:
             second = _apply_a(a, p) + _apply_a(b, p) + _apply_b(a, _apply_b(b, p))
-            want._add_term(p.degree, k - 2, second.scale(k * (k - 1)))
+            want[(p.degree, k - 2)] = second.scale(k * (k - 1))
         if k >= 3:
             third = _apply_b(a, p) + _apply_b(b, p)
-            want._add_term(p.degree, k - 3, third.scale(k * (k - 1) * (k - 2)))
+            want[(p.degree, k - 3)] = third.scale(k * (k - 1) * (k - 2))
         if k >= 4:
-            want._add_term(p.degree, k - 4, p.scale(k * (k - 1) * (k - 2) * (k - 3)))
-    assert got == want
+            want[(p.degree, k - 4)] = p.scale(k * (k - 1) * (k - 2) * (k - 3))
+    assert got == LogRadialExpansion(n, 0, want)
 
 
 # ------------------------------------------------------------------ eigen_AA

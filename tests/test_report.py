@@ -119,12 +119,14 @@ def test_dump_report_refuses_nested_non_finite(bad):
 PINNED = [
     (["verify", "all", "--seed", "1"],
      "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
+    (["parametrix", "--n", "6", "--seed", "1"],
+     "33484f312862cd42c645dde20a19f50d393ffca5b007a3617bfe155fa6dfeefd"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "90a2738b20801817e06459298fa0f8f6e76f1be82dfad097df657aadf2469a31"),
+     "2e99d226f755069bfd699acef3cc77a432f4502042913f82946a275909d93299"),
     (["parametrix", "--n", "12", "--seed", "1"],
-     "cea2b5029acb6cc02d3d27ca5ed93fb67a3b4a0d9b45aba7da45ccd2cc1d4ff0"),
+     "85b24ac6a42fafd6d9afbc75a194cb6091582fc8923d46638ecccd05952773d3"),
     (["parametrix", "--n", "16", "--seed", "1"],
-     "f7b176e34f939fe05c7612e82b511cbb7cf42d1c9e323291877381eb344c7c61"),
+     "720352b3d5fc406da60b7524b1b0f021d396504f5dfe4b84c717edc387737706"),
     (["constants", "--format", "json"],
      "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
     (["spectral"],

@@ -553,6 +553,15 @@ def test_zero_field_errors(s5):
             fn(z)
 
 
+@pytest.mark.parametrize("n,L", [(5, 32), (9, 8)])
+def test_lp_norm_refuses_zero_field_by_name(n, L):
+    s = SphereSolver(n, L)
+    z = ZonalField(n, L, np.zeros(L + 1))
+    for p in (2.0, 2.0 * n / (n + 4)):
+        with pytest.raises(ValueError, match=f"^zero field at n={n}, L={L}$"):
+            s.lp_norm(z, p)
+
+
 @pytest.mark.parametrize("n", [327, 400])
 def test_functionals_refuse_underflowing_norm(n):
     s = SphereSolver(n, 8)
