@@ -252,6 +252,7 @@ class TestFunctionModel:
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
     distinct points, all in (0, DELTA/4), whose fit weights stay finite;
+    every closed form and split-check lead at n must be a finite float;
     A0 must be finite and small enough that the fit can square the values
     it scales; the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].
     All are checked here, before any quadrature.
@@ -290,15 +291,29 @@ class TestFunctionModel:
             raise ValueError("A0 must be finite")
         smoothstep(self.cutoff_degree)  # refuses a degree the cutoff does not admit
         self.design  # refuses a grid whose weights overflow
+        try:  # math.gamma and float powers raise OverflowError past the float range
+            finite = all(map(math.isfinite, (*self.closed_forms, *_split_leads(self.n).values())))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"case {self.case!r} at n={self.n}: a closed form or split-check "
+                             "lead leaves the floating-point range")
         if not row.needs_jet:
             # the fitted values are about A0 times a closed form per point,
             # and the least-squares norms square them
-            for c in (row.ratio_per_unit(self.n), *(f(self.n) for *_, f in row.split_checks)):
+            for c in self.closed_forms:
                 if not math.isfinite(len(self.lambdas) * (c * self.A0) * (c * self.A0)):
                     raise ValueError(
                         f"A0 = {self.A0:g} makes the fit values overflow the floating-point "
                         f"range (closed form {c:.6g} per unit A0)"
                     )
+
+    @cached_property
+    def closed_forms(self) -> tuple[float, ...]:
+        """The row's closed forms per unit: the ratio coefficient, then one
+        per split check."""
+        row = CASES[self.case]
+        return (row.ratio_per_unit(self.n), *(f(self.n) for *_, f in row.split_checks))
 
     @cached_property
     def w2(self) -> Fraction | None:
@@ -610,13 +625,11 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
     )
 
 
-def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationReport]:
-    """Fit the numerator and norm expansions separately against their own
-    closed forms, one report per split check of the case; sharper than the
-    ratio test and isolates error sources."""
-    case = CASES[model.case]
-    n = model.n
-    lead = {
+def _split_leads(n: int) -> dict[str, float]:
+    """The lam^0 terms the split checks divide out, by quantity: the
+    numerator C Gamma(n/2) pi^{n/2} / Gamma(n) and the norm integral
+    C^{2n/(n+4)} Gamma(n/2) pi^{n/2} / Gamma(n), C = bubble_constant(n)."""
+    return {
         "numerator": (
             bubble_constant(n) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
         ),
@@ -627,6 +640,15 @@ def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationRe
             / math.gamma(n)
         ),
     }
+
+
+def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationReport]:
+    """Fit the numerator and norm expansions separately against their own
+    closed forms, one report per split check of the case; sharper than the
+    ratio test and isolates error sources."""
+    case = CASES[model.case]
+    n = model.n
+    lead = _split_leads(n)
     unit_name, unit = model.unit
     reports = []
     for check_id, provenance, key, per_unit in case.split_checks:

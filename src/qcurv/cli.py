@@ -24,8 +24,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import parametrix as par
 from . import polyalg, report, sphereforms, spectral, tensor
-from .report import (VerificationReport, abs_check, close_check, dump_report, exact_check,
-                     write_report)
+from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
 
 # tolerances of the spectral and constants checks; the fit tolerances are
 # the rtol of each asymptotics.CASES row
@@ -48,15 +47,17 @@ def _bound(x: float) -> str:
     return f"{float(mantissa):g}e{int(exponent)}"
 
 
-def _finish(reports: list[VerificationReport], payload: dict, out: str | None):
+def _finish(reports: list[VerificationReport], payload: dict, out: str | None, table=None):
+    """Write the report to ``out``, or to stdout, where a ``table`` takes the
+    JSON's place; one verdict per check on stderr; exit 1 if any fails."""
     ok = all(r.passed for r in reports)
     payload["reports"] = [r.to_json() for r in reports]
     payload["pass"] = ok
     text = dump_report(payload, out)
     if out:
         click.echo(f"report written to {out}", err=True)
-    else:
-        click.echo(text, nl=False)
+    if table is not None or not out:
+        click.echo(text if table is None else table, nl=False)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         click.echo(f"[{status}] {r.check_id}", err=True)
@@ -90,7 +91,20 @@ def _parse_n_range(text: str, min_n: int, max_n: int | None, who: str) -> range 
     return ns
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run a subcommand and write the report it returns.  A ValueError
+        raised while it computes is an input the library refuses: exit 2.
+        A report that cannot be written stays a program fault."""
+        try:
+            result = super().invoke(ctx)
+        except ValueError as e:
+            name = ctx.invoked_subcommand
+            raise click.UsageError(str(e), click.Context(self.commands[name], ctx, name)) from e
+        _finish(*result)
+
+
+@click.group(cls=_Main)
 def main():
     """Paneitz / Q-curvature computation and verification engine."""
 
@@ -106,10 +120,7 @@ def cmd_constants(n_range, fmt, out):
     """Sphere constants Q, omega_n, Y4, Theta4 with cross-check residuals."""
     rows = sphereforms.constants_table(
         _parse_n_range(n_range, 5, sphereforms.MOMENTS_MAX_N, "constants need"))
-    ok = all(c.passed for c in _constants_checks(rows))
-    payload = {"command": "constants", "rows": rows, "pass": ok}
-    text = dump_report(payload) if out or fmt == "json" else None
-
+    table = None  # json: the report is the stdout
     if fmt == "csv":
         cols = ["n", "Q_sphere", "omega_n", "Y4", "Theta4", "resid_Y4_vs_moments", "resid_duality"]
         lines = [",".join(cols)]
@@ -119,7 +130,7 @@ def cmd_constants(n_range, fmt, out):
                     str(r[c]) if c in ("n", "Q_sphere") else repr(float(r[c])) for c in cols
                 )
             )
-        click.echo("\n".join(lines))
+        table = "\n".join(lines) + "\n"
     elif fmt == "latex":
         lines = [r"\begin{tabular}{rrrrr}", r"$n$ & $Q$ & $\omega_n$ & $Y_4$ & $\Theta_4$ \\"]
         for r in rows:
@@ -128,13 +139,8 @@ def cmd_constants(n_range, fmt, out):
                 f"{r['Y4']:.12g} & {r['Theta4']:.12g} \\\\"
             )
         lines.append(r"\end{tabular}")
-        click.echo("\n".join(lines))
-    else:
-        click.echo(text, nl=False)
-
-    if out:
-        write_report(text, out)
-    sys.exit(0 if ok else 1)
+        table = "\n".join(lines) + "\n"
+    return _constants_checks(rows), {"command": "constants", "rows": rows}, out, table
 
 
 # ---------------------------------------------------------------- parametrix
@@ -163,10 +169,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
     elif flat:
         jet = par.CurvatureJet.flat(n)
     else:
-        try:
-            jet = par.random_jet(n, seed)
-        except ValueError as e:  # a negative seed
-            raise click.UsageError(str(e))
+        jet = par.random_jet(n, seed)
 
     green = par.green_leading(jet)
     payload = {
@@ -179,7 +182,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
         payload["n8_log_coefficient"] = report.jsonable(par.n8_log_coefficient(jet))
     check = _witness_check("parametrix.identities", payload["config"], SHELL_PROVENANCE,
                            par.shell_identities(jet, green))
-    _finish([check], payload, out)
+    return [check], payload, out
 
 
 # ---------------------------------------------------------------- asymptotics
@@ -205,16 +208,16 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
     if needs_jet and n > tensor.MAX_N:
         raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
                                "the largest Weyl tensor dimension")
-    try:
-        jet = par.random_jet(n, seed, normalize=True) if needs_jet else None
-        model = asym.TestFunctionModel(
-            case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid, cutoff_degree=cutoff_degree
-        )
-        fit = asym.fit_expansion(model)
-        extra = asym.numerator_coefficient_check(model)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    checks = [_ratio_check(case, n, seed, fit)] + extra
+    jet = par.random_jet(n, seed, normalize=True) if needs_jet else None
+    model = asym.TestFunctionModel(
+        case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid, cutoff_degree=cutoff_degree
+    )
+    unit_name, unit = model.unit
+    if 0.0 in (c * unit for c in model.closed_forms):  # the checks are relative to them
+        raise click.UsageError(f"{unit_name} = {unit:g} makes a closed form of case {case!r} "
+                               f"at n={n} zero; no relative check can hold against it")
+    fit = asym.fit_expansion(model)
+    checks = [_ratio_check(case, n, seed, fit)] + asym.numerator_coefficient_check(model)
     payload = {
         "command": "asymptotics",
         "config": {
@@ -227,7 +230,7 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
         },
         "fit": fit.to_json(),
     }
-    _finish(checks, payload, out)
+    return checks, payload, out
 
 
 # ------------------------------------------------------------------- spectral
@@ -243,12 +246,9 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
 @click.option("--report", "out", type=click.Path(), default=None)
 def cmd_spectral(n, trunc, iters, damping, init, out):
     """Zonal extremal iteration plus invariance checks."""
-    try:
-        solver = spectral.SphereSolver(n, trunc)
-        rep = spectral.spectral_report(solver, iters, damping, init)
-        checks = _spectral_checks(solver, rep["invariance_checks"])
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    solver = spectral.SphereSolver(n, trunc)
+    rep = spectral.spectral_report(solver, iters, damping, init)
+    checks = _spectral_checks(solver, rep["invariance_checks"])
     theta4 = sphereforms.sharp_constants(n).Theta4_sphere
     top = max(rep["functional_values"])
     checks.append(
@@ -281,7 +281,7 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
         "config": {"n": n, "L": trunc, "iters": iters, "damping": damping, "init": init},
         "result": rep,
     }
-    _finish(checks, payload, out)
+    return checks, payload, out
 
 
 # --------------------------------------------------------------------- verify
@@ -518,14 +518,11 @@ def cmd_verify(suite, n_range, trials, seed, trunc, out):
         checks, ns, _, _, default_trials, default_L = SUITES[name]
         if (suite, name) == ("all", "weyl"):
             default_trials = 10  # keeps `verify all` short
-        try:
-            reports += checks(ns if dims is None else dims,
-                              default_trials if trials is None else trials, seed,
-                              default_L if trunc is None else trunc)
-        except ValueError as e:  # a configuration the suite's numerics refuse
-            raise click.UsageError(str(e))
+        reports += checks(ns if dims is None else dims,
+                          default_trials if trials is None else trials, seed,
+                          default_L if trunc is None else trunc)
     config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
-    _finish(reports, {"command": "verify", "config": config}, out)
+    return reports, {"command": "verify", "config": config}, out
 
 
 if __name__ == "__main__":

@@ -98,7 +98,10 @@ class MonomialTable:
     def index_rank(self, idx: np.ndarray) -> np.ndarray:
         """Positions of the monomials x_{idx[r,0]} ... x_{idx[r,m-1]}; each
         row of variable indices sorted ascending."""
-        return self._steps[np.arange(self.m), idx].sum(axis=-1)
+        rank = np.zeros(idx.shape[:-1], dtype=np.intp)
+        for t in range(self.m):  # a column at a time: no (rows x m) temporary
+            rank += self._steps[t, idx[..., t]]
+        return rank
 
     def rank(self, exps) -> np.ndarray:
         """Positions of exponent rows, each of length n summing to m."""

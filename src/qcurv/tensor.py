@@ -101,7 +101,7 @@ def _gram(A: np.ndarray) -> np.ndarray:
 def _symmetric_ranks(n: int, d: int) -> np.ndarray:
     """Position in ``monomial_table(n, d)`` of the monomial x_i1 ... x_id
     of every flat index (i1, ..., id) of an n^d tensor."""
-    idx = np.sort(np.indices((n,) * d).reshape(d, -1).T, axis=1)
+    idx = np.sort(np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T, axis=1)
     return monomial_table(n, d).index_rank(idx)
 
 
@@ -321,18 +321,20 @@ def random_weyl(n: int, seed: int) -> WeylTensor:
     cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
     R = 3 * R - cyc
 
-    # remove all traces; multiply through by (n-1)(n-2) to stay integral
+    # remove all traces; multiply through by (n-1)(n-2) to stay integral.
+    # The products of the Ricci matrix and of the scalar with the metric are
+    # nonzero only where two indices coincide, so they go onto those slices
     ric = np.einsum("ikil->kl", R)
-    scal = int(np.trace(ric))
-    delta = np.eye(n, dtype=np.int64)
-    kn = (
-        np.einsum("ij,kl->ikjl", ric, delta)
-        + np.einsum("kl,ij->ikjl", ric, delta)
-        - np.einsum("il,kj->ikjl", ric, delta)
-        - np.einsum("kj,il->ikjl", ric, delta)
-    )
-    gg = np.einsum("ij,kl->ikjl", delta, delta) - np.einsum("il,kj->ikjl", delta, delta)
-    W = (n - 1) * (n - 2) * R - (n - 1) * kn + scal * gg
+    scal = int(np.trace(ric)) * np.eye(n, dtype=np.int64)  # the scalar times the metric
+    ric = (n - 1) * ric
+    a = np.arange(n)
+    W = (n - 1) * (n - 2) * R
+    W[:, a, :, a] -= ric  # ric_ij g_kl
+    W[a, :, a, :] -= ric  # ric_kl g_ij
+    W[:, a, a, :] += ric[:, None, :]  # ric_il g_kj
+    W[a, :, :, a] += ric  # ric_kj g_il
+    W[a, :, a, :] += scal  # scal g_ij g_kl
+    W[a, :, :, a] -= scal  # scal g_il g_kj
 
     g = int(np.gcd.reduce(np.abs(W.reshape(-1))))
     den = 24 * (n - 1) * (n - 2)

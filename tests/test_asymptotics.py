@@ -336,6 +336,20 @@ def test_model_grid_validation():
         TestFunctionModel(case="flat", n=5, A0=float("inf"))
 
 
+
+@pytest.mark.parametrize("n", [172, 200, 360])
+def test_model_refuses_closed_forms_past_the_float_range(n):
+    # Gamma(n) of the split-check lead overflows from n = 172, and
+    # Gamma(n/2) of the flat numerator closed form from n = 344
+    with pytest.raises(ValueError, match=f"case 'flat' at n={n}: a closed form"):
+        TestFunctionModel(case="flat", n=n, lambdas=(0.2, 0.21, 0.22, 0.23))
+
+
+def test_model_accepts_the_last_finite_lead():
+    m = TestFunctionModel(case="flat", n=171, lambdas=(0.2, 0.21, 0.22, 0.23))
+    assert all(map(math.isfinite, m.closed_forms))
+    assert m.closed_forms == (flat_ratio_coefficient(171), flat_numerator_coefficient(171))
+
 def test_model_integrand_tasks():
     # the numerator is the bulk quadrature plus, for matched cases only,
     # the cutoff annulus term; nothing is added beyond the annulus

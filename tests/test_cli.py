@@ -43,13 +43,15 @@ def test_constants_latex_matches_csv_values(runner):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_constants_report_file_is_the_json_stdout(runner, tmp_path, fmt):
+    # --format shapes stdout alone: a --report file is the JSON, and the
+    # JSON goes to the file instead of stdout, as for every subcommand
     plain = runner.invoke(main, ["constants", "--format", "json"]).stdout
     out = tmp_path / "c.json"
     res = runner.invoke(main, ["constants", "--format", fmt, "--report", str(out)])
     assert res.exit_code == 0
     assert out.read_text() == plain
-    if fmt == "json":
-        assert res.stdout == plain
+    assert f"report written to {out}" in res.stderr
+    assert res.stdout == ("" if fmt == "json" else runner.invoke(main, ["constants"]).stdout)
 
 
 def test_constants_bad_range_usage_error(runner):
@@ -288,6 +290,8 @@ SUBCOMMAND_TOLERANCES = {
         *(f"spectral.{name}[n={n},L=64]" for n in (5, 9) for name in _SPECTRAL_TOLERANCES),
         "asymptotics.flat[n=5]", "asymptotics.high[n=10]", "asymptotics.n9[n=9]",
         "asymptotics.n8[n=8]")},
+    **{k: VERIFY_TOLERANCES[k] for n in range(5, 13)
+       for k in (f"constants.moments[n={n}]", f"constants.duality[n={n}]")},
     "parametrix.identities": "exact",
     "asymptotics.lowdim[n=6]": 0.02,
     "spectral.iteration_bounded": 1e-6,
@@ -519,6 +523,89 @@ def test_negative_seed_usage_error(runner, argv):
     assert "non-negative" in res.output
 
 
+def _probe(*args, **kwargs):
+    raise ValueError("probe")
+
+
+# subcommand -> a library function it calls, and a run that reaches it
+_LIBRARY_CALLS = [
+    (sphereforms, "constants_table", ["constants", "--n", "5"]),
+    (parametrix, "green_leading", ["parametrix", "--n", "9"]),
+    (asymptotics, "fit_expansion", ["asymptotics", "--case", "flat", "--n", "5"]),
+    (spectral, "spectral_report", ["spectral", "--L", "8", "--iters", "1"]),
+    (tensor, "weyl_identities", ["verify", "weyl", "--n", "5", "--trials", "1"]),
+]
+
+
+@pytest.mark.parametrize("module,name,argv", _LIBRARY_CALLS, ids=[a[0] for *_, a in _LIBRARY_CALLS])
+def test_library_refusal_is_a_usage_error(runner, monkeypatch, tmp_path, module, name, argv):
+    """A ValueError raised inside any subcommand's computation exits 2 with
+    its message and the subcommand's usage line, writes no report and
+    prints no traceback."""
+    monkeypatch.setattr(module, name, _probe)
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, [*argv, "--report", str(out)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Error: probe" in res.output and f"Usage: main {argv[0]} " in res.output
+    assert "Traceback" not in res.output and not out.exists()
+
+
+def test_unwritable_report_stays_a_program_fault(runner, monkeypatch):
+    # a NaN in the payload is the program's fault, not the user's: the
+    # ValueError of dump_report is not mapped to a usage error
+    real = sphereforms.constants_table
+    monkeypatch.setattr(sphereforms, "constants_table",
+                        lambda ns: [{**row, "Theta4": float("nan")} for row in real(ns)])
+    res = runner.invoke(main, ["constants", "--n", "5", "--format", "json"])
+    assert isinstance(res.exception, ValueError) and res.exit_code == 1
+    assert "Error:" not in res.output and res.stdout == ""
+
+
+def test_constants_reports_its_checks(runner):
+    # the constants report carries the checks behind its verdict, the same
+    # as verify constants, check by check
+    res = runner.invoke(main, ["constants", "--n", "5..6", "--format", "json"])
+    suite = runner.invoke(main, ["verify", "constants", "--n", "5..6"])
+    assert res.exit_code == suite.exit_code == 0
+    reports = json.loads(res.stdout)["reports"]
+    assert [r["check"] for r in reports] == [f"constants.{c}[n={n}]" for n in (5, 6)
+                                             for c in ("moments", "duality")]
+    assert reports == json.loads(suite.stdout)["reports"]
+    for r in reports:
+        assert f"[pass] {r['check']}" in res.stderr
+
+
+def _no_quadrature(model, lam):
+    raise AssertionError("quadrature ran")
+
+
+@pytest.mark.parametrize("a0", ["0", "-0.0", "5e-324"])
+def test_asymptotics_zero_closed_form_usage_error(runner, monkeypatch, a0):
+    # A0 times a closed form is 0.0, so no relative check can hold: refused
+    # before any quadrature, naming A0
+    monkeypatch.setattr(asymptotics, "evaluate_model", _no_quadrature)
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", "5", f"--a0={a0}"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert "A0 = " in res.output and "n=5" in res.output and "zero" in res.output
+
+
+def test_asymptotics_negative_a0_still_runs(runner):
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", "5", "--a0=-1"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("n", [172, 360])
+def test_asymptotics_closed_form_overflow_usage_error(runner, monkeypatch, n):
+    # at n = 172 Gamma(n) in the split-check lead, at n = 360 Gamma(n/2) in
+    # the flat numerator closed form, leave the float range: refused before
+    # any quadrature, naming the case and n
+    monkeypatch.setattr(asymptotics, "evaluate_model", _no_quadrature)
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", str(n),
+                               "--lambdas", "0.2,0.21,0.22,0.23"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert f"case 'flat' at n={n}" in res.output
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_trials_must_be_positive(runner, trials):
     res = runner.invoke(main, ["verify", "weyl", "--n", "5", "--trials", trials])
@@ -734,8 +821,9 @@ def test_constants_options_never_crash(runner, tmp_path, n_range, fmt):
     text = out.read_text()
     doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
     assert doc["pass"] is (res.exit_code == 0)
+    assert doc["pass"] is all(r["pass"] for r in doc["reports"])
     if fmt == "json":
-        assert res.stdout == text
+        assert res.stdout == ""
     elif fmt in (None, "csv"):
         assert len(res.stdout.splitlines()) == len(doc["rows"]) + 1
 

@@ -128,7 +128,7 @@ PINNED = [
     (["parametrix", "--n", "16", "--seed", "1"],
      "720352b3d5fc406da60b7524b1b0f021d396504f5dfe4b84c717edc387737706"),
     (["constants", "--format", "json"],
-     "0ed26747af4cee11d9e8b8d8099f68f85db2c210af22f21049d30c2443e9db86"),
+     "ef727f532e766a3421d71b0c41fb34ee33e7557de938e68db2f3220c7d6197e7"),
     (["spectral"],
      "9762f7e343fbe6a3476d38eca8622652f18e2fdd1db0d8f4e7532ad0f0f3471f"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],

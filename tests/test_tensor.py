@@ -7,11 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcurv.polyalg import HarmonicBlock, HomogPoly, harmonic_decompose, laplacian, reassemble
+from qcurv.polyalg import (HarmonicBlock, HomogPoly, harmonic_decompose, laplacian,
+                           monomial_table, reassemble)
 from qcurv.tensor import (
     SchoutenHessian,
     WeylTensor,
     _gram,
+    _symmetric_ranks,
     _symmetric_vector,
     fix_trace,
     random_schouten_hessian,
@@ -488,3 +490,56 @@ def test_weyl_gram_forms_match_int64_products(n):
     g = HomogPoly.from_vector(n, 2, _symmetric_vector(M), W.scale**2)
     assert W.quartic_form() == q
     assert W.gradient_square_form() == g
+
+
+def einsum_weyl(n: int, seed: int) -> WeylTensor:
+    """``random_weyl`` as it was first written: the trace removal as six n^4
+    einsum outer products with the metric."""
+    if n <= 3:
+        return WeylTensor(n, np.zeros((n, n, n, n), dtype=np.int64))
+    rng = np.random.Generator(np.random.Philox(seed))
+    R = rng.integers(-9, 10, size=(n, n, n, n)).astype(np.int64)
+    R = R - np.transpose(R, (1, 0, 2, 3))
+    R = R - np.transpose(R, (0, 1, 3, 2))
+    R = R + np.transpose(R, (2, 3, 0, 1))
+    cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
+    R = 3 * R - cyc
+    ric = np.einsum("ikil->kl", R)
+    scal = int(np.trace(ric))
+    delta = np.eye(n, dtype=np.int64)
+    kn = (
+        np.einsum("ij,kl->ikjl", ric, delta)
+        + np.einsum("kl,ij->ikjl", ric, delta)
+        - np.einsum("il,kj->ikjl", ric, delta)
+        - np.einsum("kj,il->ikjl", ric, delta)
+    )
+    gg = np.einsum("ij,kl->ikjl", delta, delta) - np.einsum("il,kj->ikjl", delta, delta)
+    W = (n - 1) * (n - 2) * R - (n - 1) * kn + scal * gg
+    g = int(np.gcd.reduce(np.abs(W.reshape(-1))))
+    den = 24 * (n - 1) * (n - 2)
+    if g > 1:
+        W = W // g
+    else:
+        g = 1
+    return WeylTensor(n, W, Fraction(g, den))
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 40])
+def test_random_weyl_matches_einsum_construction(n):
+    """The trace removal on the coinciding-index slices gives the integers
+    and scale of the einsum outer products, so every seed keeps its jet."""
+    for seed in (1, 7) if n == 40 else (0, 1, 2, 7):
+        W, old = random_weyl(n, seed), einsum_weyl(n, seed)
+        assert W.ints.dtype == old.ints.dtype == np.int64
+        assert np.array_equal(W.ints, old.ints) and W.scale == old.scale
+
+
+@pytest.mark.parametrize("n", [16, 32, 40])
+def test_symmetric_ranks_match_sorted_lookup(n):
+    """The ranks from small-dtype indices and column-wise lookups equal
+    np.sort over intp indices and one (rows x 4) gather of the step table."""
+    idx = np.sort(np.indices((n,) * 4).reshape(4, -1).T, axis=1)
+    steps = monomial_table(n, 4)._steps
+    ranks = _symmetric_ranks(n, 4)
+    assert ranks.dtype == np.intp
+    assert np.array_equal(ranks, steps[np.arange(4), idx].sum(axis=-1))
