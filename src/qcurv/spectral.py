@@ -24,11 +24,17 @@ whose sum and difference are the values at t and -t, and an analysis pairs
 the values at t and -t before its two products.  An even field runs only
 the even product: a synthesis whose odd coefficients are all zero, and an
 analysis of values that agree at t and -t, skip the odd one, whose output
-would be +0.0, and give the bits of both products.  One recurrence over the
-two half grids builds both bases.  A rule depends only on its node count
-and the dimension, so each is computed once per process and shared,
-read-only, by every solver that needs it; the bases are built per solver
-and not kept.  The degree is capped at ``MAX_L``.
+would be +0.0, and give the bits of both products.  Grid values travel as
+half-grid rows, the values at the nodes of t > 0 and at their mirror
+images; an even field has one row, which is both, so each pointwise
+operation runs once, on t > 0.  ``synthesize`` and ``analyze`` are
+full-grid wrappers over the half forms, and only a norm mirrors its powered
+values, for one dot with the full weights.  One recurrence over the two
+half grids builds both bases.  A field at other points (a pullback) takes
+the recurrence only up to its highest nonzero degree.  A rule depends only
+on its node count and the dimension, so each is computed once per process
+and shared, read-only, by every solver that needs it; the bases are built
+per solver and not kept.  The degree is capped at ``MAX_L``.
 """
 
 from __future__ import annotations
@@ -309,13 +315,15 @@ class SphereSolver:
 
     # -- basis ----------------------------------------------------------
 
-    def _gegenbauer_rows(self, t: np.ndarray) -> np.ndarray:
+    def _gegenbauer_rows(self, t: np.ndarray, deg: int | None = None) -> np.ndarray:
+        """C_0 .. C_deg at the points t, deg defaulting to L."""
+        deg = self.L if deg is None else deg
         alpha = 0.5 * (self.n - 1)
-        rows = np.empty((self.L + 1, t.size))
+        rows = np.empty((deg + 1, t.size))
         rows[0] = 1.0
-        if self.L >= 1:
+        if deg >= 1:
             rows[1] = 2.0 * alpha * t
-        for l in range(1, self.L):
+        for l in range(1, deg):
             rows[l + 1] = (
                 2.0 * (l + alpha) * t * rows[l] - (l + 2.0 * alpha - 1.0) * rows[l - 1]
             ) / (l + 1.0)
@@ -325,9 +333,9 @@ class SphereSolver:
         """(even-degree basis, odd-degree basis, weights) on t > 0."""
         return rows[0::2] / self._norms[0::2, None], rows[1::2] / self._norms[1::2, None], w_half
 
-    def _orthonormal_basis(self, t: np.ndarray) -> np.ndarray:
-        rows = self._gegenbauer_rows(t)
-        rows /= self._norms[:, None]
+    def _orthonormal_basis(self, t: np.ndarray, deg: int | None = None) -> np.ndarray:
+        rows = self._gegenbauer_rows(t, deg)
+        rows /= self._norms[:rows.shape[0], None]
         return rows
 
     def gram_defect(self) -> float:
@@ -341,30 +349,53 @@ class SphereSolver:
 
     # -- transforms -------------------------------------------------------
 
-    def analyze(self, values: np.ndarray, oversampled: bool = False) -> ZonalField:
+    def synthesize_half(self, coeffs: np.ndarray, oversampled: bool = False) -> np.ndarray:
+        """Grid values of the field with these coefficients as half-grid rows:
+        row 0 holds the values at the nodes of t > 0 and the last row those
+        at their mirror images, in the same node order.  An even field (odd
+        coefficients all zero) has one row, which is both: its odd product
+        would be +0.0."""
+        even, odd, _ = self._over if oversampled else self._main
+        e = np.dot(coeffs[0::2], even)
+        c_odd = coeffs[1::2]
+        if not c_odd.any():
+            return e[None]
+        o = np.dot(c_odd, odd)
+        return np.array((e + o, e - o))
+
+    def analyze_half(self, vals: np.ndarray, oversampled: bool = False) -> np.ndarray:
+        """Coefficients of half-grid rows as from ``synthesize_half``.  One
+        row, or two that agree, has odd coefficients +0.0, and the odd
+        product is skipped."""
         even, odd, w = self._over if oversampled else self._main
-        K = w.size
-        up, down = values[K:], values[K - 1::-1]
+        up, down = vals[0], vals[-1]
         coeffs = np.zeros(self.L + 1)
         coeffs[0::2] = np.dot(even, w * (up + down))
-        diff = up - down
-        if diff.any():  # else the values are even and the odd product +0.0
-            coeffs[1::2] = np.dot(odd, w * diff)
-        return ZonalField(self.n, self.L, coeffs)
+        if len(vals) == 2:
+            diff = up - down
+            if diff.any():
+                coeffs[1::2] = np.dot(odd, w * diff)
+        return coeffs
+
+    def analyze(self, values: np.ndarray, oversampled: bool = False) -> ZonalField:
+        K = values.size // 2
+        return ZonalField(self.n, self.L,
+                          self.analyze_half(np.array((values[K:], values[K - 1::-1])), oversampled))
 
     def synthesize(self, field: ZonalField, oversampled: bool = False) -> np.ndarray:
-        even, odd, _ = self._over if oversampled else self._main
-        e = np.dot(field.coeffs[0::2], even)
-        c_odd = field.coeffs[1::2]
-        if not c_odd.any():
-            # an even field: the odd product would be +0.0, so e - o and
-            # e + o are e and e + 0.0 (which turns a -0.0 to +0.0)
-            return np.concatenate((e[::-1], e + 0.0))
-        o = np.dot(c_odd, odd)
-        return np.concatenate(((e - o)[::-1], e + o))
+        vals = self.synthesize_half(field.coeffs, oversampled)
+        # for an even field e + o on t > 0, with o = +0.0, turns a -0.0 to +0.0
+        up = vals[0] + 0.0 if len(vals) == 1 else vals[0]
+        return np.concatenate((vals[-1][::-1], up))
 
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
-        return self._orthonormal_basis(np.asarray(t, dtype=float)).T @ field.coeffs
+        """Values of ``field`` at the points t.  The recurrence runs only up
+        to the field's highest nonzero degree: the rows above it would meet
+        zero coefficients, so a constant takes one row."""
+        nonzero = np.flatnonzero(field.coeffs)
+        deg = int(nonzero[-1]) if nonzero.size else 0
+        basis = self._orthonormal_basis(np.asarray(t, dtype=float), deg)
+        return basis.T @ field.coeffs[:deg + 1]
 
     def constant_field(self, c: float = 1.0) -> ZonalField:
         coeffs = np.zeros(self.L + 1)
@@ -391,16 +422,19 @@ class SphereSolver:
         )
 
     def _norm(self, vals: np.ndarray, p: float) -> float:
-        """The L^p norm of oversampled grid values, with the largest |value|
-        scaled out so no power overflows.  Callers divide by the norm or its
-        square, so a norm whose square underflows to 0 or is not finite is
-        refused."""
+        """The L^p norm of oversampled half-grid rows, with the largest
+        |value| scaled out so no power overflows.  Only the powered values
+        are mirrored to the full grid, for one dot with ``w_over``.  Callers
+        divide by the norm or its square, so a norm whose square underflows
+        to 0 or is not finite is refused."""
         mags = np.abs(vals)
         top = float(mags.max())
         norm = top
         if 0.0 < top < math.inf:
             mags /= top
-            norm = top * float(np.dot(self.w_over, mags**p) ** (1.0 / p))
+            powered = mags**p
+            full = np.concatenate((powered[-1, ::-1], powered[0]))
+            norm = top * float(np.dot(self.w_over, full) ** (1.0 / p))
         if not (0.0 < norm * norm < math.inf):
             raise self._out_of_range(f"L^{p:g} norm", norm)
         return norm
@@ -410,7 +444,7 @@ class SphereSolver:
         zero field is refused by name."""
         if not np.any(field.coeffs):
             raise ValueError(f"zero field at n={self.n}, L={self.L}")
-        return self._norm(self.synthesize(field, oversampled=True), p)
+        return self._norm(self.synthesize_half(field.coeffs, oversampled=True), p)
 
     def _ratio(self, num: float, norm: float) -> float:
         """num / norm^2.  Each functional is positive on a nonzero field, so a
@@ -450,14 +484,15 @@ class SphereSolver:
         (field, dual-functional value) is returned; no monotonicity is
         claimed.
 
-        The iterate's oversampled values are carried through the blend, so
-        a step synthesizes only G_P f and the update; each norm and dual
-        value is read from the carried values, the value of f/||f|| being
-        that of f.
+        The iterate's oversampled values are carried through the blend as
+        half-grid rows (see ``synthesize_half``), so a step synthesizes only
+        G_P f and the update; each norm and dual value is read from the
+        carried values, the value of f/||f|| being that of f.
 
         An even start (odd coefficients all zero, as the constant and the
         constant plus a Z_2 are) stays even, so each transform of a step
-        runs its even product only: G_P is diagonal, so G_P f is even; its
+        runs its even product only and every pointwise operation runs once,
+        on the one row of t > 0: G_P is diagonal, so G_P f is even; its
         values on the mirrored grid agree at t and -t; the nonlinearity is
         pointwise, so the powered values agree too, and their analysis has
         odd coefficients +0.0, which the blend keeps.
@@ -470,17 +505,17 @@ class SphereSolver:
         expo = (self.n + 4.0) / (self.n - 4.0)
 
         coeffs = f0.coeffs
-        vals = self.synthesize(f0, oversampled=True)
+        vals = self.synthesize_half(coeffs, oversampled=True)
         out = []
         for step in range(steps + 1):
             if step:
-                g_vals = self.synthesize(self.apply_GP(f), oversampled=True)
+                g_vals = self.synthesize_half(self.apply_GP(f).coeffs, oversampled=True)
                 if not g_vals.max() > 0:
                     raise ValueError("iterate collapsed: G_P f has no positive part")
-                update = self.analyze(np.maximum(g_vals, 0.0) ** expo, oversampled=True)
-                u_vals = self.synthesize(update, oversampled=True)
+                update = self.analyze_half(np.maximum(g_vals, 0.0) ** expo, oversampled=True)
+                u_vals = self.synthesize_half(update, oversampled=True)
                 u_norm = self._norm(u_vals, p_norm)
-                coeffs = (1.0 - damping) * f.coeffs + damping * (update.coeffs / u_norm)
+                coeffs = (1.0 - damping) * f.coeffs + damping * (update / u_norm)
                 vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
             norm = self._norm(vals, p_norm)
             value = self._ratio(self._theta4_num(coeffs), norm)

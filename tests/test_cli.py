@@ -292,6 +292,8 @@ SUBCOMMAND_TOLERANCES = {
         "asymptotics.n8[n=8]")},
     **{k: VERIFY_TOLERANCES[k] for n in range(5, 13)
        for k in (f"constants.moments[n={n}]", f"constants.duality[n={n}]")},
+    **{f"spectral.{name}[n={n},L=41]": tol
+       for n in (6, 8) for name, tol in _SPECTRAL_TOLERANCES.items()},
     "parametrix.identities": "exact",
     "asymptotics.lowdim[n=6]": 0.02,
     "spectral.iteration_bounded": 1e-6,
@@ -993,7 +995,7 @@ def test_large_n_refused_before_any_transform(runner, monkeypatch, argv, shape):
     def no_transform(*a, **k):
         raise AssertionError("a refused shape reached a transform")
 
-    for name in ("synthesize", "analyze", "synthesize_at"):
+    for name in ("synthesize", "analyze", "synthesize_at", "synthesize_half", "analyze_half"):
         monkeypatch.setattr(spectral.SphereSolver, name, no_transform)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -133,6 +133,12 @@ PINNED = [
      "9762f7e343fbe6a3476d38eca8622652f18e2fdd1db0d8f4e7532ad0f0f3471f"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
      "cb1e72e6492782b1cc070325e51ed6e4d47ce131e4f9e1ca799b61d7d4c23c91"),
+    # an odd L, an undamped step, and integer critical exponents 3 and 5
+    (["spectral", "--n", "8", "--L", "41", "--init", "perturbed", "--damping", "1.0"],
+     "45ad44d78389f107bcf99346f7588b663224dcb3ffa4db6049954d7bcdc0df4b"),
+    (["spectral", "--n", "6", "--L", "41", "--init", "perturbed", "--damping", "1.0",
+      "--iters", "30"],
+     "c2061f935a95eea0fa399abcd249b7505d3c8490a4024dbe2e30806a22086990"),
     (["asymptotics", "--case", "flat", "--n", "5"],
      "29f37fed55cc4fa60778b111fac11b97d29a3ff326fab911e7e4ea64596fad83"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],

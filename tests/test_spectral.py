@@ -248,6 +248,7 @@ def test_even_transforms_match_two_products(n, L, oversampled):
     vals = s.synthesize(ZonalField(n, L, c), oversampled)
     assert vals.tobytes() == two_product_synthesis(s, c, oversampled).tobytes()
     assert np.array_equal(vals, vals[::-1])
+    assert len(s.synthesize_half(c, oversampled)) == 1  # one row serves t and -t
     half = rng.standard_normal(vals.size // 2)
     for mirrored in (vals, np.concatenate((half[::-1], half))):
         back = s.analyze(mirrored, oversampled).coeffs
@@ -263,6 +264,7 @@ def test_asymmetric_transforms_keep_odd_coefficients(n, L, oversampled):
     c = rng.standard_normal(L + 1)
     vals = s.synthesize(ZonalField(n, L, c), oversampled)
     assert vals.tobytes() == two_product_synthesis(s, c, oversampled).tobytes()
+    assert len(s.synthesize_half(c, oversampled)) == 2
     v = rng.standard_normal(vals.size)
     for values in (vals, v):
         back = s.analyze(values, oversampled).coeffs
@@ -322,6 +324,55 @@ def test_iterates_from_even_starts_stay_even(n, L):
     for start in (f0, perturbed):
         traj = s.extremal_iteration(start, 30, 0.5)
         assert all(odd_coeffs_positive_zero(f.coeffs) for f, _ in traj)
+
+
+def full_grid_norm(s: SphereSolver, vals: np.ndarray, p: float) -> float:
+    """The L^p norm of full oversampled grid values, as ``_norm`` scales and
+    sums it, without its refusals."""
+    mags = np.abs(vals)
+    top = float(mags.max())
+    mags /= top
+    return top * float(np.dot(s.w_over, mags**p) ** (1.0 / p))
+
+
+def full_grid_iteration(s: SphereSolver, f0: ZonalField, steps: int, damping: float) -> list:
+    """The extremal iteration with full-grid values: the reference that the
+    half-grid loop must match bit for bit."""
+    n = s.n
+    p_norm = 2.0 * n / (n + 4)
+    expo = (n + 4.0) / (n - 4.0)
+    coeffs = f0.coeffs
+    vals = s.synthesize(f0, oversampled=True)
+    out = []
+    for step in range(steps + 1):
+        if step:
+            g_vals = s.synthesize(s.apply_GP(f), oversampled=True)
+            update = s.analyze(np.maximum(g_vals, 0.0) ** expo, oversampled=True)
+            u_vals = s.synthesize(update, oversampled=True)
+            u_norm = full_grid_norm(s, u_vals, p_norm)
+            coeffs = (1.0 - damping) * f.coeffs + damping * (update.coeffs / u_norm)
+            vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
+        norm = full_grid_norm(s, vals, p_norm)
+        value = s._ratio(s._theta4_num(coeffs), norm)
+        f = ZonalField(n, s.L, coeffs / norm)
+        vals = vals / norm
+        out.append((f, value))
+    return out
+
+
+@pytest.mark.parametrize("damping", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("n,L", PARITY_SHAPES)
+def test_half_grid_iteration_matches_full_grid_loop(n, L, damping):
+    # the constant, +0.1 Z_2 (even), and +0.1 Z_1, which runs the odd path
+    s = solver(n, L)
+    for l in (None, 2, 1):
+        f0 = s.constant_field(1.0)
+        if l is not None:
+            f0.coeffs[l] += 0.1 * f0.coeffs[0]
+        got = s.extremal_iteration(f0, 30, damping)
+        want = full_grid_iteration(s, f0, 30, damping)
+        assert [v for _, v in got] == [v for _, v in want]
+        assert [f.coeffs.tobytes() for f, _ in got] == [f.coeffs.tobytes() for f, _ in want]
 
 
 def test_gram_defect_is_the_full_gram(s7):
@@ -633,8 +684,10 @@ def test_carried_iteration_values_track_synthesis(monkeypatch, L, damping):
     f0 = s.constant_field(1.0)
     f0.coeffs[2] += 0.1 * f0.coeffs[0]
     f, value = s.extremal_iteration(f0, 200, damping)[-1]
-    # the last norm taken is of the final blend, before it is normalized
-    carried = seen[-1] / norm(seen[-1], 2.0 * 7 / 11)
+    # the last norm taken is of the final blend, before it is normalized;
+    # the loop carries it as half-grid rows: t > 0 first, mirror images last
+    rows = seen[-1]
+    carried = np.concatenate((rows[-1][::-1], rows[0])) / norm(rows, 2.0 * 7 / 11)
     want = s.synthesize(f, oversampled=True)
     assert np.max(np.abs(carried - want)) <= 1e-13 * np.max(np.abs(want))
     assert abs(value - s.theta4_functional(f)) <= 1e-13 * value
@@ -677,6 +730,37 @@ def test_mobius_theta4_invariance():
     for t in (1.5, 2.0, 4.0):
         pulled = s.mobius_pullback(f, t)
         assert abs(s.theta4_functional(pulled) - base) <= 1e-6 * base
+
+
+def test_pullback_builds_rows_to_the_top_degree(monkeypatch):
+    s = solver(7, 256)
+    built = []
+    rows = s._gegenbauer_rows
+
+    def spy(t, deg=None):
+        r = rows(t, deg)
+        built.append((t, r.shape[0]))
+        return r
+
+    monkeypatch.setattr(s, "_gegenbauer_rows", spy)
+    mobius_drifts(s)
+    pulled_nodes = [t for t, _ in built]
+    assert [depth for _, depth in built] == [1] * len(spectral.MOBIUS_T)
+    const = s.constant_field(1.0)
+    rng = np.random.Generator(np.random.Philox(256))
+    full_field = ZonalField(7, s.L, rng.standard_normal(s.L + 1))
+    low = np.zeros(s.L + 1)
+    low[:6] = rng.standard_normal(6)
+    low_field = ZonalField(7, s.L, low)
+    for t in pulled_nodes:
+        built.clear()
+        B = s._orthonormal_basis(t)
+        assert s.synthesize_at(const, t).tobytes() == (B.T @ const.coeffs).tobytes()
+        # a nonzero top coefficient takes the full-depth product unchanged
+        assert s.synthesize_at(full_field, t).tobytes() == (B.T @ full_field.coeffs).tobytes()
+        want = B.T @ low
+        assert np.max(np.abs(s.synthesize_at(low_field, t) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert [depth for _, depth in built] == [s.L + 1, 1, s.L + 1, 6]
 
 
 def test_mobius_rejects_bad_t(s5):
