@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -550,25 +550,14 @@ class FitResult:
     coefficient: float
     expected: float
     rel_error: float
-    residual: float
+    fit_residual: float
     lambdas: tuple[float, ...]
     basis: tuple[str, ...]
     extra_coefficients: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "n": self.n,
-            "coefficient": self.coefficient,
-            "expected": self.expected,
-            "rel_error": self.rel_error,
-            "fit_residual": self.residual,
-            "lambdas": list(self.lambdas),
-            "basis": list(self.basis),
-            "extra_coefficients": self.extra_coefficients,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 _COND_LIMIT = 1e8
@@ -617,7 +606,7 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
         coefficient=fitted,
         expected=expected,
         rel_error=rel,
-        residual=resid,
+        fit_residual=resid,
         lambdas=model.lambdas,
         basis=case.basis,
         extra_coefficients={name: float(c) for name, c in zip(case.basis[1:], coef[1:])},

@@ -148,7 +148,7 @@ def cmd_constants(n_range, fmt, out):
 
 @main.command("parametrix")
 @click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--flat", is_flag=True, help="use the flat jet")
 @click.option("--jet-file", type=click.Path(exists=True), default=None, help="JSON jet input")
 @click.option("--report", "out", type=click.Path(), default=None)
@@ -191,7 +191,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @main.command("asymptotics")
 @click.option("--case", "case", type=click.Choice(list(asym.CASES)), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=7, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True,
               help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit reads")
 @click.option("--a0", type=float, default=1.0, show_default=True, help="flat/lowdim constant")
 @click.option("--lambdas", default=None, help="comma-separated lam grid override")
@@ -493,7 +493,7 @@ SUITES = {
 @click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L),
               default=None, help=f"spectral truncation degree; {L_HELP}")
 @click.option("--report", "out", type=click.Path(), default=None)

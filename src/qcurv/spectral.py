@@ -17,24 +17,24 @@ Fractional powers of fields are evaluated on a grid ``OVERSAMPLE`` times
 finer and projected back to degree L.
 
 Every grid is a Gauss-Jacobi rule with an even number of nodes, computed
-here in numpy on t > 0 and mirrored exactly.  The recurrence then gives
-C_l(-t) = (-1)^l C_l(t) bit for bit, so each basis is stored on t > 0 only,
-split by the parity of l: a synthesis is one half-size product per parity,
-whose sum and difference are the values at t and -t, and an analysis pairs
-the values at t and -t before its two products.  An even field runs only
-the even product: a synthesis whose odd coefficients are all zero, and an
-analysis of values that agree at t and -t, skip the odd one, whose output
-would be +0.0, and give the bits of both products.  Grid values travel as
-half-grid rows, the values at the nodes of t > 0 and at their mirror
-images; an even field has one row, which is both, so each pointwise
-operation runs once, on t > 0.  ``synthesize`` and ``analyze`` are
-full-grid wrappers over the half forms, and only a norm mirrors its powered
-values, for one dot with the full weights.  One recurrence over the two
-half grids builds both bases.  A field at other points (a pullback) takes
-the recurrence only up to its highest nonzero degree.  A rule depends only
-on its node count and the dimension, so each is computed once per process
-and shared, read-only, by every solver that needs it; the bases are built
-per solver and not kept.  The degree is capped at ``MAX_L``.
+here in numpy and kept as its t > 0 half: the other nodes are the exact
+mirror images.  The recurrence gives C_l(-t) = (-1)^l C_l(t) bit for bit,
+so each basis is stored on t > 0 only, split by the parity of l: a
+synthesis is one half-size product per parity, whose sum and difference
+are the values at t and -t, and an analysis pairs the values at t and -t
+before its two products.  An even field runs only the even product: a
+synthesis whose odd coefficients are all zero, and an analysis of values
+that agree at t and -t, skip the odd one, whose output would be +0.0, and
+give the bits of both products.  Grid values travel as half-grid rows, the
+values at the nodes of t > 0 and at their mirror images; an even field has
+one row, which is both, so each pointwise operation runs once, on t > 0.
+Only a norm mirrors its powered values, for one dot with the full
+weights.  One recurrence over the two half grids builds both bases.  A
+field at other points (a pullback) takes the recurrence only up to its
+highest nonzero degree.  A rule depends only on its node count and the
+dimension, so each is computed once per process and shared, read-only, by
+every solver that needs it; the bases are built per solver and not kept.
+The degree is capped at ``MAX_L``.
 """
 
 from __future__ import annotations
@@ -218,19 +218,19 @@ def _jacobi_mass(a: float) -> float:
 
 @functools.cache
 def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the M-point Gauss-Jacobi rule with
-    alpha = beta = a, for even M: read-only and shared by every solver that
-    asks for the same rule.  The cache keeps every rule a process asks for,
-    16 M bytes each.
+    """The M/2 positive nodes, ascending, and their weights of the M-point
+    Gauss-Jacobi rule with alpha = beta = a, for even M: read-only and
+    shared by every solver that asks for the same rule.  The cache keeps
+    every rule a process asks for, 8 M bytes each.
 
-    The nodes are the zeros of the Gegenbauer polynomial C_M^{a+1/2}.  The
-    M/2 positive ones come from Gatteschi-type starts and Newton's method
-    on the ratio-form recurrence; the rest are their exact mirror images, so
-    t[::-1] == -t and w[::-1] == w bit for bit.  Every node is certified by
-    a Sturm count (see ``_certify``); a node that fails is bisected on the
-    count and polished, and a rule that still fails, or has a weight that
-    is not a positive finite float, is refused with a ValueError.  The
-    weights sum to ``_jacobi_mass(a)``.
+    The nodes are the zeros of the Gegenbauer polynomial C_M^{a+1/2}; the
+    other M/2 are -x, with the same weights.  The positive ones come from
+    Gatteschi-type starts and Newton's method on the ratio-form recurrence.
+    Every node is certified by a Sturm count (see ``_certify``); a node that
+    fails is bisected on the count and polished, and a rule that still
+    fails, or has a weight that is not a positive finite float, is refused
+    with a ValueError.  The weights of all M nodes sum to
+    ``_jacobi_mass(a)``.
     """
     if M < 2 or M % 2:
         raise ValueError(f"Gauss-Jacobi rule needs an even node count, got {M}")
@@ -263,11 +263,9 @@ def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     w *= _jacobi_mass(a) / (2.0 * np.sum(w))
     if not np.all((w > 0.0) & (w < math.inf)):
         raise ValueError(f"the {M}-node Gauss-Jacobi rule has weights outside the float range")
-    t = np.concatenate((-x[::-1], x))
-    w = np.concatenate((w[::-1], w))
-    t.setflags(write=False)
+    x.setflags(write=False)
     w.setflags(write=False)
-    return t, w
+    return x, w
 
 
 # -- solver ----------------------------------------------------------------------
@@ -277,8 +275,9 @@ class SphereSolver:
     """Transform pair, quadratures, and functionals for zonal fields on S^n.
 
     The main grid has 2L+2 nodes and the nonlinearity grid ``OVERSAMPLE``
-    times as many; ``t``, ``w``, ``t_over`` and ``w_over`` are the full
-    grids, and transforms take and return values on them in that order."""
+    times as many; ``x`` and ``x_over`` are their nodes of t > 0, and
+    transforms take and return half-grid rows on them (see
+    ``synthesize_half``)."""
 
     def __init__(self, n: int, L: int):
         if n < 5:
@@ -289,6 +288,7 @@ class SphereSolver:
         self.L = L
         self.M = 2 * L + 2
         self.spectrum = PaneitzSpectrum(n, L)
+        self.p_dual = 2.0 * n / (n + 4)  # the exponent of the dual functional's norm
         self.area = sphere_area(n)
         if not self.area >= sys.float_info.min:
             raise ValueError(f"area of S^{n} {self.area!r} is below the normal floats "
@@ -297,21 +297,24 @@ class SphereSolver:
         a = 0.5 * (n - 2)
         area_factor = n * omega_n(n)  # area of the S^{n-1} slice factor
         try:
-            self.t, wj = _gauss_jacobi(self.M, a)
-            self.t_over, wj2 = _gauss_jacobi(OVERSAMPLE * self.M, a)
+            self.x, wj = _gauss_jacobi(self.M, a)
+            self.x_over, wj2 = _gauss_jacobi(OVERSAMPLE * self.M, a)
         except ValueError as e:
             raise ValueError(f"{e} at n={n}, L={L}") from None
-        self.w = area_factor * wj
-        self.w_over = area_factor * wj2
+        w, w_over = area_factor * wj, area_factor * wj2
+        # The one mirrored array: ``_norm`` dots with the weights of the
+        # whole oversampled grid, ascending in t.  Their length and order fix
+        # that dot's summation order, and so the bits of every spectral report.
+        self._w_norm = np.concatenate((w_over[::-1], w_over))
 
         # one recurrence over both half grids; the norms come from the
         # solver's own main-grid quadrature
-        K, K2 = self.M // 2, self.t_over.size // 2
-        rows = self._gegenbauer_rows(np.concatenate((self.t[K:], self.t_over[K2:])))
+        K = self.x.size
+        rows = self._gegenbauer_rows(np.concatenate((self.x, self.x_over)))
         main, over = rows[:, :K], rows[:, K:]
-        self._norms = np.sqrt(2.0 * np.sum(self.w[K:] * main * main, axis=1))
-        self._main = self._fold(main, self.w[K:])
-        self._over = self._fold(over, self.w_over[K2:])
+        self._norms = np.sqrt(2.0 * np.sum(w * main * main, axis=1))
+        self._main = self._fold(main, w)
+        self._over = self._fold(over, w_over)
 
     # -- basis ----------------------------------------------------------
 
@@ -332,11 +335,6 @@ class SphereSolver:
     def _fold(self, rows: np.ndarray, w_half: np.ndarray) -> tuple:
         """(even-degree basis, odd-degree basis, weights) on t > 0."""
         return rows[0::2] / self._norms[0::2, None], rows[1::2] / self._norms[1::2, None], w_half
-
-    def _orthonormal_basis(self, t: np.ndarray, deg: int | None = None) -> np.ndarray:
-        rows = self._gegenbauer_rows(t, deg)
-        rows /= self._norms[:rows.shape[0], None]
-        return rows
 
     def gram_defect(self) -> float:
         """Largest entry of |G - I| for the main-grid Gram matrix G.  Only its
@@ -377,24 +375,14 @@ class SphereSolver:
                 coeffs[1::2] = np.dot(odd, w * diff)
         return coeffs
 
-    def analyze(self, values: np.ndarray, oversampled: bool = False) -> ZonalField:
-        K = values.size // 2
-        return ZonalField(self.n, self.L,
-                          self.analyze_half(np.array((values[K:], values[K - 1::-1])), oversampled))
-
-    def synthesize(self, field: ZonalField, oversampled: bool = False) -> np.ndarray:
-        vals = self.synthesize_half(field.coeffs, oversampled)
-        # for an even field e + o on t > 0, with o = +0.0, turns a -0.0 to +0.0
-        up = vals[0] + 0.0 if len(vals) == 1 else vals[0]
-        return np.concatenate((vals[-1][::-1], up))
-
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
         """Values of ``field`` at the points t.  The recurrence runs only up
         to the field's highest nonzero degree: the rows above it would meet
         zero coefficients, so a constant takes one row."""
         nonzero = np.flatnonzero(field.coeffs)
         deg = int(nonzero[-1]) if nonzero.size else 0
-        basis = self._orthonormal_basis(np.asarray(t, dtype=float), deg)
+        basis = self._gegenbauer_rows(np.asarray(t, dtype=float), deg)
+        basis /= self._norms[:deg + 1, None]
         return basis.T @ field.coeffs[:deg + 1]
 
     def constant_field(self, c: float = 1.0) -> ZonalField:
@@ -424,7 +412,7 @@ class SphereSolver:
     def _norm(self, vals: np.ndarray, p: float) -> float:
         """The L^p norm of oversampled half-grid rows, with the largest
         |value| scaled out so no power overflows.  Only the powered values
-        are mirrored to the full grid, for one dot with ``w_over``.  Callers
+        are mirrored to the full grid, for one dot with its weights.  Callers
         divide by the norm or its square, so a norm whose square underflows
         to 0 or is not finite is refused."""
         mags = np.abs(vals)
@@ -434,7 +422,7 @@ class SphereSolver:
             mags /= top
             powered = mags**p
             full = np.concatenate((powered[-1, ::-1], powered[0]))
-            norm = top * float(np.dot(self.w_over, full) ** (1.0 / p))
+            norm = top * float(np.dot(self._w_norm, full) ** (1.0 / p))
         if not (0.0 < norm * norm < math.inf):
             raise self._out_of_range(f"L^{p:g} norm", norm)
         return norm
@@ -457,8 +445,13 @@ class SphereSolver:
     def _theta4_num(self, coeffs: np.ndarray) -> float:
         return float(np.sum(coeffs**2 / self.spectrum.mu_f))
 
+    def theta4_and_norm(self, f: ZonalField) -> tuple[float, float]:
+        """The dual functional of f and the L^{2n/(n+4)} norm it divides by."""
+        norm = self.lp_norm(f, self.p_dual)
+        return self._ratio(self._theta4_num(f.coeffs), norm), norm
+
     def theta4_functional(self, f: ZonalField) -> float:
-        return self._ratio(self._theta4_num(f.coeffs), self.lp_norm(f, 2.0 * self.n / (self.n + 4)))
+        return self.theta4_and_norm(f)[0]
 
     def y4_functional(self, u: ZonalField) -> float:
         return self._ratio(self.energy_E(u), self.lp_norm(u, 2.0 * self.n / (self.n - 4)))
@@ -501,7 +494,6 @@ class SphereSolver:
             raise ValueError("damping must lie in (0, 1]")
         if not np.any(f0.coeffs):
             raise ValueError(f"zero initial field at n={self.n}, L={self.L}")
-        p_norm = 2.0 * self.n / (self.n + 4)
         expo = (self.n + 4.0) / (self.n - 4.0)
 
         coeffs = f0.coeffs
@@ -514,10 +506,10 @@ class SphereSolver:
                     raise ValueError("iterate collapsed: G_P f has no positive part")
                 update = self.analyze_half(np.maximum(g_vals, 0.0) ** expo, oversampled=True)
                 u_vals = self.synthesize_half(update, oversampled=True)
-                u_norm = self._norm(u_vals, p_norm)
+                u_norm = self._norm(u_vals, self.p_dual)
                 coeffs = (1.0 - damping) * f.coeffs + damping * (update / u_norm)
                 vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
-            norm = self._norm(vals, p_norm)
+            norm = self._norm(vals, self.p_dual)
             value = self._ratio(self._theta4_num(coeffs), norm)
             f = ZonalField(self.n, self.L, coeffs / norm)
             vals = vals / norm
@@ -537,7 +529,8 @@ class SphereSolver:
         if t <= 0:
             raise ValueError("dilation parameter must be positive")
         n = self.n
-        cos_th = self.t
+        # the half-grid rows (x, -x) of the main grid, one after the other
+        cos_th = np.concatenate((self.x, -self.x))
         # rho = tan(theta/2) measured from the pole that maps to x = 0
         theta = np.arccos(np.clip(cos_th, -1.0, 1.0))
         rho = np.tan(0.5 * theta)
@@ -545,7 +538,7 @@ class SphereSolver:
         theta_new = 2.0 * np.arctan(rho_new)
         weight = (t * (1.0 + rho**2) / (1.0 + (t * rho) ** 2)) ** ((n + 4.0) / 2.0)
         vals = self.synthesize_at(f, np.cos(theta_new)) * weight
-        return self.analyze(vals)
+        return ZonalField(n, self.L, self.analyze_half(vals.reshape(2, -1)))
 
     def pulled_constant(self, t: float) -> tuple[float, float]:
         """The dual functional and the L^{2n/(n+4)} norm of the constant 1
@@ -554,8 +547,7 @@ class SphereSolver:
         then names t."""
         pulled = self.mobius_pullback(self.constant_field(1.0), t)
         try:
-            norm = self.lp_norm(pulled, 2.0 * self.n / (self.n + 4))
-            return self._ratio(self._theta4_num(pulled.coeffs), norm), norm
+            return self.theta4_and_norm(pulled)
         except ValueError as e:
             raise ValueError(f"the constant pulled back by the dilation t={t:g} "
                              f"(weight down to t^-(n+4)/2): {e}") from None
@@ -565,9 +557,7 @@ def mobius_drifts(solver: SphereSolver) -> list[dict]:
     """One row per dilation t in MOBIUS_T: the relative drift of the dual
     functional and of the L^{2n/(n+4)} norm of the constant 1 pulled back
     by t, against the constant's own values."""
-    const = solver.constant_field(1.0)
-    theta4_const = solver.theta4_functional(const)
-    const_norm = solver.lp_norm(const, 2 * solver.n / (solver.n + 4))
+    theta4_const, const_norm = solver.theta4_and_norm(solver.constant_field(1.0))
     rows = []
     for t in MOBIUS_T:
         value, norm = solver.pulled_constant(t)

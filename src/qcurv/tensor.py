@@ -29,10 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (HarmonicBlock, HomogPoly, _absmax, exact_ints, laplacian, monomial_table,
-                      split_identities)
+from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, exact_ints, laplacian,
+                      monomial_table, split_identities)
 
-_INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
 # largest dimension the CLI builds a Weyl tensor in: an n^4 int64 array is

@@ -455,6 +455,64 @@ def test_no_library_module_imports_scipy():
     assert not any(d.startswith("scipy") for d in pyproject["project"]["dependencies"])
 
 
+def test_no_library_code_only_the_tests_use():
+    # every function and class in src/qcurv, bar dunders, the CLI's
+    # subcommands and overrides of a base class's method, is named outside
+    # its own definition in the library, the benchmark or a demo.  Comments
+    # and docstrings do not count; other strings do, since they hold the
+    # names that hasattr and getattr read.
+    import ast
+    import importlib
+    import io
+    import pathlib
+    import re
+    import tokenize
+    from collections import defaultdict
+
+    import qcurv
+
+    src = pathlib.Path(qcurv.__file__).parent
+    root = src.parent.parent
+    files = [*sorted(src.glob("*.py")), *sorted((root / "bench").glob("*.py")),
+             *sorted((root / "demos").glob("*.py"))]
+    assert len(files) >= 20
+    defs, uses = [], defaultdict(list)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in files:
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        docstrings, exempt = set(), set()
+        if path.parent == src:
+            module = importlib.import_module(f"qcurv.{path.stem}")
+            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+                bases = getattr(module, cls.name).__mro__[1:]
+                exempt.update(f.lineno for f in cls.body if isinstance(f, ast.FunctionDef)
+                              and any(hasattr(b, f.name) for b in bases))
+        for node in ast.walk(tree):
+            if not isinstance(node, scopes):
+                continue
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.add((first.lineno, first.col_offset))
+            if path.parent != src or isinstance(node, ast.Module) or node.lineno in exempt:
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            command = any(ast.unparse(d).startswith("main.command(") for d in node.decorator_list)
+            if not (dunder or command):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                uses[tok.string].append((path, tok.start[0]))
+            elif tok.type == tokenize.STRING and tok.start not in docstrings:
+                for word in re.findall(r"[A-Za-z_]\w*", tok.string):
+                    uses[word].append((path, tok.start[0]))
+    assert len(defs) >= 100
+    unused = sorted(f"{path.name}:{line}: {name}" for name, path, line, end in defs
+                    if all(p == path and line <= at <= end for p, at in uses[name]))
+    assert unused == []
+
+
 def test_parametrix_jet_file_past_int64_bound_usage_error(runner, tmp_path):
     # n = 18 with entries near 1e7: |W|^2 would overflow int64
     W = np.full((18,) * 4, "10000000/1", dtype=object)
@@ -518,11 +576,17 @@ def test_asymptotics_without_weyl_tensor_usage_error(runner, n):
     ["parametrix", "--n", "9"],
     ["asymptotics", "--case", "high", "--n", "10"],
     ["verify", "weyl", "--n", "5", "--trials", "1"],
+    # runs that never read the seed refuse it too
+    ["parametrix", "--n", "8", "--flat"],
+    ["asymptotics", "--case", "flat", "--n", "5"],
+    ["verify", "constants"],
+    ["verify", "bubbles", "--n", "5"],
+    ["verify", "spectral", "--n", "5"],
 ])
 def test_negative_seed_usage_error(runner, argv):
     res = runner.invoke(main, [*argv, "--seed", "-1"])
     assert res.exit_code == 2, repr(res.exception)
-    assert "non-negative" in res.output
+    assert "'--seed'" in res.output and "x>=0" in res.output
 
 
 def _probe(*args, **kwargs):
@@ -995,7 +1059,7 @@ def test_large_n_refused_before_any_transform(runner, monkeypatch, argv, shape):
     def no_transform(*a, **k):
         raise AssertionError("a refused shape reached a transform")
 
-    for name in ("synthesize", "analyze", "synthesize_at", "synthesize_half", "analyze_half"):
+    for name in ("synthesize_at", "synthesize_half", "analyze_half"):
         monkeypatch.setattr(spectral.SphereSolver, name, no_transform)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
