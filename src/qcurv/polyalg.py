@@ -8,7 +8,7 @@ and the two-parameter family of radial operators
 
 acting on polynomial expansions that may carry an r^rho prefactor and
 integer powers of log r.  The composite A_{2-n} A_{4-n} is diagonal on
-harmonic blocks; ``solve_aa`` inverts it block by block, escalating to
+harmonic blocks; ``solve_AA`` inverts it block by block, escalating to
 log r terms on kernel blocks.
 
 A polynomial of degree m in n variables is stored densely: one integer

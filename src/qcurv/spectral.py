@@ -13,27 +13,29 @@ fourth-order Sobolev quotient, its dual, the second-order (conformal
 Laplacian) analogues, the fixed-point iteration for the dual extremal
 problem, and conformal dilations all run on top of the same transform pair.
 
-Fractional powers of fields are evaluated on a grid ``OVERSAMPLE`` times
-finer and projected back to degree L.
+A solver keeps one Gauss-Jacobi rule, ``OVERSAMPLE`` times finer than the
+2L+2 nodes that integrate a product of two degree-L fields exactly, so
+fractional powers of fields are evaluated on it and projected back to
+degree L.  The basis norms, the Gram defect, both transforms and the
+pullback all use this rule.
 
-Every grid is a Gauss-Jacobi rule with an even number of nodes, computed
-here in numpy and kept as its t > 0 half: the other nodes are the exact
-mirror images.  The recurrence gives C_l(-t) = (-1)^l C_l(t) bit for bit,
-so each basis is stored on t > 0 only, split by the parity of l: a
-synthesis is one half-size product per parity, whose sum and difference
-are the values at t and -t, and an analysis pairs the values at t and -t
-before its two products.  An even field runs only the even product: a
-synthesis whose odd coefficients are all zero, and an analysis of values
-that agree at t and -t, skip the odd one, whose output would be +0.0, and
-give the bits of both products.  Grid values travel as half-grid rows, the
-values at the nodes of t > 0 and at their mirror images; an even field has
-one row, which is both, so each pointwise operation runs once, on t > 0.
-Only a norm mirrors its powered values, for one dot with the full
-weights.  One recurrence over the two half grids builds both bases.  A
+The rule has an even number of nodes, is computed here in numpy and is
+kept as its t > 0 half: the other nodes are the exact mirror images.  The
+recurrence gives C_l(-t) = (-1)^l C_l(t) bit for bit, so the basis is
+stored on t > 0 only, split by the parity of l: a synthesis is one
+half-size product per parity, whose sum and difference are the values at
+t and -t, and an analysis pairs the values at t and -t before its two
+products.  An even field runs only the even product: a synthesis whose
+odd coefficients are all zero, and an analysis of values that agree at t
+and -t, skip the odd one, whose output would be +0.0, and give the bits of
+both products.  Grid values travel as half-grid rows, the values at the
+nodes of t > 0 and at their mirror images; an even field has one row,
+which is both, so each pointwise operation runs once, on t > 0.  Only a
+norm mirrors its powered values, for one dot with the full weights.  A
 field at other points (a pullback) takes the recurrence only up to its
 highest nonzero degree.  A rule depends only on its node count and the
 dimension, so each is computed once per process and shared, read-only, by
-every solver that needs it; the bases are built per solver and not kept.
+every solver that needs it; the basis is built per solver and not kept.
 The degree is capped at ``MAX_L``.
 """
 
@@ -50,15 +52,16 @@ from .sphereforms import omega_n, sphere_area
 
 MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
 
-# Largest truncation degree.  At L = 2048 the two half-grid bases hold
-# 2049 x (2049 + 6147) floats (about 134 MB, half of the full-grid bases).
-# One recurrence fills the rows of both grids before they are folded, so a
-# first build there peaks near 290 MB RSS and takes 1.6-2.0 s: 1.2-1.3 s for
-# the 12294-node rule and about 0.2 s for the bases (Python 3.11, numpy 2.4,
-# one BLAS thread).  The cost grows as L^2.
+# Largest truncation degree.  At L = 2048 the half-grid basis holds
+# 2049 x 6147 floats (about 100 MB, half of the full-grid basis).  The
+# recurrence fills its rows before they are folded, so a first build there
+# peaks near 225 MB RSS and takes 1.3-1.8 s, most of it for the 12294-node
+# rule (Python 3.11, numpy 2.4, one BLAS thread).  The cost grows as L^2.
 MAX_L = 2048
 
-OVERSAMPLE = 3  # node ratio of the nonlinearity grid to the main grid
+# The rule has OVERSAMPLE (2L + 2) nodes: 2L + 2 integrate a product of two
+# degree-L fields exactly, and the finer grid resolves their fractional powers.
+OVERSAMPLE = 3
 
 # Newton passes on the rule's nodes before the certificate decides
 _NEWTON_PASSES = 30
@@ -274,8 +277,8 @@ def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 class SphereSolver:
     """Transform pair, quadratures, and functionals for zonal fields on S^n.
 
-    The main grid has 2L+2 nodes and the nonlinearity grid ``OVERSAMPLE``
-    times as many; ``x`` and ``x_over`` are their nodes of t > 0, and
+    The solver's one rule has ``OVERSAMPLE`` (2L + 2) nodes; ``x`` and ``w``
+    are its nodes of t > 0 and their weights, scaled to the sphere, and
     transforms take and return half-grid rows on them (see
     ``synthesize_half``)."""
 
@@ -286,7 +289,6 @@ class SphereSolver:
             raise ValueError(f"truncation degree L={L} exceeds {MAX_L}")
         self.n = n
         self.L = L
-        self.M = 2 * L + 2
         self.spectrum = PaneitzSpectrum(n, L)
         self.p_dual = 2.0 * n / (n + 4)  # the exponent of the dual functional's norm
         self.area = sphere_area(n)
@@ -294,27 +296,21 @@ class SphereSolver:
             raise ValueError(f"area of S^{n} {self.area!r} is below the normal floats "
                              f"at n={n}, L={L}")
 
-        a = 0.5 * (n - 2)
-        area_factor = n * omega_n(n)  # area of the S^{n-1} slice factor
         try:
-            self.x, wj = _gauss_jacobi(self.M, a)
-            self.x_over, wj2 = _gauss_jacobi(OVERSAMPLE * self.M, a)
+            self.x, wj = _gauss_jacobi(OVERSAMPLE * (2 * L + 2), 0.5 * (n - 2))
         except ValueError as e:
             raise ValueError(f"{e} at n={n}, L={L}") from None
-        w, w_over = area_factor * wj, area_factor * wj2
-        # The one mirrored array: ``_norm`` dots with the weights of the
-        # whole oversampled grid, ascending in t.  Their length and order fix
-        # that dot's summation order, and so the bits of every spectral report.
-        self._w_norm = np.concatenate((w_over[::-1], w_over))
+        self.w = n * omega_n(n) * wj  # n omega_n: area of the S^{n-1} slice factor
+        # The one mirrored array: ``_norm`` sums over the whole grid, ascending
+        # in t, in one dot, the order of an iteration on full-grid values, so
+        # the half-grid iteration gives that loop's bits (the tests hold it to
+        # one); a sum over the folded halves would add in another order.
+        self._w_norm = np.concatenate((self.w[::-1], self.w))
 
-        # one recurrence over both half grids; the norms come from the
-        # solver's own main-grid quadrature
-        K = self.x.size
-        rows = self._gegenbauer_rows(np.concatenate((self.x, self.x_over)))
-        main, over = rows[:, :K], rows[:, K:]
-        self._norms = np.sqrt(2.0 * np.sum(w * main * main, axis=1))
-        self._main = self._fold(main, w)
-        self._over = self._fold(over, w_over)
+        rows = self._gegenbauer_rows(self.x)
+        self._norms = np.sqrt(2.0 * np.sum(self.w * rows * rows, axis=1))
+        self._even = rows[0::2] / self._norms[0::2, None]
+        self._odd = rows[1::2] / self._norms[1::2, None]
 
     # -- basis ----------------------------------------------------------
 
@@ -332,47 +328,40 @@ class SphereSolver:
             ) / (l + 1.0)
         return rows
 
-    def _fold(self, rows: np.ndarray, w_half: np.ndarray) -> tuple:
-        """(even-degree basis, odd-degree basis, weights) on t > 0."""
-        return rows[0::2] / self._norms[0::2, None], rows[1::2] / self._norms[1::2, None], w_half
-
     def gram_defect(self) -> float:
-        """Largest entry of |G - I| for the main-grid Gram matrix G.  Only its
-        even and odd blocks are formed: the cross entries vanish exactly,
-        since on the mirrored grid each is a sum of pairs w(t) Z_even(t)
-        Z_odd(t) + w(t) Z_even(t) (-Z_odd(t))."""
-        even, odd, w = self._main
-        return max(float(np.max(np.abs(2.0 * (B * w) @ B.T - np.eye(len(B)))))
-                   for B in (even, odd) if len(B))
+        """Largest entry of |G - I| for the Gram matrix G of the basis under
+        the solver's rule.  Only its even and odd blocks are formed: the
+        cross entries vanish exactly, since on the mirrored grid each is a
+        sum of pairs w(t) Z_even(t) Z_odd(t) + w(t) Z_even(t) (-Z_odd(t))."""
+        return max(float(np.max(np.abs(2.0 * (B * self.w) @ B.T - np.eye(len(B)))))
+                   for B in (self._even, self._odd) if len(B))
 
     # -- transforms -------------------------------------------------------
 
-    def synthesize_half(self, coeffs: np.ndarray, oversampled: bool = False) -> np.ndarray:
+    def synthesize_half(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with these coefficients as half-grid rows:
         row 0 holds the values at the nodes of t > 0 and the last row those
         at their mirror images, in the same node order.  An even field (odd
         coefficients all zero) has one row, which is both: its odd product
         would be +0.0."""
-        even, odd, _ = self._over if oversampled else self._main
-        e = np.dot(coeffs[0::2], even)
+        e = np.dot(coeffs[0::2], self._even)
         c_odd = coeffs[1::2]
         if not c_odd.any():
             return e[None]
-        o = np.dot(c_odd, odd)
+        o = np.dot(c_odd, self._odd)
         return np.array((e + o, e - o))
 
-    def analyze_half(self, vals: np.ndarray, oversampled: bool = False) -> np.ndarray:
+    def analyze_half(self, vals: np.ndarray) -> np.ndarray:
         """Coefficients of half-grid rows as from ``synthesize_half``.  One
         row, or two that agree, has odd coefficients +0.0, and the odd
         product is skipped."""
-        even, odd, w = self._over if oversampled else self._main
         up, down = vals[0], vals[-1]
         coeffs = np.zeros(self.L + 1)
-        coeffs[0::2] = np.dot(even, w * (up + down))
+        coeffs[0::2] = np.dot(self._even, self.w * (up + down))
         if len(vals) == 2:
             diff = up - down
             if diff.any():
-                coeffs[1::2] = np.dot(odd, w * diff)
+                coeffs[1::2] = np.dot(self._odd, self.w * diff)
         return coeffs
 
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
@@ -410,11 +399,11 @@ class SphereSolver:
         )
 
     def _norm(self, vals: np.ndarray, p: float) -> float:
-        """The L^p norm of oversampled half-grid rows, with the largest
-        |value| scaled out so no power overflows.  Only the powered values
-        are mirrored to the full grid, for one dot with its weights.  Callers
-        divide by the norm or its square, so a norm whose square underflows
-        to 0 or is not finite is refused."""
+        """The L^p norm of half-grid rows, with the largest |value| scaled
+        out so no power overflows.  Only the powered values are mirrored to
+        the full grid, for one dot with its weights.  Callers divide by the
+        norm or its square, so a norm whose square underflows to 0 or is not
+        finite is refused."""
         mags = np.abs(vals)
         top = float(mags.max())
         norm = top
@@ -428,11 +417,11 @@ class SphereSolver:
         return norm
 
     def lp_norm(self, field: ZonalField, p: float) -> float:
-        """The L^p norm by oversampled quadrature, refused as in ``_norm``; a
+        """The L^p norm by the solver's quadrature, refused as in ``_norm``; a
         zero field is refused by name."""
         if not np.any(field.coeffs):
             raise ValueError(f"zero field at n={self.n}, L={self.L}")
-        return self._norm(self.synthesize_half(field.coeffs, oversampled=True), p)
+        return self._norm(self.synthesize_half(field.coeffs), p)
 
     def _ratio(self, num: float, norm: float) -> float:
         """num / norm^2.  Each functional is positive on a nonzero field, so a
@@ -472,12 +461,12 @@ class SphereSolver:
 
         Each step sends f to the normalized positive part of (G_P f)
         raised to the critical power (n+4)/(n-4), evaluated on the
-        oversampled grid and projected back to degree L, then blends with
+        solver's grid and projected back to degree L, then blends with
         the previous iterate by ``damping``.  The trajectory of
         (field, dual-functional value) is returned; no monotonicity is
         claimed.
 
-        The iterate's oversampled values are carried through the blend as
+        The iterate's grid values are carried through the blend as
         half-grid rows (see ``synthesize_half``), so a step synthesizes only
         G_P f and the update; each norm and dual value is read from the
         carried values, the value of f/||f|| being that of f.
@@ -497,15 +486,15 @@ class SphereSolver:
         expo = (self.n + 4.0) / (self.n - 4.0)
 
         coeffs = f0.coeffs
-        vals = self.synthesize_half(coeffs, oversampled=True)
+        vals = self.synthesize_half(coeffs)
         out = []
         for step in range(steps + 1):
             if step:
-                g_vals = self.synthesize_half(self.apply_GP(f).coeffs, oversampled=True)
+                g_vals = self.synthesize_half(self.apply_GP(f).coeffs)
                 if not g_vals.max() > 0:
                     raise ValueError("iterate collapsed: G_P f has no positive part")
-                update = self.analyze_half(np.maximum(g_vals, 0.0) ** expo, oversampled=True)
-                u_vals = self.synthesize_half(update, oversampled=True)
+                update = self.analyze_half(np.maximum(g_vals, 0.0) ** expo)
+                u_vals = self.synthesize_half(update)
                 u_norm = self._norm(u_vals, self.p_dual)
                 coeffs = (1.0 - damping) * f.coeffs + damping * (update / u_norm)
                 vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
@@ -529,15 +518,15 @@ class SphereSolver:
         if t <= 0:
             raise ValueError("dilation parameter must be positive")
         n = self.n
-        # the half-grid rows (x, -x) of the main grid, one after the other
-        cos_th = np.concatenate((self.x, -self.x))
-        # rho = tan(theta/2) measured from the pole that maps to x = 0
-        theta = np.arccos(np.clip(cos_th, -1.0, 1.0))
-        rho = np.tan(0.5 * theta)
-        rho_new = t * rho
-        theta_new = 2.0 * np.arctan(rho_new)
-        weight = (t * (1.0 + rho**2) / (1.0 + (t * rho) ** 2)) ** ((n + 4.0) / 2.0)
-        vals = self.synthesize_at(f, np.cos(theta_new)) * weight
+        # the half-grid rows (x, -x).  With rho = tan(theta/2) from the pole
+        # that maps to x = 0, rho^2 = (1 - x)/(1 + x), and rho -> t rho sends
+        # x = cos theta to (1 - t^2 rho^2)/(1 + t^2 rho^2) = 2(1 + x)/d - 1,
+        # d = (1 + x) + t^2 (1 - x), with conformal factor
+        # t (1 + rho^2)/(1 + t^2 rho^2) = 2t/d
+        x = np.concatenate((self.x, -self.x))
+        d = (1.0 + x) + t * t * (1.0 - x)
+        weight = (2.0 * t / d) ** ((n + 4.0) / 2.0)
+        vals = self.synthesize_at(f, 2.0 * (1.0 + x) / d - 1.0) * weight
         return ZonalField(n, self.L, self.analyze_half(vals.reshape(2, -1)))
 
     def pulled_constant(self, t: float) -> tuple[float, float]:

@@ -118,7 +118,7 @@ def test_dump_report_refuses_nested_non_finite(bad):
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "69dced6b61a7a546961def7eeaf22407f280816b4168883e989e072feeb0f9f4"),
+     "1ff51980c7842b52e6eabf26dd5fbc525a6b1795fc2febc896bdaaae6b4b61e6"),
     (["parametrix", "--n", "6", "--seed", "1"],
      "33484f312862cd42c645dde20a19f50d393ffca5b007a3617bfe155fa6dfeefd"),
     (["parametrix", "--n", "8", "--seed", "1"],
@@ -130,15 +130,15 @@ PINNED = [
     (["constants", "--format", "json"],
      "ef727f532e766a3421d71b0c41fb34ee33e7557de938e68db2f3220c7d6197e7"),
     (["spectral"],
-     "9762f7e343fbe6a3476d38eca8622652f18e2fdd1db0d8f4e7532ad0f0f3471f"),
+     "98634b50bb678ba6b0982861693655b0730cd3287e02478de7d5b271320b021c"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
-     "cb1e72e6492782b1cc070325e51ed6e4d47ce131e4f9e1ca799b61d7d4c23c91"),
+     "374fba46c2b0a841a8dc391740f2728a623fed6a595327587dd41795d269b2a3"),
     # an odd L, an undamped step, and integer critical exponents 3 and 5
     (["spectral", "--n", "8", "--L", "41", "--init", "perturbed", "--damping", "1.0"],
-     "45ad44d78389f107bcf99346f7588b663224dcb3ffa4db6049954d7bcdc0df4b"),
+     "f10a3cbaa8fdcfb9edaa221a15ae895602a5998838c7e395004ed62ab3629347"),
     (["spectral", "--n", "6", "--L", "41", "--init", "perturbed", "--damping", "1.0",
       "--iters", "30"],
-     "c2061f935a95eea0fa399abcd249b7505d3c8490a4024dbe2e30806a22086990"),
+     "09e72d06f19678b8a2216a44af80cbf17df09ceb940b70a827e7d136e65d1957"),
     (["asymptotics", "--case", "flat", "--n", "5"],
      "29f37fed55cc4fa60778b111fac11b97d29a3ff326fab911e7e4ea64596fad83"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
@@ -160,7 +160,7 @@ PINNED = [
     (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
      "35c3728cd1d93b44a11fb32abaadc3f14e246dceeae5eb3e5a78d300f67daddf"),
     (["verify", "spectral"],
-     "1910867a71e5440cf387bb7dfb78cc03e3c8dca5900da12380c6c80a4993dfc1"),
+     "edd8db79ec1dd335784172d9877c348d60f1dfc5c66c42709078b2bcb18a2bca"),
 ]
 
 # reports pinned under one BLAS thread.  A large-L spectral report: from
@@ -172,9 +172,9 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
               ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "2379a4eccbd2b9333c303d7ab69013abe097c59a53a2e6f5127f97b913bae258"),
+     "2cd333da432cf635faf6cb33e83702ba765fd3475ff14eca24f9bd69744ed5ca"),
     (["spectral", "--n", "5", "--L", "256", "--iters", "50", "--init", "perturbed"],
-     "7d8caddac19d2f9cf5ca8f9845b7cc05adc2719750f9650d6dc08ca630edb9a2"),
+     "04d7c0ed4ccfece03aeda5569179cddedc5f057473359cb04a8d43bd7bde8f8a"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -27,11 +27,10 @@ def apply_P(solver: SphereSolver, u: ZonalField) -> ZonalField:
     return ZonalField(solver.n, solver.L, solver.spectrum.mu_f * u.coeffs)
 
 
-def full_rule(solver: SphereSolver, oversampled: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def full_rule(solver: SphereSolver) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the whole grid, ascending in t, mirrored from the
     solver's t > 0 half."""
-    x = solver.x_over if oversampled else solver.x
-    w = (solver._over if oversampled else solver._main)[2]
+    x, w = solver.x, solver.w
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
@@ -47,17 +46,17 @@ def half_rows(values: np.ndarray) -> np.ndarray:
 
 
 def quadrature_energy(solver: SphereSolver, u: ZonalField) -> float:
-    """Pointwise quadrature of P u * u on the main grid (Parseval check)."""
+    """Pointwise quadrature of P u * u on the solver's grid (Parseval check)."""
     pu = mirrored(solver.synthesize_half(apply_P(solver, u).coeffs))
     uu = mirrored(solver.synthesize_half(u.coeffs))
     return float(np.sum(full_rule(solver)[1] * pu * uu))
 
 
 def y4plus_functional(solver: SphereSolver, u: ZonalField) -> float:
-    """The Sobolev quotient, defined for fields positive on the oversampled grid."""
-    vals = solver.synthesize_half(u.coeffs, oversampled=True)
+    """The Sobolev quotient, defined for fields positive on the solver's grid."""
+    vals = solver.synthesize_half(u.coeffs)
     if np.min(vals) <= 0:
-        raise ValueError("field is not positive on the oversampled grid")
+        raise ValueError("field is not positive on the solver's grid")
     return solver.y4_functional(u)
 
 
@@ -116,10 +115,9 @@ def s7():
 
 
 def test_quadrature_mass(s5):
-    for over in (False, True):
-        assert abs(full_rule(s5, over)[1].sum() - sphere_area(5)) <= 1e-12 * sphere_area(5)
-    # the norm's weights are the mirrored oversampled ones, ascending in t
-    assert s5._w_norm.tobytes() == full_rule(s5, True)[1].tobytes()
+    assert abs(full_rule(s5)[1].sum() - sphere_area(5)) <= 1e-12 * sphere_area(5)
+    # the norm's weights are the rule's, mirrored and ascending in t
+    assert s5._w_norm.tobytes() == full_rule(s5)[1].tobytes()
 
 
 def test_orthonormality(s5, s7):
@@ -136,14 +134,22 @@ def test_solver_validation():
 
 def test_solvers_of_one_shape_share_read_only_rules(s5):
     other = SphereSolver(5, s5.L)
-    assert other.x is s5.x and other.x_over is s5.x_over
-    assert not s5.x.flags.writeable and not s5.x_over.flags.writeable
+    assert other.x is s5.x and not s5.x.flags.writeable
     # the weights are scaled per solver, from the same read-only rule
-    for name in ("_main", "_over"):
-        w = getattr(s5, name)[2]
-        assert w.flags.writeable and np.array_equal(getattr(other, name)[2], w)
+    assert s5.w.flags.writeable and np.array_equal(other.w, s5.w)
     with pytest.raises(ValueError):
         s5.x[0] = 0.0
+
+
+def test_a_solver_builds_one_rule(monkeypatch):
+    asked = []
+    rule = spectral._gauss_jacobi
+    monkeypatch.setattr(spectral, "_gauss_jacobi", lambda M, a: asked.append(M) or rule(M, a))
+    for L in (2, 41, 64):
+        asked.clear()
+        s = SphereSolver(7, L)
+        assert asked == [spectral.OVERSAMPLE * (2 * L + 2)]
+        assert s.x.size == s.w.size == asked[0] // 2
 
 
 @pytest.mark.parametrize("M", [6, 18, 130, 390, 514, 1542])
@@ -208,59 +214,64 @@ def test_uncertifiable_rule_names_the_shape():
 
 # ----------------------------------------------------------- transforms
 
-
-@pytest.mark.parametrize("oversampled", [False, True])
-def test_folded_transforms_match_full_basis(s7, oversampled):
-    # the unfolded pair, one product with the (L+1) x M basis, is the reference
-    t, w = full_rule(s7, oversampled)
-    B = s7._gegenbauer_rows(t) / s7._norms[:, None]
-    rng = np.random.Generator(np.random.Philox(7))
-    f = ZonalField(7, s7.L, rng.standard_normal(s7.L + 1))
-    vals = mirrored(s7.synthesize_half(f.coeffs, oversampled))
-    assert np.max(np.abs(vals - B.T @ f.coeffs)) <= 1e-13 * np.max(np.abs(vals))
-    v = rng.standard_normal(t.size)
-    back = s7.analyze_half(half_rows(v), oversampled)
-    assert np.max(np.abs(back - B @ (w * v))) <= 1e-13 * np.max(np.abs(back))
-
-
-def test_synthesis_mirror_is_exact(s7):
-    rng = np.random.Generator(np.random.Philox(8))
-    c = rng.standard_normal(s7.L + 1)
-    flipped = c * (-1.0) ** np.arange(s7.L + 1)
-    for over in (False, True):
-        rows = s7.synthesize_half(c, over)
-        assert np.array_equal(rows[::-1], s7.synthesize_half(flipped, over))
+# The half-grid algebra holds on any rule: with ``oversampled`` False a check
+# runs on the plain rule of 2L + 2 nodes (``OVERSAMPLE`` 1), whose half has
+# L + 1 nodes, and with True on the solver's own rule, 3(L + 1) per half.
 
 
 @functools.cache
-def solver(n: int, L: int) -> SphereSolver:
-    return SphereSolver(n, L)
+def solver(n: int, L: int, oversampled: bool = True) -> SphereSolver:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "OVERSAMPLE", spectral.OVERSAMPLE if oversampled else 1)
+        return SphereSolver(n, L)
 
 
-def two_product_synthesis(s: SphereSolver, coeffs: np.ndarray, oversampled: bool) -> np.ndarray:
+@pytest.mark.parametrize("oversampled", [False, True])
+def test_folded_transforms_match_full_basis(oversampled):
+    # the unfolded pair, one product with the (L+1) x M basis, is the reference
+    s = solver(7, 24, oversampled)
+    t, w = full_rule(s)
+    B = s._gegenbauer_rows(t) / s._norms[:, None]
+    rng = np.random.Generator(np.random.Philox(7))
+    f = ZonalField(7, s.L, rng.standard_normal(s.L + 1))
+    vals = mirrored(s.synthesize_half(f.coeffs))
+    assert np.max(np.abs(vals - B.T @ f.coeffs)) <= 1e-13 * np.max(np.abs(vals))
+    v = rng.standard_normal(t.size)
+    back = s.analyze_half(half_rows(v))
+    assert np.max(np.abs(back - B @ (w * v))) <= 1e-13 * np.max(np.abs(back))
+
+
+def test_synthesis_mirror_is_exact():
+    rng = np.random.Generator(np.random.Philox(8))
+    c = rng.standard_normal(25)
+    flipped = c * (-1.0) ** np.arange(25)
+    for over in (False, True):
+        s = solver(7, 24, over)
+        assert np.array_equal(s.synthesize_half(c)[::-1], s.synthesize_half(flipped))
+
+
+def two_product_synthesis(s: SphereSolver, coeffs: np.ndarray) -> np.ndarray:
     """Both parity products, whatever the coefficients, as the two half-grid
     rows: the reference that skipping the odd one must match bit for bit."""
-    even, odd, _ = s._over if oversampled else s._main
-    e = np.dot(coeffs[0::2], even)
-    o = np.dot(coeffs[1::2], odd)
+    e = np.dot(coeffs[0::2], s._even)
+    o = np.dot(coeffs[1::2], s._odd)
     return np.array((e + o, e - o))
 
 
-def synthesis_matches_two_products(s: SphereSolver, coeffs: np.ndarray, oversampled: bool) -> bool:
+def synthesis_matches_two_products(s: SphereSolver, coeffs: np.ndarray) -> bool:
     """The rows of ``synthesize_half`` carry the bits of both products.  One
     row is both: it is e - o, and e + o once a -0.0 at t > 0 turns +0.0."""
-    rows = s.synthesize_half(coeffs, oversampled)
+    rows = s.synthesize_half(coeffs)
     if len(rows) == 1:
         rows = np.array((rows[0] + 0.0, rows[0]))
-    return rows.tobytes() == two_product_synthesis(s, coeffs, oversampled).tobytes()
+    return rows.tobytes() == two_product_synthesis(s, coeffs).tobytes()
 
 
-def two_product_analysis(s: SphereSolver, rows: np.ndarray, oversampled: bool) -> np.ndarray:
-    even, odd, w = s._over if oversampled else s._main
+def two_product_analysis(s: SphereSolver, rows: np.ndarray) -> np.ndarray:
     up, down = rows[0], rows[-1]
     coeffs = np.empty(s.L + 1)
-    coeffs[0::2] = np.dot(even, w * (up + down))
-    coeffs[1::2] = np.dot(odd, w * (up - down))
+    coeffs[0::2] = np.dot(s._even, s.w * (up + down))
+    coeffs[1::2] = np.dot(s._odd, s.w * (up - down))
     return coeffs
 
 
@@ -274,33 +285,33 @@ PARITY_SHAPES = [(n, L) for n in range(5, 10) for L in (3, 64, 256)]
 @pytest.mark.parametrize("oversampled", [False, True])
 @pytest.mark.parametrize("n,L", PARITY_SHAPES)
 def test_even_transforms_match_two_products(n, L, oversampled):
-    s = solver(n, L)
+    s = solver(n, L, oversampled)
     rng = np.random.Generator(np.random.Philox(n * 1000 + L))
     c = rng.standard_normal(L + 1)
     c[1::2] = 0.0
-    assert synthesis_matches_two_products(s, c, oversampled)
-    rows = s.synthesize_half(c, oversampled)
+    assert synthesis_matches_two_products(s, c)
+    rows = s.synthesize_half(c)
     assert len(rows) == 1  # one row serves t and -t
     half = rng.standard_normal(rows.shape[1])
     for even_rows in (rows, np.array((half, half))):
-        back = s.analyze_half(even_rows, oversampled)
-        assert back.tobytes() == two_product_analysis(s, even_rows, oversampled).tobytes()
+        back = s.analyze_half(even_rows)
+        assert back.tobytes() == two_product_analysis(s, even_rows).tobytes()
         assert odd_coeffs_positive_zero(back)
 
 
 @pytest.mark.parametrize("oversampled", [False, True])
 @pytest.mark.parametrize("n,L", PARITY_SHAPES)
 def test_asymmetric_transforms_keep_odd_coefficients(n, L, oversampled):
-    s = solver(n, L)
+    s = solver(n, L, oversampled)
     rng = np.random.Generator(np.random.Philox(n * 1000 + L + 1))
     c = rng.standard_normal(L + 1)
-    assert synthesis_matches_two_products(s, c, oversampled)
-    rows = s.synthesize_half(c, oversampled)
+    assert synthesis_matches_two_products(s, c)
+    rows = s.synthesize_half(c)
     assert len(rows) == 2
     v = rng.standard_normal(rows.shape)
     for values in (rows, v):
-        back = s.analyze_half(values, oversampled)
-        assert back.tobytes() == two_product_analysis(s, values, oversampled).tobytes()
+        back = s.analyze_half(values)
+        assert back.tobytes() == two_product_analysis(s, values).tobytes()
         assert np.all(back[1::2] != 0.0)
 
 
@@ -308,7 +319,6 @@ def test_asymmetric_transforms_keep_odd_coefficients(n, L, oversampled):
 def test_signed_zeros_match_two_products(L):
     # an odd coefficient -0.0, an even one -0.0, and mirrored values that
     # differ only in the sign of a zero all give the two-product bits
-    s = solver(6, L)
     rng = np.random.Generator(np.random.Philox(L))
     even = rng.standard_normal(L + 1)
     even[1::2] = 0.0
@@ -317,30 +327,31 @@ def test_signed_zeros_match_two_products(L):
     neg_zero = np.zeros(L + 1)
     neg_zero[0::2] = -0.0
     for over in (False, True):
+        s = solver(6, L, over)
         for c in (even, neg_odd, neg_zero, np.zeros(L + 1), np.full(L + 1, -0.0)):
-            assert synthesis_matches_two_products(s, c, over)
-        K = s.synthesize_half(even, over).shape[1]
+            assert synthesis_matches_two_products(s, c)
+        K = s.x.size
         zeros = np.array((np.zeros(K), np.full(K, -0.0)))  # +0.0 at t > 0, -0.0 at -t
-        back = s.analyze_half(zeros, over)
-        assert back.tobytes() == two_product_analysis(s, zeros, over).tobytes()
+        back = s.analyze_half(zeros)
+        assert back.tobytes() == two_product_analysis(s, zeros).tobytes()
 
 
 def test_even_fields_never_read_the_odd_basis():
     s = SphereSolver(7, 64)
-    for name in ("_main", "_over"):
-        even, odd, w = getattr(s, name)
-        setattr(s, name, (even, np.full_like(odd, np.nan), w))
+    s._odd = np.full_like(s._odd, np.nan)
     traj = s.extremal_iteration(s.constant_field(1.0), 5)
     assert all(np.all(np.isfinite(f.coeffs)) and odd_coeffs_positive_zero(f.coeffs)
                for f, _ in traj)
 
 
 def test_one_recurrence_builds_both_bases():
+    # the even and odd bases are the rows of one recurrence on the rule's
+    # t > 0 half, normalized by the rule's own quadrature
     s = solver(7, 256)
-    for (even, odd, w), x in ((s._main, s.x), (s._over, s.x_over)):
-        rows = s._gegenbauer_rows(x)
-        assert even.tobytes() == (rows[0::2] / s._norms[0::2, None]).tobytes()
-        assert odd.tobytes() == (rows[1::2] / s._norms[1::2, None]).tobytes()
+    rows = s._gegenbauer_rows(s.x)
+    assert s._norms.tobytes() == np.sqrt(2.0 * np.sum(s.w * rows * rows, axis=1)).tobytes()
+    assert s._even.tobytes() == (rows[0::2] / s._norms[0::2, None]).tobytes()
+    assert s._odd.tobytes() == (rows[1::2] / s._norms[1::2, None]).tobytes()
 
 
 @pytest.mark.parametrize("n,L", PARITY_SHAPES)
@@ -355,12 +366,12 @@ def test_iterates_from_even_starts_stay_even(n, L):
 
 
 def full_grid_norm(s: SphereSolver, vals: np.ndarray, p: float) -> float:
-    """The L^p norm of full oversampled grid values, as ``_norm`` scales and
+    """The L^p norm of values on the whole grid, as ``_norm`` scales and
     sums it, without its refusals."""
     mags = np.abs(vals)
     top = float(mags.max())
     mags /= top
-    return top * float(np.dot(full_rule(s, True)[1], mags**p) ** (1.0 / p))
+    return top * float(np.dot(full_rule(s)[1], mags**p) ** (1.0 / p))
 
 
 def full_grid_iteration(s: SphereSolver, f0: ZonalField, steps: int, damping: float) -> list:
@@ -371,13 +382,13 @@ def full_grid_iteration(s: SphereSolver, f0: ZonalField, steps: int, damping: fl
     p_norm = 2.0 * n / (n + 4)
     expo = (n + 4.0) / (n - 4.0)
     coeffs = f0.coeffs
-    vals = mirrored(s.synthesize_half(f0.coeffs, oversampled=True))
+    vals = mirrored(s.synthesize_half(f0.coeffs))
     out = []
     for step in range(steps + 1):
         if step:
-            g_vals = mirrored(s.synthesize_half(s.apply_GP(f).coeffs, oversampled=True))
-            update = s.analyze_half(half_rows(np.maximum(g_vals, 0.0) ** expo), oversampled=True)
-            u_vals = mirrored(s.synthesize_half(update, oversampled=True))
+            g_vals = mirrored(s.synthesize_half(s.apply_GP(f).coeffs))
+            update = s.analyze_half(half_rows(np.maximum(g_vals, 0.0) ** expo))
+            u_vals = mirrored(s.synthesize_half(update))
             u_norm = full_grid_norm(s, u_vals, p_norm)
             coeffs = (1.0 - damping) * f.coeffs + damping * (update / u_norm)
             vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
@@ -433,7 +444,7 @@ def test_mode_round_trip(s5):
 def test_random_field_round_trip(s5):
     rng = np.random.Generator(np.random.Philox(42))
     f = ZonalField(5, s5.L, rng.standard_normal(s5.L + 1))
-    back = s5.analyze_half(s5.synthesize_half(f.coeffs, oversampled=True), oversampled=True)
+    back = s5.analyze_half(s5.synthesize_half(f.coeffs))
     assert np.max(np.abs(back - f.coeffs)) <= 1e-11 * np.max(np.abs(f.coeffs))
 
 
@@ -540,14 +551,14 @@ def test_lp_norm_homogeneity(s5):
 
 
 def test_lp_norm_quadrature_refinement(s5, monkeypatch):
-    # positive smooth field so |u|^p is smooth; doubling the nonlinearity
-    # grid must leave the norm unchanged to 1e-10
+    # positive smooth field so |u|^p is smooth; doubling the rule's nodes
+    # must leave the norm unchanged to 1e-10
     monkeypatch.setattr(spectral, "OVERSAMPLE", 2 * spectral.OVERSAMPLE)
     fine = SphereSolver(5, s5.L)
     rng = np.random.Generator(np.random.Philox(11))
     f = s5.constant_field(1.0)
     f.coeffs[1:8] += 0.03 * rng.standard_normal(7) * f.coeffs[0]
-    assert s5.synthesize_half(f.coeffs, oversampled=True).min() > 0
+    assert s5.synthesize_half(f.coeffs).min() > 0
     p = 10 / 9
     assert abs(s5.lp_norm(f, p) - fine.lp_norm(f, p)) <= 1e-10 * fine.lp_norm(f, p)
 
@@ -595,7 +606,7 @@ def test_y4plus_theta4_product_inequality(s5):
     for _ in range(5):
         f = s5.constant_field(1.0)
         f.coeffs[1:4] += 0.01 * rng.standard_normal(3) * f.coeffs[0]
-        vals = s5.synthesize_half(f.coeffs, oversampled=True)
+        vals = s5.synthesize_half(f.coeffs)
         assert vals.min() > 0
         prod = y4plus_functional(s5, f) * s5.theta4_functional(apply_P(s5, f))
         assert prod <= 1.0 + 1e-8
@@ -715,7 +726,7 @@ def test_carried_iteration_values_track_synthesis(monkeypatch, L, damping):
     # the loop carries it as half-grid rows: t > 0 first, mirror images last
     rows = seen[-1]
     carried = rows / norm(rows, 2.0 * 7 / 11)
-    want = s.synthesize_half(f.coeffs, oversampled=True)
+    want = s.synthesize_half(f.coeffs)
     assert carried.shape == want.shape
     assert np.max(np.abs(carried - want)) <= 1e-13 * np.max(np.abs(want))
     assert abs(value - s.theta4_functional(f)) <= 1e-13 * value
@@ -789,6 +800,43 @@ def test_pullback_builds_rows_to_the_top_degree(monkeypatch):
         want = B.T @ low
         assert np.max(np.abs(s.synthesize_at(low_field, t) - want)) <= 1e-13 * np.max(np.abs(want))
         assert [depth for _, depth in built] == [s.L + 1, 1, s.L + 1, 6]
+
+
+def trig_dilation(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The image of x = cos theta under rho -> t rho, rho = tan(theta/2), and
+    the conformal factor, through the angles: the reference for the
+    pullback's rational form."""
+    theta = np.arccos(np.clip(x, -1.0, 1.0))
+    rho = np.tan(0.5 * theta)
+    return np.cos(2.0 * np.arctan(t * rho)), t * (1.0 + rho**2) / (1.0 + (t * rho) ** 2)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 20])
+@pytest.mark.parametrize("L", [2, 41, 256])
+def test_pullback_matches_the_trig_dilation(monkeypatch, n, L):
+    s = solver(n, L)
+    seen = {}
+    at, analyze = s.synthesize_at, s.analyze_half
+
+    def points(f, t):
+        seen["points"] = t
+        return at(f, t)
+
+    def values(vals):
+        seen["values"] = vals
+        return analyze(vals)
+
+    monkeypatch.setattr(s, "synthesize_at", points)
+    monkeypatch.setattr(s, "analyze_half", values)
+    const = s.constant_field(1.0)
+    c0 = at(const, np.zeros(1))[0]
+    x = np.concatenate((s.x, -s.x))  # the order of the half-grid rows
+    for t in (0.7, 1.5, 2.0, 4.0):
+        s.mobius_pullback(const, t)
+        cos_new, factor = trig_dilation(x, t)
+        assert np.max(np.abs(seen["points"] - cos_new)) <= 1e-15
+        weight = seen["values"].ravel() / c0
+        assert np.max(np.abs(weight / factor ** ((n + 4.0) / 2.0) - 1.0)) <= (n + 4) * 1e-15
 
 
 def test_mobius_rejects_bad_t(s5):
