@@ -241,6 +241,9 @@ CASES = {
 }
 
 
+_COND_LIMIT = 1e8
+
+
 @dataclass
 class TestFunctionModel:
     """One concentrated-test-function experiment.
@@ -252,10 +255,10 @@ class TestFunctionModel:
     the constant term of the flat/low dimensional Green's expansion.
     lam values default to the row's grid and must be at least four
     distinct points, all in (0, DELTA/4), whose fit weights stay finite;
-    every closed form and split-check lead at n must be a finite float;
-    A0 must be finite and small enough that the fit can square the values
-    it scales; the cutoff degree must be odd and in [9, MAX_CUTOFF_DEGREE].
-    All are checked here, before any quadrature.
+    every closed form and fit lead at n must be a finite float and the
+    fit well conditioned; A0 must be finite and small enough that the fit
+    can square the values it scales; the cutoff degree must be odd and in
+    [9, MAX_CUTOFF_DEGREE].  All are judged here, once, before any quadrature.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -290,9 +293,9 @@ class TestFunctionModel:
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
         smoothstep(self.cutoff_degree)  # refuses a degree the cutoff does not admit
-        self.design  # refuses a grid whose weights overflow
+        self.design  # refuses a grid whose weights overflow or whose fit is ill-conditioned
         try:  # math.gamma and float powers raise OverflowError past the float range
-            finite = all(map(math.isfinite, (*self.closed_forms, *_split_leads(self.n).values())))
+            finite = all(map(math.isfinite, (*self.closed_forms, *self.leads.values())))
         except OverflowError:
             finite = False
         if not finite:
@@ -316,6 +319,18 @@ class TestFunctionModel:
         return (row.ratio_per_unit(self.n), *(f(self.n) for *_, f in row.split_checks))
 
     @cached_property
+    def leads(self) -> dict[str, float]:
+        """The lam^0 terms the fits divide out, by evaluate_model quantity:
+        Theta4 for the ratio, the numerator C Gamma(n/2) pi^{n/2} / Gamma(n)
+        and the norm integral C^{2n/(n+4)} Gamma(n/2) pi^{n/2} / Gamma(n),
+        C = bubble_constant(n)."""
+        n, c = self.n, bubble_constant(self.n)
+        return {"ratio": sharp_constants(n).Theta4_sphere,
+                "numerator": c * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n),
+                "norm_integral": (c ** (2 * n / (n + 4)) * math.gamma(n / 2) * math.pi ** (n / 2)
+                                  / math.gamma(n))}
+
+    @cached_property
     def w2(self) -> Fraction | None:
         """|W|^2 of the jet, the only curvature datum the model reads; None
         without a jet."""
@@ -337,8 +352,9 @@ class TestFunctionModel:
         return float(a4 * self.w2), float(j * self.w2), float(self.w2)
 
     @cached_property
-    def design(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fit weights lam^{-p} and the weighted basis matrix of the grid."""
+    def design(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Fit weights lam^{-p}, the weighted basis matrix of the grid and
+        its condition number."""
         row = CASES[self.case]
         p = row.weight_power(self.n)
         lams = np.array(self.lambdas, dtype=float)
@@ -350,7 +366,13 @@ class TestFunctionModel:
                 f"fit weights lam^-{p:g} or basis {row.basis} overflow the floating-point "
                 f"range on grid {list(self.lambdas)}"
             )
-        return w, A
+        cond = np.linalg.cond(A)
+        if cond > _COND_LIMIT:
+            raise ValueError(
+                f"ill-conditioned fit: cond={cond:.3e} for basis {row.basis} "
+                f"on grid {list(self.lambdas)}"
+            )
+        return w, A, cond
 
     @cached_property
     def evaluations(self) -> list[dict]:
@@ -549,7 +571,7 @@ class FitResult:
     n: int
     coefficient: float
     expected: float
-    rel_error: float
+    rel_error: float | None  # None where |coefficient - expected|/|expected| leaves the float range
     fit_residual: float
     lambdas: tuple[float, ...]
     basis: tuple[str, ...]
@@ -560,32 +582,25 @@ class FitResult:
         return asdict(self)
 
 
-_COND_LIMIT = 1e8
-
-
-def _fit(model: TestFunctionModel, values: np.ndarray, lead: float):
-    """Least squares of values - lead, or values/lead - 1 for a relative
-    case, in the case's basis, weighted by lam^{-p}.
+def _fit(model: TestFunctionModel, key: str) -> tuple[np.ndarray, float]:
+    """Least squares of v - l, or v/l - 1 for a relative case, with v the
+    evaluations' ``key`` values and l = model.leads[key], in the case's
+    basis, weighted by lam^{-p}; the model judged the grid when it was built.
 
     Dividing out the common lam power gives every grid point equal say in
     the fit; otherwise the largest lam, which carries the worst o()
     contamination, dominates the normal equations.
     """
-    case = CASES[model.case]
-    y = values / lead - 1.0 if case.relative else values - lead
-    w, A = model.design
-    cond = np.linalg.cond(A)
-    if cond > _COND_LIMIT:
-        raise ValueError(
-            f"ill-conditioned fit: cond={cond:.3e} for basis {case.basis} "
-            f"on grid {list(model.lambdas)}"
-        )
+    lead = model.leads[key]
+    values = np.array([e[key] for e in model.evaluations])
+    y = values / lead - 1.0 if CASES[model.case].relative else values - lead
+    w, A, _ = model.design
     yw = y * w
     coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)
     resid = float(np.linalg.norm(yw - A @ coef) / max(np.linalg.norm(yw), 1e-300))
     if not (math.isfinite(resid) and np.all(np.isfinite(coef))):
         raise ValueError("fit values overflow the floating-point range")
-    return coef, resid, cond
+    return coef, resid
 
 
 def fit_expansion(model: TestFunctionModel) -> FitResult:
@@ -593,42 +608,23 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
     Theta4: the first basis coefficient, compared with the case's closed
     form; the other basis coefficients are reported as extras."""
     case = CASES[model.case]
-    n = model.n
-    theta4 = sharp_constants(n).Theta4_sphere
-    evals = model.evaluations
-    coef, resid, cond = _fit(model, np.array([e["ratio"] for e in evals]), theta4)
+    coef, resid = _fit(model, "ratio")
     fitted = float(coef[0])
-    expected = case.ratio_per_unit(n) * model.unit[1]
+    expected = model.closed_forms[0] * model.unit[1]
     rel = abs(fitted - expected) / abs(expected) if expected != 0 else abs(fitted)
     return FitResult(
         case=model.case,
-        n=n,
+        n=model.n,
         coefficient=fitted,
         expected=expected,
-        rel_error=rel,
+        rel_error=rel if math.isfinite(rel) else None,
         fit_residual=resid,
         lambdas=model.lambdas,
         basis=case.basis,
         extra_coefficients={name: float(c) for name, c in zip(case.basis[1:], coef[1:])},
-        details={"theta4": theta4, "evaluations": evals, "condition_number": cond},
+        details={"theta4": model.leads["ratio"], "evaluations": model.evaluations,
+                 "condition_number": model.design[2]},
     )
-
-
-def _split_leads(n: int) -> dict[str, float]:
-    """The lam^0 terms the split checks divide out, by quantity: the
-    numerator C Gamma(n/2) pi^{n/2} / Gamma(n) and the norm integral
-    C^{2n/(n+4)} Gamma(n/2) pi^{n/2} / Gamma(n), C = bubble_constant(n)."""
-    return {
-        "numerator": (
-            bubble_constant(n) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
-        ),
-        "norm_integral": (
-            bubble_constant(n) ** (2 * n / (n + 4))
-            * math.gamma(n / 2)
-            * math.pi ** (n / 2)
-            / math.gamma(n)
-        ),
-    }
 
 
 def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationReport]:
@@ -636,17 +632,15 @@ def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationRe
     closed forms, one report per split check of the case; sharper than the
     ratio test and isolates error sources."""
     case = CASES[model.case]
-    n = model.n
-    lead = _split_leads(n)
     unit_name, unit = model.unit
     reports = []
-    for check_id, provenance, key, per_unit in case.split_checks:
-        coef, _, _ = _fit(model, np.array([e[key] for e in model.evaluations]), lead[key])
+    for (check_id, provenance, key, _), per_unit in zip(case.split_checks, model.closed_forms[1:]):
+        coef, _ = _fit(model, key)
         reports.append(
             close_check(
-                check_id.format(case=model.case, n=n),
+                check_id.format(case=model.case, n=model.n),
                 {"lambdas": [float(l) for l in model.lambdas], unit_name: unit},
-                per_unit(n) * unit,
+                per_unit * unit,
                 provenance,
                 float(coef[0]),
                 rtol=case.rtol,

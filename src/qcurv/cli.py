@@ -14,6 +14,7 @@ witness, such as "n=7,seed=3: lap_quartic", in place of true.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -91,6 +92,18 @@ def _parse_n_range(text: str, min_n: int, max_n: int | None, who: str) -> range 
     return ns
 
 
+def _report_dir_exists(ctx, param, value):
+    """Refuse a --report path whose directory does not exist, before any
+    computation."""
+    if value is not None and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"directory of {value!r} does not exist")
+    return value
+
+
+_report_option = click.option("--report", "out", type=click.Path(dir_okay=False), default=None,
+                              callback=_report_dir_exists, help="write the JSON report here")
+
+
 class _Main(click.Group):
     def invoke(self, ctx):
         """Run a subcommand and write the report it returns.  A ValueError
@@ -115,7 +128,7 @@ def main():
 @main.command("constants")
 @click.option("--n", "n_range", default="5..12", show_default=True, help="dimension range")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "latex"]), default="csv")
-@click.option("--report", "out", type=click.Path(), default=None, help="write JSON report here")
+@_report_option
 def cmd_constants(n_range, fmt, out):
     """Sphere constants Q, omega_n, Y4, Theta4 with cross-check residuals."""
     rows = sphereforms.constants_table(
@@ -151,9 +164,11 @@ def cmd_constants(n_range, fmt, out):
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--flat", is_flag=True, help="use the flat jet")
 @click.option("--jet-file", type=click.Path(exists=True), default=None, help="JSON jet input")
-@click.option("--report", "out", type=click.Path(), default=None)
+@_report_option
 def cmd_parametrix(n, seed, flat, jet_file, out):
     """Green's-function expansion at the leading curvature order."""
+    if flat and jet_file:
+        raise click.UsageError("--flat and --jet-file name two jets; give one")
     if n < 5:
         raise click.UsageError("n >= 5 required")
     if n > tensor.MAX_N:
@@ -192,12 +207,14 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @click.option("--case", "case", type=click.Choice(list(asym.CASES)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True,
-              help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit reads")
+              help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit "
+                   "reads; flat and lowdim read no jet")
 @click.option("--a0", type=float, default=1.0, show_default=True, help="flat/lowdim constant")
 @click.option("--lambdas", default=None, help="comma-separated lam grid override")
 @click.option("--cutoff-degree", type=click.IntRange(min=9, max=asym.MAX_CUTOFF_DEGREE), default=9,
-              show_default=True, help="odd degree of the smoothstep cutoff")
-@click.option("--report", "out", type=click.Path(), default=None)
+              show_default=True, help="odd degree of the smoothstep cutoff; read by flat, lowdim, "
+                                      "n8 and n9, whose test functions have a cutoff annulus")
+@_report_option
 def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
     """Fit the test-function expansion coefficient for one case."""
     try:
@@ -243,7 +260,7 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
 @click.option("--iters", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--damping", type=float, default=0.5, show_default=True)
 @click.option("--init", type=click.Choice(["constant", "perturbed"]), default="constant")
-@click.option("--report", "out", type=click.Path(), default=None)
+@_report_option
 def cmd_spectral(n, trunc, iters, damping, init, out):
     """Zonal extremal iteration plus invariance checks."""
     solver = spectral.SphereSolver(n, trunc)
@@ -496,7 +513,7 @@ SUITES = {
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L),
               default=None, help=f"spectral truncation degree; {L_HELP}")
-@click.option("--report", "out", type=click.Path(), default=None)
+@_report_option
 def cmd_verify(suite, n_range, trials, seed, trunc, out):
     """Run a verification suite; exit 0 only if every check passes."""
     dims = None  # the --n dimensions, parsed for the one suite that reads them

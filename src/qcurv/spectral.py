@@ -69,10 +69,9 @@ _NEWTON_PASSES = 30
 
 @dataclass
 class ZonalField:
-    """Coefficients of a zonal function in the orthonormal basis Z_l."""
+    """Coefficients of a zonal function in the orthonormal basis Z_l of a
+    solver, degrees 0..L."""
 
-    n: int
-    L: int
     coeffs: np.ndarray
 
 
@@ -378,12 +377,12 @@ class SphereSolver:
         coeffs = np.zeros(self.L + 1)
         # Z_0 is the constant 1/sqrt(area)
         coeffs[0] = c * math.sqrt(self.area)
-        return ZonalField(self.n, self.L, coeffs)
+        return ZonalField(coeffs)
 
     # -- operators ---------------------------------------------------------
 
     def apply_GP(self, f: ZonalField) -> ZonalField:
-        return ZonalField(self.n, self.L, f.coeffs / self.spectrum.mu_f)
+        return ZonalField(f.coeffs / self.spectrum.mu_f)
 
     def energy_E(self, u: ZonalField) -> float:
         return float(np.sum(self.spectrum.mu_f * u.coeffs**2))
@@ -500,7 +499,7 @@ class SphereSolver:
                 vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
             norm = self._norm(vals, self.p_dual)
             value = self._ratio(self._theta4_num(coeffs), norm)
-            f = ZonalField(self.n, self.L, coeffs / norm)
+            f = ZonalField(coeffs / norm)
             vals = vals / norm
             out.append((f, value))
         return out
@@ -517,7 +516,6 @@ class SphereSolver:
         """
         if t <= 0:
             raise ValueError("dilation parameter must be positive")
-        n = self.n
         # the half-grid rows (x, -x).  With rho = tan(theta/2) from the pole
         # that maps to x = 0, rho^2 = (1 - x)/(1 + x), and rho -> t rho sends
         # x = cos theta to (1 - t^2 rho^2)/(1 + t^2 rho^2) = 2(1 + x)/d - 1,
@@ -525,9 +523,9 @@ class SphereSolver:
         # t (1 + rho^2)/(1 + t^2 rho^2) = 2t/d
         x = np.concatenate((self.x, -self.x))
         d = (1.0 + x) + t * t * (1.0 - x)
-        weight = (2.0 * t / d) ** ((n + 4.0) / 2.0)
+        weight = (2.0 * t / d) ** ((self.n + 4.0) / 2.0)
         vals = self.synthesize_at(f, 2.0 * (1.0 + x) / d - 1.0) * weight
-        return ZonalField(n, self.L, self.analyze_half(vals.reshape(2, -1)))
+        return ZonalField(self.analyze_half(vals.reshape(2, -1)))
 
     def pulled_constant(self, t: float) -> tuple[float, float]:
         """The dual functional and the L^{2n/(n+4)} norm of the constant 1

@@ -473,10 +473,22 @@ def test_cutoff_degree_independence():
 def test_ill_conditioned_fit_raises():
     jet = random_jet(8, seed=1, normalize=True)
     # distinct points 1e-12 apart: the two basis columns agree to ~1e-10
-    m = TestFunctionModel(case="n8", n=8, jet=jet,
-                          lambdas=(0.01, 0.010000000001, 0.010000000002, 0.010000000003))
     with pytest.raises(ValueError, match="ill-conditioned"):
-        fit_expansion(m)
+        TestFunctionModel(case="n8", n=8, jet=jet,
+                          lambdas=(0.01, 0.010000000001, 0.010000000002, 0.010000000003))
+
+
+def test_each_configuration_is_judged_once(monkeypatch):
+    # the grid's conditioning is judged when the model is built, not once
+    # per fit, and the fits report that one condition number
+    calls = []
+    real = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: calls.append(A) or real(A))
+    m = TestFunctionModel(case="high", n=10, jet=random_jet(10, seed=7, normalize=True))
+    fit = fit_expansion(m)
+    numerator_coefficient_check(m)
+    assert len(calls) == 1
+    assert fit.details["condition_number"] == m.design[2] == real(m.design[1])
 
 
 # ------------------------------------------------------- coefficient checks

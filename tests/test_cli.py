@@ -106,6 +106,14 @@ def test_parametrix_jet_file_round_trip(runner, tmp_path):
         assert res.exit_code == 2  # dimension mismatch
 
 
+def test_parametrix_flat_and_jet_file_usage_error(runner, tmp_path):
+    # a jet file is a curved jet: "flat": true beside it would misreport it
+    jf = _jet_file(tmp_path, parametrix.random_jet(9, 2).to_json())
+    res = runner.invoke(main, ["parametrix", "--n", "9", "--flat", "--jet-file", jf])
+    assert res.exit_code == 2, res.output
+    assert "--flat and --jet-file" in res.output
+
+
 def test_verify_weyl_exit_zero(runner):
     res = runner.invoke(main, ["verify", "weyl", "--n", "6", "--trials", "5"])
     assert res.exit_code == 0
@@ -638,6 +646,40 @@ def test_library_refusal_is_a_usage_error(runner, monkeypatch, tmp_path, module,
     assert "Traceback" not in res.output and not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+@pytest.mark.parametrize("module,name,argv", _LIBRARY_CALLS, ids=[a[0] for *_, a in _LIBRARY_CALLS])
+def test_bad_report_path_is_a_usage_error(runner, monkeypatch, tmp_path, module, name, argv, bad):
+    """A --report path in a missing directory, or naming a directory, exits
+    2 naming --report when the options are parsed, before any computation."""
+    monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("computed before the refusal"))
+    path = tmp_path / "nodir" / "r.json" if bad == "missing directory" else tmp_path
+    res = runner.invoke(main, [*argv, "--report", str(path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "'--report'" in res.output and "Traceback" not in res.output
+
+
+def test_ill_conditioned_grid_refused_before_quadrature(runner, monkeypatch):
+    monkeypatch.setattr(asymptotics, "evaluate_model",
+                        lambda *a: pytest.fail("quadrature ran before the refusal"))
+    res = runner.invoke(main, ["asymptotics", "--case", "n8", "--n", "8", "--lambdas",
+                               "0.01,0.010000000001,0.010000000002,0.010000000003"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert "ill-conditioned" in res.output
+
+
+@pytest.mark.parametrize("n,a0", [(30, "1e-290"), (5, "1e-320")])
+def test_tiny_a0_reports_its_failure(runner, tmp_path, n, a0):
+    # the fit's relative error |f - e|/|e| leaves the float range: the
+    # report writes it as null and the ratio check fails
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", str(n), "--a0", a0,
+                               "--report", str(out)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+    doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert doc["fit"]["rel_error"] is None and not doc["reports"][0]["pass"]
+
+
 def test_unwritable_report_stays_a_program_fault(runner, monkeypatch):
     # a NaN in the payload is the program's fault, not the user's: the
     # ValueError of dump_report is not mapped to a usage error
@@ -832,8 +874,8 @@ def _assert_cli_contract(res):
         json.loads(res.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
 
 
-_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e-80, 1.0,
-                1.5, -0.5, 1e308]
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -1e-320, 1e-290,
+                1e-80, 1.0, 1.5, -0.5, 1e308]
 _VALID_GRID = st.lists(st.floats(1e-3, 0.06), min_size=4, max_size=6, unique=True)
 _GRIDS = st.one_of(
     st.just([]),  # the case's own grid
@@ -961,6 +1003,8 @@ _SEEDS = st.sampled_from([-1, 0, 2**63, 2**64]) | st.integers(1, 50)
 @given(case_n=_CASE_N, a0=st.sampled_from(_EDGE_FLOATS) | st.floats(-3.0, 3.0),
        degree=st.none() | st.integers(7, asymptotics.MAX_CUTOFF_DEGREE + 2),
        seed=st.none() | _SEEDS)
+@example(case_n=("flat", 5), a0=-1e-320, degree=None, seed=None)
+@example(case_n=("flat", 19), a0=1e-300, degree=None, seed=None)
 def test_asymptotics_a0_degree_seed_never_crash(runner, case_n, a0, degree, seed):
     case, n = case_n
     args = ["asymptotics", "--case", case, "--n", str(n), "--a0", repr(a0)]

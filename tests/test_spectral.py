@@ -19,12 +19,12 @@ def mode(solver: SphereSolver, l: int) -> ZonalField:
     """The orthonormal basis field Z_l."""
     coeffs = np.zeros(solver.L + 1)
     coeffs[l] = 1.0
-    return ZonalField(solver.n, solver.L, coeffs)
+    return ZonalField(coeffs)
 
 
 def apply_P(solver: SphereSolver, u: ZonalField) -> ZonalField:
     """P u, diagonal in the zonal basis."""
-    return ZonalField(solver.n, solver.L, solver.spectrum.mu_f * u.coeffs)
+    return ZonalField(solver.spectrum.mu_f * u.coeffs)
 
 
 def full_rule(solver: SphereSolver) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +233,7 @@ def test_folded_transforms_match_full_basis(oversampled):
     t, w = full_rule(s)
     B = s._gegenbauer_rows(t) / s._norms[:, None]
     rng = np.random.Generator(np.random.Philox(7))
-    f = ZonalField(7, s.L, rng.standard_normal(s.L + 1))
+    f = ZonalField(rng.standard_normal(s.L + 1))
     vals = mirrored(s.synthesize_half(f.coeffs))
     assert np.max(np.abs(vals - B.T @ f.coeffs)) <= 1e-13 * np.max(np.abs(vals))
     v = rng.standard_normal(t.size)
@@ -394,7 +394,7 @@ def full_grid_iteration(s: SphereSolver, f0: ZonalField, steps: int, damping: fl
             vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
         norm = full_grid_norm(s, vals, p_norm)
         value = s._ratio(s._theta4_num(coeffs), norm)
-        f = ZonalField(n, s.L, coeffs / norm)
+        f = ZonalField(coeffs / norm)
         vals = vals / norm
         out.append((f, value))
     return out
@@ -443,7 +443,7 @@ def test_mode_round_trip(s5):
 
 def test_random_field_round_trip(s5):
     rng = np.random.Generator(np.random.Philox(42))
-    f = ZonalField(5, s5.L, rng.standard_normal(s5.L + 1))
+    f = ZonalField(rng.standard_normal(s5.L + 1))
     back = s5.analyze_half(s5.synthesize_half(f.coeffs))
     assert np.max(np.abs(back - f.coeffs)) <= 1e-11 * np.max(np.abs(f.coeffs))
 
@@ -503,7 +503,7 @@ def test_spectrum_past_exact_range_refused():
 
 def test_apply_P_GP_inverse(s5):
     rng = np.random.Generator(np.random.Philox(1))
-    u = ZonalField(5, s5.L, rng.standard_normal(s5.L + 1))
+    u = ZonalField(rng.standard_normal(s5.L + 1))
     back = s5.apply_GP(apply_P(s5, u))
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
@@ -528,7 +528,7 @@ def test_parseval_energy(s5):
     rng = np.random.Generator(np.random.Philox(3))
     coeffs = np.zeros(s5.L + 1)
     coeffs[: s5.L // 2] = rng.standard_normal(s5.L // 2)
-    u = ZonalField(5, s5.L, coeffs)
+    u = ZonalField(coeffs)
     spectral = s5.energy_E(u)
     quadrature = quadrature_energy(s5, u)
     assert abs(spectral - quadrature) <= 1e-9 * abs(spectral)
@@ -544,8 +544,8 @@ def test_lp_norm_of_constant(s5):
 
 def test_lp_norm_homogeneity(s5):
     rng = np.random.Generator(np.random.Philox(9))
-    f = ZonalField(5, s5.L, rng.standard_normal(s5.L + 1))
-    f2 = ZonalField(5, s5.L, 2 * f.coeffs)
+    f = ZonalField(rng.standard_normal(s5.L + 1))
+    f2 = ZonalField(2 * f.coeffs)
     p = 10 / 9
     assert abs(s5.lp_norm(f2, p) - 2 * s5.lp_norm(f, p)) <= 1e-10 * s5.lp_norm(f2, p)
 
@@ -574,16 +574,16 @@ def test_theta4_constant_equals_inverse_y4(s5):
 
 def test_theta4_scale_invariance(s5):
     rng = np.random.Generator(np.random.Philox(5))
-    f = ZonalField(5, s5.L, rng.standard_normal(s5.L + 1))
+    f = ZonalField(rng.standard_normal(s5.L + 1))
     a = s5.theta4_functional(f)
-    b = s5.theta4_functional(ZonalField(5, s5.L, 3.7 * f.coeffs))
+    b = s5.theta4_functional(ZonalField(3.7 * f.coeffs))
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_theta4_maximal_at_constant(s5):
     f = s5.constant_field(1.0)
     base = s5.theta4_functional(f)
-    pert = ZonalField(f.n, f.L, f.coeffs.copy())
+    pert = ZonalField(f.coeffs.copy())
     pert.coeffs[1] += 0.2 * pert.coeffs[0]
     assert s5.theta4_functional(pert) < base
 
@@ -618,7 +618,7 @@ def test_local_vs_green_form_agreement(s5):
     rng = np.random.Generator(np.random.Philox(17))
     for _ in range(4):
         coeffs = rng.standard_normal(s5.L + 1) * np.exp(-0.2 * np.arange(s5.L + 1))
-        u = ZonalField(5, s5.L, coeffs)
+        u = ZonalField(coeffs)
         f = apply_P(s5, u)
         local = s5.energy_E(u) / s5.lp_norm(f, 10 / 9) ** 2
         dual = s5.theta4_functional(f)
@@ -636,7 +636,7 @@ def test_iteration_limit_dominates_perturbed_trials(s5):
 
 
 def test_zero_field_errors(s5):
-    z = ZonalField(5, s5.L, np.zeros(s5.L + 1))
+    z = ZonalField(np.zeros(s5.L + 1))
     for fn in (s5.theta4_functional, s5.y4_functional, s5.theta2_functional, s5.yamabe_functional):
         with pytest.raises(ValueError):
             fn(z)
@@ -645,7 +645,7 @@ def test_zero_field_errors(s5):
 @pytest.mark.parametrize("n,L", [(5, 32), (9, 8)])
 def test_lp_norm_refuses_zero_field_by_name(n, L):
     s = SphereSolver(n, L)
-    z = ZonalField(n, L, np.zeros(L + 1))
+    z = ZonalField(np.zeros(L + 1))
     for p in (2.0, 2.0 * n / (n + 4)):
         with pytest.raises(ValueError, match=f"^zero field at n={n}, L={L}$"):
             s.lp_norm(z, p)
@@ -682,9 +682,9 @@ def test_theta2_yamabe_duality(s7):
 
 def test_theta2_scale_invariance(s7):
     rng = np.random.Generator(np.random.Philox(13))
-    f = ZonalField(7, s7.L, rng.standard_normal(s7.L + 1))
+    f = ZonalField(rng.standard_normal(s7.L + 1))
     assert abs(
-        s7.theta2_functional(f) - s7.theta2_functional(ZonalField(7, s7.L, 2 * f.coeffs))
+        s7.theta2_functional(f) - s7.theta2_functional(ZonalField(2 * f.coeffs))
     ) <= 1e-12 * s7.theta2_functional(f)
 
 
@@ -734,7 +734,7 @@ def test_carried_iteration_values_track_synthesis(monkeypatch, L, damping):
 
 def test_extremal_iteration_errors(s5):
     with pytest.raises(ValueError):
-        s5.extremal_iteration(ZonalField(5, s5.L, np.zeros(s5.L + 1)), 5)
+        s5.extremal_iteration(ZonalField(np.zeros(s5.L + 1)), 5)
     with pytest.raises(ValueError):
         s5.extremal_iteration(s5.constant_field(1.0), 5, damping=0.0)
 
@@ -745,7 +745,7 @@ def test_extremal_iteration_errors(s5):
 def test_mobius_identity(s5):
     rng = np.random.Generator(np.random.Philox(33))
     coeffs = rng.standard_normal(s5.L + 1) * np.exp(-0.5 * np.arange(s5.L + 1))
-    f = ZonalField(5, s5.L, coeffs)
+    f = ZonalField(coeffs)
     pulled = s5.mobius_pullback(f, 1.0)
     assert np.max(np.abs(pulled.coeffs - f.coeffs)) <= 1e-10
 
@@ -787,10 +787,10 @@ def test_pullback_builds_rows_to_the_top_degree(monkeypatch):
     assert [depth for _, depth in built] == [1] * len(spectral.MOBIUS_T)
     const = s.constant_field(1.0)
     rng = np.random.Generator(np.random.Philox(256))
-    full_field = ZonalField(7, s.L, rng.standard_normal(s.L + 1))
+    full_field = ZonalField(rng.standard_normal(s.L + 1))
     low = np.zeros(s.L + 1)
     low[:6] = rng.standard_normal(6)
-    low_field = ZonalField(7, s.L, low)
+    low_field = ZonalField(low)
     for t in pulled_nodes:
         built.clear()
         B = s._gegenbauer_rows(t) / s._norms[:, None]
