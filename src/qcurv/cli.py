@@ -332,24 +332,21 @@ def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
 
 
 def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
-    rng = np.random.Generator(np.random.Philox(seed))
-    polys = []
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(0, 9))
-        terms = {}
-        for _ in range(int(rng.integers(1, 6))):
-            e = rng.multinomial(m, np.ones(n) / n)
-            terms[tuple(int(v) for v in e)] = Fraction(
-                int(rng.integers(-9, 10)), int(rng.integers(1, 10))
-            )
-        polys.append(polyalg.HomogPoly(n, m, terms))
+    def polys():  # drawn lazily from a fresh Philox(seed), so memory stays flat in trials
+        rng = np.random.Generator(np.random.Philox(seed))
+        for _ in range(trials):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(0, 9))
+            terms = {tuple(rng.multinomial(m, np.ones(n) / n).tolist()):
+                     Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                     for _ in range(int(rng.integers(1, 6)))}
+            yield polyalg.HomogPoly(n, m, terms)
+
     # lazy witnesses: each check stops at its first failing trial
-    split = ((f"trial={k}: {name}", ok) for k, p in enumerate(polys)
+    split = ((f"trial={k}: {name}", ok) for k, p in enumerate(polys())
              for name, ok in polyalg.split_identities(p, polyalg.harmonic_decompose(p)))
     solved = ((f"trial={k}: solve_residual",
                polyalg.solve_residual(p.n, polyalg.solve_AA(p.n, p), p).is_zero())
-              for k, p in enumerate(polys))
+              for k, p in enumerate(polys()))
     inputs = {"trials": trials, "seed": seed}
     return [
         _witness_check(f"polyalg.decomposition[trials={trials}]", inputs,

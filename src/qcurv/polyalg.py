@@ -18,11 +18,12 @@ The integers are coprime and the first nonzero one, on the
 lexicographically first exponent, is positive, so the form is unique and
 ``==`` and ``hash`` compare it directly.  Scaling and negation touch only
 the content; linear combinations bring the contents to one denominator and
-add integer vectors; r^2 multiplication and the Laplacian gather through
-index maps cached on the table.  The integers are int64 wherever a bound
-computed from the operands proves that no intermediate value overflows,
-and Python ints (object arrays) otherwise.  No floating point enters this
-module; every operation here is an exact identity and is tested as such.
+add integer vectors; each table caches one index map, through which the
+Laplacian gathers and r^2 multiplication scatters.  The integers are int64
+wherever a bound computed from the operands proves that no intermediate
+value overflows, and Python ints (object arrays) otherwise.  No floating
+point enters this module; every operation here is an exact identity and is
+tested as such.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class MonomialTable:
     """The degree-m monomials in n variables, in lexicographic order of
     their exponent tuples; ``exps[i]`` is the exponent of monomial i.
 
-    Built once per (n, m) by ``monomial_table``.  The index maps through
-    which the Laplacian and r^2 multiplication gather their terms are built
-    on first use.
+    Built once per (n, m) by ``monomial_table``.  Its one index map,
+    ``lap_gather``, is built on first use: the Laplacian gathers through it
+    and r^2 multiplication scatters through it.
     """
 
     def __init__(self, n: int, m: int):
@@ -121,25 +122,16 @@ class MonomialTable:
 
     @functools.cached_property
     def lap_gather(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The Laplacian of a degree-(m+2) vector v lands here as
-        sum_i fac[t, i] v[src[t, i]]: src[t, i] is the position of
-        x_i^2 x^exps[t], fac[t, i] = (e_i + 2)(e_i + 1), and ``gain`` bounds
-        every row sum of fac."""
+        """The index map to degree m+2: src[t, i] is the position of
+        x_i^2 x^exps[t].  The Laplacian of a degree-(m+2) vector v gathers
+        through it to sum_i fac[t, i] v[src[t, i]] here, with fac[t, i] =
+        (e_i + 2)(e_i + 1) and every row sum of fac at most ``gain``; r^2
+        times a vector w here scatters w[t] to every src[t, i]."""
         up = monomial_table(self.n, self.m + 2)
         shifted = self.exps[:, None, :] + 2 * np.eye(self.n, dtype=np.intp)
         src = up.rank(shifted).reshape(self.size, self.n)
         fac = (self.exps + 2) * (self.exps + 1)
         return src, fac, int(fac.sum(axis=1).max())
-
-    @functools.cached_property
-    def r2_gather(self) -> np.ndarray:
-        """r^2 times a degree-(m-2) vector v lands here as
-        sum_i v[src[t, i]]: src[t, i] is the position of x^exps[t] / x_i^2,
-        or len(v), an appended zero, where e_i < 2."""
-        down = monomial_table(self.n, self.m - 2)
-        src = np.full((self.size, self.n), down.size, dtype=np.intp)
-        src[down.lap_gather[0], np.arange(self.n)] = np.arange(down.size)[:, None]
-        return src
 
 
 @functools.cache
@@ -357,18 +349,24 @@ class HomogPoly:
     def mul_r2k(self, k: int) -> "HomogPoly":
         """Multiply by r^{2k} (k >= 0).
 
-        Each factor r^2 gathers, for every monomial, the coefficients of the
-        at most n monomials it divides by some x_i^2.  r^2 is primitive with
-        first coefficient 1, so by Gauss's lemma (and because the
-        lexicographically first terms multiply) the product stays canonical
-        with the same content.
+        Each factor r^2 = sum_i x_i^2 scatters every coefficient to the n
+        monomials x_i^2 x^e, through the source table's ``lap_gather`` map;
+        a target receives at most n terms, so n max|v| bounds every sum.
+        r^2 is primitive with first coefficient 1, so by Gauss's lemma (and
+        because the lexicographically first terms multiply) the product
+        stays canonical with the same content.
         """
+        if k < 0:
+            raise ValueError(f"mul_r2k needs k >= 0, got k={k}")
         v, m = self._v, self.degree
         for _ in range(k):
+            src = monomial_table(self.n, m).lap_gather[0]
             m += 2
             if self.n * _absmax(v) > _INT64_MAX:
                 v = v.astype(object)
-            v = np.append(v, 0)[monomial_table(self.n, m).r2_gather].sum(axis=1)
+            out = np.zeros(math.comb(self.n + m - 1, m), dtype=v.dtype)
+            np.add.at(out, src.ravel(), np.repeat(v, self.n))
+            v = out
         return HomogPoly._make(self.n, m, _narrow(v), self.content)
 
     def __repr__(self):

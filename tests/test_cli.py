@@ -384,6 +384,33 @@ def test_failing_polyalg_check_names_its_witness(runner, monkeypatch):
     assert _report_check(res, "polyalg.decomposition[trials=40]")["computed"] is True
 
 
+def test_verify_polyalg_draws_its_trials_lazily(runner, monkeypatch):
+    # both checks fail at trial 0, so a run that draws its polynomials as it
+    # goes needs one draw per check, whatever --trials says
+    from qcurv import polyalg
+
+    real_init, drawn = polyalg.HomogPoly.__init__, []
+
+    def counted(self, *args, **kwargs):
+        drawn.append(1)
+        if len(drawn) > 50:
+            raise RuntimeError("drew more than 50 polynomials")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(polyalg.HomogPoly, "__init__", counted)
+    monkeypatch.setattr(polyalg, "split_identities", lambda p, blocks: [("reassembles", False)])
+    monkeypatch.setattr(polyalg, "solve_residual", lambda n, psi, rhs:
+                        polyalg.LogRadialExpansion.from_poly(polyalg.HomogPoly.constant(n, 1)))
+    res = runner.invoke(main, ["verify", "polyalg", "--trials", "1000000000"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+    assert _report_check(res, "polyalg.decomposition[trials=1000000000]")["computed"] == (
+        "trial=0: reassembles")
+    assert _report_check(res, "polyalg.solver[trials=1000000000]")["computed"] == (
+        "trial=0: solve_residual")
+    assert len(drawn) == 2
+
+
 def test_cli_computes_no_identity_itself():
     # each exact identity is defined in the library module that owns it;
     # the CLI only runs the named lists

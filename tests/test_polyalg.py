@@ -623,6 +623,75 @@ def test_core_form_is_canonical(pair, f):
         assert ints(p)[min(ints(p))] > 0
 
 
+def test_mul_r2k_refuses_a_negative_power():
+    p = HomogPoly.monomial(3, (1, 1, 0), 2)
+    with pytest.raises(ValueError, match="k=-1"):
+        p.mul_r2k(-1)
+    assert p.mul_r2k(0) == p
+
+
+def _fischer(p, q):
+    """The Fischer product <p, q>_F, with <x^a, x^b>_F = a! when a = b and
+    0 otherwise."""
+    exps = monomial_table(p.n, p.degree).exps.tolist()
+    weights = [math.prod(map(math.factorial, e)) for e in exps]
+    return p.content * q.content * sum(
+        int(a) * int(b) * w for a, b, w in zip(p._v.tolist(), q._v.tolist(), weights))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_r2_multiplication_is_the_fischer_adjoint_of_the_laplacian(n):
+    rng = random.Random(n)
+
+    def dense(d):
+        return HomogPoly(n, d, {e: F(rng.randint(-50, 50), rng.randint(1, 9))
+                                for e in _all_exponents(n, d)})
+
+    for m in range(2, 7):
+        p, q = dense(m - 2), dense(m)
+        assert _fischer(p.mul_r2k(1), q) == _fischer(p, laplacian(q)), (n, m)
+
+
+def _frozen_gather_mul_r2k(v, n, m, k):
+    """r^{2k} times the integer vector v of degree m, as an earlier version
+    computed it: every target monomial gathers the coefficients of the at
+    most n monomials it divides by some x_i^2, through an index table that
+    points at an appended zero where e_i < 2."""
+    for _ in range(k):
+        down, up = monomial_table(n, m), monomial_table(n, m + 2)
+        shifted = up.exps[:, None, :] - 2 * np.eye(n, dtype=np.intp)
+        divides = (shifted >= 0).all(axis=2)
+        src = np.full((up.size, n), down.size, dtype=np.intp)
+        src[divides] = down.rank(shifted[divides])
+        if n * int(np.abs(v).max()) > 2**63 - 1:
+            v = v.astype(object)
+        v = np.append(v, 0)[src].sum(axis=1)
+        m += 2
+    return polyalg._narrow(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_mul_r2k_matches_the_frozen_gather(n):
+    """Same integers and dtype as the gather it replaced, for source degrees
+    0..6 and k = 0..3 while the target table has at most 20000 monomials
+    (n = 16 to degree 5), on int64 vectors, on int64 entries near 2^62
+    whose n-fold sums need Python ints, and on object vectors past int64."""
+    rng = np.random.default_rng(n)
+    for m, k in itertools.product(range(7), range(4)):
+        if math.comb(n + m + 2 * k - 1, m + 2 * k) > 20000:
+            continue
+        size = monomial_table(n, m).size
+        small = rng.integers(-1000, 1001, size)
+        near = rng.integers(2**62 - 2**20, 2**62, size) * rng.choice([-1, 1], size)
+        past = np.array([int(x) * 3 for x in near], dtype=object)
+        for vec in (small, near, past):
+            p = HomogPoly.from_vector(n, m, vec)
+            got = p.mul_r2k(k)
+            want = _frozen_gather_mul_r2k(p._v, n, m, k)
+            assert got.degree == m + 2 * k and got.content == p.content
+            assert got._v.dtype == want.dtype and np.array_equal(got._v, want), (m, k)
+
+
 def test_terms_view_reads_fractions_from_ints():
     p = HomogPoly.r_squared(6).mul_r2k(2)
     assert len(p.terms) == len(ints(p)) == 56
