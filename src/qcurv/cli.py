@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import parametrix as par
-from . import polyalg, report, sphereforms, spectral, tensor
+from . import polyalg, sphereforms, spectral, tensor
 from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
 
 # tolerances of the spectral and constants checks; the fit tolerances are
@@ -93,8 +93,10 @@ def _parse_n_range(text: str, min_n: int, max_n: int | None, who: str) -> range 
 
 
 def _report_dir_exists(ctx, param, value):
-    """Refuse a --report path whose directory does not exist, before any
-    computation."""
+    """Refuse an empty --report path, or one whose directory does not exist,
+    before any computation."""
+    if value == "":
+        raise click.BadParameter("the path is empty")
     if value is not None and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
         raise click.BadParameter(f"directory of {value!r} does not exist")
     return value
@@ -194,7 +196,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
         **green.to_json(),
     }
     if n == 8 and not jet.is_flat():
-        payload["n8_log_coefficient"] = report.jsonable(par.n8_log_coefficient(jet))
+        payload["n8_log_coefficient"] = par.n8_log_coefficient(jet)
     check = _witness_check("parametrix.identities", payload["config"], SHELL_PROVENANCE,
                            par.shell_identities(jet, green))
     return [check], payload, out
