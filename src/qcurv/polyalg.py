@@ -16,7 +16,8 @@ vector over the degree-m monomials, which ``monomial_table(n, m)`` lists in
 lexicographic order of their exponents, times one rational ``content``.
 The integers are coprime and the first nonzero one, on the
 lexicographically first exponent, is positive, so the form is unique and
-``==`` and ``hash`` compare it directly.  Scaling and negation touch only
+``==`` and ``hash`` compare it directly; ``to_json`` writes it as it is,
+zeros included, through ``exact_json``.  Scaling and negation touch only
 the content; linear combinations bring the contents to one denominator and
 add integer vectors; each table caches one index map, through which the
 Laplacian gathers and r^2 multiplication scatters.  The integers are int64
@@ -116,11 +117,6 @@ class MonomialTable:
         return {e: i for i, e in enumerate(map(tuple, self.exps.tolist()))}
 
     @functools.cached_property
-    def key_text(self) -> list[str]:
-        """Exponents as the "e1,...,en" keys of the JSON form."""
-        return [",".join(map(str, e)) for e in self.exps.tolist()]
-
-    @functools.cached_property
     def lap_gather(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The index map to degree m+2: src[t, i] is the position of
         x_i^2 x^exps[t].  The Laplacian of a degree-(m+2) vector v gathers
@@ -204,6 +200,12 @@ def exact_ints(values, scale=1) -> tuple[np.ndarray, Fraction]:
     return ints.reshape(v.shape), content
 
 
+def exact_json(ints: np.ndarray, scale: Fraction) -> dict:
+    """{"scale": "p/q", "ints": [...]}, the JSON form of an (ints, content)
+    pair: the content as reduced text and the integers as nested lists."""
+    return {"scale": f"{scale.numerator}/{scale.denominator}", "ints": ints.tolist()}
+
+
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
     exponent tuple, as Fractions made only when read."""
@@ -280,10 +282,15 @@ class HomogPoly:
     @classmethod
     def from_vector(cls, n: int, degree: int, ints, scale=1) -> "HomogPoly":
         """The polynomial scale * sum_i ints[i] x^exps[i] over
-        ``monomial_table(n, degree)``; ``ints`` is a signed-integer or
-        Python-int array of the table's length."""
+        ``monomial_table(n, degree)``; ``ints`` is a signed-integer array,
+        or a sequence of Python ints as ``to_json`` writes, of the table's
+        length."""
         v = np.array(ints)
-        if v.shape != (math.comb(n + degree - 1, degree),) or v.dtype.kind not in "iO":
+        if v.dtype.kind in "uf":  # numpy reads an int past int64 as uint64 or float64
+            v = np.array(ints, dtype=object)
+        whole = v.dtype.kind == "i" or v.dtype == object and all(
+            isinstance(x, (int, np.integer)) for x in v.flat)
+        if v.shape != (math.comb(n + degree - 1, degree),) or not whole:
             raise ValueError(f"need one integer per monomial of degree {degree} in {n} variables")
         if v.dtype != object:
             v = _widen(v)
@@ -378,18 +385,10 @@ class HomogPoly:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form {"n":…, "m":…, "scale": "p/q", "terms": {"e1,e2,...,en": int}}.
-
-        ``scale`` is the content as reduced text and ``terms`` holds the
-        canonical integers of the nonzero monomials, keyed in lexicographic
-        order of their exponents, so the output is byte-reproducible.  The
-        zero polynomial is scale "0/1" with no terms.
-        """
-        keys = monomial_table(self.n, self.degree).key_text
-        nz = np.flatnonzero(self._v).tolist()
-        c = self.content
-        return {"n": self.n, "m": self.degree, "scale": f"{c.numerator}/{c.denominator}",
-                "terms": dict(zip([keys[i] for i in nz], self._v[nz].tolist()))}
+        """{"n", "m", "scale": "p/q", "ints"}: the canonical vector in the lex
+        order of ``monomial_table(n, m)``, zeros included, which
+        ``from_vector(n, m, ints, scale)`` reads back; zero has scale "0/1"."""
+        return {"n": self.n, "m": self.degree, **exact_json(self._v, self.content)}
 
 
 def _lincomb(n: int, m: int, parts: Iterable[tuple]) -> HomogPoly:

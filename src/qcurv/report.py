@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-SCHEMA = "qcurv-report/1"
+SCHEMA = "qcurv-report/2"
 
 
 @dataclass

@@ -85,7 +85,8 @@ class PaneitzSpectrum:
 
     Every entry lies below 2^53, so ``mu_f`` and ``nu_f`` are one division of
     exact floats each, hence correctly rounded; a shape past that bound is
-    refused.
+    refused.  Reports take the Yamabe functionals only at constants
+    (``cli._spectral_checks``), so nu_l for l >= 1 is held only by tests.
     """
 
     mu_den = 16

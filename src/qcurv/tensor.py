@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, exact_ints, laplacian,
-                      monomial_table, split_identities)
+from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, exact_ints, exact_json,
+                      laplacian, monomial_table, split_identities)
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
@@ -68,10 +68,6 @@ def _json_exact(obj: dict, key: str) -> tuple[np.ndarray, Fraction]:
     or as a nested array of "p/q" text in older files."""
     v = obj[key]
     return exact_ints(*((v["ints"], v["scale"]) if isinstance(v, dict) else (v, 1)))
-
-
-def _exact_json(ints: np.ndarray, scale: Fraction) -> dict:
-    return {"scale": f"{scale.numerator}/{scale.denominator}", "ints": ints.tolist()}
 
 
 @functools.cache
@@ -221,7 +217,7 @@ class WeylTensor:
         of ``exact_ints``; the pair antisymmetries give every other entry."""
         i, k, upper = _pairs(self.n)
         M = self.ints[i[:, None], k[:, None], i, k]
-        return {"n": self.n, "W": _exact_json(*exact_ints(M[upper], self.scale))}
+        return {"n": self.n, "W": exact_json(*exact_ints(M[upper], self.scale))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
@@ -285,7 +281,7 @@ class SchoutenHessian:
 
     def to_json(self) -> dict:
         """{"n": n, "J": {"scale": "p/q", "ints": n x n nested lists}}."""
-        return {"n": self.n, "J": _exact_json(self.ints, self.scale)}
+        return {"n": self.n, "J": exact_json(self.ints, self.scale)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchoutenHessian":

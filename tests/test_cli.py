@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qcurv import asymptotics, parametrix, sphereforms, spectral, tensor
 from qcurv.cli import main
+from qcurv.report import SCHEMA
+from test_polyalg import expansion_from_json
 from test_tensor import legacy_jet
 
 
@@ -66,7 +68,7 @@ def test_parametrix_n9_report(runner, tmp_path):
     res = runner.invoke(main, ["parametrix", "--n", "9", "--seed", "1", "--report", str(out)])
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "qcurv-report/1"
+    assert doc["schema"] == SCHEMA
     assert [(r["check"], r["computed"]) for r in doc["reports"]] == [("parametrix.identities", True)]
     assert doc["remainder"] == "O4(r^{9-n})"
     assert doc["pass"] is True
@@ -133,7 +135,7 @@ def test_spectral_report_written(runner, tmp_path):
     )
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "qcurv-report/1"
+    assert doc["schema"] == SCHEMA
     assert len(doc["result"]["functional_values"]) == 4
 
 
@@ -791,17 +793,22 @@ def test_parametrix_low_dimensions_pass(runner, n, seed):
     assert json.loads(res.stdout)["remainder"] == "O4(r)"
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 9])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_parametrix_report_writes_the_green_expansion(runner, n):
     """A parametrix report holds ``GreenExpansion.to_json()`` whole: a curved
-    jet at n = 5..7 carries the mass term A, and a flat jet carries none."""
+    jet at n = 5..7 carries the mass term A, and a flat jet carries none.
+    Each written polynomial, the n = 8 log shell and the psi_4 shell among
+    them, reads back through ``HomogPoly.from_vector`` to the shell it was
+    written from (``expansion_from_json``)."""
     for argv, jet in ((["--seed", "1"], parametrix.random_jet(n, 1)),
                       (["--flat"], parametrix.CurvatureJet.flat(n))):
         res = runner.invoke(main, ["parametrix", "--n", str(n), *argv])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.stdout)
-        green = json.loads(json.dumps(parametrix.green_leading(jet).to_json()))
-        assert {key: doc[key] for key in green} == green
+        green = parametrix.green_leading(jet)
+        written = json.loads(json.dumps(green.to_json()))
+        assert {key: doc[key] for key in written} == written
+        assert expansion_from_json(doc["expansion"]) == green.expansion
         curved_low = n <= 7 and "--flat" not in argv
         assert doc.get("constant_term") == ("A" if curved_low else None)
 

@@ -57,22 +57,12 @@ def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     return out
 
 
-def _fraction_terms(obj: dict) -> dict[str, Fraction]:
-    """The coefficients, scale times integer, that a JSON polynomial states,
-    keyed as written."""
-    scale = F(obj["scale"])
-    return {key: scale * v for key, v in obj["terms"].items()}
-
-
-def poly_from_json(obj: dict) -> HomogPoly:
-    """The inverse of ``HomogPoly.to_json``."""
-    terms = {tuple(int(v) for v in key.split(",")): c for key, c in _fraction_terms(obj).items()}
-    return HomogPoly(int(obj["n"]), int(obj["m"]), terms)
-
-
 def expansion_from_json(obj: dict) -> LogRadialExpansion:
     """The inverse of ``LogRadialExpansion.to_json``."""
-    terms = {(int(t["deg"]), int(t["logpow"])): poly_from_json(t["poly"]) for t in obj["terms"]}
+    terms = {}
+    for t in obj["terms"]:
+        p = t["poly"]
+        terms[(t["deg"], t["logpow"])] = HomogPoly.from_vector(p["n"], p["m"], p["ints"], p["scale"])
     return LogRadialExpansion(int(obj["n"]), F(obj["radial_exp"]), terms)
 
 
@@ -426,9 +416,10 @@ def test_solver_log2_escalation_block():
 def test_poly_json_round_trip():
     p = poly_from_coeffs(3, [((2, 1, 0), F(3, 4)), ((0, 1, 2), F(-5, 1))])
     obj = p.to_json()
-    # the lexicographically first monomial, y z^2, takes the positive integer
-    assert obj == {"n": 3, "m": 3, "scale": "-1/4", "terms": {"0,1,2": 20, "2,1,0": -3}}
-    assert poly_from_json(obj) == p
+    # z^3, y z^2, y^2 z, y^3, x z^2, x y z, x y^2, x^2 z, x^2 y, x^3: the
+    # first nonzero monomial, y z^2, takes the positive integer
+    assert obj == {"n": 3, "m": 3, "scale": "-1/4", "ints": [0, 20, 0, 0, 0, 0, 0, 0, -3, 0]}
+    assert HomogPoly.from_vector(3, 3, obj["ints"], obj["scale"]) == p
 
 
 def test_expansion_json_round_trip():
@@ -532,16 +523,17 @@ def _ref_json(n, m, a):
     """json.dumps of the JSON form of the Fraction term map ``a``: the
     content is the gcd of the coefficients' numerators over the lcm of
     their denominators, signed so the lexicographically first integer is
-    positive."""
+    positive, and ``ints`` holds coefficient / content for every degree-m
+    exponent in lexicographic order, zeros included."""
     exps = sorted(a)
     content = F(0)
     if exps:
         den = math.lcm(*(a[e].denominator for e in exps))
         content = F(math.gcd(*(a[e].numerator * (den // a[e].denominator) for e in exps)), den)
         content *= 1 if a[exps[0]] > 0 else -1
-    terms = {",".join(str(v) for v in e): int(a[e] / content) for e in exps}
+    ints = [int(a[e] / content) if e in a else 0 for e in sorted(_all_exponents(n, m))]
     scale = f"{content.numerator}/{content.denominator}"
-    return json.dumps({"n": n, "m": m, "scale": scale, "terms": terms})
+    return json.dumps({"n": n, "m": m, "scale": scale, "ints": ints})
 
 
 def _exponents(draw, n, m):
@@ -844,6 +836,9 @@ _P63 = (2**63 - 1) // 7  # 2^63 - 1 = 7 * 73 * 127 * 337 * 92737 * 649657
     ([1, 2**63, -(2**63) - 1, 0, 2**64 + 1, -2], F(-1, 3), False),
     ([2**63, -5, 0, 0, 1, -(2**80)], F(3), False),
     ([0, 0, 0, 0, 0, 0], F(0), True),                 # the zero polynomial
+    ([2**63, -5, 0, 0, 1, 3], F(1, 3), False),        # numpy reads these two as float64,
+    ([2**64 - 1, 0, 2, 0, 0, 1], F(-2, 7), False),    # which cannot hold 2^64 - 1,
+    ([2**63 + i for i in range(6)], F(5), False),     # and this one as uint64
 ])
 def test_to_json_int64_certificate_edges(v, content, in_int64):
     """The JSON form states the content and the canonical integers as
@@ -855,8 +850,15 @@ def test_to_json_int64_certificate_edges(v, content, in_int64):
     p_num, q = abs(content.numerator), content.denominator
     assert (p_num * max(map(abs, v)) < 2**63 and q < 2**63) == in_int64
     obj = json.loads(json.dumps(p.to_json()))
-    keys = monomial_table(3, 2).key_text
     assert obj == {"n": 3, "m": 2, "scale": f"{content.numerator}/{content.denominator}",
-                   "terms": {keys[i]: x for i, x in enumerate(v) if x}}
-    assert _fraction_terms(obj) == {",".join(map(str, e)): c for e, c in p.terms.items()}
-    assert poly_from_json(obj) == p
+                   "ints": v}
+    coeffs = zip(sorted(_all_exponents(3, 2)), obj["ints"])
+    assert {e: F(obj["scale"]) * x for e, x in coeffs if x} == dict(p.terms)
+    assert HomogPoly.from_vector(obj["n"], obj["m"], obj["ints"], obj["scale"]) == p
+
+
+@pytest.mark.parametrize("bad", [[1, 2, 3], [[1, 0, 0], [0, 0, 0]], [1.5, 0, 0, 0, 0, 0],
+                                 [2**63, 0.5, 0, 0, 0, 0], ["1", 0, 0, 0, 0, 0], np.zeros(6)])
+def test_from_vector_refuses_what_is_not_one_integer_per_monomial(bad):
+    with pytest.raises(ValueError, match="one integer per monomial"):
+        HomogPoly.from_vector(3, 2, bad)

@@ -46,52 +46,61 @@ def test_dump_report_refuses_nested_non_finite(bad):
             dump_report(payload)
 
 
+def test_schema_is_pinned_and_named_in_the_readme():
+    # a schema bump is a declared report change: this pin, the digests
+    # below and the README move with it
+    assert SCHEMA == "qcurv-report/2"
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        assert f'"schema": "{SCHEMA}"' in f.read()
+
+
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "11bdf58ffb6a496f22ebe2bb29674846d55fa46f4d4ede7196ff9f2b5141db04"),
+     "338d117bf58c4a1d520a24c1114dd568483a52551060fed76d51258e2fa4bfd3"),
     (["parametrix", "--n", "6", "--seed", "1"],
-     "47b55e3123da5e2371707d2f15453102e43f6a8d0fa84df36f8436b2c76704de"),
+     "19ae32cf4648ca9990ce2c3882eb26ae19e69a36d61f38611c1077df05a4d627"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "250e8009fc752afcaa1553354f11ba4982322659cf76de2760a6eee072c3295e"),
+     "fea63daf4736b4bbe8636c50f08c30015b85f388850f4dc5f53b08c79fec1d8d"),
     (["parametrix", "--n", "12", "--seed", "1"],
-     "4c76a93ed1e2243e141e364c4d9ea500d90dcca881c3644e8e49b4958e3f84b8"),
+     "8315ad1b3380d1ef967d31db0ddf36f01b3c95b778d6e32123544868ccd1f266"),
     (["parametrix", "--n", "16", "--seed", "1"],
-     "9bbb07e670efe647ba2d58209444a67ee9a91d84db9b96c65c4104f1a7dc80ef"),
+     "432cb779e5dcab73ea43de3514ab94482e07ab32de28e7aae5575385ae0d4cda"),
     (["constants", "--format", "json"],
-     "6f03718872480cbdcc4dbcda433bbd449aa2426fd73c396c65bca1fefae536e8"),
+     "78162f04d72d0b6e87d1a15218a776929d89cf1f35e96ef3e30c380fc131de2a"),
     (["spectral"],
-     "0d988388c61b55a64953797ce92aba9e9fd29f776121385412e04e353a045f9d"),
+     "b2372c1ea78fbb9750087ec6c2e331cdd84250c639475a85f6458417cb00a77b"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
-     "ee2019fa1ae3d312702e52711db5129717ff7d3f50b918b30f29d6721a6f3385"),
+     "21712d9ab4ca549e0cc4d97e18080f019f3296c8c766853718281031a95c7811"),
     # an odd L, an undamped step, and integer critical exponents 3 and 5
     (["spectral", "--n", "8", "--L", "41", "--init", "perturbed", "--damping", "1.0"],
-     "b22b49ef0c69ecf60e4f1a53669d259d23e722d37900a1e78d9661e6b1961a68"),
+     "af00020078e6d173d7a5a1161fdf58efccec8aa24d60baaf34f008b334581db3"),
     (["spectral", "--n", "6", "--L", "41", "--init", "perturbed", "--damping", "1.0",
       "--iters", "30"],
-     "f169ab4418423f17f353dd79ebdd341b1700c360b1ad357d2c2515bef85bb52c"),
+     "b4c733e579f2d1b081dea0edbeefa8bc78e28b32d1bf33bd77c9236042c5596d"),
     (["asymptotics", "--case", "flat", "--n", "5"],
-     "3da3e62d6d2dde5728d03fc3c8183921f3e52183e3512f45b601ab64e3d5b2db"),
+     "37017a67bd07c4ce16035116eb63d3d5e606c6486187aefe3ec11eb8ea284952"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
-     "4cce3de6fc7b7fc64c234833e2e5010fd9000d26c87ab271d5e676e4e939e7fb"),
+     "00b5cc6f2991fbd11a69f5f3262504551410bdbddd0909ee1f136074b8220b5b"),
     (["asymptotics", "--case", "n8", "--n", "8"],
-     "a7dc67d3006dd72a6a71a90145661f5125eed8d3863c8ca35bd9f5f2b640188c"),
+     "fc129010089ade3afd0e6a1d016bc65b06a0533970ffdf3d810318c743603287"),
     (["asymptotics", "--case", "n9", "--n", "9"],
-     "9576bf09dcef5d939de796e96ca40f575f0ad918285661379cc1cc2d3b598078"),
+     "7b3795cad0c66899ba4523c7fc8a3f2e09e89e3de622edd55ae62f03394d2b99"),
     (["asymptotics", "--case", "high", "--n", "10"],
-     "acb87ca6de832bacfe45af93ff7385043099521c7f252197f02b8554d0dddcad"),
+     "f35d248b16b958a0ca3b23b6d1977ceef2d78aafa033e6ad65a44b0c43df33e3"),
     (["verify", "asymptotics"],
-     "b0a8b12e6cbfa8b68a374d45b22fe3792cd96461312c02d6aa43ad5f156f12fa"),
+     "f400c78c1a27fd6d8ae6e26e0e4bb7ac0f66712c47aa7571fccaf5642608416c"),
     (["verify", "bubbles"],
-     "e35d24dd3e6dce170df7158eeca09f044e4fb911d30f2d90ff443b25556fe334"),
+     "3534a1f38f07c4e0b8443cf292f2cc174eeb3d8257d7fc8796a335e7457cae73"),
     (["verify", "weyl", "--n", "4..12", "--trials", "5"],
-     "830cbb45c33ee1de5933569c0359a98ee764d717ea64e4d3ab23e42c25fc1ca9"),
+     "7d88198f2801e2a8fe27056eaf786c19fe8bf6189e6a8a62a931f6e9acdb4814"),
     (["verify", "polyalg", "--seed", "3", "--trials", "8"],
-     "950a7f6b77375eda26b4bbb8228900706f41b8895d6a1ea773d5337cb1ca0fa0"),
+     "4a897e3de70a30bb3125e7fbab0da4bc824c8d034cebf48d302dd057983a0a5e"),
     (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
-     "e29ebb04773cac658dd0c6782cc0cb429acdfd68e4371769bf48c7549070916f"),
+     "e5b5123c53bec81f5f978c770b8dd06a01f08eee4ec11f6f3ef0a00873fcc7e9"),
     (["verify", "spectral"],
-     "b457cad42deb5668a3a24d6d08fa04ab4884f059528480b6f2ac7fdc9e1c9fc2"),
+     "6f5d85dab056bbb8cbc1425f149947f220bed92a89c79f1aace18e5a38c668d9"),
 ]
 
 # reports pinned under one BLAS thread.  Two large-L spectral reports:
@@ -106,9 +115,9 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
               ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "a88449b28d28effc3c6ef919c10a4c414d372b9a1a26d7e5c1cfed18559a636a"),
+     "69b415f277e492b353cb9f308904de3a52baa868a38fa78e584f0480dfff9f2a"),
     (["spectral", "--n", "5", "--L", "256", "--iters", "50", "--init", "perturbed"],
-     "171f73330fd6c906ebc9b6af23890cbc4a3ca98d20018c7010ff696613662432"),
+     "5583f3e8d048e16fa84660a978db4292faac30cfec3a77b87491824fefc5bf7a"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
