@@ -45,5 +45,5 @@ print("\nn=5: constant term kept symbolic:", g5.constant_symbol,
       "| remainder:", g5.remainder)
 
 print("\nLaTeX form of the n=8 expansion shells:")
-for line in latex_lines(green8.expansion):
+for line in latex_lines(green8):
     print("  ", line[:100] + ("..." if len(line) > 100 else ""))

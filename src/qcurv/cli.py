@@ -17,10 +17,13 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import asymptotics as asym
 from . import parametrix as par
@@ -138,14 +141,9 @@ def cmd_constants(n_range, fmt, out):
     table = None  # json: the report is the stdout
     if fmt == "csv":
         cols = ["n", "Q_sphere", "omega_n", "Y4", "Theta4", "resid_Y4_vs_moments", "resid_duality"]
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    str(r[c]) if c in ("n", "Q_sphere") else repr(float(r[c])) for c in cols
-                )
-            )
-        table = "\n".join(lines) + "\n"
+        cells = [[str(r[c]) if c in ("n", "Q_sphere") else repr(float(r[c])) for c in cols]
+                 for r in rows]
+        table = "\n".join(",".join(line) for line in [cols, *cells]) + "\n"
     elif fmt == "latex":
         lines = [r"\begin{tabular}{rrrrr}", r"$n$ & $Q$ & $\omega_n$ & $Y_4$ & $\Theta_4$ \\"]
         for r in rows:
@@ -324,16 +322,16 @@ def _seeded_checks(ns, trials, seed, family, provenance, identities) -> list[Ver
             for n in ns]
 
 
-def _verify_weyl(ns, trials, seed, L) -> list[VerificationReport]:
+def _verify_weyl(n, trials, seed) -> list[VerificationReport]:
     def identities(n, s):
         W = tensor.random_weyl(n, s)
         return tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W))
 
-    return _seeded_checks(ns, trials, seed, lambda n: "weyl.identities",
+    return _seeded_checks(n, trials, seed, lambda n: "weyl.identities",
                           "curvature quartic and trace identities, exact", identities)
 
 
-def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
+def _verify_polyalg(trials, seed) -> list[VerificationReport]:
     def polys():  # drawn lazily from a fresh Philox(seed), so memory stays flat in trials
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(trials):
@@ -358,12 +356,12 @@ def _verify_polyalg(ns, trials, seed, L) -> list[VerificationReport]:
     ]
 
 
-def _verify_parametrix(ns, trials, seed, L) -> list[VerificationReport]:
+def _verify_parametrix(n, trials, seed) -> list[VerificationReport]:
     def identities(n, s):
         jet = par.random_jet(n, s)
         return par.shell_identities(jet, par.green_leading(jet))
 
-    return _seeded_checks(ns, trials, seed,
+    return _seeded_checks(n, trials, seed,
                           lambda n: f"parametrix.{'closed-form' if n >= 9 else 'log-coefficient'}",
                           SHELL_PROVENANCE, identities)
 
@@ -393,23 +391,23 @@ def _constants_checks(rows: list[dict]) -> list[VerificationReport]:
     return out
 
 
-def _verify_constants(ns, trials, seed, L) -> list[VerificationReport]:
-    return _constants_checks(sphereforms.constants_table(ns))
+def _verify_constants(n) -> list[VerificationReport]:
+    return _constants_checks(sphereforms.constants_table(n))
 
 
-def _verify_bubbles(ns, trials, seed, L) -> list[VerificationReport]:
+def _verify_bubbles(n) -> list[VerificationReport]:
     # the canonical term lists hold the identity symbolically in lam, so
     # lam = 1 stands for every lam
     return [
         exact_check(
-            f"bubble.pde[n={n}]",
-            {"n": n},
-            sphereforms.bubble_source(n).terms,
+            f"bubble.pde[n={d}]",
+            {"n": d},
+            sphereforms.bubble_source(d).terms,
             "Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam as canonical terms "
             "(c, lam power, r power, (r^2+lam^2) power)",
-            sphereforms.bubble_bilaplacian(1.0, n).terms,
+            sphereforms.bubble_bilaplacian(1.0, d).terms,
         )
-        for n in ns
+        for d in n
     ]
 
 
@@ -460,8 +458,8 @@ def _spectral_checks(solver: spectral.SphereSolver, drift_rows: list[dict]
     ]
 
 
-def _verify_spectral(ns, trials, seed, L) -> list[VerificationReport]:
-    solvers = (spectral.SphereSolver(n, L) for n in ns)
+def _verify_spectral(n, L) -> list[VerificationReport]:
+    solvers = (spectral.SphereSolver(d, L) for d in n)
     return [c for s in solvers for c in _spectral_checks(s, spectral.mobius_drifts(s))]
 
 
@@ -479,7 +477,7 @@ def _ratio_check(case: str, n: int, seed: int, fit: asym.FitResult) -> Verificat
     )
 
 
-def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
+def _verify_asymptotics(seed) -> list[VerificationReport]:
     out = []
     for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
         jet = par.random_jet(n, seed, normalize=True) if asym.CASES[case].needs_jet else None
@@ -488,57 +486,58 @@ def _verify_asymptotics(ns, trials, seed, L) -> list[VerificationReport]:
     return out
 
 
-# suite -> (checks, default dimensions, the smallest and largest ones it
-# accepts, default trials, default truncation L); None where the suite reads
-# no such option or sets no largest dimension.  Weyl tensors first exist at
-# n = 4 and are built up to tensor.MAX_N, the degree-4 shell starts at n = 8,
-# the sphere forms need n >= 5, and the moments stay normal floats up to
-# sphereforms.MOMENTS_MAX_N
+@dataclass(frozen=True)
+class Suite:
+    """A verify suite: ``checks`` takes the options it reads as keywords,
+    with ``options`` their defaults (``n``: the dimensions); ``n_bounds``
+    bound its --n (None: no largest).  Weyl tensors exist from n = 4 and are
+    built up to tensor.MAX_N, the degree-4 shell starts at n = 8, the sphere
+    forms need n >= 5, and the moments stay normal floats to MOMENTS_MAX_N."""
+
+    checks: Callable[..., list[VerificationReport]]
+    options: dict
+    n_bounds: tuple[int | None, int | None] = (None, None)
+
+
 SUITES = {
-    "weyl": (_verify_weyl, range(5, 11), 4, tensor.MAX_N, 50, None),
-    "polyalg": (_verify_polyalg, None, None, None, 40, None),
-    "parametrix": (_verify_parametrix, range(8, 13), 8, tensor.MAX_N, 10, None),
-    "constants": (_verify_constants, range(5, 13), 5, sphereforms.MOMENTS_MAX_N, None, None),
-    "bubbles": (_verify_bubbles, range(5, 13), 5, None, None, None),
-    "spectral": (_verify_spectral, range(5, 10), 5, None, None, 64),
-    "asymptotics": (_verify_asymptotics, None, None, None, None, None),
+    "weyl": Suite(_verify_weyl, {"n": range(5, 11), "trials": 50, "seed": 1}, (4, tensor.MAX_N)),
+    "polyalg": Suite(_verify_polyalg, {"trials": 40, "seed": 1}),
+    "parametrix": Suite(_verify_parametrix, {"n": range(8, 13), "trials": 10, "seed": 1},
+                        (8, tensor.MAX_N)),
+    "constants": Suite(_verify_constants, {"n": range(5, 13)}, (5, sphereforms.MOMENTS_MAX_N)),
+    "bubbles": Suite(_verify_bubbles, {"n": range(5, 13)}, (5, None)),
+    "spectral": Suite(_verify_spectral, {"n": range(5, 10), "L": 64}, (5, None)),
+    "asymptotics": Suite(_verify_asymptotics, {"seed": 1}),
 }
+# the defaults `verify all` sets over a suite's own: ten weyl trials keep it short
+ALL_DEFAULTS = {"weyl": {"trials": 10}}
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice([*SUITES, "all"]))
-@click.option("--n", "n_range", default=None, help="dimension range, e.g. 5..10")
+@click.option("--n", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L),
+@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=spectral.MAX_L),
               default=None, help=f"spectral truncation degree; {L_HELP}")
 @_report_option
-def cmd_verify(suite, n_range, trials, seed, trunc, out):
+@click.pass_context
+def cmd_verify(ctx, suite, out, **options):
     """Run a verification suite; exit 0 only if every check passes."""
-    dims = None  # the --n dimensions, parsed for the one suite that reads them
-    if suite == "all":
-        # each suite runs at its default dimensions; --trials and --L reach
-        # the suites that read them
-        if n_range is not None:
-            raise click.UsageError("verify all takes no --n")
-    else:
-        _, ns, min_n, max_n, default_trials, default_L = SUITES[suite]
-        for flag, value, default in (("--n", n_range, ns), ("--trials", trials, default_trials),
-                                     ("--L", trunc, default_L)):
-            if value is not None and default is None:
-                raise click.UsageError(f"verify {suite} takes no {flag}")
-        if n_range is not None:
-            dims = _parse_n_range(n_range, min_n, max_n, f"verify {suite} needs")
-    reports: list[VerificationReport] = []
-    for name in SUITES if suite == "all" else [suite]:
-        checks, ns, _, _, default_trials, default_L = SUITES[name]
-        if (suite, name) == ("all", "weyl"):
-            default_trials = 10  # keeps `verify all` short
-        reports += checks(ns if dims is None else dims,
-                          default_trials if trials is None else trials, seed,
-                          default_L if trunc is None else trunc)
-    config = {"suite": suite, "n": n_range, "trials": trials, "seed": seed, "L": trunc}
-    return reports, {"command": "verify", "config": config}, out
+    # suite -> its defaults; `verify all` runs each suite at its own dimensions
+    runs = ({name: row.options | ALL_DEFAULTS.get(name, {}) for name, row in SUITES.items()}
+            if suite == "all" else {suite: SUITES[suite].options})
+    read = {key for defaults in runs.values() for key in defaults if suite != "all" or key != "n"}
+    given = {key: value for key, value in options.items()
+             if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE}
+    for key in given:
+        if key not in read:
+            raise click.UsageError(f"verify {suite} takes no --{key}")
+    if "n" in given:
+        given["n"] = _parse_n_range(given["n"], *SUITES[suite].n_bounds, f"verify {suite} needs")
+    reports = [check for name, opts in runs.items()
+               for check in SUITES[name].checks(**{k: given.get(k, v) for k, v in opts.items()})]
+    return reports, {"command": "verify", "config": {"suite": suite, **options}}, out
 
 
 if __name__ == "__main__":

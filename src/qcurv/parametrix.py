@@ -166,7 +166,7 @@ def psi4_closed_form(jet: CurvatureJet) -> LogRadialExpansion:
     ).mul_r2k(1).scale(Fraction(1, 48 * (n - 6)))
     third = r4.scale(w2 * psi4_radial_coefficient(n))
     total = first + second + third
-    return LogRadialExpansion(n, 0, {(4, 0): total} if not total.is_zero() else None)
+    return LogRadialExpansion(n, {(4, 0): total})
 
 
 def n8_log_coefficient(jet: CurvatureJet) -> Fraction:
@@ -183,10 +183,11 @@ def n8_log_coefficient(jet: CurvatureJet) -> Fraction:
 class GreenExpansion:
     """Expansion of H = 2n(2-n)(4-n) omega_n G_{P,p} near the pole.
 
-    ``expansion`` holds r^{4-n} (1 + corrections); ``remainder`` records
-    the O-class of the neglected part.  For n in {5,6,7} the constant in
-    the expansion is carried as the opaque symbol ``constant_symbol``
-    (its value comes from positive-mass arguments, never computed here).
+    H is r^{4-n} times ``expansion`` (1 + corrections), and the report
+    writes the prefactor as "radial_exp"; ``remainder`` records the O-class
+    of the neglected part.  For n in {5,6,7} the constant in the expansion
+    is carried as the opaque symbol ``constant_symbol`` (its value comes
+    from positive-mass arguments, never computed here).
     """
 
     n: int
@@ -203,7 +204,7 @@ class GreenExpansion:
         out = {
             "n": self.n,
             "normalization": "H = 2n(2-n)(4-n) omega_n G_{P,p}",
-            "expansion": self.expansion.to_json(),
+            "expansion": {**self.expansion.to_json(), "radial_exp": f"{4 - self.n}/1"},
             "remainder": self.remainder,
             "log_terms": self.log_terms(),
         }
@@ -216,8 +217,8 @@ def flat_expansion(n: int) -> GreenExpansion:
     """Flat metric: H = r^{4-n} with no corrections at any order."""
     if n < 5:
         raise ValueError("n >= 5 required")
-    bare = LogRadialExpansion(n, Fraction(4 - n), {(0, 0): HomogPoly.constant(n, 1)})
-    return GreenExpansion(n=n, expansion=bare, remainder="Oinf(1)")
+    one = LogRadialExpansion.from_poly(HomogPoly.constant(n, 1))
+    return GreenExpansion(n=n, expansion=one, remainder="Oinf(1)")
 
 
 def green_leading(jet: CurvatureJet) -> GreenExpansion:
@@ -235,7 +236,7 @@ def green_leading(jet: CurvatureJet) -> GreenExpansion:
         return GreenExpansion(n=n, expansion=flat.expansion, remainder="O4(r)", constant_symbol="A")
     terms = {**flat.expansion.terms, **psi4_solve(jet).terms}
     remainder = "O4(1)" if n == 8 else "O4(r^{9-n})"
-    return GreenExpansion(n, LogRadialExpansion(n, Fraction(4 - n), terms), remainder)
+    return GreenExpansion(n, LogRadialExpansion(n, terms), remainder)
 
 
 def psi4_shell(jet: CurvatureJet, green: GreenExpansion) -> tuple:
@@ -243,7 +244,7 @@ def psi4_shell(jet: CurvatureJet, green: GreenExpansion) -> tuple:
     must equal: for n >= 9 psi_4 (every term but the leading 1) against its
     closed form, at n = 8 the r^4 log r block against -|W|^2/1440 r^4."""
     terms = green.expansion.terms
-    psi4 = LogRadialExpansion(jet.n, 0, {key: terms[key] for key in terms if key != (0, 0)})
+    psi4 = LogRadialExpansion(jet.n, {key: terms[key] for key in terms if key != (0, 0)})
     if jet.n == 8:
         r4 = HomogPoly.r_squared(8).mul_r2k(1)
         return psi4.get(4, 1), r4.scale(n8_log_coefficient(jet))
@@ -257,8 +258,8 @@ def shell_identities(jet: CurvatureJet, green: GreenExpansion) -> list[tuple[str
     A_{2-n} A_{4-n} psi_4 + phi_4 = 0 on the degree-4 shell.
 
     The recursion applies the operators with full log bookkeeping; the
-    constant term of the expansion is annihilated automatically, so the
-    whole correction part can be fed through.  The source is phi_4 only
+    leading 1 of the expansion is annihilated automatically, so the
+    expansion is fed through as stored.  The source is phi_4 only
     where the expansion must carry psi_4: a curved jet with n >= 8.  Below
     that psi_4 belongs to the remainder, and the bare r^{4-n} answers no
     source.
@@ -269,24 +270,23 @@ def shell_identities(jet: CurvatureJet, green: GreenExpansion) -> list[tuple[str
     if curved:
         got, want = psi4_shell(jet, green)
         out.append(("psi4_shell", got == want))
-    correction = LogRadialExpansion(n, 0, dict(green.expansion.terms))
     src = phi4(jet) if curved else HomogPoly.zero(n, 4)
-    out.append(("recursion_residual", solve_residual(n, correction, src).is_zero()))
+    out.append(("recursion_residual", solve_residual(n, green.expansion, src).is_zero()))
     return out
 
 
-def latex_lines(e: LogRadialExpansion) -> list[str]:
-    """One LaTeX line per (degree, log power) shell of an expansion."""
-    rho = e.radial_exp
+def latex_lines(green: GreenExpansion) -> list[str]:
+    """One LaTeX line per (degree, log power) shell of a Green's expansion,
+    each with its r^{4-n} prefix."""
+    e = green.expansion
     lines = []
     for (i, k) in sorted(e.terms):
         poly = e.terms[(i, k)]
         body = " + ".join(
             _latex_term(c, exp) for exp, c in sorted(poly.terms.items())
         )
-        prefix = f"r^{{{rho}}}" if rho != 0 else ""
         logpart = "" if k == 0 else (r"\log r" if k == 1 else rf"\log^{{{k}}} r")
-        lines.append(f"{prefix}\\left({body}\\right){logpart}".strip())
+        lines.append(f"r^{{{4 - green.n}}}\\left({body}\\right){logpart}")
     return lines
 
 

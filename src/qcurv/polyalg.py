@@ -485,19 +485,19 @@ def split_identities(p: HomogPoly, blocks: list[HarmonicBlock]) -> list[tuple[st
 
 
 class LogRadialExpansion:
-    """Finite sum r^rho * sum_{i,k} psi_{i,k}(x) log^k r.
+    """Finite sum sum_{i,k} psi_{i,k}(x) log^k r of shells.
 
-    ``terms`` maps (degree i, log power k) to a HomogPoly of degree i.
-    The radial exponent rho is an arbitrary Fraction (4-n for Green's
-    expansions, 0 for plain polynomial data).  An expansion is a value:
-    zero shells are dropped when it is built, and nothing edits it later.
+    ``terms`` maps (degree i, log power k) to a HomogPoly of degree i.  A
+    Green's expansion is r^{4-n} times such a sum; the prefactor is the
+    ``GreenExpansion``'s, and the operators here act on the bracket.  An
+    expansion is a value: zero shells are dropped when it is built, and
+    nothing edits it later.
     """
 
-    __slots__ = ("n", "radial_exp", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, radial_exp=0, terms: Mapping[tuple[int, int], HomogPoly] | None = None):
+    def __init__(self, n: int, terms: Mapping[tuple[int, int], HomogPoly] | None = None):
         self.n = n
-        self.radial_exp = _as_fraction(radial_exp)
         clean: dict[tuple[int, int], HomogPoly] = {}
         if terms:
             for (i, k), poly in terms.items():
@@ -510,8 +510,8 @@ class LogRadialExpansion:
         self.terms = clean
 
     @classmethod
-    def from_poly(cls, poly: HomogPoly, radial_exp=0, logpow: int = 0) -> "LogRadialExpansion":
-        return cls(poly.n, radial_exp, {(poly.degree, logpow): poly})
+    def from_poly(cls, poly: HomogPoly, logpow: int = 0) -> "LogRadialExpansion":
+        return cls(poly.n, {(poly.degree, logpow): poly})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -524,29 +524,22 @@ class LogRadialExpansion:
 
     def __add__(self, other: "LogRadialExpansion") -> "LogRadialExpansion":
         """The sum, shell by shell; shells that cancel are dropped."""
-        if self.n != other.n or self.radial_exp != other.radial_exp:
-            raise ValueError("expansions must share n and radial exponent")
+        if self.n != other.n:
+            raise ValueError("expansions must share n")
         keys = sorted(self.terms.keys() | other.terms.keys())
-        return LogRadialExpansion(self.n, self.radial_exp,
-                                  {key: self.get(*key) + other.get(*key) for key in keys})
+        return LogRadialExpansion(self.n, {key: self.get(*key) + other.get(*key) for key in keys})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LogRadialExpansion)
-            and self.n == other.n
-            and self.radial_exp == other.radial_exp
-            and self.terms == other.terms
-        )
+        return (isinstance(other, LogRadialExpansion) and self.n == other.n
+                and self.terms == other.terms)
 
     def __repr__(self):
         keys = ", ".join(f"(deg={i},log^{k})" for (i, k) in sorted(self.terms))
-        return f"LogRadialExpansion(n={self.n}, r^{self.radial_exp}, [{keys}])"
+        return f"LogRadialExpansion(n={self.n}, [{keys}])"
 
     def to_json(self) -> dict:
-        rho = self.radial_exp
         return {
             "n": self.n,
-            "radial_exp": f"{rho.numerator}/{rho.denominator}",
             "terms": [
                 {"deg": i, "logpow": k, "poly": self.terms[(i, k)].to_json()}
                 for (i, k) in sorted(self.terms)
@@ -555,9 +548,7 @@ class LogRadialExpansion:
 
 
 def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
-    """Apply A_alpha to an expansion, absorbing the r^rho prefactor.
-
-    A_alpha(r^rho phi) = r^rho A_{alpha+rho} phi, and on phi log^k r
+    """Apply A_alpha to an expansion.  On phi log^k r
 
         A_a(phi log^k r) = A_a phi log^k r + k B_a phi log^{k-1} r
                            + k(k-1) phi log^{k-2} r,
@@ -566,7 +557,7 @@ def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     scalar 2i + 2a + n - 2.  Every output shell is summed in one pass.
     """
     n = e.n
-    a = _as_fraction(alpha) + e.radial_exp
+    a = _as_fraction(alpha)
     parts: dict[tuple[int, int], list] = {}
     for (i, k), poly in e.terms.items():
         parts.setdefault((i, k), []).append((a * (2 * i + a + n - 2), poly))
@@ -576,8 +567,7 @@ def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
             parts.setdefault((i, k - 1), []).append((k * (2 * i + 2 * a + n - 2), poly))
         if k >= 2:
             parts.setdefault((i, k - 2), []).append((k * (k - 1), poly))
-    terms = {key: _lincomb(n, key[0], ps) for key, ps in parts.items()}
-    return LogRadialExpansion(n, e.radial_exp, terms)
+    return LogRadialExpansion(n, {key: _lincomb(n, key[0], ps) for key, ps in parts.items()})
 
 
 def _escalation_scalars(n: int, m: int, k: int) -> list[int]:
@@ -630,7 +620,7 @@ def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
             raise UnresolvableBlockError(
                 f"block r^{2 * k} H_{m - 2 * k} (n={n}) unresolvable up to log^3"
             )
-    return LogRadialExpansion(n, 0, {(m, kk): _lincomb(n, m, ps) for kk, ps in parts.items()})
+    return LogRadialExpansion(n, {(m, kk): _lincomb(n, m, ps) for kk, ps in parts.items()})
 
 
 def apply_AA(n: int, e: LogRadialExpansion) -> LogRadialExpansion:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,17 +455,22 @@ class SphereSolver:
 
     # -- extremal iteration ---------------------------------------------------
 
-    def extremal_iteration(
-        self, f0: ZonalField, steps: int, damping: float = 0.5
-    ) -> list[tuple[ZonalField, float]]:
+    def extremal_iteration(self, f0: ZonalField, steps: int, damping: float = 0.5
+                           ) -> list[tuple[ZonalField, float]]:
+        """The whole trajectory of ``iterates``: steps + 1 pairs of (field,
+        dual-functional value)."""
+        return list(self.iterates(f0, steps, damping))
+
+    def iterates(self, f0: ZonalField, steps: int, damping: float = 0.5
+                 ) -> Iterator[tuple[ZonalField, float]]:
         """Fixed-point iteration for the dual extremal problem.
 
         Each step sends f to the normalized positive part of (G_P f)
         raised to the critical power (n+4)/(n-4), evaluated on the
         solver's grid and projected back to degree L, then blends with
-        the previous iterate by ``damping``.  The trajectory of
-        (field, dual-functional value) is returned; no monotonicity is
-        claimed.
+        the previous iterate by ``damping``.  Each (field, dual-functional
+        value) is yielded in turn, from f0 on, so a caller keeps only what
+        it reads; no monotonicity is claimed.
 
         The iterate's grid values are carried through the blend as
         half-grid rows (see ``synthesize_half``), so a step synthesizes only
@@ -487,7 +493,6 @@ class SphereSolver:
 
         coeffs = f0.coeffs
         vals = self.synthesize_half(coeffs)
-        out = []
         for step in range(steps + 1):
             if step:
                 g_vals = self.synthesize_half(self.apply_GP(f).coeffs)
@@ -502,8 +507,7 @@ class SphereSolver:
             value = self._ratio(self._theta4_num(coeffs), norm)
             f = ZonalField(coeffs / norm)
             vals = vals / norm
-            out.append((f, value))
-        return out
+            yield f, value
 
     # -- conformal dilation ----------------------------------------------------
 
@@ -562,14 +566,16 @@ def spectral_report(solver: SphereSolver, iters: int, damping: float, init: str)
     f0 = solver.constant_field(1.0)
     if init == "perturbed":
         f0.coeffs[2] += 0.1 * f0.coeffs[0]
-    traj = solver.extremal_iteration(f0, iters, damping)
+    values = []  # and the last field only, so memory stays flat in iters
+    for f, value in solver.iterates(f0, iters, damping):
+        values.append(value)
     return {
         "n": solver.n,
         "L": solver.L,
         "damping": damping,
         "init": init,
-        "functional_values": [v for _, v in traj],
-        "final_coeffs": list(traj[-1][0].coeffs),
+        "functional_values": values,
+        "final_coeffs": list(f.coeffs),
         "gram_defect": solver.gram_defect(),
         "invariance_checks": mobius_drifts(solver),
     }

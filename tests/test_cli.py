@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import inspect
 import json
 import operator
 import warnings
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qcurv import asymptotics, parametrix, sphereforms, spectral, tensor
+from qcurv import asymptotics, cli, parametrix, sphereforms, spectral, tensor
 from qcurv.cli import main
 from qcurv.report import SCHEMA
 from test_polyalg import expansion_from_json
@@ -809,6 +810,7 @@ def test_parametrix_report_writes_the_green_expansion(runner, n):
         written = json.loads(json.dumps(green.to_json()))
         assert {key: doc[key] for key in written} == written
         assert expansion_from_json(doc["expansion"]) == green.expansion
+        assert doc["expansion"]["radial_exp"] == f"{4 - n}/1"
         curved_low = n <= 7 and "--flat" not in argv
         assert doc.get("constant_term") == ("A" if curved_low else None)
 
@@ -994,9 +996,9 @@ def test_constants_options_never_crash(runner, tmp_path, n_range, fmt):
         assert len(res.stdout.splitlines()) == len(doc["rows"]) + 1
 
 
-# suite -> the options it reads besides --seed
+# suite -> the options it reads
 _CHEAP_SUITES = {"constants": ("--n",), "bubbles": ("--n",), "spectral": ("--n", "--L"),
-                 "polyalg": ("--trials",)}
+                 "polyalg": ("--trials", "--seed")}
 _VERIFY_VALUES = {"--n": _N_RANGES, "--trials": st.integers(-1, 2), "--L": st.integers(-1, 96),
                   "--seed": st.integers(-2, 3)}
 
@@ -1009,7 +1011,7 @@ def _verify_options(draw):
     stray = draw(st.integers(0, 3)) == 0
     opts = {}
     for flag, values in _VERIFY_VALUES.items():
-        if (stray or flag == "--seed" or flag in _CHEAP_SUITES[suite]) and draw(st.booleans()):
+        if (stray or flag in _CHEAP_SUITES[suite]) and draw(st.booleans()):
             opts[flag] = draw(values)
     return suite, opts
 
@@ -1256,11 +1258,25 @@ def test_dimension_ranges_run_lazily(runner):
     (["constants", "--L", "32"], "--L"),
     (["bubbles", "--L", "32"], "--L"),
     (["asymptotics", "--L", "32"], "--L"),
+    (["constants", "--seed", "3"], "--seed"),
+    (["bubbles", "--seed", "3"], "--seed"),
+    (["spectral", "--seed", "3"], "--seed"),
 ])
 def test_verify_refuses_option_suite_ignores(runner, args, flag):
     res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2, res.output
     assert f"verify {args[0]} takes no {flag}" in res.output
+
+
+def test_suite_rows_name_the_keywords_of_their_checks():
+    # a row's options are exactly what its checks function reads, so the
+    # refusals above follow the functions
+    for name, row in cli.SUITES.items():
+        params = inspect.signature(row.checks).parameters.values()
+        assert [p.name for p in params] == list(row.options), name
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+    assert all(set(opts) <= set(cli.SUITES[name].options)
+               for name, opts in cli.ALL_DEFAULTS.items())
 
 
 @pytest.mark.parametrize("n", [5.9, 5.0, "5", True, -5])

@@ -186,7 +186,7 @@ def test_flat_expansion_all_orders():
         exp = flat_expansion(n)
         assert exp.remainder == "Oinf(1)"
         assert exp.expansion.terms == {(0, 0): HomogPoly.constant(n, 1)}
-        assert exp.expansion.radial_exp == F(4 - n)
+        assert exp.to_json()["expansion"]["radial_exp"] == f"{4 - n}/1"
 
 
 def test_green_leading_dispatch():
@@ -236,7 +236,7 @@ def test_residual_detects_corruption():
     bad_terms[(4, 0)] = bad_terms[(4, 0)].scale(F(3, 2))
     bad = GreenExpansion(
         n=9,
-        expansion=LogRadialExpansion(9, g.expansion.radial_exp, bad_terms),
+        expansion=LogRadialExpansion(9, bad_terms),
         remainder=g.remainder,
     )
     assert shell_identities(jet, bad) == [("psi4_shell", False), ("recursion_residual", False)]
@@ -252,7 +252,7 @@ def test_residual_source_follows_dimension():
     jet = random_jet(9, seed=8)
     g = green_leading(jet)
     terms = {key: p for key, p in g.expansion.terms.items() if key != (4, 0)}
-    bare = GreenExpansion(9, LogRadialExpansion(9, g.expansion.radial_exp, terms), g.remainder)
+    bare = GreenExpansion(9, LogRadialExpansion(9, terms), g.remainder)
     assert shell_identities(jet, bare) == [("psi4_shell", False), ("recursion_residual", False)]
 
 
@@ -264,8 +264,9 @@ def test_expansion_serialization_and_latex():
     assert obj["log_terms"] == [{"deg": 4, "logpow": 1}]
     round_trip = expansion_from_json(obj["expansion"])
     assert round_trip == g.expansion
-    lines = latex_lines(g.expansion)
+    lines = latex_lines(g)
     assert any("\\log r" in ln for ln in lines)
+    assert all(ln.startswith(r"r^{-4}\left(") for ln in lines)
 
 
 @pytest.mark.parametrize("n", [8, 16])

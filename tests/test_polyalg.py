@@ -48,22 +48,23 @@ def eigen_A(n: int, m: int, k: int, alpha) -> Fraction:
 def apply_B(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
     """Apply B_alpha: B_a(phi log^k r) = B_a phi log^k r + 2k phi log^{k-1} r."""
     alpha = _as_fraction(alpha)
-    out = LogRadialExpansion(e.n, e.radial_exp)
-    a_eff = alpha + e.radial_exp
+    out = LogRadialExpansion(e.n)
     for (i, k), poly in e.terms.items():
-        out += LogRadialExpansion(e.n, e.radial_exp, {(i, k): poly.scale(2 * i + 2 * a_eff + e.n - 2)})
+        out += LogRadialExpansion(e.n, {(i, k): poly.scale(2 * i + 2 * alpha + e.n - 2)})
         if k >= 1:
-            out += LogRadialExpansion(e.n, e.radial_exp, {(i, k - 1): poly.scale(2 * k)})
+            out += LogRadialExpansion(e.n, {(i, k - 1): poly.scale(2 * k)})
     return out
 
 
 def expansion_from_json(obj: dict) -> LogRadialExpansion:
-    """The inverse of ``LogRadialExpansion.to_json``."""
+    """The inverse of ``LogRadialExpansion.to_json``; a Green's expansion's
+    "radial_exp" is the prefactor r^{4-n}, which the bare shell map does not
+    carry."""
     terms = {}
     for t in obj["terms"]:
         p = t["poly"]
         terms[(t["deg"], t["logpow"])] = HomogPoly.from_vector(p["n"], p["m"], p["ints"], p["scale"])
-    return LogRadialExpansion(int(obj["n"]), F(obj["radial_exp"]), terms)
+    return LogRadialExpansion(int(obj["n"]), terms)
 
 
 def poly_from_coeffs(n, entries):
@@ -210,7 +211,7 @@ def test_eigen_consistency_on_all_blocks(p, num, den):
 def random_expansion(draw, n):
     keys = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), max_size=4, unique=True))
     terms = {(i, k): draw(random_homog(st.just(n), st.just(i))) for i, k in keys}
-    return LogRadialExpansion(n, F(4 - n), terms)
+    return LogRadialExpansion(n, terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,9 +226,9 @@ def test_expansion_sum_is_a_value(pair):
     for key in a.terms.keys() | b.terms.keys():
         assert total.get(*key) == a.get(*key) + b.get(*key)
     assert all(not p.is_zero() for p in total.terms.values())
-    negated = LogRadialExpansion(a.n, a.radial_exp, {key: -p for key, p in a.terms.items()})
+    negated = LogRadialExpansion(a.n, {key: -p for key, p in a.terms.items()})
     assert (a + negated).is_zero() and (negated + a).is_zero()
-    assert a + LogRadialExpansion(a.n, a.radial_exp) == a
+    assert a + LogRadialExpansion(a.n) == a
 
 
 def test_apply_A_zero_alpha_on_constant():
@@ -258,24 +259,13 @@ def test_apply_B_kills_constant_at_half_shift():
     assert apply_B(alpha, e).is_zero()
 
 
-def test_radial_prefactor_shift_law():
-    # A_a(r^beta p) = r^beta A_{a+beta} p, exercised through radial_exp
-    n = 5
-    p = HomogPoly.monomial(n, [2, 1, 0, 0, 0])
-    for beta in (F(4 - n), F(-7, 2), F(2)):
-        for alpha in (F(1), F(-3, 4)):
-            lifted = apply_A(alpha, LogRadialExpansion.from_poly(p, radial_exp=beta))
-            plain = apply_A(alpha + beta, LogRadialExpansion.from_poly(p))
-            assert lifted.terms == plain.terms
-
-
 @settings(max_examples=25, deadline=None)
 @given(random_homog(), st.integers(-6, 6), st.integers(1, 4), st.integers(0, 3))
 def test_log_cascade_for_A(p, num, den, k):
     # A_a(p log^k r) = A_a p log^k + k B_a p log^{k-1} + k(k-1) p log^{k-2}
     alpha = F(num, den)
     n = p.n
-    e = LogRadialExpansion(n, 0, {(p.degree, k): p}) if not p.is_zero() else LogRadialExpansion(n, 0)
+    e = LogRadialExpansion(n, {(p.degree, k): p})
     got = apply_A(alpha, e)
     want = {}
     if not p.is_zero():
@@ -284,7 +274,7 @@ def test_log_cascade_for_A(p, num, den, k):
             want[(p.degree, k - 1)] = _apply_b(alpha, p).scale(k)
         if k >= 2:
             want[(p.degree, k - 2)] = p.scale(k * (k - 1))
-    assert got == LogRadialExpansion(n, 0, want)
+    assert got == LogRadialExpansion(n, want)
 
 
 def _apply_a(alpha, p):
@@ -304,7 +294,7 @@ def test_composite_AA_on_logs(p, k):
     # nested operator application against the directly assembled sum.
     n = p.n
     a, b = F(2 - n), F(4 - n)
-    e = LogRadialExpansion(n, 0, {(p.degree, k): p} if not p.is_zero() else None)
+    e = LogRadialExpansion(n, {(p.degree, k): p})
     got = apply_A(a, apply_A(b, e))
     want = {}
     if not p.is_zero():
@@ -320,7 +310,7 @@ def test_composite_AA_on_logs(p, k):
             want[(p.degree, k - 3)] = third.scale(k * (k - 1) * (k - 2))
         if k >= 4:
             want[(p.degree, k - 4)] = p.scale(k * (k - 1) * (k - 2) * (k - 3))
-    assert got == LogRadialExpansion(n, 0, want)
+    assert got == LogRadialExpansion(n, want)
 
 
 # ------------------------------------------------------------------ eigen_AA
@@ -426,7 +416,6 @@ def test_expansion_json_round_trip():
     n = 5
     e = LogRadialExpansion(
         n,
-        F(4 - n),
         {
             (0, 0): HomogPoly.constant(n, 1),
             (4, 1): HomogPoly.r_squared(n).mul_r2k(1).scale(F(-1, 48)),

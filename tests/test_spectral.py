@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -852,8 +854,38 @@ def test_spectral_report_payload():
     rep = spectral_report(solver, iters=5, damping=0.5, init="perturbed")
     assert (rep["n"], rep["L"]) == (5, 32)
     assert len(rep["functional_values"]) == 6
+    f0 = solver.constant_field(1.0)
+    f0.coeffs[2] += 0.1 * f0.coeffs[0]
+    traj = solver.extremal_iteration(f0, 5, 0.5)
+    assert rep["functional_values"] == [v for _, v in traj]
+    assert rep["final_coeffs"] == list(traj[-1][0].coeffs)
     assert rep["gram_defect"] < 1e-12
     assert rep["invariance_checks"] == mobius_drifts(solver)
     assert all(c["theta4_drift"] < 1e-6 for c in rep["invariance_checks"])
     with pytest.raises(ValueError):
         spectral_report(SphereSolver(5, 8), 1, 0.5, init="bogus")
+
+
+def test_spectral_report_memory_is_flat_in_iters():
+    """At 400 steps spectral_report peaks no higher than at 50 steps, plus
+    the 350 extra functional values: one slot of the appended list and one
+    float each.  The trajectory's fields are not kept."""
+    solver = SphereSolver(5, 256)
+
+    def peak(iters):
+        spectral_report(solver, iters, 0.5, "perturbed")  # the solver's caches, once
+        tracemalloc.start()
+        try:
+            spectral_report(solver, iters, 0.5, "perturbed")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def list_bytes(k):
+        values = []
+        for _ in range(k):
+            values.append(0.0)
+        return sys.getsizeof(values)
+
+    values = list_bytes(401) - list_bytes(51) + 350 * sys.getsizeof(0.0)
+    assert peak(400) <= peak(50) + values
