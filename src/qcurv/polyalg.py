@@ -6,21 +6,20 @@ and the two-parameter family of radial operators
 
     A_a = r^2 Lap + 2a r d/dr + a(a+n-2),      B_a = dA_a/da,
 
-acting on polynomial expansions that may carry an r^rho prefactor and
-integer powers of log r.  The composite A_{2-n} A_{4-n} is diagonal on
-harmonic blocks; ``solve_AA`` inverts it block by block, escalating to
-log r terms on kernel blocks.
+acting on polynomial expansions with integer powers of log r.  The
+composite A_{2-n} A_{4-n} is diagonal on harmonic blocks; ``solve_AA``
+inverts it block by block, escalating to log r terms on kernel blocks.
 
 A polynomial of degree m in n variables is stored densely: one integer
 vector over the degree-m monomials, which ``monomial_table(n, m)`` lists in
 lexicographic order of their exponents, times one rational ``content``.
 The integers are coprime and the first nonzero one, on the
 lexicographically first exponent, is positive, so the form is unique and
-``==`` and ``hash`` compare it directly; ``to_json`` writes it as it is,
-zeros included, through ``exact_json``.  Scaling and negation touch only
-the content; linear combinations bring the contents to one denominator and
-add integer vectors; each table caches one index map, through which the
-Laplacian gathers and r^2 multiplication scatters.  The integers are int64
+``==`` compares it directly; ``to_json`` writes it as it is, zeros
+included, through ``exact_json``.  Scaling touches only the content;
+linear combinations bring the contents to one denominator and add integer
+vectors; each table caches one index map, through which the Laplacian
+gathers and r^2 multiplication scatters.  The integers are int64
 wherever a bound computed from the operands proves that no intermediate
 value overflows, and Python ints (object arrays) otherwise.  No floating
 point enters this module; every operation here is an exact identity and is
@@ -284,15 +283,16 @@ class HomogPoly:
         """The polynomial scale * sum_i ints[i] x^exps[i] over
         ``monomial_table(n, degree)``; ``ints`` is a signed-integer array,
         or a sequence of Python ints as ``to_json`` writes, of the table's
-        length."""
-        v = np.array(ints)
-        if v.dtype.kind in "uf":  # numpy reads an int past int64 as uint64 or float64
-            v = np.array(ints, dtype=object)
-        whole = v.dtype.kind == "i" or v.dtype == object and all(
-            isinstance(x, (int, np.integer)) for x in v.flat)
+        length; a bool is not an integer here."""
+        # all but a signed-integer array is read entry by entry: numpy would
+        # read True as 1 and an int past int64 as uint64 or float64
+        signed = isinstance(ints, np.ndarray) and ints.dtype.kind == "i"
+        v = np.array(ints, dtype=None if signed else object)
+        whole = signed or all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in v.flat)
         if v.shape != (math.comb(n + degree - 1, degree),) or not whole:
             raise ValueError(f"need one integer per monomial of degree {degree} in {n} variables")
-        if v.dtype != object:
+        if signed:
             v = _widen(v)
         return cls._make(n, degree, *_primitive(v, _as_fraction(scale)))
 
@@ -335,17 +335,11 @@ class HomogPoly:
             and np.array_equal(self._v, other._v)
         )
 
-    def __hash__(self):
-        return hash((self.n, self.degree, self.content, tuple(self._v.tolist())))
-
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         return _lincomb(self.n, self.degree, [(1, self), (1, other)])
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return _lincomb(self.n, self.degree, [(1, self), (-1, other)])
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly._make(self.n, self.degree, self._v, -self.content)
 
     def scale(self, factor) -> "HomogPoly":
         f = _as_fraction(factor)
@@ -377,10 +371,8 @@ class HomogPoly:
         return HomogPoly._make(self.n, m, _narrow(v), self.content)
 
     def __repr__(self):
-        if self.is_zero():
-            return f"HomogPoly(n={self.n}, m={self.degree}, 0)"
         parts = [f"{c}*x^{e}" for e, c in sorted(self.terms.items())]
-        return f"HomogPoly(n={self.n}, m={self.degree}, " + " + ".join(parts) + ")"
+        return f"HomogPoly(n={self.n}, m={self.degree}, {' + '.join(parts) or 0})"
 
     # -- serialization ------------------------------------------------
 

@@ -34,6 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .polyalg import _as_fraction
+
 Term = tuple[Fraction, Fraction, int, Fraction]  # (c, lam_power, r_power, s)
 
 
@@ -44,7 +46,10 @@ def _positive(lam: float) -> float:
 
 
 class RadialTermSum:
-    """Finite sum of terms c lam^p r^j (r^2+lam^2)^s at a fixed lam > 0."""
+    """Finite sum of terms c lam^p r^j (r^2+lam^2)^s at a fixed lam > 0.
+
+    c, p and s are read by ``polyalg._as_fraction`` and j must be an int,
+    so a float or a bool raises ValueError."""
 
     __slots__ = ("lam", "terms", "_shared")
 
@@ -54,10 +59,10 @@ class RadialTermSum:
         self._shared: dict[str, object] = {}
         merged: dict[tuple[Fraction, int, Fraction], Fraction] = {}
         for c, p, j, s in terms or []:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = (Fraction(p), int(j), Fraction(s))
+            if not isinstance(j, int) or isinstance(j, bool):
+                raise ValueError(f"r power must be an integer, got {j!r}")
+            key = (_as_fraction(p), j, _as_fraction(s))
+            c = _as_fraction(c)
             acc = merged.get(key, Fraction(0)) + c
             if acc == 0:
                 merged.pop(key, None)
@@ -83,7 +88,7 @@ class RadialTermSum:
 
     @classmethod
     def single(cls, lam, c, lam_power, r_power, s) -> "RadialTermSum":
-        return cls(lam, [(Fraction(c), Fraction(lam_power), int(r_power), Fraction(s))])
+        return cls(lam, [(c, lam_power, r_power, s)])
 
     def __add__(self, other: "RadialTermSum") -> "RadialTermSum":
         if other.lam != self.lam:
@@ -91,11 +96,8 @@ class RadialTermSum:
         return RadialTermSum(self.lam, [(c, p, j, s) for (c, p, j, s) in self.terms]
                              + [(c, p, j, s) for (c, p, j, s) in other.terms])
 
-    def __sub__(self, other: "RadialTermSum") -> "RadialTermSum":
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "RadialTermSum":
-        f = Fraction(factor)
+        f = _as_fraction(factor)
         return RadialTermSum(self.lam, [(c * f, p, j, s) for (c, p, j, s) in self.terms])
 
     def diff(self) -> "RadialTermSum":

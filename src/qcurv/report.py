@@ -6,9 +6,9 @@ no timing, so identical configurations produce byte-identical files.
 
 ``dump_report`` writes a report as one line of compact JSON with sorted
 keys, through the stdlib C encoder; ``python -m json.tool`` pretty-prints
-it.  The encoder's ``default`` hook maps the few leaves JSON has no type
-for: a Fraction to "p/q" text, an object to its ``to_json()``, a numpy
-scalar to its Python value.
+it.  A payload is plain JSON data and Fractions; the encoder's
+``default`` hook writes a Fraction as "p/q" text and refuses any other
+leaf with TypeError.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
-
-import numpy as np
 
 SCHEMA = "qcurv-report/2"
 
@@ -97,10 +95,6 @@ def _json_leaf(value: Any) -> Any:
     """The JSON form of a value the encoder has no type for."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if isinstance(value, np.generic):
-        return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -394,11 +394,6 @@ class SphereSolver:
 
     # -- norms and functionals ----------------------------------------------
 
-    def _out_of_range(self, what: str, value: float) -> ValueError:
-        return ValueError(
-            f"{what} {value!r} leaves the floating-point range at n={self.n}, L={self.L}"
-        )
-
     def _norm(self, vals: np.ndarray, p: float) -> float:
         """The L^p norm of half-grid rows, with the largest |value| scaled
         out so no power overflows.  Only the powered values are mirrored to
@@ -414,7 +409,8 @@ class SphereSolver:
             full = np.concatenate((powered[-1, ::-1], powered[0]))
             norm = top * float(np.dot(self._w_norm, full) ** (1.0 / p))
         if not (0.0 < norm * norm < math.inf):
-            raise self._out_of_range(f"L^{p:g} norm", norm)
+            raise ValueError(f"L^{p:g} norm {norm!r} leaves the floating-point range "
+                             f"at n={self.n}, L={self.L}")
         return norm
 
     def lp_norm(self, field: ZonalField, p: float) -> float:
@@ -429,7 +425,8 @@ class SphereSolver:
         quotient that underflows to 0 is refused."""
         q = num / norm**2
         if not (0.0 < q < math.inf):
-            raise self._out_of_range("functional value", q)
+            raise ValueError(f"functional value {q!r} leaves the floating-point range "
+                             f"at n={self.n}, L={self.L}")
         return q
 
     def _theta4_num(self, coeffs: np.ndarray) -> float:

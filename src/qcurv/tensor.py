@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, exact_ints, exact_json,
-                      laplacian, monomial_table, split_identities)
+from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, _as_fraction, exact_ints,
+                      exact_json, laplacian, monomial_table, split_identities)
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
@@ -114,7 +114,8 @@ class WeylTensor:
     """Totally trace-free algebraic curvature tensor at a point.
 
     Components W[i,k,j,l] = scale * ints[i,k,j,l] with ``ints`` an int64
-    array and ``scale`` a rational.  Index symmetries:
+    array and ``scale`` an exact rational (``polyalg._as_fraction``: a
+    float or a bool raises ValueError).  Index symmetries:
     antisymmetric in (i,k) and in (j,l), symmetric under pair exchange,
     first Bianchi identity over the last three slots, and every single
     trace vanishes.
@@ -127,16 +128,18 @@ class WeylTensor:
         ints = np.asarray(ints)
         if ints.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {ints.shape}")
+        if ints.dtype.kind not in "iO":  # a float would be truncated, a bool read as 1
+            raise ValueError(f"W needs integer components, got dtype {ints.dtype}")
         bound = int_bound(n)
         if ints.size and (ints.max() > bound or ints.min() < -bound):
             raise ValueError(f"integer components too large for exact int64 sums at n={n}")
         self.ints = np.asarray(ints, dtype=np.int64)
-        self.scale = Fraction(scale)
+        self.scale = _as_fraction(scale)
         self._quartic = None
         self._gradsq = None
 
     def rescale(self, factor) -> "WeylTensor":
-        return WeylTensor(self.n, self.ints.copy(), self.scale * Fraction(factor))
+        return WeylTensor(self.n, self.ints.copy(), self.scale * _as_fraction(factor))
 
     def is_zero(self) -> bool:
         return not self.ints.any() or self.scale == 0
@@ -243,8 +246,8 @@ class SchoutenHessian:
     """Symmetric rational matrix J_ij (covariant Hessian of J at the point).
 
     Entries J_ij = scale * ints[i, j], with (ints, scale) in the canonical
-    form of ``exact_ints``, so ``==`` compares the pair directly; ``ints``
-    is int64 where every entry fits.
+    form of ``exact_ints``, so two matrices are equal exactly when their
+    pairs are; ``ints`` is int64 where every entry fits.
     """
 
     __slots__ = ("n", "ints", "scale")
@@ -260,14 +263,6 @@ class SchoutenHessian:
     @classmethod
     def zero(cls, n: int) -> "SchoutenHessian":
         return cls(n, np.zeros((n, n), dtype=np.int64))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchoutenHessian)
-            and self.n == other.n
-            and self.scale == other.scale
-            and np.array_equal(self.ints, other.ints)
-        )
 
     def trace(self) -> Fraction:
         return self.scale * sum(np.diagonal(self.ints).tolist())

@@ -226,7 +226,7 @@ def test_expansion_sum_is_a_value(pair):
     for key in a.terms.keys() | b.terms.keys():
         assert total.get(*key) == a.get(*key) + b.get(*key)
     assert all(not p.is_zero() for p in total.terms.values())
-    negated = LogRadialExpansion(a.n, {key: -p for key, p in a.terms.items()})
+    negated = LogRadialExpansion(a.n, {key: p.scale(-1) for key, p in a.terms.items()})
     assert (a + negated).is_zero() and (negated + a).is_zero()
     assert a + LogRadialExpansion(a.n) == a
 
@@ -557,7 +557,6 @@ def _assert_matches(p, n, m, ref):
     assert (p.n, p.degree) == (n, m)
     assert dict(p.terms) == ref
     assert p == HomogPoly(n, m, ref)
-    assert hash(p) == hash(HomogPoly(n, m, ref))
 
 
 @settings(max_examples=150, deadline=None)
@@ -568,7 +567,7 @@ def test_core_ring_ops_match_fraction_reference(pair, f, g):
     _assert_matches(p, n, m, a)
     _assert_matches(p + q, n, m, _ref_add(a, b))
     _assert_matches(p - q, n, m, _ref_add(a, _ref_scale(b, F(-1))))
-    _assert_matches(-p, n, m, _ref_scale(a, F(-1)))
+    _assert_matches(p.scale(-1), n, m, _ref_scale(a, F(-1)))
     for factor in (f, g):
         _assert_matches(p.scale(factor), n, m, _ref_scale(a, factor))
     assert json.dumps(p.to_json()) == _ref_json(n, m, a)
@@ -593,12 +592,11 @@ def test_core_form_is_canonical(pair, f):
     n, m, a, b = pair
     p = HomogPoly(n, m, a)
     back = p.scale(f).scale(1 / f)
-    assert back == p and hash(back) == hash(p)
+    assert back == p
     assert p - p == HomogPoly.zero(n, m)
-    assert hash(p - p) == hash(HomogPoly.zero(n, m))
     # the same polynomial reached by two routes has one representation
     q = HomogPoly(n, m, b)
-    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    assert (p + q) - q == p
     if ints(p):
         assert math.gcd(*ints(p).values()) == 1
         assert ints(p)[min(ints(p))] > 0
@@ -744,7 +742,7 @@ def test_int64_switch_both_sides():
     assert (p + p)._v.dtype == np.int64 and p + p == p.scale(2)
 
     same = HomogPoly._make(n, m, p._v.astype(object), p.content)
-    assert same == p and hash(same) == hash(p)
+    assert same == p
     assert HomogPoly.from_vector(n, m, p._v.astype(object))._v.dtype == np.int64
     low = np.zeros(len(exps), dtype=np.int64)
     low[[0, 1]] = [np.iinfo(np.int64).min, 3]  # |int64 min| itself passes int64
@@ -847,7 +845,9 @@ def test_to_json_int64_certificate_edges(v, content, in_int64):
 
 
 @pytest.mark.parametrize("bad", [[1, 2, 3], [[1, 0, 0], [0, 0, 0]], [1.5, 0, 0, 0, 0, 0],
-                                 [2**63, 0.5, 0, 0, 0, 0], ["1", 0, 0, 0, 0, 0], np.zeros(6)])
+                                 [2**63, 0.5, 0, 0, 0, 0], ["1", 0, 0, 0, 0, 0], np.zeros(6),
+                                 json.loads("[true, 2, 3, 0, 0, 0]"), [2**64, False, 0, 0, 0, 0],
+                                 np.array([1, np.bool_(True), 0, 0, 0, 0], dtype=object)])
 def test_from_vector_refuses_what_is_not_one_integer_per_monomial(bad):
     with pytest.raises(ValueError, match="one integer per monomial"):
         HomogPoly.from_vector(3, 2, bad)

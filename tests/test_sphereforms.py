@@ -165,6 +165,20 @@ def test_bilap_of_constant_vanishes():
     assert const.bilaplacian(6)(2.0) == 0.0
 
 
+@pytest.mark.parametrize("term", [(0.1, 0, 2, 0), (True, 0, 2, 0), (1, 0.5, 2, 0), (1, 0, 2, 0.5),
+                                  (1, 0, 2.5, 0), (1, 0, 2.0, 0), (1, 0, True, 0)])
+def test_radial_terms_refuse_inexact_input(term):
+    # c, p and s are exact rationals and j an int: a float or a bool would
+    # be read as its binary value, truncated, or as 1
+    with pytest.raises(ValueError):
+        RadialTermSum(1.0, [term])
+    with pytest.raises(ValueError):
+        RadialTermSum.single(1.0, *term)
+    if isinstance(term[0], float):
+        with pytest.raises(ValueError):
+            RadialTermSum.single(1.0, 1, 0, 2, 0).scale(term[0])
+
+
 def test_at_binds_the_same_terms():
     F = Fraction
     x = RadialTermSum(0.5, [(F(2), 1, 4, F(-3)), (F(5), 0, 1, F(-1, 2))])
@@ -225,7 +239,7 @@ def test_bubble_identity_exact(n):
     c = n * (n + 2) * (n - 2) * (n - 4)
     # every r power is even and >= 0, where canonical term lists are unique
     assert all(j >= 0 and j % 2 == 0 for _, _, j, _ in bubble_u(1.0, n).bilaplacian(n).terms)
-    diff = bubble_u(1.0, n).bilaplacian(n) - bubble_f(1.0, n).scale(c)
+    diff = bubble_u(1.0, n).bilaplacian(n) + bubble_f(1.0, n).scale(-c)
     assert diff.terms != []
     assert diff.canonical().terms == []
 

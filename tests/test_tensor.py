@@ -16,6 +16,7 @@ from qcurv.tensor import (
     _symmetric_ranks,
     _symmetric_vector,
     fix_trace,
+    invariants_hold,
     random_schouten_hessian,
     random_weyl,
     int_bound,
@@ -255,6 +256,54 @@ def test_each_weyl_identity_fails_on_a_mutated_input(monkeypatch):
     assert seen == set(WEYL_IDENTITY_NAMES)
 
 
+def _invariant_defects(A: np.ndarray) -> dict[str, np.ndarray]:
+    """What each invariant of an algebraic curvature tensor makes zero, in
+    the order ``invariants_hold`` checks them."""
+    return {
+        "antisymmetric_ik": A + A.transpose(1, 0, 2, 3),
+        "antisymmetric_jl": A + A.transpose(0, 1, 3, 2),
+        "pair_exchange": A - A.transpose(2, 3, 0, 1),
+        "bianchi": A + A.transpose(0, 2, 3, 1) + A.transpose(0, 3, 1, 2),
+        "traces": np.array([np.trace(A, axis1=a, axis2=b)
+                            for a, b in itertools.combinations(range(4), 2)]),
+    }
+
+
+def _invariant_witnesses() -> dict[str, np.ndarray]:
+    """For each invariant, a tensor at n = 4 that keeps the ones before it
+    and breaks it."""
+    ik = np.zeros((4,) * 4, dtype=np.int64)
+    ik[0, 1, 2, 3] = 1
+    jl = np.zeros_like(ik)
+    jl[0, 1, 2, 2], jl[1, 0, 2, 2] = 1, -1
+    pairs = np.zeros_like(ik)
+    pairs[0, 1, 2, 3] = pairs[1, 0, 3, 2] = 1
+    pairs[1, 0, 2, 3] = pairs[0, 1, 3, 2] = -1
+    volume = np.zeros_like(ik)  # totally antisymmetric: every symmetry, no Bianchi
+    for p in itertools.permutations(range(4)):
+        volume[p] = (-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(4), 2))
+    d = np.eye(4, dtype=np.int64)  # constant curvature: all but the traces
+    sphere = np.einsum("ij,kl->ikjl", d, d) - np.einsum("il,kj->ikjl", d, d)
+    return dict(zip(_invariant_defects(ik), (ik, jl, pairs, volume, sphere)))
+
+
+@pytest.mark.parametrize("broken", list(_invariant_witnesses()))
+def test_invariants_hold_fails_on_each_broken_invariant(broken):
+    # each witness passes the checks before its own, so every early
+    # ``return False`` of invariants_hold is taken by one of them
+    A = _invariant_witnesses()[broken]
+    assert [name for name, defect in _invariant_defects(A).items() if defect.any()][0] == broken
+    assert not invariants_hold(WeylTensor(4, A))
+    assert invariants_hold(random_weyl(4, 1))
+
+
+def test_schouten_quadratic_form_widens_past_int64():
+    # an off-diagonal coefficient sums two entries: past 2^62 it leaves int64
+    big = 2**62 + 1
+    q = SchoutenHessian(2, [[1, big], [big, 3]]).quadratic_form()
+    assert dict(q.terms) == {(2, 0): 1, (1, 1): 2 * big, (0, 2): 3}
+
+
 def test_sphere_average_scaling_and_zero():
     W = random_weyl(6, seed=8)
     assert W.rescale(2).sphere_average_quartic() == 4 * W.sphere_average_quartic()
@@ -364,11 +413,24 @@ def test_weyl_json_round_trip():
     assert W2.norm_sq() == W.norm_sq()
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, np.float64(0.5), True, np.bool_(True)])
+def test_weyl_refuses_inexact_input(bad):
+    # a float scale would be stored as its binary value, a float component
+    # truncated, and a bool read as 1
+    with pytest.raises(ValueError):
+        WeylTensor(4, np.zeros((4,) * 4, dtype=np.int64), bad)
+    with pytest.raises(ValueError):
+        random_weyl(4, 1).rescale(bad)
+    with pytest.raises(ValueError, match="integer components"):
+        WeylTensor(4, np.full((4,) * 4, bad))
+
+
 def test_schouten_json_round_trip():
     n = 5
     W = random_weyl(n, seed=3)
     J = random_schouten_hessian(n, 4, W)
-    assert SchoutenHessian.from_json(J.to_json()) == J
+    back = SchoutenHessian.from_json(J.to_json())
+    assert (back.ints.tolist(), back.scale) == (J.ints.tolist(), J.scale)
 
 
 @pytest.mark.parametrize("n", [5.9, 5.0, "5", True, -5, 0])

@@ -7,7 +7,14 @@ module by module, the statements that no run reached, split into refusals
 (a ``raise``, or a statement of an if/else branch or except handler that
 ends in one) and the rest, with the source line of each of the rest.
 
-    python tools/reach_audit.py [ROOT]
+    python tools/reach_audit.py [--json] [ROOT]
+
+``--json`` prints one JSON document instead: the run count, the runs that
+exited nonzero, the statement count and the unreached statements, each
+keyed by module, enclosing qualname ("<module>" at the top level) and its
+first source line stripped, with a count for a key that repeats, so the
+keys do not move when lines above them do.  tests/test_reach_audit.py
+holds that list against an allowlist.
 
 ROOT is the checkout to audit (default: the one this file is in); qcurv is
 imported from ROOT/src.  A statement counts once, a compound one by its
@@ -16,6 +23,7 @@ header; docstrings are not statements.  Stdlib only.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -32,6 +40,7 @@ class Stmt:
     first: int  # the lines whose trace means "reached": a simple statement's
     last: int   # whole span, a compound statement's header
     refusal: bool
+    scope: str  # the enclosing qualname, "<module>" at the top level
     children: list = field(default_factory=list)
 
 
@@ -48,33 +57,35 @@ def _is_docstring(node) -> bool:
         and isinstance(node.value.value, str)
 
 
-def _block(body: list, refusing: bool, documented: bool = False) -> list[Stmt]:
+def _block(body: list, refusing: bool, scope: str, documented: bool = False) -> list[Stmt]:
     if documented and body and _is_docstring(body[0]):
         body = body[1:]
-    return [_stmt(node, refusing) for node in body]
+    return [_stmt(node, refusing, scope) for node in body]
 
 
-def _stmt(node, refusing: bool) -> Stmt:
+def _stmt(node, refusing: bool, scope: str) -> Stmt:
     body = getattr(node, "body", None)
     if not isinstance(body, list):  # a simple statement
-        return Stmt(node.lineno, node.end_lineno, refusing or isinstance(node, ast.Raise))
+        return Stmt(node.lineno, node.end_lineno, refusing or isinstance(node, ast.Raise), scope)
     first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-    out = Stmt(first, max(first, body[0].lineno - 1), refusing)
+    out = Stmt(first, max(first, body[0].lineno - 1), refusing, scope)
     documented = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    inner = (node.name if scope == "<module>" else f"{scope}.{node.name}") if documented else scope
     if isinstance(node, ast.If):  # each branch is its own block
-        out.children = (_block(node.body, refusing or _ends_in_raise(node.body))
-                        + _block(node.orelse, refusing or _ends_in_raise(node.orelse)))
+        out.children = (_block(node.body, refusing or _ends_in_raise(node.body), scope)
+                        + _block(node.orelse, refusing or _ends_in_raise(node.orelse), scope))
         return out
-    out.children = _block(body, refusing, documented) + _block(getattr(node, "orelse", []), refusing)
+    out.children = (_block(body, refusing, inner, documented)
+                    + _block(getattr(node, "orelse", []), refusing, scope))
     for handler in getattr(node, "handlers", []):
-        out.children += _block(handler.body, refusing or _ends_in_raise(handler.body))
-    out.children += _block(getattr(node, "finalbody", []), refusing)
+        out.children += _block(handler.body, refusing or _ends_in_raise(handler.body), scope)
+    out.children += _block(getattr(node, "finalbody", []), refusing, scope)
     return out
 
 
 def module_statements(path: str) -> list[Stmt]:
     with open(path, encoding="utf-8") as f:
-        return _block(ast.parse(f.read()).body, False, documented=True)
+        return _block(ast.parse(f.read()).body, False, "<module>", documented=True)
 
 
 def unreached(stmts: list[Stmt], hits: set[int]) -> tuple[int, list[Stmt]]:
@@ -123,7 +134,7 @@ def _ranges(lines: list[int]) -> str:
     return " ".join(parts)
 
 
-def main(root: str) -> int:
+def main(root: str, as_json: bool = False) -> int:
     src = os.path.join(root, "src")
     package = os.path.join(src, "qcurv")
     modules = sorted(os.path.realpath(os.path.join(package, name))
@@ -178,23 +189,29 @@ def main(root: str) -> int:
         print(f"qcurv was imported from {parametrix.__file__}, not from {src}", file=sys.stderr)
         return 2
 
-    for run, code in runs:
-        if code != 0:
-            print(f"note: {run} exited {code}")
+    failed = [f"{run} exited {code}" for run, code in runs if code != 0]
+    per_module = {os.path.relpath(path, src): unreached(module_statements(path), hits[path])
+                  for path in modules}
+    if as_json:
+        print(json.dumps({"runs": len(runs), "nonzero_exits": failed,
+                          "statements": sum(total for total, _ in per_module.values()),
+                          "unreached": _keyed(src, per_module)}, indent=1))
+        return 0
+
+    for note in failed:
+        print(f"note: {note}")
     grand_total = grand_missed = grand_refusals = 0
-    for path in modules:
-        total, missed = unreached(module_statements(path), hits[path])
+    for module, (total, missed) in per_module.items():
         refusals = [s.first for s in missed if s.refusal]
         rest = [s for s in missed if not s.refusal]
         grand_total += total
         grand_missed += len(missed)
         grand_refusals += len(refusals)
-        print(f"{os.path.relpath(path, src)}: {len(missed)} of {total} statements unreached, "
+        print(f"{module}: {len(missed)} of {total} statements unreached, "
               f"{len(refusals)} of them refusals")
         if refusals:
             print(f"  refusals at lines {_ranges(refusals)}")
-        with open(path, encoding="utf-8") as f:
-            text = f.read().splitlines()
+        text = _source_lines(os.path.join(src, module))
         for s in rest:
             print(f"  {s.first}: {text[s.first - 1].strip()}")
     print(f"total: {grand_missed} of {grand_total} statements unreached, {grand_refusals} refusals, "
@@ -202,6 +219,31 @@ def main(root: str) -> int:
     return 0
 
 
+def _source_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+def _keyed(src: str, per_module: dict) -> list[dict]:
+    """The unreached statements as {"module", "qualname", "text", "refusal",
+    "count"}, one entry per distinct key, in source order of its first."""
+    out: dict[tuple, dict] = {}
+    for module, (_, missed) in per_module.items():
+        text = _source_lines(os.path.join(src, module))
+        for s in missed:
+            line = text[s.first - 1].strip()
+            key = (module, s.scope, line, s.refusal)
+            if key not in out:
+                out[key] = {"module": module, "qualname": s.scope, "text": line,
+                            "refusal": s.refusal, "count": 0}
+            out[key]["count"] += 1
+    return list(out.values())
+
+
 if __name__ == "__main__":
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.exit(main(os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else here))
+    parser = argparse.ArgumentParser(description="List the statements of src/qcurv no report reaches.")
+    parser.add_argument("--json", action="store_true", help="print one JSON document")
+    parser.add_argument("root", nargs="?", help="the checkout to audit (default: this one)",
+                        default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    args = parser.parse_args()
+    sys.exit(main(os.path.abspath(args.root), args.json))
