@@ -2,42 +2,16 @@
 operator, Q-curvature functionals, and Green's-function expansions on and
 around the round sphere.
 
-Submodules:
+The package itself exports nothing; import its submodules, for example
+``from qcurv import polyalg``:
   polyalg      exact rational homogeneous polynomials, harmonic
                decomposition, the radial operator family and its inverse
   tensor       Weyl-tensor algebra and curvature quartics at a point
   parametrix   Green's-function expansion near the pole
+  radial       closed-form radial functions c lam^p r^j (r^2 + lam^2)^s
   sphereforms  bubbles, sharp constants, moment integrals
   spectral     zonal Gegenbauer solver and the extremal functionals
   asymptotics  test-function energy expansions and coefficient fits
+  report       verification records and their deterministic JSON
   cli          the `qcurv` command-line entry point
 """
-
-from .parametrix import CurvatureJet, GreenExpansion, green_leading, psi4_solve, random_jet
-from .polyalg import HomogPoly, LogRadialExpansion, harmonic_decompose, solve_AA
-from .sphereforms import bubble_f, bubble_u, radial_moment, sharp_constants
-from .spectral import SphereSolver, ZonalField
-from .tensor import SchoutenHessian, WeylTensor, random_weyl
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CurvatureJet",
-    "GreenExpansion",
-    "HomogPoly",
-    "LogRadialExpansion",
-    "SchoutenHessian",
-    "SphereSolver",
-    "WeylTensor",
-    "ZonalField",
-    "bubble_f",
-    "bubble_u",
-    "green_leading",
-    "harmonic_decompose",
-    "psi4_solve",
-    "radial_moment",
-    "random_jet",
-    "random_weyl",
-    "sharp_constants",
-    "solve_AA",
-]

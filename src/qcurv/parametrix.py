@@ -39,12 +39,13 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureJet:
     """Curvature data at a point in conformal normal coordinates.
 
     The scalar constraint trace(Jh) = -|W|^2 / (12(n-1)) is part of the
-    coordinate normalization and is enforced at construction.
+    coordinate normalization and is enforced at construction.  Jets compare
+    by identity; two jets hold the same data when their ``to_json()`` agree.
     """
 
     n: int

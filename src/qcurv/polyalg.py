@@ -563,18 +563,20 @@ def apply_A(alpha, e: LogRadialExpansion) -> LogRadialExpansion:
 
 
 def _escalation_scalars(n: int, m: int, k: int) -> list[int]:
-    """E^(j)(0), j = 0..3, of E(eps) = (eps+2-n+2k)(eps+2m-2k)(eps+4-n+2k)(eps+2m-2k+2),
-    the product of the scalars (a+2k)(2m-2k+a+n-2) by which A_a acts on
-    r^{2k} H_{m-2k}, at a = 2-n+eps and at a = 4-n+eps.
+    """E^(j)(0), j = 0..2, of E(eps) = (eps+c1)(eps+c2)(eps+c1+2)(eps+c2+2),
+    c1 = 2-n+2k and c2 = 2m-2k: the product of the scalars (a+2k)(2m-2k+a+n-2)
+    by which A_a acts on r^{2k} H_{m-2k}, at a = 2-n+eps and at a = 4-n+eps.
 
     A_{2-n} A_{4-n} maps r^eps times the block to E(eps) r^eps times it, so
     j eps-derivatives at 0 give its action on log^j r: E(0) is eigen_AA, and
-    the first nonzero E^(j)(0) inverts a kernel block with log^j r.
+    the first nonzero E^(j)(0) inverts a kernel block with log^j r.  At most
+    two factors vanish at 0 (one of c1, c1+2 and one of c2, c2+2), so one of
+    the three is nonzero.
     """
     coeffs = [1]  # of the expanded product, lowest power of eps first
     for c in (2 - n + 2 * k, 2 * m - 2 * k, 4 - n + 2 * k, 2 * m - 2 * k + 2):
         coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return [math.factorial(j) * coeffs[j] for j in range(4)]
+    return [math.factorial(j) * coeffs[j] for j in range(3)]
 
 
 def eigen_AA(n: int, m: int, k: int) -> Fraction:
@@ -584,34 +586,20 @@ def eigen_AA(n: int, m: int, k: int) -> Fraction:
     return Fraction(_escalation_scalars(n, m, k)[0])
 
 
-class UnresolvableBlockError(ArithmeticError):
-    """Raised when a kernel block of A_{2-n}A_{4-n} resists all log
-    escalations up to log^3.  Never reached by the curvature sources this
-    package builds; the guard exists so a silent wrong answer is
-    impossible."""
-
-
 def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
     """Solve A_{2-n} A_{4-n} psi = -rhs block by block.
 
-    Invertible blocks are divided by their eigen_AA scalar.  On kernel
-    blocks the log power is raised by exactly one until the first operator
-    in the log-derivative cascade acts invertibly (log r via the mixed operator,
-    then log^2, then log^3; ``_escalation_scalars``).  The blocks of each log
-    power are summed in one pass.
+    Each block is divided by the first nonzero E^(j)(0) of its
+    ``_escalation_scalars`` and carries log^j r: j = 0 on invertible blocks, 1
+    on kernel blocks (the mixed operator) and 2 only on constants at n = 2, 4.
+    The blocks of each log power are summed in one pass.
     """
     m = rhs.degree
     parts: dict[int, list] = {}
     for block in harmonic_decompose(rhs):
         k = block.k
-        for logpow, lam in enumerate(_escalation_scalars(n, m, k)):
-            if lam != 0:
-                parts.setdefault(logpow, []).append((Fraction(-1, lam), block.h.mul_r2k(k)))
-                break
-        else:
-            raise UnresolvableBlockError(
-                f"block r^{2 * k} H_{m - 2 * k} (n={n}) unresolvable up to log^3"
-            )
+        logpow, lam = next((j, e) for j, e in enumerate(_escalation_scalars(n, m, k)) if e)
+        parts.setdefault(logpow, []).append((Fraction(-1, lam), block.h.mul_r2k(k)))
     return LogRadialExpansion(n, {(m, kk): _lincomb(n, m, ps) for kk, ps in parts.items()})
 
 

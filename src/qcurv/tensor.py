@@ -128,7 +128,8 @@ class WeylTensor:
         ints = np.asarray(ints)
         if ints.shape != (n, n, n, n):
             raise ValueError(f"expected shape {(n,) * 4}, got {ints.shape}")
-        if ints.dtype.kind not in "iO":  # a float would be truncated, a bool read as 1
+        # a float or Fraction would be truncated, a bool read as 1
+        if ints.dtype.kind not in "iO" or ints.dtype == object and set(map(type, ints.flat)) - {int}:
             raise ValueError(f"W needs integer components, got dtype {ints.dtype}")
         bound = int_bound(n)
         if ints.size and (ints.max() > bound or ints.min() < -bound):

@@ -82,6 +82,15 @@ def test_jet_json_round_trip():
                 assert (jet2.Jh.ints.tolist(), jet2.Jh.scale) == (jet.Jh.ints.tolist(), jet.Jh.scale)
 
 
+def test_jet_equality_is_identity():
+    # WeylTensor and SchoutenHessian define no __eq__, so a generated
+    # dataclass __eq__ would compare a jet's tensors by identity and call two
+    # equal jets unequal; a jet is compared through its to_json()
+    assert "__eq__" not in vars(CurvatureJet)
+    jet = random_jet(6, 1)
+    assert jet == jet and CurvatureJet.from_json(jet.to_json()) != jet
+
+
 def test_normalized_jet_unit_weyl():
     jet = random_jet(10, seed=5, normalize=True)
     assert abs(float(jet.W.norm_sq()) - 1.0) < 1e-5

@@ -15,7 +15,6 @@ from qcurv.polyalg import (
     HarmonicBlock,
     HomogPoly,
     LogRadialExpansion,
-    UnresolvableBlockError,
     apply_A,
     apply_AA,
     eigen_AA,
@@ -335,20 +334,28 @@ def _eigen_log2(n, m, k):
     return 2 * (eigen_A(n, m, k, 2 - n) + eigen_A(n, m, k, 4 - n) + b2 * b4)
 
 
-def _eigen_log3(n, m, k):
-    # 6 (B_{2-n} + B_{4-n})
-    b2, b4 = 2 * m + 2 * (2 - n) + n - 2, 2 * m + 2 * (4 - n) + n - 2
-    return 6 * (b2 + b4)
-
-
 def test_escalation_scalars_equal_the_hand_derived_formulas():
     # the derivatives of one quartic in eps against the cascade's operators
     for n in range(5, 41):
         for m in range(16):
             for k in range(m // 2 + 1):
-                want = [eigen_AA(n, m, k), _eigen_mixed(n, m, k), _eigen_log2(n, m, k),
-                        _eigen_log3(n, m, k)]
+                want = [eigen_AA(n, m, k), _eigen_mixed(n, m, k), _eigen_log2(n, m, k)]
                 assert polyalg._escalation_scalars(n, m, k) == want, (n, m, k)
+
+
+def test_escalation_reaches_log2_only_on_constants_at_n2_and_n4():
+    # E(eps) has at most a double root at 0, so some E^(j)(0), j <= 2, is
+    # nonzero on every block; E''(0) comes first only on the constants
+    # (m = 0) at n = 2, where c1 = c2 = 0, and at n = 4, where c1 + 2 = c2 = 0
+    log2 = []
+    for n in range(1, 65):
+        for m in range(25):
+            for k in range(m // 2 + 1):
+                scalars = polyalg._escalation_scalars(n, m, k)
+                assert any(scalars), (n, m, k)
+                if scalars[0] == scalars[1] == 0:
+                    log2.append((n, m))
+    assert log2 == [(2, 0), (4, 0)]
 
 
 # ------------------------------------------------------------------ solve_AA
@@ -392,12 +399,21 @@ def test_solver_inverts_exactly(p):
 
 def test_solver_log2_escalation_block():
     # at degree n-2 the block r^{n-2} H_0 has eigen_AA = 0 and a nonzero
-    # mixed eigenvalue 2n(n-2); degree n-4 block r^{n-4} H_0 uses -2(n-2)(n-4)
+    # mixed eigenvalue 2n(n-2), so at n = 8 r^6 takes log r, not log^2 r
     n = 8
     rhs = HomogPoly.r_squared(n).mul_r2k(2)  # r^6, degree n-2
     psi = solve_AA(n, rhs)
+    assert psi.max_log_power() == 1
     residual = apply_AA(n, psi) + LogRadialExpansion.from_poly(rhs)
     assert residual.is_zero()
+    # on a constant at n = 2 or 4, E has a double root at 0: E(0) = E'(0) = 0,
+    # so it takes log^2 r
+    for n in (2, 4):
+        rhs = HomogPoly.constant(n, F(3, 5))
+        psi = solve_AA(n, rhs)
+        assert psi.max_log_power() == 2, n
+        residual = apply_AA(n, psi) + LogRadialExpansion.from_poly(rhs)
+        assert residual.is_zero(), n
 
 
 # -------------------------------------------------------------- serialization

@@ -16,6 +16,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from qcurv import asymptotics, parametrix as par, polyalg, radial, report, spectral, sphereforms
+from qcurv.polyalg import HomogPoly, LogRadialExpansion
+from qcurv.tensor import SchoutenHessian, random_weyl
 from test_report import _ONE_THREAD
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -87,3 +92,65 @@ def test_each_named_test_exists():
         tree = ast.parse((ROOT / "tests" / file).read_text())
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert function in defined, name
+
+
+def _collapse():
+    solver = spectral.SphereSolver(5, 4)
+    solver.extremal_iteration(solver.constant_field(-1.0), 1)
+
+
+# refusals that no run reaches, each reached by one public call: (module,
+# the refusal's message, the call).  No input is known to reach three more:
+# asymptotics._fit's overflow, spectral._gauss_jacobi's certificate and
+# SphereSolver._ratio's out-of-range value.
+REFUSALS = [
+    ("asymptotics", "jet dimension mismatch",
+     lambda: asymptotics.TestFunctionModel(case="n9", n=9, jet=par.random_jet(10, 1))),
+    ("parametrix", "dimension mismatch in jet",
+     lambda: par.CurvatureJet(6, random_weyl(5, 1), SchoutenHessian.zero(6))),
+    ("parametrix", "expansion needs n >= 5", lambda: par.phi4(par.CurvatureJet.flat(4))),
+    ("parametrix", "closed form requires n >= 9",
+     lambda: par.psi4_closed_form(par.random_jet(8, 1))),
+    ("parametrix", "log coefficient is an n=8 statement",
+     lambda: par.n8_log_coefficient(par.random_jet(9, 1))),
+    ("parametrix", "n >= 5 required", lambda: par.flat_expansion(4)),
+    ("polyalg", "need at least one variable", lambda: HomogPoly(0, 2)),
+    ("polyalg", r"bad exponent \(1, 1\) for n=3", lambda: HomogPoly(3, 2, {(1, 1): 1})),
+    ("polyalg", r"incompatible polynomials: \(n=3, m=0\) vs \(n=3, m=2\)",
+     lambda: HomogPoly.constant(3, 1) + HomogPoly.r_squared(3)),
+    ("polyalg", "log power must be nonnegative",
+     lambda: LogRadialExpansion(3, {(0, -1): HomogPoly.constant(3, 1)})),
+    ("polyalg", r"term \(2,0\) carries a polynomial of wrong shape",
+     lambda: LogRadialExpansion(3, {(2, 0): HomogPoly.constant(3, 1)})),
+    ("polyalg", "expansions must share n",
+     lambda: LogRadialExpansion.from_poly(HomogPoly.constant(3, 1))
+     + LogRadialExpansion.from_poly(HomogPoly.constant(4, 1))),
+    ("polyalg", "block index k=3 out of range for degree 4", lambda: polyalg.eigen_AA(5, 4, 3)),
+    ("radial", "lam mismatch", lambda: radial.RadialTermSum(1.0) + radial.RadialTermSum(2.0)),
+    ("spectral", "Gauss-Jacobi rule needs an even node count",
+     lambda: spectral.SphereSolver(5, -1)),
+    ("spectral", "iterate collapsed: G_P f has no positive part", _collapse),
+    ("sphereforms", "bubbles require n >= 5", lambda: sphereforms.bubble_u(1.0, 4)),
+    ("sphereforms", "n >= 5 required", lambda: sphereforms.sharp_constants(4)),
+]
+
+
+@pytest.mark.parametrize("module, message, call", REFUSALS,
+                         ids=[f"{m}: {msg}" for m, msg, _ in REFUSALS])
+def test_refusal_no_run_reaches(module, message, call):
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.traceback[-1].path.name == f"{module}.py"
+
+
+def test_missing_monomial_is_a_key_error():
+    with pytest.raises(KeyError, match=r"\(0, 2, 0\)"):
+        HomogPoly.monomial(3, (1, 1, 0), 1).terms[(0, 2, 0)]
+
+
+def test_failed_report_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        report.dump_report({"ok": True}, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

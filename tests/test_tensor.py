@@ -423,6 +423,12 @@ def test_weyl_refuses_inexact_input(bad):
         random_weyl(4, 1).rescale(bad)
     with pytest.raises(ValueError, match="integer components"):
         WeylTensor(4, np.full((4,) * 4, bad))
+    # an object array, as from_json builds, is read entry by entry
+    for entry in (bad, F(1, 2), 0.7, True):
+        ints = np.zeros((4,) * 4, dtype=object)
+        ints[0, 1, 0, 1] = ints[1, 0, 1, 0] = entry
+        with pytest.raises(ValueError, match="integer components"):
+            WeylTensor(4, ints)
 
 
 def test_schouten_json_round_trip():
