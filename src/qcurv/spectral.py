@@ -2,8 +2,8 @@
 
 Rotationally symmetric fields are expanded in Gegenbauer polynomials
 C_l^{(n-1)/2}(cos theta), orthonormalized numerically against the module's
-own Gauss-Jacobi quadrature so no closed-form normalization convention can
-leak in.  The Paneitz operator is diagonal in this basis,
+own quadrature so no closed-form normalization convention can leak in.
+The Paneitz operator is diagonal in this basis,
 
     mu_l = lam_l^2 + (n^2-2n-4)/2 lam_l + n(n+2)(n-2)(n-4)/16,
     lam_l = l(l+n-1),
@@ -13,16 +13,16 @@ fourth-order Sobolev quotient, its dual, the second-order (conformal
 Laplacian) analogues, the fixed-point iteration for the dual extremal
 problem, and conformal dilations all run on top of the same transform pair.
 
-A solver keeps one Gauss-Jacobi rule, ``OVERSAMPLE`` times finer than the
-2L+2 nodes that integrate a product of two degree-L fields exactly, so
-fractional powers of fields are evaluated on it and projected back to
-degree L.  The basis norms, the Gram defect, both transforms and the
-pullback all use this rule.
+A solver keeps one closed-form rule on Chebyshev points (``_rule``), with
+``OVERSAMPLE`` times the 2L+2 nodes a Gauss rule needs for a product of two
+degree-L fields, or more where its own exactness needs them, so fractional
+powers of fields are evaluated on it and projected back to degree L.  The
+basis norms, the Gram defect, both transforms and the pullback all use
+it.  A shape whose weights or basis leave the float range is refused.
 
-The rule has an even number of nodes, is computed here in numpy and is
-kept as its t > 0 half: the other nodes are the exact mirror images.  The
-recurrence gives C_l(-t) = (-1)^l C_l(t) bit for bit, so the basis is
-stored on t > 0 only, split by the parity of l: a synthesis is one
+The rule is kept as its t > 0 half: the other nodes are the exact mirror
+images.  The recurrence gives C_l(-t) = (-1)^l C_l(t) bit for bit, so the
+basis is stored on t > 0 only, split by the parity of l: a synthesis is one
 half-size product per parity, whose sum and difference are the values at
 t and -t, and an analysis pairs the values at t and -t before its two
 products.  An even field runs only the even product: a synthesis whose
@@ -33,15 +33,11 @@ nodes of t > 0 and at their mirror images; an even field has one row,
 which is both, so each pointwise operation runs once, on t > 0.  Only a
 norm mirrors its powered values, for one dot with the full weights.  A
 field at other points (a pullback) takes the recurrence only up to its
-highest nonzero degree.  A rule depends only on its node count and the
-dimension, so each is computed once per process and shared, read-only, by
-every solver that needs it; the basis is built per solver and not kept.
-The degree is capped at ``MAX_L``.
+highest nonzero degree.  The degree runs from 2 to ``MAX_L``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Iterator
@@ -55,17 +51,15 @@ MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
 
 # Largest truncation degree.  At L = 2048 the half-grid basis holds
 # 2049 x 6147 floats (about 100 MB, half of the full-grid basis).  The
-# recurrence fills its rows before they are folded, so a first build there
-# peaks near 225 MB RSS and takes 1.3-1.8 s, most of it for the 12294-node
-# rule (Python 3.11, numpy 2.4, one BLAS thread).  The cost grows as L^2.
+# recurrence fills its rows before they are folded, so a build there peaks
+# near 225 MB RSS and takes 0.2-0.4 s (Python 3.11, numpy 2.4, one BLAS
+# thread).  The cost grows as L^2.
 MAX_L = 2048
 
-# The rule has OVERSAMPLE (2L + 2) nodes: 2L + 2 integrate a product of two
-# degree-L fields exactly, and the finer grid resolves their fractional powers.
+# The rule has at least OVERSAMPLE (2L + 2) nodes: a Gauss rule of 2L + 2
+# integrates a product of two degree-L fields exactly, and the finer grid
+# resolves their fractional powers.
 OVERSAMPLE = 3
-
-# Newton passes on the rule's nodes before the certificate decides
-_NEWTON_PASSES = 30
 
 
 @dataclass
@@ -110,166 +104,48 @@ class PaneitzSpectrum:
         self.nu_f = self.nu_num / float(self.nu_den)
 
 
-# -- Gauss-Jacobi rule -----------------------------------------------------------
+# -- Chebyshev-point rule --------------------------------------------------------
 
 
-def _recurrence(x: np.ndarray, M: int, lam: float, count: bool = False, size: bool = False):
-    """One pass of (l+1) C_{l+1} = 2(l+lam) x C_l - (l+2lam-1) C_{l-1} up to
-    C_M = C_M^lam at the points x, in the ratio form r_l = C_l / C_{l-1},
-    which stays in range however large lam is.
-
-    Returns r_M; with ``count`` also the number of negative r_l, l = 1..M,
-    which is the number of zeros of C_M above x (the Sturm property of an
-    orthogonal family; a ratio that is exactly 0 is nudged so the count
-    stays right); with ``size`` also C_{M-1}(x) as a mantissa and a binary
-    exponent."""
-    r = (2.0 * lam) * x
-    tmp = np.empty_like(x)
-    above = (r < 0).astype(np.int64) if count else None
-    mant = np.ones_like(x)
-    expo = np.zeros(x.shape, dtype=np.intc)
-    e = np.empty(x.shape, dtype=np.intc)
-    for l in range(1, M):
-        if size:
-            mant *= r
-            if l % 8 == 0:  # a product of eight ratios, C_l / C_{l-8}, stays in range
-                np.frexp(mant, out=(mant, e))
-                expo += e
-        if count:
-            r[r == 0.0] = 1e-300
-        np.divide((l + 2.0 * lam - 1.0) / (l + 1.0), r, out=r)
-        np.multiply(x, 2.0 * (l + lam) / (l + 1.0), out=tmp)
-        np.subtract(tmp, r, out=r)
-        if count:
-            above += r < 0
-    if size:
-        np.frexp(mant, out=(mant, e))
-        expo += e
-    return r, above, mant, expo
+def _node_count(n: int, L: int) -> int:
+    """The smallest even M >= OVERSAMPLE (2L + 2) whose rule integrates
+    w C_k C_l exactly for k, l <= L: 2M - n >= 2L for odd n, M - n + 1 >= 2L
+    for even n (see ``_rule``)."""
+    need = L + (n + 1) // 2 if n % 2 else 2 * L + n - 1
+    return max(OVERSAMPLE * (2 * L + 2), need + need % 2)
 
 
-def _newton_step(x: np.ndarray, M: int, lam: float, r: np.ndarray | None = None) -> np.ndarray:
-    """C_M / C_M' at x, from (1 - x^2) C_M' = (M+2lam-1) C_{M-1} - M x C_M."""
-    if r is None:
-        r = _recurrence(x, M, lam)[0]
-    return (1.0 - x * x) * r / ((M + 2.0 * lam - 1.0) - M * x * r)
+def _fejer_weights(M: int) -> np.ndarray:
+    """Fejer's first rule for the weight 1 on [-1, 1] at the M points
+    cos theta_j, theta_j = (2j-1) pi / (2M), j = 1..M, in that order, exact
+    for degree M - 1: v_j = (2/M) (1 - 2 sum_{k=1}^{M/2} cos(2k theta_j) /
+    (4k^2 - 1)), the real part of one FFT of length M (Waldvogel, BIT 46,
+    2006).  At even M the k = M/2 term is 0 at every node and is left out."""
+    k = np.arange(M // 2)
+    c = np.where(k == 0, 1.0, -2.0 / (4.0 * k * k - 1.0))
+    spectrum = np.fft.fft(c * np.exp(1j * math.pi / M * k), M)
+    return (2.0 / M) * np.roll(spectrum.real, -1)
 
 
-def _zero_starts(M: int, lam: float) -> np.ndarray:
-    """Gatteschi-type starts for the M/2 positive zeros of C_M^lam, ascending.
-
-    u(theta) = sin^lam(theta) C_M(cos theta) solves
-    u'' + ((M+lam)^2 - lam(lam-1)/sin^2 theta) u = 0.  With Langer's
-    (lam-1/2)^2 in place of lam(lam-1), its phase from the turning point
-    x = b is q (G(b) - G(x)), where q = M + lam, beta = (lam-1/2)/q,
-    b^2 = 1 - beta^2, and in x = b sin(phi)
-
-        G = phi - beta arctan(beta tan phi),
-
-    and the k-th largest zero sits at phase (k - 1/4) pi.  Gatteschi's
-    interior formula is this to first order in beta; the full phase keeps
-    the starts within reach of Newton when lam is as large as M or larger.
-    """
-    q = M + lam
-    beta = (lam - 0.5) / q
-    k = np.arange(M // 2, 0, -1)
-    target = 0.5 * math.pi * (1.0 - beta) - (k - 0.25) * math.pi / q
-    lo = np.zeros(k.size)
-    hi = np.full(k.size, 0.5 * math.pi)
-    for _ in range(52):  # G increases in phi; bisect to rounding
-        mid = 0.5 * (lo + hi)
-        high = mid - beta * np.arctan(beta * np.tan(mid)) > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return math.sqrt(1.0 - beta * beta) * np.sin(0.5 * (lo + hi))
-
-
-def _certify(x: np.ndarray, M: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which positive nodes are certified, and the unnormalized weights.
-
-    Node j (ascending) gets the bracket x_j -+ h_j, with h_j 1/1024 of its
-    smaller gap to a neighbour, 0 or 1, so the K brackets are disjoint and
-    ordered.  It is certified when a Sturm count puts exactly one zero of
-    C_M in its bracket and its Newton correction is at rounding level.  C_M
-    has exactly K zeros in (0, 1), so then node j is the j-th zero.  The
-    weights are proportional to 1/((1 - x^2) C_M'(x)^2), kept as a mantissa
-    and a power of two until the relative scale is known."""
-    K = x.size
-    gaps = np.diff(np.concatenate(([0.0], x, [1.0])))
-    h = np.minimum(gaps[:-1], gaps[1:]) / 1024.0
-    above = _recurrence(np.concatenate((x - h, x + h)), M, lam, count=True)[1]
-    r, _, mant, expo = _recurrence(x, M, lam, size=True)
-    ok = (above[:K] - above[K:] == 1) & (np.abs(_newton_step(x, M, lam, r)) <= 1e-14)
-    # C_M'(x) = C_{M-1}(x) D / (1 - x^2), exact at a zero and first-order
-    # insensitive to the node's own rounding
-    D = (M + 2.0 * lam - 1.0) - M * x * r
-    w = np.ldexp((1.0 - x * x) / (mant * D) ** 2, -2 * (expo - expo.min()))
-    return ok, w
-
-
-def _jacobi_mass(a: float) -> float:
-    """mu_0 = sqrt(pi) Gamma(a+1) / Gamma(a+3/2), the integral of (1-t^2)^a
-    over [-1, 1]: Gamma at the fractional part of a, then one factor
-    (b+j)/(b+j+1/2) per unit step.  A difference of lgamma values would
-    lose about ulp(lgamma(a)) to cancellation, 5e-14 near a = 160."""
-    k = math.floor(a)
-    b = a - k
-    mass = math.sqrt(math.pi) * math.gamma(b + 1.0) / math.gamma(b + 1.5)
-    for j in range(1, k + 1):
-        mass *= (b + j) / (b + j + 0.5)
-    return mass
-
-
-@functools.cache
-def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The M/2 positive nodes, ascending, and their weights of the M-point
-    Gauss-Jacobi rule with alpha = beta = a, for even M: read-only and
-    shared by every solver that asks for the same rule.  The cache keeps
-    every rule a process asks for, 8 M bytes each.
-
-    The nodes are the zeros of the Gegenbauer polynomial C_M^{a+1/2}; the
-    other M/2 are -x, with the same weights.  The positive ones come from
-    Gatteschi-type starts and Newton's method on the ratio-form recurrence.
-    Every node is certified by a Sturm count (see ``_certify``); a node that
-    fails is bisected on the count and polished, and a rule that still
-    fails, or has a weight that is not a positive finite float, is refused
-    with a ValueError.  The weights of all M nodes sum to
-    ``_jacobi_mass(a)``.
-    """
-    if M < 2 or M % 2:
-        raise ValueError(f"Gauss-Jacobi rule needs an even node count, got {M}")
-    lam = a + 0.5
-    x = _zero_starts(M, lam)
-    active = np.arange(x.size)
-    for _ in range(_NEWTON_PASSES):
-        step = _newton_step(x[active], M, lam)
-        x[active] -= step
-        active = active[np.abs(step) > 1e-11]
-        if not active.size:
-            break
-    ok, w = _certify(x, M, lam)
-    if not ok.all():
-        # zero j of the K positive ones is where the count of zeros above
-        # drops below K - j
-        K = x.size
-        bad = np.flatnonzero(~ok)
-        lo, hi = np.zeros(bad.size), np.ones(bad.size)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            below = _recurrence(mid, M, lam, count=True)[1] >= K - bad
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        x[bad] = 0.5 * (lo + hi)
-        x[bad] -= _newton_step(x[bad], M, lam)
-        ok, w = _certify(x, M, lam)
-    if not ok.all():
-        raise ValueError(f"the {M}-node Gauss-Jacobi rule fails its certificate")
-    w *= _jacobi_mass(a) / (2.0 * np.sum(w))
-    if not np.all((w > 0.0) & (w < math.inf)):
-        raise ValueError(f"the {M}-node Gauss-Jacobi rule has weights outside the float range")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _rule(n: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t > 0 half of the M-point rule (M even) for the weight
+    (1 - t^2)^{(n-2)/2}, scaled by n omega_n to the sphere: the nodes t_j =
+    cos theta_j, theta_j = (2j-1) pi / (2M), ascending, their weights, and
+    the logs of the weights, which keep those below the normal floats.  For
+    odd n the weight is the Chebyshev weight (1 - t^2)^{-1/2} times
+    sin^{n-1} theta, so Gauss-Chebyshev, w_j = (pi/M) sin^{n-1} theta_j, is
+    exact for degree 2M - n; for even n, Fejer's first rule times
+    sin^{n-2} theta_j is exact for degree M - n + 1.  The weights are not
+    normalized: they sum to the rule's own sphere area."""
+    phi = (np.arange(M // 2) + 0.5) * (math.pi / M)  # pi/2 - theta, ascending
+    sin_theta = np.cos(phi)
+    if n % 2:
+        lead, power = math.pi / M, n - 1
+    else:
+        lead, power = _fejer_weights(M)[M // 2 - 1::-1], n - 2
+    scale = n * omega_n(n) * lead  # n omega_n: area of the S^{n-1} slice factor
+    w = scale * sin_theta**power
+    return np.sin(phi), w, np.log(scale) + power * np.log(sin_theta)
 
 
 # -- solver ----------------------------------------------------------------------
@@ -278,7 +154,7 @@ def _gauss_jacobi(M: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 class SphereSolver:
     """Transform pair, quadratures, and functionals for zonal fields on S^n.
 
-    The solver's one rule has ``OVERSAMPLE`` (2L + 2) nodes; ``x`` and ``w``
+    The solver's one rule has ``_node_count(n, L)`` nodes; ``x`` and ``w``
     are its nodes of t > 0 and their weights, scaled to the sphere, and
     transforms take and return half-grid rows on them (see
     ``synthesize_half``)."""
@@ -286,6 +162,8 @@ class SphereSolver:
     def __init__(self, n: int, L: int):
         if n < 5:
             raise ValueError("solver targets n >= 5")
+        if L < 2:
+            raise ValueError(f"truncation degree L={L} is below 2")
         if L > MAX_L:
             raise ValueError(f"truncation degree L={L} exceeds {MAX_L}")
         self.n = n
@@ -297,19 +175,30 @@ class SphereSolver:
             raise ValueError(f"area of S^{n} {self.area!r} is below the normal floats "
                              f"at n={n}, L={L}")
 
-        try:
-            self.x, wj = _gauss_jacobi(OVERSAMPLE * (2 * L + 2), 0.5 * (n - 2))
-        except ValueError as e:
-            raise ValueError(f"{e} at n={n}, L={L}") from None
-        self.w = n * omega_n(n) * wj  # n omega_n: area of the S^{n-1} slice factor
+        M = _node_count(n, L)
+        self.x, self.w, log_w = _rule(n, M)
         # The one mirrored array: ``_norm`` sums over the whole grid, ascending
         # in t, in one dot, the order of an iteration on full-grid values, so
         # the half-grid iteration gives that loop's bits (the tests hold it to
         # one); a sum over the folded halves would add in another order.
         self._w_norm = np.concatenate((self.w[::-1], self.w))
 
-        rows = self._gegenbauer_rows(self.x)
-        self._norms = np.sqrt(2.0 * np.sum(self.w * rows * rows, axis=1))
+        # The float range.  Every |C_l(t)| is at most C_L(1) = binom(L+n-2, L),
+        # and a step of the recurrence at most 3(L + n) times that.  At large n
+        # the outer weights fall below the normal floats where the basis is
+        # largest; the mass they drop from a basis norm, the sum of w_j Z_l(t_j)^2
+        # over them from the logs of the weights, must stay below rounding.
+        lost = math.inf
+        if math.comb(L + n - 2, L) * 3 * (L + n) < sys.float_info.max:
+            rows = self._gegenbauer_rows(self.x)
+            self._norms = np.sqrt(2.0 * np.sum(self.w * rows * rows, axis=1))
+            low = self.w < sys.float_info.min
+            with np.errstate(divide="ignore", over="ignore"):
+                log_mass = log_w[low] + 2.0 * (np.log(np.abs(rows[:, low]))
+                                               - np.log(self._norms)[:, None])
+                lost = 2.0 * float(np.max(np.sum(np.exp(log_mass), axis=1)))
+        if not lost <= sys.float_info.epsilon:
+            raise ValueError(f"the {M}-node rule leaves the float range at n={n}, L={L}")
         self._even = rows[0::2] / self._norms[0::2, None]
         self._odd = rows[1::2] / self._norms[1::2, None]
 
@@ -335,7 +224,7 @@ class SphereSolver:
         cross entries vanish exactly, since on the mirrored grid each is a
         sum of pairs w(t) Z_even(t) Z_odd(t) + w(t) Z_even(t) (-Z_odd(t))."""
         return max(float(np.max(np.abs(2.0 * (B * self.w) @ B.T - np.eye(len(B)))))
-                   for B in (self._even, self._odd) if len(B))
+                   for B in (self._even, self._odd))
 
     # -- transforms -------------------------------------------------------
 

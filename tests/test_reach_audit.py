@@ -52,15 +52,6 @@ REACHED_ONLY_BY_TESTS = [
     ("qcurv/radial.py", "RadialTermSum.deriv",
      ["out = self", "for _ in range(order):", "out = out.diff()", "return out(r)"],
      "test_sphereforms.py::test_at_binds_the_same_terms"),
-    # the bisection that repairs Gauss-Jacobi nodes Newton's method loses
-    ("qcurv/spectral.py", "_gauss_jacobi",
-     ["K = x.size", "bad = np.flatnonzero(~ok)", "lo, hi = np.zeros(bad.size), np.ones(bad.size)",
-      "for _ in range(52):", "mid = 0.5 * (lo + hi)",
-      "below = _recurrence(mid, M, lam, count=True)[1] >= K - bad",
-      "lo = np.where(below, mid, lo)", "hi = np.where(below, hi, mid)",
-      "x[bad] = 0.5 * (lo + hi)", "x[bad] -= _newton_step(x[bad], M, lam)",
-      "ok, w = _certify(x, M, lam)"],
-     "test_spectral.py::test_rule_recovers_nodes_newton_loses"),
     ("qcurv/tensor.py", "random_weyl",
      ["return WeylTensor(n, np.zeros((n, n, n, n), dtype=np.int64))"],
      "test_tensor.py::test_random_weyl_low_dimensions_vanish"),
@@ -100,9 +91,8 @@ def _collapse():
 
 
 # refusals that no run reaches, each reached by one public call: (module,
-# the refusal's message, the call).  No input is known to reach three more:
-# asymptotics._fit's overflow, spectral._gauss_jacobi's certificate and
-# SphereSolver._ratio's out-of-range value.
+# the refusal's message, the call).  No input is known to reach two more:
+# asymptotics._fit's overflow and SphereSolver._ratio's out-of-range value.
 REFUSALS = [
     ("asymptotics", "jet dimension mismatch",
      lambda: asymptotics.TestFunctionModel(case="n9", n=9, jet=par.random_jet(10, 1))),
@@ -127,8 +117,10 @@ REFUSALS = [
      + LogRadialExpansion.from_poly(HomogPoly.constant(4, 1))),
     ("polyalg", "block index k=3 out of range for degree 4", lambda: polyalg.eigen_AA(5, 4, 3)),
     ("radial", "lam mismatch", lambda: radial.RadialTermSum(1.0) + radial.RadialTermSum(2.0)),
-    ("spectral", "Gauss-Jacobi rule needs an even node count",
-     lambda: spectral.SphereSolver(5, -1)),
+    *[("spectral", f"truncation degree L={L} is below 2", lambda L=L: spectral.SphereSolver(5, L))
+      for L in (-1, 0, 1)],
+    ("spectral", "the 426-node rule leaves the float range at n=410, L=8",
+     lambda: spectral.SphereSolver(410, 8)),
     ("spectral", "iterate collapsed: G_P f has no positive part", _collapse),
     ("sphereforms", "bubbles require n >= 5", lambda: sphereforms.bubble_u(1.0, 4)),
     ("sphereforms", "n >= 5 required", lambda: sphereforms.sharp_constants(4)),

@@ -58,7 +58,7 @@ def test_schema_is_pinned_and_named_in_the_readme():
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "338d117bf58c4a1d520a24c1114dd568483a52551060fed76d51258e2fa4bfd3"),
+     "ea3d6423308715ab7fe48bbca20127f9897f03fd84f01006a2cf533e690b481b"),
     (["parametrix", "--n", "6", "--seed", "1"],
      "19ae32cf4648ca9990ce2c3882eb26ae19e69a36d61f38611c1077df05a4d627"),
     (["parametrix", "--n", "8", "--seed", "1"],
@@ -74,15 +74,15 @@ PINNED = [
     (["constants", "--n", "5..6", "--format", "latex"],
      "26695c1d63da14cedc14a740e4b48d5e58e44de6faad6de550b0e8e7276c6f46"),
     (["spectral"],
-     "b2372c1ea78fbb9750087ec6c2e331cdd84250c639475a85f6458417cb00a77b"),
+     "6ddaa3f702a988545d790faf6db37d56bdc70df98bf28ffe00f35e7a63fe2ca2"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
-     "21712d9ab4ca549e0cc4d97e18080f019f3296c8c766853718281031a95c7811"),
+     "cc2a883355497f6ed2313e6563fd8b584963de8c3c1edd273d0e8fbd8da0f1ef"),
     # an odd L, an undamped step, and integer critical exponents 3 and 5
     (["spectral", "--n", "8", "--L", "41", "--init", "perturbed", "--damping", "1.0"],
-     "af00020078e6d173d7a5a1161fdf58efccec8aa24d60baaf34f008b334581db3"),
+     "f215b5b5d31a73e80dfc5dc3dd508115b2a496adee1ee51c219f898730549116"),
     (["spectral", "--n", "6", "--L", "41", "--init", "perturbed", "--damping", "1.0",
       "--iters", "30"],
-     "b4c733e579f2d1b081dea0edbeefa8bc78e28b32d1bf33bd77c9236042c5596d"),
+     "38dd5a50ec01dd80031c9bb18b8656d796f24ac7ee53e615f0dc203f74c90cd2"),
     (["asymptotics", "--case", "flat", "--n", "5"],
      "37017a67bd07c4ce16035116eb63d3d5e606c6486187aefe3ec11eb8ea284952"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
@@ -104,7 +104,7 @@ PINNED = [
     (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
      "e5b5123c53bec81f5f978c770b8dd06a01f08eee4ec11f6f3ef0a00873fcc7e9"),
     (["verify", "spectral"],
-     "6f5d85dab056bbb8cbc1425f149947f220bed92a89c79f1aace18e5a38c668d9"),
+     "f05ca568f0f789abee848bb0428a7aaa3c3327e3ec8e0de7f4b43e8f8e1f18b1"),
 ]
 
 # reports pinned under one BLAS thread.  Two large-L spectral reports:
@@ -119,9 +119,9 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
               ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "69b415f277e492b353cb9f308904de3a52baa868a38fa78e584f0480dfff9f2a"),
+     "41ca4f6d08d72d1085a6db94867222743058f359c8da78240485cd6e86b53f6f"),
     (["spectral", "--n", "5", "--L", "256", "--iters", "50", "--init", "perturbed"],
-     "5583f3e8d048e16fa84660a978db4292faac30cfec3a77b87491824fefc5bf7a"),
+     "e01e558c327f53b142130250347485d8a49a941ddb8a1b8aabc53dcf0c68b45b"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

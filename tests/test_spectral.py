@@ -4,13 +4,14 @@ import functools
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qcurv import spectral
-from qcurv.sphereforms import sharp_constants, sphere_area
+from qcurv.sphereforms import omega_n, sharp_constants, sphere_area
 from qcurv.spectral import (MAX_L, PaneitzSpectrum, SphereSolver, ZonalField, mobius_drifts,
                             spectral_report)
 
@@ -134,79 +135,81 @@ def test_solver_validation():
         SphereSolver(5, MAX_L + 1)
 
 
-def test_solvers_of_one_shape_share_read_only_rules(s5):
-    other = SphereSolver(5, s5.L)
-    assert other.x is s5.x and not s5.x.flags.writeable
-    # the weights are scaled per solver, from the same read-only rule
-    assert s5.w.flags.writeable and np.array_equal(other.w, s5.w)
-    with pytest.raises(ValueError):
-        s5.x[0] = 0.0
+@pytest.mark.parametrize("n,L,M", [(7, 2, 18), (7, 41, 252), (7, 64, 390), (300, 8, 316),
+                                   (301, 8, 160)])
+def test_node_count_is_oversampled_or_exact(n, L, M):
+    # OVERSAMPLE (2L + 2) nodes, unless the rule needs more to integrate
+    # w C_k C_l exactly: 2M - n >= 2L for odd n, M - n + 1 >= 2L for even n
+    assert spectral._node_count(n, L) == M
+    s = SphereSolver(n, L)
+    assert s.x.size == s.w.size == M // 2
+    assert s.gram_defect() <= 1e-12
 
 
-def test_a_solver_builds_one_rule(monkeypatch):
-    asked = []
-    rule = spectral._gauss_jacobi
-    monkeypatch.setattr(spectral, "_gauss_jacobi", lambda M, a: asked.append(M) or rule(M, a))
-    for L in (2, 41, 64):
-        asked.clear()
-        s = SphereSolver(7, L)
-        assert asked == [spectral.OVERSAMPLE * (2 * L + 2)]
-        assert s.x.size == s.w.size == asked[0] // 2
+def exact_degree(n: int, M: int) -> int:
+    """The largest degree the M-point rule integrates exactly against
+    (1-t^2)^{(n-2)/2}, negative if none."""
+    return 2 * M - n if n % 2 else M - n + 1
 
 
 @pytest.mark.parametrize("M", [6, 18, 130, 390, 514, 1542])
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 20, 60, 200, 326, 400])
-def test_gauss_jacobi_rule_against_scipy(n, M):
-    from scipy.special import roots_jacobi  # the oracle only: qcurv builds its own rule
-
-    a = 0.5 * (n - 2)
-    with np.errstate(all="ignore"):  # scipy's rule turns NaN once a is large
-        ts, ws = roots_jacobi(M, a, a)
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ws))):
-        # there the outer weights fall below the smallest float
-        with pytest.raises(ValueError, match="weights outside the float range"):
-            spectral._gauss_jacobi(M, a)
+def test_rule_against_gegenbauer_norms(n, M):
+    x, w, log_w = spectral._rule(n, M)
+    assert x.size == w.size == M // 2 and np.all(np.diff(x) > 0) and x[0] > 0
+    normal = w >= sys.float_info.min
+    assert np.max(np.abs(np.log(w[normal]) - log_w[normal])) <= 1e-12 * np.max(np.abs(log_w))
+    deg = min(exact_degree(n, M) // 2, 60)
+    if deg < 2:
+        # too few nodes for the products of degree-2 fields: no solver picks it
+        assert spectral._node_count(n, 2) > M
         return
-    x, wx = spectral._gauss_jacobi(M, a)
-    assert x.size == wx.size == M // 2 and np.all(np.diff(x) > 0) and x[0] > 0
-    assert spectral._certify(x, M, a + 0.5)[0].all()
     # the rule is the t > 0 half and its exact mirror image
-    t, w = np.concatenate((-x[::-1], x)), np.concatenate((wx[::-1], wx))
-    assert np.max(np.abs(t - ts)) <= 1e-15
-    assert np.max(np.abs(w - ws) / ws) <= 1e-7
-    deg = min(M - 1, 60)
-    # both defects reach rounding level at small M, where they differ by an ulp
-    assert rule_gram_defect(t, w, n, deg) <= max(rule_gram_defect(ts, ws, n, deg),
-                                                 4 * np.finfo(float).eps)
+    t, wt = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w)) / (n * omega_n(n))
+    if rule_gram_defect(t, wt, n, deg) > 1e-13:
+        # weights below the normal floats carried part of a basis norm, and
+        # a solver on this rule refuses it
+        assert not normal.all()
+        L = next(L for L in range(2, MAX_L + 1) if spectral._node_count(n, L) == M)
+        with pytest.raises(ValueError, match=f"the {M}-node rule leaves the float range"):
+            SphereSolver(n, L)
 
 
-@pytest.mark.parametrize("n", [5, 6, 60, 326, 401])
-def test_jacobi_mass_closed_form(n):
-    want = gegenbauer_norms(n, 0)[0]
-    assert abs(spectral._jacobi_mass(0.5 * (n - 2)) - want) <= 4e-15 * want
+@pytest.mark.parametrize("M", [6, 18, 130, 1542])
+def test_fejer_weights_match_the_direct_sum(M):
+    theta = (2 * np.arange(1, M + 1) - 1) * math.pi / (2 * M)
+    k = np.arange(1, M // 2 + 1)
+    direct = (2 / M) * (1 - 2 * np.sum(np.cos(2 * np.outer(theta, k)) / (4 * k * k - 1), axis=1))
+    # both sums err by a few eps of the largest weight, about 2/M; the
+    # smallest, at the ends, is about 4/M^2
+    v = spectral._fejer_weights(M)
+    assert np.max(np.abs(v - direct) / direct) <= 4 * M * np.finfo(float).eps
+    assert abs(np.sum(v) - 2.0) <= 1e-14
 
 
-def test_rule_recovers_nodes_newton_loses(monkeypatch):
-    # two starts on one zero converge to it together: the certificate
-    # rejects both, and bisection on the Sturm count finds the two zeros
-    t0, w0 = spectral._gauss_jacobi(130, 1.5)
-    starts = spectral._zero_starts
+# n from 5 to the first sphere area below the normal floats (n = 438), in
+# steps of 23, and two shapes whose basis recurrence would overflow
+SHAPE_SWEEP = [(n, L) for n in (5, *range(17, 432, 23), 438) for L in (2, 3, 8, 32, 64, 256)]
+SHAPE_SWEEP += [(326, 2048), (300, 2048)]
 
-    def colliding(M, lam):
-        x = starts(M, lam)
-        x[10] = x[11]
-        x[-2] = x[-1]
-        return x
 
-    monkeypatch.setattr(spectral, "_zero_starts", colliding)
-    counted = []
-    recurrence = spectral._recurrence
-    monkeypatch.setattr(spectral, "_recurrence",
-                        lambda *a, **k: counted.append(k.get("count", False)) or recurrence(*a, **k))
-    t, w = spectral._gauss_jacobi.__wrapped__(130, 1.5)
-    assert sum(counted) > 2  # a certificate failed and the count bisected
-    assert np.max(np.abs(t - t0)) <= 2e-16
-    assert np.max(np.abs(w - w0) / w0) <= 1e-13
+def test_every_shape_is_orthonormal_or_refused_by_name():
+    # a solver that builds has a basis orthonormal to rounding; one that
+    # cannot is refused, naming its shape, before any RuntimeWarning
+    wrong, refused = [], []
+    for n, L in SHAPE_SWEEP:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                defect = SphereSolver(n, L).gram_defect()
+            except ValueError as e:
+                assert f"n={n}, L={L}" in str(e)
+                refused.append((n, L))
+                continue
+        if not defect <= 1e-12:
+            wrong.append((n, L, defect))
+    assert wrong == []
+    assert min(n for n, _ in refused) > 247
 
 
 def test_uncertifiable_rule_names_the_shape():
@@ -217,8 +220,8 @@ def test_uncertifiable_rule_names_the_shape():
 # ----------------------------------------------------------- transforms
 
 # The half-grid algebra holds on any rule: with ``oversampled`` False a check
-# runs on the plain rule of 2L + 2 nodes (``OVERSAMPLE`` 1), whose half has
-# L + 1 nodes, and with True on the solver's own rule, 3(L + 1) per half.
+# runs on the smallest rule (``OVERSAMPLE`` 1), 2L + 2 nodes or the more
+# that exactness needs, and with True on the solver's own rule.
 
 
 @functools.cache
@@ -317,7 +320,7 @@ def test_asymmetric_transforms_keep_odd_coefficients(n, L, oversampled):
         assert np.all(back[1::2] != 0.0)
 
 
-@pytest.mark.parametrize("L", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("L", [2, 3, 8])
 def test_signed_zeros_match_two_products(L):
     # an odd coefficient -0.0, an even one -0.0, and mirrored values that
     # differ only in the sign of a zero all give the two-product bits
