@@ -30,9 +30,9 @@ integrands; each panel is still summed as its own dot product and the
 panels left to right, so the result is the same, bit for bit, as one call
 per panel.  The exact radial factors (u_lam, f_lam, beta and their
 derivatives) do not depend on lam: they are built once per dimension and
-bound to each lam (``RadialTermSum.at``).  The cutoff is a polynomial in
-r/DELTA - 1 (``smoothstep``), tabulated with its derivatives at the fixed
-annulus nodes once per degree; the curvature averages, once per model.
+bound to each lam (``RadialTermSum.at``).  The cutoff is one polynomial in
+r/DELTA - 1 (``SMOOTHSTEP``), tabulated with its derivatives at the fixed
+annulus nodes at import; the curvature averages, once per model.
 
 Model scope: integrals are taken over the ball r <= DELTA plus, for the
 numerator of the matched cases, the exact cutoff annulus term
@@ -135,27 +135,12 @@ def curvature_averages(n: int) -> tuple[Fraction, Fraction, Fraction | None]:
 
 DELTA = 1.0  # radius of the model ball; the cutoff annulus is [DELTA, 2 DELTA]
 
-# The smoothstep is evaluated in the monomial basis, whose alternating
-# coefficients sum to 5e13 at degree 33 and grow about eightfold per step
-# of two: float cancellation then costs its 4th derivative about 2% of its
-# size at degree 33 and 26% at 35, where the flat, lowdim and n8 fits fail.
-# 33 is the largest degree at which every matched case still passes.
-MAX_CUTOFF_DEGREE = 33
-
-
-@functools.cache
-def smoothstep(degree: int) -> np.polynomial.Polynomial:
-    """The cutoff eta1 on the annulus as a polynomial in t = r/DELTA - 1:
-    0 at t = 0, 1 at t = 1, of odd degree in [9, MAX_CUTOFF_DEGREE], with
-    (degree-1)/2 >= 4 matched derivatives at both junctions.  eta1 is 0
-    on the ball and 1 beyond the annulus."""
-    if not 9 <= degree <= MAX_CUTOFF_DEGREE or degree % 2 == 0:
-        raise ValueError(f"cutoff degree must be odd and in [9, {MAX_CUTOFF_DEGREE}]")
-    N = (degree - 1) // 2
-    coeffs = np.zeros(degree + 1)
-    for k in range(N + 1):
-        coeffs[N + 1 + k] = math.comb(N + k, k) * math.comb(2 * N + 1, N - k) * (-1) ** k
-    return np.polynomial.Polynomial(coeffs)
+# The cutoff eta1 on the annulus as a polynomial in t = r/DELTA - 1: the
+# smoothstep 126t^5 - 420t^6 + 540t^7 - 315t^8 + 70t^9, 0 at t = 0 and 1 at
+# t = 1.  P is fourth order, so the test function needs C^4, and degree 9
+# is the lowest odd smoothstep with four matched derivatives at both
+# junctions.  eta1 is 0 on the ball and 1 beyond the annulus.
+SMOOTHSTEP = np.polynomial.Polynomial([0, 0, 0, 0, 0, 126, -420, 540, -315, 70])
 
 
 # -- the dimension regimes -------------------------------------------------------
@@ -257,8 +242,8 @@ class TestFunctionModel:
     distinct points, all in (0, DELTA/4), whose fit weights stay finite;
     every closed form and fit lead at n must be a finite float and the
     fit well conditioned; A0 must be finite and small enough that the fit
-    can square the values it scales; the cutoff degree must be odd and in
-    [9, MAX_CUTOFF_DEGREE].  All are judged here, once, before any quadrature.
+    can square the values it scales.  All are judged here, once, before any
+    quadrature.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -268,7 +253,6 @@ class TestFunctionModel:
     jet: CurvatureJet | None = None
     A0: float = 1.0
     lambdas: tuple[float, ...] = ()
-    cutoff_degree: int = 9
 
     def __post_init__(self):
         row = CASES.get(self.case)
@@ -292,7 +276,6 @@ class TestFunctionModel:
             raise ValueError("every lambda must lie in (0, DELTA/4)")
         if not math.isfinite(self.A0):
             raise ValueError("A0 must be finite")
-        smoothstep(self.cutoff_degree)  # refuses a degree the cutoff does not admit
         self.design  # refuses a grid whose weights overflow or whose fit is ill-conditioned
         try:  # math.gamma and float powers raise OverflowError past the float range
             finite = all(map(math.isfinite, (*self.closed_forms, *self.leads.values())))
@@ -424,15 +407,12 @@ def _bulk_breakpoints(lam: float) -> list[float]:
 _ANNULUS_HALF, _ANNULUS_NODES = _panel_nodes([DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)])
 
 
-@functools.cache
-def _annulus_cutoff(degree: int) -> np.ndarray:
-    """Rows 0..4: eta1 and its first four r-derivatives at the annulus
-    nodes, read-only.  The nodes lie strictly inside the annulus, where
-    eta1 is the smoothstep polynomial."""
-    poly, t = smoothstep(degree), _ANNULUS_NODES / DELTA - 1.0
-    out = np.array([poly.deriv(m)(t) / DELTA**m for m in range(5)])
-    out.setflags(write=False)
-    return out
+# rows 0..4: eta1 and its first four r-derivatives at the annulus nodes,
+# read-only.  The nodes lie strictly inside the annulus, where eta1 is the
+# smoothstep itself.
+_ANNULUS_CUTOFF = np.array([SMOOTHSTEP.deriv(m)(_ANNULUS_NODES / DELTA - 1.0) / DELTA**m
+                            for m in range(5)])
+_ANNULUS_CUTOFF.setflags(write=False)
 
 
 # -- the radially reduced integrands --------------------------------------------
@@ -548,7 +528,7 @@ def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
     numerator, norm = pieces.bulk(nodes)
     num = _panel_sum(half, numerator)
     if CASES[model.case].matched:
-        annulus = pieces.numerator_annulus(_ANNULUS_NODES, _annulus_cutoff(model.cutoff_degree))
+        annulus = pieces.numerator_annulus(_ANNULUS_NODES, _ANNULUS_CUTOFF)
         num += _panel_sum(_ANNULUS_HALF, annulus)
     norm_int = _panel_sum(half, norm)
     n = model.n

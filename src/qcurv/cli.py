@@ -209,26 +209,27 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True,
               help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit "
                    "reads; flat and lowdim read no jet")
-@click.option("--a0", type=float, default=1.0, show_default=True, help="flat/lowdim constant")
+@click.option("--a0", type=float, default=1.0, show_default=True,
+              help="flat/lowdim constant; the cases that read a jet refuse it")
 @click.option("--lambdas", default=None, help="comma-separated lam grid override")
-@click.option("--cutoff-degree", type=click.IntRange(min=9, max=asym.MAX_CUTOFF_DEGREE), default=9,
-              show_default=True, help="odd degree of the smoothstep cutoff; read by flat, lowdim, "
-                                      "n8 and n9, whose test functions have a cutoff annulus")
 @_report_option
-def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
+@click.pass_context
+def cmd_asymptotics(ctx, case, n, seed, a0, lambdas, out):
     """Fit the test-function expansion coefficient for one case."""
-    try:
-        lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas else ()
+    try:  # an empty --lambdas is a bad grid, not the row's own
+        lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas is not None else ()
     except ValueError:
         raise click.UsageError(f"bad --lambdas {lambdas!r}; use e.g. 0.04,0.02,0.01,0.005")
     needs_jet = asym.CASES[case].needs_jet
+    # --seed stays accepted by flat and lowdim, which read no jet: the
+    # benchmark's cli-calls mix passes it to every case
+    if needs_jet and ctx.get_parameter_source("a0") is ParameterSource.COMMANDLINE:
+        raise click.UsageError(f"case {case!r} reads no --a0")
     if needs_jet and n > tensor.MAX_N:
         raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
                                "the largest Weyl tensor dimension")
     jet = par.random_jet(n, seed, normalize=True) if needs_jet else None
-    model = asym.TestFunctionModel(
-        case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid, cutoff_degree=cutoff_degree
-    )
+    model = asym.TestFunctionModel(case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid)
     unit_name, unit = model.unit
     if 0.0 in (c * unit for c in model.closed_forms):  # the checks are relative to them
         raise click.UsageError(f"{unit_name} = {unit:g} makes a closed form of case {case!r} "
@@ -243,7 +244,7 @@ def cmd_asymptotics(case, n, seed, a0, lambdas, cutoff_degree, out):
             "seed": seed,
             "A0": a0,
             "lambdas": list(fit.lambdas),
-            "cutoff_degree": cutoff_degree,
+            "cutoff_degree": asym.SMOOTHSTEP.degree(),
         },
         "fit": fit.to_json(),
     }

@@ -90,13 +90,12 @@ def random_jet(n: int, seed: int, normalize: bool = False) -> CurvatureJet:
     neglected quadratic-in-curvature terms small.
     """
     W = random_weyl(n, seed)
-    if not normalize:
-        return CurvatureJet(n, W, random_schouten_hessian(n, seed, W))
-    w2 = float(W.norm_sq())
-    if w2 == 0:
-        raise ValueError(f"no nonzero Weyl tensor to normalize at n={n}")
-    W = W.rescale(Fraction(1.0 / math.sqrt(w2)).limit_denominator(10**9))
-    return CurvatureJet(n, W, random_schouten_hessian(n, seed, W, Fraction(1, 200)))
+    if normalize:
+        w2 = float(W.norm_sq())
+        if w2 == 0:
+            raise ValueError(f"no nonzero Weyl tensor to normalize at n={n}")
+        W = W.rescale(Fraction(1.0 / math.sqrt(w2)).limit_denominator(10**9))
+    return CurvatureJet(n, W, random_schouten_hessian(n, seed, W))
 
 
 # -- degree-4 source and its inverse -----------------------------------------

@@ -336,15 +336,13 @@ def random_weyl(n: int, seed: int) -> WeylTensor:
     return WeylTensor(n, W, Fraction(g, den))
 
 
-def random_schouten_hessian(
-    n: int, seed: int, W: WeylTensor, scale: Fraction = Fraction(1, 2)
-) -> SchoutenHessian:
-    """Seeded symmetric matrix, scale times integers in [-18, 18], whose
-    trace satisfies the conformal normal coordinate constraint
+def random_schouten_hessian(n: int, seed: int, W: WeylTensor) -> SchoutenHessian:
+    """Seeded symmetric matrix, multiples of 1/2 in [-9, 9], whose trace
+    satisfies the conformal normal coordinate constraint
     trace = -|W|^2 / (12(n-1))."""
     rng = np.random.Generator(np.random.Philox(seed + (1 << 32)))
     raw = rng.integers(-9, 10, size=(n, n))
-    return fix_trace(raw + raw.T, W, scale)
+    return fix_trace(raw + raw.T, W, Fraction(1, 2))
 
 
 def fix_trace(M, W: WeylTensor, scale: Fraction | int = 1) -> SchoutenHessian:

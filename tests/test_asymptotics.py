@@ -9,11 +9,11 @@ import pytest
 from qcurv.asymptotics import (
     CASES,
     DELTA,
-    MAX_CUTOFF_DEGREE,
+    SMOOTHSTEP,
     TestFunctionModel,
+    _ANNULUS_CUTOFF,
     _ANNULUS_HALF,
     _ANNULUS_NODES,
-    _annulus_cutoff,
     _bulk_breakpoints,
     _ModelPieces,
     _panel_nodes,
@@ -28,9 +28,8 @@ from qcurv.asymptotics import (
     n8_ratio_log_coefficient,
     n9_ratio_coefficient,
     numerator_coefficient_check,
-    smoothstep,
 )
-from qcurv import parametrix, polyalg
+from qcurv import asymptotics, parametrix, polyalg
 from qcurv.parametrix import CurvatureJet, psi4_closed_form, random_jet
 from qcurv.polyalg import HomogPoly, harmonic_decompose
 from qcurv.radial import RadialTermSum
@@ -47,8 +46,20 @@ def ball_integrals(pieces: _ModelPieces, breakpoints) -> tuple[float, float]:
     return tuple(_panel_sum(half, values) for values in pieces.bulk(nodes))
 
 
+def smoothstep(degree: int) -> np.polynomial.Polynomial:
+    """The smoothstep of odd degree 2N + 1 in t, from its closed formula
+    sum_k (-1)^k C(N+k, k) C(2N+1, N-k) t^{N+1+k}, k = 0..N: 0 at t = 0,
+    1 at t = 1, with N matched derivatives at both."""
+    N = (degree - 1) // 2
+    coeffs = np.zeros(degree + 1)
+    for k in range(N + 1):
+        coeffs[N + 1 + k] = math.comb(N + k, k) * math.comb(2 * N + 1, N - k) * (-1) ** k
+    return np.polynomial.Polynomial(coeffs)
+
+
 def cutoff_rows(degree: int, r: np.ndarray) -> np.ndarray:
-    """eta1 and its first four r-derivatives at r inside the annulus."""
+    """eta1 and its first four r-derivatives at r inside the annulus, for
+    the smoothstep of the given degree."""
     poly = smoothstep(degree)
     return np.array([poly.deriv(m)(r / DELTA - 1.0) / DELTA**m for m in range(5)])
 
@@ -150,7 +161,7 @@ def test_cutoff_range():
     # across the annulus, t = r/DELTA - 1 in [0, 1], the smoothstep climbs
     # from exactly 0 to 1
     t = np.linspace(0.0, 1.0, 101)
-    e1 = smoothstep(9)(t)
+    e1 = SMOOTHSTEP(t)
     assert e1[0] == 0.0 and abs(e1[-1] - 1.0) <= 1e-15
     assert np.all(e1 >= -1e-15) and np.all(e1 <= 1 + 1e-15)
     assert np.all(np.diff(e1) >= -1e-15)
@@ -158,54 +169,30 @@ def test_cutoff_range():
 
 @pytest.mark.parametrize("degree", [9, 11])
 def test_cutoff_c4_junctions(degree):
-    # derivatives through order 4 vanish exactly at both junction points
-    poly = smoothstep(degree)
+    # derivatives through order 4 vanish exactly at both junction points:
+    # of the library cutoff, and of the degree-11 smoothstep that
+    # test_cutoff_degree_independence puts in its place
+    poly = SMOOTHSTEP if degree == 9 else smoothstep(degree)
     for t0 in (0.0, 1.0):
         for m in range(1, 5):
             assert poly.deriv(m)(t0) == 0.0
     # and grow only linearly just inside (C^4 regularity)
     eps = 1e-9
-    d = cutoff_rows(degree, DELTA * np.array([1.0 + eps, 2.0 - eps]))
+    t = np.array([eps, 1.0 - eps])
     for m in range(1, 5):
-        assert np.all(np.abs(d[m]) <= 1e6 * eps)
+        assert np.all(np.abs(poly.deriv(m)(t)) <= 1e6 * eps)
 
 
-def test_cutoff_annulus_derivs_computed_once_per_degree():
-    # every node lies strictly inside the annulus, where eta1 is the
-    # polynomial itself, so the table is its derivatives there, bit for bit
+def test_cutoff_annulus_table_is_the_degree9_smoothstep():
+    # the library cutoff is the closed formula's degree-9 smoothstep, and
+    # every node lies strictly inside the annulus, where eta1 is that
+    # polynomial, so the table is its derivatives there, bit for bit
+    assert SMOOTHSTEP == smoothstep(9)
     assert np.all((_ANNULUS_NODES > DELTA) & (_ANNULUS_NODES < 2 * DELTA))
-    t = _ANNULUS_NODES / DELTA - 1.0
-    for degree in (9, 11, MAX_CUTOFF_DEGREE):
-        got = _annulus_cutoff(degree)
-        assert _annulus_cutoff(degree) is got and smoothstep(degree) is smoothstep(degree)
-        with pytest.raises(ValueError, match="read-only"):
-            got[0, 0, 0] = 1.0
-        assert got.shape == (5, *_ANNULUS_NODES.shape)
-        for m in range(5):
-            want = smoothstep(degree).deriv(m)(t) / DELTA**m
-            assert got[m].tobytes() == want.tobytes()
-    assert not np.array_equal(_annulus_cutoff(11), _annulus_cutoff(9))
-
-
-def test_cutoff_evaluated_once_per_fit():
-    _annulus_cutoff.cache_clear()
-    fit = fit_expansion(TestFunctionModel(case="n8", n=8, jet=random_jet(8, 3, normalize=True)))
-    info = _annulus_cutoff.cache_info()
-    assert len(fit.lambdas) >= 4 and info.misses == 1 and info.hits == len(fit.lambdas) - 1
-
-
-def test_cutoff_degree_validation():
-    with pytest.raises(ValueError):
-        smoothstep(8)
-    with pytest.raises(ValueError):
-        smoothstep(7)
-    smoothstep(MAX_CUTOFF_DEGREE)
-    for degree in (MAX_CUTOFF_DEGREE + 2, 2001):
-        with pytest.raises(ValueError, match=f"in \\[9, {MAX_CUTOFF_DEGREE}\\]"):
-            smoothstep(degree)
-        # refused by the model too, for a case that never evaluates the cutoff
-        with pytest.raises(ValueError, match="cutoff degree"):
-            TestFunctionModel(case="high", n=10, jet=random_jet(10, 1), cutoff_degree=degree)
+    assert _ANNULUS_CUTOFF.shape == (5, *_ANNULUS_NODES.shape)
+    assert _ANNULUS_CUTOFF.tobytes() == cutoff_rows(9, _ANNULUS_NODES).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        _ANNULUS_CUTOFF[0, 0, 0] = 1.0
 
 
 # -------------------------------------------------------- angular reduction
@@ -361,7 +348,7 @@ def test_model_integrand_tasks():
         assert all(np.all(np.isfinite(v)) for v in pieces.bulk(np.array([0.3, 0.7])))
         bulk = ball_integrals(pieces, _bulk_breakpoints(lam))[0]
         annulus = _panel_sum(_ANNULUS_HALF, pieces.numerator_annulus(
-            _ANNULUS_NODES, cutoff_rows(m.cutoff_degree, _ANNULUS_NODES)))
+            _ANNULUS_NODES, cutoff_rows(9, _ANNULUS_NODES)))
         assert annulus != 0.0
         want = bulk + annulus if CASES[case].matched else bulk
         assert evaluate_model(m, lam)["numerator"] == want
@@ -464,9 +451,13 @@ def test_lambda_consistency_drop_largest():
     assert abs(dropped.coefficient - full.coefficient) <= 0.01 * abs(full.coefficient)
 
 
-def test_cutoff_degree_independence():
-    fit9 = fit_expansion(TestFunctionModel(case="flat", n=5, cutoff_degree=9))
-    fit11 = fit_expansion(TestFunctionModel(case="flat", n=5, cutoff_degree=11))
+def test_cutoff_degree_independence(monkeypatch):
+    # the coefficient does not depend on the cutoff: the degree-11
+    # smoothstep's table in place of the library's moves it by under 0.5%
+    fit9 = fit_expansion(TestFunctionModel(case="flat", n=5))
+    monkeypatch.setattr(asymptotics, "_ANNULUS_CUTOFF", cutoff_rows(11, _ANNULUS_NODES))
+    fit11 = fit_expansion(TestFunctionModel(case="flat", n=5))
+    assert fit11.coefficient != fit9.coefficient
     assert abs(fit9.coefficient - fit11.coefficient) <= 0.005 * abs(fit9.coefficient)
 
 
@@ -554,7 +545,7 @@ def test_batched_panel_quad_matches_per_panel_loop(case):
         num, norm = (_panel_quad_per_panel(lambda r, i=i: pieces.bulk(r)[i], bulk) for i in (0, 1))
         assert ball_integrals(pieces, bulk) == (num, norm)
         ring = _panel_quad_per_panel(
-            lambda r: pieces.numerator_annulus(r, cutoff_rows(m.cutoff_degree, r)), annulus)
+            lambda r: pieces.numerator_annulus(r, cutoff_rows(9, r)), annulus)
         got = evaluate_model(m, lam)
         assert got["norm_integral"] == norm
         assert got["numerator"] == (num + ring if CASES[case].matched else num)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -93,6 +94,12 @@ PINNED = [
      "7b3795cad0c66899ba4523c7fc8a3f2e09e89e3de622edd55ae62f03394d2b99"),
     (["asymptotics", "--case", "high", "--n", "10"],
      "f35d248b16b958a0ca3b23b6d1977ceef2d78aafa033e6ad65a44b0c43df33e3"),
+    (["asymptotics", "--case", "high", "--n", "12", "--seed", "3",
+      "--lambdas", "0.04,0.028,0.02,0.014,0.01"],
+     "fbd64b9bca4b0480aeb7e868e206dcb436b49af0eab7951073270bddf96ef951"),
+    (["asymptotics", "--case", "flat", "--n", "6", "--a0", "2.5",
+      "--lambdas", "0.1,0.05,0.025,0.0125,0.00625"],
+     "32669f440eaf28fed267e6c9bb5a00765cd9189afda3734c1492b584b27ac6ae"),
     (["verify", "asymptotics"],
      "f400c78c1a27fd6d8ae6e26e0e4bb7ac0f66712c47aa7571fccaf5642608416c"),
     (["verify", "bubbles"],
@@ -105,6 +112,8 @@ PINNED = [
      "e5b5123c53bec81f5f978c770b8dd06a01f08eee4ec11f6f3ef0a00873fcc7e9"),
     (["verify", "spectral"],
      "f05ca568f0f789abee848bb0428a7aaa3c3327e3ec8e0de7f4b43e8f8e1f18b1"),
+    (["verify", "spectral", "--n", "5,7", "--L", "40"],
+     "e970776bd18dea3a0cecb1ac125fa5bc427b655efe8b2df94708f97298f5b21a"),
 ]
 
 # reports pinned under one BLAS thread.  Two large-L spectral reports:
@@ -126,6 +135,20 @@ PINNED_ONE_THREAD = [
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+
+# tools/reach_audit.py runs one call of each
+_UNPINNED_OPTIONS = {"--report", "--jet-file"}
+
+
+def test_every_option_is_pinned():
+    # each option of each command is set by some pinned argv of that command
+    pinned = [argv for argv, _ in PINNED + PINNED_ONE_THREAD]
+    missing = [f"{name} {param.opts[0]}" for name, command in main.commands.items()
+               for param in command.params
+               if isinstance(param, click.Option) and not _UNPINNED_OPTIONS & set(param.opts)
+               and not any(argv[0] == name and set(param.opts) & set(argv) for argv in pinned)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("argv,digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
