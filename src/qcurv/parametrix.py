@@ -18,8 +18,9 @@ that the curvature jet does not carry.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .polyalg import (
     HomogPoly,
     LogRadialExpansion,
+    _lincomb,
     solve_AA,
     solve_residual,
 )
@@ -46,11 +48,14 @@ class CurvatureJet:
     The scalar constraint trace(Jh) = -|W|^2 / (12(n-1)) is part of the
     coordinate normalization and is enforced at construction.  Jets compare
     by identity; two jets hold the same data when their ``to_json()`` agree.
+    ``phi4`` memoizes its source on the jet, as ``WeylTensor`` memoizes its
+    forms.
     """
 
     n: int
     W: WeylTensor
     Jh: SchoutenHessian
+    _phi4: HomogPoly | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.W.n != self.n or self.Jh.n != self.n:
@@ -101,16 +106,25 @@ def random_jet(n: int, seed: int, normalize: bool = False) -> CurvatureJet:
 # -- degree-4 source and its inverse -----------------------------------------
 
 
+@functools.cache
+def _r4(n: int) -> HomogPoly:
+    return HomogPoly.r_squared(n).mul_r2k(1)
+
+
 def phi4(jet: CurvatureJet) -> HomogPoly:
-    """Degree-4 shell of r^n P(r^{4-n}): the first source of the recursion."""
+    """Degree-4 shell of r^n P(r^{4-n}): the first source of the recursion,
+    built once per jet."""
     n = jet.n
     if n < 5:
         raise ValueError("expansion needs n >= 5")
-    q = jet.W.quartic_form().scale(Fraction(-4 * (n - 4), 9))
-    jterm = jet.Jh.quadratic_form().mul_r2k(1).scale(Fraction(2 * (n - 4) * (n - 6)))
-    w2 = jet.W.norm_sq()
-    rterm = HomogPoly.r_squared(n).mul_r2k(1).scale(w2 * Fraction(n - 4, 24 * (n - 1)))
-    return q + jterm + rterm
+    if jet._phi4 is None:
+        src = _lincomb(n, 4, [
+            (Fraction(-4 * (n - 4), 9), jet.W.quartic_form()),
+            (2 * (n - 4) * (n - 6), jet.Jh.quadratic_form().mul_r2k(1)),
+            (jet.W.norm_sq() * Fraction(n - 4, 24 * (n - 1)), _r4(n)),
+        ])
+        object.__setattr__(jet, "_phi4", src)  # the jet is frozen; this is its one cache
+    return jet._phi4
 
 
 def psi4_solve(jet: CurvatureJet) -> LogRadialExpansion:
@@ -142,30 +156,27 @@ def psi4_closed_form(jet: CurvatureJet) -> LogRadialExpansion:
     Three harmonic pieces: the degree-4 harmonic part of the Weyl quartic
     over 40(n-2), a degree-2 harmonic part over 48(n-6) carrying the
     Schouten Hessian, and the pure r^4 piece c(n) |W|^2 r^4
-    (``psi4_radial_coefficient``).
+    (``psi4_radial_coefficient``).  With q the Weyl quartic, g its gradient
+    square and j = J_ij x_i x_j, that is one linear combination
+
+        (2/9 q - 2/(9(n+4)) g r^2 + |W|^2/(3(n+2)(n+4)) r^4) / (40(n-2))
+        + (4/(9(n+4)) g r^2 - 2(n-6) j r^2
+           - |W|^2 (n^2+6n-32)/(6n(n+4)(n-1)) r^4) / (48(n-6))
+        + c(n) |W|^2 r^4.
     """
     n = jet.n
     if n < 9:
         raise ValueError("closed form requires n >= 9")
-    q = jet.W.quartic_form()
-    g = jet.W.gradient_square_form()
-    w2 = jet.W.norm_sq()
-    jq = jet.Jh.quadratic_form()
-    r2 = HomogPoly.r_squared(n)
-    r4 = r2.mul_r2k(1)
-
-    first = (
-        q.scale(Fraction(2, 9))
-        - g.mul_r2k(1).scale(Fraction(2, 9 * (n + 4)))
-        + r4.scale(w2 * Fraction(1, 3 * (n + 2) * (n + 4)))
-    ).scale(Fraction(1, 40 * (n - 2)))
-    second = (
-        g.scale(Fraction(4, 9 * (n + 4)))
-        - jq.scale(Fraction(2 * (n - 6)))
-        - r2.scale(w2 * Fraction(n * n + 6 * n - 32, 6 * n * (n + 4) * (n - 1)))
-    ).mul_r2k(1).scale(Fraction(1, 48 * (n - 6)))
-    third = r4.scale(w2 * psi4_radial_coefficient(n))
-    total = first + second + third
+    first, second = Fraction(1, 40 * (n - 2)), Fraction(1, 48 * (n - 6))
+    radial = (first * Fraction(1, 3 * (n + 2) * (n + 4))
+              - second * Fraction(n * n + 6 * n - 32, 6 * n * (n + 4) * (n - 1))
+              + psi4_radial_coefficient(n))
+    total = _lincomb(n, 4, [
+        (first * Fraction(2, 9), jet.W.quartic_form()),
+        ((second * 2 - first) * Fraction(2, 9 * (n + 4)), jet.W.gradient_square_form().mul_r2k(1)),
+        (-second * 2 * (n - 6), jet.Jh.quadratic_form().mul_r2k(1)),
+        (jet.W.norm_sq() * radial, _r4(n)),
+    ])
     return LogRadialExpansion(n, {(4, 0): total})
 
 
@@ -246,8 +257,7 @@ def psi4_shell(jet: CurvatureJet, green: GreenExpansion) -> tuple:
     terms = green.expansion.terms
     psi4 = LogRadialExpansion(jet.n, {key: terms[key] for key in terms if key != (0, 0)})
     if jet.n == 8:
-        r4 = HomogPoly.r_squared(8).mul_r2k(1)
-        return psi4.get(4, 1), r4.scale(n8_log_coefficient(jet))
+        return psi4.get(4, 1), _r4(8).scale(n8_log_coefficient(jet))
     return psi4, psi4_closed_form(jet)
 
 

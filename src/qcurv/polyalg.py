@@ -136,7 +136,9 @@ def monomial_table(n: int, m: int) -> MonomialTable:
 
 
 def _absmax(v: np.ndarray) -> int:
-    return int(np.abs(v).max())
+    """max |v|, with no |v| temporary; Python ints, so the int64 minimum reads
+    as 2^63."""
+    return max(int(v.max()), -int(v.min()))
 
 
 def _narrow(v: np.ndarray) -> np.ndarray:
@@ -163,7 +165,11 @@ def _primitive(v: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
     nz = np.flatnonzero(v)
     if not nz.size or not scale:
         return np.zeros(len(v), dtype=np.int64), _ZERO
-    g = abs(int(np.gcd.reduce(v)))  # a one-entry reduce returns the entry itself
+    # the gcd of the first 16 nonzero entries divides the full gcd, so if it
+    # is 1 so is the full one; a one-entry reduce returns the entry itself
+    g = abs(int(np.gcd.reduce(v[nz[:16]])))
+    if g != 1:
+        g = abs(int(np.gcd.reduce(v)))
     if v[nz[0]] < 0:
         g = -g
     if g != 1:

@@ -11,14 +11,27 @@ ValueError.  Seeded generators produce tensors satisfying all the
 algebraic symmetries exactly; ``weyl_identities`` names every exact
 identity they satisfy.
 
-The two Gram products behind the quartic and gradient-square forms go
-through float64 BLAS when a certificate proves it exact (``_gram``): if
-every squared row norm is below 2^53, every product and partial sum of
-the Gram matrix is an integer below 2^53 in magnitude, which float64
-holds exactly, whatever the summation order, kernel or thread count.
-The one assumption is that dgemm forms each entry as a sum of IEEE
-products, with no Strassen-type algorithm.  Otherwise the product runs
-in int64.  ``MAX_N`` is the largest dimension the CLI builds a tensor in.
+``random_weyl`` works on the distinct entries: a tensor antisymmetric in
+its first two and in its last two slots is its N x N pair matrix
+M[p, q] = W[i_p, k_p, i_q, k_q] over the N = n(n-1)/2 pairs i < k.  The
+symmetrizations, the Bianchi projection and the trace removal run on M,
+through signed gathers cached per dimension (O(N^2) entries, no n^4 map),
+and the n^4 array is written once, at the end.
+
+The quartic form sum_kl (sum_ij W_ikjl x_i x_j)^2 folds the rows (i, j)
+and (j, i) of X[(i,j),(k,l)] = W_ikjl, since x_i x_j = x_j x_i: its Gram
+is over the n(n+1)/2 rows i <= j, not the n^2 rows (i, j), and it
+scatters to the monomials through an N'^2 rank map, N' = n(n+1)/2.  The
+fold uses no symmetry of W, so the form is the literal formula on any
+integer tensor.  The two Gram products behind the quartic and
+gradient-square forms go through float64 BLAS when a certificate proves
+it exact (``_gram``): if every squared row norm is below 2^53, every
+product and partial sum of the Gram matrix is an integer below 2^53 in
+magnitude, which float64 holds exactly, whatever the summation order,
+kernel or thread count.  The one assumption is that dgemm forms each
+entry as a sum of IEEE products, with no Strassen-type algorithm.
+Otherwise the product runs in int64.  ``MAX_N`` is the largest dimension
+the CLI builds a tensor in.
 """
 
 from __future__ import annotations
@@ -35,7 +48,8 @@ from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, _as_fractio
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 
 # largest dimension the CLI builds a Weyl tensor in: an n^4 int64 array is
-# 20 MB at n = 40, and the quartic form has C(n+3, 4) = 123410 terms
+# 20 MB at n = 40, the quartic form has C(n+3, 4) = 123410 terms, and
+# `parametrix --n 40 --seed 1` peaks at about 185 MB RSS
 MAX_N = 40
 
 
@@ -43,13 +57,18 @@ def int_bound(n: int) -> int:
     """Largest |entry| for which every int64 sum over an n-dimensional
     tensor is exact.
 
-    A norm or cross contraction sums n^4 products of two entries, a
-    quartic-form coefficient at most 24 contraction entries of n^2 products
-    each, and a gradient-square coefficient 2 entries of n^3 products of
-    pair sums, 8 n^3 entry products in all.  No partial sum exceeds the
-    largest count times the squared bound.  The same bound keeps the
-    squared row norms that certify ``_gram``'s float64 path exact in int64;
-    from n = 32 on it also keeps every quartic-form row norm below 2^53.
+    With B the bound, a norm or cross contraction sums n^4 products of two
+    entries, at most n^4 B^2.  A quartic-form coefficient sums at most 6
+    entries of the folded Gram, one per split of x_i x_j x_a x_b into two
+    factors; each entry sums n^2 products of two folded-row entries, each
+    at most 2B as the sum of two entries: 6 n^2 (2B)^2 = 24 n^2 B^2.  A
+    gradient-square coefficient sums 2 entries of n^3 products of pair
+    sums, 8 n^3 B^2.  No partial sum exceeds the largest of these.  The
+    squared row norms that certify ``_gram``'s float64 path, at most
+    4 n^2 B^2 and 4 n^3 B^2, stay within the same counts, so they are
+    exact in int64.  The bound alone does not put the folded quartic rows
+    below 2^53 at any n up to 64: at entries of B they reach about
+    2^65 / n^2, so the certificate decides on the data.
     """
     return math.isqrt(_INT64_MAX // max(n**4, 8 * n**3, 24 * n * n))
 
@@ -72,10 +91,75 @@ def _json_exact(obj: dict, key: str) -> tuple[np.ndarray, Fraction]:
 
 @functools.cache
 def _pairs(n: int) -> tuple:
-    """The pairs i < k of n indices, in ``np.triu_indices(n, 1)`` order, and
-    the upper triangle, diagonal included, of a matrix over them."""
-    i, k = np.triu_indices(n, 1)
-    return i, k, np.triu_indices(len(i))
+    """The pairs i < k of n indices, in ``np.triu_indices(n, 1)`` order."""
+    return np.triu_indices(n, 1)
+
+
+def _from_pairs(n: int, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The n^4 tensor T, antisymmetric in its first two and in its last two
+    slots, with T[i_p, k_p, i_q, k_q] = M[p, q] on the pairs of ``_pairs``,
+    written over the (n^2, n^2) array ``out`` and returned as (n, n, n, n):
+    the columns (j,l) gather M signed, then scatter as the rows (i,k) and,
+    negated, (k,i)."""
+    i, k = _pairs(n)
+    code, sign = _pair_codes(n)
+    rows = np.take(M, code, axis=1, mode="clip")  # clip: at n = 1 there is no column
+    rows *= sign.astype(M.dtype)
+    out[i * n + k] = rows
+    out[k * n + i] = -rows
+    out[np.arange(n) * (n + 1)] = 0
+    return out.reshape((n,) * 4)
+
+
+@functools.cache
+def _pair_codes(n: int) -> tuple:
+    """c(x, y), the index in ``_pairs`` of the pair {x, y} (0 for x = y), and
+    s(x, y), the sign of y - x, for every flat index x n + y: a tensor T
+    antisymmetric in its first two and its last two slots with pair matrix
+    M reads T[x,y,z,w] = s(x,y) s(z,w) M[c(x,y), c(z,w)]."""
+    i, k = _pairs(n)
+    c = np.zeros((n, n), dtype=np.int32)
+    c[i, k] = c[k, i] = np.arange(len(i))
+    x = np.arange(n)
+    return c.reshape(-1), np.sign(x[None, :] - x[:, None]).astype(np.int8).reshape(-1)
+
+
+def _gather(A: np.ndarray, index: tuple) -> np.ndarray:
+    """sign * A.flat[flat] for a signed gather ``index = (flat, sign)``."""
+    flat, sign = index
+    return np.take(A, flat) * sign
+
+
+@functools.cache
+def _weyl_maps(n: int) -> tuple:
+    """The signed gathers ``random_weyl`` reads its pair matrix M through,
+    with ``_pair_codes``: over (p, q), the two cyclic terms T[i,l,k,j] and
+    T[i,j,l,k] of the first Bianchi identity at p = (i,k), q = (j,l); over
+    (i, k, l), the Ricci terms T[i,k,i,l], summed over i; and the
+    Kulkarni-Nomizu product of a matrix r with the metric, as positions in
+    M and signed gathers of r.  Its four terms -r_ij g_kl, -r_kl g_ij,
+    +r_il g_kj and +r_kj g_il are nonzero only where the metric's two
+    indices coincide, at O(n^3) of the N^2 entries.
+    """
+    i, k = _pairs(n)
+    N = len(i)
+    c, s = (v.reshape(n, n) for v in _pair_codes(n))
+
+    def read(x, y, z, w):
+        return c[x, y] * N + c[z, w], s[x, y] * s[z, w]
+
+    I, K, J, L = i[:, None], k[:, None], i[None, :], k[None, :]
+    x = np.arange(n)
+    X, Y, Z = x[:, None, None], x[None, :, None], x[None, None, :]
+    pos, flat, sign = [], [], []
+    for (d1, d2), (r1, r2), sg in (((K, L), (I, J), -1), ((I, J), (K, L), -1),
+                                   ((K, J), (I, L), 1), ((I, L), (K, J), 1)):
+        p, q = np.nonzero(d1 == d2)
+        pos.append(p * N + q)
+        flat.append(r1[p, 0] * n + r2[0, q])
+        sign.append(np.full(len(p), sg, dtype=np.int8))
+    kn = (np.concatenate(flat).astype(np.int32), np.concatenate(sign))
+    return read(I, L, K, J), read(I, J, L, K), read(X, Y, X, Z), np.concatenate(pos), kn
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -90,6 +174,19 @@ def _gram(A: np.ndarray) -> np.ndarray:
         F = A.astype(np.float64)
         return (F @ F.T).astype(np.int64)
     return A @ A.T
+
+
+@functools.cache
+def _quartic_ranks(n: int) -> np.ndarray:
+    """Position in ``monomial_table(n, 4)`` of x_i x_j x_a x_b for every entry
+    (u, v), flat, of a Gram matrix over the rows u = (i, j) and v = (a, b),
+    i <= j and a <= b: the n pairs (i, i), then those of ``_pairs``."""
+    i, k = _pairs(n)
+    d = np.arange(n, dtype=i.dtype)
+    a, b = np.concatenate((d, i)), np.concatenate((d, k))
+    idx = np.stack(np.broadcast_arrays(a[:, None], b[:, None], a[None, :], b[None, :]), axis=-1)
+    idx = np.sort(idx.astype(np.min_scalar_type(n - 1)), axis=-1)
+    return monomial_table(n, 4).index_rank(idx).reshape(-1)
 
 
 @functools.cache
@@ -121,7 +218,7 @@ class WeylTensor:
     trace vanishes.
     """
 
-    __slots__ = ("n", "ints", "scale", "_quartic", "_gradsq")
+    __slots__ = ("n", "ints", "scale", "_norm_sq", "_quartic", "_gradsq")
 
     def __init__(self, n: int, ints: np.ndarray, scale: Fraction = Fraction(1)):
         self.n = n
@@ -136,6 +233,7 @@ class WeylTensor:
             raise ValueError(f"integer components too large for exact int64 sums at n={n}")
         self.ints = np.asarray(ints, dtype=np.int64)
         self.scale = _as_fraction(scale)
+        self._norm_sq = None
         self._quartic = None
         self._gradsq = None
 
@@ -149,9 +247,10 @@ class WeylTensor:
 
     def norm_sq(self) -> Fraction:
         """|W|^2 = sum over all four indices of the squared components."""
-        flat = self.ints.reshape(-1)
-        total = int(np.dot(flat, flat))
-        return self.scale * self.scale * total
+        if self._norm_sq is None:
+            flat = self.ints.reshape(-1)
+            self._norm_sq = self.scale * self.scale * int(np.dot(flat, flat))
+        return self._norm_sq
 
     def cross_contraction(self) -> Fraction:
         """sum W_{ikjl} W_{iljk}; equals |W|^2 / 2 for any Weyl tensor."""
@@ -164,11 +263,17 @@ class WeylTensor:
     def quartic_form(self) -> HomogPoly:
         """sum_{kl} ( W_{ikjl} x_i x_j )^2 as an exact degree-4 polynomial."""
         if self._quartic is None:
-            # T[i,j,a,b] = sum_{kl} W_{ikjl} W_{akbl} = (X X^T)[(i,j),(a,b)]
-            # with X[(i,j),(k,l)] = W_{ikjl}
-            X = self.ints.transpose(0, 2, 1, 3).reshape(self.n**2, -1)
-            T = _gram(X).reshape((self.n,) * 4)
-            self._quartic = HomogPoly.from_vector(self.n, 4, _symmetric_vector(T), self.scale**2)
+            # sum_{ij} W_{ikjl} x_i x_j = sum_{i<=j} Y[(i,j),(k,l)] x_i x_j, where
+            # Y sums the rows (i,j) and (j,i) of X[(i,j),(k,l)] = W_{ikjl} since
+            # x_i x_j = x_j x_i; no symmetry of W is used.  The Gram Y Y^T then
+            # scatters to the monomials x_i x_j x_a x_b
+            n, A = self.n, self.ints
+            d = np.arange(n)
+            i, j = _pairs(n)
+            Y = np.concatenate((A[d, :, d, :], A[i, :, j, :] + A[j, :, i, :])).reshape(-1, n * n)
+            v = np.zeros(monomial_table(n, 4).size, dtype=np.int64)
+            np.add.at(v, _quartic_ranks(n), _gram(Y).reshape(-1))
+            self._quartic = HomogPoly.from_vector(n, 4, v, self.scale**2)
         return self._quartic
 
     def gradient_square_form(self) -> HomogPoly:
@@ -219,9 +324,12 @@ class WeylTensor:
         row by row, of the symmetric matrix M[p, q] = W[i_p, k_p, i_q, k_q]
         over the pairs p = (i_p < k_p) of ``_pairs``, in the canonical form
         of ``exact_ints``; the pair antisymmetries give every other entry."""
-        i, k, upper = _pairs(self.n)
-        M = self.ints[i[:, None], k[:, None], i, k]
-        return {"n": self.n, "W": exact_json(*exact_ints(M[upper], self.scale))}
+        n = self.n
+        i, k = _pairs(n)
+        a = i * n + k
+        M = self.ints.reshape(n * n, -1)[np.ix_(a, a)]
+        upper = np.triu(np.ones(M.shape, dtype=bool))  # selects row by row
+        return {"n": n, "W": exact_json(*exact_ints(M[upper], self.scale))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylTensor":
@@ -233,13 +341,10 @@ class WeylTensor:
             N = n * (n - 1) // 2
             if ints.shape != (N * (N + 1) // 2,):  # before any array of n^4 entries is made
                 raise ValueError(f"W at n={n} needs {N * (N + 1) // 2} ints, got {ints.shape}")
-            i, k, upper = _pairs(n)
+            upper = np.triu(np.ones((N, N), dtype=bool))
             M = np.zeros((N, N), dtype=ints.dtype)
             M[upper] = M.T[upper] = ints
-            ints = np.zeros((n,) * 4, dtype=ints.dtype)
-            for a, b, sign in ((i, k, 1), (k, i, -1)):
-                ints[a[:, None], b[:, None], i, k] = sign * M
-                ints[a[:, None], b[:, None], k, i] = -sign * M
+            ints = _from_pairs(n, M, np.empty((n * n, n * n), dtype=ints.dtype))
         return cls(n, ints, scale)
 
 
@@ -295,45 +400,47 @@ def random_weyl(n: int, seed: int) -> WeylTensor:
     out the totally antisymmetric part (first Bianchi), then removes the
     Ricci and scalar parts via the standard curvature decomposition.  All
     projections run in integer arithmetic with the denominator
-    24(n-1)(n-2) tracked in the scale, so the result is exact.  For n <= 3
-    the Weyl tensor vanishes identically and the zero tensor is returned.
+    24(n-1)(n-2) tracked in the scale, so the result is exact.  Every step
+    after the draw runs on the N x N pair matrix of ``_pairs``, and the
+    n^4 tensor is written once, at the end.  For n <= 3 the Weyl tensor
+    vanishes identically and the zero tensor is returned.
     """
     if n <= 3:
-        return WeylTensor(n, np.zeros((n, n, n, n), dtype=np.int64))
+        return WeylTensor(n, np.zeros((n,) * 4, dtype=np.int64))
     rng = np.random.Generator(np.random.Philox(seed))
-    R = rng.integers(-9, 10, size=(n, n, n, n)).astype(np.int64)
+    R = rng.integers(-9, 10, size=n**4).reshape(n * n, n * n)  # R[(i,k),(j,l)]
+    i, k = _pairs(n)
+    a, b = i * n + k, k * n + i
+    cyc1, cyc2, ricci, kn_pos, kn = _weyl_maps(n)
 
     # pair symmetries, cleared denominators (factor 8 absorbed into scale)
-    R = R - np.transpose(R, (1, 0, 2, 3))
-    R = R - np.transpose(R, (0, 1, 3, 2))
-    R = R + np.transpose(R, (2, 3, 0, 1))
+    M = R[a]
+    M -= R[b]
+    M = np.take(M, a, axis=1) - np.take(M, b, axis=1)
+    M += M.T
 
     # first Bianchi: 3R minus the cyclic sum over slots 2,3,4 (factor 3)
-    cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-    R = 3 * R - cyc
+    B = 2 * M
+    B -= _gather(M, cyc1)
+    B -= _gather(M, cyc2)
 
     # remove all traces; multiply through by (n-1)(n-2) to stay integral.
     # The products of the Ricci matrix and of the scalar with the metric are
-    # nonzero only where two indices coincide, so they go onto those slices
-    ric = np.einsum("ikil->kl", R)
-    scal = int(np.trace(ric)) * np.eye(n, dtype=np.int64)  # the scalar times the metric
-    ric = (n - 1) * ric
-    a = np.arange(n)
-    W = (n - 1) * (n - 2) * R
-    W[:, a, :, a] -= ric  # ric_ij g_kl
-    W[a, :, a, :] -= ric  # ric_kl g_ij
-    W[:, a, a, :] += ric[:, None, :]  # ric_il g_kj
-    W[a, :, :, a] += ric  # ric_kj g_il
-    W[a, :, a, :] += scal  # scal g_ij g_kl
-    W[a, :, :, a] -= scal  # scal g_il g_kj
+    # nonzero only where two indices coincide, so they go onto those entries
+    ric = _gather(B, ricci).sum(axis=0)
+    scal = int(np.trace(ric))
+    W = ((n - 1) * (n - 2) * B).reshape(-1)  # flat, so the adds land in W itself
+    np.add.at(W, kn_pos, _gather((n - 1) * ric, kn))
+    W[::len(i) + 1] += scal  # scal g_ij g_kl; scal g_il g_kj is 0 on i < k, j < l
 
-    g = int(np.gcd.reduce(np.abs(W.reshape(-1))))
+    g = abs(int(np.gcd.reduce(W)))
     den = 24 * (n - 1) * (n - 2)
     if g > 1:
-        W = W // g
+        W //= g
     else:
         g = 1
-    return WeylTensor(n, W, Fraction(g, den))
+    # the drawn integers are spent: their array takes the tensor
+    return WeylTensor(n, _from_pairs(n, W.reshape(B.shape), R), Fraction(g, den))
 
 
 def random_schouten_hessian(n: int, seed: int, W: WeylTensor) -> SchoutenHessian:
@@ -342,20 +449,20 @@ def random_schouten_hessian(n: int, seed: int, W: WeylTensor) -> SchoutenHessian
     trace = -|W|^2 / (12(n-1))."""
     rng = np.random.Generator(np.random.Philox(seed + (1 << 32)))
     raw = rng.integers(-9, 10, size=(n, n))
-    return fix_trace(raw + raw.T, W, Fraction(1, 2))
+    return fix_trace(raw + raw.T, Fraction(1, 2), W)
 
 
-def fix_trace(M, W: WeylTensor, scale: Fraction | int = 1) -> SchoutenHessian:
-    """scale * M, for a symmetric n x n array M of exact rationals
-    (``exact_ints``), with its pure-trace part shifted so the trace is
-    -|W|^2/(12(n-1)).
+def fix_trace(ints: np.ndarray, content: Fraction | int, W: WeylTensor) -> SchoutenHessian:
+    """content * ints, for a symmetric n x n integer array (int64 or Python
+    ints) and an exact rational content, with its pure-trace part shifted so
+    the trace is -|W|^2/(12(n-1)).
 
     The shift is added to the diagonal in integers over one common
     denominator: int64 while the entries stay in range, Python ints past
-    it.
+    it.  ``SchoutenHessian`` then brings the sum to canonical form.
     """
-    ints, s = exact_ints(M, scale)
     n = len(ints)
+    s = _as_fraction(content)
     shift = (-W.norm_sq() / (12 * (n - 1)) - s * sum(np.diagonal(ints).tolist())) / n
     den = math.lcm(s.denominator, shift.denominator)
     a = s.numerator * (den // s.denominator)

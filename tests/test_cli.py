@@ -200,7 +200,7 @@ def _bad_jets() -> list:
     ints[0, 1, 0, 1] += 1
     not_weyl_W = tensor.WeylTensor(9, ints, good.W.scale)
     not_weyl = parametrix.CurvatureJet(
-        9, not_weyl_W, tensor.fix_trace(good.Jh.scale * good.Jh.ints, not_weyl_W))
+        9, not_weyl_W, tensor.fix_trace(good.Jh.ints, good.Jh.scale, not_weyl_W))
     W_ints, J_ints = compact["W"]["ints"], compact["J"]["ints"]
     return [
         # legacy: a short W, a wrong trace, a W that is not Weyl, truncated

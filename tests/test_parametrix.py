@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from qcurv.cli import main
-from qcurv.polyalg import HomogPoly, LogRadialExpansion, apply_AA, solve_AA
+from qcurv.polyalg import HomogPoly, LogRadialExpansion, apply_AA, exact_ints, solve_AA
 from qcurv.parametrix import (
     CurvatureJet,
     GreenExpansion,
@@ -108,10 +108,10 @@ def test_phi4_n6_ignores_traceless_schouten():
     # the J-term coefficient 2(n-4)(n-6) vanishes at n=6
     n = 6
     W = random_weyl(n, seed=2)
-    J1 = fix_trace(np.zeros((n, n), dtype=np.int64), W)
+    J1 = fix_trace(np.zeros((n, n), dtype=np.int64), 1, W)
     raw = [[F(i * j + 1) for j in range(n)] for i in range(n)]
     sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
-    J2 = fix_trace(sym, W)
+    J2 = fix_trace(*exact_ints(sym), W)
     assert phi4(CurvatureJet(n, W, J1)) == phi4(CurvatureJet(n, W, J2))
 
 
@@ -178,7 +178,7 @@ def test_psi4_n8_log_block():
 
 def test_n8_log_coefficient_quadratic_in_weyl():
     jet = random_jet(8, seed=6)
-    doubled = CurvatureJet(8, jet.W.rescale(2), fix_trace(jet.Jh.scale * jet.Jh.ints, jet.W.rescale(2)))
+    doubled = CurvatureJet(8, jet.W.rescale(2), fix_trace(jet.Jh.ints, jet.Jh.scale, jet.W.rescale(2)))
     assert n8_log_coefficient(doubled) == 4 * n8_log_coefficient(jet)
     assert psi4_solve(doubled).get(4, 1) == psi4_solve(jet).get(4, 1).scale(4)
 

@@ -53,7 +53,7 @@ REACHED_ONLY_BY_TESTS = [
      ["out = self", "for _ in range(order):", "out = out.diff()", "return out(r)"],
      "test_sphereforms.py::test_at_binds_the_same_terms"),
     ("qcurv/tensor.py", "random_weyl",
-     ["return WeylTensor(n, np.zeros((n, n, n, n), dtype=np.int64))"],
+     ["return WeylTensor(n, np.zeros((n,) * 4, dtype=np.int64))"],
      "test_tensor.py::test_random_weyl_low_dimensions_vanish"),
     ("qcurv/tensor.py", "invariants_hold", ["return False"] * 5,
      "test_tensor.py::test_invariants_hold_fails_on_each_broken_invariant"),

@@ -68,6 +68,9 @@ PINNED = [
      "8315ad1b3380d1ef967d31db0ddf36f01b3c95b778d6e32123544868ccd1f266"),
     (["parametrix", "--n", "16", "--seed", "1"],
      "432cb779e5dcab73ea43de3514ab94482e07ab32de28e7aae5575385ae0d4cda"),
+    # the top dimension the CLI accepts, tensor.MAX_N
+    (["parametrix", "--n", "40", "--seed", "1"],
+     "7fb24fc5a1403f77ace3dd0a4ed2e6aef2a15728978138cde11514bffde1a212"),
     (["parametrix", "--n", "8", "--flat"],
      "b1edc7833a9d37dad5767913787cc4e4376a749984fb76016c933e0e5fc8eb0b"),
     (["constants", "--format", "json"],

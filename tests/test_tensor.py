@@ -1,13 +1,17 @@
 """Brute-force verification of the curvature-tensor algebra."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qcurv.polyalg import (HarmonicBlock, HomogPoly, harmonic_decompose, laplacian,
+from qcurv import tensor
+from qcurv.parametrix import random_jet
+from qcurv.polyalg import (HarmonicBlock, HomogPoly, exact_ints, harmonic_decompose, laplacian,
                            monomial_table, reassemble)
 from qcurv.tensor import (
     SchoutenHessian,
@@ -374,7 +378,7 @@ def test_fix_trace_enforces_constraint():
     n = 7
     W = random_weyl(n, seed=17)
     Jh = identity_hessian(n)
-    fixed = fix_trace(Jh.scale * Jh.ints, W)
+    fixed = fix_trace(Jh.ints, Jh.scale, W)
     assert fixed.trace() == -W.norm_sq() / (12 * (n - 1))
     # off-diagonal part untouched
     assert fixed.scale * fixed.ints[0, 1] == Jh.scale * Jh.ints[0, 1]
@@ -382,19 +386,21 @@ def test_fix_trace_enforces_constraint():
 
 @pytest.mark.parametrize("scale", [1, F(1, 2), F(-3, 7), 2**62])
 def test_fix_trace_scales_each_distinct_entry_once(scale):
-    # every entry is scale * M, plus one shift on the diagonal; the integers
-    # leave int64 only where the entries do
+    # every entry is content * ints, plus one shift on the diagonal, for the
+    # canonical pair of exact_ints and for an integer array as it is; the
+    # integers leave int64 only where the entries do
     n = 6
     W = random_weyl(n, seed=4)
     raw = np.random.default_rng(2).integers(-3, 4, size=(n, n))
     for M in (raw + raw.T, [[F(int(v), 3) for v in row] for row in (raw + raw.T).tolist()]):
         rows = M.tolist() if isinstance(M, np.ndarray) else M
-        J = fix_trace(M, W, scale)
         shift = (-W.norm_sq() / (12 * (n - 1)) - scale * sum(rows[i][i] for i in range(n))) / n
         want = [[F(scale * rows[i][j]) + (shift if i == j else 0) for j in range(n)]
                 for i in range(n)]
-        assert (J.scale * J.ints).tolist() == want
-        assert J.ints.dtype == (object if scale == 2**62 else np.int64)
+        for pair in [exact_ints(M, scale)] + [(M, scale)] * isinstance(M, np.ndarray):
+            J = fix_trace(*pair, W)
+            assert (J.scale * J.ints).tolist() == want
+            assert J.ints.dtype == (object if scale == 2**62 else np.int64)
 
 
 def test_schouten_validation():
@@ -558,6 +564,87 @@ def test_weyl_gram_forms_match_int64_products(n):
     g = HomogPoly.from_vector(n, 2, _symmetric_vector(M), W.scale**2)
     assert W.quartic_form() == q
     assert W.gradient_square_form() == g
+
+
+def _literal_forms(W: WeylTensor) -> tuple[HomogPoly, HomogPoly]:
+    """The quartic form sum_kl (sum_ij W_ikjl x_i x_j)^2 and the gradient
+    square sum_jkl (sum_i V_ijkl x_i)^2, V_ijkl = W_ijkl + W_ilkj, summed in
+    Python ints over the nonzero rows of X[(i,j),(k,l)] = W_ikjl and of V."""
+    n = W.n
+    X = W.ints.transpose(0, 2, 1, 3).reshape(n * n, -1)
+    V = (W.ints + W.ints.transpose(0, 3, 2, 1)).reshape(n, -1)
+    forms = []
+    for A, index in ((X, lambda r: divmod(int(r), n)), (V, lambda r: (int(r),))):
+        rows = np.flatnonzero(A.any(axis=1))
+        S = A[rows].astype(object)
+        G = S @ S.T
+        terms = {}
+        for (u, ru), (v, rv) in itertools.product(enumerate(rows), repeat=2):
+            e = [0] * n
+            for i in index(ru) + index(rv):
+                e[i] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + G[u, v]
+        forms.append(HomogPoly(n, 2 * len(index(0)), terms).scale(W.scale**2))
+    return forms[0], forms[1]
+
+
+@pytest.mark.parametrize("n", [16, 32, 40])
+def test_weyl_forms_match_python_ints_at_the_certificate_edge(n, monkeypatch):
+    """On tensors that are not pair-symmetric, with entries +-B on the slices
+    (i, j) = (0, 1), (1, 0), (2, 2) and (3, n-1) of W_ikjl, the quartic and
+    gradient-square forms equal the literal formulas in Python ints.  The
+    folded row (0, 1) is 2B where its two slices agree: at B = int_bound(n)
+    its squared norm, about 2 n^2 B^2, is past 2^53 and the quartic's Gram
+    runs in int64; with B cut so that it lands just below 2^53 the Gram runs
+    in float64.  A fold of the columns k, l would fail both."""
+    norms = []
+
+    def gram(A):
+        norms.append(int(np.einsum("ij,ij->i", A, A).max()))
+        return _gram(A)
+
+    monkeypatch.setattr(tensor, "_gram", gram)
+    rng = np.random.default_rng(n)
+    signs = {ij: rng.choice([-1, 1], size=(n, n)) for ij in ((0, 1), (1, 0), (2, 2), (3, n - 1))}
+    # the folded row (0, 1) is 2B where the two slices agree, 0 elsewhere
+    agree = int((signs[0, 1] == signs[1, 0]).sum())
+    for B, float_path in ((int_bound(n), False), (math.isqrt((2**53 - 1) // (4 * agree)), True)):
+        ints = np.zeros((n,) * 4, dtype=np.int64)
+        for (i, j), sg in signs.items():
+            ints[i, :, j, :] = B * sg
+        W = WeylTensor(n, ints)
+        assert not invariants_hold(W)
+        norms.clear()
+        q, g = _literal_forms(W)
+        assert W.quartic_form() == q
+        assert W.gradient_square_form() == g
+        assert (norms[0] < 2**53) == float_path
+        assert norms[0] > 2**52
+
+
+def test_weyl_maps_retain_less_than_one_n4_array():
+    """The per-dimension maps that three jets at n = 24 and their quartic
+    forms leave cached take less than one n^4 int64 array: retained bytes
+    < 24^4 * 8, the size of the ``_symmetric_ranks(24, 4)`` they replace.
+    The monomial tables, which the forms need either way, are built first,
+    and a jet at n = 5 does the first-call imports."""
+    n = 24
+    bound = n**4 * np.dtype(np.int64).itemsize
+    monomial_table(n, 4), monomial_table(n, 2)
+    random_jet(5, 0).W.quartic_form()
+    for cached in (tensor._pairs, tensor._pair_codes, tensor._weyl_maps, tensor._quartic_ranks):
+        cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(3):
+            random_jet(n, seed).W.quartic_form()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < retained < bound
 
 
 def einsum_weyl(n: int, seed: int) -> WeylTensor:
