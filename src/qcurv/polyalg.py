@@ -6,9 +6,11 @@ and the two-parameter family of radial operators
 
     A_a = r^2 Lap + 2a r d/dr + a(a+n-2),      B_a = dA_a/da,
 
-acting on polynomial expansions with integer powers of log r.  The
-composite A_{2-n} A_{4-n} is diagonal on harmonic blocks; ``solve_AA``
-inverts it block by block, escalating to log r terms on kernel blocks.
+acting on polynomial expansions with integer powers of log r.  On degree
+m, A_a = T + a(2m + a + n - 2) with T = r^2 Lap, so the composite
+A_{2-n} A_{4-n} is a quadratic in T, diagonal on harmonic blocks;
+``solve_AA`` inverts it as one combination of the r^{2j} Lap^j p per
+power of log r, escalating to log r terms on kernel blocks.
 
 A polynomial of degree m in n variables is stored densely: one integer
 vector over the degree-m monomials, which ``monomial_table(n, m)`` lists in
@@ -592,21 +594,57 @@ def eigen_AA(n: int, m: int, k: int) -> Fraction:
     return Fraction(_escalation_scalars(n, m, k)[0])
 
 
-def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
-    """Solve A_{2-n} A_{4-n} psi = -rhs block by block.
+@functools.cache
+def _solve_table(n: int, m: int) -> dict[int, tuple[Fraction, ...]]:
+    """Log power -> the coefficients c_j, j = 0..m//2, of the solution
+    sum_j c_j r^{2j} Lap^j p of A_{2-n} A_{4-n} psi = -p on degree m.
 
-    Each block is divided by the first nonzero E^(j)(0) of its
+    With B_j = r^{2j} Lap^j p, T = r^2 Lap acts as T B_j = t_j B_j + B_{j+1},
+    t_j = 2j(2m - 2j + n - 2), and B_{m//2+1} = 0; T is t_k on the block
+    r^{2k} h_k.  The t_j are pairwise distinct for n >= 1: t_j = t_k needs
+    j + k = m + (n-2)/2, past m - 1, the largest sum of two distinct
+    indices.  So the block is l_k(T) p, l_k = prod_{i != k} (T - t_i)/(t_k
+    - t_i), and B_j = prod_{i<j} (T - t_i) p makes the Newton form of l_k
+    its expansion:
+
+        r^{2k} h_k = sum_{j >= k} B_j / prod_{i <= j, i != k} (t_k - t_i).
+
+    Block k is multiplied by -1/lam_k, lam_k the first nonzero E^(l)(0) of its
+    ``_escalation_scalars``, and carries log^l r, so each log power sums
+    its blocks' rows.  The cache keeps m//2 + 1 Fractions per log power,
+    and at most three log powers, per (n, m).
+    """
+    K = m // 2
+    t = [2 * j * (2 * m - 2 * j + n - 2) for j in range(K + 1)]
+    table: dict[int, list[Fraction]] = {}
+    for k in range(K + 1):
+        logpow, lam = next((j, e) for j, e in enumerate(_escalation_scalars(n, m, k)) if e)
+        row = table.setdefault(logpow, [_ZERO] * (K + 1))
+        den = -lam * math.prod(t[k] - t[i] for i in range(k))
+        for j in range(k, K + 1):
+            if j > k:
+                den *= t[k] - t[j]
+            row[j] += Fraction(1, den)
+    return {logpow: tuple(row) for logpow, row in table.items()}
+
+
+def solve_AA(n: int, rhs: HomogPoly) -> LogRadialExpansion:
+    """Solve A_{2-n} A_{4-n} psi = -rhs as one combination of the
+    r^{2j} Lap^j rhs per log power, with the coefficients of ``_solve_table``.
+
+    Each harmonic block is divided by the first nonzero E^(j)(0) of its
     ``_escalation_scalars`` and carries log^j r: j = 0 on invertible blocks, 1
     on kernel blocks (the mixed operator) and 2 only on constants at n = 2, 4.
-    The blocks of each log power are summed in one pass.
+    At degree 4 that is two Laplacians, three r^2 steps and one linear
+    combination per log power.
     """
     m = rhs.degree
-    parts: dict[int, list] = {}
-    for block in harmonic_decompose(rhs):
-        k = block.k
-        logpow, lam = next((j, e) for j, e in enumerate(_escalation_scalars(n, m, k)) if e)
-        parts.setdefault(logpow, []).append((Fraction(-1, lam), block.h.mul_r2k(k)))
-    return LogRadialExpansion(n, {(m, kk): _lincomb(n, m, ps) for kk, ps in parts.items()})
+    basis, q = [rhs], rhs
+    for j in range(1, m // 2 + 1):
+        q = laplacian(q)
+        basis.append(q.mul_r2k(j))
+    return LogRadialExpansion(n, {(m, logpow): _lincomb(n, m, zip(row, basis))
+                                  for logpow, row in _solve_table(n, m).items()})
 
 
 def apply_AA(n: int, e: LogRadialExpansion) -> LogRadialExpansion:

@@ -190,20 +190,20 @@ def _quartic_ranks(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _symmetric_ranks(n: int, d: int) -> np.ndarray:
-    """Position in ``monomial_table(n, d)`` of the monomial x_i1 ... x_id
-    of every flat index (i1, ..., id) of an n^d tensor."""
-    idx = np.sort(np.indices((n,) * d, dtype=np.min_scalar_type(n - 1)).reshape(d, -1).T, axis=1)
-    return monomial_table(n, d).index_rank(idx)
+def _symmetric_ranks(n: int) -> np.ndarray:
+    """Position in ``monomial_table(n, 2)`` of the monomial x_i x_j of every
+    flat index (i, j) of an n x n matrix."""
+    idx = np.sort(np.indices((n, n), dtype=np.min_scalar_type(n - 1)).reshape(2, -1).T, axis=1)
+    return monomial_table(n, 2).index_rank(idx)
 
 
-def _symmetric_vector(T: np.ndarray) -> np.ndarray:
-    """Integer coefficients of sum T[i1..id] x_i1 ... x_id over the
-    monomial table, summed exactly in T's dtype: int64 when the caller
+def _symmetric_vector(M: np.ndarray) -> np.ndarray:
+    """Integer coefficients of sum M[i, j] x_i x_j over the degree-2
+    monomial table, summed exactly in M's dtype: int64 when the caller
     bounds the entries, Python ints otherwise."""
-    n, d = T.shape[0], T.ndim
-    v = np.zeros(monomial_table(n, d).size, dtype=T.dtype)
-    np.add.at(v, _symmetric_ranks(n, d), T.reshape(-1))
+    n = M.shape[0]
+    v = np.zeros(monomial_table(n, 2).size, dtype=M.dtype)
+    np.add.at(v, _symmetric_ranks(n), M.reshape(-1))
     return v
 
 

@@ -27,6 +27,7 @@ from qcurv.polyalg import (
     split_identities,
     _as_fraction,
 )
+from qcurv.parametrix import phi4, random_jet
 
 F = Fraction
 
@@ -414,6 +415,82 @@ def test_solver_log2_escalation_block():
         assert psi.max_log_power() == 2, n
         residual = apply_AA(n, psi) + LogRadialExpansion.from_poly(rhs)
         assert residual.is_zero(), n
+
+
+def seeded_poly(n: int, m: int, seed: int) -> HomogPoly:
+    """A seeded degree-m polynomial with about half its monomials nonzero."""
+    rng = np.random.default_rng(seed)
+    size = monomial_table(n, m).size
+    v = rng.integers(-9, 10, size) * (rng.random(size) < 0.5)
+    return HomogPoly.from_vector(n, m, v, F(int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+
+
+def solve_by_blocks(n: int, rhs: HomogPoly) -> LogRadialExpansion:
+    """The inverse block by block: each harmonic block r^{2k} h of rhs over
+    minus the first nonzero of its escalation scalars, times log^j r."""
+    m = rhs.degree
+    parts: dict[int, list] = {}
+    for b in harmonic_decompose(rhs):
+        logpow, lam = next((j, e) for j, e in enumerate(polyalg._escalation_scalars(n, m, b.k))
+                           if e)
+        parts.setdefault(logpow, []).append(b.h.mul_r2k(b.k).scale(F(-1, lam)))
+    return LogRadialExpansion(n, {(m, j): sum(ps[1:], ps[0]) for j, ps in parts.items()})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_solve_matches_the_block_by_block_inverse(n):
+    for m in range(9):
+        for seed in (0, 1):
+            p = seeded_poly(n, m, 100 * n + 10 * m + seed)
+            assert solve_AA(n, p) == solve_by_blocks(n, p), (n, m, seed)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_solve_matches_the_block_by_block_inverse_on_phi4(n):
+    for seed in (1, 2):
+        src = phi4(random_jet(n, seed))
+        psi = solve_AA(n, src)
+        assert psi == solve_by_blocks(n, src), (n, seed)
+        assert psi.max_log_power() == (1 if n == 8 else 0)
+
+
+@pytest.mark.parametrize("n,rhs,logpow", [
+    (8, HomogPoly.r_squared(8).mul_r2k(1), 1),   # r^4 at n = 8: log r
+    (8, HomogPoly.r_squared(8).mul_r2k(2), 1),   # r^6, degree n - 2: log r
+    (8, seeded_poly(8, 4, 7), 1),                # the r^4 block beside invertible ones
+    (8, seeded_poly(8, 6, 7), 1),
+    (2, HomogPoly.constant(2, F(3, 5)), 2),      # constants at n = 2, 4: log^2 r
+    (4, HomogPoly.constant(4, F(-7, 2)), 2),
+])
+def test_solve_matches_the_block_by_block_inverse_on_kernel_blocks(n, rhs, logpow):
+    psi = solve_AA(n, rhs)
+    assert psi == solve_by_blocks(n, rhs)
+    assert psi.max_log_power() == logpow
+    assert solve_residual(n, psi, rhs).is_zero()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_r2_laplacian_steps_the_power_chain(n):
+    # T = r^2 Lap on B_j = r^{2j} Lap^j p: T B_j = t_j B_j + B_{j+1},
+    # t_j = 2j(2m - 2j + n - 2), and B_{m//2+1} = 0: the bidiagonal action
+    # that _solve_table inverts
+    for m in range(9):
+        p = seeded_poly(n, m, 1000 + 10 * n + m)
+        laps = [p]
+        for _ in range(m // 2):
+            laps.append(laplacian(laps[-1]))
+        chain = [q.mul_r2k(j) for j, q in enumerate(laps)] + [HomogPoly.zero(n, m)]
+        for j, b in enumerate(chain[:-1]):
+            tb = laplacian(b).mul_r2k(1) if m >= 2 else HomogPoly.zero(n, m)
+            assert tb == b.scale(2 * j * (2 * m - 2 * j + n - 2)) + chain[j + 1], (m, j)
+
+
+def test_solve_table_holds_one_row_per_log_power():
+    for n in range(1, 41):
+        for m in range(17):
+            table = polyalg._solve_table(n, m)
+            assert 1 <= len(table) <= 3 and set(table) <= {0, 1, 2}, (n, m)
+            assert all(len(row) == m // 2 + 1 for row in table.values()), (n, m)
 
 
 # -------------------------------------------------------------- serialization

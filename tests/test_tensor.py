@@ -552,13 +552,30 @@ def test_gram_fallback_is_needed_past_the_certificate():
     assert int(_gram(A)[0, 0]) == 2**53 + 1
 
 
+def sorted_ranks(n: int, d: int) -> np.ndarray:
+    """Position in ``monomial_table(n, d)`` of x_i1 ... x_id for every flat
+    index (i1, ..., id) of an n^d tensor: np.sort over intp indices and
+    one (rows x d) gather of the step table."""
+    idx = np.sort(np.indices((n,) * d).reshape(d, -1).T, axis=1)
+    return monomial_table(n, d)._steps[np.arange(d), idx].sum(axis=-1)
+
+
+def quartic_vector(T: np.ndarray) -> np.ndarray:
+    """Integer coefficients of sum T[i, j, a, b] x_i x_j x_a x_b over
+    ``monomial_table(n, 4)``, summed in T's dtype."""
+    n = T.shape[0]
+    v = np.zeros(monomial_table(n, 4).size, dtype=T.dtype)
+    np.add.at(v, sorted_ranks(n, 4), T.reshape(-1))
+    return v
+
+
 @pytest.mark.parametrize("n", range(4, 25))
 def test_weyl_gram_forms_match_int64_products(n):
     """The quartic and gradient-square forms equal the same forms built
     from the plain int64 Gram products."""
     W = random_weyl(n, seed=n)
     X = W.ints.transpose(0, 2, 1, 3).reshape(n * n, -1)
-    q = HomogPoly.from_vector(n, 4, _symmetric_vector((X @ X.T).reshape((n,) * 4)), W.scale**2)
+    q = HomogPoly.from_vector(n, 4, quartic_vector((X @ X.T).reshape((n,) * 4)), W.scale**2)
     V = W.ints + np.transpose(W.ints, (0, 3, 2, 1))
     M = np.einsum("ijkl,ajkl->ia", V, V)
     g = HomogPoly.from_vector(n, 2, _symmetric_vector(M), W.scale**2)
@@ -625,7 +642,7 @@ def test_weyl_forms_match_python_ints_at_the_certificate_edge(n, monkeypatch):
 def test_weyl_maps_retain_less_than_one_n4_array():
     """The per-dimension maps that three jets at n = 24 and their quartic
     forms leave cached take less than one n^4 int64 array: retained bytes
-    < 24^4 * 8, the size of the ``_symmetric_ranks(24, 4)`` they replace.
+    < 24^4 * 8, the size of the n^4 rank array they replace.
     The monomial tables, which the forms need either way, are built first,
     and a jet at n = 5 does the first-call imports."""
     n = 24
@@ -692,9 +709,7 @@ def test_random_weyl_matches_einsum_construction(n):
 @pytest.mark.parametrize("n", [16, 32, 40])
 def test_symmetric_ranks_match_sorted_lookup(n):
     """The ranks from small-dtype indices and column-wise lookups equal
-    np.sort over intp indices and one (rows x 4) gather of the step table."""
-    idx = np.sort(np.indices((n,) * 4).reshape(4, -1).T, axis=1)
-    steps = monomial_table(n, 4)._steps
-    ranks = _symmetric_ranks(n, 4)
+    np.sort over intp indices and one (rows x 2) gather of the step table."""
+    ranks = _symmetric_ranks(n)
     assert ranks.dtype == np.intp
-    assert np.array_equal(ranks, steps[np.arange(4), idx].sum(axis=-1))
+    assert np.array_equal(ranks, sorted_ranks(n, 2))
