@@ -65,7 +65,8 @@ def _as_fraction(x) -> Fraction:
 
 class MonomialTable:
     """The degree-m monomials in n variables, in lexicographic order of
-    their exponent tuples; ``exps[i]`` is the exponent of monomial i.
+    their exponent tuples; row ``idx[i]`` lists the m variables of monomial
+    i ascending, in the smallest unsigned dtype that holds n - 1.
 
     Built once per (n, m) by ``monomial_table``.  Its one index map,
     ``lap_gather``, is built on first use: the Laplacian gathers through it
@@ -78,16 +79,11 @@ class MonomialTable:
         # combinations_with_replacement yields the sorted variable tuples
         # i_1 <= ... <= i_m of x_{i_1} ... x_{i_m} in ascending order, which
         # is descending lexicographic order of the exponents
-        idx = np.fromiter(
+        self.idx = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), m)),
-            dtype=np.intp,
+            dtype=np.min_scalar_type(n - 1),
             count=self.size * m,
         ).reshape(self.size, m)[::-1]
-        exps = np.zeros((self.size, n), dtype=np.intp)
-        rows = np.arange(self.size)
-        for col in idx.T:
-            exps[rows, col] += 1
-        self.exps = exps
         # steps[t, j] = C(m-t+n-j-2, n-j-2) counts the monomials that agree
         # with x_{i_1} ... x_{i_t} and put all m-t remaining degrees on
         # variables past j; summed over t with j = i_{t+1} it is the
@@ -97,6 +93,13 @@ class MonomialTable:
              for t in range(m)],
             dtype=np.intp,
         ).reshape(m, n)
+
+    def exponents(self, rows) -> np.ndarray:
+        """The exponent rows (intp, length n) of the monomials at positions
+        ``rows``, built from ``idx`` for those positions only."""
+        idx = self.idx[rows]
+        at = np.arange(len(idx))[:, None] * self.n + idx
+        return np.bincount(at.ravel(), minlength=len(idx) * self.n).reshape(len(idx), self.n)
 
     def index_rank(self, idx: np.ndarray) -> np.ndarray:
         """Positions of the monomials x_{idx[r,0]} ... x_{idx[r,m-1]}; each
@@ -113,21 +116,17 @@ class MonomialTable:
         return self.index_rank(np.repeat(var.ravel(), exps.ravel()).reshape(len(exps), self.m))
 
     @functools.cached_property
-    def position(self) -> dict[Exponent, int]:
-        """Exponent tuple -> position, for reads by key."""
-        return {e: i for i, e in enumerate(map(tuple, self.exps.tolist()))}
-
-    @functools.cached_property
     def lap_gather(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The index map to degree m+2: src[t, i] is the position of
-        x_i^2 x^exps[t].  The Laplacian of a degree-(m+2) vector v gathers
-        through it to sum_i fac[t, i] v[src[t, i]] here, with fac[t, i] =
-        (e_i + 2)(e_i + 1) and every row sum of fac at most ``gain``; r^2
-        times a vector w here scatters w[t] to every src[t, i]."""
+        """The index map to degree m+2: src[t, i] is the position of x_i^2
+        x^e, for x^e monomial t.  The Laplacian of a degree-(m+2) vector v
+        gathers through it to sum_i fac[t, i] v[src[t, i]] here, with
+        fac[t, i] = (e_i + 2)(e_i + 1) and every row sum of fac at most
+        ``gain``; r^2 times a vector w here scatters w[t] to every src[t, i]."""
         up = monomial_table(self.n, self.m + 2)
-        shifted = self.exps[:, None, :] + 2 * np.eye(self.n, dtype=np.intp)
+        exps = self.exponents(slice(None))
+        shifted = exps[:, None, :] + 2 * np.eye(self.n, dtype=np.intp)
         src = up.rank(shifted).reshape(self.size, self.n)
-        fac = (self.exps + 2) * (self.exps + 1)
+        fac = (exps + 2) * (exps + 1)
         return src, fac, int(fac.sum(axis=1).max())
 
 
@@ -224,16 +223,17 @@ class _Coeffs(Mapping):
 
     def __getitem__(self, e: Exponent) -> Fraction:
         p = self._p
-        i = monomial_table(p.n, p.degree).position.get(e)
-        v = 0 if i is None else int(p._v[i])
-        if not v:
+        if not (isinstance(e, tuple) and len(e) == p.n
+                and all(isinstance(x, (int, np.integer)) and x >= 0 for x in e)
+                and sum(e) == p.degree
+                and (v := int(p._v[monomial_table(p.n, p.degree).rank(e)[0]]))):
             raise KeyError(e)
         return p.content * v
 
     def __iter__(self):
         p = self._p
         nz = np.flatnonzero(p._v)
-        return map(tuple, monomial_table(p.n, p.degree).exps[nz].tolist())
+        return map(tuple, monomial_table(p.n, p.degree).exponents(nz).tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._p._v))
@@ -242,7 +242,7 @@ class _Coeffs(Mapping):
 class HomogPoly:
     """Homogeneous polynomial of fixed degree in n variables.
 
-    The polynomial is ``content * sum_i v[i] x^exps[i]`` over
+    The polynomial is ``content * sum_i v[i]`` times monomial i of
     ``monomial_table(n, degree)``: ``v`` is a primitive integer vector, int64
     unless an entry passes that range, whose first nonzero entry is
     positive.  The zero polynomial has a zero vector and content 0.
@@ -260,10 +260,8 @@ class HomogPoly:
         terms = terms or {}
         exps = [tuple(int(v) for v in e) for e in terms]
         for e in exps:
-            if len(e) != n or any(v < 0 for v in e):
-                raise ValueError(f"bad exponent {e} for n={n}")
-            if sum(e) != degree:
-                raise ValueError(f"exponent {e} does not sum to degree {degree}")
+            if len(e) != n or any(v < 0 for v in e) or sum(e) != degree:
+                raise ValueError(f"bad exponent {e} for n={n} and degree {degree}")
         if len(set(exps)) != len(exps):
             raise ValueError("two keys name the same exponent")
         ints, content = exact_ints(list(terms.values()))
@@ -288,7 +286,7 @@ class HomogPoly:
 
     @classmethod
     def from_vector(cls, n: int, degree: int, ints, scale=1) -> "HomogPoly":
-        """The polynomial scale * sum_i ints[i] x^exps[i] over
+        """The polynomial scale * sum_i ints[i] times monomial i of
         ``monomial_table(n, degree)``; ``ints`` is a signed-integer array,
         or a sequence of Python ints as ``to_json`` writes, of the table's
         length; a bool is not an integer here."""

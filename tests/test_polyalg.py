@@ -1,9 +1,11 @@
 """Exact identities for the polynomial algebra and the radial operators."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ F = Fraction
 def ints(p: HomogPoly) -> dict[tuple[int, ...], int]:
     """The primitive integers of p, keyed by exponent."""
     nz = np.flatnonzero(p._v)
-    exps = monomial_table(p.n, p.degree).exps[nz].tolist()
+    exps = monomial_table(p.n, p.degree).exponents(nz).tolist()
     return dict(zip(map(tuple, exps), p._v[nz].tolist()))
 
 
@@ -705,7 +707,7 @@ def test_mul_r2k_refuses_a_negative_power():
 def _fischer(p, q):
     """The Fischer product <p, q>_F, with <x^a, x^b>_F = a! when a = b and
     0 otherwise."""
-    exps = monomial_table(p.n, p.degree).exps.tolist()
+    exps = monomial_table(p.n, p.degree).exponents(slice(None)).tolist()
     weights = [math.prod(map(math.factorial, e)) for e in exps]
     return p.content * q.content * sum(
         int(a) * int(b) * w for a, b, w in zip(p._v.tolist(), q._v.tolist(), weights))
@@ -731,7 +733,7 @@ def _frozen_gather_mul_r2k(v, n, m, k):
     points at an appended zero where e_i < 2."""
     for _ in range(k):
         down, up = monomial_table(n, m), monomial_table(n, m + 2)
-        shifted = up.exps[:, None, :] - 2 * np.eye(n, dtype=np.intp)
+        shifted = up.exponents(slice(None))[:, None, :] - 2 * np.eye(n, dtype=np.intp)
         divides = (shifted >= 0).all(axis=2)
         src = np.full((up.size, n), down.size, dtype=np.intp)
         src[divides] = down.rank(shifted[divides])
@@ -786,9 +788,34 @@ def _all_exponents(n, m):
 @pytest.mark.parametrize("n,m", [(1, 4), (3, 0), (5, 3), (10, 4), (16, 2), (16, 4)])
 def test_monomial_table_is_lex_ordered_and_ranked(n, m):
     t = monomial_table(n, m)
-    exps = [tuple(e) for e in t.exps.tolist()]
-    assert exps == sorted(_all_exponents(n, m))
-    assert (t.rank(t.exps) == np.arange(t.size)).all()
+    exps = t.exponents(slice(None))
+    assert [tuple(e) for e in exps.tolist()] == sorted(_all_exponents(n, m))
+    assert (t.rank(exps) == np.arange(t.size)).all()
+    assert (t.index_rank(t.idx) == np.arange(t.size)).all()
+
+
+def test_monomial_table_and_keyed_read_retain_less_than_one_uint8_exponent_array():
+    """A fresh MonomialTable(40, 4) and one keyed read of a degree-4
+    polynomial at n = 40 retain together fewer bytes than one (size x n)
+    uint8 array, 1/8 of the dense intp exponent array a table once kept.
+    The polynomial is built first, by ``from_vector``, which builds no
+    table; the read may build the shared table, which the bound covers."""
+    n, m = 40, 4
+    size = math.comb(n + m - 1, m)
+    bound = size * n * np.dtype(np.uint8).itemsize
+    p = HomogPoly.from_vector(n, m, np.arange(1, size + 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = polyalg.MonomialTable(n, m)
+        first = p.terms[(0,) * (n - 1) + (m,)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert first == 1 and table.idx.dtype == np.uint8
+    assert 0 < retained < bound
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (5, 4), (10, 4), (16, 2), (16, 4)])
@@ -839,7 +866,7 @@ def test_int64_switch_both_sides():
     assert HomogPoly.from_vector(n, m, p._v.astype(object))._v.dtype == np.int64
     low = np.zeros(len(exps), dtype=np.int64)
     low[[0, 1]] = [np.iinfo(np.int64).min, 3]  # |int64 min| itself passes int64
-    first, second = map(tuple, monomial_table(n, m).exps[:2].tolist())
+    first, second = map(tuple, monomial_table(n, m).exponents([0, 1]).tolist())
     want = {first: F(-(2**63)), second: F(3)}
     _assert_matches(HomogPoly.from_vector(n, m, low), n, m, want)
     _assert_matches(laplacian(HomogPoly.from_vector(n, m, low)), n, m - 2, _ref_laplacian(want))

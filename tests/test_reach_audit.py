@@ -135,9 +135,20 @@ def test_refusal_no_run_reaches(module, message, call):
     assert info.traceback[-1].path.name == f"{module}.py"
 
 
-def test_missing_monomial_is_a_key_error():
-    with pytest.raises(KeyError, match=r"\(0, 2, 0\)"):
-        HomogPoly.monomial(3, (1, 1, 0), 1).terms[(0, 2, 0)]
+# keys that name no monomial of x_1 x_2 in three variables; the non-integer
+# entries sum to the degree, and (2.5, -0.5, 0) truncates onto x_1^2
+MISSING_KEYS = {"zero-coefficient": (0, 2, 0), "wrong-length": (1, 1), "negative": (3, -1, 0),
+                "wrong-degree": (1, 1, 1), "non-integer": (1.5, 0.5, 0),
+                "non-integer-negative": (2.5, -0.5, 0), "string": "ab"}
+
+
+@pytest.mark.parametrize("key", MISSING_KEYS.values(), ids=MISSING_KEYS.keys())
+def test_missing_monomial_is_a_key_error(key):
+    terms = HomogPoly.monomial(3, (1, 1, 0), 1).terms
+    with pytest.raises(KeyError) as info:
+        terms[key]
+    assert info.value.args == (key,)
+    assert key not in terms
 
 
 def test_failed_report_write_leaves_no_temp_file(tmp_path):

@@ -554,10 +554,10 @@ def test_gram_fallback_is_needed_past_the_certificate():
 
 def sorted_ranks(n: int, d: int) -> np.ndarray:
     """Position in ``monomial_table(n, d)`` of x_i1 ... x_id for every flat
-    index (i1, ..., id) of an n^d tensor: np.sort over intp indices and
-    one (rows x d) gather of the step table."""
+    index (i1, ..., id) of an n^d tensor: np.sort over intp indices, ranked
+    by the table's ``index_rank``."""
     idx = np.sort(np.indices((n,) * d).reshape(d, -1).T, axis=1)
-    return monomial_table(n, d)._steps[np.arange(d), idx].sum(axis=-1)
+    return monomial_table(n, d).index_rank(idx)
 
 
 def quartic_vector(T: np.ndarray) -> np.ndarray:
