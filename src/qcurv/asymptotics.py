@@ -30,9 +30,9 @@ integrands; each panel is still summed as its own dot product and the
 panels left to right, so the result is the same, bit for bit, as one call
 per panel.  The exact radial factors (u_lam, f_lam, beta and their
 derivatives) do not depend on lam: they are built once per dimension and
-bound to each lam (``RadialTermSum.at``).  The cutoff is one polynomial in
-r/DELTA - 1 (``SMOOTHSTEP``), tabulated with its derivatives at the fixed
-annulus nodes at import; the curvature averages, once per model.
+evaluated at each (r, lam).  The cutoff is one polynomial in r/DELTA - 1
+(``SMOOTHSTEP``), tabulated with its derivatives at the fixed annulus
+nodes at import; the curvature averages, once per model.
 
 Model scope: integrals are taken over the ball r <= DELTA plus, for the
 numerator of the matched cases, the exact cutoff annulus term
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -60,7 +61,7 @@ import numpy as np
 from .parametrix import CurvatureJet, psi4_radial_coefficient
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
-from .sphereforms import bubble_constant, bubble_source, bubble_u, omega_n, sharp_constants
+from .sphereforms import _bubble, bubble_constant, bubble_source, omega_n, sharp_constants
 
 F = Fraction
 
@@ -335,6 +336,11 @@ class TestFunctionModel:
         return float(a4 * self.w2), float(j * self.w2), float(self.w2)
 
     @cached_property
+    def pieces(self) -> "_ModelPieces":
+        """The lam-free parts of the integrands, shared by every lam."""
+        return _ModelPieces(self)
+
+    @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Fit weights lam^{-p}, the weighted basis matrix of the grid and
         its condition number."""
@@ -431,73 +437,67 @@ def _radial_shapes(n: int) -> tuple[list[RadialTermSum], RadialTermSum, list[Rad
     """The lam-free radial factors of dimension n, built on first use: u_lam
     and its first two derivatives, the bubble term n(n+2)(n-2)(n-4) f_lam of
     P phi, and the matching difference beta = lam^{(n-4)/2} r^{4-n} - u_lam
-    and its derivatives of order 0..4.  Each evaluation binds them to its
-    lam."""
+    and its derivatives of order 0..4."""
     q = F(n - 4, 2)
-    beta = RadialTermSum(1.0, [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
-    main = bubble_source(n)
-    return _chain(bubble_u(1.0, n), 2), main, _chain(beta, 4)
+    beta = RadialTermSum([(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
+    return _chain(_bubble(n, n - 4), 2), bubble_source(n), _chain(beta, 4)
 
 
 class _ModelPieces:
-    """Radial factors of one (model, lam) evaluation.  The exact ones are
-    the per-dimension shapes bound to lam, so nothing is derived here."""
+    """What the integrands of one model read that lam does not change, built
+    once per model (``TestFunctionModel.pieces``); each integrand takes its
+    lam as an argument."""
 
-    def __init__(self, model: TestFunctionModel, lam: float):
+    def __init__(self, model: TestFunctionModel):
         n = model.n
+        # a proxy: the model keeps its pieces, and a reference back would
+        # hold every finished model in a cycle until the collector runs
+        self.model = weakref.proxy(model)
         self.n = n
-        self.lam = lam
         self.p = 2.0 * n / (n + 4)
         self.surf = n * omega_n(n)
 
-        u_chain, main, beta_chain = _radial_shapes(n)
-        self.u = u_chain[0].at(lam)
-        self.main = main.at(lam)
-        self.beta = [b.at(lam) for b in beta_chain]
-
-        self.corr_consts = model.corr_constants
+        u_chain, self.main, self.beta = _radial_shapes(n)
+        self.u = u_chain[0]
 
         # correction rides on beta (matched cases) or on u itself (high)
         row = CASES[model.case]
         self.corr_sign = -1.0 if row.matched else +1.0
-        self.v, self.v1, self.v2 = (self.beta[:3] if row.matched
-                                    else [d.at(lam) for d in u_chain])
+        self.v = self.beta[:3] if row.matched else u_chain
 
         # angular-averaged green correction carried by the test function
-        self.gavg = lambda r: row.green_avg(model, lam, r)
+        self.green_avg = row.green_avg
 
-    def corr_avg(self, r: np.ndarray) -> np.ndarray:
+    def corr_avg(self, r: np.ndarray, lam: float) -> np.ndarray:
         """Angular average of the curvature correction to P phi."""
-        if self.corr_consts is None:
+        if self.model.corr_constants is None:
             return np.zeros_like(r)
         n = self.n
-        cA, gj, w2 = self.corr_consts
-        v = self.v(r)
-        v1 = self.v1(r)
-        v2 = self.v2(r)
+        cA, gj, w2 = self.model.corr_constants
+        v, v1, v2 = (h(r, lam) for h in self.v)
         term_a = 2.0 * (v2 - v1 / r) * cA * r * r
         term_j = ((2.0 - n) / 2.0 * v2 - (n * n - n - 14.0) / 2.0 * v1 / r) * gj * r * r
         term_q = (n - 4.0) / (24.0 * (n - 1.0)) * w2 * v
         return term_a + term_j + term_q
 
-    def bulk(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bulk(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The numerator and norm integrands on the ball, from one
         evaluation of main, corr_avg and r^{n-1}."""
-        main = self.main(r)
-        corr = self.corr_sign * self.corr_avg(r)
+        main = self.main(r, lam)
+        corr = self.corr_sign * self.corr_avg(r, lam)
         weight = r ** (self.n - 1)
-        phi = self.u(r) + self.gavg(r)
+        phi = self.u(r, lam) + self.green_avg(self.model, lam, r)
         numerator = (main + corr) * phi * weight * self.surf
         norm = main ** (self.p - 1.0) * (main + self.p * corr) * weight * self.surf
         return numerator, norm
 
-    def numerator_annulus(self, r: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    def numerator_annulus(self, r: np.ndarray, lam: float, e1: np.ndarray) -> np.ndarray:
         """-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA] (matched cases), with
         e1 eta1 and its first four r-derivatives at r."""
         n = self.n
         e2 = -e1
         e2[0] = 1.0 - e1[0]
-        b = [beta(r) for beta in self.beta]
+        b = [beta(r, lam) for beta in self.beta]
         f = [
             sum(math.comb(m, i) * e2[i] * b[m - i] for i in range(m + 1))
             for m in range(5)
@@ -508,11 +508,11 @@ class _ModelPieces:
             + (n - 1) * (n - 3) * f[2] / r**2
             - (n - 1) * (n - 3) * f[1] / r**3
         )
-        lam_q = self.lam ** ((n - 4) / 2.0)
+        lam_q = lam ** ((n - 4) / 2.0)
         phi = (
-            e2[0] * self.u(r)
+            e2[0] * self.u(r, lam)
             + e1[0] * lam_q * r ** float(4 - n)
-            + self.gavg(r)
+            + self.green_avg(self.model, lam, r)
         )
         return -bilap * phi * r ** (n - 1) * self.surf
 
@@ -523,12 +523,12 @@ def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
     P phi vanishes beyond the cutoff annulus, so the bulk ball and, for
     matched cases, the numerator's annulus term are the whole integrals.
     """
-    pieces = _ModelPieces(model, lam)
+    pieces = model.pieces
     half, nodes = _panel_nodes(_bulk_breakpoints(lam))
-    numerator, norm = pieces.bulk(nodes)
+    numerator, norm = pieces.bulk(nodes, lam)
     num = _panel_sum(half, numerator)
     if CASES[model.case].matched:
-        annulus = pieces.numerator_annulus(_ANNULUS_NODES, _ANNULUS_CUTOFF)
+        annulus = pieces.numerator_annulus(_ANNULUS_NODES, lam, _ANNULUS_CUTOFF)
         num += _panel_sum(_ANNULUS_HALF, annulus)
     norm_int = _panel_sum(half, norm)
     n = model.n

@@ -397,8 +397,8 @@ def _verify_constants(n) -> list[VerificationReport]:
 
 
 def _verify_bubbles(n) -> list[VerificationReport]:
-    # the canonical term lists hold the identity symbolically in lam, so
-    # lam = 1 stands for every lam
+    # the canonical term lists are lam-free: they hold the identity for
+    # every lam at once
     return [
         exact_check(
             f"bubble.pde[n={d}]",
@@ -406,7 +406,7 @@ def _verify_bubbles(n) -> list[VerificationReport]:
             sphereforms.bubble_source(d).terms,
             "Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam as canonical terms "
             "(c, lam power, r power, (r^2+lam^2) power)",
-            sphereforms.bubble_bilaplacian(1.0, d).terms,
+            sphereforms.bubble_bilaplacian(d).terms,
         )
         for d in n
     ]

@@ -212,6 +212,15 @@ def exact_json(ints: np.ndarray, scale: Fraction) -> dict:
     return {"scale": f"{scale.numerator}/{scale.denominator}", "ints": ints.tolist()}
 
 
+def _exponent_degree(e, n: int) -> int | None:
+    """The degree of the monomial with exponent tuple e in n variables; None
+    unless e is a tuple of n integers (a bool is not one), none negative."""
+    if isinstance(e, tuple) and len(e) == n and all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in e):
+        return sum(map(int, e))
+    return None
+
+
 class _Coeffs(Mapping):
     """Read-only view of a polynomial's nonzero coefficients keyed by
     exponent tuple, as Fractions made only when read."""
@@ -223,9 +232,7 @@ class _Coeffs(Mapping):
 
     def __getitem__(self, e: Exponent) -> Fraction:
         p = self._p
-        if not (isinstance(e, tuple) and len(e) == p.n
-                and all(isinstance(x, (int, np.integer)) and x >= 0 for x in e)
-                and sum(e) == p.degree
+        if not (_exponent_degree(e, p.n) == p.degree
                 and (v := int(p._v[monomial_table(p.n, p.degree).rank(e)[0]]))):
             raise KeyError(e)
         return p.content * v
@@ -234,6 +241,11 @@ class _Coeffs(Mapping):
         p = self._p
         nz = np.flatnonzero(p._v)
         return map(tuple, monomial_table(p.n, p.degree).exponents(nz).tolist())
+
+    def items(self) -> list[tuple[Exponent, Fraction]]:
+        """The pairs in one pass: ``__iter__``'s rows beside the nonzero integers."""
+        p = self._p
+        return list(zip(self, (p.content * int(v) for v in p._v[np.flatnonzero(p._v)])))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._p._v))
@@ -258,12 +270,10 @@ class HomogPoly:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         terms = terms or {}
-        exps = [tuple(int(v) for v in e) for e in terms]
+        exps = list(terms)
         for e in exps:
-            if len(e) != n or any(v < 0 for v in e) or sum(e) != degree:
+            if _exponent_degree(e, n) != degree:
                 raise ValueError(f"bad exponent {e} for n={n} and degree {degree}")
-        if len(set(exps)) != len(exps):
-            raise ValueError("two keys name the same exponent")
         ints, content = exact_ints(list(terms.values()))
         table = monomial_table(n, degree)
         v = np.zeros(table.size, dtype=ints.dtype)
@@ -313,8 +323,11 @@ class HomogPoly:
 
     @classmethod
     def monomial(cls, n: int, exponent: Iterable[int], coeff=1) -> "HomogPoly":
-        e = tuple(int(v) for v in exponent)
-        return cls(n, sum(e), {e: coeff})
+        e = tuple(exponent)
+        degree = _exponent_degree(e, n)
+        if degree is None:
+            raise ValueError(f"bad exponent {e} for n={n}")
+        return cls(n, degree, {e: coeff})
 
     @classmethod
     def r_squared(cls, n: int) -> "HomogPoly":

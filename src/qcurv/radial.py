@@ -19,18 +19,17 @@ unique only in that even-j range: a sum with odd or negative r powers keeps
 those terms as they are, and two such sums may be equal as functions while
 their lists differ.
 
-No term depends on lam; only evaluation reads it.  ``at(lam)`` binds the
-same, already merged terms to another lam, so a caller that needs one shape
-at many lam builds it once and binds it per lam.  Each sum also keeps its
-``diff()``, its ``canonical()`` and the float values of its terms once
-computed, shared by every sum bound from it, so ``deriv(k, r)`` walks an
-exact chain that is derived only once.
+No term depends on lam: it is an argument of evaluation, ``s(r, lam)``
+and ``s.deriv(k, r, lam)``, so one sum serves every lam.  Each sum keeps
+its ``diff()``, its ``canonical()`` and the float values of its terms once
+computed, so ``deriv`` walks an exact chain that is derived only once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,24 +38,14 @@ from .polyalg import _as_fraction
 Term = tuple[Fraction, Fraction, int, Fraction]  # (c, lam_power, r_power, s)
 
 
-def _positive(lam: float) -> float:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return float(lam)
-
-
 class RadialTermSum:
-    """Finite sum of terms c lam^p r^j (r^2+lam^2)^s at a fixed lam > 0.
+    """Finite sum of terms c lam^p r^j (r^2+lam^2)^s, evaluated at any
+    finite lam > 0.
 
     c, p and s are read by ``polyalg._as_fraction`` and j must be an int,
     so a float or a bool raises ValueError."""
 
-    __slots__ = ("lam", "terms", "_shared")
-
-    def __init__(self, lam: float, terms: list[Term] | None = None):
-        self.lam = _positive(lam)
-        # what is derived from the terms alone, shared by every binding
-        self._shared: dict[str, object] = {}
+    def __init__(self, terms: list[Term] | None = None):
         merged: dict[tuple[Fraction, int, Fraction], Fraction] = {}
         for c, p, j, s in terms or []:
             if not isinstance(j, int) or isinstance(j, bool):
@@ -70,39 +59,21 @@ class RadialTermSum:
                 merged[key] = acc
         self.terms = [(c, p, j, s) for (p, j, s), c in sorted(merged.items())]
 
-    def at(self, lam: float) -> "RadialTermSum":
-        """The same terms bound to ``lam``; nothing is merged again, and the
-        derived sums already computed are shared."""
-        out = RadialTermSum.__new__(RadialTermSum)
-        out.lam = _positive(lam)
-        out.terms = self.terms
-        out._shared = self._shared
-        return out
-
-    def _cached(self, name: str, build):
-        """What ``build`` derives from the terms, built on first use."""
-        done = self._shared.get(name)
-        if done is None:
-            done = self._shared[name] = build()
-        return done
-
     @classmethod
-    def single(cls, lam, c, lam_power, r_power, s) -> "RadialTermSum":
-        return cls(lam, [(c, lam_power, r_power, s)])
+    def single(cls, c, lam_power, r_power, s) -> "RadialTermSum":
+        return cls([(c, lam_power, r_power, s)])
 
     def __add__(self, other: "RadialTermSum") -> "RadialTermSum":
-        if other.lam != self.lam:
-            raise ValueError("lam mismatch")
-        return RadialTermSum(self.lam, [(c, p, j, s) for (c, p, j, s) in self.terms]
-                             + [(c, p, j, s) for (c, p, j, s) in other.terms])
+        return RadialTermSum(self.terms + other.terms)
 
     def scale(self, factor) -> "RadialTermSum":
         f = _as_fraction(factor)
-        return RadialTermSum(self.lam, [(c * f, p, j, s) for (c, p, j, s) in self.terms])
+        return RadialTermSum([(c * f, p, j, s) for (c, p, j, s) in self.terms])
 
     def diff(self) -> "RadialTermSum":
-        return self._cached("diff", self._diff).at(self.lam)
+        return self._diff
 
+    @cached_property
     def _diff(self) -> "RadialTermSum":
         out: list[Term] = []
         for c, p, j, s in self.terms:
@@ -110,10 +81,10 @@ class RadialTermSum:
                 out.append((c * j, p, j - 1, s))
             if s != 0:
                 out.append((2 * c * s, p, j + 1, s - 1))
-        return RadialTermSum(self.lam, out)
+        return RadialTermSum(out)
 
     def div_r(self) -> "RadialTermSum":
-        return RadialTermSum(self.lam, [(c, p, j - 1, s) for (c, p, j, s) in self.terms])
+        return RadialTermSum([(c, p, j - 1, s) for (c, p, j, s) in self.terms])
 
     def laplacian(self, n: int) -> "RadialTermSum":
         d = self.diff()
@@ -126,8 +97,9 @@ class RadialTermSum:
         """The same function with each term of even r power j >= 0 expanded
         by the binomial theorem in r^2 = (r^2+lam^2) - lam^2; terms of odd or
         negative j are kept as they are."""
-        return self._cached("canonical", self._canonical).at(self.lam)
+        return self._canonical
 
+    @cached_property
     def _canonical(self) -> "RadialTermSum":
         out: list[Term] = []
         for c, p, j, s in self.terms:
@@ -137,15 +109,20 @@ class RadialTermSum:
             h = j // 2
             out += [(c * math.comb(h, k) * (-1) ** (h - k), p + 2 * (h - k), 0, s + k)
                     for k in range(h + 1)]
-        return RadialTermSum(self.lam, out)
+        return RadialTermSum(out)
 
-    def __call__(self, r):
+    @cached_property
+    def _floats(self) -> list[tuple[float, float, float, float]]:
+        return [tuple(map(float, t)) for t in self.terms]
+
+    def __call__(self, r, lam):
         r = np.asarray(r, dtype=float)
-        lam = self.lam
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam!r}")
+        lam = float(lam)
         out = np.zeros_like(r)
         base = r * r + lam * lam
-        floats = self._cached("floats", lambda: [tuple(map(float, t)) for t in self.terms])
-        for c, p, j, s in floats:
+        for c, p, j, s in self._floats:
             piece = c * lam ** p
             if j != 0:
                 piece = piece * r ** j
@@ -154,9 +131,9 @@ class RadialTermSum:
             out = out + piece
         return out if out.shape else float(out)
 
-    def deriv(self, order: int, r):
-        """The derivative of the given order, evaluated at r."""
+    def deriv(self, order: int, r, lam):
+        """The derivative of the given order, evaluated at (r, lam)."""
         out = self
         for _ in range(order):
             out = out.diff()
-        return out(r)
+        return out(r, lam)

@@ -1,6 +1,8 @@
 """Test-function asymptotics: cutoffs, angular reduction, coefficient fits."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -39,11 +41,11 @@ from qcurv.tensor import random_weyl
 F = Fraction
 
 
-def ball_integrals(pieces: _ModelPieces, breakpoints) -> tuple[float, float]:
-    """The numerator and norm quadratures of ``_ModelPieces.bulk`` over the
-    panels of consecutive breakpoints."""
+def ball_integrals(pieces: _ModelPieces, lam: float, breakpoints) -> tuple[float, float]:
+    """The numerator and norm quadratures of ``_ModelPieces.bulk`` at lam over
+    the panels of consecutive breakpoints."""
     half, nodes = _panel_nodes(breakpoints)
-    return tuple(_panel_sum(half, values) for values in pieces.bulk(nodes))
+    return tuple(_panel_sum(half, values) for values in pieces.bulk(nodes, lam))
 
 
 def smoothstep(degree: int) -> np.polynomial.Polynomial:
@@ -130,7 +132,7 @@ def mc_angular_check(
     def numerator(ca: float, gj: float) -> float:
         model = TestFunctionModel(case="high", n=n, jet=jet)
         model.corr_constants = (ca, gj, float(w2))  # overrides the closed forms
-        return ball_integrals(_ModelPieces(model, lam), _bulk_breakpoints(lam))[0]
+        return ball_integrals(_ModelPieces(model), lam, _bulk_breakpoints(lam))[0]
 
     exact_num = numerator(exact["a4"], exact["gj2"])
     d_da = numerator(exact["a4"] + 1.0, exact["gj2"]) - exact_num
@@ -344,11 +346,11 @@ def test_model_integrand_tasks():
         jet = random_jet(n, seed=1, normalize=True) if CASES[case].needs_jet else None
         m = TestFunctionModel(case=case, n=n, jet=jet)
         lam = m.lambdas[0]
-        pieces = _ModelPieces(m, lam)
-        assert all(np.all(np.isfinite(v)) for v in pieces.bulk(np.array([0.3, 0.7])))
-        bulk = ball_integrals(pieces, _bulk_breakpoints(lam))[0]
+        pieces = _ModelPieces(m)
+        assert all(np.all(np.isfinite(v)) for v in pieces.bulk(np.array([0.3, 0.7]), lam))
+        bulk = ball_integrals(pieces, lam, _bulk_breakpoints(lam))[0]
         annulus = _panel_sum(_ANNULUS_HALF, pieces.numerator_annulus(
-            _ANNULUS_NODES, cutoff_rows(9, _ANNULUS_NODES)))
+            _ANNULUS_NODES, lam, cutoff_rows(9, _ANNULUS_NODES)))
         assert annulus != 0.0
         want = bulk + annulus if CASES[case].matched else bulk
         assert evaluate_model(m, lam)["numerator"] == want
@@ -368,13 +370,13 @@ def test_grid_refinement_stability():
     # doubling the radial panels moves every integral by < 1e-9 relative
     jet = random_jet(10, seed=1, normalize=True)
     m = TestFunctionModel(case="high", n=10, jet=jet)
-    pieces = _ModelPieces(m, 0.02)
+    pieces = _ModelPieces(m)
     bp = _bulk_breakpoints(0.02)
     bp2 = []
     for a, b in zip(bp[:-1], bp[1:]):
         bp2 += [a, 0.5 * (a + b)]
     bp2.append(bp[-1])
-    for coarse, fine in zip(ball_integrals(pieces, bp), ball_integrals(pieces, bp2)):
+    for coarse, fine in zip(ball_integrals(pieces, 0.02, bp), ball_integrals(pieces, 0.02, bp2)):
         assert abs(coarse - fine) <= 1e-9 * abs(fine)
 
 
@@ -539,13 +541,14 @@ def test_batched_panel_quad_matches_per_panel_loop(case):
     # bit, and evaluate_model reports exactly those sums
     m = _default_model(case)
     annulus = [DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
+    pieces = _ModelPieces(m)
     for lam in m.lambdas:
-        pieces = _ModelPieces(m, lam)
         bulk = _bulk_breakpoints(lam)
-        num, norm = (_panel_quad_per_panel(lambda r, i=i: pieces.bulk(r)[i], bulk) for i in (0, 1))
-        assert ball_integrals(pieces, bulk) == (num, norm)
+        num, norm = (_panel_quad_per_panel(lambda r, i=i: pieces.bulk(r, lam)[i], bulk)
+                     for i in (0, 1))
+        assert ball_integrals(pieces, lam, bulk) == (num, norm)
         ring = _panel_quad_per_panel(
-            lambda r: pieces.numerator_annulus(r, cutoff_rows(9, r)), annulus)
+            lambda r: pieces.numerator_annulus(r, lam, cutoff_rows(9, r)), annulus)
         got = evaluate_model(m, lam)
         assert got["norm_integral"] == norm
         assert got["numerator"] == (num + ring if CASES[case].matched else num)
@@ -558,14 +561,14 @@ def test_ball_integrands_share_one_evaluation(monkeypatch, case):
     calls = []
     real_init, real_corr = _ModelPieces.__init__, _ModelPieces.corr_avg
 
-    def init(self, model, lam):
-        real_init(self, model, lam)
+    def init(self, model):
+        real_init(self, model)
         main = self.main
-        self.main = lambda r: calls.append(("main", r.shape)) or main(r)
+        self.main = lambda r, lam: calls.append(("main", r.shape)) or main(r, lam)
 
     monkeypatch.setattr(_ModelPieces, "__init__", init)
-    monkeypatch.setattr(_ModelPieces, "corr_avg",
-                        lambda self, r: calls.append(("corr_avg", r.shape)) or real_corr(self, r))
+    monkeypatch.setattr(_ModelPieces, "corr_avg", lambda self, r, lam: calls.append(
+        ("corr_avg", r.shape)) or real_corr(self, r, lam))
     for lam in m.lambdas:
         calls.clear()
         evaluate_model(m, lam)
@@ -577,39 +580,42 @@ def _chain(h: RadialTermSum, order: int) -> list[RadialTermSum]:
     return [h] + _chain(h.diff(), order - 1) if order else [h]
 
 
-def _direct_sums(n: int, lam: float) -> dict:
-    """The radial factors built from scratch at lam, sharing nothing."""
+def _direct_sums(n: int) -> dict:
+    """The radial factors built from scratch, sharing nothing."""
     q, q4 = F(n - 4, 2), F(n + 4, 2)
-    u = RadialTermSum(lam, [(F(1), q, 0, -q)])
-    beta = RadialTermSum(lam, [(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
+    u = RadialTermSum([(F(1), q, 0, -q)])
+    beta = RadialTermSum([(F(1), q, 4 - n, F(0)), (F(-1), q, 0, -q)])
     return {
         "u": _chain(u, 2),
-        "main": RadialTermSum(lam, [(F(1), q4, 0, -q4)]).scale(n * (n + 2) * (n - 2) * (n - 4)),
+        "main": RadialTermSum([(F(1), q4, 0, -q4)]).scale(n * (n + 2) * (n - 2) * (n - 4)),
         "beta": _chain(beta, 4),
     }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_bound_pieces_equal_pieces_built_at_lambda(case):
+    # the model's lam-free pieces, evaluated at each lam, give the floats of
+    # sums built from scratch and evaluated at that lam
     m = _default_model(case)
     r = np.geomspace(1e-3, 2.0, 97).reshape(1, 97)
+    pieces = m.pieces
+    want = _direct_sums(m.n)
+    v = want["beta"][:3] if CASES[case].matched else want["u"]
+    pairs = [(pieces.u, want["u"][0]), (pieces.main, want["main"]),
+             *zip(pieces.beta, want["beta"]), *zip(pieces.v, v)]
+    assert len(pairs) == 10
+    for got, direct in pairs:
+        assert got.terms == direct.terms
     for lam in (*m.lambdas, 0.0371, 0.2):
-        pieces = _ModelPieces(m, lam)
-        want = _direct_sums(m.n, lam)
-        v = want["beta"][:3] if CASES[case].matched else want["u"]
-        pairs = [(pieces.u, want["u"][0]), (pieces.main, want["main"]),
-                 *zip(pieces.beta, want["beta"]), *zip((pieces.v, pieces.v1, pieces.v2), v)]
-        assert len(pairs) == 10
         for got, direct in pairs:
-            assert got.lam == direct.lam == lam
-            assert got.terms == direct.terms
-            assert np.array_equal(got(r), direct(r))
+            assert np.array_equal(got(r, lam), direct(r, lam))
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
     m = _default_model(case)
     first = evaluate_model(m, m.lambdas[0])
+    pieces = m.pieces
     calls = []
     for name in ("__init__", "diff", "canonical"):
         def counted(self, *args, _orig=getattr(RadialTermSum, name), _name=name):
@@ -618,13 +624,27 @@ def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
 
         monkeypatch.setattr(RadialTermSum, name, counted)
     evaluate_model(m, m.lambdas[1])
-    assert calls == []
+    assert calls == [] and m.pieces is pieces
     # the same lam again gives the same floats
     assert evaluate_model(m, m.lambdas[0]) == first
     assert calls == []
     # and the counters do see a derivation
-    RadialTermSum(1.0, [(F(1), F(0), 2, F(0))]).diff().canonical()
+    RadialTermSum([(F(1), F(0), 2, F(0))]).diff().canonical()
     assert calls == ["__init__", "diff", "__init__", "canonical", "__init__"]
+
+
+def test_a_finished_model_is_freed_without_the_collector():
+    # the model keeps its pieces; they refer back through a proxy, so no
+    # cycle holds the model (and its jet) once its last reference goes
+    m = _default_model("high")
+    evaluate_model(m, m.lambdas[0])
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------- MC

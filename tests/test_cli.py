@@ -1415,7 +1415,7 @@ def test_every_constants_check_can_fail(runner, monkeypatch, check, patch):
 
 def test_bubble_check_can_fail(runner, monkeypatch):
     real = sphereforms.bubble_bilaplacian
-    monkeypatch.setattr(sphereforms, "bubble_bilaplacian", lambda lam, n: real(lam, n).scale(2))
+    monkeypatch.setattr(sphereforms, "bubble_bilaplacian", lambda n: real(n).scale(2))
     _assert_fails(runner.invoke(main, ["verify", "bubbles", "--n", "5"]), ["bubble.pde[n=5]"])
 
 

@@ -527,8 +527,38 @@ def test_poly_validation_errors():
     for bad in (0.5, True, "1/0"):  # not exact input
         with pytest.raises(ValueError, match="exact rational|zero denominator"):
             HomogPoly(2, 1, {(1, 0): bad})
-    with pytest.raises(ValueError, match="same exponent"):
-        HomogPoly(2, 1, {(1, 0): 1, ("1", 0): 2})
+    # an exponent is n nonnegative integers: a numpy integer is one, so
+    # (np.int64(1), 0) is the key (1, 0); text, a bool or a float is not,
+    # and is never cast onto a monomial
+    assert HomogPoly(2, 1, {(np.int64(1), 0): 2}) == HomogPoly(2, 1, {(1, 0): 2})
+    assert HomogPoly.monomial(2, (np.int64(1), 0)) == HomogPoly.monomial(2, (1, 0))
+    for bad in (lambda: HomogPoly(2, 1, {("1", 0): 2}), lambda: HomogPoly(2, 1, {(True, 0): 1}),
+                lambda: HomogPoly(3, 2, {(1.9, 1.1, 0): 1}),
+                lambda: HomogPoly.monomial(3, (2.5, -0.5, 0)),
+                lambda: HomogPoly.monomial(2, (True, 0)), lambda: HomogPoly.monomial(2, ("a", 0))):
+        with pytest.raises(ValueError, match="bad exponent"):
+            bad()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_items_read_each_coefficient_in_one_pass(monkeypatch, seed):
+    # items() pairs the rows of the nonzero positions with their integers:
+    # it agrees with one keyed read per exponent, and ranks no key
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, m = int(rng.integers(2, 7)), int(rng.integers(0, 7))
+    size = math.comb(n + m - 1, m)
+    ints = rng.integers(-3, 4, size) * (rng.random(size) < 0.5)
+    calls = []
+    real = polyalg.MonomialTable.rank
+    monkeypatch.setattr(polyalg.MonomialTable, "rank",
+                        lambda self, exps: calls.append(exps) or real(self, exps))
+    for p in (HomogPoly.from_vector(n, m, ints, F(2, 3)),
+              HomogPoly.from_vector(n, m, [2**70 * int(x) + int(x) for x in ints])):
+        want = [(e, p.terms[e]) for e in p.terms]
+        assert len(calls) == len(want)
+        calls.clear()
+        assert p.terms.items() == want
+        assert calls == []
 
 
 @pytest.mark.parametrize("values,ints,content", [

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from qcurv import asymptotics, parametrix as par, polyalg, radial, report, spectral, sphereforms
+from qcurv import asymptotics, parametrix as par, polyalg, report, spectral, sphereforms
 from qcurv.polyalg import HomogPoly, LogRadialExpansion
 from qcurv.tensor import SchoutenHessian, random_weyl
 from test_report import _ONE_THREAD
@@ -34,6 +34,14 @@ REACHED_ONLY_BY_TESTS = [
     # `python -m qcurv.cli`; the audit calls the click group in process
     ("qcurv/cli.py", "<module>", ["main()"],
      "test_report.py::test_report_bytes_pinned_one_blas_thread"),
+    # the keyed read the Mapping protocol requires: every report reads a
+    # polynomial's coefficients through items(), which ranks no key
+    ("qcurv/polyalg.py", "_Coeffs.__getitem__",
+     ["p = self._p", "if not (_exponent_degree(e, p.n) == p.degree", "return p.content * v"],
+     "test_polyalg.py::test_items_read_each_coefficient_in_one_pass"),
+    # a key that is no exponent tuple; the callers' refusals follow it
+    ("qcurv/polyalg.py", "_exponent_degree", ["return None"],
+     "test_polyalg.py::test_poly_validation_errors"),
     ("qcurv/polyalg.py", "HomogPoly.scale", ["return HomogPoly.zero(self.n, self.degree)"],
      "test_parametrix.py::test_phi4_flat_is_zero"),
     # the int64 fast paths widen to Python ints past their bound
@@ -47,11 +55,18 @@ REACHED_ONLY_BY_TESTS = [
      "test_tensor.py::test_gram_fallback_is_needed_past_the_certificate"),
     # canonical() keeps odd r powers; the report sums have even ones only
     ("qcurv/radial.py", "RadialTermSum._canonical", ["out.append((c, p, j, s))", "continue"],
-     "test_sphereforms.py::test_at_binds_the_same_terms"),
-    # the benchmark's sphere-numerics tasks read it as well
+     "test_sphereforms.py::test_one_sum_gives_a_fresh_sums_floats_at_every_lambda"),
+    # the benchmark's sphere-numerics tasks read these as well, through the
+    # lam-bound bubble profiles
     ("qcurv/radial.py", "RadialTermSum.deriv",
-     ["out = self", "for _ in range(order):", "out = out.diff()", "return out(r)"],
-     "test_sphereforms.py::test_at_binds_the_same_terms"),
+     ["out = self", "for _ in range(order):", "out = out.diff()", "return out(r, lam)"],
+     "test_sphereforms.py::test_one_sum_gives_a_fresh_sums_floats_at_every_lambda"),
+    ("qcurv/sphereforms.py", "bubble_u", ["return _AtLam(_bubble(n, n - 4), lam=lam)"],
+     "test_sphereforms.py::test_bubbles_bound_per_lambda_equal_fresh_sums"),
+    ("qcurv/sphereforms.py", "bubble_f", ["return _AtLam(_bubble(n, n + 4), lam=lam)"],
+     "test_sphereforms.py::test_bubbles_bound_per_lambda_equal_fresh_sums"),
+    ("qcurv/sphereforms.py", "_AtLam.deriv", ["return self.func.deriv(order, r, **self.keywords)"],
+     "test_sphereforms.py::test_bubbles_bound_per_lambda_equal_fresh_sums"),
     ("qcurv/tensor.py", "random_weyl",
      ["return WeylTensor(n, np.zeros((n,) * 4, dtype=np.int64))"],
      "test_tensor.py::test_random_weyl_low_dimensions_vanish"),
@@ -116,7 +131,10 @@ REFUSALS = [
      lambda: LogRadialExpansion.from_poly(HomogPoly.constant(3, 1))
      + LogRadialExpansion.from_poly(HomogPoly.constant(4, 1))),
     ("polyalg", "block index k=3 out of range for degree 4", lambda: polyalg.eigen_AA(5, 4, 3)),
-    ("radial", "lam mismatch", lambda: radial.RadialTermSum(1.0) + radial.RadialTermSum(2.0)),
+    ("radial", "lam must be finite and positive, got nan",
+     lambda: sphereforms.bubble_u(float("nan"), 5)(1.0)),
+    ("radial", "lam must be finite and positive, got inf",
+     lambda: sphereforms.bubble_pde_residual(float("inf"), 5, [1.0])),
     *[("spectral", f"truncation degree L={L} is below 2", lambda L=L: spectral.SphereSolver(5, L))
       for L in (-1, 0, 1)],
     ("spectral", "the 426-node rule leaves the float range at n=410, L=8",
@@ -136,10 +154,11 @@ def test_refusal_no_run_reaches(module, message, call):
 
 
 # keys that name no monomial of x_1 x_2 in three variables; the non-integer
-# entries sum to the degree, and (2.5, -0.5, 0) truncates onto x_1^2
+# and bool entries sum to the degree, (2.5, -0.5, 0) truncates onto x_1^2
+# and (True, 1, 0) reads as 1 onto x_1 x_2
 MISSING_KEYS = {"zero-coefficient": (0, 2, 0), "wrong-length": (1, 1), "negative": (3, -1, 0),
                 "wrong-degree": (1, 1, 1), "non-integer": (1.5, 0.5, 0),
-                "non-integer-negative": (2.5, -0.5, 0), "string": "ab"}
+                "non-integer-negative": (2.5, -0.5, 0), "bool": (True, 1, 0), "string": "ab"}
 
 
 @pytest.mark.parametrize("key", MISSING_KEYS.values(), ids=MISSING_KEYS.keys())

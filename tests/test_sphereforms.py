@@ -25,6 +25,12 @@ from qcurv.sphereforms import (
 )
 
 
+def u_sum(n: int) -> RadialTermSum:
+    """u_lam = (lam / (r^2 + lam^2))^{(n-4)/2}, built here from its one term."""
+    q = Fraction(n - 4, 2)
+    return RadialTermSum.single(1, q, 0, -q)
+
+
 def y4_ratio_by_quadrature(n: int) -> float:
     """||Delta u_1||^2 / ||u_1||^2_{2n/(n-4)} by adaptive quadrature on the
     closed-form profile.
@@ -33,11 +39,11 @@ def y4_ratio_by_quadrature(n: int) -> float:
     the derivative algebra and the integrals from scipy.
     """
     u = bubble_u(1.0, n)
-    lap = u.laplacian(n)
+    lap = u_sum(n).laplacian(n)
     surf = n * omega_n(n)
 
     num, _ = quad(
-        lambda r: lap(r) ** 2 * r ** (n - 1), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
+        lambda r: lap(r, 1.0) ** 2 * r ** (n - 1), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
     )
     den, _ = quad(
         lambda r: u(r) ** (2.0 * n / (n - 4)) * r ** (n - 1),
@@ -150,19 +156,18 @@ def test_canonical_expands_even_r_powers():
     F = Fraction
     lam = 0.7
     kept = [(F(5), 0, 1, F(-1, 2)), (F(1), 0, -2, F(1, 2))]  # odd, negative r powers
-    x = RadialTermSum(lam, [(F(2), 1, 4, F(-3))] + kept)
+    x = RadialTermSum([(F(2), 1, 4, F(-3))] + kept)
     # 2 lam r^4 g^-3 = 2 lam g^-1 - 4 lam^3 g^-2 + 2 lam^5 g^-3 with g = r^2 + lam^2
-    want = RadialTermSum(lam, [(F(2), 1, 0, F(-1)), (F(-4), 3, 0, F(-2)), (F(2), 5, 0, F(-3))]
-                         + kept)
+    want = RadialTermSum([(F(2), 1, 0, F(-1)), (F(-4), 3, 0, F(-2)), (F(2), 5, 0, F(-3))] + kept)
     assert x.canonical().terms == want.terms
     r = np.geomspace(0.1, 10.0, 9)
-    assert np.max(np.abs(x.canonical()(r) - x(r)) / np.abs(x(r))) <= 1e-12
+    assert np.max(np.abs(x.canonical()(r, lam) - x(r, lam)) / np.abs(x(r, lam))) <= 1e-12
 
 
 def test_bilap_of_constant_vanishes():
-    const = RadialTermSum.single(1.0, Fraction(3), 0, 0, 0)
+    const = RadialTermSum.single(Fraction(3), 0, 0, 0)
     assert const.bilaplacian(6).terms == []
-    assert const.bilaplacian(6)(2.0) == 0.0
+    assert const.bilaplacian(6)(2.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("term", [(0.1, 0, 2, 0), (True, 0, 2, 0), (1, 0.5, 2, 0), (1, 0, 2, 0.5),
@@ -171,54 +176,58 @@ def test_radial_terms_refuse_inexact_input(term):
     # c, p and s are exact rationals and j an int: a float or a bool would
     # be read as its binary value, truncated, or as 1
     with pytest.raises(ValueError):
-        RadialTermSum(1.0, [term])
+        RadialTermSum([term])
     with pytest.raises(ValueError):
-        RadialTermSum.single(1.0, *term)
+        RadialTermSum.single(*term)
     if isinstance(term[0], float):
         with pytest.raises(ValueError):
-            RadialTermSum.single(1.0, 1, 0, 2, 0).scale(term[0])
+            RadialTermSum.single(1, 0, 2, 0).scale(term[0])
 
 
-def test_at_binds_the_same_terms():
+def test_one_sum_gives_a_fresh_sums_floats_at_every_lambda():
     F = Fraction
-    x = RadialTermSum(0.5, [(F(2), 1, 4, F(-3)), (F(5), 0, 1, F(-1, 2))])
-    y = x.at(1.5)
-    assert y.lam == 1.5 and x.lam == 0.5 and y.terms is x.terms
-    fresh = RadialTermSum(1.5, x.terms)
+    x = RadialTermSum([(F(2), 1, 4, F(-3)), (F(5), 0, 1, F(-1, 2))])
     r = np.geomspace(0.1, 10.0, 9)
-    for k in range(4):
-        assert np.array_equal(y.deriv(k, r), fresh.deriv(k, r))
-    # derived sums are shared by every binding, and bound to its lam
-    assert x.diff().terms is y.diff().terms and y.diff().lam == 1.5
-    assert y.canonical().terms == fresh.canonical().terms
-    assert np.array_equal(y.canonical()(r), fresh.canonical()(r))
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            x.at(bad)
+    for lam in (0.5, 1.5):
+        fresh = RadialTermSum(x.terms)  # derives nothing from x
+        for k in range(4):
+            assert np.array_equal(x.deriv(k, r, lam), fresh.deriv(k, r, lam))
+        assert x.canonical().terms == fresh.canonical().terms
+        assert np.array_equal(x.canonical()(r, lam), fresh.canonical()(r, lam))
+    # the derived sums are kept on the sum, so a second lam derives none
+    assert x.diff() is x.diff() and x.canonical() is x.canonical()
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            x(r, bad)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            x.deriv(2, r, bad)
 
 
 @pytest.mark.parametrize("n", [5, 6, 9, 12])
 def test_bubbles_bound_per_lambda_equal_fresh_sums(n):
+    # bubble_u(lam, n) and bubble_f(lam, n) give the floats of a sum built
+    # from scratch, evaluated at lam; bubble_bilaplacian(n) is its canonical
+    # Delta^2 for every lam
     F = Fraction
-    q, q4 = F(n - 4, 2), F(n + 4, 2)
+    q4 = F(n + 4, 2)
+    u, f = u_sum(n), RadialTermSum([(F(1), q4, 0, -q4)])
+    bilap = u.bilaplacian(n).canonical()
+    assert bubble_bilaplacian(n).terms == bilap.terms
+    c = n * (n + 2) * (n - 2) * (n - 4)
     r = np.geomspace(1e-2, 1e2, 41)
     for lam in (0.3, 1.0, 2.7):
-        u = RadialTermSum(lam, [(F(1), q, 0, -q)])
-        pairs = [(bubble_u(lam, n), u), (bubble_f(lam, n), RadialTermSum(lam, [(F(1), q4, 0, -q4)])),
-                 (bubble_bilaplacian(lam, n), u.bilaplacian(n).canonical())]
-        for got, fresh in pairs:
-            assert got.lam == lam and got.terms == fresh.terms
-            assert np.array_equal(got(r), fresh(r))
+        assert np.array_equal(bubble_u(lam, n)(r), u(r, lam))
+        assert np.array_equal(bubble_f(lam, n)(r), f(r, lam))
+        assert np.array_equal(bubble_bilaplacian(n)(r, lam), bilap(r, lam))
         for k in range(5):
-            assert np.array_equal(bubble_u(lam, n).deriv(k, r), u.deriv(k, r))
+            assert np.array_equal(bubble_u(lam, n).deriv(k, r), u.deriv(k, r, lam))
         assert np.array_equal(bubble_pde_residual(lam, n, r),
-                              np.abs(pairs[2][1](r) - n * (n + 2) * (n - 2) * (n - 4)
-                                     * pairs[1][1](r)) / np.abs(n * (n + 2) * (n - 2) * (n - 4)
-                                                                * pairs[1][1](r)))
+                              np.abs(bilap(r, lam) - c * f(r, lam)) / np.abs(c * f(r, lam)))
 
 
 def test_bubble_algebra_derived_once_per_dimension(monkeypatch):
-    bubble_bilaplacian(0.4, 7)
+    r = np.geomspace(0.1, 10.0, 5)
+    bubble_pde_residual(0.4, 7, r)
     bubble_u(0.4, 7).deriv(4, 1.0)
     calls = []
     for name in ("__init__", "diff", "canonical"):
@@ -227,7 +236,7 @@ def test_bubble_algebra_derived_once_per_dimension(monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(RadialTermSum, name, counted)
-    bubble_bilaplacian(0.9, 7)
+    bubble_pde_residual(0.9, 7, r)
     bubble_u(0.9, 7).deriv(4, 1.0)
     # each diff is a lookup of the chain derived at lam = 0.4: nothing merges
     assert calls == ["diff"] * 4
@@ -238,8 +247,9 @@ def test_bubble_identity_exact(n):
     # Delta^2 u_lam - n(n+2)(n-2)(n-4) f_lam is the empty sum once canonical
     c = n * (n + 2) * (n - 2) * (n - 4)
     # every r power is even and >= 0, where canonical term lists are unique
-    assert all(j >= 0 and j % 2 == 0 for _, _, j, _ in bubble_u(1.0, n).bilaplacian(n).terms)
-    diff = bubble_u(1.0, n).bilaplacian(n) + bubble_f(1.0, n).scale(-c)
+    assert all(j >= 0 and j % 2 == 0 for _, _, j, _ in u_sum(n).bilaplacian(n).terms)
+    q4 = Fraction(n + 4, 2)
+    diff = u_sum(n).bilaplacian(n) + RadialTermSum.single(-c, q4, 0, -q4)
     assert diff.terms != []
     assert diff.canonical().terms == []
 
@@ -257,7 +267,7 @@ def test_bilap_equals_coefficient_times_f():
     n = 6
     lam = 2.0
     r = np.geomspace(0.1, 10, 25)
-    lhs = bubble_u(lam, n).bilaplacian(n)(r)
+    lhs = u_sum(n).bilaplacian(n)(r, lam)
     rhs = n * (n + 2) * (n - 2) * (n - 4) * bubble_f(lam, n)(r)
     assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-11
 
@@ -304,8 +314,8 @@ def test_y4_by_quadrature(n):
 
 def test_delta_norm_against_quadrature():
     n = 6
-    lap = bubble_u(1.0, n).laplacian(n)
-    val, _ = quad(lambda r: lap(r) ** 2 * r ** (n - 1), 0, np.inf, epsrel=1e-12, epsabs=0)
+    lap = u_sum(n).laplacian(n)
+    val, _ = quad(lambda r: lap(r, 1.0) ** 2 * r ** (n - 1), 0, np.inf, epsrel=1e-12, epsabs=0)
     got = u1_delta_norm_sq(n)
     assert abs(got - n * omega_n(n) * val) <= 1e-10 * got
 
