@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -230,7 +229,7 @@ CASES = {
 _COND_LIMIT = 1e8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestFunctionModel:
     """One concentrated-test-function experiment.
 
@@ -243,8 +242,12 @@ class TestFunctionModel:
     distinct points, all in (0, DELTA/4), whose fit weights stay finite;
     every closed form and fit lead at n must be a finite float and the
     fit well conditioned; A0 must be finite and small enough that the fit
-    can square the values it scales.  All are judged here, once, before any
-    quadrature.
+    can square the values it scales; and no closed form times its unit
+    (A0, or |W|^2 of the jet) may be zero, since every check is relative
+    to it.  All are judged here, once, before any quadrature, and the
+    model is frozen so that the judgement holds.  The integrands read the
+    lam-free radial factors of dimension n (``_radial_shapes``) and take
+    their lam as an argument.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -265,8 +268,7 @@ class TestFunctionModel:
             raise ValueError(f"case {self.case!r} needs a curvature jet")
         if self.jet is not None and self.jet.n != self.n:
             raise ValueError("jet dimension mismatch")
-        if not self.lambdas:
-            self.lambdas = row.lambdas
+        object.__setattr__(self, "lambdas", tuple(self.lambdas) or row.lambdas)
         if len(self.lambdas) < 4:
             raise ValueError("need at least 4 lambda grid points")
         repeated = [lam for lam, count in Counter(self.lambdas).items() if count > 1]
@@ -294,6 +296,10 @@ class TestFunctionModel:
                         f"A0 = {self.A0:g} makes the fit values overflow the floating-point "
                         f"range (closed form {c:.6g} per unit A0)"
                     )
+        unit_name, unit = self.unit
+        if 0.0 in (c * unit for c in self.closed_forms):  # the checks are relative to them
+            raise ValueError(f"{unit_name} = {unit:g} makes a closed form of case {self.case!r} "
+                             f"at n={self.n} zero; no relative check can hold against it")
 
     @cached_property
     def closed_forms(self) -> tuple[float, ...]:
@@ -336,11 +342,6 @@ class TestFunctionModel:
         return float(a4 * self.w2), float(j * self.w2), float(self.w2)
 
     @cached_property
-    def pieces(self) -> "_ModelPieces":
-        """The lam-free parts of the integrands, shared by every lam."""
-        return _ModelPieces(self)
-
-    @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Fit weights lam^{-p}, the weighted basis matrix of the grid and
         its condition number."""
@@ -374,6 +375,61 @@ class TestFunctionModel:
         if CASES[self.case].needs_jet:
             return "w2", float(self.w2)
         return "A0", self.A0
+
+    def corr_avg(self, r: np.ndarray, lam: float) -> np.ndarray:
+        """Angular average of the curvature correction to P phi, which rides
+        on beta (matched cases) or on u itself (high)."""
+        if self.corr_constants is None:
+            return np.zeros_like(r)
+        n = self.n
+        cA, gj, w2 = self.corr_constants
+        u_chain, _, beta = _radial_shapes(n)
+        v, v1, v2 = (h(r, lam) for h in (beta[:3] if CASES[self.case].matched else u_chain))
+        term_a = 2.0 * (v2 - v1 / r) * cA * r * r
+        term_j = ((2.0 - n) / 2.0 * v2 - (n * n - n - 14.0) / 2.0 * v1 / r) * gj * r * r
+        term_q = (n - 4.0) / (24.0 * (n - 1.0)) * w2 * v
+        return term_a + term_j + term_q
+
+    def bulk(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """The numerator and norm integrands on the ball, from one
+        evaluation of main, corr_avg and r^{n-1}."""
+        n, row = self.n, CASES[self.case]
+        u_chain, main_sum, _ = _radial_shapes(n)
+        p = 2.0 * n / (n + 4)
+        main = main_sum(r, lam)
+        corr = (-1.0 if row.matched else +1.0) * self.corr_avg(r, lam)
+        weight = r ** (n - 1)
+        phi = u_chain[0](r, lam) + row.green_avg(self, lam, r)
+        surf = n * omega_n(n)
+        numerator = (main + corr) * phi * weight * surf
+        norm = main ** (p - 1.0) * (main + p * corr) * weight * surf
+        return numerator, norm
+
+    def numerator_annulus(self, r: np.ndarray, lam: float, e1: np.ndarray) -> np.ndarray:
+        """-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA] (matched cases), with
+        e1 eta1 and its first four r-derivatives at r."""
+        n = self.n
+        u_chain, _, beta = _radial_shapes(n)
+        e2 = -e1
+        e2[0] = 1.0 - e1[0]
+        b = [h(r, lam) for h in beta]
+        f = [
+            sum(math.comb(m, i) * e2[i] * b[m - i] for i in range(m + 1))
+            for m in range(5)
+        ]
+        bilap = (
+            f[4]
+            + 2.0 * (n - 1) * f[3] / r
+            + (n - 1) * (n - 3) * f[2] / r**2
+            - (n - 1) * (n - 3) * f[1] / r**3
+        )
+        lam_q = lam ** ((n - 4) / 2.0)
+        phi = (
+            e2[0] * u_chain[0](r, lam)
+            + e1[0] * lam_q * r ** float(4 - n)
+            + CASES[self.case].green_avg(self, lam, r)
+        )
+        return -bilap * phi * r ** (n - 1) * (n * omega_n(n))
 
 
 # -- composite Gauss-Legendre engine --------------------------------------------
@@ -443,92 +499,17 @@ def _radial_shapes(n: int) -> tuple[list[RadialTermSum], RadialTermSum, list[Rad
     return _chain(_bubble(n, n - 4), 2), bubble_source(n), _chain(beta, 4)
 
 
-class _ModelPieces:
-    """What the integrands of one model read that lam does not change, built
-    once per model (``TestFunctionModel.pieces``); each integrand takes its
-    lam as an argument."""
-
-    def __init__(self, model: TestFunctionModel):
-        n = model.n
-        # a proxy: the model keeps its pieces, and a reference back would
-        # hold every finished model in a cycle until the collector runs
-        self.model = weakref.proxy(model)
-        self.n = n
-        self.p = 2.0 * n / (n + 4)
-        self.surf = n * omega_n(n)
-
-        u_chain, self.main, self.beta = _radial_shapes(n)
-        self.u = u_chain[0]
-
-        # correction rides on beta (matched cases) or on u itself (high)
-        row = CASES[model.case]
-        self.corr_sign = -1.0 if row.matched else +1.0
-        self.v = self.beta[:3] if row.matched else u_chain
-
-        # angular-averaged green correction carried by the test function
-        self.green_avg = row.green_avg
-
-    def corr_avg(self, r: np.ndarray, lam: float) -> np.ndarray:
-        """Angular average of the curvature correction to P phi."""
-        if self.model.corr_constants is None:
-            return np.zeros_like(r)
-        n = self.n
-        cA, gj, w2 = self.model.corr_constants
-        v, v1, v2 = (h(r, lam) for h in self.v)
-        term_a = 2.0 * (v2 - v1 / r) * cA * r * r
-        term_j = ((2.0 - n) / 2.0 * v2 - (n * n - n - 14.0) / 2.0 * v1 / r) * gj * r * r
-        term_q = (n - 4.0) / (24.0 * (n - 1.0)) * w2 * v
-        return term_a + term_j + term_q
-
-    def bulk(self, r: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """The numerator and norm integrands on the ball, from one
-        evaluation of main, corr_avg and r^{n-1}."""
-        main = self.main(r, lam)
-        corr = self.corr_sign * self.corr_avg(r, lam)
-        weight = r ** (self.n - 1)
-        phi = self.u(r, lam) + self.green_avg(self.model, lam, r)
-        numerator = (main + corr) * phi * weight * self.surf
-        norm = main ** (self.p - 1.0) * (main + self.p * corr) * weight * self.surf
-        return numerator, norm
-
-    def numerator_annulus(self, r: np.ndarray, lam: float, e1: np.ndarray) -> np.ndarray:
-        """-Delta^2(eta2 beta) * phi on [DELTA, 2 DELTA] (matched cases), with
-        e1 eta1 and its first four r-derivatives at r."""
-        n = self.n
-        e2 = -e1
-        e2[0] = 1.0 - e1[0]
-        b = [beta(r, lam) for beta in self.beta]
-        f = [
-            sum(math.comb(m, i) * e2[i] * b[m - i] for i in range(m + 1))
-            for m in range(5)
-        ]
-        bilap = (
-            f[4]
-            + 2.0 * (n - 1) * f[3] / r
-            + (n - 1) * (n - 3) * f[2] / r**2
-            - (n - 1) * (n - 3) * f[1] / r**3
-        )
-        lam_q = lam ** ((n - 4) / 2.0)
-        phi = (
-            e2[0] * self.u(r, lam)
-            + e1[0] * lam_q * r ** float(4 - n)
-            + self.green_avg(self.model, lam, r)
-        )
-        return -bilap * phi * r ** (n - 1) * self.surf
-
-
 def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
     """Numerator, norm integral, and functional ratio at one lam.
 
     P phi vanishes beyond the cutoff annulus, so the bulk ball and, for
     matched cases, the numerator's annulus term are the whole integrals.
     """
-    pieces = model.pieces
     half, nodes = _panel_nodes(_bulk_breakpoints(lam))
-    numerator, norm = pieces.bulk(nodes, lam)
+    numerator, norm = model.bulk(nodes, lam)
     num = _panel_sum(half, numerator)
     if CASES[model.case].matched:
-        annulus = pieces.numerator_annulus(_ANNULUS_NODES, lam, _ANNULUS_CUTOFF)
+        annulus = model.numerator_annulus(_ANNULUS_NODES, lam, _ANNULUS_CUTOFF)
         num += _panel_sum(_ANNULUS_HALF, annulus)
     norm_int = _panel_sum(half, norm)
     n = model.n
@@ -591,7 +572,7 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
     coef, resid = _fit(model, "ratio")
     fitted = float(coef[0])
     expected = model.closed_forms[0] * model.unit[1]
-    rel = abs(fitted - expected) / abs(expected) if expected != 0 else abs(fitted)
+    rel = abs(fitted - expected) / abs(expected)
     return FitResult(
         case=model.case,
         n=model.n,

@@ -521,8 +521,8 @@ class LogRadialExpansion:
         self.terms = clean
 
     @classmethod
-    def from_poly(cls, poly: HomogPoly, logpow: int = 0) -> "LogRadialExpansion":
-        return cls(poly.n, {(poly.degree, logpow): poly})
+    def from_poly(cls, poly: HomogPoly) -> "LogRadialExpansion":
+        return cls(poly.n, {(poly.degree, 0): poly})
 
     def is_zero(self) -> bool:
         return not self.terms

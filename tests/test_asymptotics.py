@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,9 @@ from qcurv.asymptotics import (
     _ANNULUS_HALF,
     _ANNULUS_NODES,
     _bulk_breakpoints,
-    _ModelPieces,
     _panel_nodes,
     _panel_sum,
+    _radial_shapes,
     curvature_averages,
     evaluate_model,
     fit_expansion,
@@ -41,11 +42,11 @@ from qcurv.tensor import random_weyl
 F = Fraction
 
 
-def ball_integrals(pieces: _ModelPieces, lam: float, breakpoints) -> tuple[float, float]:
-    """The numerator and norm quadratures of ``_ModelPieces.bulk`` at lam over
-    the panels of consecutive breakpoints."""
+def ball_integrals(model: TestFunctionModel, lam: float, breakpoints) -> tuple[float, float]:
+    """The numerator and norm quadratures of ``TestFunctionModel.bulk`` at
+    lam over the panels of consecutive breakpoints."""
     half, nodes = _panel_nodes(breakpoints)
-    return tuple(_panel_sum(half, values) for values in pieces.bulk(nodes, lam))
+    return tuple(_panel_sum(half, values) for values in model.bulk(nodes, lam))
 
 
 def smoothstep(degree: int) -> np.polynomial.Polynomial:
@@ -131,8 +132,9 @@ def mc_angular_check(
 
     def numerator(ca: float, gj: float) -> float:
         model = TestFunctionModel(case="high", n=n, jet=jet)
-        model.corr_constants = (ca, gj, float(w2))  # overrides the closed forms
-        return ball_integrals(_ModelPieces(model), lam, _bulk_breakpoints(lam))[0]
+        # overrides the closed forms where cached_property keeps its value
+        vars(model)["corr_constants"] = (ca, gj, float(w2))
+        return ball_integrals(model, lam, _bulk_breakpoints(lam))[0]
 
     exact_num = numerator(exact["a4"], exact["gj2"])
     d_da = numerator(exact["a4"] + 1.0, exact["gj2"]) - exact_num
@@ -339,6 +341,35 @@ def test_model_accepts_the_last_finite_lead():
     assert all(map(math.isfinite, m.closed_forms))
     assert m.closed_forms == (flat_ratio_coefficient(171), flat_numerator_coefficient(171))
 
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(case="flat", n=5, A0=0.0), "A0 = 0 makes a closed form of case 'flat' at n=5 zero"),
+    (dict(case="high", n=10, jet=CurvatureJet.flat(10)),
+     "w2 = 0 makes a closed form of case 'high' at n=10 zero"),
+], ids=["flat-A0-zero", "high-flat-jet"])
+def test_model_refuses_a_zero_closed_form_before_any_quadrature(monkeypatch, kwargs, message):
+    # every check is relative to unit x closed form; a model built on a 0.0
+    # would fit quadrature noise and report a small rel_error against it
+    def no_quadrature(model, lam):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(asymptotics, "evaluate_model", no_quadrature)
+    with pytest.raises(ValueError, match=message):
+        fit_expansion(TestFunctionModel(**kwargs))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("case", "high"), ("n", 6), ("jet", None), ("A0", float("nan")),
+    ("lambdas", (0.5, 0.1, 0.1, 0.1)),
+])
+def test_a_built_model_is_frozen(field, value):
+    # the model judged its inputs once; none can be swapped in after
+    m = TestFunctionModel(case="flat", n=5)
+    with pytest.raises(FrozenInstanceError):
+        setattr(m, field, value)
+    assert (m.case, m.n, m.jet, m.A0, m.lambdas) == ("flat", 5, None, 1.0, CASES["flat"].lambdas)
+
+
 def test_model_integrand_tasks():
     # the numerator is the bulk quadrature plus, for matched cases only,
     # the cutoff annulus term; nothing is added beyond the annulus
@@ -346,10 +377,9 @@ def test_model_integrand_tasks():
         jet = random_jet(n, seed=1, normalize=True) if CASES[case].needs_jet else None
         m = TestFunctionModel(case=case, n=n, jet=jet)
         lam = m.lambdas[0]
-        pieces = _ModelPieces(m)
-        assert all(np.all(np.isfinite(v)) for v in pieces.bulk(np.array([0.3, 0.7]), lam))
-        bulk = ball_integrals(pieces, lam, _bulk_breakpoints(lam))[0]
-        annulus = _panel_sum(_ANNULUS_HALF, pieces.numerator_annulus(
+        assert all(np.all(np.isfinite(v)) for v in m.bulk(np.array([0.3, 0.7]), lam))
+        bulk = ball_integrals(m, lam, _bulk_breakpoints(lam))[0]
+        annulus = _panel_sum(_ANNULUS_HALF, m.numerator_annulus(
             _ANNULUS_NODES, lam, cutoff_rows(9, _ANNULUS_NODES)))
         assert annulus != 0.0
         want = bulk + annulus if CASES[case].matched else bulk
@@ -358,9 +388,10 @@ def test_model_integrand_tasks():
 
 
 def test_flat_leading_numerator_value():
-    # with A0 = 0 the numerator reduces to the pure-bubble value
+    # as A0 -> 0 the numerator reduces to the pure-bubble value; A0 = 0 is
+    # refused, and at 1e-300 its term lies far below one ulp of the value
     n = 5
-    m = TestFunctionModel(case="flat", n=n, A0=0.0)
+    m = TestFunctionModel(case="flat", n=n, A0=1e-300)
     lead = n * (n + 2) * (n - 2) * (n - 4) * math.gamma(n / 2) * math.pi ** (n / 2) / math.gamma(n)
     e = evaluate_model(m, 0.0125)
     assert abs(e["numerator"] - lead) <= 1e-6 * lead
@@ -370,13 +401,12 @@ def test_grid_refinement_stability():
     # doubling the radial panels moves every integral by < 1e-9 relative
     jet = random_jet(10, seed=1, normalize=True)
     m = TestFunctionModel(case="high", n=10, jet=jet)
-    pieces = _ModelPieces(m)
     bp = _bulk_breakpoints(0.02)
     bp2 = []
     for a, b in zip(bp[:-1], bp[1:]):
         bp2 += [a, 0.5 * (a + b)]
     bp2.append(bp[-1])
-    for coarse, fine in zip(ball_integrals(pieces, 0.02, bp), ball_integrals(pieces, 0.02, bp2)):
+    for coarse, fine in zip(ball_integrals(m, 0.02, bp), ball_integrals(m, 0.02, bp2)):
         assert abs(coarse - fine) <= 1e-9 * abs(fine)
 
 
@@ -436,9 +466,13 @@ def test_n8_fit_within_tolerance():
 
 
 def test_high_flat_jet_has_no_lam4_term():
-    # all corrections carry curvature factors; the fitted coefficient is
-    # quadrature noise divided by lam^4, far below the unit-|W|^2 scale
-    m = TestFunctionModel(case="high", n=10, jet=CurvatureJet.flat(10))
+    # all corrections carry curvature factors; without them the fitted
+    # coefficient is quadrature noise divided by lam^4, far below the
+    # unit-|W|^2 scale.  A flat jet is refused (its closed forms are 0), so
+    # the curvature is taken out where cached_property keeps it, as a flat
+    # jet would leave it
+    m = TestFunctionModel(case="high", n=10, jet=random_jet(10, seed=7, normalize=True))
+    vars(m)["corr_constants"] = None
     fit = fit_expansion(m)
     assert abs(fit.coefficient) <= 1e-3 * float(high_ratio_coefficient(10))
 
@@ -541,14 +575,13 @@ def test_batched_panel_quad_matches_per_panel_loop(case):
     # bit, and evaluate_model reports exactly those sums
     m = _default_model(case)
     annulus = [DELTA * k for k in (1.0, 1.25, 1.5, 1.75, 2.0)]
-    pieces = _ModelPieces(m)
     for lam in m.lambdas:
         bulk = _bulk_breakpoints(lam)
-        num, norm = (_panel_quad_per_panel(lambda r, i=i: pieces.bulk(r, lam)[i], bulk)
+        num, norm = (_panel_quad_per_panel(lambda r, i=i: m.bulk(r, lam)[i], bulk)
                      for i in (0, 1))
-        assert ball_integrals(pieces, lam, bulk) == (num, norm)
+        assert ball_integrals(m, lam, bulk) == (num, norm)
         ring = _panel_quad_per_panel(
-            lambda r: pieces.numerator_annulus(r, lam, cutoff_rows(9, r)), annulus)
+            lambda r: m.numerator_annulus(r, lam, cutoff_rows(9, r)), annulus)
         got = evaluate_model(m, lam)
         assert got["norm_integral"] == norm
         assert got["numerator"] == (num + ring if CASES[case].matched else num)
@@ -559,15 +592,11 @@ def test_ball_integrands_share_one_evaluation(monkeypatch, case):
     # per lam, main and corr_avg run once each, on the array of every ball node
     m = _default_model(case)
     calls = []
-    real_init, real_corr = _ModelPieces.__init__, _ModelPieces.corr_avg
-
-    def init(self, model):
-        real_init(self, model)
-        main = self.main
-        self.main = lambda r, lam: calls.append(("main", r.shape)) or main(r, lam)
-
-    monkeypatch.setattr(_ModelPieces, "__init__", init)
-    monkeypatch.setattr(_ModelPieces, "corr_avg", lambda self, r, lam: calls.append(
+    u_chain, main, beta = _radial_shapes(m.n)
+    counted = lambda r, lam: calls.append(("main", r.shape)) or main(r, lam)
+    monkeypatch.setattr(asymptotics, "_radial_shapes", lambda n: (u_chain, counted, beta))
+    real_corr = TestFunctionModel.corr_avg
+    monkeypatch.setattr(TestFunctionModel, "corr_avg", lambda self, r, lam: calls.append(
         ("corr_avg", r.shape)) or real_corr(self, r, lam))
     for lam in m.lambdas:
         calls.clear()
@@ -594,16 +623,14 @@ def _direct_sums(n: int) -> dict:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_bound_pieces_equal_pieces_built_at_lambda(case):
-    # the model's lam-free pieces, evaluated at each lam, give the floats of
-    # sums built from scratch and evaluated at that lam
+    # the lam-free radial shapes the model's integrands read, evaluated at
+    # each lam, give the floats of sums built from scratch at that lam
     m = _default_model(case)
     r = np.geomspace(1e-3, 2.0, 97).reshape(1, 97)
-    pieces = m.pieces
+    u_chain, main, beta = _radial_shapes(m.n)
     want = _direct_sums(m.n)
-    v = want["beta"][:3] if CASES[case].matched else want["u"]
-    pairs = [(pieces.u, want["u"][0]), (pieces.main, want["main"]),
-             *zip(pieces.beta, want["beta"]), *zip(pieces.v, v)]
-    assert len(pairs) == 10
+    pairs = [*zip(u_chain, want["u"]), (main, want["main"]), *zip(beta, want["beta"])]
+    assert len(pairs) == 9
     for got, direct in pairs:
         assert got.terms == direct.terms
     for lam in (*m.lambdas, 0.0371, 0.2):
@@ -615,7 +642,6 @@ def test_bound_pieces_equal_pieces_built_at_lambda(case):
 def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
     m = _default_model(case)
     first = evaluate_model(m, m.lambdas[0])
-    pieces = m.pieces
     calls = []
     for name in ("__init__", "diff", "canonical"):
         def counted(self, *args, _orig=getattr(RadialTermSum, name), _name=name):
@@ -624,7 +650,7 @@ def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
 
         monkeypatch.setattr(RadialTermSum, name, counted)
     evaluate_model(m, m.lambdas[1])
-    assert calls == [] and m.pieces is pieces
+    assert calls == []
     # the same lam again gives the same floats
     assert evaluate_model(m, m.lambdas[0]) == first
     assert calls == []
@@ -634,8 +660,8 @@ def test_new_lambda_derives_no_radial_algebra(monkeypatch, case):
 
 
 def test_a_finished_model_is_freed_without_the_collector():
-    # the model keeps its pieces; they refer back through a proxy, so no
-    # cycle holds the model (and its jet) once its last reference goes
+    # nothing the model keeps refers back to it, so no cycle holds the
+    # model (and its jet) once its last reference goes
     m = _default_model("high")
     evaluate_model(m, m.lambdas[0])
     ref = weakref.ref(m)

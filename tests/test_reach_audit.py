@@ -111,6 +111,12 @@ def _collapse():
 REFUSALS = [
     ("asymptotics", "jet dimension mismatch",
      lambda: asymptotics.TestFunctionModel(case="n9", n=9, jet=par.random_jet(10, 1))),
+    # a 0.0 that every relative check would be taken against
+    # (test_asymptotics.py checks that no quadrature runs first)
+    ("asymptotics", "A0 = 0 makes a closed form of case 'flat' at n=5 zero",
+     lambda: asymptotics.TestFunctionModel(case="flat", n=5, A0=0.0)),
+    ("asymptotics", "w2 = 0 makes a closed form of case 'high' at n=10 zero",
+     lambda: asymptotics.TestFunctionModel(case="high", n=10, jet=par.CurvatureJet.flat(10))),
     ("parametrix", "dimension mismatch in jet",
      lambda: par.CurvatureJet(6, random_weyl(5, 1), SchoutenHessian.zero(6))),
     ("parametrix", "expansion needs n >= 5", lambda: par.phi4(par.CurvatureJet.flat(4))),
