@@ -34,6 +34,15 @@ which is both, so each pointwise operation runs once, on t > 0.  Only a
 norm mirrors its powered values, for one dot with the full weights.  A
 field at other points (a pullback) takes the recurrence only up to its
 highest nonzero degree.  The degree runs from 2 to ``MAX_L``.
+
+A step of the extremal iteration runs three products (one per transform,
+on an even field), three powers and two norms.  Its call allocates its
+buffers once and each step writes into them: of fresh arrays a step forms
+only the coefficients it yields and the temporaries of its products.  The
+transforms keep the operand strides that a fresh array would give, the
+even coefficients as a strided view and the analysis vector contiguous,
+because the BLAS bits depend on them; so do the powers, which run on
+contiguous operands only.
 """
 
 from __future__ import annotations
@@ -212,10 +221,16 @@ class SphereSolver:
         rows[0] = 1.0
         if deg >= 1:
             rows[1] = 2.0 * alpha * t
+        # (2 (l + alpha) t C_l - (l + 2 alpha - 1) C_{l-1}) / (l + 1), written
+        # into the row it fills
+        back = np.empty(t.size)
         for l in range(1, deg):
-            rows[l + 1] = (
-                2.0 * (l + alpha) * t * rows[l] - (l + 2.0 * alpha - 1.0) * rows[l - 1]
-            ) / (l + 1.0)
+            row = rows[l + 1]
+            np.multiply(t, 2.0 * (l + alpha), out=row)
+            np.multiply(row, rows[l], out=row)
+            np.multiply(rows[l - 1], l + 2.0 * alpha - 1.0, out=back)
+            np.subtract(row, back, out=row)
+            np.divide(row, l + 1.0, out=row)
         return rows
 
     def gram_defect(self) -> float:
@@ -228,30 +243,36 @@ class SphereSolver:
 
     # -- transforms -------------------------------------------------------
 
-    def synthesize_half(self, coeffs: np.ndarray) -> np.ndarray:
+    def synthesize_half(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Grid values of the field with these coefficients as half-grid rows:
         row 0 holds the values at the nodes of t > 0 and the last row those
         at their mirror images, in the same node order.  An even field (odd
         coefficients all zero) has one row, which is both: its odd product
-        would be +0.0."""
-        e = np.dot(coeffs[0::2], self._even)
+        would be +0.0.  The rows are written into ``out``, two rows of the
+        half grid, when it is given, and are a view of it."""
         c_odd = coeffs[1::2]
-        if not c_odd.any():
-            return e[None]
-        o = np.dot(c_odd, self._odd)
-        return np.array((e + o, e - o))
+        odd = bool(np.count_nonzero(c_odd))  # a Python int slices faster than a numpy one
+        rows = np.empty((1 + odd, self.x.size)) if out is None else out[:1 + odd]
+        e = np.dot(coeffs[0::2], self._even, out=rows[0])
+        if odd:
+            o = np.dot(c_odd, self._odd)
+            np.subtract(e, o, out=rows[1])
+            np.add(e, o, out=e)
+        return rows
 
-    def analyze_half(self, vals: np.ndarray) -> np.ndarray:
-        """Coefficients of half-grid rows as from ``synthesize_half``.  One
-        row, or two that agree, has odd coefficients +0.0, and the odd
-        product is skipped."""
+    def analyze_half(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of half-grid rows as from ``synthesize_half``, written
+        into ``out`` when it is given.  One row, or two that agree, has odd
+        coefficients +0.0, and the odd product is skipped."""
         up, down = vals[0], vals[-1]
-        coeffs = np.zeros(self.L + 1)
-        coeffs[0::2] = np.dot(self._even, self.w * (up + down))
-        if len(vals) == 2:
-            diff = up - down
-            if diff.any():
-                coeffs[1::2] = np.dot(self._odd, self.w * diff)
+        coeffs = np.empty(self.L + 1) if out is None else out
+        total = up + down
+        coeffs[0::2] = np.dot(self._even, np.multiply(self.w, total, out=total))
+        diff = up - down if len(vals) == 2 else None
+        if diff is not None and np.count_nonzero(diff):
+            coeffs[1::2] = np.dot(self._odd, np.multiply(self.w, diff, out=diff))
+        else:
+            coeffs[1::2] = 0.0
         return coeffs
 
     def synthesize_at(self, field: ZonalField, t: np.ndarray) -> np.ndarray:
@@ -272,9 +293,6 @@ class SphereSolver:
 
     # -- operators ---------------------------------------------------------
 
-    def apply_GP(self, f: ZonalField) -> ZonalField:
-        return ZonalField(f.coeffs / self.spectrum.mu_f)
-
     def energy_E(self, u: ZonalField) -> float:
         return float(np.sum(self.spectrum.mu_f * u.coeffs**2))
 
@@ -283,19 +301,27 @@ class SphereSolver:
 
     # -- norms and functionals ----------------------------------------------
 
-    def _norm(self, vals: np.ndarray, p: float) -> float:
+    def _norm(self, vals: np.ndarray, p: float, full: np.ndarray) -> float:
         """The L^p norm of half-grid rows, with the largest |value| scaled
-        out so no power overflows.  Only the powered values are mirrored to
-        the full grid, for one dot with its weights.  Callers divide by the
-        norm or its square, so a norm whose square underflows to 0 or is not
-        finite is refused."""
-        mags = np.abs(vals)
+        out so no power overflows.  The values are taken into ``full``, a
+        buffer of the whole grid's size, at their places there, so one dot
+        with its weights sums them; one row is powered once and then
+        mirrored.  Every power runs on a contiguous operand, as a strided one
+        gives other bits.  Callers divide by the norm or its square, so a
+        norm whose square underflows to 0 or is not finite is refused."""
+        half = self.x.size
+        mags = up = full[half:]
+        np.abs(vals[0], out=up)
+        if len(vals) == 2:
+            mags = full
+            np.abs(vals[1, ::-1], out=full[:half])
         top = float(mags.max())
         norm = top
         if 0.0 < top < math.inf:
-            mags /= top
-            powered = mags**p
-            full = np.concatenate((powered[-1, ::-1], powered[0]))
+            np.divide(mags, top, out=mags)
+            np.power(mags, p, out=mags)
+            if mags is up:
+                full[:half] = up[::-1]
             norm = top * float(np.dot(self._w_norm, full) ** (1.0 / p))
         if not (0.0 < norm * norm < math.inf):
             raise ValueError(f"L^{p:g} norm {norm!r} leaves the floating-point range "
@@ -307,7 +333,7 @@ class SphereSolver:
         zero field is refused by name."""
         if not np.any(field.coeffs):
             raise ValueError(f"zero field at n={self.n}, L={self.L}")
-        return self._norm(self.synthesize_half(field.coeffs), p)
+        return self._norm(self.synthesize_half(field.coeffs), p, np.empty(2 * self.x.size))
 
     def _ratio(self, num: float, norm: float) -> float:
         """num / norm^2.  Each functional is positive on a nonzero field, so a
@@ -318,8 +344,10 @@ class SphereSolver:
                              f"at n={self.n}, L={self.L}")
         return q
 
-    def _theta4_num(self, coeffs: np.ndarray) -> float:
-        return float(np.sum(coeffs**2 / self.spectrum.mu_f))
+    def _theta4_num(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> float:
+        """sum_l c_l^2 / mu_l, its terms formed in ``out`` when it is given."""
+        terms = np.multiply(coeffs, coeffs, out=out)
+        return float(np.add.reduce(np.divide(terms, self.spectrum.mu_f, out=terms)))
 
     def theta4_and_norm(self, f: ZonalField) -> tuple[float, float]:
         """The dual functional of f and the L^{2n/(n+4)} norm it divides by."""
@@ -361,7 +389,16 @@ class SphereSolver:
         The iterate's grid values are carried through the blend as
         half-grid rows (see ``synthesize_half``), so a step synthesizes only
         G_P f and the update; each norm and dual value is read from the
-        carried values, the value of f/||f|| being that of f.
+        carried values, the value of f/||f|| being that of f.  A step runs
+        three products (one per transform; two per transform on a general
+        field), three powers (the nonlinearity and one in each of its two
+        norms) and two norms.  It writes into buffers that the call
+        allocates once, so two live iterations share nothing; of fresh
+        arrays it forms only the coefficients it yields and the
+        temporaries of its products.  Each blend runs in place, operation by
+        operation as written.  Every product keeps the operand strides a
+        fresh array would have (the strided even coefficients, a contiguous
+        vector for the analysis), as the BLAS bits depend on them.
 
         An even start (odd coefficients all zero, as the constant and the
         constant plus a Z_2 are) stays even, so each transform of a step
@@ -369,30 +406,45 @@ class SphereSolver:
         on the one row of t > 0: G_P is diagonal, so G_P f is even; its
         values on the mirrored grid agree at t and -t; the nonlinearity is
         pointwise, so the powered values agree too, and their analysis has
-        odd coefficients +0.0, which the blend keeps.
+        odd coefficients +0.0, which the blend keeps.  A general start runs
+        the same loop on two rows.
         """
+        if steps < 0:
+            raise ValueError(f"step count must be nonnegative, got {steps}")
         if not (0.0 < damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if not np.any(f0.coeffs):
             raise ValueError(f"zero initial field at n={self.n}, L={self.L}")
         expo = (self.n + 4.0) / (self.n - 4.0)
+        p, keep = self.p_dual, 1.0 - damping
+        # G_P f, then the terms of the blend and of the dual value; the rows
+        # of G_P f, then their powers, then the update's values; the update;
+        # the mirrored row of a norm
+        scaled, update = np.empty(self.L + 1), np.empty(self.L + 1)
+        rows, full = np.empty((2, self.x.size)), np.empty(2 * self.x.size)
 
         coeffs = f0.coeffs
         vals = self.synthesize_half(coeffs)
         for step in range(steps + 1):
             if step:
-                g_vals = self.synthesize_half(self.apply_GP(f).coeffs)
+                g_vals = self.synthesize_half(np.divide(f.coeffs, self.spectrum.mu_f, out=scaled),
+                                              rows)
                 if not g_vals.max() > 0:
                     raise ValueError("iterate collapsed: G_P f has no positive part")
-                update = self.analyze_half(np.maximum(g_vals, 0.0) ** expo)
-                u_vals = self.synthesize_half(update)
-                u_norm = self._norm(u_vals, self.p_dual)
-                coeffs = (1.0 - damping) * f.coeffs + damping * (update / u_norm)
-                vals = (1.0 - damping) * vals + damping * (u_vals / u_norm)
-            norm = self._norm(vals, self.p_dual)
-            value = self._ratio(self._theta4_num(coeffs), norm)
+                np.maximum(g_vals, 0.0, out=g_vals)
+                self.analyze_half(np.power(g_vals, expo, out=g_vals), update)
+                u_vals = self.synthesize_half(update, rows)
+                u_norm = self._norm(u_vals, p, full)
+                # (1 - d) x + d (y / u_norm), for the coefficients and the values
+                np.multiply(np.divide(update, u_norm, out=update), damping, out=update)
+                np.add(np.multiply(f.coeffs, keep, out=scaled), update, out=update)
+                np.multiply(np.divide(u_vals, u_norm, out=u_vals), damping, out=u_vals)
+                np.add(np.multiply(vals, keep, out=vals), u_vals, out=vals)
+                coeffs = update
+            norm = self._norm(vals, p, full)
+            value = self._ratio(self._theta4_num(coeffs, scaled), norm)
             f = ZonalField(coeffs / norm)
-            vals = vals / norm
+            np.divide(vals, norm, out=vals)
             yield f, value
 
     # -- conformal dilation ----------------------------------------------------
@@ -405,8 +457,8 @@ class SphereSolver:
         It is taken as one power of the conformal factor, which stays in
         range wherever the weight itself does.
         """
-        if t <= 0:
-            raise ValueError("dilation parameter must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError(f"dilation parameter must be finite and positive, got {t!r}")
         # the half-grid rows (x, -x).  With rho = tan(theta/2) from the pole
         # that maps to x = 0, rho^2 = (1 - x)/(1 + x), and rho -> t rho sends
         # x = cos theta to (1 - t^2 rho^2)/(1 + t^2 rho^2) = 2(1 + x)/d - 1,

@@ -105,6 +105,11 @@ def _collapse():
     solver.extremal_iteration(solver.constant_field(-1.0), 1)
 
 
+def _on_constant(call):
+    solver = spectral.SphereSolver(5, 16)
+    call(solver, solver.constant_field(1.0))
+
+
 # refusals that no run reaches, each reached by one public call: (module,
 # the refusal's message, the call).  No input is known to reach two more:
 # asymptotics._fit's overflow and SphereSolver._ratio's out-of-range value.
@@ -146,6 +151,11 @@ REFUSALS = [
     ("spectral", "the 426-node rule leaves the float range at n=410, L=8",
      lambda: spectral.SphereSolver(410, 8)),
     ("spectral", "iterate collapsed: G_P f has no positive part", _collapse),
+    ("spectral", "step count must be nonnegative, got -3",
+     lambda: _on_constant(lambda s, f: s.extremal_iteration(f, -3))),
+    *[("spectral", f"dilation parameter must be finite and positive, got {t}",
+       lambda t=t: _on_constant(lambda s, f: s.mobius_pullback(f, float(t))))
+      for t in ("nan", "inf")],
     ("sphereforms", "bubbles require n >= 5", lambda: sphereforms.bubble_u(1.0, 4)),
     ("sphereforms", "n >= 5 required", lambda: sphereforms.sharp_constants(4)),
 ]

@@ -30,6 +30,11 @@ def apply_P(solver: SphereSolver, u: ZonalField) -> ZonalField:
     return ZonalField(solver.spectrum.mu_f * u.coeffs)
 
 
+def apply_GP(solver: SphereSolver, f: ZonalField) -> ZonalField:
+    """G_P f, the inverse of P, diagonal in the zonal basis."""
+    return ZonalField(f.coeffs / solver.spectrum.mu_f)
+
+
 def full_rule(solver: SphereSolver) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the whole grid, ascending in t, mirrored from the
     solver's t > 0 half."""
@@ -366,8 +371,9 @@ def test_iterates_from_even_starts_stay_even(n, L):
     perturbed = s.constant_field(1.0)
     perturbed.coeffs[2] += 0.1 * perturbed.coeffs[0]
     for start in (f0, perturbed):
-        traj = s.extremal_iteration(start, 30, 0.5)
-        assert all(odd_coeffs_positive_zero(f.coeffs) for f, _ in traj)
+        for damping in (0.5, 1.0):
+            traj = s.iterates(start, 200, damping)
+            assert all(odd_coeffs_positive_zero(f.coeffs) for f, _ in traj)
 
 
 def full_grid_norm(s: SphereSolver, vals: np.ndarray, p: float) -> float:
@@ -391,7 +397,7 @@ def full_grid_iteration(s: SphereSolver, f0: ZonalField, steps: int, damping: fl
     out = []
     for step in range(steps + 1):
         if step:
-            g_vals = mirrored(s.synthesize_half(s.apply_GP(f).coeffs))
+            g_vals = mirrored(s.synthesize_half(apply_GP(s, f).coeffs))
             update = s.analyze_half(half_rows(np.maximum(g_vals, 0.0) ** expo))
             u_vals = mirrored(s.synthesize_half(update))
             u_norm = full_grid_norm(s, u_vals, p_norm)
@@ -418,6 +424,35 @@ def test_half_grid_iteration_matches_full_grid_loop(n, L, damping):
         want = full_grid_iteration(s, f0, 30, damping)
         assert [v for _, v in got] == [v for _, v in want]
         assert [f.coeffs.tobytes() for f, _ in got] == [f.coeffs.tobytes() for f, _ in want]
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_iteration_matches_full_grid_loop_at_the_benchmark_shapes(n):
+    # the sphere-numerics run: L = 256, damping 0.5, 200 steps from +0.1 Z_2
+    s = solver(n, 256)
+    f0 = s.constant_field(1.0)
+    f0.coeffs[2] += 0.1 * f0.coeffs[0]
+    got = s.extremal_iteration(f0, 200, 0.5)
+    want = full_grid_iteration(s, f0, 200, 0.5)
+    assert [v for _, v in got] == [v for _, v in want]
+    assert [f.coeffs.tobytes() for f, _ in got] == [f.coeffs.tobytes() for f, _ in want]
+
+
+def test_interleaved_iterations_share_no_state():
+    # each call owns its buffers: two live iterations on one solver, one
+    # even and one general, with a norm taken between their steps
+    s = solver(7, 64)
+    even, general = s.constant_field(1.0), s.constant_field(1.0)
+    even.coeffs[2] += 0.1 * even.coeffs[0]
+    general.coeffs[1] += 0.1 * general.coeffs[0]
+    runs = ((even, 0.5), (general, 0.1))
+    alone = [[(f.coeffs.tobytes(), v) for f, v in s.iterates(f0, 50, d)] for f0, d in runs]
+    together = [[], []]
+    for pair in zip(*(s.iterates(f0, 50, d) for f0, d in runs)):
+        for seen, (f, v) in zip(together, pair):
+            seen.append((f.coeffs.tobytes(), v))
+            s.theta4_functional(f)
+    assert together == alone
 
 
 def test_gram_defect_is_the_full_gram(s7):
@@ -509,7 +544,7 @@ def test_spectrum_past_exact_range_refused():
 def test_apply_P_GP_inverse(s5):
     rng = np.random.Generator(np.random.Philox(1))
     u = ZonalField(rng.standard_normal(s5.L + 1))
-    back = s5.apply_GP(apply_P(s5, u))
+    back = apply_GP(s5, apply_P(s5, u))
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
 
@@ -723,14 +758,15 @@ def test_carried_iteration_values_track_synthesis(monkeypatch, L, damping):
     s = SphereSolver(7, L)
     seen = []
     norm = s._norm
-    monkeypatch.setattr(s, "_norm", lambda vals, p: seen.append(vals.copy()) or norm(vals, p))
+    monkeypatch.setattr(s, "_norm", lambda vals, p, full: seen.append(vals.copy())
+                        or norm(vals, p, full))
     f0 = s.constant_field(1.0)
     f0.coeffs[2] += 0.1 * f0.coeffs[0]
     f, value = s.extremal_iteration(f0, 200, damping)[-1]
     # the last norm taken is of the final blend, before it is normalized;
     # the loop carries it as half-grid rows: t > 0 first, mirror images last
     rows = seen[-1]
-    carried = rows / norm(rows, 2.0 * 7 / 11)
+    carried = rows / norm(rows, 2.0 * 7 / 11, np.empty(2 * s.x.size))
     want = s.synthesize_half(f.coeffs)
     assert carried.shape == want.shape
     assert np.max(np.abs(carried - want)) <= 1e-13 * np.max(np.abs(want))
