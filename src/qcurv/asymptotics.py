@@ -158,10 +158,10 @@ class Case:
     ``matched`` test function carries the matching difference beta and
     the cutoff annulus term; an unmatched one the bubble alone.  Each
     split check fits one evaluate_model quantity against its own closed
-    form: (check id formatted with case and n, provenance, quantity,
-    closed form per unit).  ``green_avg(model, lam, r)`` is the angular
-    average of the Green's-function correction the test function carries
-    with the bubble.
+    form: (provenance, quantity, closed form per unit), emitted as
+    ``asymptotics.{quantity}_coeff[{case},n={n}]``.  ``green_avg(model,
+    lam, r)`` is the angular average of the Green's-function correction
+    the test function carries with the bubble.
     """
 
     n_min: int
@@ -175,7 +175,7 @@ class Case:
     weight_power: Callable[[int], float] = lambda n: 4.0
     relative: bool = True
     matched: bool = True
-    split_checks: tuple[tuple[str, str, str, Callable[[int], float]], ...] = ()
+    split_checks: tuple[tuple[str, str, Callable[[int], float]], ...] = ()
     green_avg: Callable = lambda model, lam, r: 0.0
 
 
@@ -187,8 +187,7 @@ _MASS = dict(
     basis=("lam^(n-4)",),
     weight_power=lambda n: n - 4.0,
     relative=False,
-    split_checks=(("asymptotics.numerator_coeff[{case},n={n}]",
-                   "flat-case numerator expansion, explicit constant", "numerator",
+    split_checks=(("flat-case numerator expansion, explicit constant", "numerator",
                    flat_numerator_coefficient),),
     green_avg=lambda m, lam, r: m.A0 * lam ** ((m.n - 4) / 2) * np.ones_like(r),
 )
@@ -204,8 +203,8 @@ CASES = {
         basis=("lam^4 log(1/lam)", "lam^4"),
         basis_fns=(lambda l, p: l**p * np.log(1.0 / l), lambda l, p: l**p),
         relative=False,
-        split_checks=(("asymptotics.numerator_log_coeff[n8]", "n=8 numerator lam^4 log(1/lam) term",
-                       "numerator", lambda n: math.pi**4 / 90.0),),
+        split_checks=(("n=8 numerator lam^4 log(1/lam) term", "numerator",
+                       lambda n: math.pi**4 / 90.0),),
         green_avg=lambda m, lam, r: -(float(m.w2) / 1440.0) * lam**2 * np.log(r),
     ),
     # no split checks: the mixed 1/pi pieces of n = 9 are not tracked
@@ -216,11 +215,10 @@ CASES = {
         10, None, (0.04, 0.02, 0.01, 0.005), 0.02, lambda n: float(high_ratio_coefficient(n)),
         matched=False,
         split_checks=(
-            ("asymptotics.numerator_coeff[high,n={n}]", "high-case numerator relative lam^4 factor",
-             "numerator", lambda n: float(-high_ratio_coefficient(n))),
-            ("asymptotics.norm_integral_coeff[high,n={n}]",
-             "high-case norm-integral relative lam^4 factor",
-             "norm_integral", lambda n: float(high_norm_integral_coefficient(n))),
+            ("high-case numerator relative lam^4 factor", "numerator",
+             lambda n: float(-high_ratio_coefficient(n))),
+            ("high-case norm-integral relative lam^4 factor", "norm_integral",
+             lambda n: float(high_norm_integral_coefficient(n))),
         ),
     ),
 }
@@ -595,11 +593,11 @@ def numerator_coefficient_check(model: TestFunctionModel) -> list[VerificationRe
     case = CASES[model.case]
     unit_name, unit = model.unit
     reports = []
-    for (check_id, provenance, key, _), per_unit in zip(case.split_checks, model.closed_forms[1:]):
+    for (provenance, key, _), per_unit in zip(case.split_checks, model.closed_forms[1:]):
         coef, _ = _fit(model, key)
         reports.append(
             close_check(
-                check_id.format(case=model.case, n=model.n),
+                f"asymptotics.{key}_coeff[{model.case},n={model.n}]",
                 {"lambdas": [float(l) for l in model.lambdas], unit_name: unit},
                 per_unit * unit,
                 provenance,

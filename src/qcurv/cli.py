@@ -228,19 +228,17 @@ def cmd_asymptotics(ctx, case, n, seed, a0, lambdas, out):
     if needs_jet and n > tensor.MAX_N:
         raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
                                "the largest Weyl tensor dimension")
-    jet = par.random_jet(n, seed, normalize=True) if needs_jet else None
-    model = asym.TestFunctionModel(case=case, n=n, jet=jet, A0=a0, lambdas=lam_grid)
-    fit = asym.fit_expansion(model)
-    checks = [_ratio_check(case, n, seed, fit)] + asym.numerator_coefficient_check(model)
+    fit, checks = _asymptotics_checks(case, n, seed, a0, lam_grid)
     payload = {
         "command": "asymptotics",
+        # null for the datum the row does not read: the seed picks a jet,
+        # and A0 is the constant of the rows without one
         "config": {
             "case": case,
             "n": n,
-            "seed": seed,
-            "A0": a0,
+            "seed": seed if needs_jet else None,
+            "A0": None if needs_jet else a0,
             "lambdas": list(fit.lambdas),
-            "cutoff_degree": asym.SMOOTHSTEP.degree(),
         },
         "fit": fit.to_json(),
     }
@@ -309,10 +307,12 @@ def _witness_check(check_id, inputs, provenance, witnesses) -> VerificationRepor
 
 
 def _seeded_checks(ns, trials, seed, family, provenance, identities) -> list[VerificationReport]:
-    """One exact check per n, ``family(n)[n=..,trials=..]``, over the
+    """One exact check per n, ``{family}[n=..,trials=..]``, over the
     (name, holds) pairs of ``identities(n, s)`` for the seeds s = seed ..
-    seed + trials - 1; a witness reads "n=7,seed=3: name"."""
-    return [_witness_check(f"{family(n)}[n={n},trials={trials}]",
+    seed + trials - 1; a witness reads "n=7,seed=3: name".  ``family`` is
+    the id of the identity list, which a subcommand emits bare for its one
+    draw (``parametrix.identities``)."""
+    return [_witness_check(f"{family}[n={n},trials={trials}]",
                            {"n": n, "trials": trials, "seed": seed}, provenance,
                            ((f"n={n},seed={s}: {name}", ok)
                             for s in range(seed, seed + trials) for name, ok in identities(n, s)))
@@ -324,7 +324,7 @@ def _verify_weyl(n, trials, seed) -> list[VerificationReport]:
         W = tensor.random_weyl(n, s)
         return tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W))
 
-    return _seeded_checks(n, trials, seed, lambda n: "weyl.identities",
+    return _seeded_checks(n, trials, seed, "weyl.identities",
                           "curvature quartic and trace identities, exact", identities)
 
 
@@ -358,9 +358,7 @@ def _verify_parametrix(n, trials, seed) -> list[VerificationReport]:
         jet = par.random_jet(n, s)
         return par.shell_identities(jet, par.green_leading(jet))
 
-    return _seeded_checks(n, trials, seed,
-                          lambda n: f"parametrix.{'closed-form' if n >= 9 else 'log-coefficient'}",
-                          SHELL_PROVENANCE, identities)
+    return _seeded_checks(n, trials, seed, "parametrix.identities", SHELL_PROVENANCE, identities)
 
 
 def _constants_checks(rows: list[dict]) -> list[VerificationReport]:
@@ -397,7 +395,7 @@ def _verify_bubbles(n) -> list[VerificationReport]:
     # every lam at once
     return [
         exact_check(
-            f"bubble.pde[n={d}]",
+            f"bubbles.pde[n={d}]",
             {"n": d},
             sphereforms.bubble_source(d).terms,
             "Delta^2 u_lam = n(n+2)(n-2)(n-4) f_lam as canonical terms "
@@ -460,27 +458,26 @@ def _verify_spectral(n, L) -> list[VerificationReport]:
     return [c for s in solvers for c in _spectral_checks(s, spectral.mobius_drifts(s))]
 
 
-def _ratio_check(case: str, n: int, seed: int, fit: asym.FitResult) -> VerificationReport:
-    """The fitted expansion coefficient of one asymptotics case against its
-    closed form, as `verify asymptotics` and `asymptotics` check it."""
+def _asymptotics_checks(case, n, seed, A0=1.0, lambdas=()
+                        ) -> tuple[asym.FitResult, list[VerificationReport]]:
+    """The fit of one asymptotics case and its checks, as `asymptotics` and
+    `verify asymptotics` both emit them: the fitted expansion coefficient
+    against its closed form, then the row's split checks.  The seed picks
+    the jet of a row that reads one."""
     row = asym.CASES[case]
-    return close_check(
-        f"asymptotics.{case}[n={n}]",
-        {"n": n, "seed": seed if row.needs_jet else None},
-        fit.expected,
-        "expansion coefficient vs closed form",
-        fit.coefficient,
-        rtol=row.rtol,
-    )
+    jet = par.random_jet(n, seed, normalize=True) if row.needs_jet else None
+    model = asym.TestFunctionModel(case=case, n=n, jet=jet, A0=A0, lambdas=lambdas)
+    fit = asym.fit_expansion(model)
+    unit_name, unit = model.unit
+    ratio = close_check(f"asymptotics.{case}[n={n}]",
+                        {"lambdas": list(fit.lambdas), unit_name: unit}, fit.expected,
+                        "expansion coefficient vs closed form", fit.coefficient, rtol=row.rtol)
+    return fit, [ratio, *asym.numerator_coefficient_check(model)]
 
 
 def _verify_asymptotics(seed) -> list[VerificationReport]:
-    out = []
-    for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
-        jet = par.random_jet(n, seed, normalize=True) if asym.CASES[case].needs_jet else None
-        out.append(_ratio_check(case, n, seed,
-                                asym.fit_expansion(asym.TestFunctionModel(case=case, n=n, jet=jet))))
-    return out
+    return [check for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8))
+            for check in _asymptotics_checks(case, n, seed)[1]]
 
 
 @dataclass(frozen=True)

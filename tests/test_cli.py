@@ -281,17 +281,20 @@ VERIFY_TOLERANCES = {
     **{f"weyl.identities[n={n},trials=10]": "exact" for n in range(5, 11)},
     "polyalg.decomposition[trials=40]": "exact",
     "polyalg.solver[trials=40]": "exact",
-    "parametrix.log-coefficient[n=8,trials=10]": "exact",
-    **{f"parametrix.closed-form[n={n},trials=10]": "exact" for n in range(9, 13)},
+    **{f"parametrix.identities[n={n},trials=10]": "exact" for n in range(8, 13)},
     **{f"constants.moments[n={n}]": 1e-12 for n in range(5, 13)},
     **{f"constants.duality[n={n}]": 1e-14 for n in range(5, 13)},
-    **{f"bubble.pde[n={n}]": "exact" for n in range(5, 13)},
+    **{f"bubbles.pde[n={n}]": "exact" for n in range(5, 13)},
     **{f"spectral.{name}[n={n},L=64]": tol
        for n in range(5, 10) for name, tol in _SPECTRAL_TOLERANCES.items()},
     "asymptotics.flat[n=5]": 0.02,
+    "asymptotics.numerator_coeff[flat,n=5]": 0.02,
     "asymptotics.high[n=10]": 0.02,
+    "asymptotics.numerator_coeff[high,n=10]": 0.02,
+    "asymptotics.norm_integral_coeff[high,n=10]": 0.02,
     "asymptotics.n9[n=9]": 0.05,
     "asymptotics.n8[n=8]": 0.10,
+    "asymptotics.numerator_coeff[n8,n=8]": 0.10,
 }
 # the tolerance of every check that the pinned subcommands emit; the suite
 # checks they share with `verify` read their tolerance from VERIFY_TOLERANCES,
@@ -299,8 +302,10 @@ VERIFY_TOLERANCES = {
 SUBCOMMAND_TOLERANCES = {
     **{k: VERIFY_TOLERANCES[k] for k in (
         *(f"spectral.{name}[n={n},L=64]" for n in (5, 9) for name in _SPECTRAL_TOLERANCES),
-        "asymptotics.flat[n=5]", "asymptotics.high[n=10]", "asymptotics.n9[n=9]",
-        "asymptotics.n8[n=8]")},
+        "asymptotics.flat[n=5]", "asymptotics.numerator_coeff[flat,n=5]",
+        "asymptotics.high[n=10]", "asymptotics.numerator_coeff[high,n=10]",
+        "asymptotics.norm_integral_coeff[high,n=10]", "asymptotics.n9[n=9]",
+        "asymptotics.n8[n=8]", "asymptotics.numerator_coeff[n8,n=8]")},
     **{k: VERIFY_TOLERANCES[k] for n in range(5, 13)
        for k in (f"constants.moments[n={n}]", f"constants.duality[n={n}]")},
     **{f"spectral.{name}[n={n},L=41]": tol
@@ -309,11 +314,7 @@ SUBCOMMAND_TOLERANCES = {
     "asymptotics.lowdim[n=6]": 0.02,
     "spectral.iteration_bounded": 1e-6,
     "spectral.fixed_point_drift": 1e-8,
-    "asymptotics.numerator_coeff[flat,n=5]": 0.02,
     "asymptotics.numerator_coeff[lowdim,n=6]": 0.02,
-    "asymptotics.numerator_coeff[high,n=10]": 0.02,
-    "asymptotics.norm_integral_coeff[high,n=10]": 0.02,
-    "asymptotics.numerator_log_coeff[n8]": 0.10,
     # the pins that set --seed, --a0 and --lambdas
     "asymptotics.flat[n=6]": 0.02,
     "asymptotics.numerator_coeff[flat,n=6]": 0.02,
@@ -1291,10 +1292,14 @@ def test_jet_dimension_must_be_a_json_integer(runner, tmp_path, n):
     assert "bad jet file" in res.output
 
 
-def _checks(runner, argv) -> dict:
+def _records(runner, argv) -> list[dict]:
     res = runner.invoke(main, argv)
     assert res.exit_code == 0, res.output
-    return {r["check"]: r for r in json.loads(res.stdout)["reports"]}
+    return json.loads(res.stdout)["reports"]
+
+
+def _checks(runner, argv) -> dict:
+    return {r["check"]: r for r in _records(runner, argv)}
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -1305,12 +1310,14 @@ def test_spectral_constant_checks_are_the_suite_checks(runner, n):
     assert {check_id: sub[check_id] for check_id in suite} == suite
 
 
-def test_asymptotics_ratio_check_is_the_suite_check(runner):
-    suite = _checks(runner, ["verify", "asymptotics", "--seed", "3"])
-    for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8)):
-        sub = _checks(runner, ["asymptotics", "--case", case, "--n", str(n), "--seed", "3"])
-        check_id = f"asymptotics.{case}[n={n}]"
-        assert sub[check_id] == suite[check_id]
+def test_asymptotics_checks_are_the_suite_checks(runner):
+    # the subcommand at each (case, n) of the suite emits exactly the
+    # suite's records for that case: the ratio check and the split checks
+    suite = _records(runner, ["verify", "asymptotics", "--seed", "3"])
+    subs = [_records(runner, ["asymptotics", "--case", case, "--n", str(n), "--seed", "3"])
+            for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8))]
+    assert [len(sub) for sub in subs] == [2, 3, 1, 2]
+    assert [record for sub in subs for record in sub] == suite
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -1386,7 +1393,7 @@ def test_asymptotics_ratio_check_can_fail(runner, monkeypatch, argv):
     (["--case", "high", "--n", "10"], "asymptotics.numerator_coeff[high,n=10]", "numerator"),
     (["--case", "high", "--n", "10"], "asymptotics.norm_integral_coeff[high,n=10]",
      "norm_integral"),
-    (["--case", "n8", "--n", "8"], "asymptotics.numerator_log_coeff[n8]", "numerator"),
+    (["--case", "n8", "--n", "8"], "asymptotics.numerator_coeff[n8,n=8]", "numerator"),
 ])
 def test_asymptotics_split_checks_can_fail(runner, monkeypatch, argv, check, key):
     real = asymptotics.evaluate_model
@@ -1416,7 +1423,7 @@ def test_every_constants_check_can_fail(runner, monkeypatch, check, patch):
 def test_bubble_check_can_fail(runner, monkeypatch):
     real = sphereforms.bubble_bilaplacian
     monkeypatch.setattr(sphereforms, "bubble_bilaplacian", lambda n: real(n).scale(2))
-    _assert_fails(runner.invoke(main, ["verify", "bubbles", "--n", "5"]), ["bubble.pde[n=5]"])
+    _assert_fails(runner.invoke(main, ["verify", "bubbles", "--n", "5"]), ["bubbles.pde[n=5]"])
 
 
 def test_spectral_iteration_checks_can_fail(runner, monkeypatch):
@@ -1446,10 +1453,10 @@ def test_polyalg_decomposition_check_can_fail(runner, monkeypatch):
 @pytest.mark.parametrize("argv,check,computed", [
     (["parametrix", "--n", "9"], "parametrix.identities", "recursion_residual"),
     (["parametrix", "--n", "6"], "parametrix.identities", "recursion_residual"),
-    (["verify", "parametrix", "--n", "9", "--trials", "2"], "parametrix.closed-form[n=9,trials=2]",
+    (["verify", "parametrix", "--n", "9", "--trials", "2"], "parametrix.identities[n=9,trials=2]",
      "n=9,seed=1: recursion_residual"),
     (["verify", "parametrix", "--n", "8", "--trials", "1"],
-     "parametrix.log-coefficient[n=8,trials=1]", "n=8,seed=1: recursion_residual"),
+     "parametrix.identities[n=8,trials=1]", "n=8,seed=1: recursion_residual"),
 ])
 def test_parametrix_identities_can_fail(runner, monkeypatch, argv, check, computed):
     from qcurv.polyalg import HomogPoly, LogRadialExpansion
@@ -1471,19 +1478,18 @@ FAILING_TESTS = {
     "weyl.identities": test_failing_weyl_check_names_its_witness,
     "polyalg.decomposition": test_polyalg_decomposition_check_can_fail,
     "polyalg.solver": test_failing_polyalg_check_names_its_witness,
-    **dict.fromkeys(["parametrix.identities", "parametrix.closed-form",
-                     "parametrix.log-coefficient"], test_parametrix_identities_can_fail),
+    "parametrix.identities": test_parametrix_identities_can_fail,
     **dict.fromkeys(["constants.moments", "constants.duality"],
                     test_every_constants_check_can_fail),
-    "bubble.pde": test_bubble_check_can_fail,
+    "bubbles.pde": test_bubble_check_can_fail,
     **dict.fromkeys([f"spectral.{name}" for name in _SPECTRAL_TOLERANCES],
                     test_every_spectral_check_can_fail),
     **dict.fromkeys(["spectral.iteration_bounded", "spectral.fixed_point_drift"],
                     test_spectral_iteration_checks_can_fail),
     **dict.fromkeys([f"asymptotics.{case}" for case in asymptotics.CASES],
                     test_asymptotics_ratio_check_can_fail),
-    **dict.fromkeys(["asymptotics.numerator_coeff", "asymptotics.norm_integral_coeff",
-                     "asymptotics.numerator_log_coeff"], test_asymptotics_split_checks_can_fail),
+    **dict.fromkeys(["asymptotics.numerator_coeff", "asymptotics.norm_integral_coeff"],
+                    test_asymptotics_split_checks_can_fail),
 }
 
 
@@ -1491,3 +1497,25 @@ def test_every_emitted_check_family_has_a_failing_test():
     emitted = {check.split("[")[0] for check in (*VERIFY_TOLERANCES, *SUBCOMMAND_TOLERANCES)}
     assert emitted - set(FAILING_TESTS) == set(), "check families without a failing test"
     assert set(FAILING_TESTS) == emitted
+
+
+# the check families a pinned subcommand emits and `verify all --seed 1`
+# does not, each with its reason
+SUBCOMMAND_ONLY = {
+    # lowdim fits the flat row's mass term at n = 5..7, and `verify
+    # asymptotics` holds that term at flat/5 (ROADMAP direction 7)
+    "asymptotics.lowdim",
+    # the extremal iteration's checks carry no [n,L], so `verify spectral`
+    # could emit them only under new ids on every spectral pin, the two
+    # L = 256 one-thread pins among them (ROADMAP directions 3 and 20)
+    "spectral.iteration_bounded",
+    "spectral.fixed_point_drift",
+}
+
+
+def test_verify_all_emits_every_subcommand_family():
+    # both tables hold exactly the emitted ids (test_verify_tolerances_pinned
+    # and test_subcommand_tolerances_pinned)
+    suite = {check.split("[")[0] for check in VERIFY_TOLERANCES}
+    subcommands = {check.split("[")[0] for check in SUBCOMMAND_TOLERANCES}
+    assert subcommands - suite == SUBCOMMAND_ONLY

@@ -59,7 +59,7 @@ def test_schema_is_pinned_and_named_in_the_readme():
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "ea3d6423308715ab7fe48bbca20127f9897f03fd84f01006a2cf533e690b481b"),
+     "cde36521f118a023a633ef90796470295941a5f9dd227f0c603b9916b221327e"),
     (["parametrix", "--n", "6", "--seed", "1"],
      "19ae32cf4648ca9990ce2c3882eb26ae19e69a36d61f38611c1077df05a4d627"),
     (["parametrix", "--n", "8", "--seed", "1"],
@@ -88,31 +88,31 @@ PINNED = [
       "--iters", "30"],
      "38dd5a50ec01dd80031c9bb18b8656d796f24ac7ee53e615f0dc203f74c90cd2"),
     (["asymptotics", "--case", "flat", "--n", "5"],
-     "37017a67bd07c4ce16035116eb63d3d5e606c6486187aefe3ec11eb8ea284952"),
+     "cc1f05bc2172b249c7a10fb0279658cda672baba6b5797249e63ca27ffbc2551"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
-     "00b5cc6f2991fbd11a69f5f3262504551410bdbddd0909ee1f136074b8220b5b"),
+     "67d0f9d855b2564debf9f42f70630e93045152ae73967527cbd3c4904145ff28"),
     (["asymptotics", "--case", "n8", "--n", "8"],
-     "fc129010089ade3afd0e6a1d016bc65b06a0533970ffdf3d810318c743603287"),
+     "2a4d67e4f3ad65cac2e0a9a53cca0bad6dc7655c78df051f22c62f943e0fda8b"),
     (["asymptotics", "--case", "n9", "--n", "9"],
-     "7b3795cad0c66899ba4523c7fc8a3f2e09e89e3de622edd55ae62f03394d2b99"),
+     "9c6f34d471b093eed95b915b665c1d15b35635c57120e34acb5b973306b3f9ac"),
     (["asymptotics", "--case", "high", "--n", "10"],
-     "f35d248b16b958a0ca3b23b6d1977ceef2d78aafa033e6ad65a44b0c43df33e3"),
+     "148786c8422d6d4b1df4eacc464060a918d16e76877717e2943dbf138185867e"),
     (["asymptotics", "--case", "high", "--n", "12", "--seed", "3",
       "--lambdas", "0.04,0.028,0.02,0.014,0.01"],
-     "fbd64b9bca4b0480aeb7e868e206dcb436b49af0eab7951073270bddf96ef951"),
+     "5b310b8b1629b3db57612fccd95d62238b3459597c0e791176415f6f48dda793"),
     (["asymptotics", "--case", "flat", "--n", "6", "--a0", "2.5",
       "--lambdas", "0.1,0.05,0.025,0.0125,0.00625"],
-     "32669f440eaf28fed267e6c9bb5a00765cd9189afda3734c1492b584b27ac6ae"),
+     "d6301eb2dea2a967d66e27d104b21ae118dbb565bfe850f2aea53dedb6d608c3"),
     (["verify", "asymptotics"],
-     "f400c78c1a27fd6d8ae6e26e0e4bb7ac0f66712c47aa7571fccaf5642608416c"),
+     "627fa45ff446204b9f5531e8adc1b8a0e176397c206dc38dc08d5935d6630560"),
     (["verify", "bubbles"],
-     "3534a1f38f07c4e0b8443cf292f2cc174eeb3d8257d7fc8796a335e7457cae73"),
+     "4b6fea2b3856c6bcc91c5f993569f9adc9d944e67d3780019f2efb0eec4df4e9"),
     (["verify", "weyl", "--n", "4..12", "--trials", "5"],
      "7d88198f2801e2a8fe27056eaf786c19fe8bf6189e6a8a62a931f6e9acdb4814"),
     (["verify", "polyalg", "--seed", "3", "--trials", "8"],
      "4a897e3de70a30bb3125e7fbab0da4bc824c8d034cebf48d302dd057983a0a5e"),
     (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
-     "e5b5123c53bec81f5f978c770b8dd06a01f08eee4ec11f6f3ef0a00873fcc7e9"),
+     "d8a1e42241ddd47e77c4b3a45eb4aef9e1ed8c54e57b86fcd24517d8c587f95b"),
     (["verify", "spectral"],
      "f05ca568f0f789abee848bb0428a7aaa3c3327e3ec8e0de7f4b43e8f8e1f18b1"),
     (["verify", "spectral", "--n", "5,7", "--L", "40"],
