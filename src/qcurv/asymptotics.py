@@ -232,20 +232,19 @@ class TestFunctionModel:
     """One concentrated-test-function experiment.
 
     ``case`` names a row of ``CASES``: the dimension regime and which
-    correction rides along with the bubble.  ``jet`` supplies the
-    curvature, read through |W|^2 alone (required where the row needs one,
-    optional for lowdim), ``A0``
-    the constant term of the flat/low dimensional Green's expansion.
-    lam values default to the row's grid and must be at least four
-    distinct points, all in (0, DELTA/4), whose fit weights stay finite;
-    every closed form and fit lead at n must be a finite float and the
-    fit well conditioned; A0 must be finite and small enough that the fit
-    can square the values it scales; and no closed form times its unit
-    (A0, or |W|^2 of the jet) may be zero, since every check is relative
-    to it.  All are judged here, once, before any quadrature, and the
-    model is frozen so that the judgement holds.  The integrands read the
-    lam-free radial factors of dimension n (``_radial_shapes``) and take
-    their lam as an argument.
+    correction rides along with the bubble.  ``jet`` supplies the curvature,
+    read through |W|^2 alone (required where the row needs one, optional for
+    lowdim), ``A0`` the constant term of the flat/low dimensional Green's
+    expansion (None: 1.0; a row that reads a jet refuses one).  lam values
+    default to the row's grid and must be at least four distinct points, all
+    in (0, DELTA/4), whose fit weights stay finite; every closed form and
+    fit lead at n must be a finite float and the fit well conditioned; A0
+    must be finite and small enough that the fit can square the values it
+    scales; and no closed form times its unit (A0, or |W|^2 of the jet) may
+    be zero, since every check is relative to it.  All are judged here,
+    once, before any quadrature, and the model is frozen so that the
+    judgement holds.  The integrands read the lam-free radial factors of
+    dimension n (``_radial_shapes``) and take their lam as an argument.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -253,7 +252,7 @@ class TestFunctionModel:
     case: str
     n: int
     jet: CurvatureJet | None = None
-    A0: float = 1.0
+    A0: float | None = None
     lambdas: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -275,8 +274,8 @@ class TestFunctionModel:
                              "the fit needs distinct points")
         if not all(0 < lam < DELTA / 4 for lam in self.lambdas):
             raise ValueError("every lambda must lie in (0, DELTA/4)")
-        if not math.isfinite(self.A0):
-            raise ValueError("A0 must be finite")
+        if row.needs_jet and self.A0 is not None:
+            raise ValueError(f"case {self.case!r} reads no A0")
         self.design  # refuses a grid whose weights overflow or whose fit is ill-conditioned
         try:  # math.gamma and float powers raise OverflowError past the float range
             finite = all(map(math.isfinite, (*self.closed_forms, *self.leads.values())))
@@ -286,6 +285,9 @@ class TestFunctionModel:
             raise ValueError(f"case {self.case!r} at n={self.n}: a closed form or split-check "
                              "lead leaves the floating-point range")
         if not row.needs_jet:
+            object.__setattr__(self, "A0", 1.0 if self.A0 is None else self.A0)
+            if not math.isfinite(self.A0):
+                raise ValueError("A0 must be finite")
             # the fitted values are about A0 times a closed form per point,
             # and the least-squares norms square them
             for c in self.closed_forms:
@@ -370,9 +372,7 @@ class TestFunctionModel:
     @property
     def unit(self) -> tuple[str, float]:
         """Name and value of the unit the row's closed forms are given per."""
-        if CASES[self.case].needs_jet:
-            return "w2", float(self.w2)
-        return "A0", self.A0
+        return ("w2", float(self.w2)) if self.A0 is None else ("A0", self.A0)
 
     def corr_avg(self, r: np.ndarray, lam: float) -> np.ndarray:
         """Angular average of the curvature correction to P phi, which rides

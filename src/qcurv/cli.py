@@ -2,11 +2,11 @@
 subcommand emitting machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  All randomness derives from a single 64-bit seed
-through counter-based generators, and serialized reports carry no timing,
-so a fixed (subcommand, config, seed) triple reproduces its report byte
-for byte.  The ``verify`` suites run the identity lists of the library
-modules (``tensor.weyl_identities``, ``polyalg.split_identities``, ...) over
+configuration error.  All randomness derives from one nonnegative integer
+seed through counter-based generators, reports carry no timing, and a run
+takes and records only the options it reads (``_config``), so a report's
+(command, config) pair reproduces it byte for byte.  The ``verify`` suites
+run the library's identity lists (``tensor.weyl_identities``, ...) over
 seeds or trials; a failing aggregated check computes the first failing
 witness, such as "n=7,seed=3: lap_quartic", in place of true.
 """
@@ -95,6 +95,20 @@ def _parse_n_range(text: str, min_n: int, max_n: int | None, who: str) -> range 
     return ns
 
 
+def _config(who: str, read: dict, takes=None) -> dict:
+    """The config of a run of the current command that reads ``read`` (option
+    -> value): each option but --report, --format and --jet-file (the report
+    holds its jet) at its value in ``read``, else null.  An option given on
+    the command line outside ``takes`` (default: ``read``) exits 2 naming it."""
+    ctx = click.get_current_context()
+    taken = {"out", *(read if takes is None else takes)}
+    for param in ctx.command.params:
+        source = ctx.get_parameter_source(param.name)
+        if param.name not in taken and source is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{who} takes no {param.opts[-1]}")
+    return {name: read.get(name) for name in ctx.params if name not in ("out", "fmt", "jet_file")}
+
+
 def _report_dir_exists(ctx, param, value):
     """Refuse an empty --report path, or one whose directory does not exist,
     before any computation."""
@@ -131,13 +145,14 @@ def main():
 
 
 @main.command("constants")
-@click.option("--n", "n_range", default="5..12", show_default=True, help="dimension range")
+@click.option("--n", default="5..12", show_default=True, help="dimension range")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "latex"]), default="csv")
 @_report_option
-def cmd_constants(n_range, fmt, out):
+def cmd_constants(n, fmt, out):
     """Sphere constants Q, omega_n, Y4, Theta4 with cross-check residuals."""
+    config = _config("constants", {"n": n, "fmt": fmt})
     rows = sphereforms.constants_table(
-        _parse_n_range(n_range, 5, sphereforms.MOMENTS_MAX_N, "constants need"))
+        _parse_n_range(n, 5, sphereforms.MOMENTS_MAX_N, "constants need"))
     table = None  # json: the report is the stdout
     if fmt == "csv":
         cols = ["n", "Q_sphere", "omega_n", "Y4", "Theta4", "resid_Y4_vs_moments", "resid_duality"]
@@ -153,7 +168,8 @@ def cmd_constants(n_range, fmt, out):
             )
         lines.append(r"\end{tabular}")
         table = "\n".join(lines) + "\n"
-    return _constants_checks(rows), {"command": "constants", "rows": rows}, out, table
+    payload = {"command": "constants", "config": config, "rows": rows}
+    return _constants_checks(rows), payload, out, table
 
 
 # ---------------------------------------------------------------- parametrix
@@ -167,13 +183,12 @@ def cmd_constants(n_range, fmt, out):
 @_report_option
 def cmd_parametrix(n, seed, flat, jet_file, out):
     """Green's-function expansion at the leading curvature order."""
-    if flat and jet_file:
-        raise click.UsageError("--flat and --jet-file name two jets; give one")
     if n < 5:
         raise click.UsageError("n >= 5 required")
     if n > tensor.MAX_N:
         raise click.UsageError(f"n <= {tensor.MAX_N} required, the largest Weyl tensor dimension")
     if jet_file:
+        config = _config("parametrix --jet-file", {"n": n, "jet_file": jet_file})
         try:
             with open(jet_file) as f:
                 jet = par.CurvatureJet.from_json(json.load(f))
@@ -182,20 +197,17 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
         if jet.n != n:
             raise click.UsageError("jet dimension does not match --n")
     elif flat:
+        config = _config("parametrix --flat", {"n": n, "flat": flat})
         jet = par.CurvatureJet.flat(n)
     else:
+        config = _config("parametrix", {"n": n, "seed": seed, "flat": flat})
         jet = par.random_jet(n, seed)
 
     green = par.green_leading(jet)
-    payload = {
-        "command": "parametrix",
-        "config": {"n": n, "seed": seed, "flat": flat},
-        "jet": jet.to_json(),
-        **green.to_json(),
-    }
+    payload = {"command": "parametrix", "config": config, "jet": jet.to_json(), **green.to_json()}
     if n == 8 and not jet.is_flat():
         payload["n8_log_coefficient"] = par.n8_log_coefficient(jet)
-    check = _witness_check("parametrix.identities", payload["config"], SHELL_PROVENANCE,
+    check = _witness_check("parametrix.identities", config, SHELL_PROVENANCE,
                            par.shell_identities(jet, green))
     return [check], payload, out
 
@@ -209,40 +221,27 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True,
               help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit "
                    "reads; flat and lowdim read no jet")
-@click.option("--a0", type=float, default=1.0, show_default=True,
+@click.option("--a0", "A0", type=float, default=None, show_default="1.0",
               help="flat/lowdim constant; the cases that read a jet refuse it")
 @click.option("--lambdas", default=None, help="comma-separated lam grid override")
 @_report_option
-@click.pass_context
-def cmd_asymptotics(ctx, case, n, seed, a0, lambdas, out):
+def cmd_asymptotics(case, n, seed, A0, lambdas, out):
     """Fit the test-function expansion coefficient for one case."""
     try:  # an empty --lambdas is a bad grid, not the row's own
         lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas is not None else ()
     except ValueError:
         raise click.UsageError(f"bad --lambdas {lambdas!r}; use e.g. 0.04,0.02,0.01,0.005")
-    needs_jet = asym.CASES[case].needs_jet
-    # --seed stays accepted by flat and lowdim, which read no jet: the
-    # benchmark's cli-calls mix passes it to every case
-    if needs_jet and ctx.get_parameter_source("a0") is ParameterSource.COMMANDLINE:
-        raise click.UsageError(f"case {case!r} reads no --a0")
-    if needs_jet and n > tensor.MAX_N:
+    if asym.CASES[case].needs_jet and n > tensor.MAX_N:
         raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
                                "the largest Weyl tensor dimension")
-    fit, checks = _asymptotics_checks(case, n, seed, a0, lam_grid)
-    payload = {
-        "command": "asymptotics",
-        # null for the datum the row does not read: the seed picks a jet,
-        # and A0 is the constant of the rows without one
-        "config": {
-            "case": case,
-            "n": n,
-            "seed": seed if needs_jet else None,
-            "A0": None if needs_jet else a0,
-            "lambdas": list(fit.lambdas),
-        },
-        "fit": fit.to_json(),
-    }
-    return checks, payload, out
+    model = _asymptotics_model(case, n, seed, A0, lam_grid)
+    read = {"case": case, "n": n, "lambdas": list(model.lambdas),
+            **({"seed": seed} if model.A0 is None else {"A0": model.A0})}
+    # the one option a run takes without reading it: flat and lowdim read
+    # no jet, but the benchmark's cli-calls mix passes --seed to every case
+    config = _config(f"asymptotics --case {case}", read, {*read, "seed"})
+    fit, checks = _asymptotics_checks(model)
+    return checks, {"command": "asymptotics", "config": config, "fit": fit.to_json()}, out
 
 
 # ------------------------------------------------------------------- spectral
@@ -250,15 +249,16 @@ def cmd_asymptotics(ctx, case, n, seed, a0, lambdas, out):
 
 @main.command("spectral")
 @click.option("--n", type=int, default=5, show_default=True)
-@click.option("--l", "--L", "trunc", type=click.IntRange(min=2, max=spectral.MAX_L), default=64,
+@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=spectral.MAX_L), default=64,
               show_default=True, help=f"truncation degree; {L_HELP}")
 @click.option("--iters", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--damping", type=float, default=0.5, show_default=True)
 @click.option("--init", type=click.Choice(["constant", "perturbed"]), default="constant")
 @_report_option
-def cmd_spectral(n, trunc, iters, damping, init, out):
+def cmd_spectral(n, L, iters, damping, init, out):
     """Zonal extremal iteration plus invariance checks."""
-    solver = spectral.SphereSolver(n, trunc)
+    config = _config("spectral", {"n": n, "L": L, "iters": iters, "damping": damping, "init": init})
+    solver = spectral.SphereSolver(n, L)
     rep = spectral.spectral_report(solver, iters, damping, init)
     checks = _spectral_checks(solver, rep["invariance_checks"])
     theta4 = sphereforms.sharp_constants(n).Theta4_sphere
@@ -266,7 +266,7 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
     checks.append(
         abs_check(
             "spectral.iteration_bounded",
-            {"n": n, "L": trunc, "iters": iters, "init": init},
+            {"n": n, "L": L, "iters": iters, "init": init},
             f"<= {theta4} + {_bound(BOUNDED_SLACK)}",
             "sharp maximality of constants on the sphere",
             top,
@@ -280,7 +280,7 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
         checks.append(
             abs_check(
                 "spectral.fixed_point_drift",
-                {"n": n, "L": trunc, "iters": iters},
+                {"n": n, "L": L, "iters": iters},
                 f"<= {_bound(FIXED_POINT_DRIFT)}",
                 "constants solve the dual extremal equation",
                 fixed,
@@ -288,12 +288,7 @@ def cmd_spectral(n, trunc, iters, damping, init, out):
                 deviation=fixed,
             )
         )
-    payload = {
-        "command": "spectral",
-        "config": {"n": n, "L": trunc, "iters": iters, "damping": damping, "init": init},
-        "result": rep,
-    }
-    return checks, payload, out
+    return checks, {"command": "spectral", "config": config, "result": rep}, out
 
 
 # --------------------------------------------------------------------- verify
@@ -458,33 +453,37 @@ def _verify_spectral(n, L) -> list[VerificationReport]:
     return [c for s in solvers for c in _spectral_checks(s, spectral.mobius_drifts(s))]
 
 
-def _asymptotics_checks(case, n, seed, A0=1.0, lambdas=()
-                        ) -> tuple[asym.FitResult, list[VerificationReport]]:
-    """The fit of one asymptotics case and its checks, as `asymptotics` and
+def _asymptotics_model(case, n, seed, A0=None, lambdas=()) -> asym.TestFunctionModel:
+    """One asymptotics case: the seed picks the jet, A0 the constant, of the rows that read it."""
+    if asym.CASES[case].needs_jet:
+        jet = par.random_jet(n, seed, normalize=True)
+        return asym.TestFunctionModel(case=case, n=n, jet=jet, lambdas=lambdas)
+    return asym.TestFunctionModel(case=case, n=n, A0=A0, lambdas=lambdas)
+
+
+def _asymptotics_checks(model) -> tuple[asym.FitResult, list[VerificationReport]]:
+    """The fit of one asymptotics model and its checks, as `asymptotics` and
     `verify asymptotics` both emit them: the fitted expansion coefficient
-    against its closed form, then the row's split checks.  The seed picks
-    the jet of a row that reads one."""
-    row = asym.CASES[case]
-    jet = par.random_jet(n, seed, normalize=True) if row.needs_jet else None
-    model = asym.TestFunctionModel(case=case, n=n, jet=jet, A0=A0, lambdas=lambdas)
+    against its closed form, then the row's split checks."""
     fit = asym.fit_expansion(model)
     unit_name, unit = model.unit
-    ratio = close_check(f"asymptotics.{case}[n={n}]",
+    ratio = close_check(f"asymptotics.{model.case}[n={model.n}]",
                         {"lambdas": list(fit.lambdas), unit_name: unit}, fit.expected,
-                        "expansion coefficient vs closed form", fit.coefficient, rtol=row.rtol)
+                        "expansion coefficient vs closed form", fit.coefficient,
+                        rtol=asym.CASES[model.case].rtol)
     return fit, [ratio, *asym.numerator_coefficient_check(model)]
 
 
 def _verify_asymptotics(seed) -> list[VerificationReport]:
     return [check for case, n in (("flat", 5), ("high", 10), ("n9", 9), ("n8", 8))
-            for check in _asymptotics_checks(case, n, seed)[1]]
+            for check in _asymptotics_checks(_asymptotics_model(case, n, seed))[1]]
 
 
 @dataclass(frozen=True)
 class Suite:
     """A verify suite: ``checks`` takes the options it reads as keywords,
-    with ``options`` their defaults (``n``: the dimensions); ``n_bounds``
-    bound its --n (None: no largest).  Weyl tensors exist from n = 4 and are
+    with ``options`` their defaults (``n`` as --n text); ``n_bounds`` bound
+    its --n (None: no largest).  Weyl tensors exist from n = 4 and are
     built up to tensor.MAX_N, the degree-4 shell starts at n = 8, the sphere
     forms need n >= 5, and the moments stay normal floats to MOMENTS_MAX_N."""
 
@@ -494,13 +493,13 @@ class Suite:
 
 
 SUITES = {
-    "weyl": Suite(_verify_weyl, {"n": range(5, 11), "trials": 50, "seed": 1}, (4, tensor.MAX_N)),
+    "weyl": Suite(_verify_weyl, {"n": "5..10", "trials": 50, "seed": 1}, (4, tensor.MAX_N)),
     "polyalg": Suite(_verify_polyalg, {"trials": 40, "seed": 1}),
-    "parametrix": Suite(_verify_parametrix, {"n": range(8, 13), "trials": 10, "seed": 1},
+    "parametrix": Suite(_verify_parametrix, {"n": "8..12", "trials": 10, "seed": 1},
                         (8, tensor.MAX_N)),
-    "constants": Suite(_verify_constants, {"n": range(5, 13)}, (5, sphereforms.MOMENTS_MAX_N)),
-    "bubbles": Suite(_verify_bubbles, {"n": range(5, 13)}, (5, None)),
-    "spectral": Suite(_verify_spectral, {"n": range(5, 10), "L": 64}, (5, None)),
+    "constants": Suite(_verify_constants, {"n": "5..12"}, (5, sphereforms.MOMENTS_MAX_N)),
+    "bubbles": Suite(_verify_bubbles, {"n": "5..12"}, (5, None)),
+    "spectral": Suite(_verify_spectral, {"n": "5..9", "L": 64}, (5, None)),
     "asymptotics": Suite(_verify_asymptotics, {"seed": 1}),
 }
 # the defaults `verify all` sets over a suite's own: ten weyl trials keep it short
@@ -511,27 +510,28 @@ ALL_DEFAULTS = {"weyl": {"trials": 10}}
 @click.argument("suite", type=click.Choice([*SUITES, "all"]))
 @click.option("--n", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=None, show_default="1")
 @click.option("--l", "--L", "L", type=click.IntRange(min=2, max=spectral.MAX_L),
               default=None, help=f"spectral truncation degree; {L_HELP}")
 @_report_option
-@click.pass_context
-def cmd_verify(ctx, suite, out, **options):
+def cmd_verify(suite, out, **options):
     """Run a verification suite; exit 0 only if every check passes."""
     # suite -> its defaults; `verify all` runs each suite at its own dimensions
     runs = ({name: row.options | ALL_DEFAULTS.get(name, {}) for name, row in SUITES.items()}
             if suite == "all" else {suite: SUITES[suite].options})
-    read = {key for defaults in runs.values() for key in defaults if suite != "all" or key != "n"}
-    given = {key: value for key, value in options.items()
-             if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE}
-    for key in given:
-        if key not in read:
-            raise click.UsageError(f"verify {suite} takes no --{key}")
-    if "n" in given:
-        given["n"] = _parse_n_range(given["n"], *SUITES[suite].n_bounds, f"verify {suite} needs")
-    reports = [check for name, opts in runs.items()
-               for check in SUITES[name].checks(**{k: given.get(k, v) for k, v in opts.items()})]
-    return reports, {"command": "verify", "config": {"suite": suite, **options}}, out
+    ran = {name: {k: v if options[k] is None else options[k] for k, v in defaults.items()}
+           for name, defaults in runs.items()}
+    # option -> {suite: the value it runs with}, for the options some suite reads
+    read = {key: {name: kw[key] for name, kw in ran.items() if key in kw}
+            for key in options if any(key in kw for kw in ran.values())}
+    takes = {"suite", *read} - ({"n"} if suite == "all" else set())
+    config = _config(f"verify {suite}", {"suite": suite, **read}, takes)
+    reports = []
+    for name, kw in ran.items():
+        if "n" in kw:
+            kw["n"] = _parse_n_range(kw["n"], *SUITES[name].n_bounds, f"verify {suite} needs")
+        reports += SUITES[name].checks(**kw)
+    return reports, {"command": "verify", "config": config}, out
 
 
 if __name__ == "__main__":

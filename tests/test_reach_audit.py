@@ -116,6 +116,9 @@ def _on_constant(call):
 REFUSALS = [
     ("asymptotics", "jet dimension mismatch",
      lambda: asymptotics.TestFunctionModel(case="n9", n=9, jet=par.random_jet(10, 1))),
+    # the CLI passes A0 only to the rows that read it
+    ("asymptotics", "case 'high' reads no A0",
+     lambda: asymptotics.TestFunctionModel(case="high", n=10, jet=par.random_jet(10, 1), A0=1.0)),
     # a 0.0 that every relative check would be taken against
     # (test_asymptotics.py checks that no quadrature runs first)
     ("asymptotics", "A0 = 0 makes a closed form of case 'flat' at n=5 zero",

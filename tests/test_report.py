@@ -1,6 +1,8 @@
 """Report bytes: the leaves the encoder maps, and pinned digests of the
 reports that guard byte-identical output."""
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -59,7 +61,7 @@ def test_schema_is_pinned_and_named_in_the_readme():
 # sha256 of stdout; a change here is a declared report change
 PINNED = [
     (["verify", "all", "--seed", "1"],
-     "cde36521f118a023a633ef90796470295941a5f9dd227f0c603b9916b221327e"),
+     "d71b59b0d15d8b1340b7e1b786accea34763220b3eca42f3d11d0f5d908526b3"),
     (["parametrix", "--n", "6", "--seed", "1"],
      "19ae32cf4648ca9990ce2c3882eb26ae19e69a36d61f38611c1077df05a4d627"),
     (["parametrix", "--n", "8", "--seed", "1"],
@@ -72,9 +74,9 @@ PINNED = [
     (["parametrix", "--n", "40", "--seed", "1"],
      "7fb24fc5a1403f77ace3dd0a4ed2e6aef2a15728978138cde11514bffde1a212"),
     (["parametrix", "--n", "8", "--flat"],
-     "b1edc7833a9d37dad5767913787cc4e4376a749984fb76016c933e0e5fc8eb0b"),
+     "217aa0998eeec98487e5a2fff52fd3068315f4ceb4407013fddc10991493587d"),
     (["constants", "--format", "json"],
-     "78162f04d72d0b6e87d1a15218a776929d89cf1f35e96ef3e30c380fc131de2a"),
+     "10bb6d362ca874e4d4c7643525c1b5e7ba7822fba764c7b69977472f2bfb7a85"),
     (["constants", "--n", "5..6", "--format", "latex"],
      "26695c1d63da14cedc14a740e4b48d5e58e44de6faad6de550b0e8e7276c6f46"),
     (["spectral"],
@@ -104,19 +106,19 @@ PINNED = [
       "--lambdas", "0.1,0.05,0.025,0.0125,0.00625"],
      "d6301eb2dea2a967d66e27d104b21ae118dbb565bfe850f2aea53dedb6d608c3"),
     (["verify", "asymptotics"],
-     "627fa45ff446204b9f5531e8adc1b8a0e176397c206dc38dc08d5935d6630560"),
+     "249cee9af72eca54b3c78854818bb7eabf33196a77a7b2f217841a6d5d3f22f2"),
     (["verify", "bubbles"],
-     "4b6fea2b3856c6bcc91c5f993569f9adc9d944e67d3780019f2efb0eec4df4e9"),
+     "bf8104c2921be1a9eab464be48f635f1cc19f52f7d6e4b1097110670dc77e93d"),
     (["verify", "weyl", "--n", "4..12", "--trials", "5"],
-     "7d88198f2801e2a8fe27056eaf786c19fe8bf6189e6a8a62a931f6e9acdb4814"),
+     "9a24e11b268419395b2b6fa9e4ebd539e6040d89a965e3373357cf8729f6b4b4"),
     (["verify", "polyalg", "--seed", "3", "--trials", "8"],
-     "4a897e3de70a30bb3125e7fbab0da4bc824c8d034cebf48d302dd057983a0a5e"),
+     "c19fbf755b51aeb07d0f3ce2f743d7e4b14d35de1411f07b39abcae3041a92c7"),
     (["verify", "parametrix", "--n", "8..10", "--trials", "2"],
-     "d8a1e42241ddd47e77c4b3a45eb4aef9e1ed8c54e57b86fcd24517d8c587f95b"),
+     "3021f5306fa25e275154564f8a55fb83f5644b78874956fea53bb30da59ee898"),
     (["verify", "spectral"],
-     "f05ca568f0f789abee848bb0428a7aaa3c3327e3ec8e0de7f4b43e8f8e1f18b1"),
+     "e1c14771d5ca2e769b5dc3e955644e194826253f759efa9d01e04089ec1f9382"),
     (["verify", "spectral", "--n", "5,7", "--L", "40"],
-     "e970776bd18dea3a0cecb1ac125fa5bc427b655efe8b2df94708f97298f5b21a"),
+     "2c46978de1b084159b68e96e267012ed90b068915536eb73b0b9719024a8966f"),
 ]
 
 # reports pinned under one BLAS thread.  Two large-L spectral reports:
@@ -171,3 +173,66 @@ def test_report_bytes_pinned_one_blas_thread(argv, digest):
                          capture_output=True, timeout=120)
     assert res.returncode == 0, res.stderr.decode()
     assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+# The pins that hold across CPU kernels: the exact reports and the two
+# constants and bubbles ones.  The float pins of spectral and asymptotics
+# move with numpy's SIMD kernels and OpenBLAS's core kernels (ROADMAP
+# direction 24); they hold only on the kernels they were taken on.
+KERNEL_FREE = [(argv, digest) for argv, digest in PINNED
+               if argv[0] in ("parametrix", "constants")
+               or argv[:2] in [["verify", "weyl"], ["verify", "polyalg"], ["verify", "parametrix"],
+                               ["verify", "bubbles"]]]
+
+
+def _kernel_probe() -> dict:
+    """Emulation variable -> what it sets, as this process reads it: numpy's
+    AVX-512 dispatch, and the core the bundled OpenBLAS picked (None where
+    numpy bundles no OpenBLAS that names its core)."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    core = None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"NPY_DISABLE_CPU_FEATURES": __cpu_features__.get("AVX512_SKX"),
+            "OPENBLAS_CORETYPE": core}
+
+
+# prints its probe before it runs anything, so a child whose emulation fails
+# to start is told apart from one whose reports move
+_KERNEL_CHILD = """
+import hashlib, json
+from click.testing import CliRunner
+from qcurv.cli import main
+from test_report import KERNEL_FREE, _kernel_probe
+print(json.dumps(_kernel_probe()), flush=True)
+print(json.dumps([hashlib.sha256(CliRunner().invoke(main, argv).stdout_bytes).hexdigest()
+                  for argv, _ in KERNEL_FREE]))
+"""
+
+
+@pytest.mark.parametrize("variable,value", [
+    ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR"),
+    ("OPENBLAS_CORETYPE", "Haswell"),
+])
+def test_kernel_free_pins_hold_under_other_cpu_kernels(variable, value):
+    """Each emulation is set on one child process at one BLAS thread; the
+    child shows first that it took effect, then gives the pinned bytes."""
+    assert len(KERNEL_FREE) == 12
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **_ONE_THREAD, variable: value, "PYTHONPATH": os.pathsep.join(path)}
+    res = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env, capture_output=True,
+                         text=True, timeout=300)
+    lines = res.stdout.splitlines()
+    if not lines:
+        pytest.skip(f"{variable}={value} does not start here: {res.stderr.strip()[-300:]}")
+    probe, here = json.loads(lines[0])[variable], _kernel_probe()[variable]
+    if probe == here:
+        pytest.skip(f"{variable}={value} has no effect here: the probe reads {probe!r} either way")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(lines[1]) == [digest for _, digest in KERNEL_FREE]
