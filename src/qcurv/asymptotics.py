@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -237,14 +238,15 @@ class TestFunctionModel:
     lowdim), ``A0`` the constant term of the flat/low dimensional Green's
     expansion (None: 1.0; a row that reads a jet refuses one).  lam values
     default to the row's grid and must be at least four distinct points, all
-    in (0, DELTA/4), whose fit weights stay finite; every closed form and
-    fit lead at n must be a finite float and the fit well conditioned; A0
-    must be finite and small enough that the fit can square the values it
-    scales; and no closed form times its unit (A0, or |W|^2 of the jet) may
-    be zero, since every check is relative to it.  All are judged here,
-    once, before any quadrature, and the model is frozen so that the
-    judgement holds.  The integrands read the lam-free radial factors of
-    dimension n (``_radial_shapes``) and take their lam as an argument.
+    in (0, DELTA/4), whose fit weights and integrands stay finite; every
+    closed form and fit lead at n must be a finite float and the fit well
+    conditioned; A0 must be finite and small enough that the fit can square
+    the values it scales; and no closed form times its unit (A0, or |W|^2
+    of the jet) may be zero, since every check is relative to it.  All are
+    judged here, once, before any quadrature, and the model is frozen so
+    that the judgement holds.  The integrands read the lam-free radial
+    factors of dimension n (``_radial_shapes``) and take their lam as an
+    argument.
     """
 
     __test__ = False  # name collides with pytest's collection pattern
@@ -277,6 +279,17 @@ class TestFunctionModel:
         if row.needs_jet and self.A0 is not None:
             raise ValueError(f"case {self.case!r} reads no A0")
         self.design  # refuses a grid whose weights overflow or whose fit is ill-conditioned
+        # near r = 0 the integrands reach lam^-(n+4), the bubble source's
+        # (r^2+lam^2)^-(n+4)/2, and c^p lam^-n, its norm integrand
+        # (c lam^-(n+4)/2)^p with c = n(n+2)(n-2)(n-4) and p = 2n/(n+4); every
+        # other value stays smaller.  Below lam_min one of the two is larger
+        # than the reciprocal of the smallest normal float.
+        n, tiny = self.n, sys.float_info.min
+        c, p = n * (n + 2) * (n - 2) * (n - 4), 2 * n / (n + 4)
+        lam_min = max(tiny ** (1 / (n + 4)), (c ** p * tiny) ** (1 / n))
+        if min(self.lambdas) < lam_min:
+            raise ValueError(f"lambda {min(self.lambdas)!r} lies below {lam_min:.3g}, where the "
+                             f"integrands at n={n} leave the floating-point range")
         try:  # math.gamma and float powers raise OverflowError past the float range
             finite = all(map(math.isfinite, (*self.closed_forms, *self.leads.values())))
         except OverflowError:
@@ -554,9 +567,10 @@ def _fit(model: TestFunctionModel, key: str) -> tuple[np.ndarray, float]:
     values = np.array([e[key] for e in model.evaluations])
     y = values / lead - 1.0 if CASES[model.case].relative else values - lead
     w, A, _ = model.design
-    yw = y * w
-    coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)
-    resid = float(np.linalg.norm(yw - A @ coef) / max(np.linalg.norm(yw), 1e-300))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        yw = y * w
+        coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)
+        resid = float(np.linalg.norm(yw - A @ coef) / max(np.linalg.norm(yw), 1e-300))
     if not (math.isfinite(resid) and np.all(np.isfinite(coef))):
         raise ValueError("fit values overflow the floating-point range")
     return coef, resid

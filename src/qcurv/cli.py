@@ -13,6 +13,7 @@ witness, such as "n=7,seed=3: lap_quartic", in place of true.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -534,5 +535,15 @@ def cmd_verify(suite, out, **options):
     return reports, {"command": "verify", "config": config}, out
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry point, of `qcurv` and `python -m qcurv.cli`: freeze
+    the heap the imports left, so that no collection of the run or at
+    interpreter exit walks it again, then run ``main``.  What the run
+    allocates is collected as before.  In-process callers use ``main``,
+    which freezes nothing."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

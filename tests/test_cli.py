@@ -462,7 +462,9 @@ def test_psi4_solved_once_per_jet(runner, monkeypatch):
     assert calls == [8, 8, 9, 9]
 
 
-def test_cli_import_leaves_scipy_special_out():
+def _fresh_python(*args: str):
+    """``python *args`` in a fresh interpreter that imports qcurv from this
+    checkout."""
     import os
     import subprocess
     import sys
@@ -471,10 +473,45 @@ def test_cli_import_leaves_scipy_special_out():
 
     src = os.path.dirname(os.path.dirname(qcurv.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, qcurv.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_failed_check_exits_1_through_the_process_entry(tmp_path):
+    out = tmp_path / "r.json"
+    res = _fresh_python("-m", "qcurv.cli", "verify", "spectral", "--n", "5", "--L", "2",
+                        "--report", str(out))
+    assert res.returncode == 1, res.stderr
+    assert "[FAIL] spectral.mobius[n=5,L=2]" in res.stderr.splitlines()
+    assert "Traceback" not in res.stderr and json.loads(out.read_text())["pass"] is False
+
+
+def test_usage_error_exits_2_through_the_process_entry():
+    res = _fresh_python("-m", "qcurv.cli", "parametrix", "--n", "4")
+    assert res.returncode == 2, res.stderr
+    assert "Error: n >= 5 required" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # importing the CLI or invoking its group in process freezes nothing and
+    # leaves collection on; run() freezes what the imports left, then calls main
+    code = ("import gc, json\n"
+            "import qcurv.cli\n"
+            "from click.testing import CliRunner\n"
+            "seen = [[gc.isenabled(), gc.get_freeze_count()]]\n"
+            "exit_code = CliRunner().invoke(qcurv.cli.main, ['constants']).exit_code\n"
+            "seen.append([gc.isenabled(), gc.get_freeze_count()])\n"
+            "qcurv.cli.main = lambda: seen.append([gc.isenabled(), gc.get_freeze_count() > 0])\n"
+            "qcurv.cli.run()\n"
+            "print(json.dumps([exit_code, seen]))\n")
+    res = _fresh_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [0, [[True, 0], [True, 0], [True, True]]]
+
+
+def test_cli_import_leaves_scipy_special_out():
+    out = _fresh_python("-c", "import sys, qcurv.cli; print('scipy.special' in sys.modules)")
+    assert out.stdout.strip() == "False", out.stderr
     # the spectral path builds its quadrature rules without scipy
     code = ("import sys\n"
             "from click.testing import CliRunner\n"
@@ -482,12 +519,23 @@ def test_cli_import_leaves_scipy_special_out():
             "for argv in (['spectral'], ['verify', 'spectral']):\n"
             "    assert CliRunner().invoke(main, argv).exit_code == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = _fresh_python("-c", code)
+    assert out.stdout.strip() == "[]", out.stderr
 
 
 _TOML_STRING = r'"(?:[^"\\\n]|\\.)*"|\'[^\'\n]*\''
+
+
+def _toml_table(text: str, name: str) -> str:
+    """The body of the table ``[name]`` of a TOML text, up to the next table."""
+    import re
+
+    return re.search(rf"^\[{re.escape(name)}\]\s*$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+
+
+def _toml_str(s: str) -> str:
+    """The value of a basic (JSON-escaped) or literal TOML string."""
+    return json.loads(s) if s[0] == '"' else s[1:-1]
 
 
 def project_dependencies(text: str) -> list[str]:
@@ -496,11 +544,33 @@ def project_dependencies(text: str) -> list[str]:
     basic (JSON-escaped) or literal string, with comments skipped."""
     import re
 
-    section = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     array = re.search(rf"^dependencies\s*=\s*\[((?:\s|,|#[^\n]*|{_TOML_STRING})*)\]",
-                      section, re.M).group(1)
+                      _toml_table(text, "project"), re.M).group(1)
     items = re.findall(rf"({_TOML_STRING})|#[^\n]*", array)
-    return [json.loads(s) if s[0] == '"' else s[1:-1] for s in items if s]
+    return [_toml_str(s) for s in items if s]
+
+
+def test_installed_script_calls_what_python_m_calls():
+    # the `qcurv` script and `python -m qcurv.cli` start a process through
+    # one function
+    import ast
+    import pathlib
+    import re
+
+    text = (pathlib.Path(cli.__file__).parents[2] / "pyproject.toml").read_text()
+    script = _toml_str(re.search(rf"^qcurv\s*=\s*({_TOML_STRING})",
+                                 _toml_table(text, "project.scripts"), re.M).group(1))
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        pass
+    else:
+        assert script == tomllib.loads(text)["project"]["scripts"]["qcurv"]
+    module, function = script.split(":")
+    tree = ast.parse(inspect.getsource(cli))
+    entry = [node.body for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert module == cli.__name__ and [ast.unparse(s) for s in entry[0]] == [f"{function}()"]
 
 
 def test_no_library_module_imports_scipy():
@@ -786,6 +856,19 @@ def test_asymptotics_a0_refused_where_no_row_reads_it(runner, monkeypatch, case,
     res = runner.invoke(main, ["asymptotics", "--case", case, "--n", str(n), "--a0", a0])
     assert res.exit_code == 2, repr(res.exception)
     assert f"asymptotics --case {case} takes no --a0" in res.output
+
+
+def test_asymptotics_tiny_grid_refused_without_warning(runner, monkeypatch):
+    # lam^2 underflows at 1e-300, so the bubble source's power would
+    # overflow: refused by its smallest lam before any quadrature, with no
+    # RuntimeWarning, which the test filter would make exit 1
+    monkeypatch.setattr(asymptotics, "evaluate_model", _no_quadrature)
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", "5",
+                               "--lambdas", "1e-300,2e-300,3e-300,4e-300"])
+    assert res.exit_code == 2, repr(res.exception)
+    assert res.stderr.splitlines()[-1] == ("Error: lambda 1e-300 lies below 6.55e-35, where the "
+                                           "integrands at n=5 leave the floating-point range")
+    assert res.stdout == ""
 
 
 def test_asymptotics_empty_lambdas_refused(runner, monkeypatch):

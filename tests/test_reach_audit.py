@@ -31,8 +31,11 @@ REACHED_ONLY_BY_TESTS = [
     # an overflowing closed form is flagged, then refused by name
     ("qcurv/asymptotics.py", "TestFunctionModel.__post_init__", ["finite = False"],
      "test_asymptotics.py::test_model_refuses_closed_forms_past_the_float_range"),
-    # `python -m qcurv.cli`; the audit calls the click group in process
-    ("qcurv/cli.py", "<module>", ["main()"],
+    # the process entry of `python -m qcurv.cli` and the `qcurv` script; the
+    # audit calls the click group in process
+    ("qcurv/cli.py", "<module>", ["run()"],
+     "test_report.py::test_report_bytes_pinned_one_blas_thread"),
+    ("qcurv/cli.py", "run", ["gc.freeze()", "main()"],
      "test_report.py::test_report_bytes_pinned_one_blas_thread"),
     # the keyed read the Mapping protocol requires: every report reads a
     # polynomial's coefficients through items(), which ranks no key
@@ -111,9 +114,13 @@ def _on_constant(call):
 
 
 # refusals that no run reaches, each reached by one public call: (module,
-# the refusal's message, the call).  No input is known to reach two more:
-# asymptotics._fit's overflow and SphereSolver._ratio's out-of-range value.
+# the refusal's message, the call).  No input is known to reach one more:
+# SphereSolver._ratio's out-of-range value.
 REFUSALS = [
+    # above the lam bound of TestFunctionModel the integrands stay finite, the norms of the weighted fit values do not
+    ("asymptotics", "fit values overflow the floating-point range",
+     lambda: asymptotics.fit_expansion(asymptotics.TestFunctionModel(
+         case="flat", n=40, lambdas=(1.1e-7, 2e-7, 4e-7, 8e-7)))),
     ("asymptotics", "jet dimension mismatch",
      lambda: asymptotics.TestFunctionModel(case="n9", n=9, jet=par.random_jet(10, 1))),
     # the CLI passes A0 only to the rows that read it
