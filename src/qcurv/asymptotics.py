@@ -539,13 +539,10 @@ def evaluate_model(model: TestFunctionModel, lam: float) -> dict:
 
 @dataclass
 class FitResult:
-    case: str
-    n: int
     coefficient: float
     expected: float
     rel_error: float | None  # None where |coefficient - expected|/|expected| leaves the float range
     fit_residual: float
-    lambdas: tuple[float, ...]
     basis: tuple[str, ...]
     extra_coefficients: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
@@ -567,10 +564,15 @@ def _fit(model: TestFunctionModel, key: str) -> tuple[np.ndarray, float]:
     values = np.array([e[key] for e in model.evaluations])
     y = values / lead - 1.0 if CASES[model.case].relative else values - lead
     w, A, _ = model.design
-    with np.errstate(over="ignore", invalid="ignore"):  # judged below
-        yw = y * w
-        coef, _, _, _ = np.linalg.lstsq(A, yw, rcond=None)
-        resid = float(np.linalg.norm(yw - A @ coef) / max(np.linalg.norm(yw), 1e-300))
+    yw = y * w
+    # scaled by 2^-k to below 1 in size, which is exact: the norms square no
+    # value past the float range, and the coefficient scales back bit for bit
+    k = math.frexp(float(np.max(np.abs(yw))))[1]
+    ys = np.ldexp(yw, -k)
+    coef, _, _, _ = np.linalg.lstsq(A, ys, rcond=None)
+    floor = math.ldexp(1e-300, -k)  # 1e-300 in unscaled units
+    resid = float(np.linalg.norm(ys - A @ coef) / max(np.linalg.norm(ys), floor))
+    coef = np.ldexp(coef, k)
     if not (math.isfinite(resid) and np.all(np.isfinite(coef))):
         raise ValueError("fit values overflow the floating-point range")
     return coef, resid
@@ -586,13 +588,10 @@ def fit_expansion(model: TestFunctionModel) -> FitResult:
     expected = model.closed_forms[0] * model.unit[1]
     rel = abs(fitted - expected) / abs(expected)
     return FitResult(
-        case=model.case,
-        n=model.n,
         coefficient=fitted,
         expected=expected,
         rel_error=rel if math.isfinite(rel) else None,
         fit_residual=resid,
-        lambdas=model.lambdas,
         basis=case.basis,
         extra_coefficients={name: float(c) for name, c in zip(case.basis[1:], coef[1:])},
         details={"theta4": model.leads["ratio"], "evaluations": model.evaluations,

@@ -208,7 +208,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
     payload = {"command": "parametrix", "config": config, "jet": jet.to_json(), **green.to_json()}
     if n == 8 and not jet.is_flat():
         payload["n8_log_coefficient"] = par.n8_log_coefficient(jet)
-    check = _witness_check("parametrix.identities", config, SHELL_PROVENANCE,
+    check = _witness_check("parametrix.identities", {}, SHELL_PROVENANCE,
                            par.shell_identities(jet, green))
     return [check], payload, out
 
@@ -267,7 +267,7 @@ def cmd_spectral(n, L, iters, damping, init, out):
     checks.append(
         abs_check(
             "spectral.iteration_bounded",
-            {"n": n, "L": L, "iters": iters, "init": init},
+            {},
             f"<= {theta4} + {_bound(BOUNDED_SLACK)}",
             "sharp maximality of constants on the sphere",
             top,
@@ -281,7 +281,7 @@ def cmd_spectral(n, L, iters, damping, init, out):
         checks.append(
             abs_check(
                 "spectral.fixed_point_drift",
-                {"n": n, "L": L, "iters": iters},
+                {},
                 f"<= {_bound(FIXED_POINT_DRIFT)}",
                 "constants solve the dual extremal equation",
                 fixed,
@@ -469,7 +469,7 @@ def _asymptotics_checks(model) -> tuple[asym.FitResult, list[VerificationReport]
     fit = asym.fit_expansion(model)
     unit_name, unit = model.unit
     ratio = close_check(f"asymptotics.{model.case}[n={model.n}]",
-                        {"lambdas": list(fit.lambdas), unit_name: unit}, fit.expected,
+                        {"lambdas": list(model.lambdas), unit_name: unit}, fit.expected,
                         "expansion coefficient vs closed form", fit.coefficient,
                         rtol=asym.CASES[model.case].rtol)
     return fit, [ratio, *asym.numerator_coefficient_check(model)]

@@ -213,7 +213,6 @@ class GreenExpansion:
 
     def to_json(self) -> dict:
         out = {
-            "n": self.n,
             "normalization": "H = 2n(2-n)(4-n) omega_n G_{P,p}",
             "expansion": {**self.expansion.to_json(), "radial_exp": f"{4 - self.n}/1"},
             "remainder": self.remainder,

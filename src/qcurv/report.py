@@ -1,8 +1,10 @@
 """Structured verification records shared by every module and the CLI.
 
-A report captures one check: what went in, the expected value with its
-provenance, what came out, the tolerance, and pass/fail.  Reports carry
-no timing, so identical configurations produce byte-identical files.
+A report captures one check: what went in beyond the run's ``config``
+(``{}`` for a check that reads only the run's options), the expected value
+with its provenance, what came out, the tolerance, and pass/fail.  The
+config is the one place a report states an option.  Reports carry no
+timing, so identical configurations produce byte-identical files.
 
 ``dump_report`` writes a report as one line of compact JSON with sorted
 keys, through the stdlib C encoder; ``python -m json.tool`` pretty-prints

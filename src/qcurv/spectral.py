@@ -508,10 +508,6 @@ def spectral_report(solver: SphereSolver, iters: int, damping: float, init: str)
     for f, value in solver.iterates(f0, iters, damping):
         values.append(value)
     return {
-        "n": solver.n,
-        "L": solver.L,
-        "damping": damping,
-        "init": init,
         "functional_values": values,
         "final_coeffs": list(f.coeffs),
         "gram_defect": solver.gram_defect(),

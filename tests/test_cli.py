@@ -95,9 +95,9 @@ def test_parametrix_flat(runner):
 
 
 def _unconfigured(stdout: str) -> str:
-    """A parametrix report without its config, which its check repeats."""
+    """A report without its config."""
     doc = json.loads(stdout)
-    del doc["config"], doc["reports"][0]["inputs"]
+    del doc["config"]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -869,6 +869,20 @@ def test_asymptotics_tiny_grid_refused_without_warning(runner, monkeypatch):
     assert res.stderr.splitlines()[-1] == ("Error: lambda 1e-300 lies below 6.55e-35, where the "
                                            "integrands at n=5 leave the floating-point range")
     assert res.stdout == ""
+
+
+def test_asymptotics_grid_with_huge_fit_values_runs_to_a_report(runner):
+    # above the lam bound, the weighted fit values of flat n = 40 reach
+    # 2.9e232, whose squares leave the float range: the fit scales them by a
+    # power of two before its norms, so the run FAILs with a report, as flat
+    # n = 13 does, and no RuntimeWarning precedes it
+    res = runner.invoke(main, ["asymptotics", "--case", "flat", "--n", "40",
+                               "--lambdas", "1.1e-7,2e-7,4e-7,8e-7"])
+    assert res.exit_code == 1, repr(res.exception)
+    fit = json.loads(res.stdout)["fit"]
+    assert fit["coefficient"] == pytest.approx(7.2338e231, rel=1e-4)
+    assert fit["expected"] == pytest.approx(1.2103e5, rel=1e-4)
+    assert "[FAIL] asymptotics.flat[n=40]" in res.stderr
 
 
 def test_asymptotics_empty_lambdas_refused(runner, monkeypatch):

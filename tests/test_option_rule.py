@@ -12,10 +12,11 @@ import functools
 import json
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcurv import parametrix
+from qcurv import parametrix, tensor
 from qcurv.cli import main
 from test_report import PINNED, PINNED_ONE_THREAD
 
@@ -69,6 +70,29 @@ def test_pinned_report_replays_from_its_config(argv, tmp_path):
     assert replayed == report
 
 
+# the checks that only a subcommand emits: they read nothing but the run's
+# options, which the config holds
+SUBCOMMAND_ONLY = {"parametrix.identities", "spectral.iteration_bounded",
+                   "spectral.fixed_point_drift"}
+_SUBCOMMAND_ARGVS = [argv for argv in _PINNED_ARGVS if argv[0] != "verify"]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMAND_ARGVS, ids=[" ".join(a) for a in _SUBCOMMAND_ARGVS])
+def test_no_payload_field_repeats_the_config(argv, tmp_path):
+    """The config is the one place a report states an option: no key of it
+    is a key of the payload's top level, its result or its fit, and a check
+    only a subcommand emits, the one kind whose id names no instance, has
+    empty inputs."""
+    res, report = _run(list(argv), tmp_path)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(report)
+    for part in (doc, doc.get("result", {}), doc.get("fit", {})):
+        assert set(doc["config"]).isdisjoint(part)
+    bare = [r for r in doc["reports"] if "[" not in r["check"]]
+    assert {r["check"] for r in bare} <= SUBCOMMAND_ONLY
+    assert all(r["inputs"] == {} for r in bare)
+
+
 def test_jet_file_report_replays_from_its_jet(tmp_path):
     # no pin reads a jet file: this one is written from a seeded jet
     jf = tmp_path / "in.json"
@@ -81,13 +105,9 @@ def test_jet_file_report_replays_from_its_jet(tmp_path):
 
 
 def _outside_config(report: bytes) -> dict:
-    """A report without its config, nor the config that the parametrix
-    check repeats as its inputs."""
+    """A report without its config."""
     doc = json.loads(report)
     del doc["config"]
-    for r in doc["reports"]:
-        if r["check"] == "parametrix.identities":
-            del r["inputs"]
     return doc
 
 
@@ -222,3 +242,28 @@ def test_flat_and_lowdim_take_an_unread_seed(case, n):
     doc = json.loads(res.stdout)
     assert doc["config"]["seed"] is None
     assert res.stdout_bytes == CliRunner().invoke(main, argv).stdout_bytes
+
+
+# (suite, its options, the seeded draw, the arguments of its calls at --seed 2)
+SEEDED_SUITES = [
+    ("weyl", ["--n", "5..6", "--trials", "3"], (tensor, "random_weyl"),
+     [(n, s) for n in (5, 6) for s in (2, 3, 4)]),
+    ("parametrix", ["--n", "8..9", "--trials", "2"], (parametrix, "random_jet"),
+     [(n, s) for n in (8, 9) for s in (2, 3)]),
+    # one fresh Philox(seed) per check, each drawing the same polynomials
+    ("polyalg", ["--trials", "3"], (np.random, "Philox"), [(2,), (2,)]),
+]
+
+
+@pytest.mark.parametrize("suite,options,draw,calls", SEEDED_SUITES,
+                         ids=[s for s, *_ in SEEDED_SUITES])
+def test_seed_of_an_exact_suite_reaches_its_draws(suite, options, draw, calls, monkeypatch):
+    """Each n of a seeded suite draws seeds seed .. seed + trials - 1.  The
+    neighbours above cannot tell: these suites echo --seed in their checks'
+    inputs, so a suite that ignored it would still move its report."""
+    module, name = draw
+    real, drawn = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *a: drawn.append(a) or real(*a))
+    res = CliRunner().invoke(main, ["verify", suite, *options, "--seed", "2"])
+    assert res.exit_code == 0, res.output
+    assert drawn == calls

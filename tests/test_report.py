@@ -63,48 +63,48 @@ PINNED = [
     (["verify", "all", "--seed", "1"],
      "d71b59b0d15d8b1340b7e1b786accea34763220b3eca42f3d11d0f5d908526b3"),
     (["parametrix", "--n", "6", "--seed", "1"],
-     "19ae32cf4648ca9990ce2c3882eb26ae19e69a36d61f38611c1077df05a4d627"),
+     "3359af32dd45b97a3350ecb329e06e8799e9c5c29180b4967f56f0b38413a361"),
     (["parametrix", "--n", "8", "--seed", "1"],
-     "fea63daf4736b4bbe8636c50f08c30015b85f388850f4dc5f53b08c79fec1d8d"),
+     "209a4df1c7fa522366ed8a56919f054d67ee146c50e4751e1fb8b5acc4b53378"),
     (["parametrix", "--n", "12", "--seed", "1"],
-     "8315ad1b3380d1ef967d31db0ddf36f01b3c95b778d6e32123544868ccd1f266"),
+     "b5a80964acd57c64790a9cc1cd999787df2fa92116666274d0fbd5dd3bc0aaa0"),
     (["parametrix", "--n", "16", "--seed", "1"],
-     "432cb779e5dcab73ea43de3514ab94482e07ab32de28e7aae5575385ae0d4cda"),
+     "67c57b7b3397ba726ba2d8f955b565049889b6cda25ae6077ca0a16004dda93d"),
     # the top dimension the CLI accepts, tensor.MAX_N
     (["parametrix", "--n", "40", "--seed", "1"],
-     "7fb24fc5a1403f77ace3dd0a4ed2e6aef2a15728978138cde11514bffde1a212"),
+     "6ab44ab426d0966cec9f26098887b7b68bd533d3dd8ecc0625074518a7a92eca"),
     (["parametrix", "--n", "8", "--flat"],
-     "217aa0998eeec98487e5a2fff52fd3068315f4ceb4407013fddc10991493587d"),
+     "473dd4178c8857411b62e633a98d9f54139e0951b94f35edb3294165b292c3f8"),
     (["constants", "--format", "json"],
      "10bb6d362ca874e4d4c7643525c1b5e7ba7822fba764c7b69977472f2bfb7a85"),
     (["constants", "--n", "5..6", "--format", "latex"],
      "26695c1d63da14cedc14a740e4b48d5e58e44de6faad6de550b0e8e7276c6f46"),
     (["spectral"],
-     "6ddaa3f702a988545d790faf6db37d56bdc70df98bf28ffe00f35e7a63fe2ca2"),
+     "d5fca2f515e9f4acea3fd154b5711b099cbbb5c1b0ba8b5bfc5cab2b3a8a8c71"),
     (["spectral", "--n", "9", "--init", "perturbed", "--damping", "0.3"],
-     "cc2a883355497f6ed2313e6563fd8b584963de8c3c1edd273d0e8fbd8da0f1ef"),
+     "db25a031edebbfefcee54c4dd63a7c220a337d64a4176dc5e06187e04c2687a7"),
     # an odd L, an undamped step, and integer critical exponents 3 and 5
     (["spectral", "--n", "8", "--L", "41", "--init", "perturbed", "--damping", "1.0"],
-     "f215b5b5d31a73e80dfc5dc3dd508115b2a496adee1ee51c219f898730549116"),
+     "0dae140fe0fa7ef9c7e806e67e974e07cf7152c03dabcf49d386a7fab869c63e"),
     (["spectral", "--n", "6", "--L", "41", "--init", "perturbed", "--damping", "1.0",
       "--iters", "30"],
-     "38dd5a50ec01dd80031c9bb18b8656d796f24ac7ee53e615f0dc203f74c90cd2"),
+     "cbe59cd7c1272aab0200e726ed56652976a9ec8c9dbda19ba44836404fd80277"),
     (["asymptotics", "--case", "flat", "--n", "5"],
-     "cc1f05bc2172b249c7a10fb0279658cda672baba6b5797249e63ca27ffbc2551"),
+     "f9e0a7debded2a1dc1ada31756420d4ab9e79d90141bcb28d1d08372273680b8"),
     (["asymptotics", "--case", "lowdim", "--n", "6"],
-     "67d0f9d855b2564debf9f42f70630e93045152ae73967527cbd3c4904145ff28"),
+     "ada572c6dc68af976824a7193771c475cacaefbc6a73f92d2d85f15f5bdc41b0"),
     (["asymptotics", "--case", "n8", "--n", "8"],
-     "2a4d67e4f3ad65cac2e0a9a53cca0bad6dc7655c78df051f22c62f943e0fda8b"),
+     "5757b9c230d168f42253edb897f933b1d78936cafc47e26b71596af30c1e4eeb"),
     (["asymptotics", "--case", "n9", "--n", "9"],
-     "9c6f34d471b093eed95b915b665c1d15b35635c57120e34acb5b973306b3f9ac"),
+     "acc998fb19d40ec7d6af70179821c991ca656e607afa906651dd455212d1630b"),
     (["asymptotics", "--case", "high", "--n", "10"],
-     "148786c8422d6d4b1df4eacc464060a918d16e76877717e2943dbf138185867e"),
+     "bd3c1e3cb59b39acf53c0bdad457c9645ac98ec411aeded8175f7be64f1d6241"),
     (["asymptotics", "--case", "high", "--n", "12", "--seed", "3",
       "--lambdas", "0.04,0.028,0.02,0.014,0.01"],
-     "5b310b8b1629b3db57612fccd95d62238b3459597c0e791176415f6f48dda793"),
+     "c9f3595c5bea382e95143f496dbc131ac7adfadbecdb61cbac6ccbbeed241ec5"),
     (["asymptotics", "--case", "flat", "--n", "6", "--a0", "2.5",
       "--lambdas", "0.1,0.05,0.025,0.0125,0.00625"],
-     "d6301eb2dea2a967d66e27d104b21ae118dbb565bfe850f2aea53dedb6d608c3"),
+     "3766eca5e45a47f90e11029148cae2ed76c4e9c4816fd07422f387c69d3587f6"),
     (["verify", "asymptotics"],
      "249cee9af72eca54b3c78854818bb7eabf33196a77a7b2f217841a6d5d3f22f2"),
     (["verify", "bubbles"],
@@ -133,9 +133,9 @@ _BLAS_GRAM = (["parametrix", "--n", "16", "--seed", "1"],
               ["verify", "weyl", "--n", "4..12", "--trials", "5"])
 PINNED_ONE_THREAD = [
     (["spectral", "--n", "7", "--L", "256", "--init", "perturbed"],
-     "41ca4f6d08d72d1085a6db94867222743058f359c8da78240485cd6e86b53f6f"),
+     "eeaf53e53786be32d7d8d3e08346584ca165b3b603ad8535336a8d4c39d8907c"),
     (["spectral", "--n", "5", "--L", "256", "--iters", "50", "--init", "perturbed"],
-     "e01e558c327f53b142130250347485d8a49a941ddb8a1b8aabc53dcf0c68b45b"),
+     "a34bbb380b62cd0b0e84c8d95382d77b9383d838b5f962050309d1ad3a84e9a6"),
     *[(argv, digest) for argv, digest in PINNED if argv in _BLAS_GRAM],
 ]
 _ONE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
