@@ -13,5 +13,6 @@ The package itself exports nothing; import its submodules, for example
   spectral     zonal Gegenbauer solver and the extremal functionals
   asymptotics  test-function energy expansions and coefficient fits
   report       verification records and their deterministic JSON
+  limits       the option bounds and case names the CLI declares, numpy-free
   cli          the `qcurv` command-line entry point
 """

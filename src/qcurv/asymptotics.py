@@ -58,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 
+from .limits import CASE_NAMES
 from .parametrix import CurvatureJet, psi4_radial_coefficient
 from .radial import RadialTermSum
 from .report import VerificationReport, close_check
@@ -193,13 +194,14 @@ _MASS = dict(
     green_avg=lambda m, lam, r: m.A0 * lam ** ((m.n - 4) / 2) * np.ones_like(r),
 )
 
-CASES = {
-    "flat": Case(5, None, **_MASS),
-    "lowdim": Case(5, 7, **_MASS),
-    # the log extraction needs small lam (the model's own higher-order
+# one row per name of limits.CASE_NAMES, in its order
+CASES = dict(zip(CASE_NAMES, (
+    Case(5, None, **_MASS),  # flat
+    Case(5, 7, **_MASS),  # lowdim
+    # n8: the log extraction needs small lam (the model's own higher-order
     # content contaminates the norm above lam ~ 0.02) and a wide log(1/lam)
     # spread to decorrelate the two basis functions
-    "n8": Case(
+    Case(
         8, 8, (0.02, 0.01337, 0.00894, 0.00598, 0.004), 0.10, lambda n: n8_ratio_log_coefficient(),
         basis=("lam^4 log(1/lam)", "lam^4"),
         basis_fns=(lambda l, p: l**p * np.log(1.0 / l), lambda l, p: l**p),
@@ -208,11 +210,11 @@ CASES = {
                        lambda n: math.pi**4 / 90.0),),
         green_avg=lambda m, lam, r: -(float(m.w2) / 1440.0) * lam**2 * np.log(r),
     ),
-    # no split checks: the mixed 1/pi pieces of n = 9 are not tracked
+    # n9: no split checks; the mixed 1/pi pieces of n = 9 are not tracked
     # separately, so it is held at the ratio level alone
-    "n9": Case(9, 9, (0.04, 0.0283, 0.02, 0.01414, 0.01), 0.05, lambda n: float(n9_ratio_coefficient()),
-               green_avg=lambda m, lam, r: lam**2.5 * m.psi4_block / r),
-    "high": Case(
+    Case(9, 9, (0.04, 0.0283, 0.02, 0.01414, 0.01), 0.05, lambda n: float(n9_ratio_coefficient()),
+         green_avg=lambda m, lam, r: lam**2.5 * m.psi4_block / r),
+    Case(  # high
         10, None, (0.04, 0.02, 0.01, 0.005), 0.02, lambda n: float(high_ratio_coefficient(n)),
         matched=False,
         split_checks=(
@@ -222,7 +224,7 @@ CASES = {
              lambda n: float(high_norm_integral_coefficient(n))),
         ),
     ),
-}
+), strict=True))
 
 
 _COND_LIMIT = 1e8

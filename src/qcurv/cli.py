@@ -9,6 +9,11 @@ takes and records only the options it reads (``_config``), so a report's
 run the library's identity lists (``tensor.weyl_identities``, ...) over
 seeds or trials; a failing aggregated check computes the first failing
 witness, such as "n=7,seed=3: lap_quartic", in place of true.
+
+The module imports only what every subcommand needs: click, the stdlib,
+``report``, ``sphereforms`` and the option bounds of ``limits``, none of
+which imports numpy.  Each subcommand and each verify suite imports the
+layers it runs, so `constants` and `verify constants` run without numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
-from . import asymptotics as asym
-from . import parametrix as par
-from . import polyalg, sphereforms, spectral, tensor
+from . import sphereforms
+from .limits import CASE_NAMES, MAX_L, MAX_N
 from .report import VerificationReport, abs_check, close_check, dump_report, exact_check
 
 # tolerances of the spectral and constants checks; the fit tolerances are
@@ -184,10 +187,12 @@ def cmd_constants(n, fmt, out):
 @_report_option
 def cmd_parametrix(n, seed, flat, jet_file, out):
     """Green's-function expansion at the leading curvature order."""
+    from . import parametrix as par
+
     if n < 5:
         raise click.UsageError("n >= 5 required")
-    if n > tensor.MAX_N:
-        raise click.UsageError(f"n <= {tensor.MAX_N} required, the largest Weyl tensor dimension")
+    if n > MAX_N:
+        raise click.UsageError(f"n <= {MAX_N} required, the largest Weyl tensor dimension")
     if jet_file:
         config = _config("parametrix --jet-file", {"n": n, "jet_file": jet_file})
         try:
@@ -217,7 +222,7 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 
 
 @main.command("asymptotics")
-@click.option("--case", "case", type=click.Choice(list(asym.CASES)), required=True)
+@click.option("--case", "case", type=click.Choice(CASE_NAMES), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True,
               help="picks the jet, normalized to |W|^2 within 1e-6 of 1; |W|^2 is all the fit "
@@ -228,12 +233,14 @@ def cmd_parametrix(n, seed, flat, jet_file, out):
 @_report_option
 def cmd_asymptotics(case, n, seed, A0, lambdas, out):
     """Fit the test-function expansion coefficient for one case."""
+    from . import asymptotics as asym
+
     try:  # an empty --lambdas is a bad grid, not the row's own
         lam_grid = tuple(float(v) for v in lambdas.split(",")) if lambdas is not None else ()
     except ValueError:
         raise click.UsageError(f"bad --lambdas {lambdas!r}; use e.g. 0.04,0.02,0.01,0.005")
-    if asym.CASES[case].needs_jet and n > tensor.MAX_N:
-        raise click.UsageError(f"case {case!r} needs n <= {tensor.MAX_N}, "
+    if asym.CASES[case].needs_jet and n > MAX_N:
+        raise click.UsageError(f"case {case!r} needs n <= {MAX_N}, "
                                "the largest Weyl tensor dimension")
     model = _asymptotics_model(case, n, seed, A0, lam_grid)
     read = {"case": case, "n": n, "lambdas": list(model.lambdas),
@@ -250,7 +257,7 @@ def cmd_asymptotics(case, n, seed, A0, lambdas, out):
 
 @main.command("spectral")
 @click.option("--n", type=int, default=5, show_default=True)
-@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=spectral.MAX_L), default=64,
+@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=MAX_L), default=64,
               show_default=True, help=f"truncation degree; {L_HELP}")
 @click.option("--iters", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--damping", type=float, default=0.5, show_default=True)
@@ -258,6 +265,8 @@ def cmd_asymptotics(case, n, seed, A0, lambdas, out):
 @_report_option
 def cmd_spectral(n, L, iters, damping, init, out):
     """Zonal extremal iteration plus invariance checks."""
+    from . import spectral
+
     config = _config("spectral", {"n": n, "L": L, "iters": iters, "damping": damping, "init": init})
     solver = spectral.SphereSolver(n, L)
     rep = spectral.spectral_report(solver, iters, damping, init)
@@ -316,6 +325,8 @@ def _seeded_checks(ns, trials, seed, family, provenance, identities) -> list[Ver
 
 
 def _verify_weyl(n, trials, seed) -> list[VerificationReport]:
+    from . import tensor
+
     def identities(n, s):
         W = tensor.random_weyl(n, s)
         return tensor.weyl_identities(W, tensor.random_schouten_hessian(n, s, W))
@@ -325,6 +336,10 @@ def _verify_weyl(n, trials, seed) -> list[VerificationReport]:
 
 
 def _verify_polyalg(trials, seed) -> list[VerificationReport]:
+    import numpy as np
+
+    from . import polyalg
+
     def polys():  # drawn lazily from a fresh Philox(seed), so memory stays flat in trials
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(trials):
@@ -350,6 +365,8 @@ def _verify_polyalg(trials, seed) -> list[VerificationReport]:
 
 
 def _verify_parametrix(n, trials, seed) -> list[VerificationReport]:
+    from . import parametrix as par
+
     def identities(n, s):
         jet = par.random_jet(n, s)
         return par.shell_identities(jet, par.green_leading(jet))
@@ -402,11 +419,13 @@ def _verify_bubbles(n) -> list[VerificationReport]:
     ]
 
 
-def _spectral_checks(solver: spectral.SphereSolver, drift_rows: list[dict]
-                     ) -> list[VerificationReport]:
+def _spectral_checks(solver, drift_rows: list[dict]) -> list[VerificationReport]:
     """The checks at constants that `verify spectral` and `spectral` share:
     the dual functional, both dualities, and the largest Moebius drift of
-    ``drift_rows`` (the ``spectral.mobius_drifts`` rows of ``solver``)."""
+    ``drift_rows`` (the ``spectral.mobius_drifts`` rows of ``solver``, a
+    ``spectral.SphereSolver``)."""
+    from . import spectral
+
     n, L = solver.n, solver.L
     const = solver.constant_field(1.0)
     th = solver.theta4_functional(const)
@@ -450,22 +469,31 @@ def _spectral_checks(solver: spectral.SphereSolver, drift_rows: list[dict]
 
 
 def _verify_spectral(n, L) -> list[VerificationReport]:
+    from . import spectral
+
     solvers = (spectral.SphereSolver(d, L) for d in n)
     return [c for s in solvers for c in _spectral_checks(s, spectral.mobius_drifts(s))]
 
 
-def _asymptotics_model(case, n, seed, A0=None, lambdas=()) -> asym.TestFunctionModel:
-    """One asymptotics case: the seed picks the jet, A0 the constant, of the rows that read it."""
+def _asymptotics_model(case, n, seed, A0=None, lambdas=()):
+    """The ``asymptotics.TestFunctionModel`` of one case: the seed picks the
+    jet, A0 the constant, of the rows that read it."""
+    from . import asymptotics as asym
+    from . import parametrix as par
+
     if asym.CASES[case].needs_jet:
         jet = par.random_jet(n, seed, normalize=True)
         return asym.TestFunctionModel(case=case, n=n, jet=jet, lambdas=lambdas)
     return asym.TestFunctionModel(case=case, n=n, A0=A0, lambdas=lambdas)
 
 
-def _asymptotics_checks(model) -> tuple[asym.FitResult, list[VerificationReport]]:
-    """The fit of one asymptotics model and its checks, as `asymptotics` and
-    `verify asymptotics` both emit them: the fitted expansion coefficient
-    against its closed form, then the row's split checks."""
+def _asymptotics_checks(model):
+    """The fit of one asymptotics model (an ``asymptotics.FitResult``) and
+    its checks, as `asymptotics` and `verify asymptotics` both emit them:
+    the fitted expansion coefficient against its closed form, then the
+    row's split checks."""
+    from . import asymptotics as asym
+
     fit = asym.fit_expansion(model)
     unit_name, unit = model.unit
     ratio = close_check(f"asymptotics.{model.case}[n={model.n}]",
@@ -485,7 +513,7 @@ class Suite:
     """A verify suite: ``checks`` takes the options it reads as keywords,
     with ``options`` their defaults (``n`` as --n text); ``n_bounds`` bound
     its --n (None: no largest).  Weyl tensors exist from n = 4 and are
-    built up to tensor.MAX_N, the degree-4 shell starts at n = 8, the sphere
+    built up to limits.MAX_N, the degree-4 shell starts at n = 8, the sphere
     forms need n >= 5, and the moments stay normal floats to MOMENTS_MAX_N."""
 
     checks: Callable[..., list[VerificationReport]]
@@ -494,10 +522,10 @@ class Suite:
 
 
 SUITES = {
-    "weyl": Suite(_verify_weyl, {"n": "5..10", "trials": 50, "seed": 1}, (4, tensor.MAX_N)),
+    "weyl": Suite(_verify_weyl, {"n": "5..10", "trials": 50, "seed": 1}, (4, MAX_N)),
     "polyalg": Suite(_verify_polyalg, {"trials": 40, "seed": 1}),
     "parametrix": Suite(_verify_parametrix, {"n": "8..12", "trials": 10, "seed": 1},
-                        (8, tensor.MAX_N)),
+                        (8, MAX_N)),
     "constants": Suite(_verify_constants, {"n": "5..12"}, (5, sphereforms.MOMENTS_MAX_N)),
     "bubbles": Suite(_verify_bubbles, {"n": "5..12"}, (5, None)),
     "spectral": Suite(_verify_spectral, {"n": "5..9", "L": 64}, (5, None)),
@@ -512,7 +540,7 @@ ALL_DEFAULTS = {"weyl": {"trials": 10}}
 @click.option("--n", default=None, help="dimension range, e.g. 5..10")
 @click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None, show_default="1")
-@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=spectral.MAX_L),
+@click.option("--l", "--L", "L", type=click.IntRange(min=2, max=MAX_L),
               default=None, help=f"spectral truncation degree; {L_HELP}")
 @_report_option
 def cmd_verify(suite, out, **options):
@@ -537,12 +565,17 @@ def cmd_verify(suite, out, **options):
 
 def run():
     """The process entry point, of `qcurv` and `python -m qcurv.cli`: freeze
-    the heap the imports left, so that no collection of the run or at
-    interpreter exit walks it again, then run ``main``.  What the run
-    allocates is collected as before.  In-process callers use ``main``,
-    which freezes nothing."""
+    the heap the module's imports left, so that no collection of the run
+    walks it again, then run ``main``.  ``main`` ends by raising SystemExit;
+    freeze once more before it propagates, so that the collection at
+    interpreter exit walks neither the heap of the layers the subcommand
+    imported (numpy's among them) nor the run's own.  In-process callers
+    use ``main``, which freezes nothing."""
     gc.freeze()
-    main()
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

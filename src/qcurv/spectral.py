@@ -54,16 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import MAX_L
 from .sphereforms import omega_n, sphere_area
 
 MOBIUS_T = (1.5, 2.0, 4.0)  # dilations of the conformal-invariance checks
-
-# Largest truncation degree.  At L = 2048 the half-grid basis holds
-# 2049 x 6147 floats (about 100 MB, half of the full-grid basis).  The
-# recurrence fills its rows before they are folded, so a build there peaks
-# near 225 MB RSS and takes 0.2-0.4 s (Python 3.11, numpy 2.4, one BLAS
-# thread).  The cost grows as L^2.
-MAX_L = 2048
 
 # The rule has at least OVERSAMPLE (2L + 2) nodes: a Gauss rule of 2L + 2
 # integrates a product of two degree-L fields exactly, and the finer grid

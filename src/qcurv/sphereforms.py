@@ -16,10 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .radial import RadialTermSum
-
 
 def omega_n(n: int) -> float:
     """Volume of the unit ball in R^n: pi^{n/2} / Gamma(n/2 + 1)."""
@@ -84,6 +80,10 @@ def bubble_constant(n: int) -> int:
 @functools.cache
 def _bubble(n: int, twice_q: int) -> RadialTermSum:
     """(lam / (r^2 + lam^2))^{twice_q/2}."""
+    # imported here, where the bubble half first needs it: radial imports
+    # numpy, and the constants half runs without it
+    from .radial import RadialTermSum
+
     if n < 5:
         raise ValueError("bubbles require n >= 5")
     q = Fraction(twice_q, 2)
@@ -104,13 +104,14 @@ def bubble_source(n: int) -> RadialTermSum:
     return _bubble(n, n + 4).scale(bubble_constant(n))
 
 
-def bubble_pde_residual(lam: float, n: int, r) -> np.ndarray:
-    """Relative residual of Delta^2 u_lam = n(n+2)(n-2)(n-4) u_lam^{(n+4)/(n-4)},
-    with Delta^2 u_lam evaluated from its canonical form.  Evaluated term by
+def bubble_pde_residual(lam: float, n: int, r):
+    """Relative residual of Delta^2 u_lam = n(n+2)(n-2)(n-4) u_lam^{(n+4)/(n-4)}
+    at the radii r, an array shaped as r (a float at a scalar r), with
+    Delta^2 u_lam evaluated from its canonical form.  Evaluated term by
     term as derived, its terms cancel and the residual grows past 1e-10
     from about r/lam = 24."""
     rhs = bubble_constant(n) * _bubble(n, n + 4)(r, lam)
-    return np.abs(bubble_bilaplacian(n)(r, lam) - rhs) / np.abs(rhs)
+    return abs(bubble_bilaplacian(n)(r, lam) - rhs) / abs(rhs)
 
 
 # -- sharp constants -----------------------------------------------------------

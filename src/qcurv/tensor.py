@@ -42,15 +42,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .limits import MAX_N
 from .polyalg import (_INT64_MAX, HarmonicBlock, HomogPoly, _absmax, _as_fraction, exact_ints,
                       exact_json, laplacian, monomial_table, split_identities)
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
-
-# largest dimension the CLI builds a Weyl tensor in: an n^4 int64 array is
-# 20 MB at n = 40, the quartic form has C(n+3, 4) = 123410 terms, and
-# `parametrix --n 40 --seed 1` peaks at about 185 MB RSS
-MAX_N = 40
 
 
 def int_bound(n: int) -> int:

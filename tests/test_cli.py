@@ -492,7 +492,7 @@ def test_usage_error_exits_2_through_the_process_entry():
     assert "Error: n >= 5 required" in res.stderr and "Traceback" not in res.stderr
 
 
-def test_only_the_process_entry_freezes_the_heap():
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
     # importing the CLI or invoking its group in process freezes nothing and
     # leaves collection on; run() freezes what the imports left, then calls main
     code = ("import gc, json\n"
@@ -507,20 +507,85 @@ def test_only_the_process_entry_freezes_the_heap():
     res = _fresh_python("-c", code)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [0, [[True, 0], [True, 0], [True, True]]]
+    # `spectral` imports numpy and its layer after run() froze the import
+    # heap; run() freezes once more as main exits, before interpreter
+    # teardown, so the frozen count at exit exceeds the one at main's entry
+    code = ("import atexit, gc, json, sys\n"
+            "import qcurv.cli\n"
+            "main, seen = qcurv.cli.main, []\n"
+            "def entered():\n"
+            "    seen.append([gc.get_freeze_count(), 'numpy' in sys.modules])\n"
+            "    main()\n"
+            "qcurv.cli.main = entered\n"
+            "atexit.register(lambda: print(json.dumps(\n"
+            "    [*seen, [gc.get_freeze_count(), 'numpy' in sys.modules]])))\n"
+            f"sys.argv = ['qcurv', 'spectral', '--report', {str(tmp_path / 'r.json')!r}]\n"
+            "qcurv.cli.run()\n")
+    res = _fresh_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    (entry, entry_numpy), (exit_, exit_numpy) = json.loads(res.stdout)
+    assert not entry_numpy and exit_numpy
+    assert 0 < entry < exit_
 
 
-def test_cli_import_leaves_scipy_special_out():
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh ``python *args`` imports, read from its
+    ``-X importtime`` lines."""
+    res = _fresh_python("-X", "importtime", *args)
+    assert res.returncode == 0, res.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cli_import_leaves_scipy_special_out(tmp_path):
     out = _fresh_python("-c", "import sys, qcurv.cli; print('scipy.special' in sys.modules)")
     assert out.stdout.strip() == "False", out.stderr
+    # each call imports the layers its subcommand runs and no others
+    report = ["--report", str(tmp_path / "r.json")]
+    calls = {"import": ["-c", "import qcurv.cli"],
+             **{" ".join(argv): ["-m", "qcurv.cli", *argv, *report]
+                for argv in (["constants"], ["constants", "--format", "json"],
+                             ["verify", "constants"], ["spectral"], ["verify", "spectral"],
+                             ["parametrix", "--n", "8"], ["verify", "polyalg"])}}
+    loaded = {call: _imported(*args) for call, args in calls.items()}
+    for call in ("import", "constants", "constants --format json", "verify constants"):
+        assert "numpy" not in loaded[call], call
+    for call, layer, absent in (
+            ("spectral", "spectral", ("asymptotics", "parametrix", "tensor")),
+            ("verify spectral", "spectral", ("asymptotics", "parametrix", "tensor")),
+            ("parametrix --n 8", "parametrix", ("spectral", "asymptotics")),
+            ("verify polyalg", "polyalg", ("spectral", "asymptotics", "tensor"))):
+        assert {"numpy", f"qcurv.{layer}"} <= loaded[call], call
+        assert not {f"qcurv.{other}" for other in absent} & loaded[call], call
     # the spectral path builds its quadrature rules without scipy
-    code = ("import sys\n"
-            "from click.testing import CliRunner\n"
-            "from qcurv.cli import main\n"
-            "for argv in (['spectral'], ['verify', 'spectral']):\n"
-            "    assert CliRunner().invoke(main, argv).exit_code == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    out = _fresh_python("-c", code)
-    assert out.stdout.strip() == "[]", out.stderr
+    for call in ("spectral", "verify spectral"):
+        assert not {m for m in loaded[call] if m.split(".")[0] == "scipy"}, call
+
+
+def test_every_option_bound_is_the_library_s_own():
+    # limits' values are moved before any module reads them: a bound that
+    # cli.py, or the layer it bounds, types again keeps the old value
+    code = ("import json\n"
+            "from qcurv import limits\n"
+            "limits.MAX_N, limits.MAX_L, limits.CASE_NAMES = 17, 99, limits.CASE_NAMES[::-1]\n"
+            "from qcurv import asymptotics, cli, spectral, tensor\n"
+            "types = {name: {p.name: p.type for p in command.params}\n"
+            "         for name, command in cli.main.commands.items()}\n"
+            "print(json.dumps([\n"
+            "    [types['spectral']['L'].max, types['verify']['L'].max, spectral.MAX_L],\n"
+            "    [list(types['asymptotics']['case'].choices), list(asymptotics.CASES)],\n"
+            "    [cli.SUITES['weyl'].n_bounds[1], cli.SUITES['parametrix'].n_bounds[1],\n"
+            "     tensor.MAX_N]]))\n")
+    res = _fresh_python("-c", code)
+    assert res.returncode == 0, res.stderr
+    moved = ["high", "n9", "n8", "lowdim", "flat"]
+    assert json.loads(res.stdout) == [[99, 99, 99], [moved, moved], [17, 17, 17]]
+    # and in this process, at their own values
+    types = {name: {p.name: p.type for p in command.params}
+             for name, command in main.commands.items()}
+    assert types["spectral"]["L"].max == types["verify"]["L"].max == spectral.MAX_L
+    assert list(types["asymptotics"]["case"].choices) == list(asymptotics.CASES)
+    assert cli.SUITES["weyl"].n_bounds[1] == cli.SUITES["parametrix"].n_bounds[1] == tensor.MAX_N
 
 
 _TOML_STRING = r'"(?:[^"\\\n]|\\.)*"|\'[^\'\n]*\''

@@ -35,7 +35,7 @@ REACHED_ONLY_BY_TESTS = [
     # audit calls the click group in process
     ("qcurv/cli.py", "<module>", ["run()"],
      "test_report.py::test_report_bytes_pinned_one_blas_thread"),
-    ("qcurv/cli.py", "run", ["gc.freeze()", "main()"],
+    ("qcurv/cli.py", "run", ["gc.freeze()", "try:", "main()", "gc.freeze()"],
      "test_report.py::test_report_bytes_pinned_one_blas_thread"),
     # the keyed read the Mapping protocol requires: every report reads a
     # polynomial's coefficients through items(), which ranks no key
